@@ -196,7 +196,9 @@ impl PartySessionSpec {
             }
         };
         let fixed_point = FixedPointCodec::new(r.get_f64()?)?;
-        let weights = WeightVector::new(r.get_f64_vec()?)?;
+        // The coordinator sends weights it already normalised: adopt them
+        // bit for bit instead of re-normalising.
+        let weights = WeightVector::from_normalised(r.get_f64_vec()?)?;
         let num_clusters = r.get_u32()? as usize;
         let linkage = parse_linkage(&r.get_str()?)?;
         let chunk = r.get_u64()?;
@@ -1385,6 +1387,34 @@ mod tests {
             None
         );
         assert!(PartySessionSpec::decode(&[1, 2, 3]).is_err());
+    }
+
+    /// Raw weights 4, 6, 4, 4, 8, 5 normalise to a vector whose float sum
+    /// is 0.9999999999999999; dividing by that sum again on decode would
+    /// move weights by an ulp and drift results from the oracle.
+    #[test]
+    fn announced_weights_decode_bit_for_bit() {
+        let schema = Schema::new(
+            (0..6)
+                .map(|i| AttributeDescriptor::numeric(format!("a{i}")))
+                .collect(),
+        )
+        .unwrap();
+        let weights = WeightVector::new(vec![4.0, 6.0, 4.0, 4.0, 8.0, 5.0]).unwrap();
+        let spec = PartySessionSpec {
+            schema,
+            config: ProtocolConfig::default(),
+            request: ClusteringRequest {
+                weights,
+                linkage: Linkage::Average,
+                num_clusters: 2,
+            },
+            chunk_rows: None,
+            site_sizes: vec![(0, 3), (1, 2)],
+        };
+        let back = PartySessionSpec::decode(&spec.encode()).unwrap();
+        let bits = |w: &WeightVector| w.weights().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back.request.weights), bits(&spec.request.weights));
     }
 
     #[test]

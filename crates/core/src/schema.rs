@@ -183,6 +183,30 @@ impl WeightVector {
         })
     }
 
+    /// Adopts weights that are already normalised — as [`weights`]
+    /// returned them, e.g. after a wire round trip — without dividing by
+    /// their float sum again, which can move a weight by an ulp. They must
+    /// be finite, non-negative and sum to 1 within 1e-9.
+    ///
+    /// [`weights`]: Self::weights
+    pub fn from_normalised(weights: Vec<f64>) -> Result<Self, CoreError> {
+        if weights.is_empty() {
+            return Err(CoreError::InvalidWeights("empty weight vector".into()));
+        }
+        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(CoreError::InvalidWeights(
+                "weights must be finite and non-negative".into(),
+            ));
+        }
+        let sum: f64 = weights.iter().sum();
+        if (sum - 1.0).abs() > 1e-9 {
+            return Err(CoreError::InvalidWeights(format!(
+                "normalised weights sum to {sum}, not 1"
+            )));
+        }
+        Ok(WeightVector { weights })
+    }
+
     /// Uniform weights over `n` attributes.
     pub fn uniform(n: usize) -> Self {
         WeightVector {

@@ -471,13 +471,27 @@ impl ChaCha20Poly1305 {
     /// routing metadata and the nonce schedule through it). Encryption and
     /// authentication run in one fused pass over the message.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        self.seal_append(nonce, aad, plaintext, &mut out);
+        out
+    }
+
+    /// Appending form of [`seal`](Self::seal): appends `ciphertext ‖ tag`
+    /// to `out` after whatever it already holds, so a caller can write a
+    /// record header first and seal straight behind it.
+    pub fn seal_append(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) {
         let nonce = Self::nonce_words(nonce);
         let mut mac = self.mac_for(&nonce, aad);
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        self.xor_keystream_append_mac(&nonce, 1, plaintext, &mut out, &mut mac, false);
+        out.reserve(plaintext.len() + TAG_LEN);
+        self.xor_keystream_append_mac(&nonce, 1, plaintext, out, &mut mac, false);
         let tag = Self::finish_tag(mac, aad.len(), plaintext.len());
         out.extend_from_slice(&tag);
-        out
     }
 
     /// Opens `sealed` (`ciphertext ‖ tag`), returning the plaintext only
@@ -664,6 +678,11 @@ mod tests {
             let cipher = ChaCha20Poly1305::new(&key);
             let sealed = cipher.seal(&nonce, &aad, &plaintext);
             prop_assert_eq!(sealed.len(), plaintext.len() + TAG_LEN);
+            // Sealing behind an existing prefix appends the same bytes.
+            let mut appended = aad.clone();
+            cipher.seal_append(&nonce, &aad, &plaintext, &mut appended);
+            prop_assert_eq!(&appended[..aad.len()], &aad[..]);
+            prop_assert_eq!(&appended[aad.len()..], &sealed[..]);
             let opened = cipher.open(&nonce, &aad, &sealed).unwrap();
             prop_assert_eq!(opened, plaintext);
         }

@@ -190,21 +190,17 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, NetError> {
-        let len = self.get_u32()? as usize;
-        self.need(len)?;
-        let out = self.buf[..len].to_vec();
-        self.buf.advance(len);
-        Ok(out)
+        Ok(self.get_bytes_ref()?.to_vec())
     }
 
-    /// Reads a length-prefixed byte string by appending into `out`,
-    /// letting callers reuse a pooled buffer instead of allocating.
-    pub fn get_bytes_into(&mut self, out: &mut Vec<u8>) -> Result<(), NetError> {
+    /// Reads a length-prefixed byte string as a slice of the payload,
+    /// without copying.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], NetError> {
         let len = self.get_u32()? as usize;
         self.need(len)?;
-        out.extend_from_slice(&self.buf[..len]);
-        self.buf.advance(len);
-        Ok(())
+        let (bytes, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        Ok(bytes)
     }
 
     /// Reads a length-prefixed UTF-8 string.

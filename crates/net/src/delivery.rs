@@ -77,8 +77,8 @@ const MAX_POOLED_CAPACITY: usize = 1 << 20;
 const MAX_POOLED_BUFFERS: usize = 128;
 
 /// A recycling pool of `Vec<u8>` scratch buffers for the delivery path
-/// (frame bodies while parsing, unsealed plaintext while splitting a
-/// coalesced record, consumed sealed payloads).
+/// (unsealed plaintext while splitting a coalesced record, payloads of
+/// plaintext frames copied out of the decoder).
 ///
 /// Lock-free on both sides (it is itself backed by the vendored MPSC
 /// queue) and deliberately forgiving: `take` on an empty pool allocates

@@ -8,7 +8,8 @@
 //!   frame format (`u32` body length, then sender, receiver, topic and
 //!   payload via the [`crate::codec`] wire primitives). The decoder is
 //!   incremental: bytes can be fed in arbitrary fragments (partial reads)
-//!   and frames pop out exactly when complete.
+//!   and frames pop out exactly when complete, either as owned envelopes
+//!   or as a [`Frame`] borrowed from the decoder's buffer.
 //! * [`StreamTransport`] — a [`Transport`] over one `io::Read + io::Write`
 //!   duplex per party, so anything socket-shaped slots in without touching
 //!   protocol code.
@@ -18,12 +19,12 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::codec::{WireReader, WireWriter};
-use crate::delivery::BufferPool;
 use crate::error::NetError;
 use crate::message::Envelope;
 use crate::party::PartyId;
@@ -73,6 +74,43 @@ pub(crate) fn get_party(r: &mut WireReader<'_>) -> Result<PartyId, NetError> {
     }
 }
 
+/// Body length of a frame carrying `topic_len` topic bytes and
+/// `payload_len` payload bytes: two parties plus two length prefixes.
+pub(crate) fn frame_body_len(topic_len: usize, payload_len: usize) -> usize {
+    18 + topic_len + payload_len
+}
+
+/// The cap check every frame builder runs before writing a byte.
+pub(crate) fn check_frame_body(topic: &str, body_len: usize) -> Result<(), NetError> {
+    if body_len > MAX_FRAME_BODY {
+        return Err(NetError::Io(format!(
+            "envelope on topic '{topic}' encodes to {body_len} bytes, over the \
+             {MAX_FRAME_BODY}-byte frame cap; stream it in chunks instead"
+        )));
+    }
+    Ok(())
+}
+
+/// Appends everything of a frame that precedes its payload bytes: the
+/// length prefix, both parties, the topic and the payload's length
+/// prefix. The caller appends exactly `payload_len` payload bytes next
+/// and has checked the cap ([`check_frame_body`]).
+pub(crate) fn put_frame_head(
+    out: &mut Vec<u8>,
+    from: PartyId,
+    to: PartyId,
+    topic: &str,
+    payload_len: usize,
+) {
+    let body_len = frame_body_len(topic.len(), payload_len);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&party_bytes(from));
+    out.extend_from_slice(&party_bytes(to));
+    out.extend_from_slice(&(topic.len() as u32).to_le_bytes());
+    out.extend_from_slice(topic.as_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+}
+
 /// Serialises an envelope into one length-prefixed frame.
 ///
 /// Fails if the encoded body would exceed [`MAX_FRAME_BODY`] — the
@@ -80,34 +118,95 @@ pub(crate) fn get_party(r: &mut WireReader<'_>) -> Result<PartyId, NetError> {
 /// one would poison the link. Envelopes that large mean a whole-matrix
 /// transfer that should use chunked streaming (`chunk_rows`) instead.
 pub fn encode_frame(envelope: &Envelope) -> Result<Vec<u8>, NetError> {
-    let mut body = WireWriter::with_capacity(14 + envelope.topic.len() + envelope.payload.len());
-    put_party(&mut body, envelope.from);
-    put_party(&mut body, envelope.to);
-    body.put_str(&envelope.topic).put_bytes(&envelope.payload);
-    let body = body.finish();
-    if body.len() > MAX_FRAME_BODY {
-        return Err(NetError::Io(format!(
-            "envelope on topic '{}' encodes to {} bytes, over the {MAX_FRAME_BODY}-byte frame \
-             cap; stream it in chunks instead",
-            envelope.topic,
-            body.len()
-        )));
-    }
-    let mut frame = WireWriter::with_capacity(4 + body.len());
-    frame.put_u32(body.len() as u32);
-    let mut out = frame.finish();
-    out.extend_from_slice(&body);
-    Ok(out)
+    let body_len = frame_body_len(envelope.topic.len(), envelope.payload.len());
+    check_frame_body(&envelope.topic, body_len)?;
+    let mut frame = Vec::with_capacity(4 + body_len);
+    put_frame_head(
+        &mut frame,
+        envelope.from,
+        envelope.to,
+        &envelope.topic,
+        envelope.payload.len(),
+    );
+    frame.extend_from_slice(&envelope.payload);
+    Ok(frame)
 }
 
-/// Incremental decoder turning a byte stream back into envelopes.
+/// One complete frame, validated and parsed in place in a
+/// [`FrameDecoder`]'s buffer.
+///
+/// `bytes` is the whole frame — length prefix and body — exactly as
+/// [`encode_frame`] writes it for the same envelope: validation rewrote
+/// the party fields canonically (a third party's index as 0), so a
+/// forwarder can pass `bytes` on verbatim instead of re-encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Sending party.
+    pub from: PartyId,
+    /// Receiving party.
+    pub to: PartyId,
+    /// The frame's topic.
+    pub topic: &'a str,
+    /// The frame's payload.
+    pub payload: &'a [u8],
+    /// The whole encoded frame.
+    pub bytes: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Copies the frame out into an owned envelope.
+    pub fn to_envelope(&self) -> Envelope {
+        Envelope::new(self.from, self.to, self.topic, self.payload.to_vec())
+    }
+}
+
+/// Where a validated body's fields sit, relative to the body start.
+struct BodyLayout {
+    from: PartyId,
+    to: PartyId,
+    topic: Range<usize>,
+    payload: Range<usize>,
+}
+
+/// Validates one frame body: both parties, a UTF-8 topic, the payload,
+/// and no trailing bytes.
+fn parse_body(body: &[u8]) -> Result<BodyLayout, NetError> {
+    let mut r = WireReader::new(body);
+    let from = get_party(&mut r)?;
+    let to = get_party(&mut r)?;
+    let topic = r.get_bytes_ref()?;
+    std::str::from_utf8(topic).map_err(|e| NetError::Decode(format!("invalid utf-8: {e}")))?;
+    let topic_end = body.len() - r.remaining();
+    let payload = r.get_bytes_ref()?;
+    r.expect_end()?;
+    Ok(BodyLayout {
+        from,
+        to,
+        topic: topic_end - topic.len()..topic_end,
+        payload: body.len() - payload.len()..body.len(),
+    })
+}
+
+/// Incremental decoder turning a byte stream back into frames.
 ///
 /// Feed fragments of any size with [`feed`](Self::feed); call
-/// [`next_frame`](Self::next_frame) until it returns `None` to drain every
-/// envelope whose frame has fully arrived.
+/// [`next_frame`](Self::next_frame) (owned envelopes) or
+/// [`next_frame_ref`](Self::next_frame_ref) (borrowed frames) until it
+/// returns `None` to drain every frame that has fully arrived.
+///
+/// Buffer contract: the stream lives in one contiguous buffer with a read
+/// cursor, and every frame is parsed from a slice of it. The buffer grows
+/// only by the bytes fed — never by what a length prefix claims — and
+/// compaction (sliding the unread tail to the front) runs only when the
+/// tail is no longer than the consumed prefix, so it never moves more
+/// bytes than were consumed. After every feed the buffer is at most twice
+/// the bytes it holds, so its allocation stays within 4× the most bytes
+/// it has held at once.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: VecDeque<u8>,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    start: usize,
 }
 
 impl FrameDecoder {
@@ -118,72 +217,69 @@ impl FrameDecoder {
 
     /// Appends raw stream bytes to the internal buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes);
+        let held = self.buffered();
+        if self.start > 0 && held <= self.start {
+            self.buf.copy_within(self.start.., 0);
+            self.buf.truncate(held);
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Number of buffered, not-yet-decoded bytes.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
+    }
+
+    /// Bytes of buffer the decoder has allocated.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Pops the next complete envelope, or `None` if more bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<Envelope>, NetError> {
-        self.next_frame_with(None)
+        Ok(self.next_frame_ref()?.map(|frame| frame.to_envelope()))
     }
 
-    /// Pops the next complete envelope, cycling the frame-body scratch and
-    /// the payload buffer through `pool` so the steady-state decode loop
-    /// performs no per-frame heap allocation. Byte-for-byte identical
-    /// decoding to [`next_frame`](Self::next_frame).
-    pub fn next_frame_pooled(&mut self, pool: &BufferPool) -> Result<Option<Envelope>, NetError> {
-        self.next_frame_with(Some(pool))
-    }
-
-    fn next_frame_with(&mut self, pool: Option<&BufferPool>) -> Result<Option<Envelope>, NetError> {
-        if self.buf.len() < 4 {
+    /// Pops the next complete frame as a view into the decoder's buffer,
+    /// or `None` if more bytes are needed. Accepts and rejects exactly
+    /// the streams [`next_frame`](Self::next_frame) does; a frame whose
+    /// body fails validation is consumed along with the error, while an
+    /// over-cap length prefix is never consumed.
+    pub fn next_frame_ref(&mut self) -> Result<Option<Frame<'_>>, NetError> {
+        let held = &self.buf[self.start..];
+        if held.len() < 4 {
             return Ok(None);
         }
-        let mut header = [0u8; 4];
-        for (slot, byte) in header.iter_mut().zip(self.buf.iter()) {
-            *slot = *byte;
-        }
-        let body_len = u32::from_le_bytes(header) as usize;
+        let body_len = u32::from_le_bytes(held[..4].try_into().expect("4 bytes")) as usize;
         if body_len > MAX_FRAME_BODY {
             return Err(NetError::Decode(format!(
                 "frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"
             )));
         }
-        if self.buf.len() < 4 + body_len {
+        if held.len() < 4 + body_len {
             return Ok(None);
         }
-        self.buf.drain(..4);
-        let mut body = match pool {
-            Some(pool) => pool.take(),
-            None => Vec::with_capacity(body_len),
-        };
-        body.extend(self.buf.drain(..body_len));
-        let parsed = (|| {
-            let mut r = WireReader::new(&body);
-            let from = get_party(&mut r)?;
-            let to = get_party(&mut r)?;
-            let topic = r.get_str()?;
-            let mut payload = match pool {
-                Some(pool) => pool.take(),
-                None => Vec::new(),
-            };
-            r.get_bytes_into(&mut payload)?;
-            r.expect_end()?;
-            Ok(Envelope {
-                from,
-                to,
-                topic,
-                payload,
-            })
-        })();
-        if let Some(pool) = pool {
-            pool.put(body);
+        let at = self.start;
+        let body_at = at + 4;
+        let end = body_at + body_len;
+        self.start = end;
+        let layout = parse_body(&self.buf[body_at..end])?;
+        // Canonical party fields: the third party's index is written as
+        // 0 whatever the sender put there, as `encode_frame` writes it.
+        for (party, offset) in [(layout.from, body_at), (layout.to, body_at + 5)] {
+            if party == PartyId::ThirdParty {
+                self.buf[offset + 1..offset + 5].fill(0);
+            }
         }
-        parsed.map(Some)
+        let body = &self.buf[body_at..end];
+        Ok(Some(Frame {
+            from: layout.from,
+            to: layout.to,
+            topic: std::str::from_utf8(&body[layout.topic]).expect("validated utf-8"),
+            payload: &body[layout.payload],
+            bytes: &self.buf[at..end],
+        }))
     }
 }
 

@@ -71,7 +71,7 @@ pub use cost::CostModel;
 pub use delivery::{BufferPool, DeliveryMode};
 pub use eavesdrop::Eavesdropper;
 pub use error::NetError;
-pub use framed::{encode_frame, memory_duplex, FrameDecoder, MemoryDuplex, StreamTransport};
+pub use framed::{encode_frame, memory_duplex, Frame, FrameDecoder, MemoryDuplex, StreamTransport};
 pub use message::{ChannelSecurity, Envelope};
 pub use metrics::{
     CommReport, DeliveryReporter, DeliveryStats, LinkStats, SealingReport, SealingReporter,

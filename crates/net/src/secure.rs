@@ -63,11 +63,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ppc_crypto::{psk_direction_key, ChaCha20Poly1305, Seed, NONCE_LEN};
+use ppc_crypto::{psk_direction_key, ChaCha20Poly1305, Seed, NONCE_LEN, TAG_LEN};
 
 use crate::codec::{WireReader, WireWriter};
 use crate::error::NetError;
-use crate::framed::party_bytes;
+use crate::framed::{check_frame_body, frame_body_len, party_bytes, put_frame_head};
 use crate::message::Envelope;
 use crate::metrics::{SealingReport, SealingStats};
 use crate::party::PartyId;
@@ -134,6 +134,37 @@ fn nonce_bytes(salt: u32, seq: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
+/// The shared `(from, to)` of a record's batch.
+///
+/// # Panics
+///
+/// If `envelopes` is empty or mixes ordered party pairs.
+fn batch_routing(envelopes: &[Envelope]) -> (PartyId, PartyId) {
+    let first = envelopes
+        .first()
+        .expect("seal_batch of at least one envelope");
+    let (from, to) = (first.from, first.to);
+    assert!(
+        envelopes.iter().all(|e| e.from == from && e.to == to),
+        "a coalesced record must not mix ordered party pairs"
+    );
+    (from, to)
+}
+
+/// Batch plaintext bytes: `count: u32`, then `topic: str, payload: bytes`
+/// per envelope.
+fn plaintext_len(envelopes: &[Envelope]) -> usize {
+    4 + envelopes
+        .iter()
+        .map(|e| 8 + e.topic.len() + e.payload.len())
+        .sum::<usize>()
+}
+
+/// Sealed record bytes: `salt: u32 | seq: u64 | ciphertext ‖ tag`.
+fn record_len(envelopes: &[Envelope]) -> usize {
+    12 + plaintext_len(envelopes) + TAG_LEN
+}
+
 /// One directed pair's sealing state: its cached cipher, the next
 /// sequence number and the pair's sealing counters.
 struct SealPair {
@@ -190,14 +221,47 @@ impl ChannelSealer {
     /// If `envelopes` is empty or mixes ordered party pairs (the caller —
     /// the socket tier's per-link flush — groups by pair first).
     pub fn seal_batch(&self, envelopes: &[Envelope]) -> Envelope {
-        let first = envelopes
-            .first()
-            .expect("seal_batch of at least one envelope");
-        let (from, to) = (first.from, first.to);
-        assert!(
-            envelopes.iter().all(|e| e.from == from && e.to == to),
-            "a coalesced record must not mix ordered party pairs"
-        );
+        let (from, to) = batch_routing(envelopes);
+        let mut payload = Vec::with_capacity(record_len(envelopes));
+        self.seal_record_into(from, to, envelopes, &mut payload);
+        Envelope::new(from, to, SEALED_TOPIC, payload)
+    }
+
+    /// Seals a batch straight into one wire frame, byte-identical to
+    /// `encode_frame(&self.seal_batch(envelopes))`: the frame header, salt
+    /// and sequence number are written first and the AEAD pass appends
+    /// ciphertext and tag behind them, so the record is built in the
+    /// buffer that goes on the wire.
+    ///
+    /// Fails — before consuming a sequence number, so the pair's stream
+    /// keeps no gap — if the frame would exceed
+    /// [`MAX_FRAME_BODY`](crate::framed::MAX_FRAME_BODY).
+    ///
+    /// # Panics
+    ///
+    /// As [`seal_batch`](Self::seal_batch).
+    pub(crate) fn seal_frame(&self, envelopes: &[Envelope]) -> Result<Vec<u8>, NetError> {
+        let (from, to) = batch_routing(envelopes);
+        let payload_len = record_len(envelopes);
+        let body_len = frame_body_len(SEALED_TOPIC.len(), payload_len);
+        check_frame_body(&envelopes[0].topic, body_len)?;
+        let mut frame = Vec::with_capacity(4 + body_len);
+        put_frame_head(&mut frame, from, to, SEALED_TOPIC, payload_len);
+        self.seal_record_into(from, to, envelopes, &mut frame);
+        debug_assert_eq!(frame.len(), 4 + body_len);
+        Ok(frame)
+    }
+
+    /// The one sealing implementation: appends the record
+    /// `salt | seq | ciphertext ‖ tag` for `envelopes` (all `from → to`)
+    /// to `out`.
+    fn seal_record_into(
+        &self,
+        from: PartyId,
+        to: PartyId,
+        envelopes: &[Envelope],
+        out: &mut Vec<u8>,
+    ) {
         let pair = {
             let mut pairs = self.pairs.lock();
             Arc::clone(pairs.entry((from, to)).or_insert_with(|| {
@@ -210,32 +274,26 @@ impl ChannelSealer {
         };
         let mut pair = pair.lock();
         let seq = pair.next;
-        let mut inner = WireWriter::with_capacity(
-            4 + envelopes
-                .iter()
-                .map(|e| 8 + e.topic.len() + e.payload.len())
-                .sum::<usize>(),
-        );
+        let mut inner = WireWriter::with_capacity(plaintext_len(envelopes));
         inner.put_u32(envelopes.len() as u32);
         for e in envelopes {
             inner.put_str(&e.topic).put_bytes(&e.payload);
         }
         let plaintext = inner.finish();
-        let sealed = pair.cipher.seal(
+        let record_start = out.len();
+        out.extend_from_slice(&self.salt.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        pair.cipher.seal_append(
             &nonce_bytes(self.salt, seq),
             &routing_aad(from, to),
             &plaintext,
+            out,
         );
-        let mut payload = Vec::with_capacity(12 + sealed.len());
-        payload.extend_from_slice(&self.salt.to_le_bytes());
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&sealed);
         pair.next += 1;
         pair.stats.records_sealed += 1;
         pair.stats.frames_sealed += envelopes.len() as u64;
         pair.stats.plaintext_bytes += plaintext.len() as u64;
-        pair.stats.sealed_bytes += payload.len() as u64;
-        Envelope::new(from, to, SEALED_TOPIC, payload)
+        pair.stats.sealed_bytes += (out.len() - record_start) as u64;
     }
 
     /// Snapshot of this sealer's per-link counters (seal-side fields).
@@ -301,38 +359,48 @@ impl ChannelOpener {
     /// (zero count, trailing bytes).
     pub fn open(&self, envelope: Envelope) -> Result<Vec<Envelope>, NetError> {
         let mut out = Vec::new();
-        self.open_into(&envelope, &mut Vec::new(), &mut out)?;
+        self.open_into(
+            envelope.from,
+            envelope.to,
+            &envelope.topic,
+            &envelope.payload,
+            &mut Vec::new(),
+            &mut out,
+        )?;
         Ok(out)
     }
 
-    /// Allocation-reusing form of [`open`](Self::open): decrypts into
-    /// `scratch` (cleared first; a pooled buffer on the hot path) and
-    /// appends the inner envelopes to `out`. On any failure `out` is left
-    /// exactly as passed in — unauthenticated plaintext is never released.
+    /// Allocation-reusing form of [`open`](Self::open) over a record's
+    /// parts, so a receiver can open a frame where it was decoded
+    /// ([`Frame`](crate::framed::Frame)): decrypts into `scratch` (cleared
+    /// first; a pooled buffer on the hot path) and appends the inner
+    /// envelopes to `out`. On any failure `out` is left exactly as passed
+    /// in — unauthenticated plaintext is never released.
     pub fn open_into(
         &self,
-        envelope: &Envelope,
+        from: PartyId,
+        to: PartyId,
+        topic: &str,
+        payload: &[u8],
         scratch: &mut Vec<u8>,
         out: &mut Vec<Envelope>,
     ) -> Result<(), NetError> {
-        let (from, to) = (envelope.from, envelope.to);
         let fail = |detail: String| NetError::AuthFailure {
             detail: format!("{from} -> {to}: {detail}"),
         };
-        if envelope.topic != SEALED_TOPIC {
+        if topic != SEALED_TOPIC {
             return Err(fail(format!(
-                "plaintext frame (topic '{}') on a secured channel",
-                envelope.topic
+                "plaintext frame (topic '{topic}') on a secured channel"
             )));
         }
-        if envelope.payload.len() < 12 {
+        if payload.len() < 12 {
             return Err(fail(format!(
                 "sealed frame of {} bytes is too short for its header",
-                envelope.payload.len()
+                payload.len()
             )));
         }
-        let salt = u32::from_le_bytes(envelope.payload[0..4].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(envelope.payload[4..12].try_into().expect("8 bytes"));
+        let salt = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
+        let seq = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
         let pair = {
             let mut pairs = self.pairs.lock();
             Arc::clone(pairs.entry((from, to)).or_insert_with(|| {
@@ -371,7 +439,7 @@ impl ChannelOpener {
             .open_into(
                 &nonce_bytes(salt, seq),
                 &routing_aad(from, to),
-                &envelope.payload[12..],
+                &payload[12..],
                 scratch,
             )
             .map_err(|e| fail(e.to_string()))?;
@@ -544,6 +612,24 @@ mod tests {
         let next = sealer.seal(&batch[0]);
         let seq = u64::from_le_bytes(next.payload[4..12].try_into().unwrap());
         assert_eq!(seq, 1);
+    }
+
+    #[test]
+    fn sealed_frames_are_the_encoded_sealed_batches() {
+        // Two sealers with one salt walk the same sequence numbers.
+        let framed = ChannelSealer::new(keyring(), 41);
+        let enveloped = ChannelSealer::new(keyring(), 41);
+        for n in [1u8, 4, 2] {
+            let batch: Vec<Envelope> = (0..n)
+                .map(|i| envelope(&format!("s0/topic/{i}"), vec![i; 40 * i as usize]))
+                .collect();
+            let frame = framed.seal_frame(&batch).unwrap();
+            let record = enveloped.seal_batch(&batch);
+            assert_eq!(frame, crate::framed::encode_frame(&record).unwrap());
+        }
+        // Both paths count records, frames and bytes identically.
+        assert_eq!(framed.report().links, enveloped.report().links);
+        assert_eq!(framed.report().total().records_sealed, 3);
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //! * [`TcpAcceptor`] / [`UdsAcceptor`] — listener-side halves that complete
 //!   the handshake and attach the inbound stream to an existing transport;
 //! * [`TcpRouter`] / [`UdsRouter`] — a standalone frame router: every
-//!   connection announces its parties, and the router forwards each inbound
-//!   frame to the connection hosting `envelope.to` (preferring the
-//!   originating connection when it hosts the destination itself, which is
-//!   what makes single-process loopback benchmarks traverse a real socket).
+//!   connection announces its parties, and the router validates each
+//!   inbound frame in place and forwards its original bytes to the
+//!   connection hosting its destination (preferring the originating
+//!   connection when it hosts the destination itself, which is what makes
+//!   single-process loopback benchmarks traverse a real socket).
 //!
 //! The wire format is specified normatively in `docs/WIRE_FORMAT.md` at the
 //! repository root; the frame layout is the one produced by
@@ -1421,9 +1422,10 @@ impl<S: SocketStream> SocketTransport<S> {
                     bytes += next;
                     end += 1;
                 }
-                let record = security.sealer.seal_batch(&group[start..end]);
-                let frame =
-                    encode_frame(&record).expect("coalesced record chunked under the frame cap");
+                let frame = security
+                    .sealer
+                    .seal_frame(&group[start..end])
+                    .expect("coalesced record chunked under the frame cap");
                 w.coalesced_records += 1;
                 w.replay.record(frame);
                 if first_error.is_none() {
@@ -1653,64 +1655,70 @@ impl LinkIngest {
     /// regardless of recoverability: active interference must surface,
     /// never be retried around. The driver must stop reading the stream.
     ///
-    /// Delivery is batched: every frame in the chunk is queued first,
-    /// then each touched party is signalled once (`Inbox::wake`). The
-    /// scratch allocations — frame body, unsealed plaintext, the consumed
-    /// sealed payload — cycle through the transport's [`BufferPool`].
+    /// Frames are unsealed (or copied out) straight from the decoder's
+    /// buffer. Delivery is batched: every frame in the chunk is queued
+    /// first, then each touched party is signalled once (`Inbox::wake`).
+    /// The unsealed-plaintext scratch and plaintext-frame payloads come
+    /// from the transport's [`BufferPool`].
     fn on_bytes(&mut self, bytes: &[u8]) -> bool {
         self.decoder.feed(bytes);
         loop {
-            match self.decoder.next_frame_pooled(&self.pool) {
-                Ok(Some(envelope)) => {
-                    // Unseal (or reject) before delivery: a secured
-                    // transport accepts only sealed records, a plaintext
-                    // one only cleartext. One wire frame may carry a whole
-                    // batch of inner envelopes (coalesced records); they
-                    // are delivered in batch order, preserving per-pair
-                    // FIFO.
-                    match &self.opener {
-                        Some(opener) => {
-                            let mut scratch = self.pool.take();
-                            let opened =
-                                opener.open_into(&envelope, &mut scratch, &mut self.opened);
-                            self.pool.put(scratch);
-                            match opened {
-                                Ok(()) => self.pool.put(envelope.payload),
-                                Err(e) => {
-                                    // An unseal failure concerns the
-                                    // party the record was addressed to;
-                                    // other parties' links are intact.
-                                    self.fail_party(envelope.to, e);
-                                    self.delivery.wake(&mut self.touched);
-                                    return false;
-                                }
-                            }
-                        }
-                        None if envelope.topic == SEALED_TOPIC => {
-                            let detail = format!(
-                                "sealed frame from {} on a plaintext transport \
-                                 (security mismatch across the federation)",
-                                envelope.from
-                            );
-                            self.fail_party(envelope.to, NetError::AuthFailure { detail });
-                            self.delivery.wake(&mut self.touched);
-                            return false;
-                        }
-                        None => self.opened.push(envelope),
-                    }
-                    self.delivery.push_all(&mut self.opened, &mut self.touched);
-                    // The resume handshake counts *wire frames* (the unit
-                    // the replay window retransmits), so a coalesced
-                    // record still counts once.
-                    self.received.fetch_add(1, Ordering::SeqCst);
-                }
+            let frame = match self.decoder.next_frame_ref() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(e) => {
                     self.fail(e);
                     self.delivery.wake(&mut self.touched);
                     return false;
                 }
+            };
+            // Unseal (or reject) before delivery: a secured transport
+            // accepts only sealed records, a plaintext one only cleartext.
+            // One wire frame may carry a whole batch of inner envelopes
+            // (coalesced records); they are delivered in batch order,
+            // preserving per-pair FIFO.
+            let to = frame.to;
+            let accepted = match &self.opener {
+                Some(opener) => {
+                    let mut scratch = self.pool.take();
+                    let opened = opener.open_into(
+                        frame.from,
+                        frame.to,
+                        frame.topic,
+                        frame.payload,
+                        &mut scratch,
+                        &mut self.opened,
+                    );
+                    self.pool.put(scratch);
+                    opened
+                }
+                None if frame.topic == SEALED_TOPIC => Err(NetError::AuthFailure {
+                    detail: format!(
+                        "sealed frame from {} on a plaintext transport \
+                         (security mismatch across the federation)",
+                        frame.from
+                    ),
+                }),
+                None => {
+                    let mut payload = self.pool.take();
+                    payload.extend_from_slice(frame.payload);
+                    self.opened
+                        .push(Envelope::new(frame.from, frame.to, frame.topic, payload));
+                    Ok(())
+                }
+            };
+            if let Err(e) = accepted {
+                // A rejected record concerns the party it was addressed
+                // to; other parties' links are intact.
+                self.fail_party(to, e);
+                self.delivery.wake(&mut self.touched);
+                return false;
             }
+            self.delivery.push_all(&mut self.opened, &mut self.touched);
+            // The resume handshake counts *wire frames* (the unit the
+            // replay window retransmits), so a coalesced record still
+            // counts once.
+            self.received.fetch_add(1, Ordering::SeqCst);
         }
         self.delivery.wake(&mut self.touched);
         true
@@ -1982,7 +1990,9 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                     }
                 }
                 Some(security) => {
-                    let frame = encode_frame(&security.sealer.seal(&envelope))?;
+                    let frame = security
+                        .sealer
+                        .seal_frame(std::slice::from_ref(&envelope))?;
                     w.replay.record(frame);
                     let frame = w.replay.frames.back().expect("just recorded");
                     match backend_write(
@@ -2585,12 +2595,14 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
     }
 }
 
-/// Decodes and forwards every complete frame `bytes` completes, counting
-/// them into the logical link's received counter. Shared by the blocking
-/// pump thread and the reactor source — the two router backends run
-/// literally this code. `Err` means corrupt framing (e.g. an over-cap
-/// length prefix that is never consumed): the caller must close the
-/// connection instead of spinning on a growing buffer.
+/// Validates and forwards every complete frame `bytes` completes,
+/// counting them into the logical link's received counter. Shared by the
+/// blocking pump thread and the reactor source — the two router backends
+/// run literally this code. Each frame is checked in place exactly as a
+/// receiving decoder checks it and forwarded as its original bytes, so
+/// the router never re-encodes. `Err` means a corrupt frame (an over-cap
+/// length prefix, or a well-framed body that fails validation): the
+/// caller must close the connection, and nothing of it is forwarded.
 fn router_ingest<S: SocketStream>(
     decoder: &mut FrameDecoder,
     bytes: &[u8],
@@ -2600,9 +2612,9 @@ fn router_ingest<S: SocketStream>(
 ) -> Result<(), ()> {
     decoder.feed(bytes);
     loop {
-        match decoder.next_frame() {
-            Ok(Some(envelope)) => {
-                router_forward(state, link, envelope, origin_conn);
+        match decoder.next_frame_ref() {
+            Ok(Some(frame)) => {
+                router_forward(state, link, frame.to, frame.bytes, origin_conn);
                 link.received.fetch_add(1, Ordering::SeqCst);
             }
             Ok(None) => return Ok(()),
@@ -2842,17 +2854,20 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     }
 }
 
-/// Forwards one decoded envelope: self-preference for the originating
-/// link, then any link announcing the destination. Frames for a link with
-/// no live stream are recorded in its replay window (store-and-forward);
-/// frames for parties no link ever announced are counted and dropped.
+/// Forwards one validated frame addressed to `to`: self-preference for
+/// the originating link, then any link announcing the destination. The
+/// frame is copied once, into the target's replay window, and written
+/// from there. Frames for a link with no live stream are recorded only
+/// (store-and-forward); frames for parties no link ever announced are
+/// counted and dropped.
 fn router_forward<S: SocketStream>(
     state: &RouterState<S>,
     origin: &Arc<RouterLink<S>>,
-    envelope: Envelope,
+    to: PartyId,
+    frame: &[u8],
     origin_conn: Option<&RouterConnSource<S>>,
 ) {
-    let target = if origin.parties.contains(&envelope.to) {
+    let target = if origin.parties.contains(&to) {
         Some(Arc::clone(origin))
     } else {
         // Prefer the *newest* link with a live connection (links are in
@@ -2862,7 +2877,7 @@ fn router_forward<S: SocketStream>(
         // newest link announcing the destination at all (store-and-forward
         // for a briefly offline peer).
         let links = state.links.lock();
-        let hosting = || links.iter().filter(|l| l.parties.contains(&envelope.to));
+        let hosting = || links.iter().filter(|l| l.parties.contains(&to));
         hosting()
             .rfind(|l| l.out.lock().stream.is_some())
             .or_else(|| hosting().next_back())
@@ -2872,20 +2887,15 @@ fn router_forward<S: SocketStream>(
         state.unroutable.fetch_add(1, Ordering::Relaxed);
         return;
     };
-    // Re-encoding a frame the decoder just accepted cannot exceed the cap,
-    // but stay defensive in the router.
-    let Ok(frame) = encode_frame(&envelope) else {
-        state.unroutable.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
     let mut guard = target.out.lock();
     let out = &mut *guard;
-    out.replay.record(frame.clone());
+    out.replay.record(frame.to_vec());
     if let Some(stream) = out.stream.as_mut() {
+        let frame = out.replay.frames.back().expect("just recorded");
         let write = match state.backend {
-            TransportBackend::Blocking => stream.write_all(&frame),
+            TransportBackend::Blocking => stream.write_all(frame),
             TransportBackend::Reactor => {
-                push_and_drain(stream, &mut out.outbox, &out.registration, None, &frame)
+                push_and_drain(stream, &mut out.outbox, &out.registration, None, frame)
             }
         };
         // A dead stream — or a peer that stopped reading long enough to
@@ -3311,16 +3321,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn router_drops_corrupt_connections_and_keeps_serving_others() {
-        let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
-
-        // A rogue client: valid handshake (hello + resume exchange), then a
-        // corrupt over-cap length prefix. The router must close that
-        // connection (not spin on a growing buffer) while other connections
-        // keep working.
+    /// Dials `addr` as a raw client announcing `party`: a valid hello and
+    /// resume exchange, after which the caller owns the frame stream.
+    fn rogue_client(addr: SocketAddr, party: PartyId) -> TcpStream {
         let mut rogue = TcpStream::connect(addr).unwrap();
-        let hello: BTreeSet<PartyId> = [PartyId::DataHolder(9)].into_iter().collect();
+        let hello: BTreeSet<PartyId> = [party].into_iter().collect();
         rogue
             .write_all(&encode_hello(99, &hello, SecurityMode::Plaintext))
             .unwrap();
@@ -3331,33 +3336,100 @@ mod tests {
         let mut resume = [0u8; 8];
         rogue.read_exact(&mut resume).unwrap();
         assert_eq!(u64::from_le_bytes(resume), 0);
-        rogue.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        rogue.flush().unwrap();
+        rogue
+    }
 
-        // The rogue connection gets pruned from the routing table.
+    /// Writes `bytes` on a rogue connection and waits for the router to
+    /// close it.
+    fn expect_router_hangup(mut rogue: TcpStream, bytes: &[u8], case: &str) {
+        rogue.write_all(bytes).unwrap();
+        rogue.flush().unwrap();
+        rogue
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        match rogue.read(&mut buf) {
+            Ok(0) => {}
+            Err(e)
+                if e.kind() != std::io::ErrorKind::WouldBlock
+                    && e.kind() != std::io::ErrorKind::TimedOut => {}
+            other => panic!("{case}: router kept the corrupt connection open ({other:?})"),
+        }
+    }
+
+    #[test]
+    fn router_drops_corrupt_connections_and_keeps_serving_others() {
+        let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
+        // The destination every corrupt frame below is addressed to.
+        let tp = TcpTransport::new([PartyId::ThirdParty]);
+        tp.connect(addr, &Backoff::default()).unwrap();
+
+        // An over-cap length prefix: the router must close the connection,
+        // not spin on a growing buffer.
+        expect_router_hangup(
+            rogue_client(addr, PartyId::DataHolder(9)),
+            &u32::MAX.to_le_bytes(),
+            "over-cap prefix",
+        );
+
+        // Well-framed frames whose bodies are corrupt: the router checks
+        // each frame as a receiver would before forwarding its bytes, so
+        // it drops the origin and the destination never sees them.
+        let valid = encode_frame(&envelope(
+            PartyId::DataHolder(9),
+            PartyId::ThirdParty,
+            "t",
+            vec![1, 2, 3],
+        ))
+        .unwrap();
+        let mut unknown_tag = valid.clone();
+        unknown_tag[4] = 9; // from-party tag
+        let mut bad_utf8 = valid.clone();
+        bad_utf8[4 + 10 + 4] = 0xFF; // the topic's one byte
+        let mut trailing = valid.clone();
+        let body_len = u32::from_le_bytes(trailing[..4].try_into().unwrap()) + 1;
+        trailing[..4].copy_from_slice(&body_len.to_le_bytes());
+        trailing.push(0);
+        for (case, frame) in [
+            ("unknown party tag", &unknown_tag),
+            ("invalid utf-8 topic", &bad_utf8),
+            ("trailing bytes", &trailing),
+        ] {
+            expect_router_hangup(rogue_client(addr, PartyId::DataHolder(9)), frame, case);
+        }
+        assert!(
+            tp.receive_any_of(&[PartyId::ThirdParty], Duration::from_millis(200))
+                .unwrap()
+                .is_none(),
+            "a corrupt frame reached its destination"
+        );
+
+        // The rogue connections are pruned; the healthy transport is the
+        // only live link.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while router.connection_count() > 0 && std::time::Instant::now() < deadline {
+        while router.connection_count() != 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(router.connection_count(), 0, "corrupt connection pruned");
+        assert_eq!(router.connection_count(), 1, "corrupt connections pruned");
 
-        // A well-behaved transport still gets full service afterwards.
-        let all = TcpTransport::new([PartyId::DataHolder(0), PartyId::ThirdParty]);
-        all.connect(addr, &Backoff::default()).unwrap();
-        all.send(envelope(
+        // Well-behaved transports still get full service afterwards.
+        let dh = TcpTransport::new([PartyId::DataHolder(0)]);
+        dh.connect(addr, &Backoff::default()).unwrap();
+        dh.send(envelope(
             PartyId::DataHolder(0),
             PartyId::ThirdParty,
             "after-corruption",
             vec![1],
         ))
         .unwrap();
-        let got = all
+        let got = tp
             .receive_any_of(&[PartyId::ThirdParty], Duration::from_secs(5))
             .unwrap()
             .unwrap();
         assert_eq!(got.topic, "after-corruption");
 
-        all.shutdown();
+        dh.shutdown();
+        tp.shutdown();
         router.shutdown();
     }
 

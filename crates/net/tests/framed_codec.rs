@@ -1,10 +1,13 @@
 //! Property-based coverage for the framed byte-stream codec: arbitrary
-//! envelopes round-trip through arbitrary read fragmentation, and
-//! interleaved multi-session streams demultiplex intact.
+//! envelopes round-trip through arbitrary read fragmentation, interleaved
+//! multi-session streams demultiplex intact, and the in-place frame path
+//! routers forward verbatim agrees with owned decoding and with a
+//! reference decoder on valid, corrupt and truncated streams.
 
 use proptest::prelude::*;
 
-use ppc_net::{encode_frame, Envelope, FrameDecoder, PartyId};
+use ppc_net::framed::MAX_FRAME_BODY;
+use ppc_net::{encode_frame, Envelope, FrameDecoder, NetError, PartyId, WireReader};
 
 /// Rebuilds envelopes from parallel value lists (the vendored proptest has
 /// no tuple strategies).
@@ -137,5 +140,296 @@ proptest! {
         // Feeding the remainder completes the frame.
         decoder.feed(&frame[cut..]);
         prop_assert_eq!(decoder.next_frame().unwrap().unwrap(), envelope);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The in-place frame path (`FrameDecoder::next_frame_ref`), which routers
+// forward verbatim and receivers open without copying, against
+// `next_frame` and against an independent reference decoder.
+// ---------------------------------------------------------------------
+
+/// What one decoder made of a stream: the frames it produced (as encoded
+/// bytes) up to the first rejection, and whether it rejected.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    frames: Vec<Vec<u8>>,
+    rejected: bool,
+}
+
+/// The frame grammar of `docs/WIRE_FORMAT.md` §4 read with the codec
+/// primitives over the whole stream at once — the specification the
+/// incremental decoders are checked against. Frames come out re-encoded
+/// by `encode_frame`.
+fn reference_decode(stream: &[u8]) -> Outcome {
+    fn party(r: &mut WireReader<'_>) -> Result<PartyId, NetError> {
+        let tag = r.get_u8()?;
+        let index = r.get_u32()?;
+        match tag {
+            0 => Ok(PartyId::DataHolder(index)),
+            1 => Ok(PartyId::ThirdParty),
+            other => Err(NetError::Decode(format!("tag {other}"))),
+        }
+    }
+    let mut frames = Vec::new();
+    let mut rest = stream;
+    while rest.len() >= 4 {
+        let body_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        if body_len > MAX_FRAME_BODY {
+            return Outcome {
+                frames,
+                rejected: true,
+            };
+        }
+        if rest.len() < 4 + body_len {
+            break;
+        }
+        let mut r = WireReader::new(&rest[4..4 + body_len]);
+        let parsed = (|| {
+            let from = party(&mut r)?;
+            let to = party(&mut r)?;
+            let topic = r.get_str()?;
+            let payload = r.get_bytes()?;
+            r.expect_end()?;
+            Ok::<_, NetError>(Envelope::new(from, to, topic, payload))
+        })();
+        match parsed {
+            Ok(envelope) => frames.push(encode_frame(&envelope).unwrap()),
+            Err(_) => {
+                return Outcome {
+                    frames,
+                    rejected: true,
+                }
+            }
+        }
+        rest = &rest[4 + body_len..];
+    }
+    Outcome {
+        frames,
+        rejected: false,
+    }
+}
+
+/// Feeds `stream` in the given fragment sizes, draining after each feed
+/// with `pop`, which yields one frame's encoded bytes.
+fn decode_with(
+    stream: &[u8],
+    fragments: &[usize],
+    mut pop: impl FnMut(&mut FrameDecoder) -> Result<Option<Vec<u8>>, NetError>,
+) -> Outcome {
+    let mut decoder = FrameDecoder::new();
+    let mut frames = Vec::new();
+    for piece in fragment(stream, fragments) {
+        decoder.feed(piece);
+        loop {
+            match pop(&mut decoder) {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break,
+                Err(_) => {
+                    return Outcome {
+                        frames,
+                        rejected: true,
+                    }
+                }
+            }
+        }
+    }
+    Outcome {
+        frames,
+        rejected: false,
+    }
+}
+
+/// The bytes `next_frame_ref` yields — what a router forwards.
+fn in_place_decode(stream: &[u8], fragments: &[usize]) -> Outcome {
+    decode_with(stream, fragments, |d| {
+        Ok(d.next_frame_ref()?.map(|frame| frame.bytes.to_vec()))
+    })
+}
+
+/// Owned envelopes from `next_frame`, re-encoded.
+fn owned_decode(stream: &[u8], fragments: &[usize]) -> Outcome {
+    decode_with(stream, fragments, |d| {
+        Ok(d.next_frame()?.map(|e| encode_frame(&e).unwrap()))
+    })
+}
+
+/// Splits `stream` into pieces of the given sizes, cycling through them.
+fn fragment<'a>(stream: &'a [u8], sizes: &[usize]) -> Vec<&'a [u8]> {
+    let mut pieces = Vec::new();
+    let mut at = 0;
+    let mut i = 0;
+    while at < stream.len() {
+        let len = sizes[i % sizes.len()].max(1).min(stream.len() - at);
+        pieces.push(&stream[at..at + len]);
+        at += len;
+        i += 1;
+    }
+    pieces
+}
+
+/// Byte offsets of every frame in a valid stream.
+fn frame_starts(stream: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < stream.len() {
+        starts.push(at);
+        at += 4 + u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    }
+    starts
+}
+
+/// A valid stream of the given envelopes in which every third-party
+/// field carries an arbitrary (non-canonical) index, as a peer may send.
+fn stream_with_loose_indices(envelopes: &[Envelope], noise: &[u32]) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for (i, e) in envelopes.iter().enumerate() {
+        let mut frame = encode_frame(e).unwrap();
+        for (k, offset) in [4usize, 9].into_iter().enumerate() {
+            if frame[offset] == 1 {
+                let index = noise[(2 * i + k) % noise.len()];
+                frame[offset + 1..offset + 5].copy_from_slice(&index.to_le_bytes());
+            }
+        }
+        stream.extend_from_slice(&frame);
+    }
+    stream
+}
+
+/// Applies one corruption of kind `kind` to the frame starting at `at`.
+fn corrupt(stream: &mut Vec<u8>, at: usize, kind: u32, value: u32) {
+    let body_len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    let topic_len = u32::from_le_bytes(stream[at + 14..at + 18].try_into().unwrap()) as usize;
+    let set_u32 = |stream: &mut Vec<u8>, offset: usize, v: u32| {
+        stream[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+    };
+    match kind {
+        // A party tag (either field) set to an arbitrary byte.
+        0 => stream[at + 4 + 5 * (value as usize % 2)] = (value >> 8) as u8,
+        // The topic length prefix moved by a small amount.
+        1 => set_u32(
+            stream,
+            at + 14,
+            (topic_len as u32).wrapping_add(value % 9).wrapping_sub(4),
+        ),
+        // The payload length prefix moved by a small amount.
+        2 => {
+            let offset = at + 18 + topic_len;
+            let payload_len = u32::from_le_bytes(stream[offset..offset + 4].try_into().unwrap());
+            set_u32(
+                stream,
+                offset,
+                payload_len.wrapping_add(value % 9).wrapping_sub(4),
+            );
+        }
+        // Invalid UTF-8 inside the topic.
+        3 => stream[at + 18 + value as usize % topic_len] = [0xFF, 0xC0, 0x80][value as usize % 3],
+        // Trailing bytes inside the body.
+        4 => {
+            let extra = 1 + value as usize % 5;
+            set_u32(stream, at, (body_len + extra) as u32);
+            let end = at + 4 + body_len;
+            stream.splice(end..end, std::iter::repeat_n(0xAB, extra));
+        }
+        // A body cut short: the length prefix claims fewer bytes.
+        5 => set_u32(
+            stream,
+            at,
+            (body_len - 1 - value as usize % body_len) as u32,
+        ),
+        // An over-cap length prefix.
+        6 => set_u32(
+            stream,
+            at,
+            (MAX_FRAME_BODY as u32 + 1).saturating_add(value),
+        ),
+        // A flip anywhere in the body.
+        _ => stream[at + 4 + value as usize % body_len] ^= 1 << (value % 8),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// For every valid frame, under arbitrary fragmentation, the in-place
+    /// path yields exactly `encode_frame(next_frame())` — including the
+    /// canonical third-party index a router must forward.
+    #[test]
+    fn in_place_frames_equal_reencoded_owned_frames(
+        topics in prop::collection::vec("[a-z0-9/-]{0,40}", 1..10),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..10),
+        froms in prop::collection::vec(0u32..16, 1..8),
+        tos in prop::collection::vec(0u32..16, 1..8),
+        noise in prop::collection::vec(any::<u32>(), 1..8),
+        fragments in prop::collection::vec(1usize..80, 1..6),
+    ) {
+        let envelopes = envelopes_from(&topics, &payloads, &froms, &tos);
+        let stream = stream_with_loose_indices(&envelopes, &noise);
+        let in_place = in_place_decode(&stream, &fragments);
+        prop_assert!(!in_place.rejected);
+        prop_assert_eq!(&in_place, &owned_decode(&stream, &fragments));
+        prop_assert_eq!(&in_place, &reference_decode(&stream));
+        let expected: Vec<Vec<u8>> = envelopes.iter().map(|e| encode_frame(e).unwrap()).collect();
+        prop_assert_eq!(in_place.frames, expected);
+    }
+
+    /// Under body corruption and truncation the in-place path rejects
+    /// exactly when `next_frame` (and the reference grammar) rejects, and
+    /// agrees on every frame before the rejection.
+    #[test]
+    fn in_place_path_rejects_exactly_when_next_frame_rejects(
+        topics in prop::collection::vec("[a-z0-9/-]{1,24}", 1..6),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..120), 1..6),
+        froms in prop::collection::vec(0u32..16, 1..4),
+        tos in prop::collection::vec(0u32..16, 1..4),
+        target in any::<u32>(),
+        kind in 0u32..8,
+        value in any::<u32>(),
+        cut in 0.0f64..1.5,
+        fragments in prop::collection::vec(1usize..64, 1..6),
+    ) {
+        let envelopes = envelopes_from(&topics, &payloads, &froms, &tos);
+        let mut stream = stream_with_loose_indices(&envelopes, &[0]);
+        let starts = frame_starts(&stream);
+        corrupt(&mut stream, starts[target as usize % starts.len()], kind, value);
+        // Sometimes also cut the stream short (a truncated read).
+        if cut < 1.0 {
+            stream.truncate((stream.len() as f64 * cut) as usize);
+        }
+        let in_place = in_place_decode(&stream, &fragments);
+        prop_assert_eq!(&in_place, &owned_decode(&stream, &fragments));
+        prop_assert_eq!(&in_place, &reference_decode(&stream));
+    }
+
+    /// The decoder's allocation grows only with the bytes it is fed: it
+    /// stays within 4× the most bytes it has held at once, whatever the
+    /// length prefixes claim (an over-cap or merely huge prefix followed
+    /// by a few bytes allocates for those bytes only).
+    #[test]
+    fn decoder_allocation_is_bounded_by_the_bytes_it_holds(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..2000), 1..8),
+        claimed in any::<u32>(),
+        tail in prop::collection::vec(any::<u8>(), 0..200),
+        fragments in prop::collection::vec(1usize..3000, 1..6),
+    ) {
+        let mut stream = Vec::new();
+        for (i, payload) in payloads.iter().enumerate() {
+            let e = Envelope::new(PartyId::DataHolder(i as u32), PartyId::ThirdParty, "t", payload.clone());
+            stream.extend_from_slice(&encode_frame(&e).unwrap());
+        }
+        // A trailing frame claiming up to 4 GiB that never arrives.
+        stream.extend_from_slice(&claimed.max(1 << 20).to_le_bytes());
+        stream.extend_from_slice(&tail);
+        let mut decoder = FrameDecoder::new();
+        let mut peak = 0;
+        for piece in fragment(&stream, &fragments) {
+            decoder.feed(piece);
+            peak = peak.max(decoder.buffered());
+            prop_assert!(
+                decoder.capacity() <= 4 * peak.max(2),
+                "capacity {} for a peak of {} held bytes", decoder.capacity(), peak
+            );
+            while let Ok(Some(_)) = decoder.next_frame_ref() {}
+        }
     }
 }

@@ -14,6 +14,7 @@
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -406,6 +407,11 @@ fn tampered_sealed_frame_settles_channel_auth() {
 /// the survivors' sends keep succeeding (the router buffers) and the
 /// coordinator must classify as `Stalled` — within the configurable
 /// budget (`--stall-ms`/`--stall-waits`), not a CI-killing hang.
+///
+/// The kill is mid-run by construction, not by timing: DH1 dials through
+/// a tripwire proxy that, when DH1's first data-sized frame arrives,
+/// kills the third party *before* forwarding that frame. By then the
+/// sessions are open, and none can finish without the third party.
 #[test]
 fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     let scenario = process_scenario(150, 2);
@@ -416,7 +422,18 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     let (dir, csvs, manifest) = stage_artifacts(&scenario, "kill");
 
     let (mut router, addr) = ppc_net::TcpRouter::spawn("127.0.0.1:0").unwrap();
+    let (tripped_tx, tripped_rx) = mpsc::channel();
+    let (killed_tx, killed_rx) = mpsc::channel::<()>();
+    // Control records are tens of bytes; DH1's first data record (its
+    // local matrix) is kilobytes. 512 bytes tells them apart.
+    let proxy = TamperProxy::spawn_tripwire(addr, 512, move || {
+        let _ = tripped_tx.send(());
+        // Hold the frame until the third party is dead.
+        let _ = killed_rx.recv();
+    })
+    .unwrap();
     let addr = addr.to_string();
+    let proxy_addr = proxy.addr().to_string();
 
     // 50 ms × 40 ≈ 2 s of true silence before a process settles its stall.
     let budgets: &[(&str, &str)] = &[
@@ -427,7 +444,7 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     ];
     let dh1 = spawn(&serve_args(
         &scenario,
-        &addr,
+        &proxy_addr,
         "DH1",
         Some(&csvs[1]),
         budgets,
@@ -448,11 +465,12 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
         budgets,
     ));
 
-    // Kill the third party early in the run; the router keeps its mailbox,
-    // so nobody observes a send failure — only silence.
-    std::thread::sleep(Duration::from_millis(300));
+    // The router keeps the third party's mailbox, so nobody observes a
+    // send failure — only silence.
+    let tripped = tripped_rx.recv_timeout(Duration::from_secs(60)).is_ok();
     let _ = tp.child.kill();
     let _ = wait_with_deadline(tp, "serve TP (killed)", Duration::from_secs(5));
+    let _ = killed_tx.send(());
 
     let deadline = Duration::from_secs(60);
     let (coord_out, coord_to) = wait_with_deadline(coordinate, "coordinate", deadline);
@@ -465,7 +483,7 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     let outcome = classify_process_run(coord_out.success, coord_to, coord_stdout, coord_stderr);
     cell.expect.check(&outcome, None).unwrap_or_else(|e| {
         panic!(
-            "cell {}: {e}\nstdout:\n{coord_stdout}\nstderr:\n{coord_stderr}",
+            "cell {} (tripwire fired: {tripped}): {e}\nstdout:\n{coord_stdout}\nstderr:\n{coord_stderr}",
             cell.name
         )
     });
