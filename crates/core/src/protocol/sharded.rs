@@ -53,10 +53,6 @@ pub struct ShardStats {
     pub messages_sent: u64,
     /// Largest pairwise-row buffer any of this shard's parties held.
     pub peak_buffered_rows: usize,
-    /// Whether this shard's worker thread was pinned to a CPU core
-    /// (`--pin-shards`; always `false` off Linux, where pinning is a
-    /// no-op).
-    pub pinned: bool,
 }
 
 /// A completed sharded run: per-session outcomes plus per-shard stats.
@@ -96,9 +92,6 @@ pub struct ShardedEngine<T> {
     /// thread-safe, so same-schema sessions share derivations *across*
     /// shards. `None` disables memoisation; outputs are identical.
     cache: Option<DerivationCache>,
-    /// Pin shard worker `i` to CPU core `i % cores` before it starts
-    /// driving sessions (Linux only; a no-op elsewhere).
-    pin: bool,
 }
 
 impl<T: WaitTransport + Sync> ShardedEngine<T> {
@@ -115,17 +108,7 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
             idle_wait: Duration::from_millis(50),
             max_idle_waits: 40,
             cache: Some(DerivationCache::new()),
-            pin: false,
         })
-    }
-
-    /// Enables (or disables) per-core shard pinning: worker `i` calls
-    /// `sched_setaffinity` for core `i % available_parallelism()` before
-    /// driving its sessions, so a shard's inbox slot stays hot in one
-    /// core's cache instead of migrating with the scheduler. Purely a
-    /// placement hint — results and wire traffic are identical either way.
-    pub fn set_pin_shards(&mut self, pin: bool) {
-        self.pin = pin;
     }
 
     /// Replaces the shared derivation cache (`None` disables memoisation —
@@ -236,7 +219,6 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
 
         let idle_wait = self.idle_wait;
         let max_idle_waits = self.max_idle_waits;
-        let pin = self.pin;
         let transports = &self.transports;
         let cache = &self.cache;
 
@@ -248,16 +230,7 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
                 .map(|(shard, (transport, sessions))| {
                     let cache = cache.clone();
                     scope.spawn(move || {
-                        let pinned = pin && ppc_net::pin_thread_to_core(shard);
-                        drive_shard(
-                            shard,
-                            transport,
-                            sessions,
-                            idle_wait,
-                            max_idle_waits,
-                            cache,
-                            pinned,
-                        )
+                        drive_shard(shard, transport, sessions, idle_wait, max_idle_waits, cache)
                     })
                 })
                 .collect();
@@ -301,12 +274,10 @@ fn drive_shard<T: WaitTransport>(
     idle_wait: Duration,
     max_idle_waits: u32,
     cache: Option<DerivationCache>,
-    pinned: bool,
 ) -> ShardResult {
     let mut stats = ShardStats {
         shard,
         sessions: sessions.iter().map(|(id, _)| *id).collect(),
-        pinned,
         ..ShardStats::default()
     };
     // Sessions always carry their global `s{id}/` prefix: ids are unique

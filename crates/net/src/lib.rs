@@ -68,7 +68,7 @@ pub use control::{
     CTL_PREFIX, TOPIC_ANNOUNCE, TOPIC_DONE, TOPIC_READY,
 };
 pub use cost::CostModel;
-pub use delivery::{BufferPool, DeliveryMode};
+pub use delivery::DeliveryMode;
 pub use eavesdrop::Eavesdropper;
 pub use error::NetError;
 pub use framed::{encode_frame, memory_duplex, Frame, FrameDecoder, MemoryDuplex, StreamTransport};
@@ -86,17 +86,3 @@ pub use socket::{
 #[cfg(unix)]
 pub use socket::{UdsAcceptor, UdsRouter, UdsTransport};
 pub use transport::{Endpoint, Instrumented, Network, Transport, WaitTransport};
-
-/// Pins the calling thread to CPU `core % available_parallelism()`.
-///
-/// Returns whether an affinity mask was actually applied: true only on
-/// Linux (via `sched_setaffinity` in the vendored `polling` shim) when
-/// the syscall succeeds; a no-op `false` elsewhere. Used by
-/// `ShardedEngine`'s `--pin-shards` mode so shard workers stop migrating
-/// off the core whose cache holds their inbox shard.
-pub fn pin_thread_to_core(core: usize) -> bool {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    polling::pin_current_thread(core % cores).unwrap_or(false)
-}

@@ -170,40 +170,29 @@ pub trait WaitStatsReporter {
 }
 
 /// Delivery-path statistics of a socket transport: how well the scratch
-/// buffer pool and the per-party queue node arenas recycled allocations,
-/// and how the batched wake protocol behaved. On a steady-state run the
-/// hit rates converge to 1.0 — the delivery machinery performs no
-/// per-frame heap allocation of its own.
+/// buffer pool recycled allocations, and how the batched wake protocol
+/// behaved. On a steady-state run the pool hit rate converges to 1.0 —
+/// the delivery machinery performs no per-frame heap allocation of its
+/// own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeliveryStats {
-    /// True when the sharded lock-free inbox carried delivery; false on
-    /// the retained mutex-inbox oracle.
-    pub sharded: bool,
     /// Scratch buffers served from the decode/unseal pool.
     pub pool_hits: u64,
     /// Scratch buffers freshly allocated because the pool was empty
     /// (start-up warm-up, or bursts deeper than the pool retains).
     pub pool_misses: u64,
-    /// Queue nodes served from the per-party arenas (sharded mode only).
-    pub node_hits: u64,
-    /// Queue nodes heap-allocated past the arenas (sharded mode only).
-    pub node_misses: u64,
     /// Wake rounds: delivered read chunks that signalled waiters once
     /// per touched party instead of once per frame.
     pub batched_wakes: u64,
-    /// Individual wake signals issued (tokens signalled in sharded mode,
-    /// condvar broadcasts on the oracle).
+    /// Individual wake tokens signalled.
     pub wake_signals: u64,
 }
 
 impl DeliveryStats {
-    /// Adds `other`'s counters into this one (`sharded` must match for
-    /// the label to stay meaningful; merging keeps `self`'s).
+    /// Adds `other`'s counters into this one.
     pub fn merge(&mut self, other: &DeliveryStats) {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
-        self.node_hits += other.node_hits;
-        self.node_misses += other.node_misses;
         self.batched_wakes += other.batched_wakes;
         self.wake_signals += other.wake_signals;
     }
@@ -215,25 +204,6 @@ impl DeliveryStats {
             1.0
         } else {
             self.pool_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of queue-node requests served by the arenas.
-    pub fn node_hit_rate(&self) -> f64 {
-        let total = self.node_hits + self.node_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.node_hits as f64 / total as f64
-        }
-    }
-
-    /// Stable label of the delivery mode ("sharded" | "mutex").
-    pub fn mode_label(&self) -> &'static str {
-        if self.sharded {
-            "sharded"
-        } else {
-            "mutex"
         }
     }
 }

@@ -20,8 +20,9 @@
 //!   the exact nonces, and tampered / plaintext / reordered inbound frames
 //!   surface as [`NetError::AuthFailure`];
 //! * [`SocketTransport`] — one framed stream per peer link, each drained by
-//!   a dedicated blocking reader thread into a condvar-signalled inbox, so
-//!   [`WaitTransport::receive_any_of`] parks without spinning. Every link
+//!   its read driver (see *Transport backends*) into per-party delivery
+//!   slots, so [`WaitTransport::receive_any_of`] parks without spinning
+//!   and wakes only for the parties it watches. Every link
 //!   keeps a bounded replay window of sent frames (implicit per-link
 //!   sequence numbers), making re-dials and re-accepts **lossless**: the
 //!   resume handshake retransmits exactly the suffix the other side lost;
@@ -64,7 +65,7 @@ use parking_lot::Mutex;
 use polling::Interest;
 
 use crate::codec::{WireReader, WireWriter};
-use crate::delivery::{BufferPool, DeliveryMode, FailureScope, Inbox};
+use crate::delivery::{DeliveryMode, FailureScope, Inbox};
 use crate::error::NetError;
 use crate::framed::{encode_frame, get_party, put_party, FrameDecoder, MAX_FRAME_BODY};
 use crate::message::Envelope;
@@ -838,12 +839,11 @@ enum RedialTarget {
 
 /// A [`Transport`] over real sockets, one framed stream per peer link.
 ///
-/// Every link's reader half runs on its own thread doing blocking reads;
-/// decoded envelopes are queued through the delivery seam
-/// (`crate::delivery::Inbox`) — per-party lock-free queues with wake
-/// tokens by default, or the retained global mutex inbox as the oracle
-/// (see [`DeliveryMode`]) — so [`receive_any_of`] parks idle workers
-/// without polling. Sends route by `envelope.to`: a link whose peer
+/// Every link's read driver decodes inbound frames into the delivery
+/// seam (`crate::delivery::Inbox`): one mutex-guarded queue, failure slot
+/// and waiter list per hosted party, so [`receive_any_of`] parks idle
+/// workers without polling and is woken only by traffic for the parties
+/// it watches. Sends route by `envelope.to`: a link whose peer
 /// announced the party wins, then a gateway (router) link, then — for
 /// parties this endpoint hosts itself — the local inbox.
 ///
@@ -856,10 +856,9 @@ pub struct SocketTransport<S: SocketStream> {
     /// This endpoint's unique id, announced in every hello.
     endpoint: u64,
     locals: BTreeSet<PartyId>,
-    /// The delivery seam: per-party sharded queues or the mutex oracle.
-    delivery: Inbox,
-    /// Recycled scratch buffers for the decode/unseal hot path.
-    pool: Arc<BufferPool>,
+    /// The delivery seam: per-party queues, wake tokens and failure
+    /// slots, plus the decode/unseal scratch-buffer pool.
+    delivery: Arc<Inbox>,
     links: Mutex<Vec<Link<S>>>,
     shutting_down: Arc<AtomicBool>,
     /// The I/O driver links attach with.
@@ -906,30 +905,16 @@ impl<S: SocketStream> SocketTransport<S> {
         Self::new_with_backend(locals, TransportBackend::default_for_host())
     }
 
-    /// Creates a transport hosting `locals` on an explicit I/O backend,
-    /// with the delivery strategy taken from [`DeliveryMode::from_env`].
+    /// Creates a transport hosting `locals` on an explicit I/O backend.
     pub fn new_with_backend(
         locals: impl IntoIterator<Item = PartyId>,
         backend: TransportBackend,
     ) -> Self {
-        Self::new_with_delivery(locals, backend, DeliveryMode::from_env())
-    }
-
-    /// Creates a transport with both the I/O backend and the delivery
-    /// strategy chosen explicitly (benches and oracle tests; everything
-    /// else goes through the env-driven defaults).
-    pub fn new_with_delivery(
-        locals: impl IntoIterator<Item = PartyId>,
-        backend: TransportBackend,
-        delivery: DeliveryMode,
-    ) -> Self {
         let locals: BTreeSet<PartyId> = locals.into_iter().collect();
-        let delivery = Inbox::new(delivery, &locals);
         SocketTransport {
             endpoint: endpoint_nonce(),
+            delivery: Arc::new(Inbox::new(&locals)),
             locals,
-            delivery,
-            pool: Arc::new(BufferPool::new()),
             links: Mutex::new(Vec::new()),
             shutting_down: Arc::new(AtomicBool::new(false)),
             backend,
@@ -959,21 +944,17 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// The delivery strategy inbound frames are queued with.
+    /// The delivery strategy inbound frames are queued with (there is
+    /// one: per-party slots).
     pub fn delivery_mode(&self) -> DeliveryMode {
-        self.delivery.mode()
+        DeliveryMode::Sharded
     }
 
-    /// Delivery-path recycling and wake statistics: buffer-pool and
-    /// queue-node hit rates plus batched-wake counters. Steady state is
-    /// all hits — the delivery machinery allocates nothing per frame.
+    /// Delivery-path recycling and wake statistics: buffer-pool hits and
+    /// misses plus batched-wake counters. Steady state is all hits — the
+    /// delivery machinery allocates nothing per frame.
     pub fn delivery_stats(&self) -> DeliveryStats {
-        let mut stats = DeliveryStats::default();
-        let (pool_hits, pool_misses) = self.pool.stats();
-        stats.pool_hits = pool_hits;
-        stats.pool_misses = pool_misses;
-        self.delivery.fill_stats(&mut stats);
-        stats
+        self.delivery.stats()
     }
 
     /// Overrides the send-time re-dial policy (default: [`Backoff::default`]).
@@ -1124,7 +1105,7 @@ impl<S: SocketStream> SocketTransport<S> {
     }
 
     /// The ingest half of a new link stream, wired into this transport's
-    /// delivery seam, buffer pool and security state.
+    /// delivery seam and security state.
     fn link_ingest(
         &self,
         retired: &Arc<AtomicBool>,
@@ -1133,8 +1114,7 @@ impl<S: SocketStream> SocketTransport<S> {
     ) -> LinkIngest {
         LinkIngest {
             decoder: FrameDecoder::new(),
-            delivery: self.delivery.clone(),
-            pool: Arc::clone(&self.pool),
+            delivery: Arc::clone(&self.delivery),
             opened: Vec::new(),
             touched: Vec::new(),
             shutting_down: Arc::clone(&self.shutting_down),
@@ -1362,11 +1342,6 @@ impl<S: SocketStream> SocketTransport<S> {
                 self.attach_link_locked(&mut links, stream, peer_endpoint, peer_parties, None)
             }
         }
-    }
-
-    /// Delivers an envelope into the local inbox and wakes its receiver.
-    fn deliver_local(&self, envelope: Envelope) {
-        self.delivery.deliver_now(envelope);
     }
 
     /// Estimated batch-plaintext bytes one envelope contributes to a
@@ -1616,8 +1591,7 @@ impl Redial for std::os::unix::net::UnixStream {
 /// ingest, which is what keeps the two backends bit-identical.
 struct LinkIngest {
     decoder: FrameDecoder,
-    delivery: Inbox,
-    pool: Arc<BufferPool>,
+    delivery: Arc<Inbox>,
     /// Reusable scratch for one record's unsealed inner envelopes.
     opened: Vec<Envelope>,
     /// Receivers touched since the last wake (one wake per read chunk).
@@ -1659,7 +1633,7 @@ impl LinkIngest {
     /// buffer. Delivery is batched: every frame in the chunk is queued
     /// first, then each touched party is signalled once (`Inbox::wake`).
     /// The unsealed-plaintext scratch and plaintext-frame payloads come
-    /// from the transport's [`BufferPool`].
+    /// from the inbox's scratch-buffer pool.
     fn on_bytes(&mut self, bytes: &[u8]) -> bool {
         self.decoder.feed(bytes);
         loop {
@@ -1680,7 +1654,7 @@ impl LinkIngest {
             let to = frame.to;
             let accepted = match &self.opener {
                 Some(opener) => {
-                    let mut scratch = self.pool.take();
+                    let mut scratch = self.delivery.pool.take();
                     let opened = opener.open_into(
                         frame.from,
                         frame.to,
@@ -1689,7 +1663,7 @@ impl LinkIngest {
                         &mut scratch,
                         &mut self.opened,
                     );
-                    self.pool.put(scratch);
+                    self.delivery.pool.put(scratch);
                     opened
                 }
                 None if frame.topic == SEALED_TOPIC => Err(NetError::AuthFailure {
@@ -1700,7 +1674,7 @@ impl LinkIngest {
                     ),
                 }),
                 None => {
-                    let mut payload = self.pool.take();
+                    let mut payload = self.delivery.pool.take();
                     payload.extend_from_slice(frame.payload);
                     self.opened
                         .push(Envelope::new(frame.from, frame.to, frame.topic, payload));
@@ -1945,12 +1919,9 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
         };
         let (index, writer, can_redial) = match routed {
             Some(route) => route,
-            None if self.locals.contains(&envelope.to) => {
-                // In-process delivery never touches a wire: no sealing.
-                self.deliver_local(envelope);
-                return Ok(());
-            }
-            None => return Err(NetError::UnknownParty(envelope.to)),
+            // In-process delivery to a hosted party never touches a wire:
+            // no sealing. Any other party is unknown.
+            None => return self.delivery.deliver_now(envelope),
         };
         if self.security.is_some()
             && envelope.topic.len() + envelope.payload.len() + 96 > MAX_FRAME_BODY
@@ -2043,9 +2014,6 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
     }
 
     fn try_receive(&self, receiver: PartyId) -> Result<Option<Envelope>, NetError> {
-        if !self.locals.contains(&receiver) {
-            return Err(NetError::UnknownParty(receiver));
-        }
         self.delivery.try_pop(receiver)
     }
 
@@ -2116,19 +2084,13 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
 }
 
 impl<S: SocketStream + Redial> WaitTransport for SocketTransport<S> {
-    /// Parks until a frame for one of `receivers` arrives: on the sharded
-    /// path each waiter registers a wake token with exactly the slots it
-    /// polls; on the mutex oracle it parks on the single inbox condvar.
+    /// Parks until a frame for one of `receivers` arrives: the waiter
+    /// registers a wake token with exactly the slots it polls.
     fn receive_any_of(
         &self,
         receivers: &[PartyId],
         timeout: Duration,
     ) -> Result<Option<Envelope>, NetError> {
-        for &receiver in receivers {
-            if !self.locals.contains(&receiver) {
-                return Err(NetError::UnknownParty(receiver));
-            }
-        }
         self.delivery
             .receive_any_of(receivers, timeout, &self.wait_parks, &self.wait_wakeups)
     }

@@ -1,26 +1,22 @@
-//! PR-10 delivery-path stress suite.
+//! Delivery-path stress suite: the specification of the per-party
+//! delivery slots.
 //!
-//! * many concurrent deliverers × many parties, on both delivery
-//!   strategies (the sharded lock-free path and the mutex-inbox oracle),
-//!   asserting per-sender FIFO, exactly-once delivery and no lost
-//!   wakeups;
-//! * a randomized-interleaving property test of the vendored lock-free
-//!   MPSC queue against a `Mutex<VecDeque>` oracle;
+//! * many concurrent deliverers × many parties, asserting per-sender
+//!   FIFO, exactly-once delivery and no lost wakeups;
+//! * targeted wakes: traffic for a party nobody waits on signals no one;
 //! * the per-party failure-routing regression: a poisoned link must
-//!   surface on the party it concerns (and, in sharded mode, *only*
-//!   there), and persist until observed.
+//!   surface on the party it concerns, *only* there, and persist until
+//!   observed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use lockfree::MpscQueue;
 use ppc_crypto::Seed;
 use ppc_net::secure::ChannelKeyring;
 use ppc_net::{
-    Backoff, DeliveryMode, Envelope, NetError, PartyId, TcpAcceptor, TcpTransport, Transport,
-    TransportBackend, WaitTransport,
+    Backoff, Envelope, NetError, PartyId, TcpAcceptor, TcpTransport, Transport, TransportBackend,
+    WaitTransport,
 };
 
 const PARTIES: u32 = 8;
@@ -40,16 +36,15 @@ fn dh(i: u32) -> PartyId {
 ///   numbers arrive strictly ascending;
 /// * **exactly-once** — each receiver sees exactly
 ///   `DELIVERERS × PER_SENDER_PER_PARTY` envelopes, no dupes, no gaps;
-/// * **no lost wakeups** — receivers use a generous timeout and treat a
-///   timeout before their count is complete as a failure, so a wakeup
-///   that never arrives fails the test instead of hanging it.
-fn run_delivery_storm(mode: DeliveryMode) {
-    let transport = Arc::new(TcpTransport::new_with_delivery(
+/// * **no lost wakeups** — every park ends in a signal, except each
+///   receiver's final probe for surplus envelopes, and no receive times
+///   out before its receiver's count is complete.
+#[test]
+fn delivery_storm() {
+    let transport = Arc::new(TcpTransport::new_with_backend(
         (0..PARTIES).map(dh),
         TransportBackend::default_for_host(),
-        mode,
     ));
-    assert_eq!(transport.delivery_mode(), mode);
 
     std::thread::scope(|scope| {
         for sender in 0..DELIVERERS {
@@ -118,130 +113,78 @@ fn run_delivery_storm(mode: DeliveryMode) {
             });
         }
     });
+    // A receive that outlives a lost wakeup still finds its envelope on
+    // the rescan after its deadline, so count timed-out parks instead:
+    // only each receiver's final exactly-once probe may time out.
+    let waits = transport.wait_stats();
+    assert!(
+        waits.blocking_waits - waits.wakeups <= u64::from(PARTIES),
+        "lost wakeups: {} parks timed out",
+        waits.blocking_waits - waits.wakeups
+    );
 }
 
+/// Targeted wakes: a waiter parked on DH0 and DH1 is signalled by
+/// traffic for DH1 and never by traffic for DH2, which it does not watch.
 #[test]
-fn delivery_storm_sharded() {
-    run_delivery_storm(DeliveryMode::Sharded);
-}
-
-#[test]
-fn delivery_storm_mutex_oracle() {
-    run_delivery_storm(DeliveryMode::MutexOracle);
-}
-
-/// Deterministic xorshift generator so the property test's interleavings
-/// are randomized but reproducible.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
-/// Single-threaded oracle equivalence: with one producer, the queue is a
-/// plain FIFO, so a randomized push/pop schedule must match a
-/// `VecDeque` oracle *step by step* — including over arena exhaustion
-/// (tiny capacity forces heap-fallback nodes and recycling).
-#[test]
-fn queue_matches_vecdeque_oracle_under_random_schedule() {
-    for seed in 1..=5u64 {
-        let queue: MpscQueue<u64> = MpscQueue::with_capacity(4);
-        let mut oracle: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-        let mut rng = Rng(seed);
-        let mut next = 0u64;
-        for _ in 0..10_000 {
-            if rng.next().is_multiple_of(3) {
-                assert_eq!(queue.pop(), oracle.pop_front(), "seed {seed}");
-            } else {
-                queue.push(next);
-                oracle.push_back(next);
-                next += 1;
-            }
-        }
-        while let Some(expected) = oracle.pop_front() {
-            assert_eq!(queue.pop(), Some(expected), "drain, seed {seed}");
-        }
-        assert_eq!(queue.pop(), None);
-    }
-}
-
-/// Multi-producer property run: 8 producers race push schedules randomized
-/// per thread (yield points from the seeded generator) while the consumer
-/// drains. The pops must form an interleaving of the producers' sequences:
-/// per-producer strictly ascending (FIFO) and complete (exactly-once) —
-/// the same contract a `Mutex<VecDeque>` with per-producer tagging gives.
-#[test]
-fn queue_property_producers_race_consumer() {
-    const PRODUCERS: u64 = 8;
-    const ITEMS: u64 = 5_000;
-    let queue: Arc<MpscQueue<(u64, u64)>> = Arc::new(MpscQueue::with_capacity(64));
-    let produced = Arc::new(AtomicU64::new(0));
-
+fn wakes_target_only_the_parties_a_waiter_watches() {
+    let transport =
+        TcpTransport::new_with_backend([dh(0), dh(1), dh(2)], TransportBackend::default_for_host());
+    let to = |party: PartyId, seq: u64| {
+        Envelope::new(dh(100), party, "wake", seq.to_le_bytes().to_vec())
+    };
     std::thread::scope(|scope| {
-        for p in 0..PRODUCERS {
-            let queue = Arc::clone(&queue);
-            let produced = Arc::clone(&produced);
-            scope.spawn(move || {
-                let mut rng = Rng(p + 1);
-                for i in 0..ITEMS {
-                    queue.push((p, i));
-                    produced.fetch_add(1, Ordering::SeqCst);
-                    if rng.next().is_multiple_of(17) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
+        let waiter = scope.spawn(|| {
+            transport
+                .receive_any_of(&[dh(0), dh(1)], Duration::from_secs(30))
+                .unwrap()
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while transport.wait_stats().blocking_waits < 1 {
+            assert!(Instant::now() < deadline, "the waiter never parked");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let mut last: HashMap<u64, u64> = HashMap::new();
-        let mut drained = 0u64;
-        while drained < PRODUCERS * ITEMS {
-            match queue.pop() {
-                Some((p, i)) => {
-                    let slot = last.entry(p).or_insert(0);
-                    assert_eq!(i, *slot, "producer {p} out of order");
-                    *slot += 1;
-                    drained += 1;
-                }
-                None => {
-                    assert!(
-                        produced.load(Ordering::SeqCst) >= drained,
-                        "queue lost items: popped {drained} of {} produced",
-                        produced.load(Ordering::SeqCst)
-                    );
-                    std::thread::yield_now();
-                }
-            }
+        for seq in 0..100 {
+            transport.send(to(dh(2), seq)).unwrap();
         }
-        assert_eq!(queue.pop(), None, "exactly-once: nothing left after drain");
+        assert_eq!(
+            transport.delivery_stats().wake_signals,
+            0,
+            "traffic for an unwatched party must signal no one"
+        );
+        transport.send(to(dh(1), 7)).unwrap();
+        let got = waiter
+            .join()
+            .unwrap()
+            .expect("the DH1 envelope wakes the waiter");
+        assert_eq!((got.to, got.payload), (dh(1), 7u64.to_le_bytes().to_vec()));
     });
+    assert_eq!(transport.delivery_stats().wake_signals, 1);
+    for seq in 0..100u64 {
+        let envelope = transport.try_receive(dh(2)).unwrap().expect("DH2 traffic");
+        assert_eq!(envelope.payload, seq.to_le_bytes().to_vec(), "FIFO order");
+    }
+    assert!(transport.try_receive(dh(2)).unwrap().is_none());
 }
 
-/// The failure-routing regression the sharded path exists for: one
-/// poisoned link between two co-hosted parties.
+/// The failure-routing regression: one poisoned link between two
+/// co-hosted parties.
 ///
 /// A sealed acceptor hosts DH0 and DH1 under keyring A. A dialer with
 /// keyring B sends to DH0 — the unseal fails, which is an
-/// [`NetError::AuthFailure`] concerning DH0's link only. In sharded mode
-/// DH0 must observe the failure on every poll (sticky until a resume
-/// clears it) while DH1 times out cleanly; the mutex oracle's one global
-/// failure slot leaks it to both, which is exactly the pre-sharding
-/// behaviour the oracle documents.
-fn run_poisoned_link(mode: DeliveryMode) -> (Result<Option<Envelope>, NetError>, [bool; 3]) {
+/// [`NetError::AuthFailure`] concerning DH0's link only. DH0 must observe
+/// the failure on every poll (sticky until a resume clears it) while DH1
+/// times out cleanly.
+#[test]
+fn poisoned_link_routes_to_the_party_it_concerns() {
     let backend = TransportBackend::default_for_host();
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
 
-    let mut host = TcpTransport::new_with_delivery([dh(0), dh(1)], backend, mode);
+    let mut host = TcpTransport::new_with_backend([dh(0), dh(1)], backend);
     host.set_security(ChannelKeyring::from_master(&Seed::from_u64(77)));
 
-    let mut dialer = TcpTransport::new_with_delivery([dh(2)], backend, DeliveryMode::Sharded);
+    let mut dialer = TcpTransport::new_with_backend([dh(2)], backend);
     dialer.set_security(ChannelKeyring::from_master(&Seed::from_u64(78)));
 
     let accepted = std::thread::scope(|scope| {
@@ -264,69 +207,12 @@ fn run_poisoned_link(mode: DeliveryMode) -> (Result<Option<Envelope>, NetError>,
         .receive_any_of(&[dh(0)], Duration::from_millis(50))
         .is_err()
         && host.try_receive(dh(0)).is_err();
-    // DH1: scoped out in sharded mode, leaked to in mutex mode.
+    assert!(failure_is_auth, "expected AuthFailure, got {dh0_first:?}");
+    assert!(persists, "failure must persist until a resume clears it");
+    // DH1 is scoped out.
     let dh1 = host.receive_any_of(&[dh(1)], Duration::from_millis(200));
-    let dh1_clean = matches!(&dh1, Ok(None));
-    (dh0_first, [failure_is_auth, persists, dh1_clean])
-}
-
-#[test]
-fn poisoned_link_routes_to_the_party_it_concerns_sharded() {
-    let (first, [is_auth, persists, dh1_clean]) = run_poisoned_link(DeliveryMode::Sharded);
-    assert!(is_auth, "expected AuthFailure, got {first:?}");
-    assert!(persists, "failure must persist until a resume clears it");
     assert!(
-        dh1_clean,
-        "sharded mode must not leak DH0's link failure to DH1"
-    );
-}
-
-#[test]
-fn poisoned_link_mutex_oracle_keeps_global_slot_semantics() {
-    let (first, [is_auth, persists, dh1_clean]) = run_poisoned_link(DeliveryMode::MutexOracle);
-    assert!(is_auth, "expected AuthFailure, got {first:?}");
-    assert!(persists, "failure must persist until a resume clears it");
-    assert!(
-        !dh1_clean,
-        "the oracle's single failure slot leaks to DH1 by design; if this \
-         starts passing, the oracle stopped being the pre-sharding baseline"
-    );
-}
-
-/// Smoke check that the Mutex<VecDeque> oracle and the lock-free queue
-/// agree under a coarse concurrent schedule too: same producers, same
-/// items, both structures, identical per-producer streams out.
-#[test]
-fn queue_and_mutex_oracle_agree_concurrently() {
-    const PRODUCERS: u64 = 4;
-    const ITEMS: u64 = 2_000;
-    let queue: Arc<MpscQueue<(u64, u64)>> = Arc::new(MpscQueue::new());
-    let oracle: Arc<Mutex<std::collections::VecDeque<(u64, u64)>>> =
-        Arc::new(Mutex::new(std::collections::VecDeque::new()));
-
-    std::thread::scope(|scope| {
-        for p in 0..PRODUCERS {
-            let queue = Arc::clone(&queue);
-            let oracle = Arc::clone(&oracle);
-            scope.spawn(move || {
-                for i in 0..ITEMS {
-                    queue.push((p, i));
-                    oracle.lock().unwrap().push_back((p, i));
-                }
-            });
-        }
-    });
-
-    let mut from_queue: HashMap<u64, Vec<u64>> = HashMap::new();
-    while let Some((p, i)) = queue.pop() {
-        from_queue.entry(p).or_default().push(i);
-    }
-    let mut from_oracle: HashMap<u64, Vec<u64>> = HashMap::new();
-    while let Some((p, i)) = oracle.lock().unwrap().pop_front() {
-        from_oracle.entry(p).or_default().push(i);
-    }
-    assert_eq!(
-        from_queue, from_oracle,
-        "per-producer streams must be identical (both FIFO and complete)"
+        matches!(&dh1, Ok(None)),
+        "DH0's link failure must not leak to DH1, got {dh1:?}"
     );
 }

@@ -1,15 +1,13 @@
 //! Generates `BENCH_pr10.json`: the scenario factory as the bench
-//! surface, measured on both socket I/O backends and both delivery
-//! strategies (the PR-10 sharded lock-free inbox vs the retained mutex
-//! oracle).
+//! surface, measured on both socket I/O backends.
 //!
 //! Every row is derived from a seeded [`ScenarioSpec`] and records its
 //! seed, so any number can be reproduced bit-for-bit by regenerating the
 //! same scenario; every row also records the host's `cores`, the
 //! `transport_backend` it ran on (`in-memory` for rows that never touch a
 //! socket, otherwise `blocking` — one reader thread per link — or
-//! `reactor` — all sockets on one process-global event loop), the
-//! `delivery` strategy and whether threads were `pinned`. The axes:
+//! `reactor` — all sockets on one process-global event loop) and the
+//! `delivery` path (`sharded`: per-party slots). The axes:
 //!
 //! * **sites × objects × skew** — three oracle rows run the in-process
 //!   session engine over generated workloads (uniform 4-site, zipf
@@ -32,12 +30,8 @@
 //!   blocking pays a thread per link);
 //! * **delivery contention** — 64 co-hosted parties on one transport, 4
 //!   deliverer threads racing 4 receiver threads through the local
-//!   delivery path, sharded-inbox vs mutex-oracle × pinned vs unpinned,
-//!   stream-checksum equality asserted across all four flavors on every
-//!   rep (the one-inbox-lock workload PR-10 exists for);
-//! * **shard pinning** — the reference scenario on a 4-shard
-//!   [`ShardedEngine`], `--pin-shards` on vs off, fingerprints asserted
-//!   against the oracle;
+//!   delivery path, the stream checksum asserted identical on every rep
+//!   and the wake signals counted;
 //! * **parallel merge (PR-7 re-run)** — `MergeAccumulator`'s sequential
 //!   vs multi-threaded normalised fold over a large condensed matrix,
 //!   bit-identity asserted.
@@ -67,6 +61,9 @@ use ppc_net::{
 use ppc_scenario::chaos::fingerprint_process_stdout;
 use ppc_scenario::digest::fingerprint_outcomes;
 use ppc_scenario::factory::{Scenario, ScenarioSpec, SchemaShape, SiteSkew};
+
+/// The `delivery` provenance label of every socket row.
+const DELIVERY: &str = DeliveryMode::Sharded.as_str();
 
 /// Bench scale: `quick` keeps a full run in CI minutes on one core,
 /// `full` multiplies the object counts for real hardware.
@@ -265,16 +262,14 @@ fn cores() -> usize {
         .unwrap_or(1)
 }
 
-/// `"cores": …, "transport_backend": "…", "delivery": "…", "pinned": …`
-/// — the provenance fields every BENCH row carries. `backend` is
-/// `in-memory` for rows that never touch a socket, otherwise the socket
-/// I/O driver; `delivery` is the inbox strategy (`sharded` lock-free vs
-/// the `mutex` oracle, `in-memory` when no socket inbox is involved);
-/// `pinned` records whether the row's worker threads were affinity-pinned.
-fn provenance(backend: &str, delivery: &str, pinned: bool) -> String {
+/// `"cores": …, "transport_backend": "…", "delivery": "…"` — the
+/// provenance fields every BENCH row carries. `backend` is `in-memory`
+/// for rows that never touch a socket, otherwise the socket I/O driver;
+/// `delivery` is the socket delivery path ([`DELIVERY`], or `in-memory`
+/// when no socket inbox is involved).
+fn provenance(backend: &str, delivery: &str) -> String {
     format!(
-        "\"cores\": {}, \"transport_backend\": \"{backend}\", \"delivery\": \"{delivery}\", \
-         \"pinned\": {pinned}",
+        "\"cores\": {}, \"transport_backend\": \"{backend}\", \"delivery\": \"{delivery}\"",
         cores()
     )
 }
@@ -438,7 +433,7 @@ fn main() {
         rows.push(format!(
             "    {{\"id\": \"scenario/oracle/{name}\", {}, {}, {}, {}, \
              \"fingerprint\": \"{fingerprint:016x}\"}}",
-            provenance("in-memory", "in-memory", false),
+            provenance("in-memory", "in-memory"),
             scenario_fields(&scenario),
             spread.seconds_fields(),
             spread.rate_fields(sessions, "sessions_per_second"),
@@ -451,62 +446,44 @@ fn main() {
     let specs = reference.session_specs().unwrap();
     let sessions = reference.spec.sessions as f64;
 
-    // Axis 2: channel security × socket backend × delivery strategy over
-    // a loopback-TCP frame router, identity to the oracle asserted on
-    // every rep. The blocking backend is the behavioral oracle for the
-    // reactor and the mutex inbox is the behavioral oracle for the
-    // sharded delivery path: same wire format, same replay/resume
-    // machinery, different queueing — the fingerprint assert holds every
-    // flavor to the in-process truth. Each sharded row records its
-    // speedup over the mutex-oracle row of the same flavor.
+    // Axis 2: channel security × socket backend over a loopback-TCP frame
+    // router, identity to the oracle asserted on every rep. The blocking
+    // backend is the behavioral oracle for the reactor: same wire format,
+    // same replay/resume machinery, different I/O driver — the
+    // fingerprint assert holds every flavor to the in-process truth.
     for backend in [TransportBackend::Blocking, TransportBackend::Reactor] {
         let mut plaintext_median = 0.0;
         for sealed in [false, true] {
-            let mut mutex_median = 0.0;
-            for delivery in [DeliveryMode::MutexOracle, DeliveryMode::Sharded] {
-                let spread = Spread::measure(reps, || {
-                    let (mut router, addr) =
-                        TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
-                    let mut transport =
-                        TcpTransport::new_with_delivery(reference.parties(), backend, delivery);
-                    if sealed {
-                        transport.set_security(ChannelKeyring::from_master(&reference.master));
-                    }
-                    transport.connect(addr, &Backoff::default()).unwrap();
-                    let fingerprint = sharded_fingerprint(&specs, transport);
-                    assert_eq!(fingerprint, oracle_fp, "TCP run diverged from the oracle");
-                    router.shutdown();
-                });
-                let mut extra = String::new();
-                if delivery == DeliveryMode::MutexOracle {
-                    mutex_median = spread.median;
-                } else {
-                    extra.push_str(&format!(
-                        ", \"speedup_vs_mutex_oracle\": {:.3}",
-                        mutex_median / spread.median
-                    ));
-                }
+            let spread = Spread::measure(reps, || {
+                let (mut router, addr) =
+                    TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
+                let mut transport = TcpTransport::new_with_backend(reference.parties(), backend);
                 if sealed {
-                    if delivery == DeliveryMode::Sharded {
-                        extra.push_str(&format!(
-                            ", \"overhead_vs_plaintext_percent\": {:.1}",
-                            (spread.median / plaintext_median - 1.0) * 100.0
-                        ));
-                    }
-                } else if delivery == DeliveryMode::Sharded {
-                    plaintext_median = spread.median;
+                    transport.set_security(ChannelKeyring::from_master(&reference.master));
                 }
-                rows.push(format!(
-                    "    {{\"id\": \"scenario/sharded_tcp/{backend}/{}/{}\", {}, {}, {}, {}, \
-                     \"bit_identical_to_oracle\": true{extra}}}",
-                    delivery.as_str(),
-                    if sealed { "sealed" } else { "plaintext" },
-                    provenance(backend.as_str(), delivery.as_str(), false),
-                    scenario_fields(&reference),
-                    spread.seconds_fields(),
-                    spread.rate_fields(sessions, "sessions_per_second"),
-                ));
-            }
+                transport.connect(addr, &Backoff::default()).unwrap();
+                let fingerprint = sharded_fingerprint(&specs, transport);
+                assert_eq!(fingerprint, oracle_fp, "TCP run diverged from the oracle");
+                router.shutdown();
+            });
+            let extra = if sealed {
+                format!(
+                    ", \"overhead_vs_plaintext_percent\": {:.1}",
+                    (spread.median / plaintext_median - 1.0) * 100.0
+                )
+            } else {
+                plaintext_median = spread.median;
+                String::new()
+            };
+            rows.push(format!(
+                "    {{\"id\": \"scenario/sharded_tcp/{backend}/{DELIVERY}/{}\", {}, {}, {}, {}, \
+                 \"bit_identical_to_oracle\": true{extra}}}",
+                if sealed { "sealed" } else { "plaintext" },
+                provenance(backend.as_str(), DELIVERY),
+                scenario_fields(&reference),
+                spread.seconds_fields(),
+                spread.rate_fields(sessions, "sessions_per_second"),
+            ));
         }
     }
 
@@ -536,7 +513,7 @@ fn main() {
             "    {{\"id\": \"scenario/wan/{profile_name}\", {}, {}, {}, \
              \"virtual_wire_seconds\": {:.3}, \"bytes_on_wire\": {}, \
              \"retransmissions\": {}, \"bit_identical_to_oracle\": true}}",
-            provenance("in-memory", "in-memory", false),
+            provenance("in-memory", "in-memory"),
             scenario_fields(&reference),
             spread.seconds_fields(),
             stats.virtual_seconds,
@@ -597,7 +574,7 @@ fn main() {
                      \"fingerprint\": \"{fingerprint:016x}\"{extra}, \
                      \"note\": \"includes process spawn + control-plane handshake\"}}",
                     if sealed { "sealed" } else { "plaintext" },
-                    provenance(backend.as_str(), "sharded", false),
+                    provenance(backend.as_str(), DELIVERY),
                     scenario_fields(&scenario),
                     spread.seconds_fields(),
                     spread.rate_fields(proc_sessions, "sessions_per_second"),
@@ -614,105 +591,79 @@ fn main() {
     }
 
     // Axis 5 (PR-9 re-run): link scaling — a 64-link ring through one
-    // in-process router per backend, the workload the reactor exists for,
-    // now also split by delivery strategy. Each rep connects 64
-    // single-party transports, pushes PASSES full ring rotations (64
-    // envelopes each) and tears down; the blocking backend pays ~2
-    // threads per link for the same bytes.
+    // in-process router per backend, the workload the reactor exists for.
+    // Each rep connects 64 single-party transports, pushes PASSES full
+    // ring rotations (64 envelopes each) and tears down; the blocking
+    // backend pays ~2 threads per link for the same bytes.
     for backend in [TransportBackend::Blocking, TransportBackend::Reactor] {
         const LINKS: usize = 64;
         const PASSES: usize = 4;
-        let mut mutex_median = 0.0;
-        for delivery in [DeliveryMode::MutexOracle, DeliveryMode::Sharded] {
-            let spread = Spread::measure(reps, || {
-                let (mut router, addr) =
-                    TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
-                let transports: Vec<TcpTransport> = (0..LINKS)
-                    .map(|i| {
-                        let t = TcpTransport::new_with_delivery(
-                            [PartyId::DataHolder(i as u32)],
-                            backend,
-                            delivery,
-                        );
-                        t.connect(addr, &Backoff::default()).unwrap();
-                        t
-                    })
-                    .collect();
-                for pass in 0..PASSES {
-                    for (i, t) in transports.iter().enumerate() {
-                        t.send(Envelope::new(
-                            PartyId::DataHolder(i as u32),
-                            PartyId::DataHolder(((i + 1) % LINKS) as u32),
-                            "bench/ring",
-                            vec![pass as u8; 64],
-                        ))
-                        .unwrap();
-                        t.flush().unwrap();
-                    }
-                    for (i, t) in transports.iter().enumerate() {
-                        let me = PartyId::DataHolder(i as u32);
-                        t.receive_any_of(&[me], Duration::from_secs(30))
-                            .unwrap()
-                            .expect("ring envelope arrives");
-                    }
+        let spread = Spread::measure(reps, || {
+            let (mut router, addr) = TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
+            let transports: Vec<TcpTransport> = (0..LINKS)
+                .map(|i| {
+                    let t =
+                        TcpTransport::new_with_backend([PartyId::DataHolder(i as u32)], backend);
+                    t.connect(addr, &Backoff::default()).unwrap();
+                    t
+                })
+                .collect();
+            for pass in 0..PASSES {
+                for (i, t) in transports.iter().enumerate() {
+                    t.send(Envelope::new(
+                        PartyId::DataHolder(i as u32),
+                        PartyId::DataHolder(((i + 1) % LINKS) as u32),
+                        "bench/ring",
+                        vec![pass as u8; 64],
+                    ))
+                    .unwrap();
+                    t.flush().unwrap();
                 }
-                for t in &transports {
-                    t.shutdown();
+                for (i, t) in transports.iter().enumerate() {
+                    let me = PartyId::DataHolder(i as u32);
+                    t.receive_any_of(&[me], Duration::from_secs(30))
+                        .unwrap()
+                        .expect("ring envelope arrives");
                 }
-                router.shutdown();
-            });
-            let extra = if delivery == DeliveryMode::MutexOracle {
-                mutex_median = spread.median;
-                String::new()
-            } else {
-                format!(
-                    ", \"speedup_vs_mutex_oracle\": {:.3}",
-                    mutex_median / spread.median
-                )
-            };
-            rows.push(format!(
-                "    {{\"id\": \"stress/ring_64_links/{backend}/{}\", {}, \"links\": {LINKS}, \
-                 \"passes\": {PASSES}, \"messages\": {}, {}, {}, {}{extra}}}",
-                delivery.as_str(),
-                provenance(backend.as_str(), delivery.as_str(), false),
-                LINKS * PASSES,
-                spread.seconds_fields(),
-                spread.rate_fields((LINKS * PASSES) as f64, "messages_per_second"),
-                spread.rate_fields(PASSES as f64, "sessions_per_second"),
-            ));
-        }
+            }
+            for t in &transports {
+                t.shutdown();
+            }
+            router.shutdown();
+        });
+        rows.push(format!(
+            "    {{\"id\": \"stress/ring_64_links/{backend}/{DELIVERY}\", {}, \"links\": {LINKS}, \
+             \"passes\": {PASSES}, \"messages\": {}, {}, {}, {}}}",
+            provenance(backend.as_str(), DELIVERY),
+            LINKS * PASSES,
+            spread.seconds_fields(),
+            spread.rate_fields((LINKS * PASSES) as f64, "messages_per_second"),
+            spread.rate_fields(PASSES as f64, "sessions_per_second"),
+        ));
     }
 
-    // Axis 6: delivery contention — the one-inbox-lock workload. 64
-    // parties co-hosted on ONE transport, 4 deliverer threads racing 4
-    // receiver threads through the local delivery path. Under the mutex
-    // oracle every delivery and every receive serialises on one lock and
-    // every wake is a notify_all broadcast; the sharded inbox gives each
-    // party its own lock-free queue and signals only the receiver that
-    // owns it. Stream checksums are asserted identical across all four
-    // flavors on every rep — the strategies may only differ in speed.
-    // The wake_signals field makes the structural difference visible
-    // even when single-core wall time is noise-bound: the oracle
-    // broadcasts per delivery, the sharded inbox signals only parked
-    // owners.
+    // Axis 6: delivery contention. 64 parties co-hosted on ONE
+    // transport, 4 deliverer threads racing 4 receiver threads through
+    // the local delivery path. Each party has its own slot, and a
+    // delivery signals only the parked receiver that watches it. The
+    // stream checksum is asserted identical on every rep. The
+    // wake_signals field (median over reps) keeps the wake design
+    // visible even when single-core wall time is noise-bound: a
+    // broadcast wake would signal once per message, 25600 per rep.
     {
         const PARTIES: u32 = 64;
         const DRIVERS: u32 = 4;
         const ROUNDS: u64 = 100;
-        let contention_rep = |delivery: DeliveryMode, pin: bool| -> (u64, u64) {
-            let transport = Arc::new(TcpTransport::new_with_delivery(
+        let contention_rep = || -> (u64, u64) {
+            let transport = Arc::new(TcpTransport::new_with_backend(
                 (0..PARTIES).map(PartyId::DataHolder),
                 TransportBackend::default_for_host(),
-                delivery,
             ));
             let checksum = std::sync::atomic::AtomicU64::new(0);
             std::thread::scope(|scope| {
                 for driver in 0..DRIVERS {
                     let transport = Arc::clone(&transport);
                     scope.spawn(move || {
-                        if pin {
-                            ppc_net::pin_thread_to_core(driver as usize);
-                        }
                         for round in 0..ROUNDS {
                             for to in 0..PARTIES {
                                 transport
@@ -731,9 +682,6 @@ fn main() {
                     let transport = Arc::clone(&transport);
                     let checksum = &checksum;
                     scope.spawn(move || {
-                        if pin {
-                            ppc_net::pin_thread_to_core((DRIVERS + group) as usize);
-                        }
                         let mine: Vec<PartyId> = (0..PARTIES)
                             .filter(|p| p % DRIVERS == group)
                             .map(PartyId::DataHolder)
@@ -772,88 +720,35 @@ fn main() {
             )
         };
         let mut reference_checksum: Option<u64> = None;
-        let mut mutex_median = [0.0f64; 2];
-        for pin in [false, true] {
-            for delivery in [DeliveryMode::MutexOracle, DeliveryMode::Sharded] {
-                let mut checksum = 0u64;
-                let mut wake_signals = 0u64;
-                let spread = Spread::measure(reps, || {
-                    (checksum, wake_signals) = contention_rep(delivery, pin);
-                    match reference_checksum {
-                        Some(reference) => assert_eq!(
-                            checksum,
-                            reference,
-                            "delivery flavors produced different streams \
-                             (delivery={}, pinned={pin})",
-                            delivery.as_str()
-                        ),
-                        None => reference_checksum = Some(checksum),
-                    }
-                });
-                let extra = if delivery == DeliveryMode::MutexOracle {
-                    mutex_median[usize::from(pin)] = spread.median;
-                    String::new()
-                } else {
-                    format!(
-                        ", \"speedup_vs_mutex_oracle\": {:.3}",
-                        mutex_median[usize::from(pin)] / spread.median
-                    )
-                };
-                let messages = u64::from(DRIVERS) * ROUNDS * u64::from(PARTIES);
-                rows.push(format!(
-                    "    {{\"id\": \"stress/delivery_contention/{}/{}\", {}, \
-                     \"parties\": {PARTIES}, \"deliverers\": {DRIVERS}, \
-                     \"receivers\": {DRIVERS}, \"messages\": {messages}, {}, {}, \
-                     \"wake_signals\": {wake_signals}, \
-                     \"stream_checksum\": \"{checksum:016x}\", \
-                     \"checksum_identical_across_flavors\": true{extra}}}",
-                    delivery.as_str(),
-                    if pin { "pinned" } else { "unpinned" },
-                    provenance("in-process", delivery.as_str(), pin),
-                    spread.seconds_fields(),
-                    spread.rate_fields(messages as f64, "messages_per_second"),
-                ));
-            }
-        }
-    }
-
-    // Axis 7: shard pinning — the reference scenario on a 4-shard
-    // ShardedEngine over in-memory networks, --pin-shards off vs on.
-    // Pinning is a placement hint: fingerprints must match the oracle
-    // either way (asserted every rep); only the wall time may move, and
-    // on a single-core box it is expected to be a wash.
-    for pin in [false, true] {
-        let mut pinned_effective = false;
+        let mut wake_signals = Vec::with_capacity(reps);
         let spread = Spread::measure(reps, || {
-            let transports: Vec<Network> = (0..4)
-                .map(|_| Network::with_parties(reference.spec.sites))
-                .collect();
-            let mut engine = ShardedEngine::new(transports).unwrap();
-            engine.set_pin_shards(pin);
-            for spec in &specs {
-                engine.add_session(spec.clone());
+            let (checksum, signals) = contention_rep();
+            wake_signals.push(signals);
+            match reference_checksum {
+                Some(reference) => assert_eq!(
+                    checksum, reference,
+                    "delivery contention produced different streams across reps"
+                ),
+                None => reference_checksum = Some(checksum),
             }
-            engine.set_stall_budget(Duration::from_millis(100), 600);
-            let run = engine.run().unwrap();
-            pinned_effective = run.shards.iter().all(|s| s.pinned);
-            assert_eq!(
-                fingerprint_outcomes(&run.outcomes),
-                oracle_fp,
-                "pinned sharded run diverged from the oracle"
-            );
         });
+        let checksum = reference_checksum.expect("at least one rep ran");
+        wake_signals.sort_unstable();
+        let messages = u64::from(DRIVERS) * ROUNDS * u64::from(PARTIES);
         rows.push(format!(
-            "    {{\"id\": \"scenario/shard_pinning/4shards/{}\", {}, {}, \"shards\": 4, {}, {}, \
-             \"bit_identical_to_oracle\": true}}",
-            if pin { "pinned" } else { "unpinned" },
-            provenance("in-memory", "in-memory", pinned_effective),
-            scenario_fields(&reference),
+            "    {{\"id\": \"stress/delivery_contention/{DELIVERY}\", {}, \
+             \"parties\": {PARTIES}, \"deliverers\": {DRIVERS}, \
+             \"receivers\": {DRIVERS}, \"messages\": {messages}, {}, {}, \
+             \"wake_signals\": {}, \"stream_checksum\": \"{checksum:016x}\", \
+             \"checksum_identical_across_reps\": true}}",
+            provenance("in-process", DELIVERY),
             spread.seconds_fields(),
-            spread.rate_fields(sessions, "sessions_per_second"),
+            spread.rate_fields(messages as f64, "messages_per_second"),
+            wake_signals[wake_signals.len() / 2],
         ));
     }
 
-    // Axis 8 (PR-7 re-run): the parallel normalised merge. Six condensed
+    // Axis 7 (PR-7 re-run): the parallel normalised merge. Six condensed
     // attribute matrices folded sequentially vs with every core,
     // bit-identity of the merged matrix asserted (the parallel fold is a
     // scheduling change, not a numeric one).
@@ -918,7 +813,7 @@ fn main() {
                 "    {{\"id\": \"compute/parallel_merge/{}threads\", {}, \"objects\": {n}, \
                  \"attributes\": {attributes}, {}, \"bit_identical_to_sequential\": true{extra}}}",
                 threads,
-                provenance("in-memory", "in-memory", false),
+                provenance("in-memory", "in-memory"),
                 spread.seconds_fields(),
             ));
         }
@@ -926,17 +821,14 @@ fn main() {
 
     let cores = cores();
     let json = format!(
-        "{{\n  \"pr\": 10,\n  \"title\": \"Sharded lock-free delivery vs the one-inbox-lock \
-         oracle: socket transports on two I/O backends across channel-security, WAN, \
-         deployment, link-scaling, delivery-contention, shard-pinning and parallel-merge \
-         axes\",\n  \
+        "{{\n  \"pr\": 10,\n  \"title\": \"Per-party delivery slots: socket transports on two \
+         I/O backends across channel-security, WAN, deployment, link-scaling, \
+         delivery-contention and parallel-merge axes\",\n  \
          \"harness\": \"secure_report binary; every row derives from a seeded ScenarioSpec and \
          records the seed (same seed => byte-identical scenario) plus the cores, \
-         transport_backend, delivery strategy and pinned flag it ran on; timed rows record \
+         transport_backend and delivery path it ran on; timed rows record \
          min/median/max of {reps} runs (noisy single-core boxes); TCP rows on both backends \
-         and both delivery strategies assert f64-bit identity to the in-process oracle on \
-         every rep; sharded-delivery rows carry speedup_vs_mutex_oracle against the retained \
-         single-lock inbox; multi-process rows spawn real ppc-party OS processes on the \
+         assert f64-bit identity to the in-process oracle on every rep; multi-process rows spawn real ppc-party OS processes on the \
          generated CSVs + manifest with --transport end to end and assert all four \
          sealed/plaintext x blocking/reactor result streams are fingerprint-identical; the \
          64-link ring and 64-party contention rows are the delivery-scaling workloads (see \

@@ -67,15 +67,34 @@ use ppc_net::{UdsRouter, UdsTransport};
 pub type Flags = BTreeMap<String, String>;
 
 /// Flags that take no value (presence flags).
-const BOOLEAN_FLAGS: &[&str] = &[
-    "insecure",
-    "secure",
-    "coalesce",
-    "no-coalesce",
-    "pin-shards",
+const BOOLEAN_FLAGS: &[&str] = &["insecure", "secure", "coalesce", "no-coalesce"];
+
+/// Flags that take a value: every key some mode reads.
+const VALUE_FLAGS: &[&str] = &[
+    "chunk-rows",
+    "clusters",
+    "connect",
+    "coordinator",
+    "csv",
+    "linkage",
+    "listen",
+    "manifest",
+    "numeric-mode",
+    "party",
+    "psk",
+    "ready-ms",
+    "ready-waits",
+    "remote",
+    "schema",
+    "seed",
+    "sessions",
+    "stall-ms",
+    "stall-waits",
+    "transport",
 ];
 
 /// Parses `--key value` pairs (and bare boolean flags like `--insecure`).
+/// Keys no mode reads are rejected, so a typo cannot be silently ignored.
 pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
@@ -85,10 +104,12 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
             .ok_or_else(|| format!("expected --flag, got '{key}'"))?;
         let value = if BOOLEAN_FLAGS.contains(&key) {
             "true".to_string()
-        } else {
+        } else if VALUE_FLAGS.contains(&key) {
             it.next()
                 .ok_or_else(|| format!("--{key} needs a value"))?
                 .clone()
+        } else {
+            return Err(format!("unknown flag --{key}"));
         };
         if flags.insert(key.to_string(), value).is_some() {
             return Err(format!("--{key} given twice"));
@@ -354,40 +375,19 @@ pub fn transport_backend(flags: &Flags) -> Result<TransportBackend, String> {
     }
 }
 
-/// Resolves `--pin-shards` and, when set, pins the calling thread (which
-/// drives this process's protocol engine) to a core derived from the
-/// party's identity, so co-located party processes spread across cores
-/// and each keeps its inbox shard cache-hot. Returns whether an affinity
-/// mask was actually applied (always `false` off Linux).
-pub fn pin_from_flags(flags: &Flags, party: PartyId) -> bool {
-    if !flags.contains_key("pin-shards") {
-        return false;
-    }
-    let core = match party {
-        PartyId::ThirdParty => 0,
-        PartyId::DataHolder(i) => i as usize + 1,
-    };
-    ppc_net::pin_thread_to_core(core)
-}
-
 /// Prints the delivery-path statistics line: one stable machine-parseable
 /// `DELIVERY …` line mirroring the `SEALING` line, with the buffer-pool
-/// and queue-node hit rates the zero-allocation claim is audited by.
-pub fn print_delivery_report(stats: Option<&ppc_net::DeliveryStats>, pinned: bool) {
+/// hit rate the zero-allocation claim is audited by.
+pub fn print_delivery_report(stats: Option<&ppc_net::DeliveryStats>) {
     let Some(s) = stats else { return };
     println!(
-        "DELIVERY mode={} pool_hits={} pool_misses={} pool_hit_rate={:.4} node_hits={} \
-         node_misses={} node_hit_rate={:.4} batched_wakes={} wake_signals={} pinned={}",
-        s.mode_label(),
+        "DELIVERY pool_hits={} pool_misses={} pool_hit_rate={:.4} batched_wakes={} \
+         wake_signals={}",
         s.pool_hits,
         s.pool_misses,
         s.pool_hit_rate(),
-        s.node_hits,
-        s.node_misses,
-        s.node_hit_rate(),
         s.batched_wakes,
         s.wake_signals,
-        pinned
     );
 }
 
@@ -506,7 +506,6 @@ fn run_serve(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let security = channel_config(flags)?;
     let coalesce = coalescing_enabled(flags, &security)?;
     let backend = transport_backend(flags)?;
-    let pinned = pin_from_flags(flags, party);
     let endpoint = parse_endpoint(require(flags, "connect")?)?;
     let (report, sealing, delivery) = match endpoint {
         Endpoint::Tcp(addr) => {
@@ -547,7 +546,7 @@ fn run_serve(flags: &Flags) -> Result<(), Box<dyn Error>> {
     };
     print_report(&report);
     print_sealing_report(sealing.as_ref());
-    print_delivery_report(Some(&delivery), pinned);
+    print_delivery_report(Some(&delivery));
     if report.stats.sessions_failed > 0 {
         return Err(format!("{} session(s) failed", report.stats.sessions_failed).into());
     }
@@ -710,7 +709,6 @@ fn run_coordinate(flags: &Flags) -> Result<(), Box<dyn Error>> {
     };
     let coalesce = coalescing_enabled(flags, &security)?;
     let backend = transport_backend(flags)?;
-    let pinned = pin_from_flags(flags, party);
     let endpoint = parse_endpoint(require(flags, "connect")?)?;
     let (report, sealing, delivery) = match endpoint {
         Endpoint::Tcp(addr) => {
@@ -751,7 +749,7 @@ fn run_coordinate(flags: &Flags) -> Result<(), Box<dyn Error>> {
     };
     print_report(&report);
     print_sealing_report(sealing.as_ref());
-    print_delivery_report(Some(&delivery), pinned);
+    print_delivery_report(Some(&delivery));
     if report.stats.sessions_failed > 0 {
         return Err(format!("{} session(s) failed", report.stats.sessions_failed).into());
     }
@@ -801,11 +799,7 @@ channel security: sockets are AEAD-sealed by default (keys derived from --seed,\
 or from a dedicated --psk N shared by every process); --insecure sends plaintext\n\
 and warns loudly. All processes of one federation must agree.\n\
 sealed links coalesce queued frames into one AEAD record per flush (amortising\n\
-the per-record sealing tax); --no-coalesce seals one record per envelope.\n\
-serve/coordinate also accept --pin-shards: pin the engine thread to a core\n\
-derived from the party id (Linux only; a placement hint, results identical) so\n\
-co-located processes stop migrating. PPC_DELIVERY=mutex selects the blocking\n\
-single-lock inbox oracle instead of the default sharded lock-free delivery.";
+the per-record sealing tax); --no-coalesce seals one record per envelope.";
 
 /// Entry point shared by the binary and tests.
 pub fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -856,7 +850,8 @@ mod tests {
         assert_eq!(flags.get("party").unwrap(), "DH0");
         assert!(parse_flags(&["party".into()]).is_err());
         assert!(parse_flags(&["--party".into()]).is_err());
-        assert!(parse_flags(&["--a".into(), "1".into(), "--a".into(), "2".into()]).is_err());
+        let twice = parse_flags(&["--seed".into(), "1".into(), "--seed".into(), "2".into()]);
+        assert_eq!(twice.unwrap_err(), "--seed given twice");
     }
 
     #[test]
@@ -936,21 +931,20 @@ mod tests {
     }
 
     #[test]
-    fn pin_shards_is_a_presence_flag_and_off_by_default() {
-        // Bare `--pin-shards` parses without swallowing the next token.
-        let flags = parse_flags(&["--pin-shards".into(), "--seed".into(), "7".into()]).unwrap();
-        assert_eq!(flags.get("pin-shards").map(String::as_str), Some("true"));
-        assert_eq!(flags.get("seed").map(String::as_str), Some("7"));
-
-        // Unset: no pinning attempted, reported false.
-        assert!(!pin_from_flags(&Flags::new(), PartyId::DataHolder(0)));
-
-        // Set: pin_from_flags reports whether an affinity mask actually
-        // landed — true only on Linux, and even there the syscall may be
-        // refused, so just assert it does not panic and is deterministic.
-        let first = pin_from_flags(&flags, PartyId::ThirdParty);
-        let second = pin_from_flags(&flags, PartyId::ThirdParty);
-        assert_eq!(first, second);
+    fn unknown_flags_are_rejected() {
+        let typo = parse_flags(&["--sesions".into(), "3".into()]);
+        assert_eq!(typo.unwrap_err(), "unknown flag --sesions");
+        let removed = parse_flags(&["--pin-shards".into(), "--seed".into(), "7".into()]);
+        assert_eq!(removed.unwrap_err(), "unknown flag --pin-shards");
+        // Every flag the modes read still parses.
+        let mut args = Vec::new();
+        for key in VALUE_FLAGS {
+            args.push(format!("--{key}"));
+            args.push("1".into());
+        }
+        args.extend(BOOLEAN_FLAGS.iter().map(|key| format!("--{key}")));
+        let flags = parse_flags(&args).unwrap();
+        assert_eq!(flags.len(), VALUE_FLAGS.len() + BOOLEAN_FLAGS.len());
     }
 
     #[test]
