@@ -1,5 +1,9 @@
 //! Microbenchmarks of the alphanumeric (edit-distance) comparison protocol
-//! roles (§4.2), swept over string length.
+//! roles (§4.2), swept over string length: 12 is the benchmark workloads'
+//! sequence length, and 130 spans three 64-symbol blocks of the
+//! bit-parallel kernel. The `third_party_edit_distances_scalar` row is the
+//! retained per-cell oracle with the Levenshtein dynamic program, so the
+//! kernel-to-oracle ratio is visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,7 +28,7 @@ fn bench_alphanumeric(c: &mut Criterion) {
     let algorithm = RngAlgorithm::ChaCha20;
     let mut group = c.benchmark_group("alphanumeric_roles");
     group.sample_size(15);
-    for &length in &[16usize, 32, 64] {
+    for &length in &[12usize, 16, 32, 64, 130] {
         let j = strings(12, length, &alphabet);
         let k = strings(8, length, &alphabet);
         group.bench_with_input(
@@ -61,6 +65,21 @@ fn bench_alphanumeric(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     alphanumeric::third_party_edit_distances(
+                        black_box(&bundle),
+                        alphabet.size(),
+                        &seeds.holder_third_party,
+                        algorithm,
+                    )
+                    .unwrap()
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("third_party_edit_distances_scalar", length),
+            &length,
+            |b, _| {
+                b.iter(|| {
+                    alphanumeric::third_party_edit_distances_scalar(
                         black_box(&bundle),
                         alphabet.size(),
                         &seeds.holder_third_party,

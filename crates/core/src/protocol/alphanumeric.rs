@@ -11,9 +11,11 @@
 //! 2. `DH_K` builds, for every pair `(t, s')`, the intermediary matrix
 //!    `M[q][p] = (s'[p] − t[q]) mod |A|` and ships the whole bundle to the
 //!    third party ([`responder_build_bundle`]).
-//! 3. `TP` regenerates the offsets, unmasks every cell, obtains the character
-//!    comparison matrix (0 = match, 1 = mismatch) and runs the edit-distance
-//!    dynamic program on it ([`third_party_edit_distances`]).
+//! 3. `TP` regenerates the offsets and unmasks each row `q` of every matrix
+//!    straight into match words, where bit `p` is set exactly when
+//!    `s[p] = t[q]`. That is row `q` of the character comparison matrix, and
+//!    the bit-parallel edit-distance kernel consumes it as the match words of
+//!    text symbol `q` ([`third_party_edit_distances`]).
 //!
 //! The third party therefore learns the *pattern of character equalities*
 //! between string pairs (exactly the CCM) and the resulting edit distance,
@@ -22,13 +24,17 @@
 //! ## Kernels and oracles
 //!
 //! The character loops run through the branch-free modular kernels of
-//! [`kernels`] whenever the operands are inside
-//! the alphabet domain (always, for data produced by this protocol); data
-//! that arrives off the wire outside the domain falls back to the scalar
-//! masker so outputs stay identical to the `*_scalar` oracles for *every*
-//! input. The shared `rng_JT` offset prefix is exposed through the
-//! `*_with_offsets` variants so a derivation cache can hand the same prefix
-//! to many sessions.
+//! [`kernels`], and every edit distance through the bit-parallel kernel
+//! of [`distance::edit`](crate::distance::edit). Both need their operands
+//! inside the alphabet domain,
+//! so `DH_K` rejects masked symbols, and `TP` rejects CCM cells, that lie
+//! outside `[0, |A|)`. Data produced by this protocol never does; a peer
+//! that sends such values gets a [`CoreError::Protocol`]. The `*_scalar`
+//! oracles keep the per-cell masker arithmetic, the explicit
+//! [`CharacterComparisonMatrix`] and the Levenshtein dynamic program, and
+//! the kernels are property-tested against them. The shared `rng_JT`
+//! offset prefix is exposed through the `*_with_offsets` variants so a
+//! derivation cache can hand the same prefix to many sessions.
 
 use ppc_crypto::prng::DynStreamRng;
 use ppc_crypto::{
@@ -36,34 +42,133 @@ use ppc_crypto::{
 };
 
 use crate::ccm::CharacterComparisonMatrix;
+use crate::distance::edit::{BitParallel, WORD_BITS};
 use crate::distance::edit_distance_from_ccm;
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
 use crate::protocol::kernels;
 
-/// The intermediary (still masked) comparison matrix for one string pair, as
-/// built by `DH_K`: entry `[q][p]` corresponds to `DH_K`'s character `q` and
-/// `DH_J`'s (masked) character `p`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskedCcm {
-    /// Number of rows = length of `DH_K`'s string.
-    pub responder_len: usize,
-    /// Number of columns = length of `DH_J`'s string.
-    pub initiator_len: usize,
-    /// Row-major cell values in `[0, |A|)`.
-    pub cells: Vec<u32>,
-}
-
-/// The full bundle `DH_K` sends to the third party: one [`MaskedCcm`] per
-/// (responder object, initiator object) pair, row-major.
+/// The bundle `DH_K` sends to the third party: one intermediary (still
+/// masked) comparison matrix per (responder object, initiator object) pair,
+/// row-major. Entry `[q][p]` of a matrix corresponds to `DH_K`'s character
+/// `q` and `DH_J`'s (masked) character `p`.
+///
+/// The bundle is flat: one `(responder_len, initiator_len)` shape per matrix
+/// and one buffer holding the cells of every matrix, matrix after matrix,
+/// each row-major. [`MaskedCcmBundle::new`] checks that the shapes and the
+/// buffer agree, so every bundle is well-formed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskedCcmBundle {
+    responder_count: usize,
+    initiator_count: usize,
+    shapes: Vec<(u32, u32)>,
+    cells: Vec<u32>,
+}
+
+impl MaskedCcmBundle {
+    /// Builds a bundle of `responder_count · initiator_count` matrices with
+    /// the given shapes, whose cells, concatenated in matrix order, are
+    /// `cells`.
+    pub fn new(
+        responder_count: usize,
+        initiator_count: usize,
+        shapes: Vec<(u32, u32)>,
+        cells: Vec<u32>,
+    ) -> Result<Self, CoreError> {
+        if responder_count.checked_mul(initiator_count) != Some(shapes.len()) {
+            return Err(CoreError::Protocol(format!(
+                "bundle holds {} matrices, expected {responder_count}·{initiator_count}",
+                shapes.len()
+            )));
+        }
+        let needed: u64 = shapes
+            .iter()
+            .map(|&(rows, cols)| u64::from(rows) * u64::from(cols))
+            .sum();
+        if needed != cells.len() as u64 {
+            return Err(CoreError::Protocol(format!(
+                "bundle holds {} cells, its matrix shapes need {needed}",
+                cells.len()
+            )));
+        }
+        Ok(MaskedCcmBundle {
+            responder_count,
+            initiator_count,
+            shapes,
+            cells,
+        })
+    }
+
     /// Number of responder objects (`DH_K`).
-    pub responder_count: usize,
+    pub fn responder_count(&self) -> usize {
+        self.responder_count
+    }
+
     /// Number of initiator objects (`DH_J`).
-    pub initiator_count: usize,
-    /// `responder_count · initiator_count` matrices, row-major.
-    pub ccms: Vec<MaskedCcm>,
+    pub fn initiator_count(&self) -> usize {
+        self.initiator_count
+    }
+
+    /// Number of matrices, `responder_count · initiator_count`.
+    pub fn len(&self) -> usize {
+        self.shapes.len()
+    }
+
+    /// Whether the bundle holds no matrix.
+    pub fn is_empty(&self) -> bool {
+        self.shapes.is_empty()
+    }
+
+    /// The cells of every matrix, matrix after matrix.
+    pub fn cells(&self) -> &[u32] {
+        &self.cells
+    }
+
+    /// Consumes the bundle, returning its cell buffer.
+    pub fn into_cells(self) -> Vec<u32> {
+        self.cells
+    }
+
+    /// Column count of the widest matrix (the longest initiator string).
+    pub fn max_initiator_len(&self) -> usize {
+        self.shapes
+            .iter()
+            .map(|&(_, cols)| cols as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The matrices in order, as `(responder_len, initiator_len, cells)`.
+    pub fn matrices(&self) -> impl Iterator<Item = (usize, usize, &[u32])> {
+        let mut rest = self.cells.as_slice();
+        self.shapes.iter().map(move |&(rows, cols)| {
+            let (rows, cols) = (rows as usize, cols as usize);
+            let (cells, tail) = rest.split_at(rows * cols);
+            rest = tail;
+            (rows, cols, cells)
+        })
+    }
+}
+
+/// Checks that every symbol a peer sent lies in `[0, size)`, the domain of
+/// the modular kernels.
+fn check_domain<'a>(
+    symbols: impl IntoIterator<Item = &'a [u32]>,
+    size: u32,
+    what: &str,
+) -> Result<(), CoreError> {
+    let max = symbols
+        .into_iter()
+        .map(|s| s.iter().fold(0, |max, &c| max.max(c)))
+        .max()
+        .unwrap_or(0);
+    if max < size {
+        Ok(())
+    } else {
+        Err(CoreError::Protocol(format!(
+            "{what} holds {max}, outside the alphabet of {size} symbols"
+        )))
+    }
 }
 
 /// The shared `rng_JT` offset prefix both `DH_J` and `TP` replay: the first
@@ -152,49 +257,40 @@ pub fn initiator_mask_strings_scalar(
 }
 
 /// `DH_K` (Figure 9): subtracts its own characters from every masked string,
-/// building one intermediary matrix per string pair.
+/// building one intermediary matrix per string pair into one cell buffer.
+///
+/// Rejects masked strings holding a symbol outside `[0, alphabet_size)`.
 pub fn responder_build_bundle(
     masked_initiator: &[Vec<u32>],
     own_strings: &[Vec<u32>],
     alphabet_size: u32,
 ) -> Result<MaskedCcmBundle, CoreError> {
-    let masker = AlphabetMasker::new(alphabet_size)?;
-    // Each masked string is scanned once for domain membership; in-domain
-    // strings (the protocol's own output always is) take the broadcast
-    // subtract kernel, anything else the scalar masker.
-    let in_domain: Vec<bool> = masked_initiator
-        .iter()
-        .map(|s| s.iter().all(|&c| c < alphabet_size))
-        .collect();
-    let mut ccms = Vec::with_capacity(own_strings.len() * masked_initiator.len());
+    // Rejects alphabets of fewer than two symbols.
+    AlphabetMasker::new(alphabet_size)?;
+    check_domain(
+        masked_initiator.iter().map(Vec::as_slice),
+        alphabet_size,
+        "masked string",
+    )?;
+    // The pair (t, s') contributes |t|·|s'| cells, so the bundle holds
+    // Σ|t| · Σ|s'|.
+    let own_symbols: usize = own_strings.iter().map(Vec::len).sum();
+    let masked_symbols: usize = masked_initiator.iter().map(Vec::len).sum();
+    let mut cells = vec![0u32; own_symbols * masked_symbols];
+    let mut shapes = Vec::with_capacity(own_strings.len() * masked_initiator.len());
+    let mut at = 0;
     for t in own_strings {
-        for (s_masked, &fast) in masked_initiator.iter().zip(&in_domain) {
-            let cols = s_masked.len();
-            let mut cells = vec![0u32; t.len() * cols];
-            if fast && cols > 0 {
-                for (&tq, row) in t.iter().zip(cells.chunks_exact_mut(cols)) {
-                    let addend = alphabet_size - (tq % alphabet_size);
-                    kernels::alpha_mod_add_broadcast(s_masked, addend, alphabet_size, row);
-                }
-            } else if cols > 0 {
-                for (&tq, row) in t.iter().zip(cells.chunks_exact_mut(cols)) {
-                    for (o, &sp) in row.iter_mut().zip(s_masked) {
-                        *o = masker.subtract(sp, tq);
-                    }
-                }
+        for s_masked in masked_initiator {
+            shapes.push((t.len() as u32, s_masked.len() as u32));
+            for &tq in t {
+                let row = &mut cells[at..at + s_masked.len()];
+                let addend = alphabet_size - (tq % alphabet_size);
+                kernels::alpha_mod_add_broadcast(s_masked, addend, alphabet_size, row);
+                at += s_masked.len();
             }
-            ccms.push(MaskedCcm {
-                responder_len: t.len(),
-                initiator_len: cols,
-                cells,
-            });
         }
     }
-    Ok(MaskedCcmBundle {
-        responder_count: own_strings.len(),
-        initiator_count: masked_initiator.len(),
-        ccms,
-    })
+    MaskedCcmBundle::new(own_strings.len(), masked_initiator.len(), shapes, cells)
 }
 
 /// Scalar oracle for [`responder_build_bundle`].
@@ -204,31 +300,28 @@ pub fn responder_build_bundle_scalar(
     alphabet_size: u32,
 ) -> Result<MaskedCcmBundle, CoreError> {
     let masker = AlphabetMasker::new(alphabet_size)?;
-    let mut ccms = Vec::with_capacity(own_strings.len() * masked_initiator.len());
+    check_domain(
+        masked_initiator.iter().map(Vec::as_slice),
+        alphabet_size,
+        "masked string",
+    )?;
+    let mut shapes = Vec::with_capacity(own_strings.len() * masked_initiator.len());
+    let mut cells = Vec::new();
     for t in own_strings {
         for s_masked in masked_initiator {
-            let mut cells = Vec::with_capacity(t.len() * s_masked.len());
+            shapes.push((t.len() as u32, s_masked.len() as u32));
             for &tq in t {
                 for &sp in s_masked {
                     cells.push(masker.subtract(sp, tq));
                 }
             }
-            ccms.push(MaskedCcm {
-                responder_len: t.len(),
-                initiator_len: s_masked.len(),
-                cells,
-            });
         }
     }
-    Ok(MaskedCcmBundle {
-        responder_count: own_strings.len(),
-        initiator_count: masked_initiator.len(),
-        ccms,
-    })
+    MaskedCcmBundle::new(own_strings.len(), masked_initiator.len(), shapes, cells)
 }
 
-/// `TP` (Figure 10): unmasks every intermediary matrix into a character
-/// comparison matrix and evaluates the edit distance on it.
+/// `TP` (Figure 10): unmasks every intermediary matrix into match words and
+/// evaluates the edit distance on them.
 ///
 /// Returns the `responder_count × initiator_count` block of edit distances
 /// (flat row-major, one allocation).
@@ -244,92 +337,65 @@ pub fn third_party_edit_distances(
     // the longest prefix once instead of regenerating it for every row of
     // every matrix: the unmasking below is value-identical while the cipher
     // work drops from Σ rows·cols draws to max(cols).
-    let max_cols = bundle
-        .ccms
-        .iter()
-        .map(|c| c.initiator_len)
-        .max()
-        .unwrap_or(0);
-    let offsets = offset_prefix(max_cols, alphabet_size, seed_jt, algorithm);
+    let offsets = offset_prefix(
+        bundle.max_initiator_len(),
+        alphabet_size,
+        seed_jt,
+        algorithm,
+    );
     third_party_edit_distances_with_offsets(bundle, alphabet_size, &offsets)
 }
 
 /// [`third_party_edit_distances`] over an already-derived offset prefix
 /// (the cacheable form). `offsets` must cover the widest matrix.
+///
+/// Rejects a bundle holding a cell outside `[0, alphabet_size)`.
 pub fn third_party_edit_distances_with_offsets(
     bundle: &MaskedCcmBundle,
     alphabet_size: u32,
     offsets: &[u32],
 ) -> Result<PairwiseBlock<u32>, CoreError> {
-    let masker = AlphabetMasker::new(alphabet_size)?;
-    if bundle.ccms.len() != bundle.responder_count * bundle.initiator_count {
-        return Err(CoreError::Protocol(format!(
-            "bundle holds {} matrices, expected {}",
-            bundle.ccms.len(),
-            bundle.responder_count * bundle.initiator_count
-        )));
-    }
-    let max_cols = bundle
-        .ccms
-        .iter()
-        .map(|c| c.initiator_len)
-        .max()
-        .unwrap_or(0);
+    // Rejects alphabets of fewer than two symbols.
+    AlphabetMasker::new(alphabet_size)?;
+    let max_cols = bundle.max_initiator_len();
     if offsets.len() < max_cols {
         return Err(CoreError::Protocol(format!(
             "offset prefix of {} covers matrices up to {max_cols} columns",
             offsets.len()
         )));
     }
-    // `d mod |A| = 0 ⇔ d = |A|` needs the inverse offsets in [1, |A|]; see
-    // the mismatch kernel's contract.
-    let inverse: Vec<u32> = offsets[..max_cols]
+    check_domain([bundle.cells()], alphabet_size, "masked CCM")?;
+    // With the cells in [0, |A|), `(cell − offset) mod |A| = 0` exactly when
+    // the cell equals the offset reduced mod |A|.
+    let reduced: Vec<u32> = offsets[..max_cols]
         .iter()
-        .map(|&o| alphabet_size - (o % alphabet_size))
+        .map(|&o| o % alphabet_size)
         .collect();
-    let mut distances = Vec::with_capacity(bundle.ccms.len());
-    for masked in &bundle.ccms {
-        if masked.cells.len() != masked.responder_len * masked.initiator_len {
-            return Err(CoreError::Protocol(
-                "masked CCM cell count does not match its dimensions".into(),
-            ));
-        }
-        let cols = masked.initiator_len;
-        let mut mismatch = vec![false; masked.cells.len()];
-        if cols > 0 {
-            if masked.cells.iter().all(|&c| c < alphabet_size) {
-                for (row, out_row) in masked
-                    .cells
-                    .chunks_exact(cols)
-                    .zip(mismatch.chunks_exact_mut(cols))
-                {
-                    kernels::alpha_mismatch_row(row, &inverse[..cols], alphabet_size, out_row);
-                }
-            } else {
-                // Off-domain cells from the wire: scalar modular unmasking.
-                for (row, out_row) in masked
-                    .cells
-                    .chunks_exact(cols)
-                    .zip(mismatch.chunks_exact_mut(cols))
-                {
-                    for (o, (&cell, &offset)) in out_row.iter_mut().zip(row.iter().zip(offsets)) {
-                        *o = !masker.is_match(cell, offset);
-                    }
-                }
+    let mut kernel = BitParallel::default();
+    let mut words = Vec::new();
+    let mut distances = Vec::with_capacity(bundle.len());
+    for (rows, cols, cells) in bundle.matrices() {
+        // DH_J's string (the columns) is the pattern and DH_K's (the rows)
+        // the text: row q unmasks to the match words of t[q].
+        let blocks = cols.div_ceil(WORD_BITS);
+        words.resize(rows * blocks, 0);
+        if blocks > 0 {
+            for (row, out) in cells.chunks_exact(cols).zip(words.chunks_exact_mut(blocks)) {
+                kernels::alpha_match_words(row, &reduced[..cols], out);
             }
         }
-        // CCM convention: source = DH_K's string (rows), target = DH_J's.
-        let ccm = CharacterComparisonMatrix::from_mismatches(
-            masked.responder_len,
-            masked.initiator_len,
-            mismatch,
-        )?;
-        distances.push(edit_distance_from_ccm(&ccm));
+        distances.push(kernel.distance(cols, rows, |q| &words[q * blocks..][..blocks]));
     }
-    PairwiseBlock::new(bundle.responder_count, bundle.initiator_count, distances)
+    PairwiseBlock::new(
+        bundle.responder_count(),
+        bundle.initiator_count(),
+        distances,
+    )
 }
 
-/// Scalar oracle for [`third_party_edit_distances`].
+/// Scalar oracle for [`third_party_edit_distances`]: per-cell unmasking
+/// into a [`CharacterComparisonMatrix`] and the Levenshtein dynamic
+/// program.
 pub fn third_party_edit_distances_scalar(
     bundle: &MaskedCcmBundle,
     alphabet_size: u32,
@@ -337,45 +403,29 @@ pub fn third_party_edit_distances_scalar(
     algorithm: RngAlgorithm,
 ) -> Result<PairwiseBlock<u32>, CoreError> {
     let masker = AlphabetMasker::new(alphabet_size)?;
-    if bundle.ccms.len() != bundle.responder_count * bundle.initiator_count {
-        return Err(CoreError::Protocol(format!(
-            "bundle holds {} matrices, expected {}",
-            bundle.ccms.len(),
-            bundle.responder_count * bundle.initiator_count
-        )));
-    }
+    check_domain([bundle.cells()], alphabet_size, "masked CCM")?;
     let mut rng_jt = DynStreamRng::new(algorithm, seed_jt);
-    let max_cols = bundle
-        .ccms
-        .iter()
-        .map(|c| c.initiator_len)
-        .max()
-        .unwrap_or(0);
-    let offsets: Vec<u32> = (0..max_cols)
+    let offsets: Vec<u32> = (0..bundle.max_initiator_len())
         .map(|_| (rng_jt.next_u64() % alphabet_size as u64) as u32)
         .collect();
-    let mut distances = Vec::with_capacity(bundle.ccms.len());
-    for masked in &bundle.ccms {
-        if masked.cells.len() != masked.responder_len * masked.initiator_len {
-            return Err(CoreError::Protocol(
-                "masked CCM cell count does not match its dimensions".into(),
-            ));
-        }
-        let row_offsets = &offsets[..masked.initiator_len];
-        let mut mismatch = Vec::with_capacity(masked.cells.len());
-        for row in masked.cells.chunks_exact(masked.initiator_len.max(1)) {
+    let mut distances = Vec::with_capacity(bundle.len());
+    for (rows, cols, cells) in bundle.matrices() {
+        let row_offsets = &offsets[..cols];
+        let mut mismatch = Vec::with_capacity(cells.len());
+        for row in cells.chunks_exact(cols.max(1)) {
             for (&cell, &offset) in row.iter().zip(row_offsets) {
                 mismatch.push(!masker.is_match(cell, offset));
             }
         }
-        let ccm = CharacterComparisonMatrix::from_mismatches(
-            masked.responder_len,
-            masked.initiator_len,
-            mismatch,
-        )?;
+        // CCM convention: source = DH_K's string (rows), target = DH_J's.
+        let ccm = CharacterComparisonMatrix::from_mismatches(rows, cols, mismatch)?;
         distances.push(edit_distance_from_ccm(&ccm));
     }
-    PairwiseBlock::new(bundle.responder_count, bundle.initiator_count, distances)
+    PairwiseBlock::new(
+        bundle.responder_count(),
+        bundle.initiator_count(),
+        distances,
+    )
 }
 
 #[cfg(test)]
@@ -530,26 +580,34 @@ mod tests {
     }
 
     #[test]
-    fn off_domain_cells_fall_back_to_scalar_semantics() {
-        // Cells ≥ |A| can only come from a nonconforming peer; the kernelized
-        // path must still agree with the scalar oracle on them.
+    fn off_domain_cells_are_rejected() {
+        // Cells ≥ |A| can only come from a nonconforming peer. The kernel
+        // and the scalar oracle both refuse them instead of wrapping.
         let seeds = seeds();
         let algorithm = RngAlgorithm::ChaCha20;
-        let bundle = MaskedCcmBundle {
-            responder_count: 1,
-            initiator_count: 1,
-            ccms: vec![MaskedCcm {
-                responder_len: 2,
-                initiator_len: 2,
-                cells: vec![0, 9, 3, 2], // 9 ≥ |A| = 4
-            }],
-        };
-        let fast =
-            third_party_edit_distances(&bundle, 4, &seeds.holder_third_party, algorithm).unwrap();
-        let slow =
-            third_party_edit_distances_scalar(&bundle, 4, &seeds.holder_third_party, algorithm)
-                .unwrap();
-        assert_eq!(fast, slow);
+        for bad in [9, u32::MAX] {
+            let bundle = MaskedCcmBundle::new(1, 1, vec![(2, 2)], vec![0, bad, 3, 2]).unwrap();
+            for result in [
+                third_party_edit_distances(&bundle, 4, &seeds.holder_third_party, algorithm),
+                third_party_edit_distances_scalar(&bundle, 4, &seeds.holder_third_party, algorithm),
+            ] {
+                assert!(matches!(result, Err(CoreError::Protocol(_))), "{result:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn off_domain_masked_symbols_are_rejected() {
+        let own = vec![vec![0, 1, 2]];
+        for bad in [4, u32::MAX] {
+            let masked = vec![vec![1, 2], vec![3, bad]];
+            for result in [
+                responder_build_bundle(&masked, &own, 4),
+                responder_build_bundle_scalar(&masked, &own, 4),
+            ] {
+                assert!(matches!(result, Err(CoreError::Protocol(_))), "{result:?}");
+            }
+        }
     }
 
     #[test]
@@ -568,34 +626,26 @@ mod tests {
 
     #[test]
     fn bundle_dimensions_are_validated() {
-        let seeds = seeds();
-        let mut bundle = MaskedCcmBundle {
-            responder_count: 2,
-            initiator_count: 2,
-            ccms: vec![],
-        };
-        assert!(third_party_edit_distances(
+        // A matrix count that is not responder_count · initiator_count.
+        assert!(MaskedCcmBundle::new(2, 2, vec![], vec![]).is_err());
+        assert!(MaskedCcmBundle::new(usize::MAX, 2, vec![], vec![]).is_err());
+        // A cell buffer that does not match the matrix shapes.
+        assert!(MaskedCcmBundle::new(2, 2, vec![(1, 1); 4], vec![0, 1]).is_err());
+        assert!(MaskedCcmBundle::new(1, 1, vec![(u32::MAX, u32::MAX)], vec![]).is_err());
+        let bundle = MaskedCcmBundle::new(1, 2, vec![(2, 1), (2, 0)], vec![3, 1]).unwrap();
+        let matrices: Vec<_> = bundle.matrices().collect();
+        assert_eq!(matrices, [(2, 1, &[3, 1][..]), (2, 0, &[][..])]);
+        assert_eq!(bundle.max_initiator_len(), 1);
+        let distances = third_party_edit_distances(
             &bundle,
             4,
-            &seeds.holder_third_party,
-            RngAlgorithm::ChaCha20
+            &seeds().holder_third_party,
+            RngAlgorithm::ChaCha20,
         )
-        .is_err());
-        bundle.ccms = vec![
-            MaskedCcm {
-                responder_len: 1,
-                initiator_len: 1,
-                cells: vec![0, 1]
-            };
-            4
-        ];
-        assert!(third_party_edit_distances(
-            &bundle,
-            4,
-            &seeds.holder_third_party,
-            RngAlgorithm::ChaCha20
-        )
-        .is_err());
+        .unwrap();
+        assert_eq!((distances.rows(), distances.cols()), (1, 2));
+        // Against an empty initiator string the distance is the row count.
+        assert_eq!(*distances.get(0, 1), 2);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 
 use ppc_crypto::Negator;
 
+use crate::distance::edit::WORD_BITS;
+
 /// Fixed vector width of the chunked kernels (in 64-bit lanes).
 ///
 /// Eight lanes give the autovectorizer a full AVX-512 row or two AVX2 rows
@@ -163,28 +165,23 @@ pub fn alpha_mod_add_broadcast(symbols: &[u32], addend: u32, size: u32, out: &mu
     }
 }
 
-/// Third-party mismatch kernel: `out[p] = ((cells[p] + inverse_offsets[p])
-/// mod size) ≠ 0`, where `inverse_offsets[p] = size − offsets[p] mod size`
-/// is in `[1, size]`.
-///
-/// Precondition: every `cells[p] < size`. Then the sum `d` lies in
-/// `[1, 2·size)`, so `d mod size = 0 ⇔ d = size`, making the whole test
-/// one branch-free compare per cell.
-pub fn alpha_mismatch_row(cells: &[u32], inverse_offsets: &[u32], size: u32, out: &mut [bool]) {
-    assert_eq!(cells.len(), inverse_offsets.len());
-    assert_eq!(cells.len(), out.len());
-    let main = cells.len() - cells.len() % LANES;
-    let chunks = cells[..main]
-        .chunks_exact(LANES)
-        .zip(inverse_offsets[..main].chunks_exact(LANES))
-        .zip(out[..main].chunks_exact_mut(LANES));
-    for ((c, v), o) in chunks {
-        for i in 0..LANES {
-            o[i] = c[i] + v[i] != size;
+/// Third-party match-word kernel: bit `p % 64` of `out[p / 64]` is set
+/// exactly when `cells[p] == offsets[p]`, which for operands reduced
+/// modulo the alphabet size is when the unmasked cell
+/// `(cells[p] − offsets[p]) mod |A|` is 0 and the two characters match.
+/// `out` holds `⌈cells.len() / 64⌉` words: one CCM row becomes the match
+/// words of [`BitParallel`](crate::distance::edit::BitParallel) for one
+/// text symbol.
+pub(crate) fn alpha_match_words(cells: &[u32], offsets: &[u32], out: &mut [u64]) {
+    assert_eq!(cells.len(), offsets.len());
+    assert_eq!(out.len(), cells.len().div_ceil(WORD_BITS));
+    let words = cells.chunks(WORD_BITS).zip(offsets.chunks(WORD_BITS));
+    for (word, (c, o)) in out.iter_mut().zip(words) {
+        let mut bits = 0u64;
+        for (p, (&cell, &offset)) in c.iter().zip(o).enumerate() {
+            bits |= u64::from(cell == offset) << p;
         }
-    }
-    for i in main..cells.len() {
-        out[i] = cells[i] + inverse_offsets[i] != size;
+        *word = bits;
     }
 }
 
@@ -253,14 +250,14 @@ mod tests {
             alpha_mod_add_row(&symbols, &offsets, size, &mut masked);
             let mut cells = vec![0u32; len];
             alpha_mod_add_broadcast(&masked, size - t, size, &mut cells);
-            let inverse: Vec<u32> = offsets.iter().map(|&o| size - o).collect();
-            let mut mismatch = vec![false; len];
-            alpha_mismatch_row(&cells, &inverse, size, &mut mismatch);
+            let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
+            alpha_match_words(&cells, &offsets, &mut words);
 
             for p in 0..len {
                 assert_eq!(masked[p], masker.mask(symbols[p], offsets[p]));
                 assert_eq!(cells[p], masker.subtract(masked[p], t));
-                assert_eq!(mismatch[p], !masker.is_match(cells[p], offsets[p]));
+                let matched = words[p / WORD_BITS] >> (p % WORD_BITS) & 1 == 1;
+                assert_eq!(matched, masker.is_match(cells[p], offsets[p]));
             }
         }
     }

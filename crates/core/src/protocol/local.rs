@@ -7,13 +7,16 @@
 //! distance between two secret points there are infinitely many candidate
 //! pairs).
 
+use std::collections::HashMap;
+
 use ppc_cluster::CondensedDistanceMatrix;
 
 use crate::distance::attribute_distance;
+use crate::distance::edit::{BitParallel, WORD_BITS};
 use crate::error::CoreError;
 use crate::matrix::DataMatrix;
 use crate::schema::AttributeDescriptor;
-use crate::value::AttributeValue;
+use crate::value::{AttributeKind, AttributeValue};
 
 /// Builds the local dissimilarity matrix of one attribute column
 /// (Figure 12: `d[m][n] = distance(D_J[m], D_J[n])` for `n ≤ m`).
@@ -21,12 +24,67 @@ pub fn local_dissimilarity_column(
     descriptor: &AttributeDescriptor,
     column: &[&AttributeValue],
 ) -> Result<CondensedDistanceMatrix, CoreError> {
+    if descriptor.kind == AttributeKind::Alphanumeric {
+        return edit_distance_column(descriptor, column);
+    }
     let n = column.len();
     let mut matrix = CondensedDistanceMatrix::zeros(n);
     for i in 1..n {
         for j in 0..i {
             let d = attribute_distance(descriptor, column[i], column[j])?;
             matrix.set(i, j, d);
+        }
+    }
+    Ok(matrix)
+}
+
+/// The alphanumeric case of [`local_dissimilarity_column`]: every value is
+/// validated once, each object's per-character match words are built once,
+/// and the bit-parallel kernel runs them against every earlier object.
+fn edit_distance_column(
+    descriptor: &AttributeDescriptor,
+    column: &[&AttributeValue],
+) -> Result<CondensedDistanceMatrix, CoreError> {
+    // Spell every value in dense per-column symbol ids, so an object's
+    // match words are one table row per symbol.
+    let mut ids: HashMap<char, usize> = HashMap::new();
+    let mut strings = Vec::with_capacity(column.len());
+    for value in column {
+        descriptor.validate_value(value)?;
+        let s = value.as_alphanumeric().expect("validated");
+        let spelled: Vec<usize> = s
+            .chars()
+            .map(|c| {
+                let next = ids.len();
+                *ids.entry(c).or_insert(next)
+            })
+            .collect();
+        strings.push(spelled);
+    }
+    let max_blocks = strings
+        .iter()
+        .map(|s| s.len().div_ceil(WORD_BITS))
+        .max()
+        .unwrap_or(0);
+    // Row `c` of the table (`blocks` words, for the current pattern) marks
+    // where symbol `c` occurs in the pattern. Only the pattern's own rows
+    // are ever set, and they are cleared again after its pass.
+    let mut table = vec![0u64; ids.len() * max_blocks];
+    let mut kernel = BitParallel::default();
+    let mut matrix = CondensedDistanceMatrix::zeros(column.len());
+    for (i, pattern) in strings.iter().enumerate().skip(1) {
+        let blocks = pattern.len().div_ceil(WORD_BITS);
+        for (p, &c) in pattern.iter().enumerate() {
+            table[c * blocks + p / WORD_BITS] |= 1 << (p % WORD_BITS);
+        }
+        for (j, text) in strings[..i].iter().enumerate() {
+            let d = kernel.distance(pattern.len(), text.len(), |q| {
+                &table[text[q] * blocks..][..blocks]
+            });
+            matrix.set(i, j, f64::from(d));
+        }
+        for &c in pattern {
+            table[c * blocks..][..blocks].fill(0);
         }
     }
     Ok(matrix)

@@ -629,10 +629,8 @@ impl HolderMachine {
                 let msg = CcmChunkMsg {
                     attribute: attribute.clone(),
                     start_row: *next_row as u32,
-                    rows: rows as u32,
                     total_rows: total as u32,
-                    initiator_count: masked.len() as u32,
-                    ccms: bundle.ccms,
+                    window: bundle,
                 };
                 *next_row += rows;
                 (
@@ -933,7 +931,7 @@ impl HolderMachine {
         let started = Instant::now();
         let bundle = alphanumeric::responder_build_bundle(&masked.strings, &own, alphabet.size())?;
         self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-        self.note_rows(bundle.responder_count);
+        self.note_rows(bundle.responder_count());
         let msg = CcmBundleMsg {
             attribute: name.clone(),
             bundle,
@@ -1555,23 +1553,17 @@ impl ThirdPartyMachine {
         let name = descriptor.name.clone();
         let alphabet = descriptor.require_alphabet()?.clone();
         let bundle = CcmBundleMsg::decode(&envelope.payload)?;
-        if bundle.bundle.initiator_count != self.pair_rows_expected(pair.0)? {
+        if bundle.bundle.initiator_count() != self.pair_rows_expected(pair.0)? {
             return Err(CoreError::Protocol(format!(
                 "CCM bundle for pair {}-{} covers {} initiator objects, expected {}",
                 pair.0,
                 pair.1,
-                bundle.bundle.initiator_count,
+                bundle.bundle.initiator_count(),
                 self.pair_rows_expected(pair.0)?
             )));
         }
         let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let max_cols = bundle
-            .bundle
-            .ccms
-            .iter()
-            .map(|c| c.initiator_len)
-            .max()
-            .unwrap_or(0);
+        let max_cols = bundle.bundle.max_initiator_len();
         let started = Instant::now();
         let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
         let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
@@ -1616,10 +1608,12 @@ impl ThirdPartyMachine {
             )));
         }
         let expected_cols = self.pair_rows_expected(pair.0)?;
-        if chunk.initiator_count as usize != expected_cols {
+        if chunk.window.initiator_count() != expected_cols {
             return Err(CoreError::Protocol(format!(
                 "CCM stream for pair {}-{} declares {} initiator objects, expected {expected_cols}",
-                pair.0, pair.1, chunk.initiator_count
+                pair.0,
+                pair.1,
+                chunk.window.initiator_count()
             )));
         }
         let attr = &mut self.attrs[attribute];
@@ -1641,24 +1635,14 @@ impl ThirdPartyMachine {
         // The offset prefix is a fixed stream prefix, so unmasking a window
         // of CCMs draws exactly the same offsets as unmasking the whole
         // bundle would.
-        let window = alphanumeric::MaskedCcmBundle {
-            responder_count: rows,
-            initiator_count: chunk.initiator_count as usize,
-            ccms: chunk.ccms,
-        };
-        let max_cols = window
-            .ccms
-            .iter()
-            .map(|c| c.initiator_len)
-            .max()
-            .unwrap_or(0);
+        let max_cols = chunk.window.max_initiator_len();
         let started = Instant::now();
         let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
         let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
         self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
         let started = Instant::now();
         let distances = alphanumeric::third_party_edit_distances_with_offsets(
-            &window,
+            &chunk.window,
             alphabet.size(),
             &offsets,
         )?;

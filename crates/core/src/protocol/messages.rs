@@ -11,7 +11,7 @@ use ppc_net::{WireReader, WireWriter};
 
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
-use crate::protocol::alphanumeric::{MaskedCcm, MaskedCcmBundle};
+use crate::protocol::alphanumeric::MaskedCcmBundle;
 
 /// Guards count-prefixed decode loops against huge-allocation attacks: a
 /// declared element count whose minimum encoding cannot fit in the
@@ -222,6 +222,46 @@ impl PairwiseChunkMsg {
     }
 }
 
+/// Writes a bundle's matrices as `ccm_count` followed by one
+/// `responder_len, initiator_len, [cells]` record per matrix (§6.6).
+fn put_ccms(w: &mut WireWriter, bundle: &MaskedCcmBundle) {
+    w.put_u32(bundle.len() as u32);
+    for (rows, cols, cells) in bundle.matrices() {
+        w.put_u32(rows as u32)
+            .put_u32(cols as u32)
+            .put_u32_slice(cells);
+    }
+}
+
+/// Reads the matrices [`put_ccms`] writes into one flat bundle. Each
+/// matrix must carry exactly `responder_len · initiator_len` cells, and
+/// there must be `responder_count · initiator_count` matrices.
+fn get_ccms(
+    r: &mut WireReader<'_>,
+    responder_count: usize,
+    initiator_count: usize,
+) -> Result<MaskedCcmBundle, CoreError> {
+    let ccm_count = r.get_u32()? as usize;
+    // Each CCM needs at least two u32 headers and a length prefix.
+    check_count(ccm_count, 12, r)?;
+    let mut shapes = Vec::with_capacity(ccm_count);
+    // Every byte after those headers is a cell: one allocation holds them
+    // all, and it is sized by the payload, never by a prefix.
+    let mut cells = Vec::with_capacity((r.remaining() - 12 * ccm_count) / 4);
+    for _ in 0..ccm_count {
+        let rows = r.get_u32()?;
+        let cols = r.get_u32()?;
+        let len = r.append_u32_vec(&mut cells)?;
+        if len as u64 != u64::from(rows) * u64::from(cols) {
+            return Err(CoreError::Protocol(format!(
+                "a {rows}×{cols} CCM carries {len} cells"
+            )));
+        }
+        shapes.push((rows, cols));
+    }
+    MaskedCcmBundle::new(responder_count, initiator_count, shapes, cells)
+}
+
 /// A responder-row window of the masked CCM bundle (chunked streaming,
 /// `DH_K → TP` on `ccms-chunk` topics).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,37 +270,29 @@ pub struct CcmChunkMsg {
     pub attribute: String,
     /// First responder row (responder string index) this chunk covers.
     pub start_row: u32,
-    /// Responder rows carried by this chunk.
-    pub rows: u32,
     /// Total responder rows of the full stream.
     pub total_rows: u32,
-    /// The initiator's object count (CCMs per responder row).
-    pub initiator_count: u32,
-    /// `rows · initiator_count` matrices, row-major.
-    pub ccms: Vec<MaskedCcm>,
+    /// The window's matrices: its responder rows × the initiator's
+    /// objects, row-major.
+    pub window: MaskedCcmBundle,
 }
 
 impl CcmChunkMsg {
     /// Responder rows carried by this chunk.
     pub fn rows(&self) -> usize {
-        self.rows as usize
+        self.window.responder_count()
     }
 
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let cells: usize = self.ccms.iter().map(|c| c.cells.len()).sum();
-        let mut w = WireWriter::with_capacity(36 + self.ccms.len() * 12 + cells * 4);
+        let capacity = 36 + self.window.len() * 12 + self.window.cells().len() * 4;
+        let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute)
             .put_u32(self.start_row)
-            .put_u32(self.rows)
+            .put_u32(self.window.responder_count() as u32)
             .put_u32(self.total_rows)
-            .put_u32(self.initiator_count)
-            .put_u32(self.ccms.len() as u32);
-        for ccm in &self.ccms {
-            w.put_u32(ccm.responder_len as u32)
-                .put_u32(ccm.initiator_len as u32);
-            w.put_u32_slice(&ccm.cells);
-        }
+            .put_u32(self.window.initiator_count() as u32);
+        put_ccms(&mut w, &self.window);
         w.finish()
     }
 
@@ -272,27 +304,8 @@ impl CcmChunkMsg {
         let rows = r.get_u32()?;
         let total_rows = r.get_u32()?;
         let initiator_count = r.get_u32()?;
-        let ccm_count = r.get_u32()? as usize;
-        // Each CCM needs at least two u32 headers and a length prefix.
-        check_count(ccm_count, 12, &r)?;
-        let mut ccms = Vec::with_capacity(ccm_count);
-        for _ in 0..ccm_count {
-            let responder_len = r.get_u32()? as usize;
-            let initiator_len = r.get_u32()? as usize;
-            let cells = r.get_u32_vec()?;
-            ccms.push(MaskedCcm {
-                responder_len,
-                initiator_len,
-                cells,
-            });
-        }
+        let window = get_ccms(&mut r, rows as usize, initiator_count as usize)?;
         r.expect_end()?;
-        if ccms.len() != rows as usize * initiator_count as usize {
-            return Err(CoreError::Protocol(format!(
-                "CCM chunk carries {} matrices for a {rows}-row window of {initiator_count}",
-                ccms.len()
-            )));
-        }
         if start_row as usize + rows as usize > total_rows as usize {
             return Err(CoreError::Protocol(format!(
                 "CCM chunk rows {start_row}..{} exceed the declared total of {total_rows}",
@@ -302,10 +315,8 @@ impl CcmChunkMsg {
         Ok(CcmChunkMsg {
             attribute,
             start_row,
-            rows,
             total_rows,
-            initiator_count,
-            ccms,
+            window,
         })
     }
 }
@@ -359,17 +370,12 @@ pub struct CcmBundleMsg {
 impl CcmBundleMsg {
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let cells: usize = self.bundle.ccms.iter().map(|c| c.cells.len()).sum();
-        let mut w = WireWriter::with_capacity(32 + self.bundle.ccms.len() * 12 + cells * 4);
+        let capacity = 32 + self.bundle.len() * 12 + self.bundle.cells().len() * 4;
+        let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute)
-            .put_u32(self.bundle.responder_count as u32)
-            .put_u32(self.bundle.initiator_count as u32)
-            .put_u32(self.bundle.ccms.len() as u32);
-        for ccm in &self.bundle.ccms {
-            w.put_u32(ccm.responder_len as u32)
-                .put_u32(ccm.initiator_len as u32);
-            w.put_u32_slice(&ccm.cells);
-        }
+            .put_u32(self.bundle.responder_count() as u32)
+            .put_u32(self.bundle.initiator_count() as u32);
+        put_ccms(&mut w, &self.bundle);
         w.finish()
     }
 
@@ -379,29 +385,9 @@ impl CcmBundleMsg {
         let attribute = r.get_str()?;
         let responder_count = r.get_u32()? as usize;
         let initiator_count = r.get_u32()? as usize;
-        let ccm_count = r.get_u32()? as usize;
-        // Each CCM needs at least two u32 headers and a length prefix.
-        check_count(ccm_count, 12, &r)?;
-        let mut ccms = Vec::with_capacity(ccm_count);
-        for _ in 0..ccm_count {
-            let responder_len = r.get_u32()? as usize;
-            let initiator_len = r.get_u32()? as usize;
-            let cells = r.get_u32_vec()?;
-            ccms.push(MaskedCcm {
-                responder_len,
-                initiator_len,
-                cells,
-            });
-        }
+        let bundle = get_ccms(&mut r, responder_count, initiator_count)?;
         r.expect_end()?;
-        Ok(CcmBundleMsg {
-            attribute,
-            bundle: MaskedCcmBundle {
-                responder_count,
-                initiator_count,
-                ccms,
-            },
-        })
+        Ok(CcmBundleMsg { attribute, bundle })
     }
 }
 
@@ -593,24 +579,22 @@ mod tests {
     fn ccm_bundle_roundtrip() {
         let msg = CcmBundleMsg {
             attribute: "dna".into(),
-            bundle: MaskedCcmBundle {
-                responder_count: 1,
-                initiator_count: 2,
-                ccms: vec![
-                    MaskedCcm {
-                        responder_len: 2,
-                        initiator_len: 3,
-                        cells: vec![0, 1, 2, 3, 0, 1],
-                    },
-                    MaskedCcm {
-                        responder_len: 1,
-                        initiator_len: 1,
-                        cells: vec![2],
-                    },
-                ],
-            },
+            bundle: MaskedCcmBundle::new(1, 2, vec![(2, 3), (1, 1)], vec![0, 1, 2, 3, 0, 1, 2])
+                .unwrap(),
         };
         assert_eq!(CcmBundleMsg::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn ccm_cell_counts_must_match_each_shape() {
+        // Two 1×1 matrices whose cells split 0 + 2 instead of 1 + 1: the
+        // totals agree, but re-encoding would move a cell, so decode
+        // rejects it.
+        let mut w = WireWriter::new();
+        w.put_str("dna").put_u32(1).put_u32(2).put_u32(2);
+        w.put_u32(1).put_u32(1).put_u32_slice(&[]);
+        w.put_u32(1).put_u32(1).put_u32_slice(&[2, 3]);
+        assert!(CcmBundleMsg::decode(&w.finish()).is_err());
     }
 
     #[test]
@@ -694,31 +678,22 @@ mod tests {
 
     #[test]
     fn ccm_chunk_roundtrip_and_validation() {
-        let ccm = MaskedCcm {
-            responder_len: 2,
-            initiator_len: 2,
-            cells: vec![0, 1, 2, 3],
-        };
         let msg = CcmChunkMsg {
             attribute: "dna".into(),
             start_row: 1,
-            rows: 1,
             total_rows: 3,
-            initiator_count: 2,
-            ccms: vec![ccm.clone(), ccm.clone()],
+            window: MaskedCcmBundle::new(1, 2, vec![(2, 2); 2], vec![0, 1, 2, 3, 0, 1, 2, 3])
+                .unwrap(),
         };
         assert_eq!(msg.rows(), 1);
-        assert_eq!(CcmChunkMsg::decode(&msg.encode()).unwrap(), msg);
-        // A matrix count that disagrees with the window shape is rejected.
-        let ragged = CcmChunkMsg {
-            attribute: "dna".into(),
-            start_row: 0,
-            rows: 1,
-            total_rows: 3,
-            initiator_count: 2,
-            ccms: vec![ccm],
-        };
-        assert!(CcmChunkMsg::decode(&ragged.encode()).is_err());
+        let bytes = msg.encode();
+        assert_eq!(CcmChunkMsg::decode(&bytes).unwrap(), msg);
+        // A matrix count that disagrees with the window shape is rejected:
+        // the same two matrices declared as a one-row window of three.
+        let mut ragged = bytes.clone();
+        let initiator_count_at = 4 + 3 + 12;
+        ragged[initiator_count_at..initiator_count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(CcmChunkMsg::decode(&ragged).is_err());
     }
 
     #[test]

@@ -7,14 +7,26 @@
 //! * The chunked row kernels are **bit-identical to the retained scalar
 //!   oracles** over arbitrary inputs — including empty inputs and lengths
 //!   that are not a multiple of the 8-lane stride.
+//! * The bit-parallel edit-distance kernel **equals the Levenshtein
+//!   dynamic program** on both protocol paths that use it: the third
+//!   party's unmasked CCMs and each holder's local matrix, at string
+//!   lengths across the 64- and 128-symbol block boundaries. These are the
+//!   only independent check of the kernel: an end-to-end run computes
+//!   every edit distance with the same kernel on both sides.
 
 use proptest::prelude::*;
 
+use ppc_core::alphabet::Alphabet;
+use ppc_core::distance::edit_distance;
 use ppc_core::protocol::derive_cache::DerivationCache;
-use ppc_core::protocol::numeric;
+use ppc_core::protocol::local::local_dissimilarity_column;
+use ppc_core::protocol::{alphanumeric, numeric};
+use ppc_core::schema::AttributeDescriptor;
+use ppc_core::value::{AttributeKind, AttributeValue};
 use ppc_crypto::prng::DynStreamRng;
 use ppc_crypto::{
     negators_from_raw, offsets_from_raw, raw_u64_prefix, PairwiseSeeds, RngAlgorithm, Seed,
+    SplitMix64, StreamRng,
 };
 
 const ALGS: [RngAlgorithm; 3] = [
@@ -25,6 +37,42 @@ const ALGS: [RngAlgorithm; 3] = [
 
 fn alg(index: usize) -> RngAlgorithm {
     ALGS[index % ALGS.len()]
+}
+
+/// Strings of the given lengths over `chars`, drawn from `rng`.
+fn draw_strings(rng: &mut SplitMix64, lens: &[usize], chars: &[char]) -> Vec<String> {
+    lens.iter()
+        .map(|&len| {
+            (0..len)
+                .map(|_| chars[rng.next_below(chars.len() as u64) as usize])
+                .collect()
+        })
+        .collect()
+}
+
+/// The local-matrix columns the kernel must handle: a declared ASCII
+/// alphabet, a declared non-ASCII one, and a descriptor with no alphabet
+/// (its fields are public, so a caller can build one).
+fn local_column_case(case: usize) -> (AttributeDescriptor, Vec<char>) {
+    match case % 3 {
+        0 => (
+            AttributeDescriptor::alphanumeric("dna", Alphabet::dna()),
+            "acgt".chars().collect(),
+        ),
+        1 => {
+            let chars: Vec<char> = "äöüßéαβ漢字🦀".chars().collect();
+            let alphabet = Alphabet::new(chars.iter().copied()).expect("distinct symbols");
+            (AttributeDescriptor::alphanumeric("glyphs", alphabet), chars)
+        }
+        _ => (
+            AttributeDescriptor {
+                name: "free".into(),
+                kind: AttributeKind::Alphanumeric,
+                alphabet: None,
+            },
+            "ab€ç漢🦀".chars().collect(),
+        ),
+    }
 }
 
 proptest! {
@@ -196,5 +244,80 @@ proptest! {
         let unmasked_scalar =
             numeric::third_party_unmask_per_pair_window_scalar(&folded, &mut rng_jt);
         prop_assert_eq!(unmasked, unmasked_scalar);
+    }
+
+    /// The third party's bit-parallel path equals its scalar oracle (per-cell
+    /// unmasking into a CCM, then the Levenshtein dynamic program) and the
+    /// plaintext edit distance. Lengths 0–130 on both sides cross the 64-
+    /// and 128-symbol block boundaries of the pattern (`DH_J`'s strings)
+    /// and of the text (`DH_K`'s).
+    #[test]
+    fn third_party_kernel_matches_dp_oracle_and_plaintext(
+        master in any::<u64>(),
+        alg_index in 0usize..3,
+        alphabet_size in 2u32..27,
+        j_lens in prop::collection::vec(0usize..131, 1..4),
+        k_lens in prop::collection::vec(0usize..131, 1..4),
+    ) {
+        let algorithm = alg(alg_index);
+        let seeds = PairwiseSeeds {
+            holder_holder: Seed::from_u64(master).derive("prop/alpha/jk"),
+            holder_third_party: Seed::from_u64(master).derive("prop/alpha/jt"),
+        };
+        let chars: Vec<char> = ('a'..='z').take(alphabet_size as usize).collect();
+        let mut rng = SplitMix64::from_seed(&Seed::from_u64(master));
+        let j_strings = draw_strings(&mut rng, &j_lens, &chars);
+        let k_strings = draw_strings(&mut rng, &k_lens, &chars);
+        let encode = |s: &String| -> Vec<u32> { s.bytes().map(|c| u32::from(c - b'a')).collect() };
+        let j: Vec<Vec<u32>> = j_strings.iter().map(encode).collect();
+        let k: Vec<Vec<u32>> = k_strings.iter().map(encode).collect();
+        let masked = alphanumeric::initiator_mask_strings(&j, alphabet_size, &seeds, algorithm)
+            .unwrap();
+        let bundle = alphanumeric::responder_build_bundle(&masked, &k, alphabet_size).unwrap();
+        let kernel = alphanumeric::third_party_edit_distances(
+            &bundle,
+            alphabet_size,
+            &seeds.holder_third_party,
+            algorithm,
+        )
+        .unwrap();
+        let oracle = alphanumeric::third_party_edit_distances_scalar(
+            &bundle,
+            alphabet_size,
+            &seeds.holder_third_party,
+            algorithm,
+        )
+        .unwrap();
+        prop_assert_eq!(&kernel, &oracle);
+        for (m, t) in k_strings.iter().enumerate() {
+            for (n, s) in j_strings.iter().enumerate() {
+                prop_assert_eq!(*kernel.get(m, n), edit_distance(s, t), "{} vs {}", s, t);
+            }
+        }
+    }
+
+    /// A holder's local matrix of an alphanumeric column equals pairwise
+    /// `edit_distance`, for strings longer than one 64-symbol block,
+    /// non-ASCII characters and a descriptor without an alphabet.
+    #[test]
+    fn local_alphanumeric_matrix_matches_pairwise_edit_distance(
+        master in any::<u64>(),
+        case in 0usize..3,
+        lens in prop::collection::vec(0usize..140, 0..7),
+    ) {
+        let (descriptor, chars) = local_column_case(case);
+        let mut rng = SplitMix64::from_seed(&Seed::from_u64(master));
+        let strings = draw_strings(&mut rng, &lens, &chars);
+        let values: Vec<AttributeValue> =
+            strings.iter().map(AttributeValue::alphanumeric).collect();
+        let column: Vec<&AttributeValue> = values.iter().collect();
+        let matrix = local_dissimilarity_column(&descriptor, &column).unwrap();
+        prop_assert_eq!(matrix.len(), strings.len());
+        for i in 0..strings.len() {
+            for j in 0..i {
+                let expected = f64::from(edit_distance(&strings[i], &strings[j]));
+                prop_assert_eq!(matrix.get(i, j), expected, "{} vs {}", strings[i], strings[j]);
+            }
+        }
     }
 }
