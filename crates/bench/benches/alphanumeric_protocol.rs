@@ -4,12 +4,18 @@
 //! bit-parallel kernel. The `third_party_edit_distances_scalar` row is the
 //! retained per-cell oracle with the Levenshtein dynamic program, so the
 //! kernel-to-oracle ratio is visible.
+//!
+//! The `ccm_bundle_codec` group times packing a `DH_K → TP` bundle onto
+//! the wire and unpacking it (`docs/WIRE_FORMAT.md` §6.6) for DNA (2 bits
+//! per cell) and lowercase (5 bits) strings: end to end this cost lands in
+//! the engine's unattributed time, not in any timed layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ppc_core::alphabet::Alphabet;
 use ppc_core::protocol::alphanumeric;
+use ppc_core::protocol::messages::CcmBundleMsg;
 use ppc_crypto::{PairwiseSeeds, RngAlgorithm, Seed};
 
 fn strings(count: usize, length: usize, alphabet: &Alphabet) -> Vec<Vec<u32>> {
@@ -93,5 +99,39 @@ fn bench_alphanumeric(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_alphanumeric);
+fn bench_ccm_codec(c: &mut Criterion) {
+    let seeds = PairwiseSeeds::new(Seed::from_u64(3), Seed::from_u64(4));
+    let algorithm = RngAlgorithm::ChaCha20;
+    let mut group = c.benchmark_group("ccm_bundle_codec");
+    group.sample_size(15);
+    for (name, alphabet) in [
+        ("dna", Alphabet::dna()),
+        ("lowercase", Alphabet::lowercase()),
+    ] {
+        let size = alphabet.size();
+        for &length in &[12usize, 64] {
+            let j = strings(12, length, &alphabet);
+            let k = strings(8, length, &alphabet);
+            let masked = alphanumeric::initiator_mask_strings(&j, size, &seeds, algorithm).unwrap();
+            let msg = CcmBundleMsg {
+                attribute: name.into(),
+                bundle: alphanumeric::responder_build_bundle(&masked, &k, size).unwrap(),
+            };
+            group.bench_with_input(
+                BenchmarkId::new(format!("ccm_bundle_encode/{name}"), length),
+                &length,
+                |b, _| b.iter(|| black_box(&msg).encode(size)),
+            );
+            let payload = msg.encode(size);
+            group.bench_with_input(
+                BenchmarkId::new(format!("ccm_bundle_decode/{name}"), length),
+                &length,
+                |b, _| b.iter(|| CcmBundleMsg::decode(black_box(&payload), size).unwrap()),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_alphanumeric, bench_ccm_codec);
 criterion_main!(benches);

@@ -269,24 +269,25 @@ pub fn e5_alphanumeric_costs() -> Result<ExperimentReport, CoreError> {
     writeln!(body).unwrap();
     writeln!(
         body,
-        "paper: DH_J O(n^2 + n*p), DH_K O(m^2 + m*q*n*p); the CCM bundle (4 bytes/cell)"
+        "paper: DH_J O(n^2 + n*p), DH_K O(m^2 + m*q*n*p); the CCM bundle (ceil(log2|A|)"
     )
     .unwrap();
     writeln!(
         body,
-        "dominates DH_K. The Atallah et al. [8] protocol ships ~8 Paillier ciphertexts per"
+        "bits/cell, 2 for DNA) dominates DH_K. The Atallah et al. [8] protocol ships ~8"
     )
     .unwrap();
     writeln!(
         body,
-        "DP cell (2048-bit modulus), hence the 2-3 orders of magnitude overhead column —"
+        "Paillier ciphertexts per DP cell (2048-bit modulus), hence the 3-4 orders of"
     )
     .unwrap();
     writeln!(
         body,
-        "the paper's 'not feasible for clustering' argument, measured."
+        "magnitude overhead column — the paper's 'not feasible for clustering'"
     )
     .unwrap();
+    writeln!(body, "argument, measured.").unwrap();
     Ok(ExperimentReport::new(
         "E5",
         "Alphanumeric protocol communication cost vs Atallah et al. (§4.2)",

@@ -50,73 +50,87 @@ use crate::protocol::kernels;
 
 /// The bundle `DH_K` sends to the third party: one intermediary (still
 /// masked) comparison matrix per (responder object, initiator object) pair,
-/// row-major. Entry `[q][p]` of a matrix corresponds to `DH_K`'s character
-/// `q` and `DH_J`'s (masked) character `p`.
+/// responder-major. Entry `[q][p]` of a matrix corresponds to `DH_K`'s
+/// character `q` and `DH_J`'s (masked) character `p`.
 ///
-/// The bundle is flat: one `(responder_len, initiator_len)` shape per matrix
-/// and one buffer holding the cells of every matrix, matrix after matrix,
-/// each row-major. [`MaskedCcmBundle::new`] checks that the shapes and the
-/// buffer agree, so every bundle is well-formed.
+/// The bundle is flat: matrix `(m, n)` is always `|t_m| × |s'_n|`, so one
+/// length vector per side gives every shape, and one buffer holds the
+/// cells of every matrix, matrix after matrix, each row-major.
+/// [`MaskedCcmBundle::new`] checks that the lengths and the buffer agree,
+/// so every bundle is well-formed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskedCcmBundle {
-    responder_count: usize,
-    initiator_count: usize,
-    shapes: Vec<(u32, u32)>,
+    responder_lens: Vec<u32>,
+    initiator_lens: Vec<u32>,
     cells: Vec<u32>,
 }
 
+/// Sum of a length vector. It cannot overflow a `u64` for fewer than 2³²
+/// lengths, and a `u32` count prefix declares no more.
+fn total_len(lens: &[u32]) -> u64 {
+    lens.iter().map(|&len| u64::from(len)).sum()
+}
+
+/// The cells a bundle with these string lengths holds: the pair
+/// `(t, s')` contributes `|t|·|s'|`, so the bundle holds `Σ|t| · Σ|s'|`.
+/// `None` if that overflows a `u64`.
+pub(crate) fn bundle_cells(responder_lens: &[u32], initiator_lens: &[u32]) -> Option<u64> {
+    total_len(responder_lens).checked_mul(total_len(initiator_lens))
+}
+
 impl MaskedCcmBundle {
-    /// Builds a bundle of `responder_count · initiator_count` matrices with
-    /// the given shapes, whose cells, concatenated in matrix order, are
-    /// `cells`.
+    /// Builds the bundle of `|t_m| × |s'_n|` matrices for the responder
+    /// string lengths `responder_lens` (`|t_m|`) and the initiator string
+    /// lengths `initiator_lens` (`|s'_n|`), whose cells, concatenated in
+    /// matrix order, are `cells`.
     pub fn new(
-        responder_count: usize,
-        initiator_count: usize,
-        shapes: Vec<(u32, u32)>,
+        responder_lens: Vec<u32>,
+        initiator_lens: Vec<u32>,
         cells: Vec<u32>,
     ) -> Result<Self, CoreError> {
-        if responder_count.checked_mul(initiator_count) != Some(shapes.len()) {
+        let needed = bundle_cells(&responder_lens, &initiator_lens);
+        if needed != Some(cells.len() as u64) {
             return Err(CoreError::Protocol(format!(
-                "bundle holds {} matrices, expected {responder_count}·{initiator_count}",
-                shapes.len()
-            )));
-        }
-        let needed: u64 = shapes
-            .iter()
-            .map(|&(rows, cols)| u64::from(rows) * u64::from(cols))
-            .sum();
-        if needed != cells.len() as u64 {
-            return Err(CoreError::Protocol(format!(
-                "bundle holds {} cells, its matrix shapes need {needed}",
-                cells.len()
+                "bundle holds {} cells, its string lengths need {}",
+                cells.len(),
+                needed.map_or_else(|| "more than 2^64".into(), |n| n.to_string())
             )));
         }
         Ok(MaskedCcmBundle {
-            responder_count,
-            initiator_count,
-            shapes,
+            responder_lens,
+            initiator_lens,
             cells,
         })
     }
 
     /// Number of responder objects (`DH_K`).
     pub fn responder_count(&self) -> usize {
-        self.responder_count
+        self.responder_lens.len()
     }
 
     /// Number of initiator objects (`DH_J`).
     pub fn initiator_count(&self) -> usize {
-        self.initiator_count
+        self.initiator_lens.len()
+    }
+
+    /// The responder's string lengths, the row counts of the matrices.
+    pub(crate) fn responder_lens(&self) -> &[u32] {
+        &self.responder_lens
+    }
+
+    /// The initiator's string lengths, the column counts of the matrices.
+    pub(crate) fn initiator_lens(&self) -> &[u32] {
+        &self.initiator_lens
     }
 
     /// Number of matrices, `responder_count · initiator_count`.
     pub fn len(&self) -> usize {
-        self.shapes.len()
+        self.responder_count() * self.initiator_count()
     }
 
     /// Whether the bundle holds no matrix.
     pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
+        self.len() == 0
     }
 
     /// The cells of every matrix, matrix after matrix.
@@ -131,22 +145,24 @@ impl MaskedCcmBundle {
 
     /// Column count of the widest matrix (the longest initiator string).
     pub fn max_initiator_len(&self) -> usize {
-        self.shapes
+        self.initiator_lens
             .iter()
-            .map(|&(_, cols)| cols as usize)
             .max()
-            .unwrap_or(0)
+            .map_or(0, |&len| len as usize)
     }
 
     /// The matrices in order, as `(responder_len, initiator_len, cells)`.
     pub fn matrices(&self) -> impl Iterator<Item = (usize, usize, &[u32])> {
         let mut rest = self.cells.as_slice();
-        self.shapes.iter().map(move |&(rows, cols)| {
-            let (rows, cols) = (rows as usize, cols as usize);
-            let (cells, tail) = rest.split_at(rows * cols);
-            rest = tail;
-            (rows, cols, cells)
-        })
+        self.responder_lens
+            .iter()
+            .flat_map(|&rows| self.initiator_lens.iter().map(move |&cols| (rows, cols)))
+            .map(move |(rows, cols)| {
+                let (rows, cols) = (rows as usize, cols as usize);
+                let (cells, tail) = rest.split_at(rows * cols);
+                rest = tail;
+                (rows, cols, cells)
+            })
     }
 }
 
@@ -277,11 +293,9 @@ pub fn responder_build_bundle(
     let own_symbols: usize = own_strings.iter().map(Vec::len).sum();
     let masked_symbols: usize = masked_initiator.iter().map(Vec::len).sum();
     let mut cells = vec![0u32; own_symbols * masked_symbols];
-    let mut shapes = Vec::with_capacity(own_strings.len() * masked_initiator.len());
     let mut at = 0;
     for t in own_strings {
         for s_masked in masked_initiator {
-            shapes.push((t.len() as u32, s_masked.len() as u32));
             for &tq in t {
                 let row = &mut cells[at..at + s_masked.len()];
                 let addend = alphabet_size - (tq % alphabet_size);
@@ -290,7 +304,12 @@ pub fn responder_build_bundle(
             }
         }
     }
-    MaskedCcmBundle::new(own_strings.len(), masked_initiator.len(), shapes, cells)
+    MaskedCcmBundle::new(lens(own_strings), lens(masked_initiator), cells)
+}
+
+/// The lengths of `strings`, as a bundle stores them.
+fn lens(strings: &[Vec<u32>]) -> Vec<u32> {
+    strings.iter().map(|s| s.len() as u32).collect()
 }
 
 /// Scalar oracle for [`responder_build_bundle`].
@@ -305,11 +324,9 @@ pub fn responder_build_bundle_scalar(
         alphabet_size,
         "masked string",
     )?;
-    let mut shapes = Vec::with_capacity(own_strings.len() * masked_initiator.len());
     let mut cells = Vec::new();
     for t in own_strings {
         for s_masked in masked_initiator {
-            shapes.push((t.len() as u32, s_masked.len() as u32));
             for &tq in t {
                 for &sp in s_masked {
                     cells.push(masker.subtract(sp, tq));
@@ -317,7 +334,7 @@ pub fn responder_build_bundle_scalar(
             }
         }
     }
-    MaskedCcmBundle::new(own_strings.len(), masked_initiator.len(), shapes, cells)
+    MaskedCcmBundle::new(lens(own_strings), lens(masked_initiator), cells)
 }
 
 /// `TP` (Figure 10): unmasks every intermediary matrix into match words and
@@ -586,7 +603,7 @@ mod tests {
         let seeds = seeds();
         let algorithm = RngAlgorithm::ChaCha20;
         for bad in [9, u32::MAX] {
-            let bundle = MaskedCcmBundle::new(1, 1, vec![(2, 2)], vec![0, bad, 3, 2]).unwrap();
+            let bundle = MaskedCcmBundle::new(vec![2], vec![2], vec![0, bad, 3, 2]).unwrap();
             for result in [
                 third_party_edit_distances(&bundle, 4, &seeds.holder_third_party, algorithm),
                 third_party_edit_distances_scalar(&bundle, 4, &seeds.holder_third_party, algorithm),
@@ -626,15 +643,29 @@ mod tests {
 
     #[test]
     fn bundle_dimensions_are_validated() {
-        // A matrix count that is not responder_count · initiator_count.
-        assert!(MaskedCcmBundle::new(2, 2, vec![], vec![]).is_err());
-        assert!(MaskedCcmBundle::new(usize::MAX, 2, vec![], vec![]).is_err());
-        // A cell buffer that does not match the matrix shapes.
-        assert!(MaskedCcmBundle::new(2, 2, vec![(1, 1); 4], vec![0, 1]).is_err());
-        assert!(MaskedCcmBundle::new(1, 1, vec![(u32::MAX, u32::MAX)], vec![]).is_err());
-        let bundle = MaskedCcmBundle::new(1, 2, vec![(2, 1), (2, 0)], vec![3, 1]).unwrap();
+        // A cell buffer that does not match the string lengths.
+        assert!(MaskedCcmBundle::new(vec![1, 1], vec![1, 1], vec![0, 1]).is_err());
+        assert!(MaskedCcmBundle::new(vec![1], vec![1], vec![]).is_err());
+        assert!(MaskedCcmBundle::new(vec![u32::MAX], vec![u32::MAX], vec![]).is_err());
+        // Σ|t| · Σ|s'| overflowing a u64.
+        assert!(MaskedCcmBundle::new(vec![u32::MAX; 3], vec![u32::MAX; 3], vec![]).is_err());
+        // Empty strings on either side need no cells.
+        let empty = MaskedCcmBundle::new(vec![0; 3], vec![5, 7], vec![]).unwrap();
+        assert_eq!((empty.len(), empty.max_initiator_len()), (6, 7));
+        let bundle = MaskedCcmBundle::new(vec![2], vec![1, 0], vec![3, 1]).unwrap();
         let matrices: Vec<_> = bundle.matrices().collect();
         assert_eq!(matrices, [(2, 1, &[3, 1][..]), (2, 0, &[][..])]);
+        // Responder-major: matrix (m, n) is |t_m| × |s'_n|.
+        let ordered = MaskedCcmBundle::new(vec![1, 2], vec![2, 1], (0..9).collect()).unwrap();
+        assert_eq!(
+            ordered.matrices().collect::<Vec<_>>(),
+            [
+                (1, 2, &[0, 1][..]),
+                (1, 1, &[2][..]),
+                (2, 2, &[3, 4, 5, 6][..]),
+                (2, 1, &[7, 8][..]),
+            ]
+        );
         assert_eq!(bundle.max_initiator_len(), 1);
         let distances = third_party_edit_distances(
             &bundle,

@@ -554,7 +554,7 @@ impl HolderMachine {
                     self.party(),
                     PartyId::DataHolder(responder),
                     topic,
-                    msg.encode(),
+                    msg.encode(alphabet.size()),
                 ))
             }
             AttributeKind::Categorical => Err(CoreError::Protocol(
@@ -634,7 +634,12 @@ impl HolderMachine {
                 };
                 *next_row += rows;
                 (
-                    Envelope::new(party, PartyId::ThirdParty, topic.clone(), msg.encode()),
+                    Envelope::new(
+                        party,
+                        PartyId::ThirdParty,
+                        topic.clone(),
+                        msg.encode(*alphabet_size),
+                    ),
                     rows,
                     *next_row >= total,
                 )
@@ -903,7 +908,7 @@ impl HolderMachine {
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
         let name = descriptor.name.clone();
         let alphabet = descriptor.require_alphabet()?.clone();
-        let masked = MaskedStringsMsg::decode(&envelope.payload)?;
+        let masked = MaskedStringsMsg::decode(&envelope.payload, alphabet.size())?;
         let own: Vec<Vec<u32>> = self
             .holder
             .partition()
@@ -944,7 +949,7 @@ impl HolderMachine {
             self.party(),
             PartyId::ThirdParty,
             topic,
-            msg.encode(),
+            msg.encode(alphabet.size()),
         )]))
     }
 }
@@ -1552,38 +1557,34 @@ impl ThirdPartyMachine {
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
         let name = descriptor.name.clone();
         let alphabet = descriptor.require_alphabet()?.clone();
-        let bundle = CcmBundleMsg::decode(&envelope.payload)?;
-        if bundle.bundle.initiator_count() != self.pair_rows_expected(pair.0)? {
+        let bundle = CcmBundleMsg::decode(&envelope.payload, alphabet.size())?.bundle;
+        // The matrix count is the product of two untrusted vector lengths:
+        // check both against the session before the kernel sizes the
+        // distance block by it.
+        let expected = (
+            self.pair_rows_expected(pair.1)?,
+            self.pair_rows_expected(pair.0)?,
+        );
+        let declared = (bundle.responder_count(), bundle.initiator_count());
+        if declared != expected {
             return Err(CoreError::Protocol(format!(
-                "CCM bundle for pair {}-{} covers {} initiator objects, expected {}",
-                pair.0,
-                pair.1,
-                bundle.bundle.initiator_count(),
-                self.pair_rows_expected(pair.0)?
+                "CCM bundle for pair {}-{} covers {}×{} objects, expected {}×{}",
+                pair.0, pair.1, declared.0, declared.1, expected.0, expected.1
             )));
         }
         let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let max_cols = bundle.bundle.max_initiator_len();
+        let max_cols = bundle.max_initiator_len();
         let started = Instant::now();
         let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
         let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
         self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
         let started = Instant::now();
         let distances = alphanumeric::third_party_edit_distances_with_offsets(
-            &bundle.bundle,
+            &bundle,
             alphabet.size(),
             &offsets,
         )?;
         self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-        if distances.rows() != self.pair_rows_expected(pair.1)? {
-            return Err(CoreError::Protocol(format!(
-                "CCM bundle for pair {}-{} covers {} responder objects, expected {}",
-                pair.0,
-                pair.1,
-                distances.rows(),
-                self.pair_rows_expected(pair.1)?
-            )));
-        }
         self.note_rows(distances.rows());
         let decoded = distances.map(|&d| f64::from(d));
         self.fold_pair_rows(attribute, pair, 0, decoded.cols(), decoded.values())?;
@@ -1599,7 +1600,7 @@ impl ThirdPartyMachine {
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
         let name = descriptor.name.clone();
         let alphabet = descriptor.require_alphabet()?.clone();
-        let chunk = CcmChunkMsg::decode(&envelope.payload)?;
+        let chunk = CcmChunkMsg::decode(&envelope.payload, alphabet.size())?;
         let expected_rows = self.pair_rows_expected(pair.1)?;
         if chunk.total_rows as usize != expected_rows {
             return Err(CoreError::Protocol(format!(

@@ -3,15 +3,19 @@
 //! Every inter-party transfer of the networked session is one of these typed
 //! messages, serialised with the compact binary codec of `ppc-net` so the
 //! measured byte counts reflect the element counts in the paper's
-//! communication-cost analysis (8 bytes per masked numeric value, 4 bytes
-//! per masked character or CCM cell, 16 bytes per categorical ciphertext,
-//! 8 bytes per local-matrix entry).
+//! communication-cost analysis (8 bytes per masked numeric value,
+//! ⌈log₂|A|⌉ bits per masked character or CCM cell, 16 bytes per
+//! categorical ciphertext, 8 bytes per local-matrix entry).
+//!
+//! The alphanumeric messages pack their symbols and cells at
+//! [`packed_width`]`(|A|)` bits, so their `encode` and `decode` take the
+//! attribute's alphabet size `|A|`; the width itself is never sent.
 
-use ppc_net::{WireReader, WireWriter};
+use ppc_net::{packed_len, packed_width, WireReader, WireWriter};
 
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
-use crate::protocol::alphanumeric::MaskedCcmBundle;
+use crate::protocol::alphanumeric::{bundle_cells, MaskedCcmBundle};
 
 /// Guards count-prefixed decode loops against huge-allocation attacks: a
 /// declared element count whose minimum encoding cannot fit in the
@@ -222,44 +226,30 @@ impl PairwiseChunkMsg {
     }
 }
 
-/// Writes a bundle's matrices as `ccm_count` followed by one
-/// `responder_len, initiator_len, [cells]` record per matrix (§6.6).
-fn put_ccms(w: &mut WireWriter, bundle: &MaskedCcmBundle) {
-    w.put_u32(bundle.len() as u32);
-    for (rows, cols, cells) in bundle.matrices() {
-        w.put_u32(rows as u32)
-            .put_u32(cols as u32)
-            .put_u32_slice(cells);
-    }
+/// Encoded size of a bundle's lengths and packed cells (§6.6).
+fn bundle_len(bundle: &MaskedCcmBundle, bits: u32) -> usize {
+    8 + 4 * (bundle.responder_count() + bundle.initiator_count())
+        + packed_len(bundle.cells().len(), bits)
 }
 
-/// Reads the matrices [`put_ccms`] writes into one flat bundle. Each
-/// matrix must carry exactly `responder_len · initiator_len` cells, and
-/// there must be `responder_count · initiator_count` matrices.
-fn get_ccms(
-    r: &mut WireReader<'_>,
-    responder_count: usize,
-    initiator_count: usize,
-) -> Result<MaskedCcmBundle, CoreError> {
-    let ccm_count = r.get_u32()? as usize;
-    // Each CCM needs at least two u32 headers and a length prefix.
-    check_count(ccm_count, 12, r)?;
-    let mut shapes = Vec::with_capacity(ccm_count);
-    // Every byte after those headers is a cell: one allocation holds them
-    // all, and it is sized by the payload, never by a prefix.
-    let mut cells = Vec::with_capacity((r.remaining() - 12 * ccm_count) / 4);
-    for _ in 0..ccm_count {
-        let rows = r.get_u32()?;
-        let cols = r.get_u32()?;
-        let len = r.append_u32_vec(&mut cells)?;
-        if len as u64 != u64::from(rows) * u64::from(cols) {
-            return Err(CoreError::Protocol(format!(
-                "a {rows}×{cols} CCM carries {len} cells"
-            )));
-        }
-        shapes.push((rows, cols));
-    }
-    MaskedCcmBundle::new(responder_count, initiator_count, shapes, cells)
+/// Writes a bundle as `responder_lens`, `initiator_lens`, then every cell
+/// packed at `bits` bits (§6.6).
+fn put_bundle(w: &mut WireWriter, bundle: &MaskedCcmBundle, bits: u32) {
+    w.put_u32_slice(bundle.responder_lens())
+        .put_u32_slice(bundle.initiator_lens())
+        .put_packed(bundle.cells(), bits);
+}
+
+/// Reads the bundle [`put_bundle`] writes: the two length vectors fix the
+/// cell count, `Σ responder_lens · Σ initiator_lens`.
+fn get_bundle(r: &mut WireReader<'_>, bits: u32) -> Result<MaskedCcmBundle, CoreError> {
+    let responder_lens = r.get_u32_vec()?;
+    let initiator_lens = r.get_u32_vec()?;
+    let count = bundle_cells(&responder_lens, &initiator_lens).ok_or_else(|| {
+        CoreError::Protocol("CCM string lengths need more than 2^64 cells".into())
+    })?;
+    let cells = r.get_packed(count, bits)?;
+    MaskedCcmBundle::new(responder_lens, initiator_lens, cells)
 }
 
 /// A responder-row window of the masked CCM bundle (chunked streaming,
@@ -283,33 +273,32 @@ impl CcmChunkMsg {
         self.window.responder_count()
     }
 
-    /// Serialises the message.
-    pub fn encode(&self) -> Vec<u8> {
-        let capacity = 36 + self.window.len() * 12 + self.window.cells().len() * 4;
+    /// Serialises the message, packing cells for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
+        let bits = packed_width(alphabet_size);
+        let capacity = 12 + self.attribute.len() + bundle_len(&self.window, bits);
         let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute)
             .put_u32(self.start_row)
-            .put_u32(self.window.responder_count() as u32)
-            .put_u32(self.total_rows)
-            .put_u32(self.window.initiator_count() as u32);
-        put_ccms(&mut w, &self.window);
+            .put_u32(self.total_rows);
+        put_bundle(&mut w, &self.window, bits);
         w.finish()
     }
 
-    /// Deserialises the message.
-    pub fn decode(payload: &[u8]) -> Result<Self, CoreError> {
+    /// Deserialises the message, unpacking cells for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn decode(payload: &[u8], alphabet_size: u32) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
         let start_row = r.get_u32()?;
-        let rows = r.get_u32()?;
         let total_rows = r.get_u32()?;
-        let initiator_count = r.get_u32()?;
-        let window = get_ccms(&mut r, rows as usize, initiator_count as usize)?;
+        let window = get_bundle(&mut r, packed_width(alphabet_size))?;
         r.expect_end()?;
-        if start_row as usize + rows as usize > total_rows as usize {
+        let end = u64::from(start_row) + window.responder_count() as u64;
+        if end > u64::from(total_rows) {
             return Err(CoreError::Protocol(format!(
-                "CCM chunk rows {start_row}..{} exceed the declared total of {total_rows}",
-                start_row as usize + rows as usize
+                "CCM chunk rows {start_row}..{end} exceed the declared total of {total_rows}"
             )));
         }
         Ok(CcmChunkMsg {
@@ -331,28 +320,38 @@ pub struct MaskedStringsMsg {
 }
 
 impl MaskedStringsMsg {
-    /// Serialises the message.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+    /// Serialises the message, packing symbols for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
+        let bits = packed_width(alphabet_size);
+        let lens: Vec<u32> = self.strings.iter().map(|s| s.len() as u32).collect();
+        let symbols = self.strings.concat();
+        let capacity = 8 + self.attribute.len() + 4 * lens.len() + packed_len(symbols.len(), bits);
+        let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute)
-            .put_u32(self.strings.len() as u32);
-        for s in &self.strings {
-            w.put_u32_slice(s);
-        }
+            .put_u32_slice(&lens)
+            .put_packed(&symbols, bits);
         w.finish()
     }
 
-    /// Deserialises the message.
-    pub fn decode(payload: &[u8]) -> Result<Self, CoreError> {
+    /// Deserialises the message, unpacking symbols for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn decode(payload: &[u8], alphabet_size: u32) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
-        let count = r.get_u32()? as usize;
-        check_count(count, 4, &r)?;
-        let mut strings = Vec::with_capacity(count);
-        for _ in 0..count {
-            strings.push(r.get_u32_vec()?);
-        }
+        let lens = r.get_u32_vec()?;
+        let count = lens.iter().map(|&len| u64::from(len)).sum();
+        let symbols = r.get_packed(count, packed_width(alphabet_size))?;
         r.expect_end()?;
+        let mut rest = symbols.as_slice();
+        let strings = lens
+            .iter()
+            .map(|&len| {
+                let (string, tail) = rest.split_at(len as usize);
+                rest = tail;
+                string.to_vec()
+            })
+            .collect();
         Ok(MaskedStringsMsg { attribute, strings })
     }
 }
@@ -368,24 +367,23 @@ pub struct CcmBundleMsg {
 }
 
 impl CcmBundleMsg {
-    /// Serialises the message.
-    pub fn encode(&self) -> Vec<u8> {
-        let capacity = 32 + self.bundle.len() * 12 + self.bundle.cells().len() * 4;
+    /// Serialises the message, packing cells for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
+        let bits = packed_width(alphabet_size);
+        let capacity = 4 + self.attribute.len() + bundle_len(&self.bundle, bits);
         let mut w = WireWriter::with_capacity(capacity);
-        w.put_str(&self.attribute)
-            .put_u32(self.bundle.responder_count() as u32)
-            .put_u32(self.bundle.initiator_count() as u32);
-        put_ccms(&mut w, &self.bundle);
+        w.put_str(&self.attribute);
+        put_bundle(&mut w, &self.bundle, bits);
         w.finish()
     }
 
-    /// Deserialises the message.
-    pub fn decode(payload: &[u8]) -> Result<Self, CoreError> {
+    /// Deserialises the message, unpacking cells for an alphabet of
+    /// `alphabet_size` symbols.
+    pub fn decode(payload: &[u8], alphabet_size: u32) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
-        let responder_count = r.get_u32()? as usize;
-        let initiator_count = r.get_u32()? as usize;
-        let bundle = get_ccms(&mut r, responder_count, initiator_count)?;
+        let bundle = get_bundle(&mut r, packed_width(alphabet_size))?;
         r.expect_end()?;
         Ok(CcmBundleMsg { attribute, bundle })
     }
@@ -518,6 +516,7 @@ impl PublishedResultMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::alphanumeric;
 
     #[test]
     fn local_matrix_roundtrip_and_size() {
@@ -572,29 +571,88 @@ mod tests {
             attribute: "dna".into(),
             strings: vec![vec![0, 1, 2, 3], vec![], vec![3, 3]],
         };
-        assert_eq!(MaskedStringsMsg::decode(&msg.encode()).unwrap(), msg);
+        let bytes = msg.encode(4);
+        assert_eq!(MaskedStringsMsg::decode(&bytes, 4).unwrap(), msg);
+        // 4 + 3 (attribute), 4 + 3·4 (lens), six 2-bit symbols in 2 bytes.
+        assert_eq!(bytes.len(), 7 + 16 + 2);
+        assert_eq!(&bytes[23..], &[0b1110_0100, 0b1111]);
     }
 
     #[test]
     fn ccm_bundle_roundtrip() {
         let msg = CcmBundleMsg {
             attribute: "dna".into(),
-            bundle: MaskedCcmBundle::new(1, 2, vec![(2, 3), (1, 1)], vec![0, 1, 2, 3, 0, 1, 2])
+            bundle: MaskedCcmBundle::new(vec![2], vec![3, 1], vec![0, 1, 2, 3, 0, 1, 2, 3])
                 .unwrap(),
         };
-        assert_eq!(CcmBundleMsg::decode(&msg.encode()).unwrap(), msg);
+        let bytes = msg.encode(4);
+        assert_eq!(CcmBundleMsg::decode(&bytes, 4).unwrap(), msg);
+        // 4 + 3 (attribute), 4 + 4 and 4 + 2·4 (lens), 8 cells in 2 bytes.
+        assert_eq!(bytes.len(), 7 + 8 + 12 + 2);
+        // The width follows the alphabet: 8 cells at 5 bits take 5 bytes.
+        let bytes = msg.encode(26);
+        assert_eq!(bytes.len(), 7 + 8 + 12 + 5);
+        assert_eq!(CcmBundleMsg::decode(&bytes, 26).unwrap(), msg);
     }
 
     #[test]
     fn ccm_cell_counts_must_match_each_shape() {
-        // Two 1×1 matrices whose cells split 0 + 2 instead of 1 + 1: the
-        // totals agree, but re-encoding would move a cell, so decode
-        // rejects it.
+        // The lengths fix the cell count, Σ responder_lens · Σ
+        // initiator_lens: here 2 · 1 cells, two bits each, in one byte.
         let mut w = WireWriter::new();
-        w.put_str("dna").put_u32(1).put_u32(2).put_u32(2);
-        w.put_u32(1).put_u32(1).put_u32_slice(&[]);
-        w.put_u32(1).put_u32(1).put_u32_slice(&[2, 3]);
-        assert!(CcmBundleMsg::decode(&w.finish()).is_err());
+        w.put_str("dna")
+            .put_u32_slice(&[1, 1])
+            .put_u32_slice(&[1])
+            .put_packed(&[2, 3], 2);
+        let bytes = w.finish();
+        let decoded = CcmBundleMsg::decode(&bytes, 4).unwrap();
+        assert_eq!(decoded.bundle.cells(), &[2, 3]);
+        // A length that claims one more cell finds no byte for it...
+        let mut longer = WireWriter::new();
+        longer
+            .put_str("dna")
+            .put_u32_slice(&[1, 1])
+            .put_u32_slice(&[3])
+            .put_packed(&[2, 3], 2);
+        assert!(CcmBundleMsg::decode(&longer.finish(), 4).is_err());
+        // ...a length that claims fewer leaves a set padding bit...
+        let mut shorter = WireWriter::new();
+        shorter
+            .put_str("dna")
+            .put_u32_slice(&[1, 0])
+            .put_u32_slice(&[1])
+            .put_packed(&[2, 3], 2);
+        assert!(CcmBundleMsg::decode(&shorter.finish(), 4).is_err());
+        // ...and a cell section with a spare byte leaves trailing bytes.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(CcmBundleMsg::decode(&trailing, 4).is_err());
+    }
+
+    #[test]
+    fn off_domain_values_cross_the_wire_for_the_roles_to_reject() {
+        // 26 symbols take 5 bits, which can also hold 26–31: the codec
+        // carries them, and DH_K and the third party refuse them.
+        let strings = MaskedStringsMsg {
+            attribute: "name".into(),
+            strings: vec![vec![3, 30], vec![25]],
+        };
+        let decoded = MaskedStringsMsg::decode(&strings.encode(26), 26).unwrap();
+        assert_eq!(decoded, strings);
+        assert!(alphanumeric::responder_build_bundle(&decoded.strings, &[vec![1]], 26).is_err());
+        let bundle = CcmBundleMsg {
+            attribute: "name".into(),
+            bundle: MaskedCcmBundle::new(vec![1], vec![2], vec![0, 31]).unwrap(),
+        };
+        let decoded = CcmBundleMsg::decode(&bundle.encode(26), 26).unwrap();
+        assert_eq!(decoded, bundle);
+        let offsets = [0, 0];
+        assert!(alphanumeric::third_party_edit_distances_with_offsets(
+            &decoded.bundle,
+            26,
+            &offsets
+        )
+        .is_err());
     }
 
     #[test]
@@ -682,18 +740,21 @@ mod tests {
             attribute: "dna".into(),
             start_row: 1,
             total_rows: 3,
-            window: MaskedCcmBundle::new(1, 2, vec![(2, 2); 2], vec![0, 1, 2, 3, 0, 1, 2, 3])
+            window: MaskedCcmBundle::new(vec![2], vec![2, 2], vec![0, 1, 2, 3, 0, 1, 2, 3])
                 .unwrap(),
         };
         assert_eq!(msg.rows(), 1);
-        let bytes = msg.encode();
-        assert_eq!(CcmChunkMsg::decode(&bytes).unwrap(), msg);
-        // A matrix count that disagrees with the window shape is rejected:
-        // the same two matrices declared as a one-row window of three.
-        let mut ragged = bytes.clone();
-        let initiator_count_at = 4 + 3 + 12;
-        ragged[initiator_count_at..initiator_count_at + 4].copy_from_slice(&3u32.to_le_bytes());
-        assert!(CcmChunkMsg::decode(&ragged).is_err());
+        let bytes = msg.encode(4);
+        assert_eq!(CcmChunkMsg::decode(&bytes, 4).unwrap(), msg);
+        // The window's row count is the length of `responder_lens`: a
+        // total that leaves no room for it is rejected.
+        let total_rows_at = 4 + 3 + 4;
+        let mut overflow = bytes.clone();
+        overflow[total_rows_at..total_rows_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(CcmChunkMsg::decode(&overflow, 4).is_err());
+        let mut huge_start = bytes.clone();
+        huge_start[total_rows_at - 4..total_rows_at].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(CcmChunkMsg::decode(&huge_start, 4).is_err());
     }
 
     #[test]
@@ -702,8 +763,10 @@ mod tests {
             attribute: "dna".into(),
             strings: vec![vec![1, 2, 3]],
         };
-        let bytes = msg.encode();
-        assert!(MaskedStringsMsg::decode(&bytes[..bytes.len() - 2]).is_err());
+        let bytes = msg.encode(4);
+        for cut in 0..bytes.len() {
+            assert!(MaskedStringsMsg::decode(&bytes[..cut], 4).is_err());
+        }
         assert!(LocalMatrixMsg::decode(&[]).is_err());
     }
 }

@@ -4,34 +4,138 @@
 //! (numbers, characters, matrix cells). To turn that into measured bytes we
 //! serialize protocol messages with a small, deterministic, length-prefixed
 //! binary codec rather than a self-describing format, so the measured sizes
-//! track the element counts closely (8 bytes per masked numeric value, 1–4
-//! bytes per masked character, and so on).
+//! track the element counts closely (8 bytes per masked numeric value,
+//! ⌈log₂|A|⌉ bits per masked character or CCM cell, and so on).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::error::NetError;
 
-/// Elements [`WireWriter::put_u32_slice`] converts per copy.
-const U32_RUN: usize = 256;
+/// Values per step of the packed codec: eight `b`-bit values fill exactly
+/// `b` bytes, so every group starts on a byte boundary.
+const GROUP: usize = 8;
+
+/// Bits a packed section ([`WireWriter::put_packed`]) spends on each value
+/// drawn from `[0, symbols)`: ⌈log₂ symbols⌉, at least 1 and at most 32.
+pub fn packed_width(symbols: u32) -> u32 {
+    (u32::BITS - symbols.saturating_sub(1).leading_zeros()).max(1)
+}
+
+/// Bytes a packed section of `count` values at `bits` bits each occupies.
+pub fn packed_len(count: usize, bits: u32) -> usize {
+    (count as u128 * u128::from(bits)).div_ceil(8) as usize
+}
+
+/// Packs one group of eight values at `B` bits each into the first `B`
+/// bytes of the result, least-significant bit first. With `B` a
+/// compile-time constant every shift and word index folds away; for
+/// `B ≤ 8` the group is one `u64`.
+fn pack_group<const B: usize>(group: &[u32; GROUP]) -> [u8; 4 * GROUP] {
+    let mask = (1u64 << B) - 1;
+    let mut words = [0u64; GROUP / 2];
+    for (i, &value) in group.iter().enumerate() {
+        let value = u64::from(value) & mask;
+        let (word, shift) = (i * B / 64, i * B % 64);
+        words[word] |= value << shift;
+        if shift + B > 64 {
+            words[word + 1] |= value >> (64 - shift);
+        }
+    }
+    let mut bytes = [0u8; 4 * GROUP];
+    for (out, word) in bytes.chunks_exact_mut(8).zip(words) {
+        out.copy_from_slice(&word.to_le_bytes());
+    }
+    bytes
+}
+
+/// Inverse of [`pack_group`]: unpacks eight `B`-bit values from the first
+/// `B` bytes of `bytes`.
+fn unpack_group<const B: usize>(bytes: &[u8; 4 * GROUP]) -> [u32; GROUP] {
+    let mask = (1u64 << B) - 1;
+    let mut words = [0u64; GROUP / 2];
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    std::array::from_fn(|i| {
+        let (word, shift) = (i * B / 64, i * B % 64);
+        let mut value = words[word] >> shift;
+        if shift + B > 64 {
+            value |= words[word + 1] << (64 - shift);
+        }
+        (value & mask) as u32
+    })
+}
+
+/// Packs `values` at `B` bits each into `out`, which holds exactly
+/// [`packed_len`]`(values.len(), B)` bytes.
+fn pack<const B: usize>(values: &[u32], out: &mut [u8]) {
+    let (body, tail) = out.split_at_mut(values.len() / GROUP * B);
+    let groups = values.chunks_exact(GROUP);
+    let rest = groups.remainder();
+    for (group, out) in groups.zip(body.chunks_exact_mut(B)) {
+        out.copy_from_slice(&pack_group::<B>(group.try_into().expect("full group"))[..B]);
+    }
+    if !rest.is_empty() {
+        let mut group = [0u32; GROUP];
+        group[..rest.len()].copy_from_slice(rest);
+        tail.copy_from_slice(&pack_group::<B>(&group)[..tail.len()]);
+    }
+}
+
+/// Unpacks `out.len()` values at `B` bits each from `bytes`, which holds
+/// exactly [`packed_len`]`(out.len(), B)` bytes. Returns whether every
+/// padding bit after the last value is zero.
+fn unpack<const B: usize>(bytes: &[u8], out: &mut [u32]) -> bool {
+    let (body, tail) = bytes.split_at(out.len() / GROUP * B);
+    let mut groups = out.chunks_exact_mut(GROUP);
+    for (chunk, group) in body.chunks_exact(B).zip(&mut groups) {
+        let mut staged = [0u8; 4 * GROUP];
+        staged[..B].copy_from_slice(chunk);
+        group.copy_from_slice(&unpack_group::<B>(&staged));
+    }
+    let rest = groups.into_remainder();
+    if tail.is_empty() {
+        return true;
+    }
+    let mut staged = [0u8; 4 * GROUP];
+    staged[..tail.len()].copy_from_slice(tail);
+    let group = unpack_group::<B>(&staged);
+    rest.copy_from_slice(&group[..rest.len()]);
+    // The padding bits are exactly the bits the values after the last
+    // one would occupy.
+    group[rest.len()..].iter().all(|&v| v == 0)
+}
+
+/// Calls `$f::<B>($args)` for the runtime width `$bits` in `1..=32`.
+macro_rules! with_width {
+    ($bits:expr, $f:ident $args:tt) => {
+        with_width!(@arms $bits, $f, $args, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+    };
+    (@arms $bits:expr, $f:ident, $args:tt, $($b:literal)*) => {
+        match $bits {
+            $($b => $f::<$b> $args,)*
+            bits => panic!("packed width {bits} is outside 1..=32"),
+        }
+    };
+}
 
 /// Incremental writer producing a wire payload.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        WireWriter {
-            buf: BytesMut::new(),
-        }
+        WireWriter { buf: Vec::new() }
     }
 
     /// Creates a writer with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
         }
     }
 
@@ -103,23 +207,28 @@ impl WireWriter {
     }
 
     /// Appends a length-prefixed vector of `u32` (bulk-reserved).
-    ///
-    /// The elements are staged 256 at a time in a stack buffer and
-    /// appended with one copy per run, instead of one 4-byte append each:
-    /// the staging loop is a plain byte-order conversion the compiler
-    /// vectorizes. CCM bundles, the largest protocol messages, are written
-    /// through here.
     pub fn put_u32_slice(&mut self, v: &[u32]) -> &mut Self {
         self.buf.reserve(4 + v.len() * 4);
         self.buf.put_u32_le(v.len() as u32);
-        let mut staged = [0u8; 4 * U32_RUN];
-        for run in v.chunks(U32_RUN) {
-            let bytes = &mut staged[..4 * run.len()];
-            for (out, &x) in bytes.chunks_exact_mut(4).zip(run) {
-                out.copy_from_slice(&x.to_le_bytes());
-            }
-            self.buf.put_slice(bytes);
+        for &x in v {
+            self.buf.put_u32_le(x);
         }
+        self
+    }
+
+    /// Appends `values` packed at `bits` bits each (`1 ≤ bits ≤ 32`),
+    /// least-significant bit first and zero-padded to a whole byte, with
+    /// no length prefix: the reader must know the count. Only the low
+    /// `bits` bits of each value are written.
+    ///
+    /// # Panics
+    ///
+    /// If `bits` is outside `1..=32`.
+    pub fn put_packed(&mut self, values: &[u32], bits: u32) -> &mut Self {
+        let start = self.buf.len();
+        self.buf.resize(start + packed_len(values.len(), bits), 0);
+        let out = &mut self.buf[start..];
+        with_width!(bits, pack(values, out));
         self
     }
 
@@ -145,7 +254,7 @@ impl WireWriter {
 
     /// Finalises the payload, handing the buffer over without copying.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.into()
+        self.buf
     }
 }
 
@@ -227,8 +336,8 @@ impl<'a> WireReader<'a> {
     ///
     /// The vector getters decode straight off the payload slice in fixed
     /// 8-/4-byte chunks (one bounds check up front, no per-element cursor
-    /// bookkeeping): protocol sessions move whole pairwise blocks and CCM
-    /// bundles through these calls, so they sit on the hot path.
+    /// bookkeeping): protocol sessions move whole pairwise blocks through
+    /// these calls, so they sit on the hot path.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, NetError> {
         let len = self.get_u32()? as usize;
         let bytes = len.saturating_mul(8);
@@ -256,31 +365,46 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed vector of `u32` (bulk-decoded).
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, NetError> {
-        let mut out = Vec::new();
-        self.append_u32_vec(&mut out)?;
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed vector of `u32` onto the end of `out` and
-    /// returns its length, so a decoder can gather many vectors into one
-    /// buffer.
-    ///
-    /// `out` grows only after the elements are known to be in the payload,
-    /// and then by exactly their number: whatever a length prefix claims,
-    /// this call adds at most a quarter of the remaining bytes to `out`'s
-    /// capacity.
-    pub fn append_u32_vec(&mut self, out: &mut Vec<u32>) -> Result<usize, NetError> {
         let len = self.get_u32()? as usize;
         let bytes = len.saturating_mul(4);
         self.need(bytes)?;
-        out.reserve_exact(len);
-        out.extend(
-            self.buf[..bytes]
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-        );
+        let out = self.buf[..bytes]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect();
         self.buf.advance(bytes);
-        Ok(len)
+        Ok(out)
+    }
+
+    /// Reads `count` values packed at `bits` bits each, as
+    /// [`WireWriter::put_packed`] writes them.
+    ///
+    /// Fails, before allocating, unless the payload holds the
+    /// `count · bits` bits; a successful read allocates exactly `count`
+    /// values, so whatever `count` claims, the result holds at most
+    /// `8 · remaining / bits` of them. Also fails if a padding bit is set,
+    /// so every accepted section re-encodes to the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `bits` is outside `1..=32`.
+    pub fn get_packed(&mut self, count: u64, bits: u32) -> Result<Vec<u32>, NetError> {
+        let needed = (u128::from(count) * u128::from(bits)).div_ceil(8);
+        if needed > self.buf.remaining() as u128 {
+            return Err(NetError::Decode(format!(
+                "{count} values of {bits} bits need {needed} bytes, only {} remaining",
+                self.buf.remaining()
+            )));
+        }
+        let (bytes, rest) = self.buf.split_at(needed as usize);
+        let mut out = vec![0u32; count as usize];
+        if !with_width!(bits, unpack(bytes, &mut out)) {
+            return Err(NetError::Decode(
+                "nonzero padding bits after a packed section".into(),
+            ));
+        }
+        self.buf = rest;
+        Ok(out)
     }
 
     /// Reads a length-prefixed vector of `f64` (bulk-decoded).
@@ -330,7 +454,8 @@ mod tests {
             .put_u64_slice(&[1, 2, 3])
             .put_i64_slice(&[-1, 0, 1])
             .put_u32_slice(&[9, 8])
-            .put_f64_slice(&[0.25, 0.5]);
+            .put_f64_slice(&[0.25, 0.5])
+            .put_packed(&[3, 0, 1], 2);
         let payload = w.finish();
         let mut r = WireReader::new(&payload);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -343,6 +468,7 @@ mod tests {
         assert_eq!(r.get_i64_vec().unwrap(), vec![-1, 0, 1]);
         assert_eq!(r.get_u32_vec().unwrap(), vec![9, 8]);
         assert_eq!(r.get_f64_vec().unwrap(), vec![0.25, 0.5]);
+        assert_eq!(r.get_packed(3, 2).unwrap(), vec![3, 0, 1]);
         assert!(r.expect_end().is_ok());
     }
 
@@ -387,48 +513,118 @@ mod tests {
         assert!(r.expect_end().is_err());
     }
 
-    #[test]
-    fn u32_slices_roundtrip_across_staging_runs() {
-        for len in [0, 1, U32_RUN - 1, U32_RUN, U32_RUN + 1, 3 * U32_RUN + 7] {
-            let values: Vec<u32> = (0..len as u32)
-                .map(|i| i.wrapping_mul(0x9e37_79b9))
-                .collect();
-            let mut w = WireWriter::new();
-            w.put_u32_slice(&values);
-            let payload = w.finish();
-            let mut expected = (len as u32).to_le_bytes().to_vec();
-            for x in &values {
-                expected.extend_from_slice(&x.to_le_bytes());
+    /// Bit-at-a-time reference for the packed layout: value `i` occupies
+    /// stream bits `[i·bits, (i+1)·bits)`, and stream bit `k` is bit
+    /// `k % 8` of byte `k / 8`.
+    fn pack_reference(values: &[u32], bits: u32) -> Vec<u8> {
+        let mut out = vec![0u8; packed_len(values.len(), bits)];
+        for (i, &value) in values.iter().enumerate() {
+            for bit in 0..bits as usize {
+                if value >> bit & 1 == 1 {
+                    let at = i * bits as usize + bit;
+                    out[at / 8] |= 1 << (at % 8);
+                }
             }
-            assert_eq!(payload, expected);
-            let mut r = WireReader::new(&payload);
-            let mut out = vec![7];
-            assert_eq!(r.append_u32_vec(&mut out).unwrap(), len);
-            assert_eq!(out[0], 7);
-            assert_eq!(&out[1..], &values[..]);
-            assert!(r.expect_end().is_ok());
+        }
+        out
+    }
+
+    #[test]
+    fn packed_width_is_the_ceiling_log2_of_the_range() {
+        for (symbols, bits) in [
+            (0, 1),
+            (1, 1),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (8, 3),
+            (26, 5),
+            (256, 8),
+            (257, 9),
+            (1 << 31, 31),
+            ((1 << 31) + 1, 32),
+            (u32::MAX, 32),
+        ] {
+            assert_eq!(packed_width(symbols), bits, "{symbols} symbols");
         }
     }
 
     #[test]
-    fn appending_reader_grows_only_by_what_the_payload_holds() {
-        // Claims a million u32s but carries three: the read fails and the
-        // buffer has not grown.
+    fn packed_sections_roundtrip_at_every_width_and_tail_length() {
+        for bits in 1..=32u32 {
+            let mask = if bits == 32 {
+                u32::MAX
+            } else {
+                (1 << bits) - 1
+            };
+            for len in [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 61, 64] {
+                let values: Vec<u32> = (0..len as u32)
+                    .map(|i| i.wrapping_mul(0x9e37_79b9).rotate_left(i) & mask)
+                    .collect();
+                let mut w = WireWriter::new();
+                w.put_u8(0xaa).put_packed(&values, bits).put_u8(0x55);
+                let payload = w.finish();
+                assert_eq!(payload.len(), 2 + packed_len(len, bits));
+                assert_eq!(
+                    &payload[1..payload.len() - 1],
+                    &pack_reference(&values, bits)[..],
+                    "{bits} bits, {len} values"
+                );
+                let mut r = WireReader::new(&payload);
+                assert_eq!(r.get_u8().unwrap(), 0xaa);
+                assert_eq!(r.get_packed(len as u64, bits).unwrap(), values);
+                assert_eq!(r.get_u8().unwrap(), 0x55);
+                assert!(r.expect_end().is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn packed_writer_keeps_only_the_low_bits() {
         let mut w = WireWriter::new();
-        w.put_u32(1_000_000).put_u32(1).put_u32(2).put_u32(3);
-        let payload = w.finish();
-        let mut out = Vec::new();
-        assert!(WireReader::new(&payload).append_u32_vec(&mut out).is_err());
-        assert_eq!(out.capacity(), 0);
-        // An honest prefix grows the buffer by exactly its length.
+        w.put_packed(&[0b111, 0b1110], 2);
+        assert_eq!(w.finish(), vec![0b1011]);
+    }
+
+    #[test]
+    fn set_padding_bits_are_rejected() {
+        // Three 3-bit values fill 9 bits of 16: bits 9..16 are padding.
         let mut w = WireWriter::new();
-        w.put_u32_slice(&[4, 5, 6]);
+        w.put_packed(&[5, 2, 7], 3);
         let payload = w.finish();
         assert_eq!(
-            WireReader::new(&payload).append_u32_vec(&mut out).unwrap(),
-            3
+            WireReader::new(&payload).get_packed(3, 3).unwrap(),
+            [5, 2, 7]
         );
-        assert_eq!(out.capacity(), 3);
+        for bit in 9..16 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                WireReader::new(&flipped).get_packed(3, 3).is_err(),
+                "bit {bit}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_reader_checks_the_count_against_the_payload_first() {
+        // Five bytes back at most 40 one-bit values, or 13 of three bits.
+        let payload = [0u8; 5];
+        assert_eq!(
+            WireReader::new(&payload).get_packed(40, 1).unwrap().len(),
+            40
+        );
+        assert_eq!(
+            WireReader::new(&payload).get_packed(13, 3).unwrap().len(),
+            13
+        );
+        for (count, bits) in [(41, 1), (14, 3), (2, 32), (u64::MAX, 32), (u64::MAX, 1)] {
+            assert!(
+                WireReader::new(&payload).get_packed(count, bits).is_err(),
+                "{count} × {bits} bits"
+            );
+        }
     }
 
     #[test]

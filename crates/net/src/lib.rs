@@ -62,7 +62,7 @@ pub mod sim;
 pub mod socket;
 pub mod transport;
 
-pub use codec::{WireReader, WireWriter};
+pub use codec::{packed_len, packed_width, WireReader, WireWriter};
 pub use control::{
     is_control_topic, ControlAuth, ControlMsg, SessionAnnounce, SessionDone, SessionReady,
     CTL_PREFIX, TOPIC_ANNOUNCE, TOPIC_DONE, TOPIC_READY,

@@ -57,7 +57,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -90,8 +90,12 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 /// payload a **coalesced record** (§8.2): the batch plaintext is
 /// count-prefixed, so one AEAD invocation covers N inner envelopes. A v3
 /// peer would misread the batch layout, so the exact-version handshake
-/// check rejects it explicitly — again, never a silent downgrade.
-pub const WIRE_VERSION: u8 = 4;
+/// check rejects it explicitly — again, never a silent downgrade. Version 5
+/// packs the alphanumeric payloads (§6.5–§6.7): masked symbols and CCM
+/// cells travel at ⌈log₂|A|⌉ bits, and a CCM bundle's shapes are one
+/// length vector per side. A v4 peer would misread them, so it is rejected
+/// the same way.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Byte budget of buffered plaintext per link before a coalescing
 /// transport seals and writes a record without waiting for the next
@@ -2297,8 +2301,20 @@ struct RouterLink<S> {
     /// backend only — the reactor backend quiesces `source` instead.
     pumps: AtomicU64,
     /// The live connection's reactor source (reactor backend only); a
-    /// resume retires and barriers it before reading `received`.
-    source: Mutex<Option<Arc<RouterConnSource<S>>>>,
+    /// resume retires and barriers it before reading `received`. Held
+    /// weakly: the source holds its link, and the reactor's dispatch table
+    /// owns the source only while it is registered. So a connection that
+    /// has ended frees its socket and decoder at once, and a superseded
+    /// link frees its replay window; a strong reference here would make a
+    /// cycle that kept both alive for the router's lifetime.
+    source: Mutex<Weak<RouterConnSource<S>>>,
+}
+
+impl<S: SocketStream> RouterLink<S> {
+    /// Detaches the link's live reactor source, if it still exists.
+    fn take_source(&self) -> Option<Arc<RouterConnSource<S>>> {
+        std::mem::take(&mut *self.source.lock()).upgrade()
+    }
 }
 
 /// Shared router state: logical links and drop accounting.
@@ -2384,7 +2400,7 @@ impl<S: SocketStream> SocketRouter<S> {
         self.state.shutting_down.store(true, Ordering::SeqCst);
         (self.shutdown_listener)();
         for link in self.state.links.lock().iter() {
-            if let Some(source) = link.source.lock().take() {
+            if let Some(source) = link.take_source() {
                 source.quiesce();
             }
             let mut out = link.out.lock();
@@ -2641,7 +2657,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                         paused_origins: Vec::new(),
                     }),
                     pumps: AtomicU64::new(0),
-                    source: Mutex::new(None),
+                    source: Mutex::new(Weak::new()),
                 });
                 links.push(Arc::clone(&link));
                 link
@@ -2659,7 +2675,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         out.registration = None;
         resume_paused_origins(&mut out);
     }
-    if let Some(old) = link.source.lock().take() {
+    if let Some(old) = link.take_source() {
         old.quiesce();
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -2804,7 +2820,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                         }
                     }
                     drop(out);
-                    *link.source.lock() = Some(source);
+                    *link.source.lock() = Arc::downgrade(&source);
                 }
                 Err(_) => {
                     if let Some(stream) = out.stream.take() {

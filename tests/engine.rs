@@ -92,6 +92,8 @@ fn decode_golden_fixture(bytes: &[u8]) -> Vec<Envelope> {
 /// The refactored, state-machine-driven session must emit **byte-identical
 /// envelopes in identical order** to the pre-refactor monolithic session,
 /// whose trace was captured into the committed fixture before the refactor.
+/// The fixture was re-captured once, for wire v5, when only its six
+/// `alphanumeric/dna/*` envelopes changed.
 ///
 /// The message layouts and topics this fixture pins down are specified
 /// normatively in `docs/WIRE_FORMAT.md`. If this test fails because of a
