@@ -5,6 +5,8 @@
 //! alphabet character" (§4.2). An [`Alphabet`] maps characters to dense
 //! symbol indices `0..size` and back.
 
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -28,12 +30,11 @@ impl Alphabet {
                 "an alphabet needs at least two symbols".into(),
             ));
         }
-        for (i, &c) in symbols.iter().enumerate() {
-            if symbols[..i].contains(&c) {
-                return Err(CoreError::Protocol(format!(
-                    "duplicate symbol '{c}' in alphabet"
-                )));
-            }
+        let mut seen = HashSet::with_capacity(symbols.len());
+        if let Some(c) = symbols.iter().find(|&&c| !seen.insert(c)) {
+            return Err(CoreError::Protocol(format!(
+                "duplicate symbol '{c}' in alphabet"
+            )));
         }
         Ok(Alphabet { symbols })
     }

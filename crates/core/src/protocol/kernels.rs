@@ -2,7 +2,7 @@
 //! hot loops.
 //!
 //! The numeric mask/fold/unmask operations and the alphanumeric
-//! subtract/unmask are element-wise wrapping arithmetic over flat slices —
+//! mask/subtract are element-wise wrapping arithmetic over flat slices —
 //! exactly the shape LLVM's autovectorizer handles, *if* the loop body is
 //! branch-free and the trip count is a fixed stride. Each kernel here
 //! follows the ChaCha wide-kernel idiom from `ppc-crypto`: the bulk of the
@@ -21,10 +21,16 @@
 //! [`numeric`](crate::protocol::numeric) and
 //! [`alphanumeric`](crate::protocol::alphanumeric) — the `_scalar` oracles
 //! retained there are property-tested against these implementations.
+//!
+//! The alphanumeric kernels work on unpacked `u32` symbols: `DH_J` masks
+//! its strings with [`alpha_mod_add_row`], and `DH_K` subtracts each of
+//! its distinct symbols from every masked string with
+//! [`alpha_mod_add_broadcast`] before packing the result once. The third
+//! party has no kernel here: it reads packed CCM rows straight into the
+//! match words of the edit-distance kernel
+//! ([`alphanumeric`](crate::protocol::alphanumeric), step 3).
 
 use ppc_crypto::Negator;
-
-use crate::distance::edit::WORD_BITS;
 
 /// Fixed vector width of the chunked kernels (in 64-bit lanes).
 ///
@@ -123,7 +129,9 @@ pub fn unmask_row(values: &[i64], masks: &[u64], out: &mut [u64]) {
 /// Precondition: every `symbols[p] < size` and every `addends[p] ≤ size`
 /// (the callers pass alphabet-domain symbols and `size − t mod size`
 /// style terms). Under that domain the sum stays below `2·size`, so one
-/// conditional subtract equals the oracle's `% size`.
+/// conditional subtract equals the oracle's `% size`; with `size ≤ 2³¹`,
+/// the bound [`AlphabetMasker::new`](ppc_crypto::AlphabetMasker::new)
+/// enforces, the sum fits a `u32`.
 pub fn alpha_mod_add_row(symbols: &[u32], addends: &[u32], size: u32, out: &mut [u32]) {
     assert_eq!(symbols.len(), addends.len());
     assert_eq!(symbols.len(), out.len());
@@ -162,26 +170,6 @@ pub fn alpha_mod_add_broadcast(symbols: &[u32], addend: u32, size: u32, out: &mu
     for i in main..symbols.len() {
         let d = symbols[i] + addend;
         out[i] = if d >= size { d - size } else { d };
-    }
-}
-
-/// Third-party match-word kernel: bit `p % 64` of `out[p / 64]` is set
-/// exactly when `cells[p] == offsets[p]`, which for operands reduced
-/// modulo the alphabet size is when the unmasked cell
-/// `(cells[p] − offsets[p]) mod |A|` is 0 and the two characters match.
-/// `out` holds `⌈cells.len() / 64⌉` words: one CCM row becomes the match
-/// words of [`BitParallel`](crate::distance::edit::BitParallel) for one
-/// text symbol.
-pub(crate) fn alpha_match_words(cells: &[u32], offsets: &[u32], out: &mut [u64]) {
-    assert_eq!(cells.len(), offsets.len());
-    assert_eq!(out.len(), cells.len().div_ceil(WORD_BITS));
-    let words = cells.chunks(WORD_BITS).zip(offsets.chunks(WORD_BITS));
-    for (word, (c, o)) in out.iter_mut().zip(words) {
-        let mut bits = 0u64;
-        for (p, (&cell, &offset)) in c.iter().zip(o).enumerate() {
-            bits |= u64::from(cell == offset) << p;
-        }
-        *word = bits;
     }
 }
 
@@ -250,14 +238,10 @@ mod tests {
             alpha_mod_add_row(&symbols, &offsets, size, &mut masked);
             let mut cells = vec![0u32; len];
             alpha_mod_add_broadcast(&masked, size - t, size, &mut cells);
-            let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
-            alpha_match_words(&cells, &offsets, &mut words);
 
             for p in 0..len {
                 assert_eq!(masked[p], masker.mask(symbols[p], offsets[p]));
                 assert_eq!(cells[p], masker.subtract(masked[p], t));
-                let matched = words[p / WORD_BITS] >> (p % WORD_BITS) & 1 == 1;
-                assert_eq!(matched, masker.is_match(cells[p], offsets[p]));
             }
         }
     }

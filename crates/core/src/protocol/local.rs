@@ -78,8 +78,8 @@ fn edit_distance_column(
             table[c * blocks + p / WORD_BITS] |= 1 << (p % WORD_BITS);
         }
         for (j, text) in strings[..i].iter().enumerate() {
-            let d = kernel.distance(pattern.len(), text.len(), |q| {
-                &table[text[q] * blocks..][..blocks]
+            let d = kernel.distance(1, pattern.len(), text.len(), |q, w| {
+                table[text[q] * blocks + w]
             });
             matrix.set(i, j, f64::from(d));
         }

@@ -35,6 +35,7 @@ use ppc_net::{Envelope, PartyId};
 use crate::dissimilarity::{AttributeDissimilarity, DissimilarityMatrix, ObjectIndex};
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
+use crate::protocol::alphanumeric::ResponderRows;
 use crate::protocol::derive_cache::DerivationCache;
 use crate::protocol::driver::{ClusteringRequest, ConstructionOutput, ThirdPartyDriver};
 use crate::protocol::messages::{
@@ -224,12 +225,12 @@ enum HolderStream {
         next_row: usize,
     },
     /// Responder of the alphanumeric protocol: build and ship CCM bundles
-    /// for a window of own strings at a time.
+    /// for a window of own strings at a time, from packed rows built once
+    /// per masked-strings message.
     AlphaResponse {
         attribute: String,
         topic: String,
-        masked: Vec<Vec<u32>>,
-        own: Vec<Vec<u32>>,
+        rows: ResponderRows,
         alphabet_size: u32,
         next_row: usize,
     },
@@ -612,19 +613,14 @@ impl HolderMachine {
             HolderStream::AlphaResponse {
                 attribute,
                 topic,
-                masked,
-                own,
+                rows: packed_rows,
                 alphabet_size,
                 next_row,
             } => {
-                let total = own.len();
+                let total = packed_rows.own_count();
                 let rows = window.min(total - *next_row);
                 let started = Instant::now();
-                let bundle = alphanumeric::responder_build_bundle(
-                    masked,
-                    &own[*next_row..*next_row + rows],
-                    *alphabet_size,
-                )?;
+                let bundle = packed_rows.bundle(*next_row..*next_row + rows);
                 self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
                 let msg = CcmChunkMsg {
                     attribute: attribute.clone(),
@@ -917,6 +913,9 @@ impl HolderMachine {
             .iter()
             .map(|s| alphabet.encode(s))
             .collect::<Result<_, _>>()?;
+        let started = Instant::now();
+        let rows = ResponderRows::new(&masked.strings, &own, alphabet.size())?;
+        self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
         if self.ctx.window().is_some() {
             let topic = self.ctx.topic(&format!(
                 "alphanumeric/{name}/{}/ccms-chunk",
@@ -925,8 +924,7 @@ impl HolderMachine {
             self.streams.push_back(HolderStream::AlphaResponse {
                 attribute: name,
                 topic,
-                masked: masked.strings,
-                own,
+                rows,
                 alphabet_size: alphabet.size(),
                 next_row: 0,
             });
@@ -934,7 +932,7 @@ impl HolderMachine {
             return Ok(StepOutput::emit(vec![envelope]));
         }
         let started = Instant::now();
-        let bundle = alphanumeric::responder_build_bundle(&masked.strings, &own, alphabet.size())?;
+        let bundle = rows.bundle(0..own.len());
         self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
         self.note_rows(bundle.responder_count());
         let msg = CcmBundleMsg {

@@ -9,7 +9,9 @@
 //!
 //! The alphanumeric messages pack their symbols and cells at
 //! [`packed_width`]`(|A|)` bits, so their `encode` and `decode` take the
-//! attribute's alphabet size `|A|`; the width itself is never sent.
+//! attribute's alphabet size `|A|`; the width itself is never sent. A
+//! [`MaskedCcmBundle`] holds its cells in that packed layout already, so
+//! its codecs copy the section: nothing is packed or unpacked.
 
 use ppc_net::{packed_len, packed_width, WireReader, WireWriter};
 
@@ -22,7 +24,7 @@ use crate::protocol::alphanumeric::{bundle_cells, MaskedCcmBundle};
 /// remaining payload is rejected *before* any `Vec::with_capacity` call.
 /// (The codec's slice getters validate this internally; this covers the
 /// element-by-element loops.)
-fn check_count(
+pub(crate) fn check_count(
     count: usize,
     min_elem_bytes: usize,
     reader: &WireReader<'_>,
@@ -227,29 +229,45 @@ impl PairwiseChunkMsg {
 }
 
 /// Encoded size of a bundle's lengths and packed cells (§6.6).
-fn bundle_len(bundle: &MaskedCcmBundle, bits: u32) -> usize {
-    8 + 4 * (bundle.responder_count() + bundle.initiator_count())
-        + packed_len(bundle.cells().len(), bits)
+fn bundle_len(bundle: &MaskedCcmBundle) -> usize {
+    8 + 4 * (bundle.responder_count() + bundle.initiator_count()) + bundle.packed().len()
 }
 
 /// Writes a bundle as `responder_lens`, `initiator_lens`, then every cell
-/// packed at `bits` bits (§6.6).
+/// packed at `bits` bits (§6.6): the bundle already holds that section,
+/// so it is copied.
+///
+/// # Panics
+///
+/// If the bundle's cells are not `bits` wide, that is, if it was built
+/// for an alphabet of another width.
 fn put_bundle(w: &mut WireWriter, bundle: &MaskedCcmBundle, bits: u32) {
+    assert_eq!(
+        bundle.bits(),
+        bits,
+        "a CCM bundle is encoded at the width it was built for"
+    );
     w.put_u32_slice(bundle.responder_lens())
         .put_u32_slice(bundle.initiator_lens())
-        .put_packed(bundle.cells(), bits);
+        .put_packed_raw(bundle.packed());
 }
 
 /// Reads the bundle [`put_bundle`] writes: the two length vectors fix the
-/// cell count, `Σ responder_lens · Σ initiator_lens`.
+/// cell count, `Σ responder_lens · Σ initiator_lens`, and the packed
+/// section is kept as it arrived.
 fn get_bundle(r: &mut WireReader<'_>, bits: u32) -> Result<MaskedCcmBundle, CoreError> {
     let responder_lens = r.get_u32_vec()?;
     let initiator_lens = r.get_u32_vec()?;
     let count = bundle_cells(&responder_lens, &initiator_lens).ok_or_else(|| {
         CoreError::Protocol("CCM string lengths need more than 2^64 cells".into())
     })?;
-    let cells = r.get_packed(count, bits)?;
-    MaskedCcmBundle::new(responder_lens, initiator_lens, cells)
+    let packed = r.get_packed_raw(count, bits)?.to_vec();
+    Ok(MaskedCcmBundle::from_packed(
+        responder_lens,
+        initiator_lens,
+        bits,
+        packed,
+    ))
 }
 
 /// A responder-row window of the masked CCM bundle (chunked streaming,
@@ -273,11 +291,11 @@ impl CcmChunkMsg {
         self.window.responder_count()
     }
 
-    /// Serialises the message, packing cells for an alphabet of
-    /// `alphabet_size` symbols.
+    /// Serialises the message for an alphabet of `alphabet_size` symbols,
+    /// the alphabet its window was built for.
     pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
         let bits = packed_width(alphabet_size);
-        let capacity = 12 + self.attribute.len() + bundle_len(&self.window, bits);
+        let capacity = 12 + self.attribute.len() + bundle_len(&self.window);
         let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute)
             .put_u32(self.start_row)
@@ -286,8 +304,8 @@ impl CcmChunkMsg {
         w.finish()
     }
 
-    /// Deserialises the message, unpacking cells for an alphabet of
-    /// `alphabet_size` symbols.
+    /// Deserialises the message for an alphabet of `alphabet_size`
+    /// symbols, keeping its cells packed.
     pub fn decode(payload: &[u8], alphabet_size: u32) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
@@ -367,19 +385,19 @@ pub struct CcmBundleMsg {
 }
 
 impl CcmBundleMsg {
-    /// Serialises the message, packing cells for an alphabet of
-    /// `alphabet_size` symbols.
+    /// Serialises the message for an alphabet of `alphabet_size` symbols,
+    /// the alphabet its bundle was built for.
     pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
         let bits = packed_width(alphabet_size);
-        let capacity = 4 + self.attribute.len() + bundle_len(&self.bundle, bits);
+        let capacity = 4 + self.attribute.len() + bundle_len(&self.bundle);
         let mut w = WireWriter::with_capacity(capacity);
         w.put_str(&self.attribute);
         put_bundle(&mut w, &self.bundle, bits);
         w.finish()
     }
 
-    /// Deserialises the message, unpacking cells for an alphabet of
-    /// `alphabet_size` symbols.
+    /// Deserialises the message for an alphabet of `alphabet_size`
+    /// symbols, keeping its cells packed.
     pub fn decode(payload: &[u8], alphabet_size: u32) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
@@ -582,17 +600,23 @@ mod tests {
     fn ccm_bundle_roundtrip() {
         let msg = CcmBundleMsg {
             attribute: "dna".into(),
-            bundle: MaskedCcmBundle::new(vec![2], vec![3, 1], vec![0, 1, 2, 3, 0, 1, 2, 3])
+            bundle: MaskedCcmBundle::new(vec![2], vec![3, 1], &[0, 1, 2, 3, 0, 1, 2, 3], 4)
                 .unwrap(),
         };
         let bytes = msg.encode(4);
         assert_eq!(CcmBundleMsg::decode(&bytes, 4).unwrap(), msg);
         // 4 + 3 (attribute), 4 + 4 and 4 + 2·4 (lens), 8 cells in 2 bytes.
         assert_eq!(bytes.len(), 7 + 8 + 12 + 2);
+        assert_eq!(&bytes[27..], msg.bundle.packed());
         // The width follows the alphabet: 8 cells at 5 bits take 5 bytes.
-        let bytes = msg.encode(26);
+        let wide = CcmBundleMsg {
+            attribute: "dna".into(),
+            bundle: MaskedCcmBundle::new(vec![2], vec![3, 1], &[0, 1, 2, 3, 0, 1, 2, 3], 26)
+                .unwrap(),
+        };
+        let bytes = wide.encode(26);
         assert_eq!(bytes.len(), 7 + 8 + 12 + 5);
-        assert_eq!(CcmBundleMsg::decode(&bytes, 26).unwrap(), msg);
+        assert_eq!(CcmBundleMsg::decode(&bytes, 26).unwrap(), wide);
     }
 
     #[test]
@@ -606,7 +630,7 @@ mod tests {
             .put_packed(&[2, 3], 2);
         let bytes = w.finish();
         let decoded = CcmBundleMsg::decode(&bytes, 4).unwrap();
-        assert_eq!(decoded.bundle.cells(), &[2, 3]);
+        assert_eq!(decoded.bundle.unpack_cells(), [2, 3]);
         // A length that claims one more cell finds no byte for it...
         let mut longer = WireWriter::new();
         longer
@@ -642,7 +666,7 @@ mod tests {
         assert!(alphanumeric::responder_build_bundle(&decoded.strings, &[vec![1]], 26).is_err());
         let bundle = CcmBundleMsg {
             attribute: "name".into(),
-            bundle: MaskedCcmBundle::new(vec![1], vec![2], vec![0, 31]).unwrap(),
+            bundle: MaskedCcmBundle::new(vec![1], vec![2], &[0, 31], 26).unwrap(),
         };
         let decoded = CcmBundleMsg::decode(&bundle.encode(26), 26).unwrap();
         assert_eq!(decoded, bundle);
@@ -740,7 +764,7 @@ mod tests {
             attribute: "dna".into(),
             start_row: 1,
             total_rows: 3,
-            window: MaskedCcmBundle::new(vec![2], vec![2, 2], vec![0, 1, 2, 3, 0, 1, 2, 3])
+            window: MaskedCcmBundle::new(vec![2], vec![2, 2], &[0, 1, 2, 3, 0, 1, 2, 3], 4)
                 .unwrap(),
         };
         assert_eq!(msg.rows(), 1);

@@ -63,7 +63,7 @@ use crate::protocol::derive_cache::{DerivationCache, DerivationCacheStats};
 use crate::protocol::driver::ClusteringRequest;
 use crate::protocol::engine::{EngineOutcome, PartyRuntime};
 use crate::protocol::machines::{ComputeStats, HolderMachine, SessionContext, ThirdPartyMachine};
-use crate::protocol::messages::PublishedResultMsg;
+use crate::protocol::messages::{check_count, PublishedResultMsg};
 use crate::protocol::party::TrustedSetup;
 use crate::protocol::session::parse_linkage;
 use crate::protocol::topic::Topic;
@@ -154,7 +154,10 @@ impl PartySessionSpec {
     pub fn decode(payload: &[u8]) -> Result<Self, CoreError> {
         let mut r = WireReader::new(payload);
         let attr_count = r.get_u32()? as usize;
-        let mut attributes = Vec::with_capacity(attr_count.min(1024));
+        // Each attribute takes at least a name length, a kind and an
+        // alphabet flag.
+        check_count(attr_count, 6, &r)?;
+        let mut attributes = Vec::with_capacity(attr_count);
         for _ in 0..attr_count {
             let name = r.get_str()?;
             let kind = r.get_u8()?;
@@ -203,7 +206,9 @@ impl PartySessionSpec {
         let linkage = parse_linkage(&r.get_str()?)?;
         let chunk = r.get_u64()?;
         let site_count = r.get_u32()? as usize;
-        let mut site_sizes = Vec::with_capacity(site_count.min(1024));
+        // Each site is a `u32` id and a `u64` row count.
+        check_count(site_count, 12, &r)?;
+        let mut site_sizes = Vec::with_capacity(site_count);
         for _ in 0..site_count {
             let site = r.get_u32()?;
             let rows = r.get_u64()?;

@@ -8,8 +8,9 @@
 //! bit, or given count prefixes and length-vector elements that lie.
 //! Whatever the bytes, decoding must not panic, every payload it accepts
 //! must re-encode to the identical bytes, and what it allocates must be
-//! bounded by the payload: at most `⌊8·len/b⌋` symbols or cells, plus
-//! `len/4` lengths, whatever a prefix or a length claims.
+//! bounded by the payload, whatever a prefix or a length claims: at most
+//! `⌊8·len/b⌋` unpacked symbols, at most `len` bytes of packed CCM cells
+//! (a bundle keeps its section packed), and `len/4` lengths.
 
 mod mutate;
 
@@ -61,13 +62,15 @@ fn vector_offsets(at: usize, len: usize) -> impl Iterator<Item = usize> {
     (0..=len).map(move |i| at + 4 * i)
 }
 
-/// A random bundle of `responder_count` rows and the offsets of its two
-/// length vectors' prefixes and elements, relative to the bundle's start.
+/// A random bundle of `responder_count` rows over an alphabet of
+/// `alphabet` symbols and the offsets of its two length vectors' prefixes
+/// and elements, relative to the bundle's start.
 fn bundle(
     rng: &mut SplitMix64,
     responder_count: usize,
-    bits: u32,
+    alphabet: u32,
 ) -> (MaskedCcmBundle, Vec<usize>) {
+    let bits = packed_width(alphabet);
     let initiator_count = rng.next_below(4) as usize;
     let responder_lens = lengths(rng, responder_count, 5);
     let initiator_lens = lengths(rng, initiator_count, 5);
@@ -76,8 +79,13 @@ fn bundle(
     let cells = symbols(rng, (rows * cols) as usize, bits);
     let mut offsets: Vec<usize> = vector_offsets(0, responder_count).collect();
     offsets.extend(vector_offsets(4 + 4 * responder_count, initiator_count));
-    let bundle = MaskedCcmBundle::new(responder_lens, initiator_lens, cells).unwrap();
+    let bundle = MaskedCcmBundle::new(responder_lens, initiator_lens, &cells, alphabet).unwrap();
     (bundle, offsets)
+}
+
+/// The cells a bundle holds, `Σ responder_lens · Σ initiator_lens`.
+fn cells(bundle: &MaskedCcmBundle) -> usize {
+    bundle.unpack_cells().len()
 }
 
 /// A valid payload of `layout` over an alphabet of `alphabet` symbols.
@@ -105,10 +113,10 @@ fn valid_payload(layout: Layout, alphabet: u32, rng: &mut SplitMix64) -> Valid {
         }
         Layout::Bundle => {
             let responder_count = rng.next_below(4) as usize;
-            let (bundle, offsets) = bundle(rng, responder_count, bits);
+            let (bundle, offsets) = bundle(rng, responder_count, alphabet);
             let mut prefixes = vec![0];
             prefixes.extend(offsets.iter().map(|at| header + at));
-            let packed = bundle.cells().len();
+            let packed = cells(&bundle);
             let msg = CcmBundleMsg { attribute, bundle };
             Valid {
                 payload: msg.encode(alphabet),
@@ -118,13 +126,13 @@ fn valid_payload(layout: Layout, alphabet: u32, rng: &mut SplitMix64) -> Valid {
         }
         Layout::Chunk => {
             let rows = rng.next_below(4) as usize;
-            let (window, offsets) = bundle(rng, rows, bits);
+            let (window, offsets) = bundle(rng, rows, alphabet);
             let start_row = rng.next_below(3) as u32;
             let total_rows = start_row + rows as u32 + rng.next_below(3) as u32;
             // start_row, total_rows, then the bundle.
             let mut prefixes = vec![0, header, header + 4];
             prefixes.extend(offsets.iter().map(|at| header + 8 + at));
-            let packed = window.cells().len();
+            let packed = cells(&window);
             let msg = CcmChunkMsg {
                 attribute,
                 start_row,
@@ -140,9 +148,11 @@ fn valid_payload(layout: Layout, alphabet: u32, rng: &mut SplitMix64) -> Valid {
     }
 }
 
-/// What an accepted decode allocated: packed values, and lengths.
+/// What an accepted decode allocated: unpacked symbols, packed cell
+/// bytes, and lengths.
 struct Allocated {
     values: usize,
+    bytes: usize,
     lengths: usize,
 }
 
@@ -160,6 +170,7 @@ fn decode(layout: Layout, alphabet: u32, payload: &[u8]) -> Option<Allocated> {
             );
             Some(Allocated {
                 values: msg.strings.iter().map(Vec::capacity).sum(),
+                bytes: 0,
                 lengths: msg.strings.capacity(),
             })
         }
@@ -173,7 +184,8 @@ fn decode(layout: Layout, alphabet: u32, payload: &[u8]) -> Option<Allocated> {
             let bundle = msg.bundle;
             let lengths = bundle.responder_count() + bundle.initiator_count();
             Some(Allocated {
-                values: bundle.into_cells().capacity(),
+                values: 0,
+                bytes: bundle.packed().len(),
                 lengths,
             })
         }
@@ -187,7 +199,8 @@ fn decode(layout: Layout, alphabet: u32, payload: &[u8]) -> Option<Allocated> {
             let window = msg.window;
             let lengths = window.responder_count() + window.initiator_count();
             Some(Allocated {
-                values: window.into_cells().capacity(),
+                values: 0,
+                bytes: window.packed().len(),
                 lengths,
             })
         }
@@ -203,6 +216,12 @@ fn check(layout: Layout, alphabet: u32, payload: &[u8]) -> bool {
                 allocated.values <= 8 * payload.len() / bits,
                 "{layout:?}: {} values of {bits} bits allocated for {} payload bytes",
                 allocated.values,
+                payload.len()
+            );
+            assert!(
+                allocated.bytes <= payload.len(),
+                "{layout:?}: {} packed bytes kept for {} payload bytes",
+                allocated.bytes,
                 payload.len()
             );
             assert!(

@@ -13,6 +13,13 @@
 //!   lengths across the 64- and 128-symbol block boundaries. These are the
 //!   only independent check of the kernel: an end-to-end run computes
 //!   every edit distance with the same kernel on both sides.
+//! * The packed CCM path **equals its oracles at every cell width**:
+//!   `DH_K`'s packed rows build the scalar builder's bundle byte for byte,
+//!   and the third party's stride-`b` kernel equals the scalar oracle and
+//!   the plaintext edit distance, for `b` = 1–21 through real alphabets
+//!   and up to 31 through raw sizes; off-domain cells are still rejected.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -72,6 +79,43 @@ fn local_column_case(case: usize) -> (AttributeDescriptor, Vec<char>) {
             },
             "ab€ç漢🦀".chars().collect(),
         ),
+    }
+}
+
+/// Real alphabets whose packed widths cover b = 1–21: the smallest size of
+/// each width, `2^(b−1) + 1` (2 at b = 1), then the largest, `2^b`, for
+/// b = 2–12. Built once: the widest holds over a million `char`s.
+fn width_alphabets() -> &'static [Alphabet] {
+    static ALPHABETS: OnceLock<Vec<Alphabet>> = OnceLock::new();
+    ALPHABETS.get_or_init(|| {
+        let chars = (0..=u32::from(char::MAX)).filter_map(char::from_u32);
+        let smallest = (1..=21).map(|b| if b == 1 { 2 } else { (1 << (b - 1)) + 1 });
+        smallest
+            .chain((2..=12).map(|b| 1 << b))
+            .map(|size| Alphabet::new(chars.clone().take(size)).expect("distinct chars"))
+            .collect()
+    })
+}
+
+/// Raw alphabet sizes past any `Alphabet`, up to 2³¹ (b = 22–31).
+const RAW_SIZES: [u32; 8] = [
+    (1 << 21) + 1,
+    1 << 22,
+    (1 << 24) - 3,
+    (1 << 27) + 1,
+    1 << 30,
+    (1 << 30) + 1,
+    (1 << 31) - 1,
+    1 << 31,
+];
+
+/// Case `index` of the width sweep: an alphabet size, and the alphabet
+/// itself when it is a real one.
+fn width_case(index: usize) -> (u32, Option<&'static Alphabet>) {
+    let alphabets = width_alphabets();
+    match alphabets.get(index) {
+        Some(alphabet) => (alphabet.size(), Some(alphabet)),
+        None => (RAW_SIZES[(index - alphabets.len()) % RAW_SIZES.len()], None),
     }
 }
 
@@ -318,6 +362,113 @@ proptest! {
                 let expected = f64::from(edit_distance(&strings[i], &strings[j]));
                 prop_assert_eq!(matrix.get(i, j), expected, "{} vs {}", strings[i], strings[j]);
             }
+        }
+    }
+
+    /// The packed CCM path at every cell width. Strings draw from a pool
+    /// of at most five symbols, the alphabet's extremes among the
+    /// candidates, so matches are common; lengths 0–150 on both sides
+    /// cross the one- and two-word boundaries of every stride.
+    #[test]
+    fn packed_ccm_path_matches_the_oracles_at_every_width(
+        master in any::<u64>(),
+        alg_index in 0usize..3,
+        case in 0usize..40,
+        pool_size in 1usize..6,
+        j_lens in prop::collection::vec(0usize..151, 1..4),
+        k_lens in prop::collection::vec(0usize..151, 1..4),
+    ) {
+        let algorithm = alg(alg_index);
+        let (size, alphabet) = width_case(case);
+        let seeds = PairwiseSeeds {
+            holder_holder: Seed::from_u64(master).derive("prop/packed/jk"),
+            holder_third_party: Seed::from_u64(master).derive("prop/packed/jt"),
+        };
+        let mut rng = SplitMix64::from_seed(&Seed::from_u64(master));
+        let mut pool: Vec<u32> = (0..pool_size)
+            .map(|_| match rng.next_below(4) {
+                0 => 0,
+                1 => size - 1,
+                _ => rng.next_below(u64::from(size)) as u32,
+            })
+            .collect();
+        pool.sort_unstable();
+        pool.dedup();
+        let mut draw = |lens: &[usize]| -> Vec<Vec<u32>> {
+            lens.iter()
+                .map(|&len| (0..len).map(|_| pool[rng.next_below(pool.len() as u64) as usize]).collect())
+                .collect()
+        };
+        let (j, k) = (draw(&j_lens), draw(&k_lens));
+        // Plaintext for the dynamic program: the alphabet's own characters,
+        // or one letter per pool symbol for a raw size.
+        let spell = |s: &Vec<u32>| -> String {
+            match alphabet {
+                Some(alphabet) => alphabet.decode(s).unwrap(),
+                None => s
+                    .iter()
+                    .map(|c| char::from(b'a' + pool.binary_search(c).unwrap() as u8))
+                    .collect(),
+            }
+        };
+        let masked = alphanumeric::initiator_mask_strings(&j, size, &seeds, algorithm).unwrap();
+        let bundle = alphanumeric::responder_build_bundle(&masked, &k, size).unwrap();
+        let scalar = alphanumeric::responder_build_bundle_scalar(&masked, &k, size).unwrap();
+        prop_assert_eq!(bundle.packed(), scalar.packed(), "|A| = {}", size);
+        prop_assert_eq!(&bundle, &scalar);
+        let kernel = alphanumeric::third_party_edit_distances(
+            &bundle,
+            size,
+            &seeds.holder_third_party,
+            algorithm,
+        )
+        .unwrap();
+        let oracle = alphanumeric::third_party_edit_distances_scalar(
+            &bundle,
+            size,
+            &seeds.holder_third_party,
+            algorithm,
+        )
+        .unwrap();
+        prop_assert_eq!(&kernel, &oracle, "|A| = {}", size);
+        for (m, t) in k.iter().enumerate() {
+            for (n, s) in j.iter().enumerate() {
+                prop_assert_eq!(*kernel.get(m, n), edit_distance(&spell(s), &spell(t)), "|A| = {}", size);
+            }
+        }
+    }
+
+    /// At |A| = 26 a 5-bit cell can hold 26–31. One such cell anywhere in
+    /// a bundle makes the kernel and the scalar oracle both refuse it; a
+    /// bundle without one, both accept it, with one result.
+    #[test]
+    fn off_domain_cells_are_rejected_by_kernel_and_oracle(
+        master in any::<u64>(),
+        responder_lens in prop::collection::vec(0u32..20, 1..4),
+        initiator_lens in prop::collection::vec(0u32..20, 1..4),
+        bad in 25u32..32,
+        pick in any::<u64>(),
+    ) {
+        let mut rng = SplitMix64::from_seed(&Seed::from_u64(master));
+        let rows: u32 = responder_lens.iter().sum();
+        let cols: u32 = initiator_lens.iter().sum();
+        let mut cells: Vec<u32> = (0..rows * cols).map(|_| rng.next_below(26) as u32).collect();
+        // 25 plants an in-domain cell, 26–31 an off-domain one.
+        if !cells.is_empty() {
+            let at = (pick % cells.len() as u64) as usize;
+            cells[at] = bad;
+        }
+        let tainted = cells.iter().any(|&cell| cell >= 26);
+        let bundle = alphanumeric::MaskedCcmBundle::new(responder_lens, initiator_lens, &cells, 26)
+            .unwrap();
+        let seed = Seed::from_u64(master).derive("prop/off-domain");
+        let kernel = alphanumeric::third_party_edit_distances(&bundle, 26, &seed, RngAlgorithm::ChaCha20);
+        let oracle =
+            alphanumeric::third_party_edit_distances_scalar(&bundle, 26, &seed, RngAlgorithm::ChaCha20);
+        prop_assert_eq!(kernel.is_err(), tainted);
+        prop_assert_eq!(oracle.is_err(), tainted);
+        if !tainted {
+            prop_assert_eq!(kernel.unwrap(), oracle.unwrap());
         }
     }
 }

@@ -41,7 +41,7 @@ fn third_party() -> ThirdPartyMachine {
 fn empty_bundle(responders: usize, initiators: usize) -> Envelope {
     let msg = CcmBundleMsg {
         attribute: "dna".into(),
-        bundle: MaskedCcmBundle::new(vec![0; responders], vec![0; initiators], vec![]).unwrap(),
+        bundle: MaskedCcmBundle::new(vec![0; responders], vec![0; initiators], &[], 4).unwrap(),
     };
     Envelope::new(
         PartyId::DataHolder(1),

@@ -55,7 +55,7 @@ pub use det::{DeterministicCipher, Prf128};
 pub use dh::{DhKeyPair, DhParams, DhSharedSecret};
 pub use error::CryptoError;
 pub use mac::SipHash24;
-pub use mask::{AlphabetMasker, Negator, NumericMasker};
+pub use mask::{AlphabetMasker, Negator, NumericMasker, MAX_ALPHABET};
 pub use prng::pairwise::{PairwiseSeeds, SeedRegistry};
 pub use prng::prefix::{negators_from_raw, offsets_from_raw, raw_u64_prefix};
 pub use prng::{chacha::ChaCha20Rng, splitmix::SplitMix64, xoshiro::Xoshiro256PlusPlus};

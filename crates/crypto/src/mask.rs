@@ -82,6 +82,13 @@ impl NumericMasker {
     }
 }
 
+/// The largest alphabet the modular arithmetic supports, 2³¹ symbols: the
+/// masker and the protocol kernels add two values below the alphabet size
+/// in a `u32`. A symbol set of distinct `char`s holds
+/// at most 1,112,064 symbols, far below it; the bound guards the role
+/// functions, which take a raw size.
+pub const MAX_ALPHABET: u32 = 1 << 31;
+
 /// Modular masking of alphabet characters for the alphanumeric protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AlphabetMasker {
@@ -89,11 +96,17 @@ pub struct AlphabetMasker {
 }
 
 impl AlphabetMasker {
-    /// Creates a masker for an alphabet of `size` symbols (must be ≥ 2).
+    /// Creates a masker for an alphabet of `size` symbols, at least 2
+    /// and at most [`MAX_ALPHABET`].
     pub fn new(size: u32) -> Result<Self, CryptoError> {
         if size < 2 {
             return Err(CryptoError::InvalidAlphabet(format!(
                 "alphabet must have at least 2 symbols, got {size}"
+            )));
+        }
+        if size > MAX_ALPHABET {
+            return Err(CryptoError::InvalidAlphabet(format!(
+                "alphabet must have at most 2^31 symbols, got {size}"
             )));
         }
         Ok(AlphabetMasker { size })
@@ -192,6 +205,27 @@ mod tests {
         assert!(AlphabetMasker::new(0).is_err());
         assert!(AlphabetMasker::new(1).is_err());
         assert!(AlphabetMasker::new(2).is_ok());
+    }
+
+    #[test]
+    fn alphabet_size_is_bounded_where_the_sums_still_fit() {
+        // Above 2^31 symbols a sum of two symbols overflows a u32.
+        for size in [MAX_ALPHABET + 1, u32::MAX] {
+            assert!(AlphabetMasker::new(size).is_err(), "{size}");
+        }
+        let masker = AlphabetMasker::new(MAX_ALPHABET).unwrap();
+        let top = MAX_ALPHABET - 1;
+        for symbol in [0, 1, top - 1, top] {
+            for offset in [0, 1, top, u32::MAX] {
+                let masked = masker.mask(symbol, offset);
+                assert!(masked < MAX_ALPHABET);
+                assert_eq!(masker.unmask(masked, offset), symbol);
+                for own in [0, symbol, top] {
+                    let cell = masker.subtract(masked, own);
+                    assert_eq!(masker.is_match(cell, offset), own == symbol);
+                }
+            }
+        }
     }
 
     #[test]

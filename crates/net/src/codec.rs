@@ -83,9 +83,8 @@ fn pack<const B: usize>(values: &[u32], out: &mut [u8]) {
 }
 
 /// Unpacks `out.len()` values at `B` bits each from `bytes`, which holds
-/// exactly [`packed_len`]`(out.len(), B)` bytes. Returns whether every
-/// padding bit after the last value is zero.
-fn unpack<const B: usize>(bytes: &[u8], out: &mut [u32]) -> bool {
+/// exactly [`packed_len`]`(out.len(), B)` bytes.
+fn unpack<const B: usize>(bytes: &[u8], out: &mut [u32]) {
     let (body, tail) = bytes.split_at(out.len() / GROUP * B);
     let mut groups = out.chunks_exact_mut(GROUP);
     for (chunk, group) in body.chunks_exact(B).zip(&mut groups) {
@@ -94,16 +93,11 @@ fn unpack<const B: usize>(bytes: &[u8], out: &mut [u32]) -> bool {
         group.copy_from_slice(&unpack_group::<B>(&staged));
     }
     let rest = groups.into_remainder();
-    if tail.is_empty() {
-        return true;
+    if !tail.is_empty() {
+        let mut staged = [0u8; 4 * GROUP];
+        staged[..tail.len()].copy_from_slice(tail);
+        rest.copy_from_slice(&unpack_group::<B>(&staged)[..rest.len()]);
     }
-    let mut staged = [0u8; 4 * GROUP];
-    staged[..tail.len()].copy_from_slice(tail);
-    let group = unpack_group::<B>(&staged);
-    rest.copy_from_slice(&group[..rest.len()]);
-    // The padding bits are exactly the bits the values after the last
-    // one would occupy.
-    group[rest.len()..].iter().all(|&v| v == 0)
 }
 
 /// Calls `$f::<B>($args)` for the runtime width `$bits` in `1..=32`.
@@ -229,6 +223,13 @@ impl WireWriter {
         self.buf.resize(start + packed_len(values.len(), bits), 0);
         let out = &mut self.buf[start..];
         with_width!(bits, pack(values, out));
+        self
+    }
+
+    /// Appends a packed section that is already laid out the way
+    /// [`put_packed`](Self::put_packed) writes one, byte for byte.
+    pub fn put_packed_raw(&mut self, section: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(section);
         self
     }
 
@@ -379,16 +380,28 @@ impl<'a> WireReader<'a> {
     /// Reads `count` values packed at `bits` bits each, as
     /// [`WireWriter::put_packed`] writes them.
     ///
-    /// Fails, before allocating, unless the payload holds the
-    /// `count · bits` bits; a successful read allocates exactly `count`
-    /// values, so whatever `count` claims, the result holds at most
-    /// `8 · remaining / bits` of them. Also fails if a padding bit is set,
-    /// so every accepted section re-encodes to the same bytes.
+    /// Checks the section as [`get_packed_raw`](Self::get_packed_raw)
+    /// does, before allocating; a successful read allocates exactly
+    /// `count` values, so whatever `count` claims, the result holds at
+    /// most `8 · remaining / bits` of them.
     ///
     /// # Panics
     ///
     /// If `bits` is outside `1..=32`.
     pub fn get_packed(&mut self, count: u64, bits: u32) -> Result<Vec<u32>, NetError> {
+        let bytes = self.get_packed_raw(count, bits)?;
+        let mut out = vec![0u32; count as usize];
+        with_width!(bits, unpack(bytes, &mut out));
+        Ok(out)
+    }
+
+    /// Reads the bytes of a section of `count` values packed at `bits`
+    /// bits each, without unpacking them.
+    ///
+    /// Fails unless the payload holds the `count · bits` bits, and if a
+    /// padding bit after the last value is set, so every accepted section
+    /// re-encodes to the same bytes.
+    pub fn get_packed_raw(&mut self, count: u64, bits: u32) -> Result<&'a [u8], NetError> {
         let needed = (u128::from(count) * u128::from(bits)).div_ceil(8);
         if needed > self.buf.remaining() as u128 {
             return Err(NetError::Decode(format!(
@@ -397,14 +410,16 @@ impl<'a> WireReader<'a> {
             )));
         }
         let (bytes, rest) = self.buf.split_at(needed as usize);
-        let mut out = vec![0u32; count as usize];
-        if !with_width!(bits, unpack(bytes, &mut out)) {
+        // The padding is the high bits of the last byte that no value
+        // occupies.
+        let used = (u128::from(count) * u128::from(bits) % 8) as u32;
+        if used != 0 && bytes[bytes.len() - 1] >> used != 0 {
             return Err(NetError::Decode(
                 "nonzero padding bits after a packed section".into(),
             ));
         }
         self.buf = rest;
-        Ok(out)
+        Ok(bytes)
     }
 
     /// Reads a length-prefixed vector of `f64` (bulk-decoded).
@@ -604,7 +619,32 @@ mod tests {
                 WireReader::new(&flipped).get_packed(3, 3).is_err(),
                 "bit {bit}"
             );
+            assert!(
+                WireReader::new(&flipped).get_packed_raw(3, 3).is_err(),
+                "bit {bit}"
+            );
         }
+    }
+
+    #[test]
+    fn raw_sections_pass_through_unchanged() {
+        let mut w = WireWriter::new();
+        w.put_packed(&[5, 2, 7, 1], 3);
+        let section = w.finish();
+        let mut w = WireWriter::new();
+        w.put_u8(9).put_packed_raw(&section).put_u8(4);
+        let payload = w.finish();
+        let mut r = WireReader::new(&payload);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        assert_eq!(r.get_packed_raw(4, 3).unwrap(), &section[..]);
+        assert_eq!(r.get_u8().unwrap(), 4);
+        assert!(r.expect_end().is_ok());
+        // A section that fills its last byte has no padding to check.
+        assert_eq!(
+            WireReader::new(&[0xff; 3]).get_packed_raw(3, 8).unwrap(),
+            &[0xff; 3]
+        );
+        assert!(WireReader::new(&[0xff; 3]).get_packed_raw(4, 8).is_err());
     }
 
     #[test]

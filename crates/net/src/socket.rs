@@ -2300,6 +2300,11 @@ struct RouterLink<S> {
     /// waits for the old pump to exit before reading `received`. Blocking
     /// backend only — the reactor backend quiesces `source` instead.
     pumps: AtomicU64,
+    /// Connections that found or created this link and whose handshake is
+    /// still in flight (an [`AttachClaim`] each). Taken under the `links`
+    /// lock, so a link with a claim is never superseded: its stream is not
+    /// installed yet, but it is not dead.
+    attaching: AtomicU64,
     /// The live connection's reactor source (reactor backend only); a
     /// resume retires and barriers it before reading `received`. Held
     /// weakly: the source holds its link, and the reactor's dispatch table
@@ -2314,6 +2319,33 @@ impl<S: SocketStream> RouterLink<S> {
     /// Detaches the link's live reactor source, if it still exists.
     fn take_source(&self) -> Option<Arc<RouterConnSource<S>>> {
         std::mem::take(&mut *self.source.lock()).upgrade()
+    }
+
+    /// Whether a new endpoint announcing this link's party set may drop
+    /// it: only when nothing is attached to it or attaching.
+    fn is_dead(&self) -> bool {
+        self.attaching.load(Ordering::SeqCst) == 0
+            && self.pumps.load(Ordering::SeqCst) == 0
+            && self.out.lock().stream.is_none()
+    }
+}
+
+/// A connection's claim on the logical link it is attaching to, from the
+/// moment it finds or creates the link (under the `links` lock) until its
+/// stream is installed or its handshake fails.
+struct AttachClaim<'a, S>(&'a RouterLink<S>);
+
+impl<'a, S> AttachClaim<'a, S> {
+    /// Claims `link`; the caller holds the `links` lock.
+    fn new(link: &'a RouterLink<S>) -> Self {
+        link.attaching.fetch_add(1, Ordering::SeqCst);
+        AttachClaim(link)
+    }
+}
+
+impl<S> Drop for AttachClaim<'_, S> {
+    fn drop(&mut self) {
+        self.0.attaching.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -2621,49 +2653,47 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         Ok(hello) => hello,
         Err(_) => return,
     };
-    // Find or create the logical link for this endpoint + party set.
-    let link = {
-        let mut links = state.links.lock();
-        match links
-            .iter()
-            .find(|l| l.endpoint == peer_endpoint && l.parties == announced)
-        {
-            Some(link) => Arc::clone(link),
-            None => {
-                // A new endpoint announcing this party set supersedes any
-                // *dead* logical link with the same set (a restarted
-                // process draws a fresh endpoint id by design): drop the
-                // defunct link so it can never shadow the live one in the
-                // forwarding lookup. Its undelivered replay is lost — the
-                // old endpoint's machines died with it, so those frames
-                // are undeliverable anyway. Links with a live stream or
-                // pump (e.g. shard transports sharing the party set) are
-                // never touched.
-                links.retain(|l| {
-                    l.parties != announced
-                        || l.pumps.load(Ordering::SeqCst) != 0
-                        || l.out.lock().stream.is_some()
-                });
-                let link = Arc::new(RouterLink {
-                    endpoint: peer_endpoint,
-                    parties: announced,
-                    received: AtomicU64::new(0),
-                    out: Mutex::new(RouterOutbound {
-                        replay: ReplayWindow::new(state.replay_frames, state.replay_bytes),
-                        stream: None,
-                        generation: 0,
-                        outbox: Outbox::default(),
-                        registration: None,
-                        paused_origins: Vec::new(),
-                    }),
-                    pumps: AtomicU64::new(0),
-                    source: Mutex::new(Weak::new()),
-                });
-                links.push(Arc::clone(&link));
-                link
-            }
+    // Find or create the logical link for this endpoint + party set, and
+    // claim it until its stream is installed.
+    let mut links = state.links.lock();
+    let link = match links
+        .iter()
+        .find(|l| l.endpoint == peer_endpoint && l.parties == announced)
+    {
+        Some(link) => Arc::clone(link),
+        None => {
+            // A new endpoint announcing this party set supersedes any
+            // *dead* logical link with the same set (a restarted process
+            // draws a fresh endpoint id by design): drop the defunct link
+            // so it can never shadow the live one in the forwarding
+            // lookup. Its undelivered replay is lost — the old endpoint's
+            // machines died with it, so those frames are undeliverable
+            // anyway. Links with a live stream or pump, or with a
+            // handshake in flight (e.g. shard transports sharing the party
+            // set, connecting concurrently), are never touched.
+            links.retain(|l| l.parties != announced || !l.is_dead());
+            let link = Arc::new(RouterLink {
+                endpoint: peer_endpoint,
+                parties: announced,
+                received: AtomicU64::new(0),
+                out: Mutex::new(RouterOutbound {
+                    replay: ReplayWindow::new(state.replay_frames, state.replay_bytes),
+                    stream: None,
+                    generation: 0,
+                    outbox: Outbox::default(),
+                    registration: None,
+                    paused_origins: Vec::new(),
+                }),
+                pumps: AtomicU64::new(0),
+                attaching: AtomicU64::new(0),
+                source: Mutex::new(Weak::new()),
+            });
+            links.push(Arc::clone(&link));
+            link
         }
     };
+    let claim = AttachClaim::new(&link);
+    drop(links);
     // A fast reconnect can race the old connection's read driver: tear its
     // stream down and quiesce the driver, so the received count announced
     // below is final and retransmission cannot duplicate frames.
@@ -2724,6 +2754,8 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         resume_paused_origins(&mut out);
         out.generation
     };
+    // The installed stream now keeps the link alive.
+    drop(claim);
     match state.backend {
         TransportBackend::Blocking => {
             link.pumps.fetch_add(1, Ordering::SeqCst);
