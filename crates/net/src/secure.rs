@@ -31,10 +31,11 @@
 //!
 //! the AEAD nonce is `salt ‖ seq` (12 bytes, little endian) and the AAD
 //! binds the routing metadata (`from ‖ to` party encodings). One AEAD
-//! invocation and one 16-byte tag cover the whole batch, which is what
-//! amortizes the per-frame sealing tax of the protocol's many small
-//! frames; a record with `count = 1` is the degenerate single-frame case
-//! and there is no other single-frame format. All inner envelopes of a
+//! invocation and one 16-byte tag cover the whole batch; a record with
+//! `count = 1` is the single-frame case and there is no other
+//! single-frame format. The socket tier seals every envelope as its own
+//! `count = 1` record (a coalescing link defers the *write*, not the
+//! seal), while openers accept any `count ≥ 1`. All inner envelopes of a
 //! record share the record's `(from, to)` routing, so coalescing never
 //! crosses ordered party pairs and keyless routers still forward records
 //! opaquely by their cleartext routing metadata.
@@ -356,7 +357,8 @@ impl ChannelOpener {
     /// channel accepts nothing else), tag mismatches (any tampering with
     /// payload, routing metadata or nonce), out-of-order or replayed
     /// sequence numbers within a sender incarnation, and malformed batches
-    /// (zero count, trailing bytes).
+    /// (zero count, a count the plaintext cannot back); other malformed
+    /// batches (bad lengths, trailing bytes) fail as [`NetError::Decode`].
     pub fn open(&self, envelope: Envelope) -> Result<Vec<Envelope>, NetError> {
         let mut out = Vec::new();
         self.open_into(
@@ -457,6 +459,16 @@ impl ChannelOpener {
             let count = r.get_u32()?;
             if count == 0 {
                 return Err(fail("coalesced record with zero frames".into()));
+            }
+            // Every inner envelope takes at least its two length prefixes:
+            // refuse a count the plaintext cannot back before reserving.
+            if count as usize > r.remaining() / 8 {
+                return Err(fail(format!(
+                    "coalesced record claims {count} frames, but its {} remaining \
+                     plaintext bytes hold at most {}",
+                    r.remaining(),
+                    r.remaining() / 8
+                )));
             }
             out.reserve(count as usize);
             for _ in 0..count {

@@ -54,7 +54,7 @@
 //! identical wire format; only the read/write driver differs.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -97,18 +97,12 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 /// the same way.
 pub const WIRE_VERSION: u8 = 5;
 
-/// Byte budget of buffered plaintext per link before a coalescing
-/// transport seals and writes a record without waiting for the next
-/// explicit flush (see [`SocketTransport::set_coalescing`]). Sized so a
-/// record stays well inside socket buffers while still amortizing the
-/// per-record AEAD + syscall cost over many protocol-sized frames.
+/// Byte budget of sealed frames a coalescing link holds in its outbox
+/// before it writes them without waiting for the next explicit flush (see
+/// [`SocketTransport::set_coalescing`]). Sized so one turn's frames stay
+/// well inside socket buffers while the per-write syscall cost is paid
+/// once for many protocol-sized frames.
 pub const COALESCE_BUDGET: usize = 64 << 10;
-
-/// Envelopes a coalescing link must observe before the adaptive check may
-/// latch the per-link bypass (see [`SocketTransport::set_coalescing`]):
-/// enough traffic that the envelopes-per-record ratio is a signal, not
-/// noise.
-pub const COALESCE_ADAPT_MIN: u64 = 32;
 
 /// Default number of recently sent frames every link retains for
 /// retransmission after a reconnect. Override with
@@ -324,13 +318,15 @@ impl ReplayWindow {
     }
 
     /// Records one sent frame, evicting the oldest beyond the frame or
-    /// byte bound (keeping at least the newest frame).
-    fn record(&mut self, frame: Vec<u8>) {
+    /// byte bound — but never the newest `keep` frames (at least the one
+    /// just recorded): a router writes a read chunk's frames from here
+    /// after recording them all.
+    fn record(&mut self, frame: Vec<u8>, keep: usize) {
         self.sent += 1;
         self.bytes += frame.len();
         self.frames.push_back(frame);
-        while self.frames.len() > self.capacity
-            || (self.bytes > self.byte_budget && self.frames.len() > 1)
+        while self.frames.len() > keep.max(1)
+            && (self.frames.len() > self.capacity || self.bytes > self.byte_budget)
         {
             if let Some(evicted) = self.frames.pop_front() {
                 self.bytes -= evicted.len();
@@ -565,11 +561,12 @@ fn handshake<S: SocketStream>(
     Ok((peer_endpoint, parties, peer_received))
 }
 
-/// Bytes accepted by a nonblocking send but not yet written to the socket
-/// (reactor backend only; always empty on the blocking backend). Every
-/// byte in here belongs to a frame already recorded in the replay window,
-/// so discarding the outbox on a reconnect is lossless — the resume
-/// retransmission re-sends the recorded frames.
+/// Bytes accepted by a send or forward but not yet written to the socket:
+/// frames a coalescing link defers to its next flush, and whatever a
+/// nonblocking write left over. Every byte in here belongs to a frame
+/// already recorded in the replay window, so discarding the outbox on a
+/// reconnect is lossless — the resume retransmission re-sends the
+/// recorded frames.
 #[derive(Debug, Default)]
 struct Outbox {
     buf: Vec<u8>,
@@ -664,62 +661,53 @@ fn drain_outbox<S: SocketStream>(
     Ok(())
 }
 
-/// Nonblocking frame write with an uncongested fast path: an empty outbox
-/// means the frame can go to the socket straight from its own buffer, and
-/// only the unwritten tail (usually nothing) is copied into the outbox.
-/// This skips one full memcpy per frame on the common path; a non-empty
-/// outbox falls back to append-then-drain so stream order is preserved.
-fn push_and_drain<S: SocketStream>(
+/// Writes the outbox's unsent bytes and then `frames`, in stream order,
+/// with vectored writes: every frame goes to the socket from its own
+/// buffer, and only what the socket does not take is copied into the
+/// outbox. The leftover then drains as in [`drain_outbox`] (write
+/// interest armed, or a park past `soft_limit`). On a blocking stream
+/// this writes everything. An error leaves the outbox as it was: the
+/// stream is dead, and the resume or teardown that follows discards both.
+fn write_frames<'a, S: SocketStream>(
     stream: &mut S,
     outbox: &mut Outbox,
     registration: &Option<Arc<Registration>>,
     soft_limit: Option<usize>,
-    frame: &[u8],
+    frames: impl Iterator<Item = &'a [u8]> + Clone,
 ) -> std::io::Result<()> {
-    if outbox.is_empty() {
-        let mut written = 0;
-        while written < frame.len() {
-            match stream.write(&frame[written..]) {
+    let queued = outbox.len();
+    let total = queued + frames.clone().map(<[u8]>::len).sum::<usize>();
+    let mut written = 0;
+    {
+        let mut slices = vec![IoSlice::new(outbox.unsent())];
+        for frame in frames.clone() {
+            slices.push(IoSlice::new(frame));
+        }
+        let mut rest = &mut slices[..];
+        while written < total {
+            match stream.write_vectored(rest) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => written += n,
+                Ok(n) => {
+                    written += n;
+                    IoSlice::advance_slices(&mut rest, n);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
             }
         }
-        if written == frame.len() {
-            set_write_interest(registration, false);
-            return Ok(());
+    }
+    outbox.advance(written.min(queued));
+    let mut skip = written.saturating_sub(queued);
+    for frame in frames {
+        if skip >= frame.len() {
+            skip -= frame.len();
+        } else {
+            outbox.push(&frame[skip..]);
+            skip = 0;
         }
-        outbox.push(&frame[written..]);
-    } else {
-        outbox.push(frame);
     }
     drain_outbox(stream, outbox, registration, soft_limit, None)
-}
-
-/// Writes one already-recorded frame with the backend's write discipline:
-/// a plain `write_all` on the blocking backend, an outbox-mediated
-/// nonblocking write (with sender-side backpressure past
-/// [`OUTBOX_SOFT_LIMIT`]) on the reactor backend. A write failure recorded
-/// asynchronously by the reactor's writable dispatch surfaces here first.
-fn backend_write<S: SocketStream>(
-    backend: TransportBackend,
-    stream: &mut S,
-    outbox: &mut Outbox,
-    write_failed: &mut Option<std::io::Error>,
-    registration: &Option<Arc<Registration>>,
-    frame: &[u8],
-) -> std::io::Result<()> {
-    match backend {
-        TransportBackend::Blocking => stream.write_all(frame),
-        TransportBackend::Reactor => {
-            if let Some(e) = write_failed.take() {
-                return Err(e);
-            }
-            push_and_drain(stream, outbox, registration, Some(OUTBOX_SOFT_LIMIT), frame)
-        }
-    }
 }
 
 /// `write_all` semantics on a stream that may be nonblocking: parks in
@@ -754,31 +742,10 @@ struct LinkWriter<S> {
     /// failed checks it to learn whether a concurrent sender already
     /// re-dialled (and therefore already retransmitted the failed frame).
     generation: u64,
-    /// Plaintext envelopes queued for coalescing (sealed + written at the
-    /// next flush boundary or when [`COALESCE_BUDGET`] fills). Empty unless
-    /// the transport enables coalescing. Envelopes here are **not yet** in
-    /// the replay window — they enter it as sealed records when drained,
-    /// so the window keeps storing exactly the bytes that hit the wire.
-    pending: Vec<Envelope>,
-    /// Estimated batch-plaintext bytes of `pending`.
-    pending_bytes: usize,
-    /// Envelopes that have entered this link's coalescing queue.
-    coalesced_envelopes: u64,
-    /// Sealed records those envelopes drained into.
-    coalesced_records: u64,
-    /// Latched once the drained traffic averages fewer than 1.5 envelopes
-    /// per sealed record after [`COALESCE_ADAPT_MIN`] envelopes: batching
-    /// is not amortizing anything on this link (request/response traffic
-    /// that flushes every turn), so later sends seal immediately instead
-    /// of paying the queue-then-drain detour. Only flipped at a drain
-    /// boundary, when `pending` is empty, so per-pair FIFO order is
-    /// unaffected.
-    coalesce_bypass: bool,
-    /// The write discipline this link runs (mirrors the transport's).
-    backend: TransportBackend,
-    /// Reactor-backend bytes accepted by a send but not yet written
-    /// (always empty on blocking links). Every byte here is already in
-    /// the replay window.
+    /// Bytes accepted by a send but not yet written: sealed frames a
+    /// coalescing link defers to the next flush, and whatever a
+    /// nonblocking write left over. Every byte here is already in the
+    /// replay window.
     outbox: Outbox,
     /// A write failure observed asynchronously by the reactor's writable
     /// dispatch, surfaced at the next send/flush exactly where the
@@ -787,6 +754,33 @@ struct LinkWriter<S> {
     /// Reactor registration of the current stream's fd, for arming write
     /// interest (`None` on blocking links).
     registration: Option<Arc<Registration>>,
+}
+
+impl<S: SocketStream> LinkWriter<S> {
+    /// Sends the frame just recorded in the replay window. With `defer` (a
+    /// sealed, coalescing link) the frame joins the outbox and leaves with
+    /// the rest of the turn at the next flush; only an outbox that would
+    /// pass [`COALESCE_BUDGET`] is written at once, together with the
+    /// frame. Otherwise the frame is written through, with sender-side
+    /// backpressure past [`OUTBOX_SOFT_LIMIT`]. A write failure the
+    /// reactor's writable dispatch stashed surfaces here first.
+    fn send_recorded(&mut self, defer: bool) -> std::io::Result<()> {
+        if let Some(e) = self.write_failed.take() {
+            return Err(e);
+        }
+        let frame = self.replay.frames.back().expect("just recorded");
+        if defer && self.outbox.len() + frame.len() <= COALESCE_BUDGET {
+            self.outbox.push(frame);
+            return Ok(());
+        }
+        write_frames(
+            &mut self.stream,
+            &mut self.outbox,
+            &self.registration,
+            Some(OUTBOX_SOFT_LIMIT),
+            std::iter::once(frame.as_slice()),
+        )
+    }
 }
 
 /// The read driver of one link's current stream: a dedicated blocking
@@ -879,8 +873,8 @@ pub struct SocketTransport<S: SocketStream> {
     replay_bytes: usize,
     /// Channel sealing state; `None` runs the links in plaintext.
     security: Option<SecurityState>,
-    /// When set (and secured), sends buffer per link and flush boundaries
-    /// seal whole batches into coalesced records.
+    /// When set (and secured), each link defers its sealed frames to the
+    /// next flush, which writes them in one go.
     coalesce: bool,
 }
 
@@ -980,38 +974,27 @@ impl<S: SocketStream> SocketTransport<S> {
         });
     }
 
-    /// Enables frame coalescing on a secured transport: sends buffer
-    /// plaintext envelopes per link, and a flush boundary (or a full
-    /// [`COALESCE_BUDGET`]) seals each link's queue into per-pair coalesced
-    /// records — one AEAD invocation and one tag over the whole batch.
+    /// Enables frame coalescing on a secured transport: each send still
+    /// seals its envelope into its own record and records it in the replay
+    /// window at once, but the frame waits in the link's outbox, and the
+    /// next [`Transport::flush`] writes the whole turn's frames with one
+    /// write. An outbox that would pass [`COALESCE_BUDGET`] is written
+    /// straight away, so memory stays bounded within a turn.
     ///
-    /// Buffered envelopes reach the wire only at [`Transport::flush`] or
-    /// when the budget fills, so callers must flush at turn boundaries
-    /// (the session engines already do). Per-pair FIFO order is preserved:
-    /// a record carries one ordered pair's envelopes in send order, and
-    /// records inherit the sealed-stream ordering guarantees. No-op
-    /// without [`set_security`](Self::set_security).
-    /// Coalescing is **adaptive** per link: once a link has drained
-    /// [`COALESCE_ADAPT_MIN`] envelopes averaging fewer than 1.5 envelopes
-    /// per sealed record — request/response traffic that flushes after
-    /// every send, where batching only adds a queue-then-drain detour —
-    /// that link latches a bypass and seals each envelope immediately,
-    /// exactly like an uncoalesced secured transport. The latch flips only
-    /// at a drain boundary (empty queue), so per-pair FIFO order holds
-    /// across the switch.
+    /// Deferred frames reach the wire only at a flush or when the budget
+    /// fills, so callers must flush at turn boundaries (the session
+    /// engines already do). Without coalescing every send writes its
+    /// frame at once. No-op without [`set_security`](Self::set_security):
+    /// plaintext links always write on every send.
     pub fn set_coalescing(&mut self, enabled: bool) {
         self.coalesce = enabled;
     }
 
-    /// Whether any link's adaptive check has latched the coalescing
-    /// bypass (its drained traffic averaged ~one envelope per sealed
-    /// record). Diagnostic; `false` on plaintext or uncoalesced
-    /// transports.
+    /// Always `false`. Coalescing links used to latch a per-link bypass
+    /// when their traffic did not batch; they now defer every frame to the
+    /// flush, with nothing to bypass. Kept so existing callers compile.
     pub fn coalescing_bypassed(&self) -> bool {
-        self.links
-            .lock()
-            .iter()
-            .any(|link| link.writer.lock().coalesce_bypass)
+        false
     }
 
     /// Per-link sealing statistics — records and frames sealed/opened,
@@ -1078,12 +1061,6 @@ impl<S: SocketStream> SocketTransport<S> {
             stream,
             replay: ReplayWindow::new(self.replay_frames, self.replay_bytes),
             generation: 0,
-            pending: Vec::new(),
-            pending_bytes: 0,
-            coalesced_envelopes: 0,
-            coalesced_records: 0,
-            coalesce_bypass: false,
-            backend: self.backend,
             outbox: Outbox::default(),
             write_failed: None,
             registration: None,
@@ -1348,95 +1325,6 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// Estimated batch-plaintext bytes one envelope contributes to a
-    /// coalesced record (its `topic str ‖ payload bytes` encoding).
-    fn inner_size(envelope: &Envelope) -> usize {
-        8 + envelope.topic.len() + envelope.payload.len()
-    }
-
-    /// Seals `w.pending` into coalesced records and writes them, all under
-    /// the already-held writer lock.
-    ///
-    /// Envelopes are grouped by ordered party pair, preserving order
-    /// within each pair (the transport contract is per-pair FIFO only, so
-    /// reordering *across* pairs at a flush boundary is legal), and each
-    /// group is chunked under the frame cap. Every record is recorded in
-    /// the replay window **before** its write — identical to the
-    /// single-frame send path — so a mid-drain stream failure leaves the
-    /// whole drained batch replayable: the caller re-dials and the resume
-    /// retransmits the recorded records byte-identically.
-    fn drain_pending_locked(
-        security: &SecurityState,
-        w: &mut LinkWriter<S>,
-    ) -> Result<(), std::io::Error> {
-        if w.pending.is_empty() {
-            return Ok(());
-        }
-        let pending = std::mem::take(&mut w.pending);
-        w.coalesced_envelopes += pending.len() as u64;
-        w.pending_bytes = 0;
-        let mut groups: Vec<((PartyId, PartyId), Vec<Envelope>)> = Vec::new();
-        for envelope in pending {
-            let key = (envelope.from, envelope.to);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, group)) => group.push(envelope),
-                None => groups.push((key, vec![envelope])),
-            }
-        }
-        // Once a write fails, remaining records are still sealed and
-        // recorded (their sequence numbers are assigned; they must reach
-        // the replay window in order) but not written — the resume after
-        // re-dial retransmits everything the peer did not acknowledge.
-        let mut first_error = None;
-        for (_, group) in groups {
-            let mut start = 0;
-            while start < group.len() {
-                let mut end = start + 1;
-                let mut bytes = Self::inner_size(&group[start]);
-                while end < group.len() {
-                    let next = Self::inner_size(&group[end]);
-                    if bytes + next > COALESCE_BUDGET.min(MAX_FRAME_BODY - 96) {
-                        break;
-                    }
-                    bytes += next;
-                    end += 1;
-                }
-                let frame = security
-                    .sealer
-                    .seal_frame(&group[start..end])
-                    .expect("coalesced record chunked under the frame cap");
-                w.coalesced_records += 1;
-                w.replay.record(frame);
-                if first_error.is_none() {
-                    let frame = w.replay.frames.back().expect("just recorded");
-                    if let Err(e) = backend_write(
-                        w.backend,
-                        &mut w.stream,
-                        &mut w.outbox,
-                        &mut w.write_failed,
-                        &w.registration,
-                        frame,
-                    ) {
-                        first_error = Some(e);
-                    }
-                }
-                start = end;
-            }
-        }
-        // Adaptive bypass: `pending` is empty here (just drained), so the
-        // latch never strands a queued envelope behind an immediate send.
-        if !w.coalesce_bypass
-            && w.coalesced_envelopes >= COALESCE_ADAPT_MIN
-            && w.coalesced_envelopes * 2 < w.coalesced_records * 3
-        {
-            w.coalesce_bypass = true;
-        }
-        match first_error {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     /// Index of the link that should carry traffic for `to`, if any.
     fn route(links: &[Link<S>], to: PartyId) -> Option<usize> {
         links
@@ -1503,30 +1391,23 @@ impl<S: SocketStream> SocketTransport<S> {
         self.shutting_down.store(true, Ordering::SeqCst);
         let mut links = self.links.lock();
         for index in 0..links.len() {
-            // Best-effort drain of any coalesced queue and outbox, so an
-            // orderly shutdown does not strand buffered envelopes (a crash
-            // still can — buffered-but-unflushed traffic has never hit the
-            // wire or the replay window, exactly like unsent protocol
-            // state). The outbox drain is deadline-bounded: an unreachable
-            // peer must not hang the process on exit.
+            // Best-effort drain of the outbox, so an orderly shutdown does
+            // not strand deferred frames (a crash still can; the peer then
+            // misses them like any unsent protocol state). The drain is
+            // deadline-bounded: an unreachable peer must not hang the
+            // process on exit.
             {
                 let mut guard = links[index].writer.lock();
                 let w = &mut *guard;
-                let drained = match &self.security {
-                    Some(security) => Self::drain_pending_locked(security, w),
-                    None => Ok(()),
-                };
-                if drained.is_ok() {
-                    let deadline = std::time::Instant::now() + Duration::from_secs(1);
-                    let _ = drain_outbox(
-                        &mut w.stream,
-                        &mut w.outbox,
-                        &w.registration,
-                        Some(0),
-                        Some(deadline),
-                    );
-                    let _ = w.stream.flush();
-                }
+                let deadline = std::time::Instant::now() + Duration::from_secs(1);
+                let _ = drain_outbox(
+                    &mut w.stream,
+                    &mut w.outbox,
+                    &w.registration,
+                    Some(0),
+                    Some(deadline),
+                );
+                let _ = w.stream.flush();
             }
             let _ = Self::quiesce_reader(&mut links, index);
         }
@@ -1850,6 +1731,16 @@ impl<S: SocketStream> Source for LinkSource<S> {
             self.drain_readable();
         }
     }
+
+    fn on_failure(&self, error: NetError) {
+        // The stream is read no more; every party this endpoint hosts sees
+        // the failure, unless a resume or shutdown already retired it.
+        let mut driver = self.read.lock();
+        driver.done = true;
+        if !driver.ingest.silenced() {
+            driver.ingest.fail(error);
+        }
+    }
 }
 
 /// Registers `stream` (flipped nonblocking — the mode is shared by every
@@ -1945,59 +1836,23 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
         // nonce sequence numbers are assigned in the order frames hit the
         // stream: whatever happens to the write, the frame is now part of
         // the link's history and any resume retransmits it byte-identically
-        // (same sealed bytes, same nonce). A coalescing transport instead
-        // queues the plaintext envelope and drains the queue at the next
-        // flush boundary (or immediately, once the byte budget fills).
+        // (same sealed bytes, same nonce). A coalescing link then defers
+        // the write to the next flush.
         let to = envelope.to;
+        let defer = self.coalesce && self.security.is_some();
         let (generation, write_error) = {
             let mut guard = writer.lock();
             let w = &mut *guard;
-            match &self.security {
-                Some(security) if self.coalesce && !w.coalesce_bypass => {
-                    w.pending_bytes += Self::inner_size(&envelope);
-                    w.pending.push(envelope);
-                    if w.pending_bytes < COALESCE_BUDGET {
-                        return Ok(());
-                    }
-                    match Self::drain_pending_locked(security, w) {
-                        Ok(()) => return Ok(()),
-                        Err(e) => (w.generation, e),
-                    }
-                }
-                Some(security) => {
-                    let frame = security
-                        .sealer
-                        .seal_frame(std::slice::from_ref(&envelope))?;
-                    w.replay.record(frame);
-                    let frame = w.replay.frames.back().expect("just recorded");
-                    match backend_write(
-                        w.backend,
-                        &mut w.stream,
-                        &mut w.outbox,
-                        &mut w.write_failed,
-                        &w.registration,
-                        frame,
-                    ) {
-                        Ok(()) => return Ok(()),
-                        Err(e) => (w.generation, e),
-                    }
-                }
-                None => {
-                    let frame = encode_frame(&envelope)?;
-                    w.replay.record(frame);
-                    let frame = w.replay.frames.back().expect("just recorded");
-                    match backend_write(
-                        w.backend,
-                        &mut w.stream,
-                        &mut w.outbox,
-                        &mut w.write_failed,
-                        &w.registration,
-                        frame,
-                    ) {
-                        Ok(()) => return Ok(()),
-                        Err(e) => (w.generation, e),
-                    }
-                }
+            let frame = match &self.security {
+                Some(security) => security
+                    .sealer
+                    .seal_frame(std::slice::from_ref(&envelope))?,
+                None => encode_frame(&envelope)?,
+            };
+            w.replay.record(frame, 1);
+            match w.send_recorded(defer) {
+                Ok(()) => return Ok(()),
+                Err(e) => (w.generation, e),
             }
         };
         if !(is_transient(&write_error) && can_redial) {
@@ -2031,34 +1886,24 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
             .map(|(index, link)| (index, Arc::clone(&link.writer), link.redial.is_some()))
             .collect();
         for (index, writer, recoverable) in writers {
-            // Drain any coalesced queue first: on a coalescing transport
-            // flush is the boundary where buffered envelopes become sealed
-            // records on the wire.
+            // On a coalescing link the outbox holds the turn's deferred
+            // frames: flush is where they leave, in one write.
             let (generation, had_pending, result) = {
                 let mut guard = writer.lock();
                 let w = &mut *guard;
-                let had_pending =
-                    !w.pending.is_empty() || !w.outbox.is_empty() || w.write_failed.is_some();
+                let had_pending = !w.outbox.is_empty() || w.write_failed.is_some();
                 // A write failure the reactor's writable dispatch stashed
                 // surfaces here, exactly where the blocking backend would
-                // have surfaced it synchronously.
-                let mut result = match w.write_failed.take() {
+                // have surfaced it synchronously. Otherwise flush fully
+                // drains the outbox (`Some(0)` parks in `wait_writable`
+                // until the socket accepts the rest).
+                let result = match w.write_failed.take() {
                     Some(e) => Err(e),
-                    None => match &self.security {
-                        Some(security) => Self::drain_pending_locked(security, w),
-                        None => Ok(()),
-                    },
+                    None => {
+                        drain_outbox(&mut w.stream, &mut w.outbox, &w.registration, Some(0), None)
+                            .and_then(|()| w.stream.flush())
+                    }
                 };
-                if result.is_ok() {
-                    // Flush fully drains the outbox (`Some(0)` parks in
-                    // `wait_writable` until the socket accepts the rest),
-                    // matching the blocking backend's write-through flush.
-                    result =
-                        drain_outbox(&mut w.stream, &mut w.outbox, &w.registration, Some(0), None);
-                }
-                if result.is_ok() {
-                    result = w.stream.flush();
-                }
                 (w.generation, had_pending, result)
             };
             if let Err(e) = result {
@@ -2070,7 +1915,7 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                     // flushes again after the next send resumes it.
                     continue;
                 }
-                // The stream died under a drain. The drained records are
+                // The stream died under a drain. The drained frames are
                 // in the replay window, but unlike the send path there may
                 // be no follow-up send to trigger the re-dial (the peer may
                 // be waiting on exactly these frames), so resume the link
@@ -2251,6 +2096,11 @@ struct RouterOutbound<S> {
     /// [`ROUTER_OUTBOX_LIMIT`], past which the connection is treated as
     /// dead. Every byte here is already in the replay window.
     outbox: Outbox,
+    /// Frames at the back of `replay` that the read chunk being forwarded
+    /// recorded for the live stream and has not written yet (see
+    /// [`router_ingest`]). Zero whenever the stream is replaced or dropped:
+    /// the resume retransmission covers them.
+    unsent: usize,
     /// Reactor registration of the live stream's fd, for arming write
     /// interest (`None` on the blocking backend or with no live stream).
     registration: Option<Arc<Registration>>,
@@ -2268,17 +2118,55 @@ struct PausedOrigin {
     registration: Arc<Registration>,
 }
 
-/// Resumes every origin paused into this outbox: clears their paused flag
-/// and re-arms read interest (level-triggered polling re-fires any bytes
-/// that queued while the gate was closed). Must run whenever the outbox
-/// drains below [`ROUTER_OUTBOX_RESUME`] *and* on every path that clears
-/// the outbox or tears the connection down — a paused origin with no one
-/// left to resume it would be deaf forever.
-fn resume_paused_origins<S>(out: &mut RouterOutbound<S>) {
-    for origin in out.paused_origins.drain(..) {
-        origin.paused.store(false, Ordering::SeqCst);
-        // A dead registration means the origin is being torn down anyway.
-        let _ = origin.registration.set_readable(true);
+impl<S: SocketStream> RouterOutbound<S> {
+    /// Resumes every origin paused into this outbox: clears their paused
+    /// flag and re-arms read interest (level-triggered polling re-fires
+    /// any bytes that queued while the gate was closed). Must run whenever
+    /// the outbox drains below [`ROUTER_OUTBOX_RESUME`] *and* on every path
+    /// that clears the outbox or tears the connection down — a paused
+    /// origin with no one left to resume it would be deaf forever.
+    fn resume_paused_origins(&mut self) {
+        for origin in self.paused_origins.drain(..) {
+            origin.paused.store(false, Ordering::SeqCst);
+            // A dead registration means the origin is being torn down anyway.
+            let _ = origin.registration.set_readable(true);
+        }
+    }
+
+    /// Writes the outbox and then the `unsent` frames at the back of the
+    /// replay window, straight from there ([`write_frames`]). A dead stream
+    /// — or a peer that stopped reading long enough to blow
+    /// [`ROUTER_OUTBOX_LIMIT`] — drops the connection. Returns whether the
+    /// stream is still live.
+    fn write_pending(&mut self) -> bool {
+        let unsent = std::mem::take(&mut self.unsent);
+        let Some(stream) = self.stream.as_mut() else {
+            return false;
+        };
+        let frames = self
+            .replay
+            .frames
+            .range(self.replay.frames.len() - unsent..)
+            .map(Vec::as_slice);
+        let write = write_frames(stream, &mut self.outbox, &self.registration, None, frames);
+        if write.is_err() || self.outbox.len() > ROUTER_OUTBOX_LIMIT {
+            self.drop_stream();
+            return false;
+        }
+        true
+    }
+
+    /// Shuts the live stream (if any) down and forgets it, keeping the
+    /// logical link: undelivered outbox bytes and unsent frames are in the
+    /// replay window, and the peer's resume retransmits them.
+    fn drop_stream(&mut self) {
+        if let Some(stream) = self.stream.take() {
+            let _ = stream.shutdown_stream();
+        }
+        self.registration = None;
+        self.outbox.clear();
+        self.unsent = 0;
+        self.resume_paused_origins();
     }
 }
 
@@ -2316,6 +2204,16 @@ struct RouterLink<S> {
 }
 
 impl<S: SocketStream> RouterLink<S> {
+    /// Drops the stream a connection installed as `generation` (unless a
+    /// resume already replaced it), keeping the logical link — its replay
+    /// window and counters are what make the peer's reconnect lossless.
+    fn drop_stream_of(&self, generation: u64) {
+        let mut out = self.out.lock();
+        if out.generation == generation {
+            out.drop_stream();
+        }
+    }
+
     /// Detaches the link's live reactor source, if it still exists.
     fn take_source(&self) -> Option<Arc<RouterConnSource<S>>> {
         std::mem::take(&mut *self.source.lock()).upgrade()
@@ -2435,11 +2333,7 @@ impl<S: SocketStream> SocketRouter<S> {
             if let Some(source) = link.take_source() {
                 source.quiesce();
             }
-            let mut out = link.out.lock();
-            if let Some(stream) = out.stream.take() {
-                let _ = stream.shutdown_stream();
-            }
-            out.registration = None;
+            link.out.lock().drop_stream();
         }
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -2497,23 +2391,6 @@ impl<S: SocketStream> RouterConnSource<S> {
         drop(self.read.lock());
     }
 
-    /// Drops this connection's outbound stream (unless a resume already
-    /// replaced it), keeping the logical link — its replay window and
-    /// counters are what make the peer's reconnect lossless.
-    fn teardown_outbound(&self) {
-        let mut out = self.link.out.lock();
-        if out.generation == self.generation {
-            if let Some(stream) = out.stream.take() {
-                let _ = stream.shutdown_stream();
-            }
-            out.registration = None;
-            // Undelivered outbox bytes are in the replay window; the
-            // resume retransmission delivers them.
-            out.outbox.clear();
-            resume_paused_origins(&mut out);
-        }
-    }
-
     fn drain_readable(&self) {
         let mut guard = self.read.lock();
         if guard.done || self.retired.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
@@ -2563,7 +2440,7 @@ impl<S: SocketStream> RouterConnSource<S> {
             registration.deregister();
         }
         drop(guard);
-        self.teardown_outbound();
+        self.link.drop_stream_of(self.generation);
     }
 
     fn drain_writable(&self) {
@@ -2575,21 +2452,8 @@ impl<S: SocketStream> RouterConnSource<S> {
         if guard.generation != self.generation {
             return;
         }
-        let out = &mut *guard;
-        let Some(stream) = out.stream.as_mut() else {
-            return;
-        };
-        if drain_outbox(stream, &mut out.outbox, &out.registration, None, None).is_err() {
-            if let Some(stream) = out.stream.take() {
-                let _ = stream.shutdown_stream();
-            }
-            out.registration = None;
-            out.outbox.clear();
-            resume_paused_origins(out);
-            return;
-        }
-        if out.outbox.len() < ROUTER_OUTBOX_RESUME {
-            resume_paused_origins(out);
+        if guard.write_pending() && guard.outbox.len() < ROUTER_OUTBOX_RESUME {
+            guard.resume_paused_origins();
         }
     }
 }
@@ -2603,6 +2467,14 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
             self.drain_readable();
         }
     }
+
+    fn on_failure(&self, _error: NetError) {
+        // A router hosts no parties: closing the connection is how its
+        // peer learns of the failure, and the peer's resume retransmits
+        // whatever the router had not forwarded.
+        self.read.lock().done = true;
+        self.link.drop_stream_of(self.generation);
+    }
 }
 
 /// Validates and forwards every complete frame `bytes` completes,
@@ -2610,9 +2482,12 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
 /// blocking pump thread and the reactor source — the two router backends
 /// run literally this code. Each frame is checked in place exactly as a
 /// receiving decoder checks it and forwarded as its original bytes, so
-/// the router never re-encodes. `Err` means a corrupt frame (an over-cap
-/// length prefix, or a well-framed body that fails validation): the
-/// caller must close the connection, and nothing of it is forwarded.
+/// the router never re-encodes. Every frame of the chunk is recorded in
+/// its destination's replay window first; then each destination the chunk
+/// touched is written once ([`router_drain`]). `Err` means a corrupt frame
+/// (an over-cap length prefix, or a well-framed body that fails
+/// validation): the caller must close the connection, and nothing of it
+/// is forwarded (the valid frames before it still are).
 fn router_ingest<S: SocketStream>(
     decoder: &mut FrameDecoder,
     bytes: &[u8],
@@ -2621,16 +2496,25 @@ fn router_ingest<S: SocketStream>(
     origin_conn: Option<&RouterConnSource<S>>,
 ) -> Result<(), ()> {
     decoder.feed(bytes);
-    loop {
+    let mut touched: Vec<Arc<RouterLink<S>>> = Vec::new();
+    let decoded = loop {
         match decoder.next_frame_ref() {
             Ok(Some(frame)) => {
-                router_forward(state, link, frame.to, frame.bytes, origin_conn);
+                if let Some(target) = router_record(state, link, frame.to, frame.bytes) {
+                    if !touched.iter().any(|t| Arc::ptr_eq(t, &target)) {
+                        touched.push(target);
+                    }
+                }
                 link.received.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(None) => return Ok(()),
-            Err(_) => return Err(()),
+            Ok(None) => break Ok(()),
+            Err(_) => break Err(()),
         }
+    };
+    for target in &touched {
+        router_drain(target, origin_conn);
     }
+    decoded
 }
 
 /// Handles one accepted router connection: hello, logical-link lookup (or
@@ -2681,6 +2565,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                     stream: None,
                     generation: 0,
                     outbox: Outbox::default(),
+                    unsent: 0,
                     registration: None,
                     paused_origins: Vec::new(),
                 }),
@@ -2697,14 +2582,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     // A fast reconnect can race the old connection's read driver: tear its
     // stream down and quiesce the driver, so the received count announced
     // below is final and retransmission cannot duplicate frames.
-    {
-        let mut out = link.out.lock();
-        if let Some(old) = out.stream.take() {
-            let _ = old.shutdown_stream();
-        }
-        out.registration = None;
-        resume_paused_origins(&mut out);
-    }
+    link.out.lock().drop_stream();
     if let Some(old) = link.take_source() {
         old.quiesce();
     }
@@ -2727,32 +2605,36 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         Ok(r) => r,
         Err(_) => return,
     };
-    // Retransmit the suffix the peer lost, then install the new stream —
-    // all under the outbound lock, so concurrent forwards queue behind the
-    // resync in replay order.
-    let generation = {
+    // Retransmit the suffix the peer lost, then install the new stream.
+    // The writes block until the peer reads, so they run without the
+    // outbound lock: the reactor may need that lock to read what the peer
+    // sends meanwhile. Frames forwarded to the link while a round of
+    // writes runs are retransmitted by the next round; the stream is
+    // installed under the same lock as the check that nothing is left, so
+    // later forwards queue behind the resync in replay order.
+    let mut acked = peer_received;
+    let generation = loop {
         let mut out = link.out.lock();
-        let unacked = match out.replay.unacked(peer_received) {
-            Ok(frames) => frames,
+        let suffix: Vec<Vec<u8>> = match out.replay.unacked(acked) {
+            Ok(frames) => frames.into_iter().map(<[u8]>::to_vec).collect(),
             // The suffix was evicted (or the peer's count is impossible):
             // the link cannot be resumed without a gap. Drop the
             // connection; the peer observes the hangup.
             Err(_) => return,
         };
-        for frame in &unacked {
+        if suffix.is_empty() {
+            out.drop_stream();
+            out.stream = Some(stream);
+            out.generation += 1;
+            break out.generation;
+        }
+        acked = out.replay.sent;
+        drop(out);
+        for frame in &suffix {
             if stream.write_all(frame).is_err() {
                 return;
             }
         }
-        if stream.flush().is_err() {
-            return;
-        }
-        out.stream = Some(stream);
-        out.generation += 1;
-        out.outbox.clear();
-        out.registration = None;
-        resume_paused_origins(&mut out);
-        out.generation
     };
     // The installed stream now keeps the link alive.
     drop(claim);
@@ -2760,18 +2642,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         TransportBackend::Blocking => {
             link.pumps.fetch_add(1, Ordering::SeqCst);
             pump_router_frames(reader, &link, state);
-            // The connection is gone. Tear down our stream (unless a
-            // resume already replaced it) but keep the logical link: its
-            // replay window and counters are what make the peer's
-            // reconnect lossless.
-            {
-                let mut out = link.out.lock();
-                if out.generation == generation {
-                    if let Some(stream) = out.stream.take() {
-                        let _ = stream.shutdown_stream();
-                    }
-                }
-            }
+            link.drop_stream_of(generation);
             link.pumps.fetch_sub(1, Ordering::SeqCst);
         }
         TransportBackend::Reactor => {
@@ -2799,15 +2670,7 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                         registration: OnceLock::new(),
                     }),
                 ),
-                Err(_) => {
-                    let mut out = link.out.lock();
-                    if out.generation == generation {
-                        if let Some(stream) = out.stream.take() {
-                            let _ = stream.shutdown_stream();
-                        }
-                    }
-                    return;
-                }
+                Err(_) => return link.drop_stream_of(generation),
             };
             let mut out = link.out.lock();
             if out.generation != generation {
@@ -2828,55 +2691,36 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                     // scheduled to move them. Drain now that arming works —
                     // either the bytes go out here or the leftover arms the
                     // fresh registration.
-                    if !out.outbox.is_empty() {
-                        let o = &mut *out;
-                        let drained = match o.stream.as_mut() {
-                            Some(stream) => {
-                                drain_outbox(stream, &mut o.outbox, &o.registration, None, None)
-                            }
-                            None => Ok(()),
-                        };
-                        if drained.is_err() {
-                            if let Some(stream) = out.stream.take() {
-                                let _ = stream.shutdown_stream();
-                            }
-                            out.registration = None;
-                            out.outbox.clear();
-                            resume_paused_origins(&mut out);
-                            // Quiesce outside the out lock: the reactor's
-                            // readable dispatch takes out locks while
-                            // holding the read lock the barrier waits on.
-                            drop(out);
-                            source.quiesce();
-                            return;
-                        }
+                    if !out.outbox.is_empty() && !out.write_pending() {
+                        // Quiesce outside the out lock: the reactor's
+                        // readable dispatch takes out locks while holding
+                        // the read lock the barrier waits on.
+                        drop(out);
+                        source.quiesce();
+                        return;
                     }
                     drop(out);
                     *link.source.lock() = Arc::downgrade(&source);
                 }
-                Err(_) => {
-                    if let Some(stream) = out.stream.take() {
-                        let _ = stream.shutdown_stream();
-                    }
-                }
+                Err(_) => out.drop_stream(),
             }
         }
     }
 }
 
-/// Forwards one validated frame addressed to `to`: self-preference for
-/// the originating link, then any link announcing the destination. The
-/// frame is copied once, into the target's replay window, and written
-/// from there. Frames for a link with no live stream are recorded only
-/// (store-and-forward); frames for parties no link ever announced are
-/// counted and dropped.
-fn router_forward<S: SocketStream>(
+/// Records one validated frame addressed to `to` in its destination's
+/// replay window: self-preference for the originating link, then any link
+/// announcing the destination. The frame is copied once, into the replay
+/// window, and written from there by [`router_drain`]. Returns the
+/// destination when it has a live stream to write the frame to; frames for
+/// a link with no live stream are recorded only (store-and-forward), and
+/// frames for parties no link ever announced are counted and dropped.
+fn router_record<S: SocketStream>(
     state: &RouterState<S>,
     origin: &Arc<RouterLink<S>>,
     to: PartyId,
     frame: &[u8],
-    origin_conn: Option<&RouterConnSource<S>>,
-) {
+) -> Option<Arc<RouterLink<S>>> {
     let target = if origin.parties.contains(&to) {
         Some(Arc::clone(origin))
     } else {
@@ -2895,46 +2739,46 @@ fn router_forward<S: SocketStream>(
     };
     let Some(target) = target else {
         state.unroutable.fetch_add(1, Ordering::Relaxed);
-        return;
+        return None;
     };
+    let mut out = target.out.lock();
+    let live = out.stream.is_some();
+    if live {
+        out.unsent += 1;
+    }
+    let keep = out.unsent;
+    out.replay.record(frame.to_vec(), keep);
+    drop(out);
+    live.then_some(target)
+}
+
+/// Writes every frame recorded for `target` since its last drain, behind
+/// its outbox, in one vectored write ([`RouterOutbound::write_pending`]),
+/// then applies flow control.
+fn router_drain<S: SocketStream>(
+    target: &RouterLink<S>,
+    origin_conn: Option<&RouterConnSource<S>>,
+) {
     let mut guard = target.out.lock();
     let out = &mut *guard;
-    out.replay.record(frame.to_vec());
-    if let Some(stream) = out.stream.as_mut() {
-        let frame = out.replay.frames.back().expect("just recorded");
-        let write = match state.backend {
-            TransportBackend::Blocking => stream.write_all(frame),
-            TransportBackend::Reactor => {
-                push_and_drain(stream, &mut out.outbox, &out.registration, None, frame)
-            }
-        };
-        // A dead stream — or a peer that stopped reading long enough to
-        // blow the outbox cap — drops the connection; the frame is in the
-        // replay window and will be retransmitted when the peer
-        // reconnects.
-        if write.is_err() || out.outbox.len() > ROUTER_OUTBOX_LIMIT {
-            if let Some(stream) = out.stream.take() {
-                let _ = stream.shutdown_stream();
-            }
-            out.registration = None;
-            out.outbox.clear();
-            resume_paused_origins(out);
-        } else if out.outbox.len() > ROUTER_OUTBOX_PAUSE {
-            // Flow control: the destination is congested but healthy.
-            // Disarm the origin connection's read interest so it stops
-            // producing forwards — the reactor-path analogue of the
-            // blocking backend's inline `write_all` backpressure. The
-            // destination's writable handler re-arms the origin once the
-            // outbox drains below [`ROUTER_OUTBOX_RESUME`].
-            if let Some(conn) = origin_conn {
-                if let Some(registration) = conn.registration.get() {
-                    if !conn.paused.swap(true, Ordering::SeqCst) {
-                        let _ = registration.set_readable(false);
-                        out.paused_origins.push(PausedOrigin {
-                            paused: Arc::clone(&conn.paused),
-                            registration: Arc::clone(registration),
-                        });
-                    }
+    if out.unsent == 0 || !out.write_pending() {
+        return;
+    }
+    if out.outbox.len() > ROUTER_OUTBOX_PAUSE {
+        // Flow control: the destination is congested but healthy.
+        // Disarm the origin connection's read interest so it stops
+        // producing forwards — the reactor-path analogue of the blocking
+        // backend's inline `write_all` backpressure. The destination's
+        // writable handler re-arms the origin once the outbox drains below
+        // [`ROUTER_OUTBOX_RESUME`].
+        if let Some(conn) = origin_conn {
+            if let Some(registration) = conn.registration.get() {
+                if !conn.paused.swap(true, Ordering::SeqCst) {
+                    let _ = registration.set_readable(false);
+                    out.paused_origins.push(PausedOrigin {
+                        paused: Arc::clone(&conn.paused),
+                        registration: Arc::clone(registration),
+                    });
                 }
             }
         }
@@ -3477,7 +3321,7 @@ mod tests {
     fn replay_window_yields_exactly_the_unacked_suffix() {
         let mut w = ReplayWindow::new(3, usize::MAX);
         for i in 0..5u8 {
-            w.record(vec![i]);
+            w.record(vec![i], 1);
         }
         assert_eq!(w.sent, 5);
         // Peer has 3 of 5: frames 4 and 5 are pending.
@@ -3493,14 +3337,27 @@ mod tests {
         // The byte budget evicts too — but always keeps the newest frame,
         // even one over budget.
         let mut w = ReplayWindow::new(1024, 10);
-        w.record(vec![0; 6]);
-        w.record(vec![1; 6]);
+        w.record(vec![0; 6], 1);
+        w.record(vec![1; 6], 1);
         assert_eq!(w.frames.len(), 1, "6+6 bytes exceed the 10-byte budget");
         assert_eq!(w.unacked(1).unwrap(), vec![&[1u8; 6][..]]);
         assert!(w.unacked(0).is_err(), "the evicted first frame is gone");
-        w.record(vec![2; 99]);
+        w.record(vec![2; 99], 1);
         assert_eq!(w.frames.len(), 1, "an over-budget frame is still kept");
         assert_eq!(w.bytes, 99);
+
+        // Frames still to be written are never evicted, whatever the
+        // bounds; the next record evicts back down to them.
+        let mut w = ReplayWindow::new(2, 10);
+        for i in 0..4u8 {
+            w.record(vec![i; 6], i as usize + 1);
+        }
+        assert_eq!(w.frames.len(), 4, "four unwritten frames are all kept");
+        assert_eq!(w.unacked(0).unwrap().len(), 4);
+        w.record(vec![4; 4], 1);
+        assert_eq!(w.frames.len(), 2, "back within the bounds");
+        assert_eq!(w.unacked(3).unwrap(), vec![&[3u8; 6][..], &[4u8; 4][..]]);
+        assert!(w.unacked(2).is_err(), "written frames evict again");
     }
 
     /// The reconnect-durability satellite: kill the OS stream of a live

@@ -11,11 +11,14 @@
 //! * downgrade attempts (an old-wire-version peer, or a plaintext peer
 //!   against a sealed endpoint) → rejected during the handshake;
 //! * a frame router forwards sealed traffic opaquely, with no keys;
-//! * PR-6 coalesced records (many envelopes per AEAD record): batches
-//!   deliver in order, a bit flip anywhere in a batch is an auth failure,
-//!   truncated records are rejected, a severed link resumes a coalesced
-//!   stream losslessly, and an eavesdropper on the wire sees none of the
-//!   batched plaintext.
+//! * coalescing links (each envelope sealed into its own record at send,
+//!   the turn's records written together at flush): records reach the
+//!   wire only at flush, one per envelope and in order, however the
+//!   traffic flushes; a severed link resumes losslessly, and an
+//!   eavesdropper on the wire sees none of the plaintext;
+//! * multi-envelope records, which receivers still accept (wire §8.2): a
+//!   bit flip anywhere in a batch is an auth failure, and truncated
+//!   records are rejected.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,10 +26,10 @@ use std::time::Duration;
 
 use ppc_crypto::Seed;
 use ppc_net::secure::{ChannelKeyring, ChannelSealer};
-use ppc_net::socket::{COALESCE_ADAPT_MIN, WIRE_VERSION};
+use ppc_net::socket::WIRE_VERSION;
 use ppc_net::{
-    encode_frame, Backoff, Envelope, NetError, PartyId, TcpAcceptor, TcpRouter, TcpTransport,
-    Transport, WaitTransport, SEALED_TOPIC,
+    encode_frame, Backoff, Envelope, FrameDecoder, NetError, PartyId, TcpAcceptor, TcpRouter,
+    TcpTransport, Transport, WaitTransport, SEALED_TOPIC,
 };
 
 fn keyring() -> ChannelKeyring {
@@ -546,21 +549,27 @@ fn routers_forward_sealed_frames_opaquely() {
     router.shutdown();
 }
 
-/// Coalescing end to end over a real TCP link: envelopes queued between
-/// flushes travel as ONE sealed record, arrive in order, and the sealing
-/// stats show the batching (fewer records than frames).
+/// Coalescing end to end over a real TCP link, watched by a wiretap:
+/// sends make no write at all, and the flush puts every envelope on the
+/// wire as its own sealed record, in send order (consecutive sequence
+/// numbers), delivered in order.
 #[test]
-fn coalesced_batches_deliver_in_order_as_one_record() {
+fn coalesced_sends_reach_the_wire_only_at_flush_one_record_each() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr().unwrap();
+    let tp_addr = acceptor.local_addr().unwrap();
+    let (proxy_addr, captured) = spawn_tap_proxy(tp_addr);
     let holder = coalescing([PartyId::DataHolder(0)]);
     let tp = coalescing([PartyId::ThirdParty]);
     let dial = std::thread::spawn(move || {
-        holder.connect(addr, &Backoff::default()).unwrap();
+        holder.connect(proxy_addr, &Backoff::default()).unwrap();
         holder
     });
     acceptor.accept_into(&tp).unwrap();
     let holder = dial.join().unwrap();
+    // The dialler's hello (15 + 5 bytes) and resume count (8 bytes) have
+    // crossed the tap: the acceptor answered only after reading them.
+    const HANDSHAKE: usize = 28;
+    assert_eq!(captured.lock().unwrap().len(), HANDSHAKE);
 
     const N: usize = 12;
     for i in 0..N {
@@ -573,63 +582,91 @@ fn coalesced_batches_deliver_in_order_as_one_record() {
             ))
             .unwrap();
     }
+    assert!(
+        tp.receive_any_of(&[PartyId::ThirdParty], Duration::from_millis(100))
+            .unwrap()
+            .is_none(),
+        "nothing arrives before the flush"
+    );
+    assert_eq!(
+        captured.lock().unwrap().len(),
+        HANDSHAKE,
+        "a coalescing send writes nothing before the flush"
+    );
     holder.flush().unwrap();
     for i in 0..N {
         let got = tp
             .receive_any_of(&[PartyId::ThirdParty], Duration::from_secs(5))
             .unwrap()
-            .expect("batched envelope arrives");
+            .expect("deferred envelope arrives after the flush");
         assert_eq!(got.topic, format!("s0/chunk/{i}"), "in-stream order");
         assert_eq!(got.payload, vec![i as u8; 100]);
     }
 
-    let sealed = holder.sealing_report().expect("secured transport");
-    let t = sealed.total();
-    assert_eq!(t.frames_sealed, N as u64);
+    let wire = captured.lock().unwrap()[HANDSHAKE..].to_vec();
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&wire);
+    let mut sequences = Vec::new();
+    while let Some(record) = decoder.next_frame().unwrap() {
+        assert_eq!(record.topic, SEALED_TOPIC);
+        sequences.push(u64::from_le_bytes(
+            record.payload[4..12].try_into().unwrap(),
+        ));
+    }
+    assert_eq!(decoder.buffered(), 0, "the tap saw whole records only");
     assert_eq!(
-        t.records_sealed, 1,
-        "12 queued envelopes under the budget travel as one sealed record"
+        sequences,
+        (0..N as u64).collect::<Vec<_>>(),
+        "one record per envelope, in send order"
+    );
+    let sealed = holder.sealing_report().expect("secured transport").total();
+    assert_eq!(
+        (sealed.records_sealed, sealed.frames_sealed),
+        (N as u64, N as u64)
     );
     let opened = tp.sealing_report().unwrap().total();
-    assert_eq!(opened.frames_opened, N as u64);
-    assert_eq!(opened.records_opened, 1);
+    assert_eq!(
+        (opened.records_opened, opened.frames_opened),
+        (N as u64, N as u64)
+    );
     holder.shutdown();
     tp.shutdown();
 }
 
-/// A MITM flipping one bit *inside* a coalesced batch invalidates the
-/// whole record: the receiver reports an auth failure naming the pair —
-/// no envelope of the batch (before or after the flipped byte) leaks out.
+/// A batch record sealed under the real pair key (one tag over three
+/// envelopes) with one bit flipped inside its *second* envelope fails
+/// authentication as a whole: the receiver reports an auth failure naming
+/// the pair, and no envelope of the batch (before or after the flipped
+/// byte) leaks out.
 #[test]
 fn a_bit_flip_inside_a_coalesced_batch_is_an_auth_failure() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let tp_addr = acceptor.local_addr().unwrap();
-    // Handshake (28 bytes dialler→acceptor), then the single coalesced
-    // record: 4-byte length prefix, 10 bytes routing, topic, then the
-    // sealed body. Flip deep inside the second batched envelope's
-    // ciphertext (~150 bytes in).
-    let proxy_addr = spawn_flipping_proxy(tp_addr, 28 + 4 + 150);
-
-    let holder = coalescing([PartyId::DataHolder(0)]);
-    let tp = coalescing([PartyId::ThirdParty]);
-    let dial = std::thread::spawn(move || {
-        holder.connect(proxy_addr, &Backoff::default()).unwrap();
-        holder
+    let addr = acceptor.local_addr().unwrap();
+    let tp = secured([PartyId::ThirdParty]);
+    let accept = std::thread::spawn(move || {
+        acceptor.accept_into(&tp).unwrap();
+        tp
     });
-    acceptor.accept_into(&tp).unwrap();
-    let holder = dial.join().unwrap();
-
-    for i in 0..3 {
-        holder
-            .send(envelope(
+    let mut rogue = raw_handshake(addr, 1, 0);
+    let batch: Vec<Envelope> = (0..3)
+        .map(|i| {
+            envelope(
                 PartyId::DataHolder(0),
                 PartyId::ThirdParty,
                 &format!("s0/numeric/age/0-1/masked/{i}"),
                 vec![7; 64],
-            ))
-            .unwrap();
-    }
-    holder.flush().unwrap();
+            )
+        })
+        .collect();
+    let mut record = ChannelSealer::new(keyring(), 0x0BAD_CAFE).seal_batch(&batch);
+    // Past the clear salt and sequence number (12 bytes), the ciphertext
+    // lines up with the batch plaintext: the count, then each envelope's
+    // length-prefixed topic and payload.
+    let first = &batch[0];
+    let second_starts = 4 + (4 + first.topic.len()) + (4 + first.payload.len());
+    record.payload[12 + second_starts + 10] ^= 0x20;
+    rogue.write_all(&encode_frame(&record).unwrap()).unwrap();
+    let tp = accept.join().unwrap();
     let err = tp
         .receive_any_of(&[PartyId::ThirdParty], Duration::from_secs(5))
         .expect_err("the tampered batch must fail authentication, dropping every envelope");
@@ -642,7 +679,6 @@ fn a_bit_flip_inside_a_coalesced_batch_is_an_auth_failure() {
         }
         other => panic!("expected AuthFailure, got {other:?}"),
     }
-    holder.shutdown();
     tp.shutdown();
 }
 
@@ -833,13 +869,11 @@ fn eavesdropper_sees_no_plaintext_from_coalesced_batches() {
     tp.shutdown();
 }
 
-/// PR-7 adaptive coalescing, the degenerate side: request/response
-/// traffic that flushes after every send drains one envelope per sealed
-/// record, so after [`COALESCE_ADAPT_MIN`] envelopes the link latches the
-/// bypass and seals immediately — and delivery stays exactly-once, in
-/// order, across the switch.
+/// However a coalescing link's traffic flushes — after every send
+/// (request/response) or after many sends (bulk turns) — every envelope is
+/// its own sealed record, and delivery is exactly-once, in order.
 #[test]
-fn unbatched_traffic_latches_the_coalescing_bypass_and_stays_in_order() {
+fn coalesced_records_carry_one_envelope_however_the_traffic_flushes() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
     let holder = coalescing([PartyId::DataHolder(0)]);
@@ -850,90 +884,50 @@ fn unbatched_traffic_latches_the_coalescing_bypass_and_stays_in_order() {
     });
     acceptor.accept_into(&tp).unwrap();
     let holder = dial.join().unwrap();
-
-    let n = COALESCE_ADAPT_MIN + 16;
-    for i in 0..n {
+    let send = |topic: String, i: u64| {
         holder
             .send(envelope(
                 PartyId::DataHolder(0),
                 PartyId::ThirdParty,
-                &format!("s0/pingpong/{i}"),
-                vec![i as u8; 64],
+                &topic,
+                vec![(i % 251) as u8; 64],
             ))
             .unwrap();
-        // The per-turn flush is what makes this traffic unbatchable.
-        holder.flush().unwrap();
+    };
+    let expect = |topic: String| {
         let got = tp
             .receive_any_of(&[PartyId::ThirdParty], Duration::from_secs(5))
             .unwrap()
-            .expect("envelope arrives whether queued or sealed immediately");
-        assert_eq!(got.topic, format!("s0/pingpong/{i}"), "in-stream order");
-        assert_eq!(got.payload, vec![i as u8; 64]);
+            .expect("envelope arrives after its flush");
+        assert_eq!(got.topic, topic, "in-stream order");
+    };
+
+    // Request/response: a flush after every send.
+    const PINGS: u64 = 48;
+    for i in 0..PINGS {
+        send(format!("s0/pingpong/{i}"), i);
+        holder.flush().unwrap();
+        expect(format!("s0/pingpong/{i}"));
     }
-
-    assert!(
-        holder.coalescing_bypassed(),
-        "one-envelope-per-record traffic must latch the adaptive bypass"
-    );
-    let t = holder.sealing_report().expect("secured transport").total();
-    assert_eq!(t.frames_sealed, n);
-    assert_eq!(
-        t.records_sealed, n,
-        "every envelope travelled as its own record, before and after the latch"
-    );
-    holder.shutdown();
-    tp.shutdown();
-}
-
-/// PR-7 adaptive coalescing, the batching side: traffic that genuinely
-/// queues many envelopes per flush keeps its amortized sealing — the
-/// adaptive check observes a high envelopes-per-record ratio and never
-/// latches the bypass.
-#[test]
-fn batched_traffic_keeps_coalescing_after_the_adaptive_check() {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-    let addr = acceptor.local_addr().unwrap();
-    let holder = coalescing([PartyId::DataHolder(0)]);
-    let tp = coalescing([PartyId::ThirdParty]);
-    let dial = std::thread::spawn(move || {
-        holder.connect(addr, &Backoff::default()).unwrap();
-        holder
-    });
-    acceptor.accept_into(&tp).unwrap();
-    let holder = dial.join().unwrap();
-
-    let per_flush = COALESCE_ADAPT_MIN + 8;
-    for round in 0..2u64 {
-        for i in 0..per_flush {
-            holder
-                .send(envelope(
-                    PartyId::DataHolder(0),
-                    PartyId::ThirdParty,
-                    &format!("s0/bulk/{round}/{i}"),
-                    vec![(i % 251) as u8; 64],
-                ))
-                .unwrap();
+    // Bulk turns: many sends per flush.
+    const PER_FLUSH: u64 = 40;
+    for round in 0..2 {
+        for i in 0..PER_FLUSH {
+            send(format!("s0/bulk/{round}/{i}"), i);
         }
         holder.flush().unwrap();
-        for i in 0..per_flush {
-            let got = tp
-                .receive_any_of(&[PartyId::ThirdParty], Duration::from_secs(5))
-                .unwrap()
-                .expect("batched envelope arrives");
-            assert_eq!(got.topic, format!("s0/bulk/{round}/{i}"), "in-stream order");
+        for i in 0..PER_FLUSH {
+            expect(format!("s0/bulk/{round}/{i}"));
         }
     }
 
-    assert!(
-        !holder.coalescing_bypassed(),
-        "well-batched traffic must keep its coalescing"
-    );
-    let t = holder.sealing_report().expect("secured transport").total();
-    assert_eq!(t.frames_sealed, 2 * per_flush);
-    assert_eq!(
-        t.records_sealed, 2,
-        "each flush's queue travelled as one sealed record"
-    );
+    let total = PINGS + 2 * PER_FLUSH;
+    let sealed = holder.sealing_report().expect("secured transport").total();
+    assert_eq!(sealed.frames_sealed, total);
+    assert_eq!(sealed.records_sealed, sealed.frames_sealed);
+    let opened = tp.sealing_report().unwrap().total();
+    assert_eq!(opened.frames_opened, total);
+    assert_eq!(opened.records_opened, opened.frames_opened);
     holder.shutdown();
     tp.shutdown();
 }

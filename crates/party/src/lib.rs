@@ -336,11 +336,12 @@ pub fn channel_config(flags: &Flags) -> Result<ChannelConfig, String> {
 
 /// Resolves `--coalesce` / `--no-coalesce` against the channel config.
 ///
-/// Sealed transports coalesce by default (batching queued envelopes into
-/// one AEAD record per link between flushes — the per-record sealing tax
-/// is paid once per batch instead of once per envelope); `--no-coalesce`
-/// restores one record per envelope, e.g. to measure the difference.
-/// Plaintext sockets never coalesce — frames go out as written.
+/// Sealed transports coalesce by default: every envelope is still sealed
+/// into its own record when it is sent, but the records wait in the link's
+/// outbox and the flush at the end of each engine turn writes them in one
+/// syscall. `--no-coalesce` writes each record as it is sealed, e.g. to
+/// measure the difference. Plaintext sockets never coalesce — frames go
+/// out as written.
 pub fn coalescing_enabled(flags: &Flags, security: &ChannelConfig) -> Result<bool, String> {
     let on = flags.contains_key("coalesce");
     let off = flags.contains_key("no-coalesce");
@@ -798,8 +799,8 @@ serve/coordinate also accept [--stall-ms MS] [--stall-waits N] (default 100 ms x
 channel security: sockets are AEAD-sealed by default (keys derived from --seed,\n\
 or from a dedicated --psk N shared by every process); --insecure sends plaintext\n\
 and warns loudly. All processes of one federation must agree.\n\
-sealed links coalesce queued frames into one AEAD record per flush (amortising\n\
-the per-record sealing tax); --no-coalesce seals one record per envelope.";
+sealed links coalesce: each envelope is sealed as it is sent and a turn's records\n\
+leave in one write at the flush; --no-coalesce writes every record at once.";
 
 /// Entry point shared by the binary and tests.
 pub fn run(args: &[String]) -> Result<(), Box<dyn Error>> {

@@ -354,7 +354,11 @@ fn tampered_sealed_frame_settles_channel_auth() {
     // while idle and dropped unroutable when the third party wins the
     // startup race against the coordinator. Data records are the only
     // deterministic target: necessarily forwarded, necessarily needed.
-    let proxy = TamperProxy::spawn_on_first_large_frame(addr, 512, 8).unwrap();
+    // Each envelope is its own record, so the threshold must sit below
+    // the session's published result (386 bytes here): the next record
+    // past 512 bytes is the `ctl/done` report, which arrives after the
+    // coordinator's session has finished and leaves nothing to settle.
+    let proxy = TamperProxy::spawn_on_first_large_frame(addr, 256, 8).unwrap();
     let addr = addr.to_string();
     let proxy_addr = proxy.addr().to_string();
 
