@@ -1,31 +1,17 @@
-//! Per-link channel key establishment.
+//! Per-link channel key derivation.
 //!
 //! The socket tier (`ppc-net::secure`) seals frames with
-//! [`crate::aead::ChaCha20Poly1305`]; this module provides the two ways a
-//! pair of endpoints can agree on the key material:
-//!
-//! * **PSK derivation** ([`psk_pair_seed`] / [`psk_direction_key`]) — both
-//!   ends derive the per-direction link keys from the federation's shared
-//!   master seed through the same labelled-derivation family the
-//!   `TrustedSetup` uses for protocol secrets, so **key material never
-//!   crosses a socket**. This is the path the multi-process deployment
-//!   uses: every party already holds the master seed, and keys stay
-//!   stable across reconnects (which is what lets the replay window
-//!   retransmit sealed frames byte-identically after a resume).
-//! * **Authenticated Diffie–Hellman** ([`AuthenticatedDh`]) — an ephemeral
-//!   exchange over [`crate::dh`] whose offers are authenticated by a MAC
-//!   keyed from a long-term authentication secret and **bound to the
-//!   handshake's endpoint ids**, so a man in the middle can neither
-//!   substitute its own public value nor splice one endpoint's offer into
-//!   another link. Suitable for establishing a fresh per-link secret
-//!   between two directly connected endpoints; links brokered through a
-//!   frame router use the PSK path (the router is not the far party, so a
-//!   hop-wise exchange would terminate the channel at the router —
-//!   exactly the hop-by-hop trust the design rejects).
+//! [`crate::aead::ChaCha20Poly1305`]. Both ends derive the per-direction
+//! link keys ([`psk_pair_seed`] / [`psk_direction_key`]) from the
+//! federation's shared master seed through the same labelled-derivation
+//! family the `TrustedSetup` uses for protocol secrets, so **key material
+//! never crosses a socket**. Every party already holds the master seed,
+//! and keys stay stable across reconnects (which is what lets the replay
+//! window retransmit sealed frames byte-identically after a resume). The
+//! same keys serve links brokered through a frame router: the router is not
+//! the far party, so a hop-wise key exchange would terminate the channel
+//! at the router — exactly the hop-by-hop trust the design rejects.
 
-use crate::dh::{DhKeyPair, DhParams};
-use crate::error::CryptoError;
-use crate::mac::SipHash24;
 use crate::prng::Seed;
 
 /// Derives the undirected pair seed for the channel between two parties
@@ -41,120 +27,6 @@ pub fn psk_pair_seed(psk: &Seed, a: &str, b: &str) -> Seed {
 /// ends can run independent nonce counters without coordination.
 pub fn psk_direction_key(psk: &Seed, from: &str, to: &str) -> Seed {
     psk_pair_seed(psk, from, to).derive(&format!("dir/{from}->{to}"))
-}
-
-/// One endpoint's authenticated key offer: its ephemeral DH public value,
-/// bound to its endpoint id by a MAC under the shared authentication
-/// secret.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkKeyOffer {
-    /// The offering endpoint's id (from the socket handshake hello).
-    pub endpoint: u64,
-    /// The ephemeral DH public value.
-    pub public: u64,
-    /// MAC over `(endpoint, public)` under the PSK-derived auth key.
-    pub mac: u64,
-}
-
-impl LinkKeyOffer {
-    /// Serialises the offer (24 bytes, little endian).
-    pub fn to_bytes(&self) -> [u8; 24] {
-        let mut out = [0u8; 24];
-        out[0..8].copy_from_slice(&self.endpoint.to_le_bytes());
-        out[8..16].copy_from_slice(&self.public.to_le_bytes());
-        out[16..24].copy_from_slice(&self.mac.to_le_bytes());
-        out
-    }
-
-    /// Deserialises an offer.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != 24 {
-            return Err(CryptoError::InvalidSeed(format!(
-                "link key offer must be 24 bytes, got {}",
-                bytes.len()
-            )));
-        }
-        Ok(LinkKeyOffer {
-            endpoint: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-            public: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-            mac: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-        })
-    }
-}
-
-/// An in-flight authenticated DH key agreement for one link.
-///
-/// Both ends construct the exchange from the same long-term
-/// authentication seed (e.g. the federation master seed), their own
-/// entropy and their own endpoint id, swap [`offer`](Self::offer)s, and
-/// [`agree`](Self::agree) on a link seed that binds both endpoint ids.
-#[derive(Debug, Clone)]
-pub struct AuthenticatedDh {
-    keypair: DhKeyPair,
-    auth: SipHash24,
-    endpoint: u64,
-}
-
-fn offer_mac(auth: &SipHash24, endpoint: u64, public: u64) -> u64 {
-    let mut data = [0u8; 16];
-    data[0..8].copy_from_slice(&endpoint.to_le_bytes());
-    data[8..16].copy_from_slice(&public.to_le_bytes());
-    auth.hash(&data)
-}
-
-impl AuthenticatedDh {
-    /// Starts an exchange: `auth_seed` is the shared long-term secret the
-    /// offers are authenticated under, `entropy` is this endpoint's local
-    /// randomness, `endpoint` its handshake endpoint id.
-    pub fn new(auth_seed: &Seed, entropy: &Seed, endpoint: u64) -> Result<Self, CryptoError> {
-        let auth_key = auth_seed.derive("channel-auth");
-        let auth = SipHash24::new(
-            auth_key.low_u64(),
-            u64::from_le_bytes(auth_key.0[8..16].try_into().expect("8 bytes")),
-        );
-        let keypair = DhKeyPair::generate(DhParams::default(), entropy)?;
-        Ok(AuthenticatedDh {
-            keypair,
-            auth,
-            endpoint,
-        })
-    }
-
-    /// The offer to send to the peer.
-    pub fn offer(&self) -> LinkKeyOffer {
-        LinkKeyOffer {
-            endpoint: self.endpoint,
-            public: self.keypair.public,
-            mac: offer_mac(&self.auth, self.endpoint, self.keypair.public),
-        }
-    }
-
-    /// Verifies the peer's offer and derives the link seed.
-    ///
-    /// Rejects offers whose MAC does not verify (wrong auth secret or
-    /// tampered public value), offers claiming this endpoint's own id
-    /// (reflection), and invalid public values. The derived seed binds
-    /// both endpoint ids, so the same two ephemeral keys agreed between a
-    /// different endpoint pair would yield a different seed.
-    pub fn agree(&self, peer: &LinkKeyOffer) -> Result<Seed, CryptoError> {
-        if peer.endpoint == self.endpoint {
-            return Err(CryptoError::InvalidDhParameter(
-                "peer offer claims this endpoint's own id (reflected offer?)".into(),
-            ));
-        }
-        if offer_mac(&self.auth, peer.endpoint, peer.public) != peer.mac {
-            return Err(CryptoError::InvalidDhParameter(
-                "link key offer failed authentication (wrong secret or tampered offer)".into(),
-            ));
-        }
-        let secret = self.keypair.agree(peer.public)?;
-        let (lo, hi) = if self.endpoint <= peer.endpoint {
-            (self.endpoint, peer.endpoint)
-        } else {
-            (peer.endpoint, self.endpoint)
-        };
-        Ok(secret.into_seed(&format!("link/{lo:016x}/{hi:016x}")))
-    }
 }
 
 #[cfg(test)]
@@ -179,56 +51,5 @@ mod tests {
         assert_eq!(d0, psk_direction_key(&psk, "DH0", "TP"));
         // A different PSK gives unrelated keys.
         assert_ne!(d0, psk_direction_key(&Seed::from_u64(43), "DH0", "TP"));
-    }
-
-    #[test]
-    fn authenticated_exchange_agrees_and_binds_endpoints() {
-        let auth = Seed::from_u64(7);
-        let a = AuthenticatedDh::new(&auth, &Seed::from_u64(100), 0x1111).unwrap();
-        let b = AuthenticatedDh::new(&auth, &Seed::from_u64(200), 0x2222).unwrap();
-        let sa = a.agree(&b.offer()).unwrap();
-        let sb = b.agree(&a.offer()).unwrap();
-        assert_eq!(sa, sb);
-
-        // The same ephemeral keys between different endpoint ids derive a
-        // different link seed (identity binding).
-        let c = AuthenticatedDh::new(&auth, &Seed::from_u64(200), 0x3333).unwrap();
-        let sc = a.agree(&c.offer()).unwrap();
-        assert_ne!(sa, sc);
-    }
-
-    #[test]
-    fn tampered_and_unauthenticated_offers_are_rejected() {
-        let auth = Seed::from_u64(7);
-        let a = AuthenticatedDh::new(&auth, &Seed::from_u64(1), 1).unwrap();
-        let b = AuthenticatedDh::new(&auth, &Seed::from_u64(2), 2).unwrap();
-
-        // Tampered public value.
-        let mut offer = b.offer();
-        offer.public ^= 1;
-        assert!(a.agree(&offer).is_err());
-        // Tampered MAC.
-        let mut offer = b.offer();
-        offer.mac ^= 1;
-        assert!(a.agree(&offer).is_err());
-        // Endpoint id substitution breaks the MAC binding.
-        let mut offer = b.offer();
-        offer.endpoint = 9;
-        assert!(a.agree(&offer).is_err());
-        // An offer authenticated under a different long-term secret.
-        let rogue = AuthenticatedDh::new(&Seed::from_u64(8), &Seed::from_u64(3), 3).unwrap();
-        assert!(a.agree(&rogue.offer()).is_err());
-        // Reflection: replaying a's own offer back at it.
-        assert!(a.agree(&a.offer()).is_err());
-    }
-
-    #[test]
-    fn offers_roundtrip_through_bytes() {
-        let auth = Seed::from_u64(11);
-        let a = AuthenticatedDh::new(&auth, &Seed::from_u64(4), 77).unwrap();
-        let offer = a.offer();
-        let back = LinkKeyOffer::from_bytes(&offer.to_bytes()).unwrap();
-        assert_eq!(back, offer);
-        assert!(LinkKeyOffer::from_bytes(&[0u8; 23]).is_err());
     }
 }

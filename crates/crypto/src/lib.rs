@@ -26,10 +26,8 @@
 //! The paper further requires the pairwise channels themselves to be
 //! *secured* (§4.1 shows concrete eavesdropper inferences otherwise).
 //! [`aead`] provides the ChaCha20-Poly1305 sealing primitive (RFC 8439,
-//! test-vector checked) and [`channel`] the per-link key establishment:
-//! PSK derivation from the shared master seed (key material never on the
-//! wire) and an authenticated Diffie–Hellman exchange bound to the socket
-//! handshake's endpoint ids.
+//! test-vector checked) and [`channel`] the per-link keys, derived from
+//! the shared master seed (key material never on the wire).
 //!
 //! Everything in this crate is implemented from scratch (no external crypto
 //! crates) so that the repository is a self-contained reproduction; the
@@ -50,7 +48,7 @@ pub mod prng;
 
 pub use aead::{ChaCha20Poly1305, Poly1305, KEY_LEN, NONCE_LEN, TAG_LEN};
 pub use block::{feistel::FeistelCipher, speck::Speck64, BlockCipher64};
-pub use channel::{psk_direction_key, psk_pair_seed, AuthenticatedDh, LinkKeyOffer};
+pub use channel::{psk_direction_key, psk_pair_seed};
 pub use det::{DeterministicCipher, Prf128};
 pub use dh::{DhKeyPair, DhParams, DhSharedSecret};
 pub use error::CryptoError;

@@ -138,9 +138,8 @@ pub trait SealingReporter {
 
 /// Condvar statistics of a transport's receive path: how often workers
 /// parked waiting for frames and how many of those parks ended in a
-/// notification (the rest timed out). The wakeup latency the reactor
-/// backend removes from the wire path shows up as fewer parks per
-/// delivered frame; benches record both numbers next to throughput.
+/// notification (the rest timed out); benches record both numbers next to
+/// throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WaitStats {
     /// Times a receive call parked on the transport's condvar.

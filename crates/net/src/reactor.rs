@@ -1,8 +1,8 @@
-//! Process-global readiness reactor for the non-blocking socket backend.
+//! Process-global readiness reactor: the socket tier's one I/O driver.
 //!
 //! One detached event-loop thread per process owns a [`polling::Poller`]
 //! and dispatches readiness events to registered [`Source`]s. This is what
-//! keeps the reactor transport at O(1) threads regardless of link count:
+//! keeps the socket transport at O(1) threads regardless of link count:
 //! every socket a process holds — transport links and router connections
 //! alike — shares the single loop.
 //!
@@ -12,14 +12,14 @@
 //!
 //! ## Quiesce protocol
 //!
-//! Replacing the blocking backend's `JoinHandle::join` barrier: a source
-//! runs its entire read handler under one internal mutex and re-checks its
-//! retirement flag at entry. To quiesce, a caller sets the flag, calls
-//! [`Registration::deregister`] (which removes the fd from the poller and
-//! the source from the dispatch table), then locks and releases the
-//! source's handler mutex once. Any in-flight dispatch either observed the
-//! flag and did nothing, or completes before the barrier lock is granted —
-//! after the barrier, counters published by the handler are final.
+//! A source runs its entire read handler under one internal mutex and
+//! re-checks its retirement flag at entry. To quiesce, a caller sets the
+//! flag, calls [`Registration::deregister`] (which removes the fd from the
+//! poller and the source from the dispatch table), then locks and releases
+//! the source's handler mutex once. Any in-flight dispatch either observed
+//! the flag and did nothing, or completes before the barrier lock is
+//! granted — after the barrier, counters published by the handler are
+//! final.
 //!
 //! ## Failure containment
 //!
@@ -94,8 +94,7 @@ impl Registration {
     /// Disarming is the router's flow control: an origin connection whose
     /// forwards congested a destination outbox stops being read until the
     /// destination drains, which propagates backpressure to the sending
-    /// peer through its own socket buffers — the event-loop equivalent of
-    /// the blocking backend's `write_all`. Level-triggered polling re-fires
+    /// peer through its own socket buffers. Level-triggered polling re-fires
     /// pending readability the moment interest re-arms, so no data is lost.
     pub(crate) fn set_readable(&self, readable: bool) -> io::Result<()> {
         let mut interest = self.interest.lock();

@@ -324,11 +324,11 @@ struct OpenPair {
     stats: SealingStats,
 }
 
-/// The opening half: shared by the receiving transport's reader threads.
+/// The opening half: shared by the receiving transport's link readers.
 ///
 /// Like the sealer, state is sharded per ordered party pair behind
-/// per-pair locks: each pair's frames arrive on one link (one reader
-/// thread), so the pair lock is uncontended in practice, while readers of
+/// per-pair locks: each pair's frames arrive on one link (one read
+/// driver), so the pair lock is uncontended in practice, while readers of
 /// *different* links never serialize on each other's AEAD work.
 pub struct ChannelOpener {
     keyring: ChannelKeyring,

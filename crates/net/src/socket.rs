@@ -20,7 +20,7 @@
 //!   the exact nonces, and tampered / plaintext / reordered inbound frames
 //!   surface as [`NetError::AuthFailure`];
 //! * [`SocketTransport`] — one framed stream per peer link, each drained by
-//!   its read driver (see *Transport backends*) into per-party delivery
+//!   its read driver (see *I/O driver*) into per-party delivery
 //!   slots, so [`WaitTransport::receive_any_of`] parks without spinning
 //!   and wakes only for the parties it watches. Every link
 //!   keeps a bounded replay window of sent frames (implicit per-link
@@ -42,16 +42,13 @@
 //! repository root; the frame layout is the one produced by
 //! [`encode_frame`].
 //!
-//! ## Transport backends
+//! ## I/O driver
 //!
-//! Both the transport and the routers run on one of two I/O drivers
-//! ([`TransportBackend`]): the original **blocking** driver (one reader
-//! thread per link, one pump thread per router connection — the oracle) and
-//! the **reactor** driver, which registers every socket with the
-//! process-global event loop in `crate::reactor` and holds O(1) threads at
-//! any link count. The two backends share every piece of link-state logic —
-//! handshake, replay windows, sealing, coalescing, redial — and speak the
-//! identical wire format; only the read/write driver differs.
+//! The transport and the routers run every socket nonblocking on the
+//! process-global event loop in `crate::reactor`, which holds O(1) threads
+//! at any link count. The loop needs unix descriptors: off unix, attaching a
+//! link or a router connection fails loudly ("reactor backend
+//! unavailable").
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -118,8 +115,8 @@ pub const DEFAULT_REPLAY_BYTES: usize = 64 << 20;
 /// Soft cap on bytes parked in a reactor link's outbox before the sending
 /// thread stops queueing and drains synchronously (parking in
 /// `poll(2)`/`wait_writable` until the socket accepts more). This is the
-/// reactor path's backpressure, bounding memory exactly like the blocking
-/// path's `write_all` bounds it by not returning.
+/// sender-side backpressure: once a send returns, the link's outbox holds
+/// at most this many bytes.
 pub const OUTBOX_SOFT_LIMIT: usize = 1 << 20;
 
 /// Hard cap on bytes parked in a router connection's outbox. A peer that
@@ -131,13 +128,13 @@ pub const OUTBOX_SOFT_LIMIT: usize = 1 << 20;
 /// backstop for pathological frames larger than the pause budget.
 pub const ROUTER_OUTBOX_LIMIT: usize = 16 << 20;
 
-/// Reactor-backend router flow control: once a destination outbox holds
-/// more than this many undrained bytes, the connections feeding it have
-/// their read interest disarmed (paused) until the outbox drains below
-/// [`ROUTER_OUTBOX_RESUME`]. This is the event-loop equivalent of the
-/// blocking backend's `write_all` backpressure — without it a fast sender
-/// whose receiver shares the reactor's dispatch turn (e.g. an echo through
-/// the router inside one process) can balloon the outbox to the
+/// Router flow control: once a destination outbox holds more than this
+/// many undrained bytes, the connections feeding it have their read
+/// interest disarmed (paused) until the outbox drains below
+/// [`ROUTER_OUTBOX_RESUME`], so backpressure reaches the sending peer
+/// through its own socket buffers. Without it a fast sender whose receiver
+/// shares the reactor's dispatch turn (e.g. an echo through the router
+/// inside one process) can balloon the outbox to the
 /// [`ROUTER_OUTBOX_LIMIT`] teardown even though every peer is healthy.
 pub const ROUTER_OUTBOX_PAUSE: usize = 1 << 20;
 
@@ -145,58 +142,27 @@ pub const ROUTER_OUTBOX_PAUSE: usize = 1 << 20;
 /// (hysteresis below [`ROUTER_OUTBOX_PAUSE`] so the gate doesn't flap).
 pub const ROUTER_OUTBOX_RESUME: usize = ROUTER_OUTBOX_PAUSE / 2;
 
-/// Which I/O driver a [`SocketTransport`] or [`SocketRouter`] runs on.
-///
-/// Both backends speak the identical wire format and share every piece of
-/// link-state logic — handshake, resume, replay windows, sealing,
-/// coalescing, redial, store-and-forward — so a run is bit-identical
-/// across them; only the read/write driver differs.
+/// The I/O driver a [`SocketTransport`] or [`SocketRouter`] runs on. There
+/// is one, the reactor (see *I/O driver*); the type stays so that callers
+/// naming it, and the `backend` provenance field of bench rows, keep
+/// working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportBackend {
-    /// One blocking reader thread per peer link (and one pump thread per
-    /// router connection). Thread count grows with link count; this is the
-    /// original implementation, kept as the behavioral oracle.
-    Blocking,
     /// All sockets registered nonblocking with the process-global event
     /// loop in `crate::reactor`: O(1) threads at any link count.
-    /// Unsupported off unix (constructing a link fails loudly).
+    /// Unsupported off unix (attaching a link fails loudly).
     Reactor,
 }
 
 impl TransportBackend {
-    /// The backend used when none is requested explicitly: the
-    /// `PPC_TRANSPORT` environment variable (`blocking` | `reactor`) if set
-    /// to a recognized value, otherwise `Reactor` on Linux and `Blocking`
-    /// elsewhere.
+    /// The driver every transport and router runs on.
     pub fn default_for_host() -> Self {
-        match std::env::var("PPC_TRANSPORT").as_deref() {
-            Ok("blocking") => TransportBackend::Blocking,
-            Ok("reactor") => TransportBackend::Reactor,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    TransportBackend::Reactor
-                } else {
-                    TransportBackend::Blocking
-                }
-            }
-        }
-    }
-
-    /// Parses a CLI/config spelling (`blocking` | `reactor`).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "blocking" => Ok(TransportBackend::Blocking),
-            "reactor" => Ok(TransportBackend::Reactor),
-            other => Err(format!(
-                "unknown transport backend '{other}' (expected 'blocking' or 'reactor')"
-            )),
-        }
+        TransportBackend::Reactor
     }
 
     /// The canonical spelling, for reports and bench rows.
     pub fn as_str(&self) -> &'static str {
         match self {
-            TransportBackend::Blocking => "blocking",
             TransportBackend::Reactor => "reactor",
         }
     }
@@ -362,12 +328,12 @@ impl ReplayWindow {
     }
 }
 
-/// Socket-like duplex streams the transport can split into a blocking
-/// reader half and a writer half.
+/// Socket-like duplex streams the transport can split into a reader half
+/// and a writer half.
 ///
 /// Implemented for [`std::net::TcpStream`] and
 /// [`std::os::unix::net::UnixStream`]; both clones refer to the same OS
-/// socket, so shutting one down unblocks a reader parked in `read`.
+/// socket, so shutting one down ends the stream for every clone.
 pub trait SocketStream: Read + Write + Send + Sized + 'static {
     /// Clones the underlying OS handle.
     fn try_clone_stream(&self) -> std::io::Result<Self>;
@@ -376,12 +342,12 @@ pub trait SocketStream: Read + Write + Send + Sized + 'static {
     /// Sets or clears the read timeout (used to bound the handshake).
     fn set_stream_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()>;
     /// Flips the socket (all clones share the one OS fd) between blocking
-    /// and nonblocking mode. The reactor backend runs every registered
-    /// socket nonblocking.
+    /// and nonblocking mode. The reactor runs every registered socket
+    /// nonblocking.
     fn set_stream_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
     /// The raw OS descriptor, for registration with the readiness poller.
     /// Errors on platforms without unix-style descriptors (where the
-    /// reactor backend is unsupported).
+    /// reactor, and so every socket link, is unsupported).
     fn stream_raw_fd(&self) -> std::io::Result<polling::RawFd>;
 }
 
@@ -412,7 +378,7 @@ impl SocketStream for TcpStream {
         {
             Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "raw descriptors (and the reactor backend) require unix",
+                "raw descriptors (and the reactor) require unix",
             ))
         }
     }
@@ -712,8 +678,8 @@ fn write_frames<'a, S: SocketStream>(
 
 /// `write_all` semantics on a stream that may be nonblocking: parks in
 /// [`polling::wait_writable`] on `WouldBlock`. Used by resume
-/// retransmission, which runs on a freshly handshaken stream that the
-/// reactor backend has already flipped nonblocking.
+/// retransmission, which runs on a freshly handshaken stream that its
+/// reactor registration has already flipped nonblocking.
 fn write_all_parking<S: SocketStream>(stream: &mut S, bytes: &[u8]) -> std::io::Result<()> {
     let mut written = 0;
     while written < bytes.len() {
@@ -748,11 +714,10 @@ struct LinkWriter<S> {
     /// replay window.
     outbox: Outbox,
     /// A write failure observed asynchronously by the reactor's writable
-    /// dispatch, surfaced at the next send/flush exactly where the
-    /// blocking backend would have seen it synchronously.
+    /// dispatch, surfaced at the next send or flush on the link.
     write_failed: Option<std::io::Error>,
     /// Reactor registration of the current stream's fd, for arming write
-    /// interest (`None` on blocking links).
+    /// interest (`None` until the link's source registers).
     registration: Option<Arc<Registration>>,
 }
 
@@ -783,20 +748,9 @@ impl<S: SocketStream> LinkWriter<S> {
     }
 }
 
-/// The read driver of one link's current stream: a dedicated blocking
-/// thread, or a source dispatched by the process-global reactor.
-enum ReaderHandle<S> {
-    /// No driver (only transiently, while quiescing).
-    Idle,
-    /// Blocking backend: the reader thread's handle.
-    Thread(JoinHandle<()>),
-    /// Reactor backend: the registered readiness source.
-    Source(Arc<LinkSource<S>>),
-}
-
-/// A peer link: the writer half plus routing metadata. The reader half
-/// lives on a dedicated thread whose handle the link keeps, so resuming the
-/// link can retire and join exactly its own reader.
+/// A peer link: the writer half plus routing metadata. The reader half is
+/// a reactor source the link keeps, so resuming the link can retire and
+/// quiesce exactly its own reader.
 struct Link<S> {
     /// The endpoint id the peer announced in its hello; together with the
     /// party set it identifies the logical link across reconnects.
@@ -810,7 +764,7 @@ struct Link<S> {
     /// never stalls routing, flushing or other links' sends.
     writer: Arc<Mutex<LinkWriter<S>>>,
     /// OS-handle clone used for shutdown, reachable without taking the
-    /// writer lock (a writer blocked in `write_all` holds that lock).
+    /// writer lock (a writer parked on backpressure holds that lock).
     control: S,
     /// Address to re-dial if the stream breaks (outbound links only).
     redial: Option<RedialTarget>,
@@ -821,8 +775,8 @@ struct Link<S> {
     /// announced in the resume handshake so the peer retransmits exactly
     /// the lost suffix.
     received: Arc<AtomicU64>,
-    /// The current stream's read driver.
-    reader: ReaderHandle<S>,
+    /// The current stream's read driver (`None` once quiesced).
+    reader: Option<Arc<LinkSource<S>>>,
 }
 
 /// How to re-establish an outbound link.
@@ -859,8 +813,6 @@ pub struct SocketTransport<S: SocketStream> {
     delivery: Arc<Inbox>,
     links: Mutex<Vec<Link<S>>>,
     shutting_down: Arc<AtomicBool>,
-    /// The I/O driver links attach with.
-    backend: TransportBackend,
     /// Times a `receive_any_of` caller parked on the arrivals condvar.
     wait_parks: AtomicU64,
     /// Parks that ended in a notification (vs timing out).
@@ -881,7 +833,7 @@ pub struct SocketTransport<S: SocketStream> {
 /// The AEAD halves of a secured transport. The sealer runs under its own
 /// lock (taken inside the per-link writer lock, so per-pair sequence
 /// numbers are assigned in stream order); the opener is shared with every
-/// link's reader thread.
+/// link's read driver.
 struct SecurityState {
     sealer: ChannelSealer,
     opener: Arc<ChannelOpener>,
@@ -897,17 +849,8 @@ impl<S: SocketStream> std::fmt::Debug for SocketTransport<S> {
 }
 
 impl<S: SocketStream> SocketTransport<S> {
-    /// Creates a transport hosting `locals` with no peer links yet, on the
-    /// host's default backend ([`TransportBackend::default_for_host`]).
+    /// Creates a transport hosting `locals` with no peer links yet.
     pub fn new(locals: impl IntoIterator<Item = PartyId>) -> Self {
-        Self::new_with_backend(locals, TransportBackend::default_for_host())
-    }
-
-    /// Creates a transport hosting `locals` on an explicit I/O backend.
-    pub fn new_with_backend(
-        locals: impl IntoIterator<Item = PartyId>,
-        backend: TransportBackend,
-    ) -> Self {
         let locals: BTreeSet<PartyId> = locals.into_iter().collect();
         SocketTransport {
             endpoint: endpoint_nonce(),
@@ -915,7 +858,6 @@ impl<S: SocketStream> SocketTransport<S> {
             locals,
             links: Mutex::new(Vec::new()),
             shutting_down: Arc::new(AtomicBool::new(false)),
-            backend,
             wait_parks: AtomicU64::new(0),
             wait_wakeups: AtomicU64::new(0),
             reconnect: Backoff::default(),
@@ -926,15 +868,15 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// The I/O backend this transport attaches links with.
+    /// The I/O driver this transport attaches links with (always the
+    /// reactor).
     pub fn backend(&self) -> TransportBackend {
-        self.backend
+        TransportBackend::Reactor
     }
 
     /// Condvar statistics of the receive path: how often workers parked
     /// waiting for frames and how many parks ended in a wakeup (the rest
-    /// timed out). The latency the reactor backend removes from the wire
-    /// path shows up here as fewer parks per delivered frame.
+    /// timed out).
     pub fn wait_stats(&self) -> WaitStats {
         WaitStats {
             blocking_waits: self.wait_parks.load(Ordering::Relaxed),
@@ -1037,8 +979,8 @@ impl<S: SocketStream> SocketTransport<S> {
         self.links.lock().len()
     }
 
-    /// Attaches a fully handshaken stream as a fresh peer link and spawns
-    /// its reader thread. `links` is the already-held link table.
+    /// Attaches a fully handshaken stream as a fresh peer link and
+    /// registers its read driver. `links` is the already-held link table.
     fn attach_link_locked(
         &self,
         links: &mut Vec<Link<S>>,
@@ -1065,12 +1007,7 @@ impl<S: SocketStream> SocketTransport<S> {
             write_failed: None,
             registration: None,
         }));
-        let handle = match self.backend {
-            TransportBackend::Blocking => ReaderHandle::Thread(spawn_reader(reader, ingest)),
-            TransportBackend::Reactor => {
-                ReaderHandle::Source(register_link_source(reader, ingest, &writer)?)
-            }
-        };
+        let source = register_link_source(reader, ingest, &writer)?;
         links.push(Link {
             peer_endpoint,
             peer_parties,
@@ -1080,7 +1017,7 @@ impl<S: SocketStream> SocketTransport<S> {
             redial,
             reader_retired,
             received,
-            reader: handle,
+            reader: Some(source),
         });
         Ok(())
     }
@@ -1113,14 +1050,16 @@ impl<S: SocketStream> SocketTransport<S> {
         let link = &mut links[index];
         link.reader_retired.store(true, Ordering::SeqCst);
         let _ = link.control.shutdown_stream();
-        quiesce_reader_handle(&mut link.reader);
+        if let Some(source) = link.reader.take() {
+            source.quiesce();
+        }
         link.received.load(Ordering::SeqCst)
     }
 
     /// Installs `stream` (already through stage 1 plus the resume exchange,
     /// whose `peer_received` is given) as the new stream of `links[index]`:
     /// retransmits the unacknowledged suffix, swaps the stream in and
-    /// spawns a fresh reader. The old reader must already be quiesced.
+    /// registers a fresh reader. The old reader must already be quiesced.
     fn resume_link_at(
         &self,
         links: &mut [Link<S>],
@@ -1155,10 +1094,9 @@ impl<S: SocketStream> SocketTransport<S> {
         // Attach the new stream's read driver *before* retransmitting: the
         // peer is symmetrically retransmitting its own lost suffix, and
         // draining it while we write is what keeps a large mutual resync
-        // from deadlocking on full socket buffers. (On the reactor backend
-        // registration also flips the fd nonblocking, so the
-        // retransmission below parks in `wait_writable` when the socket
-        // fills.)
+        // from deadlocking on full socket buffers. (Registration also flips
+        // the fd nonblocking, so the retransmission below parks in
+        // `wait_writable` when the socket fills.)
         let old_token = Arc::clone(&links[index].reader_retired);
         let reader_retired = Arc::new(AtomicBool::new(false));
         let ingest = self.link_ingest(
@@ -1166,12 +1104,7 @@ impl<S: SocketStream> SocketTransport<S> {
             &links[index].received,
             links[index].redial.is_some(),
         );
-        let mut handle = match self.backend {
-            TransportBackend::Blocking => ReaderHandle::Thread(spawn_reader(reader, ingest)),
-            TransportBackend::Reactor => {
-                ReaderHandle::Source(register_link_source(reader, ingest, &links[index].writer)?)
-            }
-        };
+        let source = register_link_source(reader, ingest, &links[index].writer)?;
         let retransmission = {
             // Retransmit under the writer lock so concurrent senders queue
             // behind the resync and stream order keeps matching replay
@@ -1205,12 +1138,12 @@ impl<S: SocketStream> SocketTransport<S> {
         };
         if let Err(e) = retransmission {
             // Abandon the fresh stream; the link keeps its (dead) old
-            // stream and intact replay, so a later reconnect can retry. (A
-            // reactor writer keeps a registration pointing at the
-            // abandoned fd; arming interest on it is a harmless no-op.)
+            // stream and intact replay, so a later reconnect can retry. (The
+            // writer keeps a registration pointing at the abandoned fd;
+            // arming interest on it is a harmless no-op.)
             reader_retired.store(true, Ordering::SeqCst);
             let _ = control.shutdown_stream();
-            quiesce_reader_handle(&mut handle);
+            source.quiesce();
             return Err(e);
         }
         let link = &mut links[index];
@@ -1218,7 +1151,7 @@ impl<S: SocketStream> SocketTransport<S> {
         link.peer_parties = peer_parties;
         link.control = control;
         link.reader_retired = reader_retired;
-        link.reader = handle;
+        link.reader = Some(source);
         // A resumed link invalidates a fatal error *its own* dead reader
         // left — never one recorded by a different link's reader.
         self.delivery.clear_failures(&old_token);
@@ -1385,8 +1318,8 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// Tears down every link: shuts the sockets down (unblocking reader
-    /// threads) and joins them. Idempotent; also runs on drop.
+    /// Tears down every link: shuts the sockets down and quiesces their
+    /// read drivers. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         let mut links = self.links.lock();
@@ -1469,11 +1402,9 @@ impl Redial for std::os::unix::net::UnixStream {
     }
 }
 
-/// The backend-independent inbound half of one link stream: frame
-/// decoding, unsealing, inbox delivery, received-frame counting and
-/// failure recording. Both read drivers — the blocking reader thread and
-/// the reactor's [`LinkSource`] — push their raw bytes through the same
-/// ingest, which is what keeps the two backends bit-identical.
+/// The inbound half of one link stream: frame decoding, unsealing, inbox
+/// delivery, received-frame counting and failure recording. The link's
+/// [`LinkSource`] pushes the raw bytes it reads through it.
 struct LinkIngest {
     decoder: FrameDecoder,
     delivery: Arc<Inbox>,
@@ -1607,41 +1538,9 @@ impl LinkIngest {
     }
 }
 
-/// Spawns the blocking reader loop for one link (the
-/// [`TransportBackend::Blocking`] read driver over a [`LinkIngest`]).
-fn spawn_reader<S: SocketStream>(mut stream: S, mut ingest: LinkIngest) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    ingest.on_eof();
-                    return;
-                }
-                Ok(n) => {
-                    if !ingest.on_bytes(&buf[..n]) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Reader streams are blocking; WouldBlock only appears
-                    // if a handshake read timeout leaked through. Retry.
-                    continue;
-                }
-                Err(e) => {
-                    ingest.on_error(e);
-                    return;
-                }
-            }
-        }
-    })
-}
-
-/// Read-side state of a reactor link: the nonblocking stream and the same
-/// [`LinkIngest`] the blocking reader thread would run. The whole driver
-/// is one mutex so it doubles as the quiesce barrier (see
-/// `crate::reactor`).
+/// Read-side state of a link: the nonblocking stream and its
+/// [`LinkIngest`]. The whole driver is one mutex so it doubles as the
+/// quiesce barrier (see `crate::reactor`).
 struct ReadDriver<S> {
     stream: S,
     ingest: LinkIngest,
@@ -1650,9 +1549,9 @@ struct ReadDriver<S> {
     done: bool,
 }
 
-/// The [`TransportBackend::Reactor`] driver of one link: a readiness
-/// [`Source`] that drains the stream through the shared ingest on readable
-/// events and drains the writer's outbox on writable events.
+/// The I/O driver of one link: a readiness [`Source`] that drains the
+/// stream through its ingest on readable events and drains the writer's
+/// outbox on writable events.
 struct LinkSource<S> {
     read: Mutex<ReadDriver<S>>,
     /// The link's writer, for outbox draining on writable readiness.
@@ -1661,6 +1560,17 @@ struct LinkSource<S> {
 }
 
 impl<S: SocketStream> LinkSource<S> {
+    /// Quiesce protocol (see `crate::reactor`): with the retired flag
+    /// already set, deregistering stops future dispatch, and the read-mutex
+    /// barrier waits out any dispatch already in flight — after it, the
+    /// received counter is final.
+    fn quiesce(&self) {
+        if let Some(registration) = self.registration.get() {
+            registration.deregister();
+        }
+        drop(self.read.lock());
+    }
+
     fn drain_readable(&self) {
         let mut guard = self.read.lock();
         let driver = &mut *guard;
@@ -1711,8 +1621,7 @@ impl<S: SocketStream> LinkSource<S> {
             return;
         }
         if let Err(e) = drain_outbox(&mut w.stream, &mut w.outbox, &w.registration, None, None) {
-            // Stash for the next send/flush to surface (where the blocking
-            // backend would have seen it synchronously); the read side
+            // Stash for the next send or flush to surface; the read side
             // observes the broken stream independently and deregisters.
             set_write_interest(&w.registration, false);
             w.write_failed = Some(e);
@@ -1775,27 +1684,6 @@ fn register_link_source<S: SocketStream>(
     let _ = source.registration.set(Arc::clone(&registration));
     writer.lock().registration = Some(registration);
     Ok(source)
-}
-
-/// Retires and joins/barriers one read driver (either backend), leaving
-/// the handle `Idle`. The retirement flag must already be set.
-fn quiesce_reader_handle<S: SocketStream>(reader: &mut ReaderHandle<S>) {
-    match std::mem::replace(reader, ReaderHandle::Idle) {
-        ReaderHandle::Idle => {}
-        ReaderHandle::Thread(handle) => {
-            let _ = handle.join();
-        }
-        ReaderHandle::Source(source) => {
-            // Quiesce protocol (see `crate::reactor`): the retired flag is
-            // set, deregistering stops future dispatch, and the read-mutex
-            // barrier waits out any dispatch already in flight — after it,
-            // the received counter is final.
-            if let Some(registration) = source.registration.get() {
-                registration.deregister();
-            }
-            drop(source.read.lock());
-        }
-    }
 }
 
 impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
@@ -1893,10 +1781,9 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                 let w = &mut *guard;
                 let had_pending = !w.outbox.is_empty() || w.write_failed.is_some();
                 // A write failure the reactor's writable dispatch stashed
-                // surfaces here, exactly where the blocking backend would
-                // have surfaced it synchronously. Otherwise flush fully
-                // drains the outbox (`Some(0)` parks in `wait_writable`
-                // until the socket accepts the rest).
+                // surfaces here. Otherwise flush fully drains the outbox
+                // (`Some(0)` parks in `wait_writable` until the socket
+                // accepts the rest).
                 let result = match w.write_failed.take() {
                     Some(e) => Err(e),
                     None => {
@@ -2088,11 +1975,10 @@ impl UdsAcceptor {
 struct RouterOutbound<S> {
     replay: ReplayWindow,
     stream: Option<S>,
-    /// Bumped per successful (re)connection; a pump only tears down the
-    /// stream it was spawned for.
+    /// Bumped per successful (re)connection; a connection's source only
+    /// tears down the stream it installed.
     generation: u64,
-    /// Reactor-backend bytes accepted by a forward but not yet written
-    /// (always empty on the blocking backend); bounded by
+    /// Bytes accepted by a forward but not yet written; bounded by
     /// [`ROUTER_OUTBOX_LIMIT`], past which the connection is treated as
     /// dead. Every byte here is already in the replay window.
     outbox: Outbox,
@@ -2102,12 +1988,12 @@ struct RouterOutbound<S> {
     /// the resume retransmission covers them.
     unsent: usize,
     /// Reactor registration of the live stream's fd, for arming write
-    /// interest (`None` on the blocking backend or with no live stream).
+    /// interest (`None` with no live stream, or before it registers).
     registration: Option<Arc<Registration>>,
     /// Origin connections whose read interest was disarmed because their
     /// forwards congested this outbox past [`ROUTER_OUTBOX_PAUSE`]; resumed
     /// when the outbox drains below [`ROUTER_OUTBOX_RESUME`] or the
-    /// connection dies (reactor backend only).
+    /// connection dies.
     paused_origins: Vec<PausedOrigin>,
 }
 
@@ -2184,17 +2070,13 @@ struct RouterLink<S> {
     /// Frames received from this peer across all its connections.
     received: AtomicU64,
     out: Mutex<RouterOutbound<S>>,
-    /// Live pump threads for this link (0 or 1 in steady state); a resume
-    /// waits for the old pump to exit before reading `received`. Blocking
-    /// backend only — the reactor backend quiesces `source` instead.
-    pumps: AtomicU64,
     /// Connections that found or created this link and whose handshake is
     /// still in flight (an [`AttachClaim`] each). Taken under the `links`
     /// lock, so a link with a claim is never superseded: its stream is not
     /// installed yet, but it is not dead.
     attaching: AtomicU64,
-    /// The live connection's reactor source (reactor backend only); a
-    /// resume retires and barriers it before reading `received`. Held
+    /// The live connection's reactor source; a resume retires and
+    /// barriers it before reading `received`. Held
     /// weakly: the source holds its link, and the reactor's dispatch table
     /// owns the source only while it is registered. So a connection that
     /// has ended frees its socket and decoder at once, and a superseded
@@ -2222,9 +2104,7 @@ impl<S: SocketStream> RouterLink<S> {
     /// Whether a new endpoint announcing this link's party set may drop
     /// it: only when nothing is attached to it or attaching.
     fn is_dead(&self) -> bool {
-        self.attaching.load(Ordering::SeqCst) == 0
-            && self.pumps.load(Ordering::SeqCst) == 0
-            && self.out.lock().stream.is_none()
+        self.attaching.load(Ordering::SeqCst) == 0 && self.out.lock().stream.is_none()
     }
 }
 
@@ -2256,12 +2136,10 @@ struct RouterState<S> {
     shutting_down: AtomicBool,
     replay_frames: usize,
     replay_bytes: usize,
-    /// The I/O driver connections are served with.
-    backend: TransportBackend,
 }
 
 impl<S: SocketStream> RouterState<S> {
-    fn new(backend: TransportBackend) -> Self {
+    fn new() -> Self {
         RouterState {
             endpoint: endpoint_nonce(),
             links: Mutex::new(Vec::new()),
@@ -2269,7 +2147,6 @@ impl<S: SocketStream> RouterState<S> {
             shutting_down: AtomicBool::new(false),
             replay_frames: DEFAULT_REPLAY_FRAMES,
             replay_bytes: DEFAULT_REPLAY_BYTES,
-            backend,
         }
     }
 }
@@ -2320,11 +2197,6 @@ impl<S: SocketStream> SocketRouter<S> {
             .count()
     }
 
-    /// The I/O backend this router serves connections with.
-    pub fn backend(&self) -> TransportBackend {
-        self.state.backend
-    }
-
     /// Stops accepting, closes every connection and joins all threads.
     pub fn shutdown(&mut self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
@@ -2351,9 +2223,9 @@ impl<S: SocketStream> Drop for SocketRouter<S> {
     }
 }
 
-/// The reactor read/write driver of one live router connection: forwards
-/// inbound frames through the same [`router_ingest`] the blocking pump
-/// runs, and drains the outbound link's outbox on writable readiness.
+/// The read/write driver of one live router connection: forwards inbound
+/// frames through [`router_ingest`], and drains the outbound link's outbox
+/// on writable readiness.
 struct RouterConnSource<S> {
     read: Mutex<RouterRead<S>>,
     link: Arc<RouterLink<S>>,
@@ -2371,8 +2243,8 @@ struct RouterConnSource<S> {
     registration: OnceLock<Arc<Registration>>,
 }
 
-/// Read-side state of a reactor router connection; one mutex so it doubles
-/// as the quiesce barrier (see `crate::reactor`).
+/// Read-side state of a router connection; one mutex so it doubles as the
+/// quiesce barrier (see `crate::reactor`).
 struct RouterRead<S> {
     stream: S,
     decoder: FrameDecoder,
@@ -2405,15 +2277,7 @@ impl<S: SocketStream> RouterConnSource<S> {
                     break;
                 }
                 Ok(n) => {
-                    if router_ingest(
-                        &mut read.decoder,
-                        &buf[..n],
-                        &self.link,
-                        &self.state,
-                        Some(self),
-                    )
-                    .is_err()
-                    {
+                    if router_ingest(&mut read.decoder, &buf[..n], self).is_err() {
                         read.done = true;
                         break;
                     }
@@ -2477,30 +2341,28 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
     }
 }
 
-/// Validates and forwards every complete frame `bytes` completes,
-/// counting them into the logical link's received counter. Shared by the
-/// blocking pump thread and the reactor source — the two router backends
-/// run literally this code. Each frame is checked in place exactly as a
-/// receiving decoder checks it and forwarded as its original bytes, so
-/// the router never re-encodes. Every frame of the chunk is recorded in
-/// its destination's replay window first; then each destination the chunk
-/// touched is written once ([`router_drain`]). `Err` means a corrupt frame
-/// (an over-cap length prefix, or a well-framed body that fails
-/// validation): the caller must close the connection, and nothing of it
-/// is forwarded (the valid frames before it still are).
+/// Validates and forwards every complete frame `bytes` completes on the
+/// connection `origin`, counting them into its logical link's received
+/// counter. Each frame is checked in place exactly as a receiving decoder
+/// checks it and forwarded as its original bytes, so the router never
+/// re-encodes. Every frame of the chunk is recorded in its destination's
+/// replay window first; then each destination the chunk touched is
+/// written once ([`router_drain`]). `Err` means a corrupt frame (an
+/// over-cap length prefix, or a well-framed body that fails validation):
+/// the caller must close the connection, and nothing of it is forwarded
+/// (the valid frames before it still are).
 fn router_ingest<S: SocketStream>(
     decoder: &mut FrameDecoder,
     bytes: &[u8],
-    link: &Arc<RouterLink<S>>,
-    state: &RouterState<S>,
-    origin_conn: Option<&RouterConnSource<S>>,
+    origin: &RouterConnSource<S>,
 ) -> Result<(), ()> {
+    let link = &origin.link;
     decoder.feed(bytes);
     let mut touched: Vec<Arc<RouterLink<S>>> = Vec::new();
     let decoded = loop {
         match decoder.next_frame_ref() {
             Ok(Some(frame)) => {
-                if let Some(target) = router_record(state, link, frame.to, frame.bytes) {
+                if let Some(target) = router_record(&origin.state, link, frame.to, frame.bytes) {
                     if !touched.iter().any(|t| Arc::ptr_eq(t, &target)) {
                         touched.push(target);
                     }
@@ -2512,17 +2374,15 @@ fn router_ingest<S: SocketStream>(
         }
     };
     for target in &touched {
-        router_drain(target, origin_conn);
+        router_drain(target, origin);
     }
     decoded
 }
 
 /// Handles one accepted router connection: hello, logical-link lookup (or
-/// creation), resume exchange with retransmission, then pump frames to
-/// their destinations until the stream closes. On the blocking backend the
-/// pump runs on the calling (per-connection) thread; on the reactor
-/// backend the connection is registered with the event loop and the call
-/// returns once the handshake completes.
+/// creation) and resume exchange with retransmission, on the calling
+/// (per-connection) thread. The connection is then registered with the
+/// event loop, which forwards its frames, and the call returns.
 fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterState<S>>) {
     // The router announces no parties of its own: an empty hello is what
     // marks the link as a gateway on the client side. It is security-
@@ -2552,9 +2412,9 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
             // so it can never shadow the live one in the forwarding
             // lookup. Its undelivered replay is lost — the old endpoint's
             // machines died with it, so those frames are undeliverable
-            // anyway. Links with a live stream or pump, or with a
-            // handshake in flight (e.g. shard transports sharing the party
-            // set, connecting concurrently), are never touched.
+            // anyway. Links with a live stream, or with a handshake in
+            // flight (e.g. shard transports sharing the party set,
+            // connecting concurrently), are never touched.
             links.retain(|l| l.parties != announced || !l.is_dead());
             let link = Arc::new(RouterLink {
                 endpoint: peer_endpoint,
@@ -2569,7 +2429,6 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
                     registration: None,
                     paused_origins: Vec::new(),
                 }),
-                pumps: AtomicU64::new(0),
                 attaching: AtomicU64::new(0),
                 source: Mutex::new(Weak::new()),
             });
@@ -2585,16 +2444,6 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     link.out.lock().drop_stream();
     if let Some(old) = link.take_source() {
         old.quiesce();
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while link.pumps.load(Ordering::SeqCst) != 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if link.pumps.load(Ordering::SeqCst) != 0 {
-        // The old pump is wedged: proceeding would announce a stale
-        // received count and provoke duplicate retransmissions. Drop the
-        // new connection; the peer's backoff will try again.
-        return;
     }
     let received = link.received.load(Ordering::SeqCst);
     let peer_received = match exchange_resume(&mut stream, received) {
@@ -2638,73 +2487,62 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     };
     // The installed stream now keeps the link alive.
     drop(claim);
-    match state.backend {
-        TransportBackend::Blocking => {
-            link.pumps.fetch_add(1, Ordering::SeqCst);
-            pump_router_frames(reader, &link, state);
-            link.drop_stream_of(generation);
-            link.pumps.fetch_sub(1, Ordering::SeqCst);
-        }
-        TransportBackend::Reactor => {
-            // Register the connection with the event loop and return; the
-            // handshake thread's work is done. Registration runs under the
-            // outbound lock so the source's write interest is armable the
-            // instant a concurrent forward parks bytes in the outbox.
-            let (fd, source) = match reader.set_stream_nonblocking(true).and_then(|()| {
-                let fd = reader.stream_raw_fd()?;
-                Ok((fd, reader))
-            }) {
-                Ok((fd, reader)) => (
-                    fd,
-                    Arc::new(RouterConnSource {
-                        read: Mutex::new(RouterRead {
-                            stream: reader,
-                            decoder: FrameDecoder::new(),
-                            done: false,
-                        }),
-                        link: Arc::clone(&link),
-                        state: Arc::clone(state),
-                        retired: AtomicBool::new(false),
-                        paused: Arc::new(AtomicBool::new(false)),
-                        generation,
-                        registration: OnceLock::new(),
-                    }),
-                ),
-                Err(_) => return link.drop_stream_of(generation),
-            };
-            let mut out = link.out.lock();
-            if out.generation != generation {
-                // An even newer connection superseded us mid-handshake.
+    // Register the connection with the event loop and return; the
+    // handshake thread's work is done. Registration runs under the
+    // outbound lock so the source's write interest is armable the instant
+    // a concurrent forward parks bytes in the outbox.
+    let (fd, source) = match reader.set_stream_nonblocking(true).and_then(|()| {
+        let fd = reader.stream_raw_fd()?;
+        Ok((fd, reader))
+    }) {
+        Ok((fd, reader)) => (
+            fd,
+            Arc::new(RouterConnSource {
+                read: Mutex::new(RouterRead {
+                    stream: reader,
+                    decoder: FrameDecoder::new(),
+                    done: false,
+                }),
+                link: Arc::clone(&link),
+                state: Arc::clone(state),
+                retired: AtomicBool::new(false),
+                paused: Arc::new(AtomicBool::new(false)),
+                generation,
+                registration: OnceLock::new(),
+            }),
+        ),
+        Err(_) => return link.drop_stream_of(generation),
+    };
+    let mut out = link.out.lock();
+    if out.generation != generation {
+        // An even newer connection superseded us mid-handshake.
+        return;
+    }
+    let registered = Reactor::global().and_then(|reactor| {
+        reactor.register(fd, Interest::READ, Arc::clone(&source) as Arc<dyn Source>)
+    });
+    match registered {
+        Ok(registration) => {
+            let _ = source.registration.set(Arc::clone(&registration));
+            out.registration = Some(registration);
+            // A forward that raced us between the stream install above and
+            // this registration hit `registration = None`: its `WouldBlock`
+            // could not arm write interest, so its bytes are parked in the
+            // outbox with nothing scheduled to move them. Drain now that
+            // arming works — either the bytes go out here or the leftover
+            // arms the fresh registration.
+            if !out.outbox.is_empty() && !out.write_pending() {
+                // Quiesce outside the out lock: the reactor's readable
+                // dispatch takes out locks while holding the read lock the
+                // barrier waits on.
+                drop(out);
+                source.quiesce();
                 return;
             }
-            let registered = Reactor::global().and_then(|reactor| {
-                reactor.register(fd, Interest::READ, Arc::clone(&source) as Arc<dyn Source>)
-            });
-            match registered {
-                Ok(registration) => {
-                    let _ = source.registration.set(Arc::clone(&registration));
-                    out.registration = Some(registration);
-                    // A forward that raced us between the stream install
-                    // above and this registration hit `registration =
-                    // None`: its `WouldBlock` could not arm write interest,
-                    // so its bytes are parked in the outbox with nothing
-                    // scheduled to move them. Drain now that arming works —
-                    // either the bytes go out here or the leftover arms the
-                    // fresh registration.
-                    if !out.outbox.is_empty() && !out.write_pending() {
-                        // Quiesce outside the out lock: the reactor's
-                        // readable dispatch takes out locks while holding
-                        // the read lock the barrier waits on.
-                        drop(out);
-                        source.quiesce();
-                        return;
-                    }
-                    drop(out);
-                    *link.source.lock() = Arc::downgrade(&source);
-                }
-                Err(_) => out.drop_stream(),
-            }
+            drop(out);
+            *link.source.lock() = Arc::downgrade(&source);
         }
+        Err(_) => out.drop_stream(),
     }
 }
 
@@ -2755,10 +2593,7 @@ fn router_record<S: SocketStream>(
 /// Writes every frame recorded for `target` since its last drain, behind
 /// its outbox, in one vectored write ([`RouterOutbound::write_pending`]),
 /// then applies flow control.
-fn router_drain<S: SocketStream>(
-    target: &RouterLink<S>,
-    origin_conn: Option<&RouterConnSource<S>>,
-) {
+fn router_drain<S: SocketStream>(target: &RouterLink<S>, origin: &RouterConnSource<S>) {
     let mut guard = target.out.lock();
     let out = &mut *guard;
     if out.unsent == 0 || !out.write_pending() {
@@ -2767,43 +2602,17 @@ fn router_drain<S: SocketStream>(
     if out.outbox.len() > ROUTER_OUTBOX_PAUSE {
         // Flow control: the destination is congested but healthy.
         // Disarm the origin connection's read interest so it stops
-        // producing forwards — the reactor-path analogue of the blocking
-        // backend's inline `write_all` backpressure. The destination's
-        // writable handler re-arms the origin once the outbox drains below
-        // [`ROUTER_OUTBOX_RESUME`].
-        if let Some(conn) = origin_conn {
-            if let Some(registration) = conn.registration.get() {
-                if !conn.paused.swap(true, Ordering::SeqCst) {
-                    let _ = registration.set_readable(false);
-                    out.paused_origins.push(PausedOrigin {
-                        paused: Arc::clone(&conn.paused),
-                        registration: Arc::clone(registration),
-                    });
-                }
+        // producing forwards, and backpressure reaches its peer through
+        // the socket buffers. The destination's writable handler re-arms
+        // the origin once the outbox drains below [`ROUTER_OUTBOX_RESUME`].
+        if let Some(registration) = origin.registration.get() {
+            if !origin.paused.swap(true, Ordering::SeqCst) {
+                let _ = registration.set_readable(false);
+                out.paused_origins.push(PausedOrigin {
+                    paused: Arc::clone(&origin.paused),
+                    registration: Arc::clone(registration),
+                });
             }
-        }
-    }
-}
-
-/// Reads one connection's frames until its stream closes, forwarding each
-/// and counting them into the logical link's received counter.
-fn pump_router_frames<S: SocketStream>(
-    mut reader: S,
-    link: &Arc<RouterLink<S>>,
-    state: &RouterState<S>,
-) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match reader.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                if router_ingest(&mut decoder, &buf[..n], link, state, None).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
         }
     }
 }
@@ -2812,24 +2621,15 @@ fn pump_router_frames<S: SocketStream>(
 pub type TcpRouter = SocketRouter<TcpStream>;
 
 impl TcpRouter {
-    /// Binds `addr` and spawns the accept loop on the host's default
-    /// backend ([`TransportBackend::default_for_host`]). Returns the
-    /// router and its bound address (bind port 0 for an ephemeral port).
+    /// Binds `addr` and spawns the accept loop. Returns the router and its
+    /// bound address (bind port 0 for an ephemeral port).
     pub fn spawn(addr: impl ToSocketAddrs) -> Result<(Self, SocketAddr), NetError> {
-        Self::spawn_with_backend(addr, TransportBackend::default_for_host())
-    }
-
-    /// Binds `addr` and spawns the accept loop on an explicit I/O backend.
-    pub fn spawn_with_backend(
-        addr: impl ToSocketAddrs,
-        backend: TransportBackend,
-    ) -> Result<(Self, SocketAddr), NetError> {
         let listener =
             TcpListener::bind(addr).map_err(|e| NetError::Io(format!("bind failed: {e}")))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| NetError::Io(e.to_string()))?;
-        let state: Arc<RouterState<TcpStream>> = Arc::new(RouterState::new(backend));
+        let state: Arc<RouterState<TcpStream>> = Arc::new(RouterState::new());
         let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_state = Arc::clone(&state);
@@ -2875,6 +2675,16 @@ impl TcpRouter {
             local_addr,
         ))
     }
+
+    /// [`spawn`](Self::spawn) on the given driver (there is one); kept so
+    /// callers naming it keep compiling.
+    pub fn spawn_with_backend(
+        addr: impl ToSocketAddrs,
+        backend: TransportBackend,
+    ) -> Result<(Self, SocketAddr), NetError> {
+        let TransportBackend::Reactor = backend;
+        Self::spawn(addr)
+    }
 }
 
 /// [`SocketRouter`] over Unix-domain sockets.
@@ -2884,24 +2694,14 @@ pub type UdsRouter = SocketRouter<std::os::unix::net::UnixStream>;
 #[cfg(unix)]
 impl UdsRouter {
     /// Binds the socket file at `path` (removing a stale one) and spawns
-    /// the accept loop on the host's default backend
-    /// ([`TransportBackend::default_for_host`]).
+    /// the accept loop.
     pub fn spawn(path: impl AsRef<std::path::Path>) -> Result<Self, NetError> {
-        Self::spawn_with_backend(path, TransportBackend::default_for_host())
-    }
-
-    /// Binds the socket file at `path` (removing a stale one) and spawns
-    /// the accept loop on an explicit I/O backend.
-    pub fn spawn_with_backend(
-        path: impl AsRef<std::path::Path>,
-        backend: TransportBackend,
-    ) -> Result<Self, NetError> {
         use std::os::unix::net::{UnixListener, UnixStream};
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)
             .map_err(|e| NetError::Io(format!("bind {} failed: {e}", path.display())))?;
-        let state: Arc<RouterState<UnixStream>> = Arc::new(RouterState::new(backend));
+        let state: Arc<RouterState<UnixStream>> = Arc::new(RouterState::new());
         let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_state = Arc::clone(&state);
@@ -3520,7 +3320,7 @@ mod tests {
 
         // B drops off the network; A keeps sending.
         b.sever_links();
-        // Give the router a moment to notice the hangup (its pump exits).
+        // Give the router a moment to notice the hangup (its source deregisters).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while router.connection_count() > 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));

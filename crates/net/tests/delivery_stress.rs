@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 use ppc_crypto::Seed;
 use ppc_net::secure::ChannelKeyring;
 use ppc_net::{
-    Backoff, Envelope, NetError, PartyId, TcpAcceptor, TcpTransport, Transport, TransportBackend,
-    WaitTransport,
+    Backoff, Envelope, NetError, PartyId, TcpAcceptor, TcpTransport, Transport, WaitTransport,
 };
 
 const PARTIES: u32 = 8;
@@ -41,10 +40,7 @@ fn dh(i: u32) -> PartyId {
 ///   out before its receiver's count is complete.
 #[test]
 fn delivery_storm() {
-    let transport = Arc::new(TcpTransport::new_with_backend(
-        (0..PARTIES).map(dh),
-        TransportBackend::default_for_host(),
-    ));
+    let transport = Arc::new(TcpTransport::new((0..PARTIES).map(dh)));
 
     std::thread::scope(|scope| {
         for sender in 0..DELIVERERS {
@@ -128,8 +124,7 @@ fn delivery_storm() {
 /// traffic for DH1 and never by traffic for DH2, which it does not watch.
 #[test]
 fn wakes_target_only_the_parties_a_waiter_watches() {
-    let transport =
-        TcpTransport::new_with_backend([dh(0), dh(1), dh(2)], TransportBackend::default_for_host());
+    let transport = TcpTransport::new([dh(0), dh(1), dh(2)]);
     let to = |party: PartyId, seq: u64| {
         Envelope::new(dh(100), party, "wake", seq.to_le_bytes().to_vec())
     };
@@ -177,14 +172,13 @@ fn wakes_target_only_the_parties_a_waiter_watches() {
 /// times out cleanly.
 #[test]
 fn poisoned_link_routes_to_the_party_it_concerns() {
-    let backend = TransportBackend::default_for_host();
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
 
-    let mut host = TcpTransport::new_with_backend([dh(0), dh(1)], backend);
+    let mut host = TcpTransport::new([dh(0), dh(1)]);
     host.set_security(ChannelKeyring::from_master(&Seed::from_u64(77)));
 
-    let mut dialer = TcpTransport::new_with_backend([dh(2)], backend);
+    let mut dialer = TcpTransport::new([dh(2)]);
     dialer.set_security(ChannelKeyring::from_master(&Seed::from_u64(78)));
 
     let accepted = std::thread::scope(|scope| {

@@ -1,11 +1,10 @@
 //! Link-scaling stress test: ≥64 logical links through one router process.
 //!
-//! The reactor backend's reason to exist is O(1) threads per process at any
-//! link count, where the blocking backend pays one reader thread per
-//! transport link plus one pump thread per router connection. This test
-//! runs the same 64-party ring through one in-process [`TcpRouter`] on both
-//! backends, asserts the thread-count shapes diverge as designed, and
-//! asserts the delivered traffic is identical.
+//! The socket tier runs every link and router connection on one reactor
+//! thread per process, so the thread count must not grow with the link
+//! count. This test runs a 64-party ring through one in-process
+//! [`TcpRouter`], asserts the thread count stays flat, and asserts every
+//! party receives exactly its predecessor's envelope.
 //!
 //! Linux-only: thread counts come from `/proc/self/status`, and Linux is
 //! the reactor's first-class platform (epoll).
@@ -14,9 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use ppc_net::{
-    Backoff, Envelope, PartyId, TcpRouter, TcpTransport, Transport, TransportBackend, WaitTransport,
-};
+use ppc_net::{Backoff, Envelope, PartyId, TcpRouter, TcpTransport, Transport, WaitTransport};
 
 /// Number of single-party transports (= router connections = logical links).
 const LINKS: usize = 64;
@@ -35,8 +32,8 @@ fn thread_count() -> usize {
 
 /// Samples the thread count until it stops changing (three stable samples
 /// 20 ms apart) or `budget` elapses, returning the last sample. Transient
-/// threads — reactor-backend handshakes, just-joined readers — get time to
-/// exit so the steady state is what's measured.
+/// threads — the router's per-connection handshakes — get time to exit so
+/// the steady state is what's measured.
 fn settled_thread_count(budget: Duration) -> usize {
     let deadline = Instant::now() + budget;
     let mut last = thread_count();
@@ -57,20 +54,19 @@ fn settled_thread_count(budget: Duration) -> usize {
     last
 }
 
-/// Runs the 64-party ring through one router on `backend`: every party
-/// sends one envelope to its ring successor and receives exactly one from
-/// its predecessor. Returns the steady-state thread-count delta over the
+/// Runs the 64-party ring through one router: every party sends one
+/// envelope to its ring successor and receives exactly one from its
+/// predecessor. Returns the steady-state thread-count delta over the
 /// pre-run baseline and the delivered `(from, to, payload)` rows in ring
 /// order.
-fn run_ring(backend: TransportBackend) -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
+fn run_ring() -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
     let baseline = settled_thread_count(Duration::from_secs(5));
 
-    let (mut router, addr) = TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
-    assert_eq!(router.backend(), backend);
+    let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
 
     let transports: Vec<TcpTransport> = (0..LINKS)
         .map(|i| {
-            let t = TcpTransport::new_with_backend([PartyId::DataHolder(i as u32)], backend);
+            let t = TcpTransport::new([PartyId::DataHolder(i as u32)]);
             t.connect(addr, &Backoff::default()).unwrap();
             t
         })
@@ -104,7 +100,7 @@ fn run_ring(backend: TransportBackend) -> (usize, Vec<(PartyId, PartyId, Vec<u8>
         let got = t
             .receive_any_of(&[me], Duration::from_secs(20))
             .unwrap()
-            .unwrap_or_else(|| panic!("party {me} starved on {backend}"));
+            .unwrap_or_else(|| panic!("party {me} starved"));
         delivered.push((got.from, got.to, got.payload));
     }
 
@@ -118,40 +114,22 @@ fn run_ring(backend: TransportBackend) -> (usize, Vec<(PartyId, PartyId, Vec<u8>
 }
 
 #[test]
-fn sixty_four_links_reactor_is_flat_blocking_is_linear() {
-    // Blocking first: its thread population must not be polluted by the
-    // (persistent) reactor loop thread, and between phases the teardown
-    // settles back toward the baseline.
-    let (blocking_delta, blocking_rows) = run_ring(TransportBackend::Blocking);
-    let (reactor_delta, reactor_rows) = run_ring(TransportBackend::Reactor);
+fn sixty_four_links_run_on_a_constant_number_of_threads() {
+    let (delta, rows) = run_ring();
 
-    // Blocking: ≥1 reader thread per transport link (the router's pump
-    // threads add another O(LINKS) on top; asserting the lower bound keeps
-    // the test honest without encoding the exact implementation sum).
+    // One loop thread plus a handful of accept/bookkeeping threads,
+    // regardless of link count.
     assert!(
-        blocking_delta >= LINKS,
-        "blocking backend should run O(links) threads: {LINKS} links added only \
-         {blocking_delta} threads"
+        delta <= 8,
+        "the socket tier should run O(1) threads: {LINKS} links added {delta} threads"
     );
 
-    // Reactor: one loop thread plus a handful of accept/bookkeeping
-    // threads, regardless of link count.
-    assert!(
-        reactor_delta <= 8,
-        "reactor backend should run O(1) threads: {LINKS} links added {reactor_delta} threads"
-    );
-
-    // Identical delivery: every party got exactly the predecessor's
-    // envelope, byte-for-byte the same rows on both backends.
-    assert_eq!(blocking_rows.len(), LINKS);
-    for (i, (from, to, payload)) in blocking_rows.iter().enumerate() {
+    // Every party got exactly its predecessor's envelope.
+    assert_eq!(rows.len(), LINKS);
+    for (i, (from, to, payload)) in rows.iter().enumerate() {
         let pred = (i + LINKS - 1) % LINKS;
         assert_eq!(*from, PartyId::DataHolder(pred as u32));
         assert_eq!(*to, PartyId::DataHolder(i as u32));
         assert_eq!(*payload, vec![pred as u8; 32]);
     }
-    assert_eq!(
-        blocking_rows, reactor_rows,
-        "backends must deliver identical traffic"
-    );
 }

@@ -14,24 +14,19 @@ use std::net::SocketAddr;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use ppc_net::{Backoff, PartyId, TcpRouter, TcpTransport, TransportBackend};
+use ppc_net::{Backoff, PartyId, TcpRouter, TcpTransport};
 
 const ROUNDS: usize = 60;
 
 /// Connects two transports hosting `parties` to the router at `addr`
 /// concurrently.
-fn connect_pair(
-    addr: SocketAddr,
-    parties: &[PartyId],
-    backend: TransportBackend,
-) -> Vec<TcpTransport> {
+fn connect_pair(addr: SocketAddr, parties: &[PartyId]) -> Vec<TcpTransport> {
     let start = Barrier::new(2);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(|| {
-                    let transport =
-                        TcpTransport::new_with_backend(parties.iter().copied(), backend);
+                    let transport = TcpTransport::new(parties.iter().copied());
                     start.wait();
                     transport.connect(addr, &Backoff::default()).unwrap();
                     transport
@@ -42,15 +37,16 @@ fn connect_pair(
     })
 }
 
-fn check_backend(backend: TransportBackend) {
+#[test]
+fn concurrent_handshakes_sharing_a_party_set_both_attach() {
     let parties = [
         PartyId::DataHolder(0),
         PartyId::DataHolder(1),
         PartyId::ThirdParty,
     ];
     for round in 0..ROUNDS {
-        let (mut router, addr) = TcpRouter::spawn_with_backend("127.0.0.1:0", backend).unwrap();
-        let transports = connect_pair(addr, &parties, backend);
+        let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
+        let transports = connect_pair(addr, &parties);
         // The router installs each stream after the client's handshake
         // returns, so poll for the count rather than read it once.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -61,21 +57,11 @@ fn check_backend(backend: TransportBackend) {
         }
         assert_eq!(
             count, 2,
-            "{backend:?}, round {round}: a concurrent handshake lost its link"
+            "round {round}: a concurrent handshake lost its link"
         );
         for transport in &transports {
             transport.shutdown();
         }
         router.shutdown();
     }
-}
-
-#[test]
-fn concurrent_handshakes_sharing_a_party_set_both_attach() {
-    check_backend(TransportBackend::default_for_host());
-}
-
-#[test]
-fn concurrent_handshakes_sharing_a_party_set_both_attach_on_the_blocking_backend() {
-    check_backend(TransportBackend::Blocking);
 }

@@ -13,9 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use ppc_net::{
-    Backoff, Envelope, PartyId, TcpRouter, TcpTransport, Transport, TransportBackend, WaitTransport,
-};
+use ppc_net::{Backoff, Envelope, PartyId, TcpRouter, TcpTransport, Transport, WaitTransport};
 
 const ROUNDS: usize = 200;
 
@@ -55,8 +53,7 @@ fn round(addr: std::net::SocketAddr, round: usize) {
 
 #[test]
 fn reactor_router_releases_departed_connections() {
-    let (mut router, addr) =
-        TcpRouter::spawn_with_backend("127.0.0.1:0", TransportBackend::Reactor).unwrap();
+    let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
     // The first round starts the reactor and anything else created once.
     round(addr, 0);
     let start = open_fds();

@@ -41,7 +41,7 @@
 //! clusters, chunk window, numeric mode — see [`parse_manifest`]),
 //! making the CLI a batch front-end.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::time::Duration;
 
@@ -57,8 +57,10 @@ use ppc_core::protocol::{NumericMode, ProtocolConfig};
 use ppc_core::schema::{AttributeDescriptor, Schema, WeightVector};
 use ppc_core::Alphabet;
 use ppc_crypto::Seed;
+use ppc_net::socket::SocketStream;
 use ppc_net::{
-    Backoff, ChannelKeyring, PartyId, TcpRouter, TcpTransport, TransportBackend, WaitTransport,
+    Backoff, ChannelKeyring, NetError, PartyId, SocketTransport, TcpRouter, TcpTransport,
+    WaitTransport,
 };
 #[cfg(unix)]
 use ppc_net::{UdsRouter, UdsTransport};
@@ -90,7 +92,6 @@ const VALUE_FLAGS: &[&str] = &[
     "sessions",
     "stall-ms",
     "stall-waits",
-    "transport",
 ];
 
 /// Parses `--key value` pairs (and bare boolean flags like `--insecure`).
@@ -355,27 +356,6 @@ pub fn coalescing_enabled(flags: &Flags, security: &ChannelConfig) -> Result<boo
     }
 }
 
-/// Resolves `--transport blocking|reactor` against the host platform.
-///
-/// Unset defaults to [`TransportBackend::default_for_host`] (the reactor
-/// on Linux, blocking elsewhere; `PPC_TRANSPORT` overrides). An explicit
-/// `--transport reactor` on a platform without the polling shim is
-/// rejected here rather than failing at the first link attach.
-pub fn transport_backend(flags: &Flags) -> Result<TransportBackend, String> {
-    match flags.get("transport") {
-        Some(text) => {
-            let backend = TransportBackend::parse(text)?;
-            if backend == TransportBackend::Reactor && !cfg!(unix) {
-                return Err(
-                    "--transport reactor needs a unix platform (use --transport blocking)".into(),
-                );
-            }
-            Ok(backend)
-        }
-        None => Ok(TransportBackend::default_for_host()),
-    }
-}
-
 /// Prints the delivery-path statistics line: one stable machine-parseable
 /// `DELIVERY …` line mirroring the `SEALING` line, with the buffer-pool
 /// hit rate the zero-allocation claim is audited by.
@@ -499,51 +479,78 @@ fn build_engine<T: WaitTransport>(
     Ok(engine)
 }
 
-fn run_serve(flags: &Flags) -> Result<(), Box<dyn Error>> {
-    let party = parse_party(require(flags, "party")?)?;
-    let coordinator = parse_party(require(flags, "coordinator")?)?;
-    let schema = parse_schema(require(flags, "schema")?)?;
-    let seat = seat_from_flags(flags, party, &schema)?;
+/// What a party process does once its transport is connected.
+enum Role {
+    /// Serve sessions the coordinator announces.
+    Serve { coordinator: PartyId },
+    /// Open `plans` against the `remote` parties.
+    Coordinate {
+        schema: Schema,
+        remote: Vec<PartyId>,
+        plans: Vec<SessionPlan>,
+    },
+}
+
+/// Dials the `--connect` endpoint with a transport hosting `party`, runs
+/// `role` on a [`PartyEngine`] over it and prints the outcome lines.
+fn run_party(
+    flags: &Flags,
+    party: PartyId,
+    seat: PartySeat,
+    role: Role,
+) -> Result<(), Box<dyn Error>> {
+    let backoff = startup_backoff();
+    match parse_endpoint(require(flags, "connect")?)? {
+        Endpoint::Tcp(addr) => run_over(flags, party, seat, role, |transport: &TcpTransport| {
+            transport.connect(addr.as_str(), &backoff)
+        }),
+        #[cfg(unix)]
+        Endpoint::Uds(path) => run_over(flags, party, seat, role, |transport: &UdsTransport| {
+            transport.connect(&path, &backoff)
+        }),
+        #[cfg(not(unix))]
+        Endpoint::Uds(_) => Err("uds endpoints need a unix platform".into()),
+    }
+}
+
+/// [`run_party`] over one stream type: builds the transport, seals and
+/// coalesces it as the flags say, and links it with `connect`.
+fn run_over<S: SocketStream>(
+    flags: &Flags,
+    party: PartyId,
+    seat: PartySeat,
+    role: Role,
+    connect: impl FnOnce(&SocketTransport<S>) -> Result<BTreeSet<PartyId>, NetError>,
+) -> Result<(), Box<dyn Error>>
+where
+    SocketTransport<S>: WaitTransport,
+{
     let security = channel_config(flags)?;
     let coalesce = coalescing_enabled(flags, &security)?;
-    let backend = transport_backend(flags)?;
-    let endpoint = parse_endpoint(require(flags, "connect")?)?;
-    let (report, sealing, delivery) = match endpoint {
-        Endpoint::Tcp(addr) => {
-            let mut transport = TcpTransport::new_with_backend([party], backend);
-            if let ChannelConfig::Sealed(keyring) = &security {
-                transport.set_security(keyring.clone());
-            }
-            transport.set_coalescing(coalesce);
-            transport.connect(addr.as_str(), &startup_backoff())?;
-            let engine = build_engine(transport, seat, flags)?;
-            let report = engine.serve(coordinator)?;
-            let transport = engine.transport();
-            (
-                report,
-                transport.sealing_report(),
-                transport.delivery_stats(),
-            )
-        }
-        #[cfg(unix)]
-        Endpoint::Uds(path) => {
-            let mut transport = UdsTransport::new_with_backend([party], backend);
-            if let ChannelConfig::Sealed(keyring) = &security {
-                transport.set_security(keyring.clone());
-            }
-            transport.set_coalescing(coalesce);
-            transport.connect(&path, &startup_backoff())?;
-            let engine = build_engine(transport, seat, flags)?;
-            let report = engine.serve(coordinator)?;
-            let transport = engine.transport();
-            (
-                report,
-                transport.sealing_report(),
-                transport.delivery_stats(),
-            )
-        }
-        #[cfg(not(unix))]
-        Endpoint::Uds(_) => return Err("uds endpoints need a unix platform".into()),
+    let mut transport = SocketTransport::<S>::new([party]);
+    if let ChannelConfig::Sealed(keyring) = security {
+        transport.set_security(keyring);
+    }
+    transport.set_coalescing(coalesce);
+    connect(&transport)?;
+    // The engine and its links are gone before the outcome lines are
+    // rendered, so those strings do not stack on the engine's heap.
+    let (report, sealing, delivery) = {
+        let engine = build_engine(transport, seat, flags)?;
+        let report = match role {
+            Role::Serve { coordinator } => engine.serve(coordinator)?,
+            Role::Coordinate {
+                schema,
+                remote,
+                plans,
+            } => engine.coordinate(schema, remote, plans)?,
+        };
+        let transport = engine.transport();
+        (
+            report,
+            transport.sealing_report(),
+            transport.delivery_stats(),
+        )
     };
     print_report(&report);
     print_sealing_report(sealing.as_ref());
@@ -552,6 +559,14 @@ fn run_serve(flags: &Flags) -> Result<(), Box<dyn Error>> {
         return Err(format!("{} session(s) failed", report.stats.sessions_failed).into());
     }
     Ok(())
+}
+
+fn run_serve(flags: &Flags) -> Result<(), Box<dyn Error>> {
+    let party = parse_party(require(flags, "party")?)?;
+    let coordinator = parse_party(require(flags, "coordinator")?)?;
+    let schema = parse_schema(require(flags, "schema")?)?;
+    let seat = seat_from_flags(flags, party, &schema)?;
+    run_party(flags, party, seat, Role::Serve { coordinator })
 }
 
 fn parse_numeric_mode(text: &str) -> Result<NumericMode, String> {
@@ -652,7 +667,6 @@ fn run_coordinate(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let party = parse_party(require(flags, "party")?)?;
     let schema = parse_schema(require(flags, "schema")?)?;
     let seat = seat_from_flags(flags, party, &schema)?;
-    let security = channel_config(flags)?;
     let remote: Vec<PartyId> = require(flags, "remote")?
         .split(',')
         .map(parse_party)
@@ -708,67 +722,25 @@ fn run_coordinate(flags: &Flags) -> Result<(), Box<dyn Error>> {
         }
         (None, None) => return Err("one of --sessions or --manifest is required".into()),
     };
-    let coalesce = coalescing_enabled(flags, &security)?;
-    let backend = transport_backend(flags)?;
-    let endpoint = parse_endpoint(require(flags, "connect")?)?;
-    let (report, sealing, delivery) = match endpoint {
-        Endpoint::Tcp(addr) => {
-            let mut transport = TcpTransport::new_with_backend([party], backend);
-            if let ChannelConfig::Sealed(keyring) = &security {
-                transport.set_security(keyring.clone());
-            }
-            transport.set_coalescing(coalesce);
-            transport.connect(addr.as_str(), &startup_backoff())?;
-            let engine = build_engine(transport, seat, flags)?;
-            let report = engine.coordinate(schema, remote, plans)?;
-            let transport = engine.transport();
-            (
-                report,
-                transport.sealing_report(),
-                transport.delivery_stats(),
-            )
-        }
-        #[cfg(unix)]
-        Endpoint::Uds(path) => {
-            let mut transport = UdsTransport::new_with_backend([party], backend);
-            if let ChannelConfig::Sealed(keyring) = &security {
-                transport.set_security(keyring.clone());
-            }
-            transport.set_coalescing(coalesce);
-            transport.connect(&path, &startup_backoff())?;
-            let engine = build_engine(transport, seat, flags)?;
-            let report = engine.coordinate(schema, remote, plans)?;
-            let transport = engine.transport();
-            (
-                report,
-                transport.sealing_report(),
-                transport.delivery_stats(),
-            )
-        }
-        #[cfg(not(unix))]
-        Endpoint::Uds(_) => return Err("uds endpoints need a unix platform".into()),
+    let role = Role::Coordinate {
+        schema,
+        remote,
+        plans,
     };
-    print_report(&report);
-    print_sealing_report(sealing.as_ref());
-    print_delivery_report(Some(&delivery));
-    if report.stats.sessions_failed > 0 {
-        return Err(format!("{} session(s) failed", report.stats.sessions_failed).into());
-    }
-    Ok(())
+    run_party(flags, party, seat, role)
 }
 
 fn run_route(flags: &Flags) -> Result<(), Box<dyn Error>> {
-    let backend = transport_backend(flags)?;
     match parse_endpoint(require(flags, "listen")?)? {
         Endpoint::Tcp(addr) => {
-            let (router, bound) = TcpRouter::spawn_with_backend(addr.as_str(), backend)?;
-            println!("ROUTER listening=tcp:{bound} transport={backend}");
+            let (router, bound) = TcpRouter::spawn(addr.as_str())?;
+            println!("ROUTER listening=tcp:{bound}");
             park_forever(router);
         }
         #[cfg(unix)]
         Endpoint::Uds(path) => {
-            let router = UdsRouter::spawn_with_backend(&path, backend)?;
-            println!("ROUTER listening=uds:{path} transport={backend}");
+            let router = UdsRouter::spawn(&path)?;
+            println!("ROUTER listening=uds:{path}");
             park_forever(router);
         }
         #[cfg(not(unix))]
@@ -790,9 +762,6 @@ const USAGE: &str = "usage: ppc-party <route|serve|coordinate> --flag value ...\
              --schema SPEC --csv FILE (--sessions N | --manifest FILE) --clusters K \\\n\
              [--linkage L] [--chunk-rows W] [--numeric-mode batch|per-pair] \\\n\
              [--psk N | --insecure]\n\
-all modes accept [--transport blocking|reactor]: the socket I/O driver (default:\n\
-reactor on Linux, blocking elsewhere; PPC_TRANSPORT overrides the default). Both\n\
-drivers are wire- and result-identical; reactor keeps O(1) threads per process.\n\
 serve/coordinate also accept [--stall-ms MS] [--stall-waits N] (default 100 ms x\n\
 600: the engine errors out after that much true silence) and [--ready-ms MS]\n\
 [--ready-waits N] to bound only the phase-1 readiness gather.\n\
@@ -946,39 +915,6 @@ mod tests {
         args.extend(BOOLEAN_FLAGS.iter().map(|key| format!("--{key}")));
         let flags = parse_flags(&args).unwrap();
         assert_eq!(flags.len(), VALUE_FLAGS.len() + BOOLEAN_FLAGS.len());
-    }
-
-    #[test]
-    fn transport_flag_resolves_and_rejects_unknown_backends() {
-        // Explicit spellings parse to their backend.
-        let flags = parse_flags(&["--transport".into(), "blocking".into()]).unwrap();
-        assert_eq!(
-            transport_backend(&flags).unwrap(),
-            TransportBackend::Blocking
-        );
-        let flags = parse_flags(&["--transport".into(), "reactor".into()]).unwrap();
-        if cfg!(unix) {
-            assert_eq!(
-                transport_backend(&flags).unwrap(),
-                TransportBackend::Reactor
-            );
-        } else {
-            assert!(
-                transport_backend(&flags).is_err(),
-                "explicit --transport reactor off unix must be rejected"
-            );
-        }
-
-        // Unset resolves to the host default (never an error).
-        assert!(transport_backend(&Flags::new()).is_ok());
-
-        // Typos are rejected with the expected spellings named.
-        let flags = parse_flags(&["--transport".into(), "epoll".into()]).unwrap();
-        let err = transport_backend(&flags).unwrap_err();
-        assert!(err.contains("blocking") && err.contains("reactor"), "{err}");
-
-        // --transport is a valued flag: a bare `--transport` is malformed.
-        assert!(parse_flags(&["--transport".into()]).is_err());
     }
 
     #[test]

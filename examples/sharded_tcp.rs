@@ -16,7 +16,7 @@
 //!   real TCP stack;
 //! * a [`ShardedEngine`] hash-shards six clustering sessions across two
 //!   worker threads; idle workers park in condvar-blocking receives until
-//!   the socket reader threads deliver the next frame;
+//!   the socket reactor delivers the next frame;
 //! * every published result is asserted identical to the in-memory
 //!   reference driver — sharding and sockets change the plumbing, never
 //!   the protocol.

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use ppc_scenario::digest::fingerprint_outcomes;
 use ppclust::cluster::Linkage;
 use ppclust::core::protocol::driver::ClusteringRequest;
 use ppclust::core::protocol::engine::{EngineOutcome, SessionEngine, SessionSpec};
@@ -14,7 +15,9 @@ use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{NumericMode, ProtocolConfig};
 use ppclust::crypto::Seed;
 use ppclust::data::Workload;
-use ppclust::net::{Backoff, Network, PartyId, SimulatedWan, TcpRouter, TcpTransport, WanProfile};
+use ppclust::net::{
+    Backoff, ChannelKeyring, Network, PartyId, SimulatedWan, TcpRouter, TcpTransport, WanProfile,
+};
 
 const HOLDERS: u32 = 3;
 
@@ -144,48 +147,72 @@ fn four_shards_over_simulated_wans_match_the_sequential_oracle() {
 /// shards over **loopback TCP** — every envelope leaves the process
 /// through the kernel's TCP stack, crosses the frame router (wire format
 /// per `docs/WIRE_FORMAT.md`) and comes back — with results identical to
-/// the single-threaded `SessionEngine`.
+/// the single-threaded `SessionEngine`, bit for bit. It runs twice: over
+/// plaintext links, and over sealed, coalescing links (the configuration
+/// of `ppcbench`'s TCP workloads).
 #[test]
 fn sharded_sessions_over_loopback_tcp_match_the_single_threaded_engine() {
     let specs = mixed_specs();
     let oracle = oracle_outcomes(&specs);
 
-    let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
-    let parties: Vec<PartyId> = (0..HOLDERS)
-        .map(PartyId::DataHolder)
-        .chain([PartyId::ThirdParty])
-        .collect();
-    let transports: Vec<TcpTransport> = (0..2)
-        .map(|_| {
-            let transport = TcpTransport::new(parties.iter().copied());
-            let announced = transport.connect(addr, &Backoff::default()).unwrap();
-            assert!(announced.is_empty(), "the router announces no parties");
-            transport
-        })
-        .collect();
+    for sealed in [false, true] {
+        let pass = if sealed { "sealed" } else { "plaintext" };
+        let (mut router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
+        let parties: Vec<PartyId> = (0..HOLDERS)
+            .map(PartyId::DataHolder)
+            .chain([PartyId::ThirdParty])
+            .collect();
+        let transports: Vec<TcpTransport> = (0..2)
+            .map(|_| {
+                let mut transport = TcpTransport::new(parties.iter().copied());
+                if sealed {
+                    transport.set_security(ChannelKeyring::from_master(&Seed::from_u64(99)));
+                    transport.set_coalescing(true);
+                }
+                let announced = transport.connect(addr, &Backoff::default()).unwrap();
+                assert!(announced.is_empty(), "the router announces no parties");
+                transport
+            })
+            .collect();
 
-    let mut engine = ShardedEngine::new(transports).unwrap();
-    for spec in &specs {
-        engine.add_session(spec.clone());
-    }
-    // Loopback frames round-trip through the kernel; give stalls a real
-    // timeout budget rather than the in-memory default.
-    engine.set_stall_budget(Duration::from_millis(100), 100);
-    let run = engine.run().unwrap();
+        let mut engine = ShardedEngine::new(transports).unwrap();
+        for spec in &specs {
+            engine.add_session(spec.clone());
+        }
+        // Loopback frames round-trip through the kernel; give stalls a real
+        // timeout budget rather than the in-memory default.
+        engine.set_stall_budget(Duration::from_millis(100), 100);
+        let run = engine.run().unwrap();
 
-    assert_matches_oracle(&run.outcomes, &oracle);
-    assert_eq!(run.shards.len(), 2);
-    for stats in &run.shards {
-        assert_eq!(stats.sessions.len(), 3);
-        assert!(stats.messages_sent > 0);
-    }
-    assert_eq!(router.unroutable_frames(), 0, "every frame found its party");
-    assert_eq!(router.connection_count(), 2);
+        assert_matches_oracle(&run.outcomes, &oracle);
+        assert_eq!(
+            fingerprint_outcomes(&run.outcomes),
+            fingerprint_outcomes(&oracle),
+            "{pass}: TCP run is not f64-bit identical to the oracle"
+        );
+        assert_eq!(run.shards.len(), 2);
+        for stats in &run.shards {
+            assert_eq!(stats.sessions.len(), 3);
+            assert!(stats.messages_sent > 0);
+        }
+        if sealed {
+            for transport in engine.transports() {
+                let report = transport.sealing_report().expect("sealed transport");
+                assert!(report.total().records_sealed > 0, "frames were sealed");
+            }
+        }
+        assert_eq!(
+            router.unroutable_frames(),
+            0,
+            "{pass}: every frame found its party"
+        );
+        assert_eq!(router.connection_count(), 2);
 
-    for transport in engine.transports() {
-        transport.shutdown();
+        for transport in engine.transports() {
+            transport.shutdown();
+        }
+        router.shutdown();
     }
-    router.shutdown();
 }
 
 #[cfg(unix)]
