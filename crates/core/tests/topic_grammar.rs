@@ -1,7 +1,8 @@
 //! Property-based coverage for the topic grammar of `docs/WIRE_FORMAT.md`
 //! §5: parse/format round-trips over the whole production space (including
-//! `s{id}/` prefixes and the reserved `ctl/` namespace) and rejection of
-//! malformed topics.
+//! `s{id}/` prefixes and the reserved `ctl/` namespace), rejection of
+//! malformed topics, and the parser on arbitrary UTF-8: it never panics,
+//! and every string it accepts displays back to itself.
 
 use proptest::prelude::*;
 
@@ -117,6 +118,95 @@ proptest! {
         prop_assert!(Topic::parse(&format!("clustering-choice/{attr}")).is_err());
         // An empty attribute never parses.
         prop_assert!(Topic::parse(&format!("s{id}/categorical/")).is_err());
+    }
+}
+
+/// Grammar fragments the arbitrary-string property splices between
+/// arbitrary characters, so the parser sees near-valid topics as well as
+/// noise: keywords, separators, canonical and non-canonical decimals at
+/// and past the `u32` / `u64` limits, and multi-byte characters.
+const FRAGMENTS: [&str; 32] = [
+    "s",
+    "ctl/",
+    "/",
+    "-",
+    "0",
+    "1",
+    "7",
+    "42",
+    "01",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "local/",
+    "categorical/",
+    "numeric/",
+    "alphanumeric/",
+    "masked",
+    "masked-chunk",
+    "pairwise",
+    "pairwise-chunk",
+    "ccms",
+    "ccms-chunk",
+    "clustering-choice",
+    "published-result",
+    "age",
+    "é",
+    "\u{0}",
+    " ",
+    "ß/",
+    "\u{10FFFF}",
+    "+1",
+];
+
+/// A string spliced from `picks`: each pick is a grammar fragment or, one
+/// time in three, an arbitrary Unicode scalar value.
+fn spliced(picks: &[u32]) -> String {
+    picks
+        .iter()
+        .map(|&pick| {
+            if pick.is_multiple_of(3) {
+                char::from_u32((pick >> 2) % 0x11_0000)
+                    .unwrap_or(char::REPLACEMENT_CHARACTER)
+                    .to_string()
+            } else {
+                FRAGMENTS[(pick >> 2) as usize % FRAGMENTS.len()].to_string()
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Topic::parse` never panics on strings spliced from grammar
+    /// fragments and arbitrary characters, and every one it accepts
+    /// displays back to the same string (with the allocation-free prefix
+    /// extraction agreeing on its session id).
+    #[test]
+    fn parse_never_panics_and_accepted_topics_display_back(
+        picks in prop::collection::vec(any::<u32>(), 0..24),
+    ) {
+        let raw = spliced(&picks);
+        if let Ok(topic) = Topic::parse(&raw) {
+            prop_assert_eq!(topic.to_string(), raw.clone());
+            prop_assert_eq!(Topic::session_prefix_id(&raw), topic.session_id());
+        }
+    }
+
+    /// The same on strings of arbitrary Unicode scalar values alone.
+    #[test]
+    fn parse_never_panics_on_arbitrary_unicode(
+        scalars in prop::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let raw: String = scalars
+            .iter()
+            .filter_map(|&v| char::from_u32(v % 0x11_0000))
+            .collect();
+        if let Ok(topic) = Topic::parse(&raw) {
+            prop_assert_eq!(topic.to_string(), raw);
+        }
     }
 }
 

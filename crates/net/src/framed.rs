@@ -10,6 +10,9 @@
 //!   incremental: bytes can be fed in arbitrary fragments (partial reads)
 //!   and frames pop out exactly when complete, either as owned envelopes
 //!   or as a [`Frame`] borrowed from the decoder's buffer.
+//! * [`encode_ack`] — the socket tier's per-hop cumulative ack, a frame
+//!   whose body is one `u64`. [`FrameDecoder::next_link_frame`] yields acks
+//!   beside envelopes; the envelope-only views skip them.
 //! * [`StreamTransport`] — a [`Transport`] over one `io::Read + io::Write`
 //!   duplex per party, so anything socket-shaped slots in without touching
 //!   protocol code.
@@ -36,6 +39,11 @@ pub const MAX_FRAME_BODY: usize = 1 << 30;
 
 const PARTY_HOLDER: u8 = 0;
 const PARTY_THIRD: u8 = 1;
+
+/// Body length of a hop ack (`docs/WIRE_FORMAT.md` §4.1): one `u64`. No
+/// envelope body is this short (the shortest holds two parties and two
+/// length prefixes, 18 bytes), so the length alone tells an ack apart.
+pub const ACK_BODY_LEN: usize = 8;
 
 /// The 5-byte wire encoding of one party (tag byte + `u32` LE index),
 /// byte-identical to [`put_party`], for callers that want a stack buffer.
@@ -132,6 +140,16 @@ pub fn encode_frame(envelope: &Envelope) -> Result<Vec<u8>, NetError> {
     Ok(frame)
 }
 
+/// Encodes a hop ack: the sender has taken `acked` frames off the link so
+/// far, across every stream the link has had. Acks are link metadata:
+/// never numbered, counted, sealed or retransmitted.
+pub fn encode_ack(acked: u64) -> [u8; 4 + ACK_BODY_LEN] {
+    let mut frame = [0u8; 4 + ACK_BODY_LEN];
+    frame[..4].copy_from_slice(&(ACK_BODY_LEN as u32).to_le_bytes());
+    frame[4..].copy_from_slice(&acked.to_le_bytes());
+    frame
+}
+
 /// One complete frame, validated and parsed in place in a
 /// [`FrameDecoder`]'s buffer.
 ///
@@ -158,6 +176,27 @@ impl Frame<'_> {
     pub fn to_envelope(&self) -> Envelope {
         Envelope::new(self.from, self.to, self.topic, self.payload.to_vec())
     }
+}
+
+/// One unit of a link's byte stream, as [`FrameDecoder::next_link_frame`]
+/// yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkFrame<'a> {
+    /// An envelope frame.
+    Envelope(Frame<'a>),
+    /// A hop ack carrying the peer's cumulative received-frame count.
+    Ack(u64),
+}
+
+/// What [`FrameDecoder::next_unit`] consumed, by position, so no borrow of
+/// the buffer outlives the call.
+enum Unit {
+    Envelope {
+        /// The frame's span in the buffer, length prefix included.
+        bytes: Range<usize>,
+        layout: BodyLayout,
+    },
+    Ack(u64),
 }
 
 /// Where a validated body's fields sit, relative to the body start.
@@ -190,9 +229,11 @@ fn parse_body(body: &[u8]) -> Result<BodyLayout, NetError> {
 /// Incremental decoder turning a byte stream back into frames.
 ///
 /// Feed fragments of any size with [`feed`](Self::feed); call
-/// [`next_frame`](Self::next_frame) (owned envelopes) or
-/// [`next_frame_ref`](Self::next_frame_ref) (borrowed frames) until it
-/// returns `None` to drain every frame that has fully arrived.
+/// [`next_frame`](Self::next_frame) (owned envelopes),
+/// [`next_frame_ref`](Self::next_frame_ref) (borrowed frames) or
+/// [`next_link_frame`](Self::next_link_frame) (borrowed frames and hop
+/// acks) until it returns `None` to drain every frame that has fully
+/// arrived.
 ///
 /// Buffer contract: the stream lives in one contiguous buffer with a read
 /// cursor, and every frame is parsed from a slice of it. The buffer grows
@@ -237,16 +278,44 @@ impl FrameDecoder {
     }
 
     /// Pops the next complete envelope, or `None` if more bytes are needed.
+    /// Hop acks are skipped.
     pub fn next_frame(&mut self) -> Result<Option<Envelope>, NetError> {
         Ok(self.next_frame_ref()?.map(|frame| frame.to_envelope()))
     }
 
-    /// Pops the next complete frame as a view into the decoder's buffer,
-    /// or `None` if more bytes are needed. Accepts and rejects exactly
-    /// the streams [`next_frame`](Self::next_frame) does; a frame whose
+    /// Pops the next complete envelope frame as a view into the decoder's
+    /// buffer, or `None` if more bytes are needed. Hop acks are skipped.
+    /// Accepts and rejects exactly the streams [`next_frame`](Self::next_frame)
+    /// and [`next_link_frame`](Self::next_link_frame) do; a frame whose
     /// body fails validation is consumed along with the error, while an
     /// over-cap length prefix is never consumed.
     pub fn next_frame_ref(&mut self) -> Result<Option<Frame<'_>>, NetError> {
+        loop {
+            match self.next_unit()? {
+                None => return Ok(None),
+                Some(Unit::Ack(_)) => {}
+                Some(Unit::Envelope { bytes, layout }) => {
+                    return Ok(Some(self.frame_at(bytes, layout)))
+                }
+            }
+        }
+    }
+
+    /// Pops the next complete unit of a link's stream — an envelope frame
+    /// or a hop ack — or `None` if more bytes are needed.
+    pub fn next_link_frame(&mut self) -> Result<Option<LinkFrame<'_>>, NetError> {
+        Ok(match self.next_unit()? {
+            None => None,
+            Some(Unit::Ack(acked)) => Some(LinkFrame::Ack(acked)),
+            Some(Unit::Envelope { bytes, layout }) => {
+                Some(LinkFrame::Envelope(self.frame_at(bytes, layout)))
+            }
+        })
+    }
+
+    /// Consumes and validates the next complete frame: an 8-byte body is
+    /// an ack, any other is an envelope body.
+    fn next_unit(&mut self) -> Result<Option<Unit>, NetError> {
         let held = &self.buf[self.start..];
         if held.len() < 4 {
             return Ok(None);
@@ -264,6 +333,10 @@ impl FrameDecoder {
         let body_at = at + 4;
         let end = body_at + body_len;
         self.start = end;
+        if body_len == ACK_BODY_LEN {
+            let acked = u64::from_le_bytes(self.buf[body_at..end].try_into().expect("8 bytes"));
+            return Ok(Some(Unit::Ack(acked)));
+        }
         let layout = parse_body(&self.buf[body_at..end])?;
         // Canonical party fields: the third party's index is written as
         // 0 whatever the sender put there, as `encode_frame` writes it.
@@ -272,14 +345,23 @@ impl FrameDecoder {
                 self.buf[offset + 1..offset + 5].fill(0);
             }
         }
-        let body = &self.buf[body_at..end];
-        Ok(Some(Frame {
+        Ok(Some(Unit::Envelope {
+            bytes: at..end,
+            layout,
+        }))
+    }
+
+    /// The envelope frame [`next_unit`](Self::next_unit) consumed at
+    /// `bytes`.
+    fn frame_at(&self, bytes: Range<usize>, layout: BodyLayout) -> Frame<'_> {
+        let body = &self.buf[bytes.start + 4..bytes.end];
+        Frame {
             from: layout.from,
             to: layout.to,
             topic: std::str::from_utf8(&body[layout.topic]).expect("validated utf-8"),
             payload: &body[layout.payload],
-            bytes: &self.buf[at..end],
-        }))
+            bytes: &self.buf[bytes],
+        }
     }
 }
 

@@ -71,7 +71,10 @@ pub use cost::CostModel;
 pub use delivery::DeliveryMode;
 pub use eavesdrop::Eavesdropper;
 pub use error::NetError;
-pub use framed::{encode_frame, memory_duplex, Frame, FrameDecoder, MemoryDuplex, StreamTransport};
+pub use framed::{
+    encode_ack, encode_frame, memory_duplex, Frame, FrameDecoder, LinkFrame, MemoryDuplex,
+    StreamTransport,
+};
 pub use message::{ChannelSecurity, Envelope};
 pub use metrics::{
     CommReport, DeliveryReporter, DeliveryStats, LinkStats, SealingReport, SealingReporter,

@@ -23,9 +23,12 @@
 //!   its read driver (see *I/O driver*) into per-party delivery
 //!   slots, so [`WaitTransport::receive_any_of`] parks without spinning
 //!   and wakes only for the parties it watches. Every link
-//!   keeps a bounded replay window of sent frames (implicit per-link
-//!   sequence numbers), making re-dials and re-accepts **lossless**: the
-//!   resume handshake retransmits exactly the suffix the other side lost;
+//!   keeps a replay window of sent frames (implicit per-link sequence
+//!   numbers), making re-dials and re-accepts **lossless**: the resume
+//!   handshake retransmits exactly the suffix the other side lost. The
+//!   receiving end of every link and router connection acks what it has
+//!   taken ([per-hop acks](#per-hop-acks)), so a window holds only the
+//!   frames its peer does not have yet;
 //! * [`Backoff`] — retry policy for transient connect/send errors
 //!   (connection refused while the peer is still binding, broken pipes on
 //!   links that can be re-dialled);
@@ -49,6 +52,25 @@
 //! at any link count. The loop needs unix descriptors: off unix, attaching a
 //! link or a router connection fails loudly ("reactor backend
 //! unavailable").
+//!
+//! ## Per-hop acks
+//!
+//! Each hop acks for itself (`docs/WIRE_FORMAT.md` §3, §4.1). Once
+//! [`ACK_EVERY_FRAMES`] frames or [`ACK_EVERY_BYTES`] bytes have arrived
+//! on a link since its last ack, its receiving end sends the `received`
+//! count the resume exchange carries, as a frame of its own
+//! ([`encode_ack`]), and the sender drops every replay-window frame up to
+//! it. The ack rides a write the link makes anyway — the transport's turn
+//! flush, the router's per-chunk write — and goes alone only when the link
+//! has nothing of its own to send. A router acks its origin once a frame
+//! is in the destination's window and keeps it there until the
+//! destination acks, so store-and-forward is unchanged. On a transport the
+//! reactor thread never waits on a writer lock (a sender parked on
+//! backpressure holds it): the read driver checks each ack and publishes
+//! it in counters the link's two halves share, and the writer trims at its
+//! next record, flush or resume. A resume count trims like an ack. An ack
+//! past what was sent, or one that goes backwards, fails the link as a
+//! decode error (a router closes the connection).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -64,7 +86,9 @@ use polling::Interest;
 use crate::codec::{WireReader, WireWriter};
 use crate::delivery::{DeliveryMode, FailureScope, Inbox};
 use crate::error::NetError;
-use crate::framed::{encode_frame, get_party, put_party, FrameDecoder, MAX_FRAME_BODY};
+use crate::framed::{
+    encode_ack, encode_frame, get_party, put_party, FrameDecoder, LinkFrame, MAX_FRAME_BODY,
+};
 use crate::message::Envelope;
 use crate::metrics::{DeliveryStats, SealingReport, WaitStats};
 use crate::party::PartyId;
@@ -91,8 +115,9 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 /// packs the alphanumeric payloads (§6.5–§6.7): masked symbols and CCM
 /// cells travel at ⌈log₂|A|⌉ bits, and a CCM bundle's shapes are one
 /// length vector per side. A v4 peer would misread them, so it is rejected
-/// the same way.
-pub const WIRE_VERSION: u8 = 5;
+/// the same way. Version 6 adds the per-hop ack (§4.1): a v5 peer would take
+/// its 8-byte body for a corrupt envelope and drop the link.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Byte budget of sealed frames a coalescing link holds in its outbox
 /// before it writes them without waiting for the next explicit flush (see
@@ -101,16 +126,37 @@ pub const WIRE_VERSION: u8 = 5;
 /// once for many protocol-sized frames.
 pub const COALESCE_BUDGET: usize = 64 << 10;
 
-/// Default number of recently sent frames every link retains for
-/// retransmission after a reconnect. Override with
-/// [`SocketTransport::set_replay_window`].
+/// Default hard cap on the frames a link's replay window holds. The window
+/// holds only what the peer has not acked, which stays near one ack
+/// threshold ([`ACK_EVERY_FRAMES`], [`ACK_EVERY_BYTES`]) plus the frames in
+/// flight; the cap binds only when a peer stops acking (offline behind a
+/// router, say). Override with [`SocketTransport::set_replay_window`].
 pub const DEFAULT_REPLAY_FRAMES: usize = 1024;
 
-/// Default byte budget of a link's replay window (64 MiB): whichever of
-/// the frame-count and byte bounds is hit first evicts the oldest frames
-/// (always keeping at least one), so links carrying huge frames do not
-/// retain gigabytes. A reconnect needing evicted frames fails loudly.
+/// Default hard cap on the bytes of a link's replay window (64 MiB).
+/// Whichever cap is hit first evicts the oldest frames (always keeping at
+/// least one), so a link whose peer stops acking never retains
+/// gigabytes. A reconnect needing evicted frames fails loudly, naming the
+/// cap that evicted them.
 pub const DEFAULT_REPLAY_BYTES: usize = 64 << 20;
+
+/// A receiving end acks its link once this many frames have arrived since
+/// its last ack (or resume count).
+pub const ACK_EVERY_FRAMES: u64 = 256;
+
+/// A receiving end acks its link once this many frame bytes have arrived
+/// since its last ack (or resume count), whichever threshold comes first.
+pub const ACK_EVERY_BYTES: usize = 256 << 10;
+
+/// Whether the frames and bytes a receiving end has taken since its last
+/// ack call for an ack; if so, the count starts over.
+fn ack_due(since_ack: &mut (u64, usize)) -> bool {
+    let due = since_ack.0 >= ACK_EVERY_FRAMES || since_ack.1 >= ACK_EVERY_BYTES;
+    if due {
+        *since_ack = (0, 0);
+    }
+    due
+}
 
 /// Soft cap on bytes parked in a reactor link's outbox before the sending
 /// thread stops queueing and drains synchronously (parking in
@@ -250,26 +296,38 @@ fn is_transient(e: &std::io::Error) -> bool {
     )
 }
 
-/// A bounded window of the most recently sent frames on one logical link,
-/// indexed by implicit per-link sequence number (frame `i` is simply the
-/// `i`-th frame ever written onto the link; per-link FIFO makes the
+/// The frames sent on one logical link that the peer has not acknowledged
+/// yet, indexed by implicit per-link sequence number (frame `i` is simply
+/// the `i`-th frame ever written onto the link; per-link FIFO makes the
 /// numbering unambiguous without putting sequence numbers on the wire).
 ///
-/// After a reconnect, the peer announces how many frames it has received;
-/// [`unacked`](Self::unacked) yields exactly the lost suffix for
-/// retransmission. If the suffix no longer fits the window the link is
-/// unrecoverable and the caller must fail loudly instead of resuming with a
-/// gap.
+/// The peer's hop acks and resume counts drop the frames they cover
+/// ([`ack`](Self::ack), [`resume`](Self::resume)); after a reconnect the
+/// window then holds exactly the lost suffix for retransmission. Two hard
+/// caps, frames and bytes, bound the window when the peer stops acking:
+/// past them the oldest frames are evicted, and a resume that needs one
+/// fails loudly instead of resuming with a gap.
 #[derive(Debug)]
 struct ReplayWindow {
     frames: VecDeque<Vec<u8>>,
     /// Total frames ever recorded (the sequence number of the newest frame).
     sent: u64,
+    /// The peer's latest cumulative ack or resume count.
+    acked: u64,
     capacity: usize,
-    /// Byte budget across the retained frames (at least one frame is
-    /// always kept so the most recent send stays retransmittable).
+    /// Byte cap across the retained frames (at least one frame is always
+    /// kept so the most recent send stays retransmittable).
     byte_budget: usize,
     bytes: usize,
+    /// The cap that evicted the newest evicted frame, if any was evicted.
+    evicted_by: Option<ReplayCap>,
+}
+
+/// The two hard caps of a [`ReplayWindow`].
+#[derive(Debug, Clone, Copy)]
+enum ReplayCap {
+    Frames,
+    Bytes,
 }
 
 impl ReplayWindow {
@@ -277,14 +335,16 @@ impl ReplayWindow {
         ReplayWindow {
             frames: VecDeque::new(),
             sent: 0,
+            acked: 0,
             capacity: capacity.max(1),
             byte_budget: byte_budget.max(1),
             bytes: 0,
+            evicted_by: None,
         }
     }
 
     /// Records one sent frame, evicting the oldest beyond the frame or
-    /// byte bound — but never the newest `keep` frames (at least the one
+    /// byte cap — but never the newest `keep` frames (at least the one
     /// just recorded): a router writes a read chunk's frames from here
     /// after recording them all.
     fn record(&mut self, frame: Vec<u8>, keep: usize) {
@@ -294,37 +354,94 @@ impl ReplayWindow {
         while self.frames.len() > keep.max(1)
             && (self.frames.len() > self.capacity || self.bytes > self.byte_budget)
         {
+            self.evicted_by = Some(if self.frames.len() > self.capacity {
+                ReplayCap::Frames
+            } else {
+                ReplayCap::Bytes
+            });
             if let Some(evicted) = self.frames.pop_front() {
                 self.bytes -= evicted.len();
             }
         }
     }
 
-    /// The frames the peer has not acknowledged (received fewer than
-    /// `sent`), oldest first. `Err` carries a description when the suffix
-    /// has been partially evicted (frames irrecoverably lost) or the peer
-    /// claims more frames than were ever sent (protocol violation).
-    fn unacked(&self, peer_received: u64) -> Result<Vec<&[u8]>, String> {
-        if peer_received > self.sent {
+    /// Takes the peer's cumulative hop ack: it holds every frame up to
+    /// `acked`, so they leave the window. The newest `unwritten` frames
+    /// are not on the wire yet and cannot be acked. `Err` (the ack passes
+    /// what was written, or goes back from the peer's earlier one) leaves
+    /// the window as it was.
+    fn ack(&mut self, acked: u64, unwritten: usize) -> Result<(), String> {
+        let written = self.sent.saturating_sub(unwritten as u64);
+        if acked > written {
             return Err(format!(
-                "peer claims {peer_received} received frames, only {} were sent",
+                "peer acks {acked} frames, only {written} were sent"
+            ));
+        }
+        if acked < self.acked {
+            return Err(format!(
+                "peer acks {acked} frames after acking {}",
+                self.acked
+            ));
+        }
+        let first = self.sent - self.frames.len() as u64;
+        for _ in first..acked {
+            if let Some(freed) = self.frames.pop_front() {
+                self.bytes -= freed.len();
+            }
+        }
+        self.acked = acked;
+        Ok(())
+    }
+
+    /// How many frames follow the peer's `received` count. `Err` names
+    /// why the link cannot resume at that count: the count passes what
+    /// was sent, falls below the peer's own earlier ack, or the frames
+    /// after it were evicted by the frame or the byte cap.
+    fn pending_after(&self, received: u64) -> Result<usize, String> {
+        if received > self.sent {
+            return Err(format!(
+                "peer claims {received} received frames, only {} were sent",
                 self.sent
             ));
         }
-        let pending = (self.sent - peer_received) as usize;
-        if pending > self.frames.len() {
+        if received < self.acked {
             return Err(format!(
-                "{} unacknowledged frames evicted from the {}-frame replay window",
-                pending - self.frames.len(),
-                self.capacity
+                "peer claims {received} received frames, below its own earlier ack of {}",
+                self.acked
             ));
         }
+        let pending = self.sent - received;
+        let held = self.frames.len() as u64;
+        if pending > held {
+            let cap = match self.evicted_by {
+                Some(ReplayCap::Bytes) => format!("{}-byte cap", self.byte_budget),
+                _ => format!("{}-frame cap", self.capacity),
+            };
+            return Err(format!(
+                "{} unacknowledged frames evicted from the replay window by its {cap}",
+                pending - held
+            ));
+        }
+        Ok(pending as usize)
+    }
+
+    /// The frames after the peer's `received` count, oldest first; `Err`
+    /// as for [`pending_after`](Self::pending_after).
+    fn unacked(&self, received: u64) -> Result<impl Iterator<Item = &[u8]>, String> {
+        let pending = self.pending_after(received)?;
         Ok(self
             .frames
-            .iter()
-            .skip(self.frames.len() - pending)
-            .map(Vec::as_slice)
-            .collect())
+            .range(self.frames.len() - pending..)
+            .map(Vec::as_slice))
+    }
+
+    /// Takes the peer's resume count: it acks like a hop ack, so afterwards
+    /// the window holds exactly the frames to retransmit. `Err` as for
+    /// [`pending_after`](Self::pending_after), leaving the window as it
+    /// was.
+    fn resume(&mut self, received: u64) -> Result<(), String> {
+        self.pending_after(received)?;
+        self.ack(received, 0)
     }
 }
 
@@ -444,11 +561,14 @@ fn encode_hello(endpoint: u64, parties: &BTreeSet<PartyId>, mode: SecurityMode) 
     w.finish()
 }
 
-/// Handshake stage 1: writes our hello, reads and validates the peer's,
-/// negotiates channel security, and returns the endpoint id and party set
-/// the peer announced. Arms a read timeout that [`exchange_resume`] clears
-/// once stage 2 completes.
-fn exchange_hello<S: SocketStream>(
+/// Handshake stage 1 (`docs/WIRE_FORMAT.md` §3): writes this endpoint's
+/// hello, reads and validates the peer's, negotiates channel security, and
+/// returns the endpoint id and party set the peer announced. Reads exactly
+/// the peer's hello and allocates only for the parties it has read.
+///
+/// Runs over any byte stream; on a socket, arm a read timeout first
+/// (`handshake_deadline`) so a silent peer cannot hold the caller.
+pub fn exchange_hello<S: Read + Write>(
     stream: &mut S,
     endpoint: u64,
     locals: &BTreeSet<PartyId>,
@@ -461,9 +581,6 @@ fn exchange_hello<S: SocketStream>(
         )));
     }
     let io_err = |e: std::io::Error| NetError::Io(format!("handshake failed: {e}"));
-    stream
-        .set_stream_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(io_err)?;
     stream
         .write_all(&encode_hello(endpoint, locals, mode))
         .map_err(io_err)?;
@@ -486,30 +603,35 @@ fn exchange_hello<S: SocketStream>(
     let peer_mode = SecurityMode::from_wire(header[5])?;
     SecurityMode::negotiate(mode, peer_mode)?;
     let peer_endpoint = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
-    let count = header[14] as usize;
-    let mut body = vec![0u8; count * 5];
-    stream.read_exact(&mut body).map_err(io_err)?;
-    let mut r = WireReader::new(&body);
     let mut parties = BTreeSet::new();
-    for _ in 0..count {
-        parties.insert(get_party(&mut r)?);
+    for _ in 0..header[14] {
+        let mut party = [0u8; 5];
+        stream.read_exact(&mut party).map_err(io_err)?;
+        parties.insert(get_party(&mut WireReader::new(&party))?);
     }
     Ok((peer_endpoint, parties))
 }
 
-/// Handshake stage 2 (the resume exchange): announces how many frames this
-/// endpoint has received on the logical link and reads the peer's count,
-/// then clears the handshake read timeout. The stages are split so
-/// listener-side endpoints can look up per-peer link state between reading
-/// the hello and answering with their received count.
-fn exchange_resume<S: SocketStream>(stream: &mut S, received: u64) -> Result<u64, NetError> {
+/// Handshake stage 2, the resume exchange (`docs/WIRE_FORMAT.md` §3):
+/// announces how many frames this endpoint has received on the logical
+/// link and reads the peer's count. The stages are split so listener-side
+/// endpoints can look up per-peer link state between reading the hello and
+/// answering with their received count.
+pub fn exchange_resume<S: Read + Write>(stream: &mut S, received: u64) -> Result<u64, NetError> {
     let io_err = |e: std::io::Error| NetError::Io(format!("resume handshake failed: {e}"));
     stream.write_all(&received.to_le_bytes()).map_err(io_err)?;
     stream.flush().map_err(io_err)?;
     let mut raw = [0u8; 8];
     stream.read_exact(&mut raw).map_err(io_err)?;
-    stream.set_stream_read_timeout(None).map_err(io_err)?;
     Ok(u64::from_le_bytes(raw))
+}
+
+/// Arms the handshake's read timeout on a socket (5 s), or clears it with
+/// `false` once the resume exchange is through.
+fn handshake_deadline<S: SocketStream>(stream: &S, armed: bool) -> Result<(), NetError> {
+    stream
+        .set_stream_read_timeout(armed.then_some(Duration::from_secs(5)))
+        .map_err(|e| NetError::Io(format!("handshake failed: {e}")))
 }
 
 /// Full handshake (both stages) for endpoints that know their received
@@ -522,17 +644,19 @@ fn handshake<S: SocketStream>(
     received: u64,
     mode: SecurityMode,
 ) -> Result<(u64, BTreeSet<PartyId>, u64), NetError> {
+    handshake_deadline(stream, true)?;
     let (peer_endpoint, parties) = exchange_hello(stream, endpoint, locals, mode)?;
     let peer_received = exchange_resume(stream, received)?;
+    handshake_deadline(stream, false)?;
     Ok((peer_endpoint, parties, peer_received))
 }
 
 /// Bytes accepted by a send or forward but not yet written to the socket:
-/// frames a coalescing link defers to its next flush, and whatever a
-/// nonblocking write left over. Every byte in here belongs to a frame
-/// already recorded in the replay window, so discarding the outbox on a
-/// reconnect is lossless — the resume retransmission re-sends the
-/// recorded frames.
+/// frames a coalescing link defers to its next flush, hop acks waiting for
+/// a write to ride, and whatever a nonblocking write left over. Every frame
+/// in here is already recorded in the replay window, and the resume count
+/// supersedes any ack, so discarding the outbox on a reconnect is
+/// lossless — the resume retransmission re-sends the recorded frames.
 #[derive(Debug, Default)]
 struct Outbox {
     buf: Vec<u8>,
@@ -697,6 +821,26 @@ fn write_all_parking<S: SocketStream>(stream: &mut S, bytes: &[u8]) -> std::io::
     Ok(())
 }
 
+/// What one link's read driver and writer share without a lock: the
+/// reactor thread must never wait on the writer lock, which a sender parked
+/// on backpressure holds. The read driver counts frames, checks the peer's
+/// acks and publishes them here, and flags when an ack of this end's own is
+/// due; the writer publishes what it has recorded, trims its window to the
+/// peer's ack and sends the due ack with its next write.
+#[derive(Debug, Default)]
+struct AckState {
+    /// Frames received on this logical link across every stream it has had:
+    /// what this end acks, and announces in the resume exchange.
+    received: AtomicU64,
+    /// Frames recorded in the link's replay window (its `sent`): no ack
+    /// may pass it.
+    sent: AtomicU64,
+    /// The peer's latest ack or resume count: no ack may go back from it.
+    peer_acked: AtomicU64,
+    /// An ack of `received` is due, for the writer's next write to carry.
+    ack_due: AtomicBool,
+}
+
 /// The writer half of one link: the current OS stream plus the replay
 /// window that makes reconnects lossless. Recording a frame and writing it
 /// happen under one lock, so the replay order always equals the stream
@@ -704,14 +848,16 @@ fn write_all_parking<S: SocketStream>(stream: &mut S, bytes: &[u8]) -> std::io::
 struct LinkWriter<S> {
     stream: S,
     replay: ReplayWindow,
+    /// Shared with the link's read driver.
+    acks: Arc<AckState>,
     /// Bumped on every successful stream replacement; a sender whose write
     /// failed checks it to learn whether a concurrent sender already
     /// re-dialled (and therefore already retransmitted the failed frame).
     generation: u64,
     /// Bytes accepted by a send but not yet written: sealed frames a
-    /// coalescing link defers to the next flush, and whatever a
-    /// nonblocking write left over. Every byte here is already in the
-    /// replay window.
+    /// coalescing link defers to the next flush, a due hop ack, and
+    /// whatever a nonblocking write left over. Every frame here is already
+    /// in the replay window.
     outbox: Outbox,
     /// A write failure observed asynchronously by the reactor's writable
     /// dispatch, surfaced at the next send or flush on the link.
@@ -722,6 +868,59 @@ struct LinkWriter<S> {
 }
 
 impl<S: SocketStream> LinkWriter<S> {
+    /// Records one sent frame in the replay window, first freeing what the
+    /// peer has acked and queueing a due ack of this end's own, which then
+    /// leaves ahead of the frame.
+    fn record(&mut self, frame: Vec<u8>) {
+        self.settle_acks();
+        self.replay.record(frame, 1);
+        self.acks.sent.store(self.replay.sent, Ordering::SeqCst);
+    }
+
+    /// Frees the frames up to the peer's latest ack. The read driver
+    /// checked it against `sent` and the peer's earlier acks, and a resume
+    /// raises it only to a count the window took, so the window always
+    /// takes it.
+    fn trim(&mut self) {
+        let _ = self
+            .replay
+            .ack(self.acks.peer_acked.load(Ordering::SeqCst), 0);
+    }
+
+    /// Acts on what the read driver published: frees the frames up to the
+    /// peer's ack, and queues a due ack behind the outbox. Returns whether
+    /// an ack was queued.
+    fn settle_acks(&mut self) -> bool {
+        self.trim();
+        if !self.acks.ack_due.swap(false, Ordering::SeqCst) {
+            return false;
+        }
+        self.outbox
+            .push(&encode_ack(self.acks.received.load(Ordering::SeqCst)));
+        true
+    }
+
+    /// Settles acks and sends a due one now: behind the outbox when the
+    /// link has bytes of its own waiting there (the next flush or writable
+    /// dispatch writes them), alone when it has none. Never parks: what
+    /// the socket does not take arms write interest.
+    fn send_due_ack(&mut self) {
+        let idle = self.outbox.is_empty();
+        if !self.settle_acks() || !idle || self.write_failed.is_some() {
+            return;
+        }
+        if let Err(e) = drain_outbox(
+            &mut self.stream,
+            &mut self.outbox,
+            &self.registration,
+            None,
+            None,
+        ) {
+            set_write_interest(&self.registration, false);
+            self.write_failed = Some(e);
+        }
+    }
+
     /// Sends the frame just recorded in the replay window. With `defer` (a
     /// sealed, coalescing link) the frame joins the outbox and leaves with
     /// the rest of the turn at the next flush; only an outbox that would
@@ -771,12 +970,36 @@ struct Link<S> {
     /// Set when this link's stream is replaced by a re-dial, so the stale
     /// reader's death doesn't poison the fresh link with a fatal error.
     reader_retired: Arc<AtomicBool>,
-    /// Frames received on this logical link across every stream it has had;
+    /// Shared with the writer and the read driver; its `received` is
     /// announced in the resume handshake so the peer retransmits exactly
     /// the lost suffix.
-    received: Arc<AtomicU64>,
+    acks: Arc<AckState>,
     /// The current stream's read driver (`None` once quiesced).
     reader: Option<Arc<LinkSource<S>>>,
+}
+
+/// Why a resume did not go through.
+enum ResumeError {
+    /// The peer's count or identity rules a lossless resume out, or the
+    /// fresh stream could not be set up.
+    Refused(NetError),
+    /// The fresh stream died while the lost suffix was written to it.
+    Retransmission(std::io::Error),
+}
+
+impl From<NetError> for ResumeError {
+    fn from(error: NetError) -> Self {
+        ResumeError::Refused(error)
+    }
+}
+
+impl From<ResumeError> for NetError {
+    fn from(error: ResumeError) -> Self {
+        match error {
+            ResumeError::Refused(error) => error,
+            ResumeError::Retransmission(e) => NetError::Io(format!("retransmission failed: {e}")),
+        }
+    }
 }
 
 /// How to re-establish an outbound link.
@@ -958,15 +1181,30 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// Overrides the per-link replay window (default:
+    /// Overrides the hard caps of each link's replay window (default:
     /// [`DEFAULT_REPLAY_FRAMES`] frames / [`DEFAULT_REPLAY_BYTES`] bytes —
-    /// whichever bound is hit first evicts, always keeping the newest
+    /// whichever cap is hit first evicts, always keeping the newest
     /// frame). Applies to links attached after the call. A reconnect whose
-    /// lost suffix exceeds the window fails loudly instead of resuming
-    /// with a gap.
+    /// lost suffix was evicted fails loudly instead of resuming with a
+    /// gap.
     pub fn set_replay_window(&mut self, frames: usize, max_bytes: usize) {
         self.replay_frames = frames.max(1);
         self.replay_bytes = max_bytes.max(1);
+    }
+
+    /// The most frames and the most bytes any one of this transport's
+    /// replay windows holds right now: frames its peers have not acked, or
+    /// whose acks the link's writer has not applied yet (it does at its
+    /// next record, flush or resume).
+    pub fn replay_held(&self) -> (usize, usize) {
+        self.links
+            .lock()
+            .iter()
+            .map(|link| {
+                let w = link.writer.lock();
+                (w.replay.frames.len(), w.replay.bytes)
+            })
+            .fold((0, 0), |(f, b), (lf, lb)| (f.max(lf), b.max(lb)))
     }
 
     /// The parties this endpoint hosts.
@@ -997,11 +1235,12 @@ impl<S: SocketStream> SocketTransport<S> {
             .map_err(|e| NetError::Io(format!("cannot split stream: {e}")))?;
         let gateway = peer_parties.is_empty();
         let reader_retired = Arc::new(AtomicBool::new(false));
-        let received = Arc::new(AtomicU64::new(0));
-        let ingest = self.link_ingest(&reader_retired, &received, redial.is_some());
+        let acks = Arc::new(AckState::default());
+        let ingest = self.link_ingest(&reader_retired, &acks, redial.is_some());
         let writer = Arc::new(Mutex::new(LinkWriter {
             stream,
             replay: ReplayWindow::new(self.replay_frames, self.replay_bytes),
+            acks: Arc::clone(&acks),
             generation: 0,
             outbox: Outbox::default(),
             write_failed: None,
@@ -1016,7 +1255,7 @@ impl<S: SocketStream> SocketTransport<S> {
             control,
             redial,
             reader_retired,
-            received,
+            acks,
             reader: Some(source),
         });
         Ok(())
@@ -1027,7 +1266,7 @@ impl<S: SocketStream> SocketTransport<S> {
     fn link_ingest(
         &self,
         retired: &Arc<AtomicBool>,
-        received: &Arc<AtomicU64>,
+        acks: &Arc<AckState>,
         recoverable: bool,
     ) -> LinkIngest {
         LinkIngest {
@@ -1037,7 +1276,9 @@ impl<S: SocketStream> SocketTransport<S> {
             touched: Vec::new(),
             shutting_down: Arc::clone(&self.shutting_down),
             retired: Arc::clone(retired),
-            received: Arc::clone(received),
+            acks: Arc::clone(acks),
+            since_ack: (0, 0),
+            settle: false,
             recoverable,
             opener: self.security.as_ref().map(|s| Arc::clone(&s.opener)),
         }
@@ -1053,7 +1294,7 @@ impl<S: SocketStream> SocketTransport<S> {
         if let Some(source) = link.reader.take() {
             source.quiesce();
         }
-        link.received.load(Ordering::SeqCst)
+        link.acks.received.load(Ordering::SeqCst)
     }
 
     /// Installs `stream` (already through stage 1 plus the resume exchange,
@@ -1068,20 +1309,21 @@ impl<S: SocketStream> SocketTransport<S> {
         peer_endpoint: u64,
         peer_parties: BTreeSet<PartyId>,
         peer_received: u64,
-    ) -> Result<(), NetError> {
+    ) -> Result<(), ResumeError> {
         if peer_endpoint != links[index].peer_endpoint {
             // The address answered with a different endpoint id: the peer
             // process restarted and lost its link state. Resuming would
             // silently drop or duplicate frames, so only a link with no
             // history may proceed (as a de-facto fresh link).
-            let clean = links[index].received.load(Ordering::SeqCst) == 0
+            let clean = links[index].acks.received.load(Ordering::SeqCst) == 0
                 && links[index].writer.lock().replay.sent == 0;
             if !clean {
                 return Err(NetError::Io(
                     "peer endpoint changed (peer restarted?); the logical link cannot be \
                      resumed losslessly"
                         .into(),
-                ));
+                )
+                .into());
             }
         }
         links[index].peer_endpoint = peer_endpoint;
@@ -1101,7 +1343,7 @@ impl<S: SocketStream> SocketTransport<S> {
         let reader_retired = Arc::new(AtomicBool::new(false));
         let ingest = self.link_ingest(
             &reader_retired,
-            &links[index].received,
+            &links[index].acks,
             links[index].redial.is_some(),
         );
         let source = register_link_source(reader, ingest, &links[index].writer)?;
@@ -1111,26 +1353,32 @@ impl<S: SocketStream> SocketTransport<S> {
             // order.
             let mut guard = links[index].writer.lock();
             let writer = &mut *guard;
-            let result = writer
-                .replay
-                .unacked(peer_received)
-                .map_err(NetError::Io)
-                .and_then(|unacked| {
-                    for frame in &unacked {
-                        write_all_parking(&mut stream, frame)
-                            .map_err(|e| NetError::Io(format!("retransmission failed: {e}")))?;
-                    }
-                    stream
-                        .flush()
-                        .map_err(|e| NetError::Io(format!("retransmission failed: {e}")))
-                });
+            // Apply the old stream's last ack first, so the resume count is
+            // checked against it. The count then acks like a hop ack, and
+            // the window holds exactly the suffix to retransmit.
+            writer.trim();
+            let result = match writer.replay.resume(peer_received) {
+                Err(e) => Err(ResumeError::Refused(NetError::Io(e))),
+                Ok(()) => writer
+                    .replay
+                    .frames
+                    .iter()
+                    .try_for_each(|frame| write_all_parking(&mut stream, frame))
+                    .and_then(|()| stream.flush())
+                    .map_err(ResumeError::Retransmission),
+            };
+            writer
+                .acks
+                .peer_acked
+                .fetch_max(writer.replay.acked, Ordering::SeqCst);
             if result.is_ok() {
                 writer.stream = stream;
                 writer.generation += 1;
-                // Undelivered outbox bytes of the dead stream are already
+                // Undelivered outbox frames of the dead stream are already
                 // in the replay window (record-then-write), so the resume
-                // retransmission above covered them; a stashed write
-                // failure belonged to the dead stream too.
+                // retransmission above covered them, and the resume count
+                // superseded any ack there; a stashed write failure
+                // belonged to the dead stream too.
                 writer.outbox.clear();
                 writer.write_failed = None;
             }
@@ -1138,7 +1386,8 @@ impl<S: SocketStream> SocketTransport<S> {
         };
         if let Err(e) = retransmission {
             // Abandon the fresh stream; the link keeps its (dead) old
-            // stream and intact replay, so a later reconnect can retry. (The
+            // stream and its replay window (less what a valid resume count
+            // acked), so a later reconnect can retry. (The
             // writer keeps a registration pointing at the abandoned fd;
             // arming interest on it is a harmless no-op.)
             reader_retired.store(true, Ordering::SeqCst);
@@ -1189,7 +1438,8 @@ impl<S: SocketStream> SocketTransport<S> {
                     peer_endpoint,
                     peer_parties.clone(),
                     peer_received,
-                )?;
+                )
+                .map_err(NetError::from)?;
                 Ok(peer_parties)
             }
             None => {
@@ -1218,10 +1468,11 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// Completes stage 2 of the handshake for an accepted connection and
-    /// either resumes the existing logical link with the same announced
-    /// endpoint id and party set (retransmitting whatever the peer lost)
-    /// or attaches a fresh link.
+    /// Completes stage 2 of the handshake for an accepted connection (whose
+    /// handshake deadline the acceptor armed) and either resumes the
+    /// existing logical link with the same announced endpoint id and party
+    /// set (retransmitting whatever the peer lost) or attaches a fresh
+    /// link.
     fn accept_stream(
         &self,
         mut stream: S,
@@ -1236,6 +1487,7 @@ impl<S: SocketStream> SocketTransport<S> {
             Some(index) => {
                 let received = Self::quiesce_reader(&mut links, index);
                 let peer_received = exchange_resume(&mut stream, received)?;
+                handshake_deadline(&stream, false)?;
                 self.resume_link_at(
                     &mut links,
                     index,
@@ -1244,9 +1496,11 @@ impl<S: SocketStream> SocketTransport<S> {
                     peer_parties,
                     peer_received,
                 )
+                .map_err(NetError::from)
             }
             None => {
                 let peer_received = exchange_resume(&mut stream, 0)?;
+                handshake_deadline(&stream, false)?;
                 if peer_received != 0 {
                     return Err(NetError::Io(format!(
                         "peer expects to resume at frame {peer_received}, but this endpoint \
@@ -1284,26 +1538,41 @@ impl<S: SocketStream> SocketTransport<S> {
         // Quiesce the dead stream's reader first so the received count we
         // announce is final (and the dead reader cannot poison the fresh
         // link with a fatal error).
-        let received = Self::quiesce_reader(links, index);
-        let mut stream = self
-            .reconnect
-            .retry(|| S::redial(&target))
-            .map_err(|e| NetError::Io(format!("reconnect failed: {e}")))?;
-        let (peer_endpoint, peer_parties, peer_received) = handshake(
-            &mut stream,
-            self.endpoint,
-            &self.locals,
-            received,
-            self.security_mode(),
-        )?;
-        self.resume_link_at(
-            links,
-            index,
-            stream,
-            peer_endpoint,
-            peer_parties,
-            peer_received,
-        )
+        let mut received = Self::quiesce_reader(links, index);
+        // A fresh stream can die while the lost suffix is written to it: a
+        // router drops a connection whose reflected frame overflows its
+        // outbox. Dial again, within the reconnect budget; the peer has
+        // counted what arrived, so each attempt resumes further on.
+        let mut attempts = self.reconnect.max_attempts.max(1);
+        loop {
+            let mut stream = self
+                .reconnect
+                .retry(|| S::redial(&target))
+                .map_err(|e| NetError::Io(format!("reconnect failed: {e}")))?;
+            let (peer_endpoint, peer_parties, peer_received) = handshake(
+                &mut stream,
+                self.endpoint,
+                &self.locals,
+                received,
+                self.security_mode(),
+            )?;
+            match self.resume_link_at(
+                links,
+                index,
+                stream,
+                peer_endpoint,
+                peer_parties,
+                peer_received,
+            ) {
+                Err(ResumeError::Retransmission(e)) if is_transient(&e) && attempts > 1 => {
+                    attempts -= 1;
+                    // The abandoned stream's reader, quiesced by now, may
+                    // have taken frames of the peer's own resync.
+                    received = links[index].acks.received.load(Ordering::SeqCst);
+                }
+                result => return result.map_err(NetError::from),
+            }
+        }
     }
 
     /// Tears down the OS stream of every link while keeping the logical
@@ -1414,7 +1683,14 @@ struct LinkIngest {
     touched: Vec<PartyId>,
     shutting_down: Arc<AtomicBool>,
     retired: Arc<AtomicBool>,
-    received: Arc<AtomicU64>,
+    /// Shared with the link's writer.
+    acks: Arc<AckState>,
+    /// Frames and bytes taken on this stream since this end last acked
+    /// (the resume count acked everything before the stream).
+    since_ack: (u64, usize),
+    /// Set when a chunk took a peer ack or made one of ours due: the read
+    /// driver then lets the writer act on it, if no sender holds it.
+    settle: bool,
     recoverable: bool,
     opener: Option<Arc<ChannelOpener>>,
 }
@@ -1438,6 +1714,27 @@ impl LinkIngest {
         self.shutting_down.load(Ordering::SeqCst) || self.retired.load(Ordering::SeqCst)
     }
 
+    /// Takes the peer's hop ack: checks it against what the writer has
+    /// recorded and the peer's earlier acks, and publishes it for the
+    /// writer to trim to. `Err` is the peer lying about what it holds.
+    fn take_ack(&mut self, acked: u64) -> Result<(), NetError> {
+        let sent = self.acks.sent.load(Ordering::SeqCst);
+        let previous = self.acks.peer_acked.load(Ordering::SeqCst);
+        if acked > sent {
+            return Err(NetError::Decode(format!(
+                "peer acks {acked} frames, only {sent} were sent"
+            )));
+        }
+        if acked < previous {
+            return Err(NetError::Decode(format!(
+                "peer acks {acked} frames after acking {previous}"
+            )));
+        }
+        self.acks.peer_acked.fetch_max(acked, Ordering::SeqCst);
+        self.settle = true;
+        Ok(())
+    }
+
     /// Feeds raw stream bytes through the decoder and delivers every
     /// complete frame. Returns `false` on a fatal frame — a decode failure
     /// (corrupt framing) or an authentication failure (tampered or
@@ -1453,9 +1750,17 @@ impl LinkIngest {
     fn on_bytes(&mut self, bytes: &[u8]) -> bool {
         self.decoder.feed(bytes);
         loop {
-            let frame = match self.decoder.next_frame_ref() {
-                Ok(Some(frame)) => frame,
+            let taken = match self.decoder.next_link_frame() {
+                Ok(Some(LinkFrame::Envelope(frame))) => Ok(frame),
+                Ok(Some(LinkFrame::Ack(acked))) => match self.take_ack(acked) {
+                    Ok(()) => continue,
+                    Err(e) => Err(e),
+                },
                 Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            let frame = match taken {
+                Ok(frame) => frame,
                 Err(e) => {
                     self.fail(e);
                     self.delivery.wake(&mut self.touched);
@@ -1468,6 +1773,7 @@ impl LinkIngest {
             // (coalesced records); they are delivered in batch order,
             // preserving per-pair FIFO.
             let to = frame.to;
+            let wire_len = frame.bytes.len();
             let accepted = match &self.opener {
                 Some(opener) => {
                     let mut scratch = self.delivery.pool.take();
@@ -1508,9 +1814,15 @@ impl LinkIngest {
             // The resume handshake counts *wire frames* (the unit the
             // replay window retransmits), so a coalesced record still
             // counts once.
-            self.received.fetch_add(1, Ordering::SeqCst);
+            self.acks.received.fetch_add(1, Ordering::SeqCst);
+            self.since_ack.0 += 1;
+            self.since_ack.1 += wire_len;
         }
         self.delivery.wake(&mut self.touched);
+        if ack_due(&mut self.since_ack) {
+            self.acks.ack_due.store(true, Ordering::SeqCst);
+            self.settle = true;
+        }
         true
     }
 
@@ -1589,6 +1901,15 @@ impl<S: SocketStream> LinkSource<S> {
                     if !driver.ingest.on_bytes(&buf[..n]) {
                         driver.done = true;
                         break;
+                    }
+                    // Let the writer act on the acks this chunk published,
+                    // unless a sender holds it: then that sender's next
+                    // record or flush does, so the reactor thread never
+                    // waits on a writer lock.
+                    if std::mem::take(&mut driver.ingest.settle) {
+                        if let Some(mut writer) = self.writer.try_lock() {
+                            writer.send_due_ack();
+                        }
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -1737,7 +2058,7 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                     .seal_frame(std::slice::from_ref(&envelope))?,
                 None => encode_frame(&envelope)?,
             };
-            w.replay.record(frame, 1);
+            w.record(frame);
             match w.send_recorded(defer) {
                 Ok(()) => return Ok(()),
                 Err(e) => (w.generation, e),
@@ -1765,21 +2086,31 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
     }
 
     fn flush(&self) -> Result<(), NetError> {
-        type WriterSnapshot<S> = Vec<(usize, Arc<Mutex<LinkWriter<S>>>, bool)>;
+        type WriterSnapshot<S> = Vec<(usize, Arc<Mutex<LinkWriter<S>>>, Arc<AckState>, bool)>;
         let writers: WriterSnapshot<S> = self
             .links
             .lock()
             .iter()
             .enumerate()
-            .map(|(index, link)| (index, Arc::clone(&link.writer), link.redial.is_some()))
+            .map(|(index, link)| {
+                (
+                    index,
+                    Arc::clone(&link.writer),
+                    Arc::clone(&link.acks),
+                    link.redial.is_some(),
+                )
+            })
             .collect();
-        for (index, writer, recoverable) in writers {
+        for (index, writer, acks, recoverable) in writers {
             // On a coalescing link the outbox holds the turn's deferred
             // frames: flush is where they leave, in one write.
             let (generation, had_pending, result) = {
                 let mut guard = writer.lock();
                 let w = &mut *guard;
                 let had_pending = !w.outbox.is_empty() || w.write_failed.is_some();
+                // A due ack leaves with the turn; a dead link does not
+                // re-dial for an ack alone.
+                w.settle_acks();
                 // A write failure the reactor's writable dispatch stashed
                 // surfaces here. Otherwise flush fully drains the outbox
                 // (`Some(0)` parks in `wait_writable` until the socket
@@ -1793,6 +2124,13 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                 };
                 (w.generation, had_pending, result)
             };
+            if result.is_ok() && acks.ack_due.load(Ordering::SeqCst) {
+                // The read driver flagged an ack while this flush held the
+                // lock, so its `try_lock` failed. Checked after unlocking,
+                // a flag raised before the unlock is never stranded until
+                // the next turn.
+                writer.lock().send_due_ack();
+            }
             if let Err(e) = result {
                 if !(recoverable && is_transient(&e)) {
                     return Err(NetError::Io(e.to_string()));
@@ -1919,6 +2257,7 @@ impl TcpAcceptor {
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::Io(e.to_string()))?;
+        handshake_deadline(&stream, true)?;
         let (peer_endpoint, peer_parties) = exchange_hello(
             &mut stream,
             transport.endpoint,
@@ -1956,6 +2295,7 @@ impl UdsAcceptor {
             .listener
             .accept()
             .map_err(|e| NetError::Io(format!("accept failed: {e}")))?;
+        handshake_deadline(&stream, true)?;
         let (peer_endpoint, peer_parties) = exchange_hello(
             &mut stream,
             transport.endpoint,
@@ -1971,16 +2311,18 @@ impl UdsAcceptor {
 /// the currently live stream (if any). Recording and writing happen under
 /// one lock so replay order equals stream order; when no stream is live,
 /// frames are recorded only (store-and-forward) and delivered by the
-/// resume retransmission when the peer reconnects.
+/// resume retransmission when the peer reconnects. The peer's hop acks
+/// free what it holds.
 struct RouterOutbound<S> {
     replay: ReplayWindow,
     stream: Option<S>,
     /// Bumped per successful (re)connection; a connection's source only
     /// tears down the stream it installed.
     generation: u64,
-    /// Bytes accepted by a forward but not yet written; bounded by
-    /// [`ROUTER_OUTBOX_LIMIT`], past which the connection is treated as
-    /// dead. Every byte here is already in the replay window.
+    /// Bytes accepted by a forward but not yet written, and hop acks to
+    /// the peer; bounded by [`ROUTER_OUTBOX_LIMIT`], past which the
+    /// connection is treated as dead. Every frame here is already in the
+    /// replay window.
     outbox: Outbox,
     /// Frames at the back of `replay` that the read chunk being forwarded
     /// recorded for the live stream and has not written yet (see
@@ -2187,6 +2529,21 @@ impl<S: SocketStream> SocketRouter<S> {
         self.state.unroutable.load(Ordering::Relaxed)
     }
 
+    /// The most frames and the most bytes any one of the router's replay
+    /// windows holds right now: frames its peers have not acked, including
+    /// those held for an offline peer.
+    pub fn replay_held(&self) -> (usize, usize) {
+        self.state
+            .links
+            .lock()
+            .iter()
+            .map(|link| {
+                let out = link.out.lock();
+                (out.replay.frames.len(), out.replay.bytes)
+            })
+            .fold((0, 0), |(f, b), (lf, lb)| (f.max(lf), b.max(lb)))
+    }
+
     /// Logical links with a live connection right now.
     pub fn connection_count(&self) -> usize {
         self.state
@@ -2248,6 +2605,9 @@ struct RouterConnSource<S> {
 struct RouterRead<S> {
     stream: S,
     decoder: FrameDecoder,
+    /// Frames and bytes taken on this connection since the router last
+    /// acked its peer (the resume count acked everything before it).
+    since_ack: (u64, usize),
     /// Latched on EOF / fatal error; later dispatches are no-ops.
     done: bool,
 }
@@ -2277,7 +2637,7 @@ impl<S: SocketStream> RouterConnSource<S> {
                     break;
                 }
                 Ok(n) => {
-                    if router_ingest(&mut read.decoder, &buf[..n], self).is_err() {
+                    if router_ingest(read, &buf[..n], self).is_err() {
                         read.done = true;
                         break;
                     }
@@ -2343,25 +2703,30 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
 
 /// Validates and forwards every complete frame `bytes` completes on the
 /// connection `origin`, counting them into its logical link's received
-/// counter. Each frame is checked in place exactly as a receiving decoder
-/// checks it and forwarded as its original bytes, so the router never
-/// re-encodes. Every frame of the chunk is recorded in its destination's
-/// replay window first; then each destination the chunk touched is
-/// written once ([`router_drain`]). `Err` means a corrupt frame (an
-/// over-cap length prefix, or a well-framed body that fails validation):
-/// the caller must close the connection, and nothing of it is forwarded
-/// (the valid frames before it still are).
+/// counter, and takes the hop acks among them. Each frame is checked in
+/// place exactly as a receiving decoder checks it and forwarded as its
+/// original bytes, so the router never re-encodes. Every frame of the
+/// chunk is recorded in its destination's replay window first; an ack to
+/// the origin, once one is due, joins the origin's outbox; then each
+/// destination the chunk touched is written once ([`router_drain`]).
+/// `Err` means a corrupt frame (an over-cap length prefix, or a
+/// well-framed body that fails validation) or a lying ack (past what was
+/// written to the origin, or going back): the caller must close the
+/// connection, and nothing of it is forwarded (the valid frames before it
+/// still are).
 fn router_ingest<S: SocketStream>(
-    decoder: &mut FrameDecoder,
+    read: &mut RouterRead<S>,
     bytes: &[u8],
     origin: &RouterConnSource<S>,
 ) -> Result<(), ()> {
     let link = &origin.link;
-    decoder.feed(bytes);
+    read.decoder.feed(bytes);
     let mut touched: Vec<Arc<RouterLink<S>>> = Vec::new();
     let decoded = loop {
-        match decoder.next_frame_ref() {
-            Ok(Some(frame)) => {
+        match read.decoder.next_link_frame() {
+            Ok(Some(LinkFrame::Envelope(frame))) => {
+                read.since_ack.0 += 1;
+                read.since_ack.1 += frame.bytes.len();
                 if let Some(target) = router_record(&origin.state, link, frame.to, frame.bytes) {
                     if !touched.iter().any(|t| Arc::ptr_eq(t, &target)) {
                         touched.push(target);
@@ -2369,10 +2734,30 @@ fn router_ingest<S: SocketStream>(
                 }
                 link.received.fetch_add(1, Ordering::SeqCst);
             }
+            Ok(Some(LinkFrame::Ack(acked))) => {
+                let mut out = link.out.lock();
+                let unwritten = out.unsent;
+                if out.replay.ack(acked, unwritten).is_err() {
+                    break Err(());
+                }
+            }
             Ok(None) => break Ok(()),
             Err(_) => break Err(()),
         }
     };
+    if decoded.is_ok() && ack_due(&mut read.since_ack) {
+        // Every frame taken is in its destination's window now: ack them,
+        // riding whatever this chunk writes to the origin.
+        let mut out = link.out.lock();
+        if out.generation == origin.generation && out.stream.is_some() {
+            out.outbox
+                .push(&encode_ack(link.received.load(Ordering::SeqCst)));
+            drop(out);
+            if !touched.iter().any(|t| Arc::ptr_eq(t, link)) {
+                touched.push(Arc::clone(link));
+            }
+        }
+    }
     for target in &touched {
         router_drain(target, origin);
     }
@@ -2388,14 +2773,16 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     // marks the link as a gateway on the client side. It is security-
     // transparent: sealed frames are forwarded opaquely (the router holds
     // no keys), so it accepts endpoints in any mode.
-    let (peer_endpoint, announced) = match exchange_hello(
-        &mut stream,
-        state.endpoint,
-        &BTreeSet::new(),
-        SecurityMode::Transparent,
-    ) {
-        Ok(hello) => hello,
-        Err(_) => return,
+    let hello = handshake_deadline(&stream, true).and_then(|()| {
+        exchange_hello(
+            &mut stream,
+            state.endpoint,
+            &BTreeSet::new(),
+            SecurityMode::Transparent,
+        )
+    });
+    let Ok((peer_endpoint, announced)) = hello else {
+        return;
     };
     // Find or create the logical link for this endpoint + party set, and
     // claim it until its stream is installed.
@@ -2450,6 +2837,17 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
         Ok(count) => count,
         Err(_) => return,
     };
+    if handshake_deadline(&stream, false).is_err() {
+        return;
+    }
+    // The resume count acks like a hop ack: afterwards the window holds
+    // exactly the suffix the peer lost. A count the window cannot resume
+    // at (an evicted suffix, or an impossible count) means the link cannot
+    // resume without a gap: drop the connection, and the peer observes the
+    // hangup.
+    if link.out.lock().replay.resume(peer_received).is_err() {
+        return;
+    }
     let reader = match stream.try_clone_stream() {
         Ok(r) => r,
         Err(_) => return,
@@ -2461,23 +2859,27 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     // writes runs are retransmitted by the next round; the stream is
     // installed under the same lock as the check that nothing is left, so
     // later forwards queue behind the resync in replay order.
-    let mut acked = peer_received;
+    let mut written = peer_received;
     let generation = loop {
         let mut out = link.out.lock();
-        let suffix: Vec<Vec<u8>> = match out.replay.unacked(acked) {
-            Ok(frames) => frames.into_iter().map(<[u8]>::to_vec).collect(),
-            // The suffix was evicted (or the peer's count is impossible):
-            // the link cannot be resumed without a gap. Drop the
-            // connection; the peer observes the hangup.
+        let suffix: Vec<Vec<u8>> = match out.replay.unacked(written) {
+            Ok(frames) => frames.map(<[u8]>::to_vec).collect(),
+            // Frames forwarded during the resync were evicted already.
             Err(_) => return,
         };
         if suffix.is_empty() {
+            // The blocking writes are done: flip the fd (shared with the
+            // reader) nonblocking before any forward can write to it, so
+            // no forward on the reactor thread ever blocks on a full peer.
+            if stream.set_stream_nonblocking(true).is_err() {
+                return;
+            }
             out.drop_stream();
             out.stream = Some(stream);
             out.generation += 1;
             break out.generation;
         }
-        acked = out.replay.sent;
+        written = out.replay.sent;
         drop(out);
         for frame in &suffix {
             if stream.write_all(frame).is_err() {
@@ -2491,16 +2893,14 @@ fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterSta
     // handshake thread's work is done. Registration runs under the
     // outbound lock so the source's write interest is armable the instant
     // a concurrent forward parks bytes in the outbox.
-    let (fd, source) = match reader.set_stream_nonblocking(true).and_then(|()| {
-        let fd = reader.stream_raw_fd()?;
-        Ok((fd, reader))
-    }) {
-        Ok((fd, reader)) => (
+    let (fd, source) = match reader.stream_raw_fd() {
+        Ok(fd) => (
             fd,
             Arc::new(RouterConnSource {
                 read: Mutex::new(RouterRead {
                     stream: reader,
                     decoder: FrameDecoder::new(),
+                    since_ack: (0, 0),
                     done: false,
                 }),
                 link: Arc::clone(&link),
@@ -2591,12 +2991,12 @@ fn router_record<S: SocketStream>(
 }
 
 /// Writes every frame recorded for `target` since its last drain, behind
-/// its outbox, in one vectored write ([`RouterOutbound::write_pending`]),
-/// then applies flow control.
+/// its outbox (which may hold a hop ack), in one vectored write
+/// ([`RouterOutbound::write_pending`]), then applies flow control.
 fn router_drain<S: SocketStream>(target: &RouterLink<S>, origin: &RouterConnSource<S>) {
     let mut guard = target.out.lock();
     let out = &mut *guard;
-    if out.unsent == 0 || !out.write_pending() {
+    if (out.unsent == 0 && out.outbox.is_empty()) || !out.write_pending() {
         return;
     }
     if out.outbox.len() > ROUTER_OUTBOX_PAUSE {
@@ -3117,6 +3517,12 @@ mod tests {
         ));
     }
 
+    /// The window's frames after the peer's `received` count, copied out.
+    fn suffix(w: &ReplayWindow, received: u64) -> Result<Vec<Vec<u8>>, String> {
+        w.unacked(received)
+            .map(|frames| frames.map(<[u8]>::to_vec).collect())
+    }
+
     #[test]
     fn replay_window_yields_exactly_the_unacked_suffix() {
         let mut w = ReplayWindow::new(3, usize::MAX);
@@ -3125,14 +3531,13 @@ mod tests {
         }
         assert_eq!(w.sent, 5);
         // Peer has 3 of 5: frames 4 and 5 are pending.
-        let unacked = w.unacked(3).unwrap();
-        assert_eq!(unacked, vec![&[3u8][..], &[4u8][..]]);
+        assert_eq!(suffix(&w, 3).unwrap(), vec![vec![3u8], vec![4u8]]);
         // Fully acknowledged: nothing to resend.
-        assert!(w.unacked(5).unwrap().is_empty());
+        assert!(suffix(&w, 5).unwrap().is_empty());
         // Peer has 1 of 5 but the window kept only the last 3: loss.
-        assert!(w.unacked(1).is_err());
+        assert!(suffix(&w, 1).is_err());
         // A peer claiming more than was ever sent is a protocol violation.
-        assert!(w.unacked(9).is_err());
+        assert!(suffix(&w, 9).is_err());
 
         // The byte budget evicts too — but always keeps the newest frame,
         // even one over budget.
@@ -3140,8 +3545,8 @@ mod tests {
         w.record(vec![0; 6], 1);
         w.record(vec![1; 6], 1);
         assert_eq!(w.frames.len(), 1, "6+6 bytes exceed the 10-byte budget");
-        assert_eq!(w.unacked(1).unwrap(), vec![&[1u8; 6][..]]);
-        assert!(w.unacked(0).is_err(), "the evicted first frame is gone");
+        assert_eq!(suffix(&w, 1).unwrap(), vec![vec![1u8; 6]]);
+        assert!(suffix(&w, 0).is_err(), "the evicted first frame is gone");
         w.record(vec![2; 99], 1);
         assert_eq!(w.frames.len(), 1, "an over-budget frame is still kept");
         assert_eq!(w.bytes, 99);
@@ -3153,11 +3558,80 @@ mod tests {
             w.record(vec![i; 6], i as usize + 1);
         }
         assert_eq!(w.frames.len(), 4, "four unwritten frames are all kept");
-        assert_eq!(w.unacked(0).unwrap().len(), 4);
+        assert_eq!(suffix(&w, 0).unwrap().len(), 4);
         w.record(vec![4; 4], 1);
         assert_eq!(w.frames.len(), 2, "back within the bounds");
-        assert_eq!(w.unacked(3).unwrap(), vec![&[3u8; 6][..], &[4u8; 4][..]]);
-        assert!(w.unacked(2).is_err(), "written frames evict again");
+        assert_eq!(suffix(&w, 3).unwrap(), vec![vec![3u8; 6], vec![4u8; 4]]);
+        assert!(suffix(&w, 2).is_err(), "written frames evict again");
+    }
+
+    #[test]
+    fn acks_free_exactly_the_frames_they_cover_and_lying_acks_change_nothing() {
+        let mut w = ReplayWindow::new(1024, usize::MAX);
+        for i in 0..10u8 {
+            w.record(vec![i; 3], 1);
+        }
+        w.ack(4, 0).unwrap();
+        assert_eq!((w.frames.len(), w.bytes), (6, 18));
+        assert_eq!(suffix(&w, 4).unwrap()[0], vec![4u8; 3]);
+        w.ack(4, 0).expect("a repeated ack is no news, not a lie");
+
+        // Past what was sent, past what was written, or going back: each
+        // is refused with the window untouched (no underflow anywhere).
+        for (acked, unwritten) in [
+            (11, 0),
+            (u64::MAX, 0),
+            (10, 1),
+            (10, usize::MAX),
+            (3, 0),
+            (0, 0),
+        ] {
+            assert!(
+                w.ack(acked, unwritten).is_err(),
+                "ack {acked} / {unwritten}"
+            );
+            assert_eq!((w.frames.len(), w.bytes, w.acked), (6, 18, 4));
+        }
+        w.ack(9, 1).unwrap();
+        assert_eq!(suffix(&w, 9).unwrap(), vec![vec![9u8; 3]]);
+
+        // A resume count is an ack too: it may not go below the last one,
+        // and it frees what it covers.
+        let below = w.resume(8).unwrap_err();
+        assert!(below.contains("below its own earlier ack of 9"), "{below}");
+        w.resume(10).unwrap();
+        assert_eq!((w.frames.len(), w.bytes, w.acked), (0, 0, 10));
+
+        // An ack behind a cap's eviction frees nothing more, and a later
+        // resume still reports the gap.
+        let mut w = ReplayWindow::new(2, usize::MAX);
+        for i in 0..5u8 {
+            w.record(vec![i], 1);
+        }
+        w.ack(1, 0).unwrap();
+        assert_eq!(w.frames.len(), 2);
+        assert!(w.resume(1).is_err());
+    }
+
+    #[test]
+    fn a_resume_that_cannot_proceed_names_its_cause() {
+        let mut frames_capped = ReplayWindow::new(2, usize::MAX);
+        let mut bytes_capped = ReplayWindow::new(1024, 10);
+        for i in 0..4u8 {
+            frames_capped.record(vec![i], 1);
+            bytes_capped.record(vec![i; 6], 1);
+        }
+        let frame_cap = frames_capped.resume(0).unwrap_err();
+        assert!(frame_cap.contains("by its 2-frame cap"), "{frame_cap}");
+        let byte_cap = bytes_capped.resume(0).unwrap_err();
+        assert!(byte_cap.contains("by its 10-byte cap"), "{byte_cap}");
+        bytes_capped.ack(3, 0).unwrap();
+        let below = bytes_capped.resume(2).unwrap_err();
+        assert!(below.contains("below its own earlier ack"), "{below}");
+        let past = bytes_capped.resume(5).unwrap_err();
+        assert!(past.contains("only 4 were sent"), "{past}");
+        // A refused resume leaves the window as it was.
+        assert_eq!((bytes_capped.frames.len(), bytes_capped.acked), (1, 3));
     }
 
     /// The reconnect-durability satellite: kill the OS stream of a live

@@ -2,12 +2,17 @@
 //! envelopes round-trip through arbitrary read fragmentation, interleaved
 //! multi-session streams demultiplex intact, and the in-place frame path
 //! routers forward verbatim agrees with owned decoding and with a
-//! reference decoder on valid, corrupt and truncated streams.
+//! reference decoder on valid, corrupt and truncated streams — streams
+//! that carry hop acks among the envelopes included, where the link view
+//! (`next_link_frame`) yields each ack as encoded and the envelope views
+//! skip them.
 
 use proptest::prelude::*;
 
-use ppc_net::framed::MAX_FRAME_BODY;
-use ppc_net::{encode_frame, Envelope, FrameDecoder, NetError, PartyId, WireReader};
+use ppc_net::framed::{ACK_BODY_LEN, MAX_FRAME_BODY};
+use ppc_net::{
+    encode_ack, encode_frame, Envelope, FrameDecoder, LinkFrame, NetError, PartyId, WireReader,
+};
 
 /// Rebuilds envelopes from parallel value lists (the vendored proptest has
 /// no tuple strategies).
@@ -160,8 +165,8 @@ struct Outcome {
 /// The frame grammar of `docs/WIRE_FORMAT.md` §4 read with the codec
 /// primitives over the whole stream at once — the specification the
 /// incremental decoders are checked against. Frames come out re-encoded
-/// by `encode_frame`.
-fn reference_decode(stream: &[u8]) -> Outcome {
+/// by `encode_frame`, and hop acks by `encode_ack`.
+fn reference_link_decode(stream: &[u8]) -> Outcome {
     fn party(r: &mut WireReader<'_>) -> Result<PartyId, NetError> {
         let tag = r.get_u8()?;
         let index = r.get_u32()?;
@@ -183,6 +188,12 @@ fn reference_decode(stream: &[u8]) -> Outcome {
         }
         if rest.len() < 4 + body_len {
             break;
+        }
+        if body_len == ACK_BODY_LEN {
+            let acked = u64::from_le_bytes(rest[4..12].try_into().unwrap());
+            frames.push(encode_ack(acked).to_vec());
+            rest = &rest[12..];
+            continue;
         }
         let mut r = WireReader::new(&rest[4..4 + body_len]);
         let parsed = (|| {
@@ -208,6 +219,18 @@ fn reference_decode(stream: &[u8]) -> Outcome {
         frames,
         rejected: false,
     }
+}
+
+/// Whether an encoded unit is a hop ack (no envelope frame is 12 bytes).
+fn is_ack(frame: &[u8]) -> bool {
+    frame.len() == 4 + ACK_BODY_LEN
+}
+
+/// The reference grammar's envelopes alone: what the envelope views yield.
+fn reference_decode(stream: &[u8]) -> Outcome {
+    let mut outcome = reference_link_decode(stream);
+    outcome.frames.retain(|frame| !is_ack(frame));
+    outcome
 }
 
 /// Feeds `stream` in the given fragment sizes, draining after each feed
@@ -252,6 +275,30 @@ fn owned_decode(stream: &[u8], fragments: &[usize]) -> Outcome {
     decode_with(stream, fragments, |d| {
         Ok(d.next_frame()?.map(|e| encode_frame(&e).unwrap()))
     })
+}
+
+/// What `next_link_frame` yields — what a socket's read driver takes —
+/// with each ack re-encoded.
+fn link_decode(stream: &[u8], fragments: &[usize]) -> Outcome {
+    decode_with(stream, fragments, |d| {
+        Ok(d.next_link_frame()?.map(|unit| match unit {
+            LinkFrame::Envelope(frame) => frame.bytes.to_vec(),
+            LinkFrame::Ack(acked) => encode_ack(acked).to_vec(),
+        }))
+    })
+}
+
+/// Interleaves an ack after every `every`-th envelope frame of `frames`,
+/// drawing the acked counts from `acks`.
+fn with_acks(frames: &[Vec<u8>], acks: &[u64], every: usize) -> Vec<Vec<u8>> {
+    let mut units = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        if i % every.max(1) == 0 {
+            units.push(encode_ack(acks[i % acks.len()]).to_vec());
+        }
+        units.push(frame.clone());
+    }
+    units
 }
 
 /// Splits `stream` into pieces of the given sizes, cycling through them.
@@ -431,5 +478,90 @@ proptest! {
             );
             while let Ok(Some(_)) = decoder.next_frame_ref() {}
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hop acks (`docs/WIRE_FORMAT.md` §4) among the envelope frames of a link
+// stream: the link view against the reference grammar, and the envelope
+// views skipping them.
+// ---------------------------------------------------------------------
+
+/// Applies one corruption of kind `kind` to the ack starting at `at`.
+fn corrupt_ack(stream: &mut [u8], at: usize, kind: u32, value: u32) {
+    let mut set_len = |len: u32| stream[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    match kind {
+        // A body length other than eight: too short for an envelope, or
+        // running into the next frame.
+        0 => set_len([0, 1, 7, 9, 17, 18][value as usize % 6]),
+        // An over-cap length prefix.
+        1 => set_len((MAX_FRAME_BODY as u32 + 1).saturating_add(value)),
+        // A flip in the count: still a well-formed ack.
+        _ => stream[at + 4 + value as usize % ACK_BODY_LEN] ^= 1 << (value % 8),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Acks among envelope frames, under arbitrary fragmentation: the
+    /// link view yields every unit exactly as encoded (decode∘encode is
+    /// the identity on acks), and the envelope views yield the envelopes
+    /// alone.
+    #[test]
+    fn acks_among_envelopes_roundtrip_through_the_link_view(
+        topics in prop::collection::vec("[a-z0-9/-]{0,24}", 1..10),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..120), 1..10),
+        froms in prop::collection::vec(0u32..16, 1..8),
+        tos in prop::collection::vec(0u32..16, 1..8),
+        acks in prop::collection::vec(any::<u64>(), 1..6),
+        every in 1usize..4,
+        fragments in prop::collection::vec(1usize..40, 1..6),
+    ) {
+        let envelopes = envelopes_from(&topics, &payloads, &froms, &tos);
+        let frames: Vec<Vec<u8>> = envelopes.iter().map(|e| encode_frame(e).unwrap()).collect();
+        let units = with_acks(&frames, &acks, every);
+        let stream = units.concat();
+        let link = link_decode(&stream, &fragments);
+        prop_assert_eq!(&link, &Outcome { frames: units, rejected: false });
+        prop_assert_eq!(&link, &reference_link_decode(&stream));
+        let envelopes_only = Outcome { frames, rejected: false };
+        prop_assert_eq!(&in_place_decode(&stream, &fragments), &envelopes_only);
+        prop_assert_eq!(&owned_decode(&stream, &fragments), &envelopes_only);
+    }
+
+    /// With one ack or envelope of such a stream corrupted, and the
+    /// stream sometimes cut short, every view rejects exactly when the
+    /// reference grammar does and agrees with it on every unit before.
+    #[test]
+    fn link_view_rejects_exactly_when_the_reference_grammar_rejects(
+        topics in prop::collection::vec("[a-z0-9/-]{1,24}", 1..6),
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..120), 1..6),
+        froms in prop::collection::vec(0u32..16, 1..4),
+        tos in prop::collection::vec(0u32..16, 1..4),
+        acks in prop::collection::vec(any::<u64>(), 1..4),
+        every in 1usize..3,
+        target in any::<u32>(),
+        kind in 0u32..8,
+        value in any::<u32>(),
+        cut in 0.0f64..1.5,
+        fragments in prop::collection::vec(1usize..64, 1..6),
+    ) {
+        let envelopes = envelopes_from(&topics, &payloads, &froms, &tos);
+        let frames: Vec<Vec<u8>> = envelopes.iter().map(|e| encode_frame(e).unwrap()).collect();
+        let mut stream = with_acks(&frames, &acks, every).concat();
+        let starts = frame_starts(&stream);
+        let at = starts[target as usize % starts.len()];
+        if u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize == ACK_BODY_LEN {
+            corrupt_ack(&mut stream, at, kind % 3, value);
+        } else {
+            corrupt(&mut stream, at, kind, value);
+        }
+        if cut < 1.0 {
+            stream.truncate((stream.len() as f64 * cut) as usize);
+        }
+        prop_assert_eq!(&link_decode(&stream, &fragments), &reference_link_decode(&stream));
+        prop_assert_eq!(&in_place_decode(&stream, &fragments), &reference_decode(&stream));
+        prop_assert_eq!(&owned_decode(&stream, &fragments), &reference_decode(&stream));
     }
 }

@@ -171,7 +171,8 @@ enum Rule {
 /// Incremental frame-boundary scanner over a dialler stream: skips the
 /// handshake, reads each 4-byte length prefix, skips each body, and
 /// reports where the body of the first frame of at least `min_body` bytes
-/// begins.
+/// begins. A hop ack is a length-prefixed 8-byte body like any other
+/// frame, so it is skipped the same way.
 struct FrameScanner {
     min_body: usize,
     pos: usize,
@@ -364,6 +365,28 @@ mod tests {
             .collect();
         assert_eq!(diffs, vec![flip_at]);
         assert_eq!(tampered[flip_at], 0xBB ^ 0x20);
+    }
+
+    #[test]
+    fn scanner_steps_over_hop_acks_ahead_of_the_first_large_frame() {
+        // A dialler that has taken enough of the upstream's frames acks
+        // them between its own frames: a 12-byte frame with an 8-byte body.
+        let mut stream = vec![0u8; HANDSHAKE_BYTES];
+        stream.extend_from_slice(&ppc_net::encode_ack(256));
+        stream.extend_from_slice(&10u32.to_le_bytes());
+        stream.extend_from_slice(&[0xAA; 10]);
+        stream.extend_from_slice(&ppc_net::encode_ack(512));
+        let large_body_start = stream.len() + FRAME_PREFIX_BYTES;
+        stream.extend_from_slice(&100u32.to_le_bytes());
+        stream.extend_from_slice(&[0xBB; 100]);
+        for chunk_len in [1, 3, 7, stream.len()] {
+            let mut scanner = FrameScanner::new(64);
+            let hits: Vec<usize> = stream
+                .chunks(chunk_len)
+                .filter_map(|chunk| scanner.scan(chunk))
+                .collect();
+            assert_eq!(hits, vec![large_body_start], "{chunk_len}-byte reads");
+        }
     }
 
     #[test]
