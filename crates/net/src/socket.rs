@@ -3,40 +3,32 @@
 //!
 //! [`StreamTransport`](crate::framed::StreamTransport) frames envelopes over
 //! any byte stream but knows nothing about establishing connections. This
-//! module binds that framing to actual sockets and upgrades it to a
-//! condvar-waking, multi-link transport:
+//! module binds that framing to actual sockets:
 //!
 //! * a **handshake** ([`HELLO_MAGIC`]) in which each endpoint announces the
-//!   set of parties it hosts, its channel-security mode (negotiated
-//!   explicitly — a plaintext/sealed mismatch between endpoints is
-//!   rejected, never silently downgraded) and the number of frames it has
-//!   received on the logical link, so peers and routers learn where to
-//!   deliver and how much to retransmit after a reconnect;
+//!   parties it hosts, its channel-security mode (a plaintext/sealed
+//!   mismatch between endpoints is rejected, never silently downgraded) and
+//!   the number of frames it has received on the logical link, so peers and
+//!   routers learn where to deliver and how much to retransmit after a
+//!   reconnect;
 //! * optional **channel sealing** ([`SocketTransport::set_security`]): with
-//!   a [`ChannelKeyring`] installed, every
-//!   frame is AEAD-sealed end-to-end between the party pair it travels
-//!   between (routers forward the sealed bytes opaquely), the replay
-//!   window retains the *sealed* frames so reconnect retransmission reuses
+//!   a [`ChannelKeyring`] installed, every frame is AEAD-sealed end-to-end
+//!   between its party pair (routers forward the sealed bytes opaquely),
+//!   the replay window retains the *sealed* frames so retransmission reuses
 //!   the exact nonces, and tampered / plaintext / reordered inbound frames
 //!   surface as [`NetError::AuthFailure`];
 //! * [`SocketTransport`] — one framed stream per peer link, each drained by
-//!   its read driver (see *I/O driver*) into per-party delivery
-//!   slots, so [`WaitTransport::receive_any_of`] parks without spinning
-//!   and wakes only for the parties it watches. Every link
-//!   keeps a replay window of sent frames (implicit per-link sequence
-//!   numbers), making re-dials and re-accepts **lossless**: the resume
-//!   handshake retransmits exactly the suffix the other side lost. The
-//!   receiving end of every link and router connection acks what it has
-//!   taken ([per-hop acks](#per-hop-acks)), so a window holds only the
-//!   frames its peer does not have yet;
-//! * [`Backoff`] — retry policy for transient connect/send errors
-//!   (connection refused while the peer is still binding, broken pipes on
-//!   links that can be re-dialled);
+//!   its read driver into per-party delivery slots, so
+//!   [`WaitTransport::receive_any_of`] parks without spinning and wakes only
+//!   for the parties it watches. Every link keeps a replay window of sent
+//!   frames (implicit per-link sequence numbers), making re-dials and
+//!   re-accepts **lossless**: the resume handshake retransmits exactly the
+//!   suffix the other side lost;
+//! * [`Backoff`] — retry policy for transient connect/send errors;
 //! * [`TcpAcceptor`] / [`UdsAcceptor`] — listener-side halves that complete
 //!   the handshake and attach the inbound stream to an existing transport;
-//! * [`TcpRouter`] / [`UdsRouter`] — a standalone frame router: every
-//!   connection announces its parties, and the router validates each
-//!   inbound frame in place and forwards its original bytes to the
+//! * [`TcpRouter`] / [`UdsRouter`] — a standalone frame router: it validates
+//!   each inbound frame in place and forwards its original bytes to the
 //!   connection hosting its destination (preferring the originating
 //!   connection when it hosts the destination itself, which is what makes
 //!   single-process loopback benchmarks traverse a real socket).
@@ -47,28 +39,28 @@
 //!
 //! ## I/O driver
 //!
-//! The transport and the routers run every socket nonblocking on the
-//! process-global event loop in `crate::reactor`, which holds O(1) threads
-//! at any link count. The loop needs unix descriptors: off unix, attaching a
-//! link or a router connection fails loudly ("reactor backend
-//! unavailable").
+//! Every socket runs nonblocking on the process-global event loop in
+//! `crate::reactor`, which holds O(1) threads at any link count. A router's
+//! listening socket and each connection it accepts are reactor sources from
+//! the hello to the close; only a transport's dial and `accept_into`
+//! handshake on the calling thread. A link's one send buffer is its replay
+//! window, which one writer (`write_window`) writes straight from. The
+//! loop needs unix descriptors: off unix, a link attach or a router spawn
+//! fails loudly ("reactor backend unavailable").
 //!
 //! ## Per-hop acks
 //!
-//! Each hop acks for itself (`docs/WIRE_FORMAT.md` §3, §4.1). Once
+//! Each hop acks for itself (`docs/WIRE_FORMAT.md` §3, §4.1): once
 //! [`ACK_EVERY_FRAMES`] frames or [`ACK_EVERY_BYTES`] bytes have arrived
-//! on a link since its last ack, its receiving end sends the `received`
-//! count the resume exchange carries, as a frame of its own
-//! ([`encode_ack`]), and the sender drops every replay-window frame up to
-//! it. The ack rides a write the link makes anyway — the transport's turn
-//! flush, the router's per-chunk write — and goes alone only when the link
-//! has nothing of its own to send. A router acks its origin once a frame
-//! is in the destination's window and keeps it there until the
-//! destination acks, so store-and-forward is unchanged. On a transport the
-//! reactor thread never waits on a writer lock (a sender parked on
-//! backpressure holds it): the read driver checks each ack and publishes
-//! it in counters the link's two halves share, and the writer trims at its
-//! next record, flush or resume. A resume count trims like an ack. An ack
+//! on a link since its last ack, its receiving end sends its `received`
+//! count as a frame of its own ([`encode_ack`]) at the next frame boundary
+//! of a write the link makes anyway (alone when it has nothing to send),
+//! and the sender drops every replay-window frame up to it. A router acks
+//! its origin once a frame is in the destination's window, which keeps it
+//! until the destination acks. On a transport the read driver checks each
+//! ack and publishes it in counters the link's two halves share, and the
+//! writer trims at its next record, flush or resume, so the reactor thread
+//! never waits on a writer lock. A resume count trims like an ack. An ack
 //! past what was sent, or one that goes backwards, fails the link as a
 //! decode error (a router closes the connection).
 
@@ -77,8 +69,7 @@ use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use polling::Interest;
@@ -87,7 +78,8 @@ use crate::codec::{WireReader, WireWriter};
 use crate::delivery::{DeliveryMode, FailureScope, Inbox};
 use crate::error::NetError;
 use crate::framed::{
-    encode_ack, encode_frame, get_party, put_party, FrameDecoder, LinkFrame, MAX_FRAME_BODY,
+    encode_ack, encode_frame, get_party, put_party, FrameDecoder, LinkFrame, ACK_BODY_LEN,
+    MAX_FRAME_BODY,
 };
 use crate::message::Envelope;
 use crate::metrics::{DeliveryStats, SealingReport, WaitStats};
@@ -101,29 +93,17 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 
 /// Version byte following the magic; bumped on incompatible wire changes.
 ///
-/// Version 2 added the resume exchange (§3 of `docs/WIRE_FORMAT.md`): after
-/// the hellos, each side sends the number of frames it has received on this
-/// logical link so the other side can retransmit the lost suffix from its
-/// replay window. Version 3 added the channel-security byte to the hello
-/// (§8): endpoints advertise `Plaintext` or `SealedPsk`, forwarders are
-/// `Transparent`, and any endpoint-level mismatch is rejected during the
-/// handshake — there is no silent downgrade. Version 4 made every sealed
-/// payload a **coalesced record** (§8.2): the batch plaintext is
-/// count-prefixed, so one AEAD invocation covers N inner envelopes. A v3
-/// peer would misread the batch layout, so the exact-version handshake
-/// check rejects it explicitly — again, never a silent downgrade. Version 5
-/// packs the alphanumeric payloads (§6.5–§6.7): masked symbols and CCM
-/// cells travel at ⌈log₂|A|⌉ bits, and a CCM bundle's shapes are one
-/// length vector per side. A v4 peer would misread them, so it is rejected
-/// the same way. Version 6 adds the per-hop ack (§4.1): a v5 peer would take
-/// its 8-byte body for a corrupt envelope and drop the link.
+/// The handshake accepts this exact version only, so a peer that would
+/// misread the wire is rejected, never silently downgraded
+/// (`docs/WIRE_FORMAT.md` §10). v2 added the resume exchange (§3), v3 the
+/// channel-security byte (§8), v4 coalesced sealed records (§8.2), v5
+/// packed alphanumeric payloads (§6.5–§6.7) and v6 the per-hop ack (§4.1).
 pub const WIRE_VERSION: u8 = 6;
 
-/// Byte budget of sealed frames a coalescing link holds in its outbox
-/// before it writes them without waiting for the next explicit flush (see
-/// [`SocketTransport::set_coalescing`]). Sized so one turn's frames stay
-/// well inside socket buffers while the per-write syscall cost is paid
-/// once for many protocol-sized frames.
+/// Bytes of sealed frames a coalescing link leaves unwritten in its replay
+/// window before it writes them without waiting for the next flush (see
+/// [`SocketTransport::set_coalescing`]): one turn's frames stay well inside
+/// socket buffers, and one write pays for many protocol-sized frames.
 pub const COALESCE_BUDGET: usize = 64 << 10;
 
 /// Default hard cap on the frames a link's replay window holds. The window
@@ -158,35 +138,28 @@ fn ack_due(since_ack: &mut (u64, usize)) -> bool {
     due
 }
 
-/// Soft cap on bytes parked in a reactor link's outbox before the sending
-/// thread stops queueing and drains synchronously (parking in
-/// `poll(2)`/`wait_writable` until the socket accepts more). This is the
-/// sender-side backpressure: once a send returns, the link's outbox holds
-/// at most this many bytes.
-pub const OUTBOX_SOFT_LIMIT: usize = 1 << 20;
+/// Soft cap on a link's backlog — the bytes recorded in its replay window
+/// but not yet written — past which a sending thread parks in
+/// `poll(2)`/`wait_writable` until the socket takes more. This is the
+/// sender-side backpressure: once a send returns, the link's backlog is at
+/// most this many bytes.
+pub const SEND_BACKLOG_LIMIT: usize = 1 << 20;
 
-/// Hard cap on bytes parked in a router connection's outbox. A peer that
-/// stops reading past this point is treated like a dead stream: the
-/// connection is dropped and the frames stay in the logical link's replay
-/// window (store-and-forward), delivered when the peer reconnects. Under
-/// normal reactor operation the flow-control pause at
-/// [`ROUTER_OUTBOX_PAUSE`] keeps outboxes far below this; the cap is the
-/// backstop for pathological frames larger than the pause budget.
-pub const ROUTER_OUTBOX_LIMIT: usize = 16 << 20;
+/// Router flow control: once a destination's backlog holds more than this
+/// many unwritten bytes, the connections feeding it have their read
+/// interest disarmed (paused) until it drains below
+/// [`ROUTER_BACKLOG_RESUME`], so backpressure reaches the sending peer
+/// through its own socket buffers. There is no hard cap: a destination that
+/// stops reading holds its origins paused, and the frames wait in its
+/// window, written straight from there once it reads again. Without the
+/// pause a fast sender whose receiver shares the reactor's dispatch turn
+/// (e.g. an echo through the router inside one process) would grow the
+/// backlog without bound even though every peer is healthy.
+pub const ROUTER_BACKLOG_PAUSE: usize = 1 << 20;
 
-/// Router flow control: once a destination outbox holds more than this
-/// many undrained bytes, the connections feeding it have their read
-/// interest disarmed (paused) until the outbox drains below
-/// [`ROUTER_OUTBOX_RESUME`], so backpressure reaches the sending peer
-/// through its own socket buffers. Without it a fast sender whose receiver
-/// shares the reactor's dispatch turn (e.g. an echo through the router
-/// inside one process) can balloon the outbox to the
-/// [`ROUTER_OUTBOX_LIMIT`] teardown even though every peer is healthy.
-pub const ROUTER_OUTBOX_PAUSE: usize = 1 << 20;
-
-/// Outbox level at which paused origin connections resume reading
-/// (hysteresis below [`ROUTER_OUTBOX_PAUSE`] so the gate doesn't flap).
-pub const ROUTER_OUTBOX_RESUME: usize = ROUTER_OUTBOX_PAUSE / 2;
+/// Backlog at which paused origin connections resume reading (hysteresis
+/// below [`ROUTER_BACKLOG_PAUSE`] so the gate doesn't flap).
+pub const ROUTER_BACKLOG_RESUME: usize = ROUTER_BACKLOG_PAUSE / 2;
 
 /// The I/O driver a [`SocketTransport`] or [`SocketRouter`] runs on. There
 /// is one, the reactor (see *I/O driver*); the type stays so that callers
@@ -196,7 +169,7 @@ pub const ROUTER_OUTBOX_RESUME: usize = ROUTER_OUTBOX_PAUSE / 2;
 pub enum TransportBackend {
     /// All sockets registered nonblocking with the process-global event
     /// loop in `crate::reactor`: O(1) threads at any link count.
-    /// Unsupported off unix (attaching a link fails loudly).
+    /// Unsupported off unix (a link attach fails loudly).
     Reactor,
 }
 
@@ -297,16 +270,20 @@ fn is_transient(e: &std::io::Error) -> bool {
 }
 
 /// The frames sent on one logical link that the peer has not acknowledged
-/// yet, indexed by implicit per-link sequence number (frame `i` is simply
-/// the `i`-th frame ever written onto the link; per-link FIFO makes the
-/// numbering unambiguous without putting sequence numbers on the wire).
+/// yet, indexed by implicit per-link sequence number (frame `i` is the
+/// `i`-th frame ever written onto the link; per-link FIFO makes the
+/// numbering unambiguous without sequence numbers on the wire). It is also
+/// the link's one send buffer: the writer writes the frames after its
+/// cursor straight from here ([`write_to`](Self::write_to)).
 ///
-/// The peer's hop acks and resume counts drop the frames they cover
-/// ([`ack`](Self::ack), [`resume`](Self::resume)); after a reconnect the
-/// window then holds exactly the lost suffix for retransmission. Two hard
+/// Hop acks and resume counts drop the frames they cover. A resume count
+/// also attaches the window at the first frame the peer lacks, so the
+/// writer retransmits exactly the lost suffix; a window not attached yet,
+/// or [detached](Self::detach) from a dead stream, writes nothing. Two hard
 /// caps, frames and bytes, bound the window when the peer stops acking:
-/// past them the oldest frames are evicted, and a resume that needs one
-/// fails loudly instead of resuming with a gap.
+/// past them the oldest frames are evicted — never one at or after the
+/// cursor — and a resume that needs one fails loudly instead of resuming
+/// with a gap.
 #[derive(Debug)]
 struct ReplayWindow {
     frames: VecDeque<Vec<u8>>,
@@ -314,6 +291,20 @@ struct ReplayWindow {
     sent: u64,
     /// The peer's latest cumulative ack or resume count.
     acked: u64,
+    /// The write cursor: the first frame not wholly written on the current
+    /// stream, or `None` while the window is detached.
+    cursor: Option<u64>,
+    /// Bytes already written of the piece at the cursor: `acking`, if
+    /// begun, else the frame there.
+    partial: usize,
+    /// A hop ack begun at a frame boundary and not wholly written.
+    acking: Option<AckFrame>,
+    /// The hop ack owed to the peer, not begun: it goes out at the next
+    /// frame boundary, and a newer one replaces it.
+    ack: Option<AckFrame>,
+    /// Bytes owed to the stream: the rest of the piece at the cursor, the
+    /// owed ack and every later frame.
+    backlog: usize,
     capacity: usize,
     /// Byte cap across the retained frames (at least one frame is always
     /// kept so the most recent send stays retransmittable).
@@ -323,6 +314,9 @@ struct ReplayWindow {
     evicted_by: Option<ReplayCap>,
 }
 
+/// One hop ack as it goes on the wire.
+type AckFrame = [u8; 4 + ACK_BODY_LEN];
+
 /// The two hard caps of a [`ReplayWindow`].
 #[derive(Debug, Clone, Copy)]
 enum ReplayCap {
@@ -330,12 +324,21 @@ enum ReplayCap {
     Bytes,
 }
 
+/// Slices handed to one vectored write.
+const WRITE_SLICES: usize = 64;
+
 impl ReplayWindow {
+    /// An empty window, not attached to a stream yet.
     fn new(capacity: usize, byte_budget: usize) -> Self {
         ReplayWindow {
             frames: VecDeque::new(),
             sent: 0,
             acked: 0,
+            cursor: None,
+            partial: 0,
+            acking: None,
+            ack: None,
+            backlog: 0,
             capacity: capacity.max(1),
             byte_budget: byte_budget.max(1),
             bytes: 0,
@@ -343,35 +346,50 @@ impl ReplayWindow {
         }
     }
 
-    /// Records one sent frame, evicting the oldest beyond the frame or
-    /// byte cap — but never the newest `keep` frames (at least the one
-    /// just recorded): a router writes a read chunk's frames from here
-    /// after recording them all.
-    fn record(&mut self, frame: Vec<u8>, keep: usize) {
+    /// Sequence number of the oldest frame held.
+    fn first(&self) -> u64 {
+        self.sent - self.frames.len() as u64
+    }
+
+    /// Records one sent frame (into the backlog, when attached), evicting
+    /// the oldest frames beyond the frame or byte cap — but never the
+    /// newest frame, and never one at or after the cursor.
+    fn record(&mut self, frame: Vec<u8>) {
         self.sent += 1;
         self.bytes += frame.len();
+        if self.cursor.is_some() {
+            self.backlog += frame.len();
+        }
         self.frames.push_back(frame);
-        while self.frames.len() > keep.max(1)
+        while self.frames.len() > 1
             && (self.frames.len() > self.capacity || self.bytes > self.byte_budget)
+            && self.cursor.is_none_or(|cursor| self.first() < cursor)
         {
             self.evicted_by = Some(if self.frames.len() > self.capacity {
                 ReplayCap::Frames
             } else {
                 ReplayCap::Bytes
             });
-            if let Some(evicted) = self.frames.pop_front() {
-                self.bytes -= evicted.len();
-            }
+            self.free_before(self.first() + 1);
         }
     }
 
-    /// Takes the peer's cumulative hop ack: it holds every frame up to
-    /// `acked`, so they leave the window. The newest `unwritten` frames
-    /// are not on the wire yet and cannot be acked. `Err` (the ack passes
-    /// what was written, or goes back from the peer's earlier one) leaves
-    /// the window as it was.
-    fn ack(&mut self, acked: u64, unwritten: usize) -> Result<(), String> {
-        let written = self.sent.saturating_sub(unwritten as u64);
+    /// Drops every frame before `seq`.
+    fn free_before(&mut self, seq: u64) {
+        while self.first() < seq {
+            let Some(freed) = self.frames.pop_front() else {
+                break;
+            };
+            self.bytes -= freed.len();
+        }
+    }
+
+    /// Takes the peer's cumulative hop ack: every frame up to `acked` leaves
+    /// the window. The peer can hold only frames wholly written. `Err` (the
+    /// ack passes what was written, or goes back from the peer's earlier
+    /// one) leaves the window as it was.
+    fn ack(&mut self, acked: u64) -> Result<(), String> {
+        let written = self.cursor.unwrap_or(self.sent);
         if acked > written {
             return Err(format!(
                 "peer acks {acked} frames, only {written} were sent"
@@ -383,12 +401,7 @@ impl ReplayWindow {
                 self.acked
             ));
         }
-        let first = self.sent - self.frames.len() as u64;
-        for _ in first..acked {
-            if let Some(freed) = self.frames.pop_front() {
-                self.bytes -= freed.len();
-            }
-        }
+        self.free_before(acked);
         self.acked = acked;
         Ok(())
     }
@@ -425,23 +438,110 @@ impl ReplayWindow {
         Ok(pending as usize)
     }
 
-    /// The frames after the peer's `received` count, oldest first; `Err`
-    /// as for [`pending_after`](Self::pending_after).
-    fn unacked(&self, received: u64) -> Result<impl Iterator<Item = &[u8]>, String> {
-        let pending = self.pending_after(received)?;
-        Ok(self
-            .frames
-            .range(self.frames.len() - pending..)
-            .map(Vec::as_slice))
-    }
-
-    /// Takes the peer's resume count: it acks like a hop ack, so afterwards
-    /// the window holds exactly the frames to retransmit. `Err` as for
-    /// [`pending_after`](Self::pending_after), leaving the window as it
-    /// was.
+    /// Takes the peer's resume count on a fresh stream: it acks like a hop
+    /// ack and attaches the window at the count, so the backlog is exactly
+    /// the suffix to retransmit, from its first byte; the count also says
+    /// what an owed ack would have. `Err` as for
+    /// [`pending_after`](Self::pending_after), leaving the window as it was.
     fn resume(&mut self, received: u64) -> Result<(), String> {
         self.pending_after(received)?;
-        self.ack(received, 0)
+        self.free_before(received);
+        self.acked = received;
+        self.detach();
+        self.cursor = Some(received);
+        self.backlog = self.bytes;
+        Ok(())
+    }
+
+    /// Detaches the window from a stream that is gone: nothing is written
+    /// until a resume count attaches it again.
+    fn detach(&mut self) {
+        (self.cursor, self.partial, self.acking, self.ack) = (None, 0, None, None);
+        self.backlog = 0;
+    }
+
+    /// Owes the peer a hop ack of `received` frames, replacing one not
+    /// begun. A detached window owes no stream anything.
+    fn queue_ack(&mut self, received: u64) {
+        if self.cursor.is_some() {
+            if self.ack.is_none() {
+                self.backlog += 4 + ACK_BODY_LEN;
+            }
+            self.ack = Some(encode_ack(received));
+        }
+    }
+
+    /// Whether a recorded frame is still to be written (an owed ack alone
+    /// does not count).
+    fn frames_unwritten(&self) -> bool {
+        self.cursor.is_some_and(|cursor| cursor < self.sent)
+    }
+
+    /// Writes the backlog to `stream` with vectored writes straight from
+    /// the frames — the rest of the piece at the cursor, the owed ack, then
+    /// the later frames — until it is all taken or the stream would block.
+    fn write_to(&mut self, stream: &mut impl Write) -> std::io::Result<()> {
+        while self.backlog > 0 {
+            let mut slices = [IoSlice::new(&[]); WRITE_SLICES];
+            let count = self.slices(&mut slices);
+            match stream.write_vectored(&slices[..count]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.advance(n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Fills `slices` with the backlog in stream order; returns how many.
+    fn slices<'a>(&'a self, slices: &mut [IoSlice<'a>]) -> usize {
+        let Some(cursor) = self.cursor else {
+            return 0;
+        };
+        let mut next = (cursor - self.first()) as usize;
+        let begun = match &self.acking {
+            Some(ack) => Some(&ack[self.partial..]),
+            None if self.partial > 0 => {
+                next += 1;
+                Some(&self.frames[next - 1][self.partial..])
+            }
+            None => None,
+        };
+        let owed = self.ack.as_ref().map(|ack| &ack[..]);
+        let pieces = begun.into_iter().chain(owed);
+        let pieces = pieces.chain(self.frames.range(next..).map(Vec::as_slice));
+        let fill = |(slot, piece): (&mut IoSlice<'a>, &'a [u8])| *slot = IoSlice::new(piece);
+        slices.iter_mut().zip(pieces).map(fill).count()
+    }
+
+    /// Moves the cursor past `n` written bytes of the backlog. An owed ack
+    /// is begun only at a frame boundary.
+    fn advance(&mut self, mut n: usize) {
+        self.backlog -= n;
+        let first = self.first();
+        let Some(cursor) = self.cursor.as_mut() else {
+            return;
+        };
+        while n > 0 {
+            if self.partial == 0 && self.acking.is_none() {
+                self.acking = self.ack.take();
+            }
+            let len = match &self.acking {
+                Some(ack) => ack.len(),
+                None => self.frames[(*cursor - first) as usize].len(),
+            };
+            let step = n.min(len - self.partial);
+            self.partial += step;
+            n -= step;
+            if self.partial == len {
+                self.partial = 0;
+                if self.acking.take().is_none() {
+                    *cursor += 1;
+                }
+            }
+        }
     }
 }
 
@@ -547,7 +647,7 @@ fn endpoint_nonce() -> u64 {
 /// Serialises a hello announcing `endpoint`, `parties` and the endpoint's
 /// channel-security `mode` (see `docs/WIRE_FORMAT.md` §3 and §8).
 fn encode_hello(endpoint: u64, parties: &BTreeSet<PartyId>, mode: SecurityMode) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(15 + parties.len() * 5);
+    let mut w = WireWriter::with_capacity(HELLO_HEADER + parties.len() * 5);
     for &b in &HELLO_MAGIC {
         w.put_u8(b);
     }
@@ -561,10 +661,58 @@ fn encode_hello(endpoint: u64, parties: &BTreeSet<PartyId>, mode: SecurityMode) 
     w.finish()
 }
 
+/// Bytes of a hello before its parties: magic, version, mode, endpoint id
+/// and the party count.
+const HELLO_HEADER: usize = 15;
+
+/// How much of a peer's hello has arrived: not all of it (this many more
+/// bytes complete it, or its header), or all of it (the peer's endpoint id
+/// and party set).
+enum HelloRead {
+    Need(usize),
+    Done(u64, BTreeSet<PartyId>),
+}
+
+/// The one hello parser (`docs/WIRE_FORMAT.md` §3), for an endpoint in
+/// `mode`: reads the hello at the front of `bytes`, which may be
+/// incomplete, and never looks past it. `Need` says how many more bytes to
+/// fetch, so a caller holds at most one hello (15 + 255 × 5 bytes). `Err`
+/// is a bad magic, version or mode byte, a failed security negotiation or
+/// an unknown party tag.
+fn parse_hello(bytes: &[u8], mode: SecurityMode) -> Result<HelloRead, NetError> {
+    if bytes.len() < HELLO_HEADER {
+        return Ok(HelloRead::Need(HELLO_HEADER - bytes.len()));
+    }
+    if bytes[..4] != HELLO_MAGIC {
+        return Err(NetError::Decode(format!(
+            "bad handshake magic {:02x?} (expected {HELLO_MAGIC:02x?})",
+            &bytes[..4]
+        )));
+    }
+    if bytes[4] != WIRE_VERSION {
+        return Err(NetError::Decode(format!(
+            "peer speaks wire version {}, this build speaks {WIRE_VERSION}",
+            bytes[4]
+        )));
+    }
+    let peer_mode = SecurityMode::from_wire(bytes[5])?;
+    SecurityMode::negotiate(mode, peer_mode)?;
+    let len = HELLO_HEADER + 5 * bytes[HELLO_HEADER - 1] as usize;
+    if bytes.len() < len {
+        return Ok(HelloRead::Need(len - bytes.len()));
+    }
+    let peer_endpoint = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
+    let mut parties = BTreeSet::new();
+    for party in bytes[HELLO_HEADER..len].chunks_exact(5) {
+        parties.insert(get_party(&mut WireReader::new(party))?);
+    }
+    Ok(HelloRead::Done(peer_endpoint, parties))
+}
+
 /// Handshake stage 1 (`docs/WIRE_FORMAT.md` §3): writes this endpoint's
 /// hello, reads and validates the peer's, negotiates channel security, and
 /// returns the endpoint id and party set the peer announced. Reads exactly
-/// the peer's hello and allocates only for the parties it has read.
+/// the peer's hello, with the parser a router runs on its reactor.
 ///
 /// Runs over any byte stream; on a socket, arm a read timeout first
 /// (`handshake_deadline`) so a silent peer cannot hold the caller.
@@ -585,31 +733,17 @@ pub fn exchange_hello<S: Read + Write>(
         .write_all(&encode_hello(endpoint, locals, mode))
         .map_err(io_err)?;
     stream.flush().map_err(io_err)?;
-
-    let mut header = [0u8; 15];
-    stream.read_exact(&mut header).map_err(io_err)?;
-    if header[..4] != HELLO_MAGIC {
-        return Err(NetError::Decode(format!(
-            "bad handshake magic {:02x?} (expected {HELLO_MAGIC:02x?})",
-            &header[..4]
-        )));
+    let mut hello = Vec::with_capacity(HELLO_HEADER);
+    loop {
+        match parse_hello(&hello, mode)? {
+            HelloRead::Need(more) => {
+                let at = hello.len();
+                hello.resize(at + more, 0);
+                stream.read_exact(&mut hello[at..]).map_err(io_err)?;
+            }
+            HelloRead::Done(peer_endpoint, parties) => return Ok((peer_endpoint, parties)),
+        }
     }
-    if header[4] != WIRE_VERSION {
-        return Err(NetError::Decode(format!(
-            "peer speaks wire version {}, this build speaks {WIRE_VERSION}",
-            header[4]
-        )));
-    }
-    let peer_mode = SecurityMode::from_wire(header[5])?;
-    SecurityMode::negotiate(mode, peer_mode)?;
-    let peer_endpoint = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
-    let mut parties = BTreeSet::new();
-    for _ in 0..header[14] {
-        let mut party = [0u8; 5];
-        stream.read_exact(&mut party).map_err(io_err)?;
-        parties.insert(get_party(&mut WireReader::new(&party))?);
-    }
-    Ok((peer_endpoint, parties))
 }
 
 /// Handshake stage 2, the resume exchange (`docs/WIRE_FORMAT.md` §3):
@@ -626,77 +760,37 @@ pub fn exchange_resume<S: Read + Write>(stream: &mut S, received: u64) -> Result
     Ok(u64::from_le_bytes(raw))
 }
 
-/// Arms the handshake's read timeout on a socket (5 s), or clears it with
-/// `false` once the resume exchange is through.
+/// How long a handshake may take: the dialling and accepting side's read
+/// timeout, and the bound after which a router closes a connection whose
+/// hello and resume count are not through.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Arms the handshake's read timeout on a socket ([`HANDSHAKE_TIMEOUT`]),
+/// or clears it with `false` once the resume exchange is through.
 fn handshake_deadline<S: SocketStream>(stream: &S, armed: bool) -> Result<(), NetError> {
     stream
-        .set_stream_read_timeout(armed.then_some(Duration::from_secs(5)))
+        .set_stream_read_timeout(armed.then_some(HANDSHAKE_TIMEOUT))
         .map_err(|e| NetError::Io(format!("handshake failed: {e}")))
 }
 
+/// What a peer announced in the handshake: its endpoint id, party set and
+/// received-frame count.
+type Peer = (u64, BTreeSet<PartyId>, u64);
+
 /// Full handshake (both stages) for endpoints that know their received
-/// count up front (diallers and re-diallers). Returns the peer's announced
-/// endpoint id, party set and received-frame count.
+/// count up front (diallers and re-diallers).
 fn handshake<S: SocketStream>(
     stream: &mut S,
     endpoint: u64,
     locals: &BTreeSet<PartyId>,
     received: u64,
     mode: SecurityMode,
-) -> Result<(u64, BTreeSet<PartyId>, u64), NetError> {
+) -> Result<Peer, NetError> {
     handshake_deadline(stream, true)?;
     let (peer_endpoint, parties) = exchange_hello(stream, endpoint, locals, mode)?;
     let peer_received = exchange_resume(stream, received)?;
     handshake_deadline(stream, false)?;
     Ok((peer_endpoint, parties, peer_received))
-}
-
-/// Bytes accepted by a send or forward but not yet written to the socket:
-/// frames a coalescing link defers to its next flush, hop acks waiting for
-/// a write to ride, and whatever a nonblocking write left over. Every frame
-/// in here is already recorded in the replay window, and the resume count
-/// supersedes any ack, so discarding the outbox on a reconnect is
-/// lossless — the resume retransmission re-sends the recorded frames.
-#[derive(Debug, Default)]
-struct Outbox {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written to the socket.
-    cursor: usize,
-}
-
-impl Outbox {
-    fn is_empty(&self) -> bool {
-        self.cursor >= self.buf.len()
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        if self.is_empty() {
-            self.buf.clear();
-            self.cursor = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn unsent(&self) -> &[u8] {
-        &self.buf[self.cursor..]
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.cursor += n;
-        if self.is_empty() {
-            self.buf.clear();
-            self.cursor = 0;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.cursor = 0;
-    }
 }
 
 /// Arms or disarms write-readiness reporting, tolerating a dead
@@ -707,126 +801,49 @@ fn set_write_interest(registration: &Option<Arc<Registration>>, on: bool) {
     }
 }
 
-/// Pushes outbox bytes into a nonblocking socket.
-///
-/// Leftover bytes arm write interest so the reactor's writable dispatch
-/// finishes the job. When `soft_limit` is given and the leftover exceeds
-/// it, the drain instead parks in [`polling::wait_writable`] until the
-/// socket accepts more (sender-side backpressure; never used on the
-/// reactor thread). When `deadline` is given the park gives up once it
-/// passes — used only by orderly shutdown, where an unreachable peer must
-/// not hang the process.
-fn drain_outbox<S: SocketStream>(
+/// The one writer: writes a link's backlog from its replay window
+/// ([`ReplayWindow::write_to`]) to the link's nonblocking socket. What the
+/// socket does not take stays in the window and arms write interest, so
+/// the reactor's writable dispatch goes on with it — or, with
+/// `park_above`, the calling thread parks in [`polling::wait_writable`]
+/// while more than that many bytes are left (sender-side backpressure;
+/// never on the reactor thread). A `deadline` bounds the park (orderly
+/// shutdown, where an unreachable peer must not hang the process). On a
+/// blocking stream this writes everything.
+fn write_window<S: SocketStream>(
     stream: &mut S,
-    outbox: &mut Outbox,
+    window: &mut ReplayWindow,
     registration: &Option<Arc<Registration>>,
-    soft_limit: Option<usize>,
-    deadline: Option<std::time::Instant>,
+    park_above: Option<usize>,
+    deadline: Option<Instant>,
 ) -> std::io::Result<()> {
-    while !outbox.is_empty() {
-        match stream.write(outbox.unsent()) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => outbox.advance(n),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let over = soft_limit.is_some_and(|limit| outbox.len() > limit);
-                if !over {
-                    set_write_interest(registration, true);
-                    return Ok(());
-                }
-                if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                    return Err(std::io::ErrorKind::TimedOut.into());
-                }
-                // Backpressure: park until writable (with interest
-                // disarmed, so the reactor does not spin on a lock the
-                // parked sender holds), then retry the write.
-                set_write_interest(registration, false);
-                let fd = stream.stream_raw_fd()?;
-                let _ = polling::wait_writable(fd, Some(Duration::from_millis(50)))?;
-            }
-            Err(e) => return Err(e),
+    loop {
+        window.write_to(stream)?;
+        if window.backlog == 0 {
+            set_write_interest(registration, false);
+            return Ok(());
         }
+        if park_above.is_none_or(|limit| window.backlog <= limit) {
+            set_write_interest(registration, true);
+            return Ok(());
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        // Backpressure: park until writable (with interest disarmed, so
+        // the reactor does not spin on a lock the parked sender holds),
+        // then write again.
+        set_write_interest(registration, false);
+        let fd = stream.stream_raw_fd()?;
+        let _ = polling::wait_writable(fd, Some(Duration::from_millis(50)))?;
     }
-    set_write_interest(registration, false);
-    Ok(())
-}
-
-/// Writes the outbox's unsent bytes and then `frames`, in stream order,
-/// with vectored writes: every frame goes to the socket from its own
-/// buffer, and only what the socket does not take is copied into the
-/// outbox. The leftover then drains as in [`drain_outbox`] (write
-/// interest armed, or a park past `soft_limit`). On a blocking stream
-/// this writes everything. An error leaves the outbox as it was: the
-/// stream is dead, and the resume or teardown that follows discards both.
-fn write_frames<'a, S: SocketStream>(
-    stream: &mut S,
-    outbox: &mut Outbox,
-    registration: &Option<Arc<Registration>>,
-    soft_limit: Option<usize>,
-    frames: impl Iterator<Item = &'a [u8]> + Clone,
-) -> std::io::Result<()> {
-    let queued = outbox.len();
-    let total = queued + frames.clone().map(<[u8]>::len).sum::<usize>();
-    let mut written = 0;
-    {
-        let mut slices = vec![IoSlice::new(outbox.unsent())];
-        for frame in frames.clone() {
-            slices.push(IoSlice::new(frame));
-        }
-        let mut rest = &mut slices[..];
-        while written < total {
-            match stream.write_vectored(rest) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    written += n;
-                    IoSlice::advance_slices(&mut rest, n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    outbox.advance(written.min(queued));
-    let mut skip = written.saturating_sub(queued);
-    for frame in frames {
-        if skip >= frame.len() {
-            skip -= frame.len();
-        } else {
-            outbox.push(&frame[skip..]);
-            skip = 0;
-        }
-    }
-    drain_outbox(stream, outbox, registration, soft_limit, None)
-}
-
-/// `write_all` semantics on a stream that may be nonblocking: parks in
-/// [`polling::wait_writable`] on `WouldBlock`. Used by resume
-/// retransmission, which runs on a freshly handshaken stream that its
-/// reactor registration has already flipped nonblocking.
-fn write_all_parking<S: SocketStream>(stream: &mut S, bytes: &[u8]) -> std::io::Result<()> {
-    let mut written = 0;
-    while written < bytes.len() {
-        match stream.write(&bytes[written..]) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let fd = stream.stream_raw_fd()?;
-                let _ = polling::wait_writable(fd, Some(Duration::from_millis(50)))?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// What one link's read driver and writer share without a lock: the
 /// reactor thread must never wait on the writer lock, which a sender parked
-/// on backpressure holds. The read driver counts frames, checks the peer's
-/// acks and publishes them here, and flags when an ack of this end's own is
-/// due; the writer publishes what it has recorded, trims its window to the
-/// peer's ack and sends the due ack with its next write.
+/// on backpressure holds. The read driver publishes the frames it counts,
+/// the peer's checked acks, a due ack of its own and a hangup; the writer
+/// publishes what it has recorded.
 #[derive(Debug, Default)]
 struct AckState {
     /// Frames received on this logical link across every stream it has had:
@@ -839,12 +856,15 @@ struct AckState {
     peer_acked: AtomicU64,
     /// An ack of `received` is due, for the writer's next write to carry.
     ack_due: AtomicBool,
+    /// The live read driver of a re-diallable link saw its stream end: the
+    /// next send re-dials before it writes. A resume clears it.
+    hung_up: AtomicBool,
 }
 
 /// The writer half of one link: the current OS stream plus the replay
-/// window that makes reconnects lossless. Recording a frame and writing it
-/// happen under one lock, so the replay order always equals the stream
-/// order.
+/// window, which is both what makes reconnects lossless and the link's one
+/// send buffer. Recording a frame and writing it happen under one lock, so
+/// the replay order always equals the stream order.
 struct LinkWriter<S> {
     stream: S,
     replay: ReplayWindow,
@@ -854,11 +874,6 @@ struct LinkWriter<S> {
     /// failed checks it to learn whether a concurrent sender already
     /// re-dialled (and therefore already retransmitted the failed frame).
     generation: u64,
-    /// Bytes accepted by a send but not yet written: sealed frames a
-    /// coalescing link defers to the next flush, a due hop ack, and
-    /// whatever a nonblocking write left over. Every frame here is already
-    /// in the replay window.
-    outbox: Outbox,
     /// A write failure observed asynchronously by the reactor's writable
     /// dispatch, surfaced at the next send or flush on the link.
     write_failed: Option<std::io::Error>,
@@ -873,7 +888,7 @@ impl<S: SocketStream> LinkWriter<S> {
     /// leaves ahead of the frame.
     fn record(&mut self, frame: Vec<u8>) {
         self.settle_acks();
-        self.replay.record(frame, 1);
+        self.replay.record(frame);
         self.acks.sent.store(self.replay.sent, Ordering::SeqCst);
     }
 
@@ -882,68 +897,70 @@ impl<S: SocketStream> LinkWriter<S> {
     /// raises it only to a count the window took, so the window always
     /// takes it.
     fn trim(&mut self) {
-        let _ = self
-            .replay
-            .ack(self.acks.peer_acked.load(Ordering::SeqCst), 0);
+        let _ = self.replay.ack(self.acks.peer_acked.load(Ordering::SeqCst));
     }
 
     /// Acts on what the read driver published: frees the frames up to the
-    /// peer's ack, and queues a due ack behind the outbox. Returns whether
-    /// an ack was queued.
+    /// peer's ack, and queues a due ack in the window. Returns whether an
+    /// ack was queued.
     fn settle_acks(&mut self) -> bool {
         self.trim();
         if !self.acks.ack_due.swap(false, Ordering::SeqCst) {
             return false;
         }
-        self.outbox
-            .push(&encode_ack(self.acks.received.load(Ordering::SeqCst)));
+        self.replay
+            .queue_ack(self.acks.received.load(Ordering::SeqCst));
         true
     }
 
-    /// Settles acks and sends a due one now: behind the outbox when the
-    /// link has bytes of its own waiting there (the next flush or writable
-    /// dispatch writes them), alone when it has none. Never parks: what
-    /// the socket does not take arms write interest.
+    /// Settles acks and sends a due one now: with the link's own frames
+    /// when it has some still to write (the next flush or writable
+    /// dispatch writes them), alone when it has none.
     fn send_due_ack(&mut self) {
-        let idle = self.outbox.is_empty();
-        if !self.settle_acks() || !idle || self.write_failed.is_some() {
-            return;
-        }
-        if let Err(e) = drain_outbox(
-            &mut self.stream,
-            &mut self.outbox,
-            &self.registration,
-            None,
-            None,
-        ) {
-            set_write_interest(&self.registration, false);
-            self.write_failed = Some(e);
+        let idle = self.replay.backlog == 0;
+        if self.settle_acks() && idle {
+            self.write_now();
         }
     }
 
+    /// Writes the backlog ([`write_window`]), parking as `park_above` says.
+    fn write(
+        &mut self,
+        park_above: Option<usize>,
+        deadline: Option<Instant>,
+    ) -> std::io::Result<()> {
+        let (stream, registration) = (&mut self.stream, &self.registration);
+        write_window(stream, &mut self.replay, registration, park_above, deadline)
+    }
+
+    /// Writes what the socket takes now, never parking (the reactor
+    /// thread's write). A failure is stashed for the next send or flush to
+    /// surface; the read side sees the broken stream on its own.
+    fn write_now(&mut self) {
+        if self.write_failed.is_none() {
+            match self.write(None, None) {
+                Ok(()) => return,
+                Err(e) => self.write_failed = Some(e),
+            }
+        }
+        set_write_interest(&self.registration, false);
+    }
+
     /// Sends the frame just recorded in the replay window. With `defer` (a
-    /// sealed, coalescing link) the frame joins the outbox and leaves with
-    /// the rest of the turn at the next flush; only an outbox that would
-    /// pass [`COALESCE_BUDGET`] is written at once, together with the
-    /// frame. Otherwise the frame is written through, with sender-side
-    /// backpressure past [`OUTBOX_SOFT_LIMIT`]. A write failure the
-    /// reactor's writable dispatch stashed surfaces here first.
+    /// sealed, coalescing link) the frame waits in the window and leaves
+    /// with the rest of the turn at the next flush; only a backlog that
+    /// would pass [`COALESCE_BUDGET`] is written at once. Otherwise the
+    /// backlog is written through, with sender-side backpressure past
+    /// [`SEND_BACKLOG_LIMIT`]. A write failure the reactor's writable
+    /// dispatch stashed surfaces here first.
     fn send_recorded(&mut self, defer: bool) -> std::io::Result<()> {
         if let Some(e) = self.write_failed.take() {
             return Err(e);
         }
-        let frame = self.replay.frames.back().expect("just recorded");
-        if defer && self.outbox.len() + frame.len() <= COALESCE_BUDGET {
-            self.outbox.push(frame);
+        if defer && self.replay.backlog <= COALESCE_BUDGET {
             return Ok(());
         }
-        write_frames(
-            &mut self.stream,
-            &mut self.outbox,
-            &self.registration,
-            Some(OUTBOX_SOFT_LIMIT),
-            std::iter::once(frame.as_slice()),
-        )
+        self.write(Some(SEND_BACKLOG_LIMIT), None)
     }
 }
 
@@ -1129,8 +1146,8 @@ impl<S: SocketStream> SocketTransport<S> {
     /// AEAD-sealed end-to-end under `keyring`'s per-party-pair direction
     /// keys, and every inbound frame must unseal (plaintext frames are an
     /// [`NetError::AuthFailure`]). The handshake hello advertises
-    /// `SealedPsk` and rejects plaintext peers — call this **before**
-    /// attaching any link. See `docs/WIRE_FORMAT.md` §8.
+    /// `SealedPsk` and rejects plaintext peers — call this **before** any
+    /// link is attached. See `docs/WIRE_FORMAT.md` §8.
     pub fn set_security(&mut self, keyring: ChannelKeyring) {
         let salt = (self.endpoint ^ (self.endpoint >> 32)) as u32;
         self.security = Some(SecurityState {
@@ -1141,10 +1158,11 @@ impl<S: SocketStream> SocketTransport<S> {
 
     /// Enables frame coalescing on a secured transport: each send still
     /// seals its envelope into its own record and records it in the replay
-    /// window at once, but the frame waits in the link's outbox, and the
-    /// next [`Transport::flush`] writes the whole turn's frames with one
-    /// write. An outbox that would pass [`COALESCE_BUDGET`] is written
-    /// straight away, so memory stays bounded within a turn.
+    /// window at once, but the frame waits there, unwritten, and the next
+    /// [`Transport::flush`] writes the whole turn's frames with one write,
+    /// straight from the window. A backlog that would pass
+    /// [`COALESCE_BUDGET`] is written straight away, so memory stays
+    /// bounded within a turn.
     ///
     /// Deferred frames reach the wire only at a flush or when the budget
     /// fills, so callers must flush at turn boundaries (the session
@@ -1237,12 +1255,15 @@ impl<S: SocketStream> SocketTransport<S> {
         let reader_retired = Arc::new(AtomicBool::new(false));
         let acks = Arc::new(AckState::default());
         let ingest = self.link_ingest(&reader_retired, &acks, redial.is_some());
+        // The peer's resume count on a fresh link is 0 (the caller checked):
+        // it attaches the window at the first frame.
+        let mut replay = ReplayWindow::new(self.replay_frames, self.replay_bytes);
+        replay.resume(0).map_err(NetError::Io)?;
         let writer = Arc::new(Mutex::new(LinkWriter {
             stream,
-            replay: ReplayWindow::new(self.replay_frames, self.replay_bytes),
+            replay,
             acks: Arc::clone(&acks),
             generation: 0,
-            outbox: Outbox::default(),
             write_failed: None,
             registration: None,
         }));
@@ -1299,16 +1320,17 @@ impl<S: SocketStream> SocketTransport<S> {
 
     /// Installs `stream` (already through stage 1 plus the resume exchange,
     /// whose `peer_received` is given) as the new stream of `links[index]`:
-    /// retransmits the unacknowledged suffix, swaps the stream in and
-    /// registers a fresh reader. The old reader must already be quiesced.
+    /// registers a fresh reader, rewinds the window's cursor to the peer's
+    /// count, writes the unacknowledged suffix from there (parking until it
+    /// is all out, so the send, flush or accept that resumed the link
+    /// returns only then) and swaps the stream in. The old reader must
+    /// already be quiesced.
     fn resume_link_at(
         &self,
         links: &mut [Link<S>],
         index: usize,
         mut stream: S,
-        peer_endpoint: u64,
-        peer_parties: BTreeSet<PartyId>,
-        peer_received: u64,
+        (peer_endpoint, peer_parties, peer_received): Peer,
     ) -> Result<(), ResumeError> {
         if peer_endpoint != links[index].peer_endpoint {
             // The address answered with a different endpoint id: the peer
@@ -1338,9 +1360,11 @@ impl<S: SocketStream> SocketTransport<S> {
         // draining it while we write is what keeps a large mutual resync
         // from deadlocking on full socket buffers. (Registration also flips
         // the fd nonblocking, so the retransmission below parks in
-        // `wait_writable` when the socket fills.)
+        // `wait_writable` when the socket fills.) The old reader is
+        // retired, so only the new one can flag a hangup from here on.
         let old_token = Arc::clone(&links[index].reader_retired);
         let reader_retired = Arc::new(AtomicBool::new(false));
+        links[index].acks.hung_up.store(false, Ordering::SeqCst);
         let ingest = self.link_ingest(
             &reader_retired,
             &links[index].acks,
@@ -1354,18 +1378,26 @@ impl<S: SocketStream> SocketTransport<S> {
             let mut guard = links[index].writer.lock();
             let writer = &mut *guard;
             // Apply the old stream's last ack first, so the resume count is
-            // checked against it. The count then acks like a hop ack, and
-            // the window holds exactly the suffix to retransmit.
+            // checked against it. The count then acks like a hop ack, the
+            // cursor rewinds to it, and the backlog is exactly the suffix
+            // to retransmit: every frame the dead stream did not deliver,
+            // written or not (record-then-write). The count also superseded
+            // any ack owed.
             writer.trim();
             let result = match writer.replay.resume(peer_received) {
                 Err(e) => Err(ResumeError::Refused(NetError::Io(e))),
-                Ok(()) => writer
-                    .replay
-                    .frames
-                    .iter()
-                    .try_for_each(|frame| write_all_parking(&mut stream, frame))
+                Ok(()) => {
+                    writer.acks.ack_due.store(false, Ordering::SeqCst);
+                    write_window(
+                        &mut stream,
+                        &mut writer.replay,
+                        &writer.registration,
+                        Some(0),
+                        None,
+                    )
                     .and_then(|()| stream.flush())
-                    .map_err(ResumeError::Retransmission),
+                    .map_err(ResumeError::Retransmission)
+                }
             };
             writer
                 .acks
@@ -1374,12 +1406,7 @@ impl<S: SocketStream> SocketTransport<S> {
             if result.is_ok() {
                 writer.stream = stream;
                 writer.generation += 1;
-                // Undelivered outbox frames of the dead stream are already
-                // in the replay window (record-then-write), so the resume
-                // retransmission above covered them, and the resume count
-                // superseded any ack there; a stashed write failure
-                // belonged to the dead stream too.
-                writer.outbox.clear();
+                // A stashed write failure belonged to the dead stream.
                 writer.write_failed = None;
             }
             result
@@ -1421,95 +1448,61 @@ impl<S: SocketStream> SocketTransport<S> {
         let existing = links
             .iter()
             .position(|l| l.redial.as_ref() == Some(&target));
-        match existing {
-            Some(index) => {
-                let received = Self::quiesce_reader(&mut links, index);
-                let (peer_endpoint, peer_parties, peer_received) = handshake(
-                    &mut stream,
-                    self.endpoint,
-                    &self.locals,
-                    received,
-                    self.security_mode(),
-                )?;
-                self.resume_link_at(
-                    &mut links,
-                    index,
-                    stream,
-                    peer_endpoint,
-                    peer_parties.clone(),
-                    peer_received,
-                )
-                .map_err(NetError::from)?;
-                Ok(peer_parties)
-            }
-            None => {
-                let (peer_endpoint, peer_parties, peer_received) = handshake(
-                    &mut stream,
-                    self.endpoint,
-                    &self.locals,
-                    0,
-                    self.security_mode(),
-                )?;
-                if peer_received != 0 {
-                    return Err(NetError::Io(format!(
-                        "peer expects to resume at frame {peer_received} on a link this \
-                         endpoint has no state for (frames are irrecoverably lost)"
-                    )));
-                }
-                self.attach_link_locked(
-                    &mut links,
-                    stream,
-                    peer_endpoint,
-                    peer_parties.clone(),
-                    Some(target),
-                )?;
-                Ok(peer_parties)
-            }
-        }
+        let received = existing.map_or(0, |index| Self::quiesce_reader(&mut links, index));
+        let mode = self.security_mode();
+        let peer = handshake(&mut stream, self.endpoint, &self.locals, received, mode)?;
+        let parties = peer.1.clone();
+        self.join_link(&mut links, existing, stream, peer, Some(target))?;
+        Ok(parties)
     }
 
-    /// Completes stage 2 of the handshake for an accepted connection (whose
-    /// handshake deadline the acceptor armed) and either resumes the
-    /// existing logical link with the same announced endpoint id and party
-    /// set (retransmitting whatever the peer lost) or attaches a fresh
-    /// link.
-    fn accept_stream(
-        &self,
-        mut stream: S,
-        peer_endpoint: u64,
-        peer_parties: BTreeSet<PartyId>,
-    ) -> Result<(), NetError> {
+    /// Handshakes an accepted connection on the calling thread and either
+    /// resumes the existing logical link with the same announced endpoint
+    /// id and party set (retransmitting whatever the peer lost) or attaches
+    /// a fresh link. Returns the parties the peer announced.
+    fn accept_stream(&self, mut stream: S) -> Result<BTreeSet<PartyId>, NetError> {
+        handshake_deadline(&stream, true)?;
+        let (peer_endpoint, peer_parties) = exchange_hello(
+            &mut stream,
+            self.endpoint,
+            &self.locals,
+            self.security_mode(),
+        )?;
         let mut links = self.links.lock();
         let existing = links
             .iter()
             .position(|l| l.peer_endpoint == peer_endpoint && l.peer_parties == peer_parties);
-        match existing {
-            Some(index) => {
-                let received = Self::quiesce_reader(&mut links, index);
-                let peer_received = exchange_resume(&mut stream, received)?;
-                handshake_deadline(&stream, false)?;
-                self.resume_link_at(
-                    &mut links,
-                    index,
-                    stream,
-                    peer_endpoint,
-                    peer_parties,
-                    peer_received,
-                )
-                .map_err(NetError::from)
-            }
-            None => {
-                let peer_received = exchange_resume(&mut stream, 0)?;
-                handshake_deadline(&stream, false)?;
-                if peer_received != 0 {
-                    return Err(NetError::Io(format!(
-                        "peer expects to resume at frame {peer_received}, but this endpoint \
-                         holds no state for its link (frames are irrecoverably lost)"
-                    )));
-                }
-                self.attach_link_locked(&mut links, stream, peer_endpoint, peer_parties, None)
-            }
+        let received = existing.map_or(0, |index| Self::quiesce_reader(&mut links, index));
+        let peer_received = exchange_resume(&mut stream, received)?;
+        handshake_deadline(&stream, false)?;
+        let peer = (peer_endpoint, peer_parties.clone(), peer_received);
+        self.join_link(&mut links, existing, stream, peer, None)?;
+        Ok(peer_parties)
+    }
+
+    /// Resumes `links[existing]` on a handshaken `stream`, or attaches it
+    /// as a fresh link.
+    fn join_link(
+        &self,
+        links: &mut Vec<Link<S>>,
+        existing: Option<usize>,
+        stream: S,
+        peer: Peer,
+        redial: Option<RedialTarget>,
+    ) -> Result<(), NetError> {
+        if let Some(index) = existing {
+            return self
+                .resume_link_at(links, index, stream, peer)
+                .map_err(NetError::from);
         }
+        let (peer_endpoint, peer_parties, peer_received) = peer;
+        if peer_received != 0 {
+            return Err(NetError::Io(format!(
+                "peer expects to resume at frame {peer_received} on a link this endpoint \
+                 holds no state for (frames are irrecoverably lost)"
+            )));
+        }
+        self.attach_link_locked(links, stream, peer_endpoint, peer_parties, redial)
     }
 
     /// Index of the link that should carry traffic for `to`, if any.
@@ -1539,31 +1532,19 @@ impl<S: SocketStream> SocketTransport<S> {
         // announce is final (and the dead reader cannot poison the fresh
         // link with a fatal error).
         let mut received = Self::quiesce_reader(links, index);
-        // A fresh stream can die while the lost suffix is written to it: a
-        // router drops a connection whose reflected frame overflows its
-        // outbox. Dial again, within the reconnect budget; the peer has
-        // counted what arrived, so each attempt resumes further on.
+        // A fresh stream can die while the lost suffix is written to it (the
+        // peer, or a router on its behalf, drops it). Dial again, within
+        // the reconnect budget; the peer has counted what arrived, so each
+        // attempt resumes further on.
         let mut attempts = self.reconnect.max_attempts.max(1);
         loop {
             let mut stream = self
                 .reconnect
                 .retry(|| S::redial(&target))
                 .map_err(|e| NetError::Io(format!("reconnect failed: {e}")))?;
-            let (peer_endpoint, peer_parties, peer_received) = handshake(
-                &mut stream,
-                self.endpoint,
-                &self.locals,
-                received,
-                self.security_mode(),
-            )?;
-            match self.resume_link_at(
-                links,
-                index,
-                stream,
-                peer_endpoint,
-                peer_parties,
-                peer_received,
-            ) {
+            let mode = self.security_mode();
+            let peer = handshake(&mut stream, self.endpoint, &self.locals, received, mode)?;
+            match self.resume_link_at(links, index, stream, peer) {
                 Err(ResumeError::Retransmission(e)) if is_transient(&e) && attempts > 1 => {
                     attempts -= 1;
                     // The abandoned stream's reader, quiesced by now, may
@@ -1593,22 +1574,14 @@ impl<S: SocketStream> SocketTransport<S> {
         self.shutting_down.store(true, Ordering::SeqCst);
         let mut links = self.links.lock();
         for index in 0..links.len() {
-            // Best-effort drain of the outbox, so an orderly shutdown does
+            // Best-effort write of the backlog, so an orderly shutdown does
             // not strand deferred frames (a crash still can; the peer then
-            // misses them like any unsent protocol state). The drain is
+            // misses them like any unsent protocol state). It is
             // deadline-bounded: an unreachable peer must not hang the
             // process on exit.
             {
-                let mut guard = links[index].writer.lock();
-                let w = &mut *guard;
-                let deadline = std::time::Instant::now() + Duration::from_secs(1);
-                let _ = drain_outbox(
-                    &mut w.stream,
-                    &mut w.outbox,
-                    &w.registration,
-                    Some(0),
-                    Some(deadline),
-                );
+                let mut w = links[index].writer.lock();
+                let _ = w.write(Some(0), Some(Instant::now() + Duration::from_secs(1)));
                 let _ = w.stream.flush();
             }
             let _ = Self::quiesce_reader(&mut links, index);
@@ -1826,26 +1799,25 @@ impl LinkIngest {
         true
     }
 
-    /// EOF. A partial frame in the buffer means the peer (or the network)
-    /// died mid-send; on a recoverable link the retransmission after
-    /// re-dial replaces the torn frame, so only unrecoverable links
-    /// surface it as fatal.
-    fn on_eof(&self) {
-        if self.decoder.buffered() > 0 && !self.recoverable && !self.silenced() {
+    /// The stream ended: EOF (`None`) or an I/O error. On a recoverable
+    /// link (one with a re-dial target) the hangup is flagged, never fatal:
+    /// the next send re-dials before it writes into the dead socket (whose
+    /// kernel buffer would take the frame, to fail only at a later write),
+    /// and the retransmission replaces even a torn frame. Elsewhere an
+    /// error, or EOF mid-frame, is fatal.
+    fn on_end(&self, error: Option<std::io::Error>) {
+        if self.silenced() {
+            return;
+        }
+        if self.recoverable {
+            self.acks.hung_up.store(true, Ordering::SeqCst);
+        } else if let Some(e) = error {
+            self.fail(NetError::Io(e.to_string()));
+        } else if self.decoder.buffered() > 0 {
             self.fail(NetError::Io(format!(
                 "peer hung up mid-frame with {} bytes buffered",
                 self.decoder.buffered()
             )));
-        }
-    }
-
-    /// Stream I/O failure. On `recoverable` links (those with a re-dial
-    /// target) these are *not* recorded as fatal: the next send re-dials
-    /// and retransmits, so the receive path must not kill the session
-    /// first.
-    fn on_error(&self, e: std::io::Error) {
-        if !self.recoverable && !self.silenced() {
-            self.fail(NetError::Io(e.to_string()));
         }
     }
 }
@@ -1862,11 +1834,11 @@ struct ReadDriver<S> {
 }
 
 /// The I/O driver of one link: a readiness [`Source`] that drains the
-/// stream through its ingest on readable events and drains the writer's
-/// outbox on writable events.
+/// stream through its ingest on readable events and writes the writer's
+/// backlog on writable events.
 struct LinkSource<S> {
     read: Mutex<ReadDriver<S>>,
-    /// The link's writer, for outbox draining on writable readiness.
+    /// The link's writer, for writing its backlog on writable readiness.
     writer: Arc<Mutex<LinkWriter<S>>>,
     registration: OnceLock<Arc<Registration>>,
 }
@@ -1893,7 +1865,7 @@ impl<S: SocketStream> LinkSource<S> {
         loop {
             match driver.stream.read(&mut buf) {
                 Ok(0) => {
-                    driver.ingest.on_eof();
+                    driver.ingest.on_end(None);
                     driver.done = true;
                     break;
                 }
@@ -1915,7 +1887,7 @@ impl<S: SocketStream> LinkSource<S> {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    driver.ingest.on_error(e);
+                    driver.ingest.on_end(Some(e));
                     driver.done = true;
                     break;
                 }
@@ -1933,26 +1905,15 @@ impl<S: SocketStream> LinkSource<S> {
     fn drain_writable(&self) {
         // try_lock: the reactor thread must never park on a sender's lock;
         // level-triggered polling re-reports writable on the next loop.
-        let Some(mut guard) = self.writer.try_lock() else {
-            return;
-        };
-        let w = &mut *guard;
-        if w.write_failed.is_some() {
-            set_write_interest(&w.registration, false);
-            return;
-        }
-        if let Err(e) = drain_outbox(&mut w.stream, &mut w.outbox, &w.registration, None, None) {
-            // Stash for the next send or flush to surface; the read side
-            // observes the broken stream independently and deregisters.
-            set_write_interest(&w.registration, false);
-            w.write_failed = Some(e);
+        if let Some(mut writer) = self.writer.try_lock() {
+            writer.write_now();
         }
     }
 }
 
 impl<S: SocketStream> Source for LinkSource<S> {
     fn on_ready(&self, readable: bool, writable: bool) {
-        // Writes first: on a HUP (reported as both) the outbox still gets
+        // Writes first: on a HUP (reported as both) the backlog still gets
         // its chance before the read path deregisters the fd.
         if writable {
             self.drain_writable();
@@ -2059,7 +2020,18 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
                 None => encode_frame(&envelope)?,
             };
             w.record(frame);
-            match w.send_recorded(defer) {
+            // A peer that hung up gets no write into its dead socket: the
+            // re-dial below resumes the link, and its retransmission
+            // carries the frame just recorded.
+            let sent = if can_redial && w.acks.hung_up.load(Ordering::SeqCst) {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionReset,
+                    "the peer hung up",
+                ))
+            } else {
+                w.send_recorded(defer)
+            };
+            match sent {
                 Ok(()) => return Ok(()),
                 Err(e) => (w.generation, e),
             }
@@ -2102,25 +2074,22 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
             })
             .collect();
         for (index, writer, acks, recoverable) in writers {
-            // On a coalescing link the outbox holds the turn's deferred
-            // frames: flush is where they leave, in one write.
+            // On a coalescing link the window holds the turn's deferred
+            // frames unwritten: flush is where they leave, in one write.
             let (generation, had_pending, result) = {
                 let mut guard = writer.lock();
                 let w = &mut *guard;
-                let had_pending = !w.outbox.is_empty() || w.write_failed.is_some();
+                let had_pending = w.replay.frames_unwritten() || w.write_failed.is_some();
                 // A due ack leaves with the turn; a dead link does not
                 // re-dial for an ack alone.
                 w.settle_acks();
                 // A write failure the reactor's writable dispatch stashed
-                // surfaces here. Otherwise flush fully drains the outbox
+                // surfaces here. Otherwise flush writes the whole backlog
                 // (`Some(0)` parks in `wait_writable` until the socket
-                // accepts the rest).
+                // takes the rest).
                 let result = match w.write_failed.take() {
                     Some(e) => Err(e),
-                    None => {
-                        drain_outbox(&mut w.stream, &mut w.outbox, &w.registration, Some(0), None)
-                            .and_then(|()| w.stream.flush())
-                    }
+                    None => w.write(Some(0), None).and_then(|()| w.stream.flush()),
                 };
                 (w.generation, had_pending, result)
             };
@@ -2250,22 +2219,14 @@ impl TcpAcceptor {
     /// *resumes* that link (retransmitting the frames the peer lost).
     /// Returns the party set the peer announced.
     pub fn accept_into(&self, transport: &TcpTransport) -> Result<BTreeSet<PartyId>, NetError> {
-        let (mut stream, _) = self
+        let (stream, _) = self
             .listener
             .accept()
             .map_err(|e| NetError::Io(format!("accept failed: {e}")))?;
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::Io(e.to_string()))?;
-        handshake_deadline(&stream, true)?;
-        let (peer_endpoint, peer_parties) = exchange_hello(
-            &mut stream,
-            transport.endpoint,
-            transport.locals(),
-            transport.security_mode(),
-        )?;
-        transport.accept_stream(stream, peer_endpoint, peer_parties.clone())?;
-        Ok(peer_parties)
+        transport.accept_stream(stream)
     }
 }
 
@@ -2291,109 +2252,77 @@ impl UdsAcceptor {
     /// `transport`, and attaches it — resuming an existing link when the
     /// announced party set matches. Returns the peer's announced parties.
     pub fn accept_into(&self, transport: &UdsTransport) -> Result<BTreeSet<PartyId>, NetError> {
-        let (mut stream, _) = self
+        let (stream, _) = self
             .listener
             .accept()
             .map_err(|e| NetError::Io(format!("accept failed: {e}")))?;
-        handshake_deadline(&stream, true)?;
-        let (peer_endpoint, peer_parties) = exchange_hello(
-            &mut stream,
-            transport.endpoint,
-            transport.locals(),
-            transport.security_mode(),
-        )?;
-        transport.accept_stream(stream, peer_endpoint, peer_parties.clone())?;
-        Ok(peer_parties)
+        transport.accept_stream(stream)
     }
 }
 
-/// The outbound half of one router logical link: the replay window plus
-/// the currently live stream (if any). Recording and writing happen under
-/// one lock so replay order equals stream order; when no stream is live,
-/// frames are recorded only (store-and-forward) and delivered by the
-/// resume retransmission when the peer reconnects. The peer's hop acks
-/// free what it holds.
+/// The outbound half of one router logical link: its replay window (the
+/// link's one send buffer) and the socket of the connection attached to
+/// it, if any. Recording and writing happen under one lock, so replay
+/// order equals stream order. Frames forwarded to a link with no
+/// connection are recorded only (store-and-forward); the peer's resume
+/// count at its next connection attaches the window, and the writer sends
+/// exactly what the peer lacks. The peer's hop acks free what it holds.
 struct RouterOutbound<S> {
     replay: ReplayWindow,
+    /// A clone of the attached connection's socket, from the moment its
+    /// hello joined the link. The window stays detached, so nothing is
+    /// written here, until the peer's resume count has been applied.
     stream: Option<S>,
-    /// Bumped per successful (re)connection; a connection's source only
-    /// tears down the stream it installed.
-    generation: u64,
-    /// Bytes accepted by a forward but not yet written, and hop acks to
-    /// the peer; bounded by [`ROUTER_OUTBOX_LIMIT`], past which the
-    /// connection is treated as dead. Every frame here is already in the
-    /// replay window.
-    outbox: Outbox,
-    /// Frames at the back of `replay` that the read chunk being forwarded
-    /// recorded for the live stream and has not written yet (see
-    /// [`router_ingest`]). Zero whenever the stream is replaced or dropped:
-    /// the resume retransmission covers them.
-    unsent: usize,
-    /// Reactor registration of the live stream's fd, for arming write
-    /// interest (`None` with no live stream, or before it registers).
+    /// The attached connection, retired when a newer one joins the link.
+    conn: Weak<RouterConn<S>>,
+    /// Its reactor registration, for arming write interest.
     registration: Option<Arc<Registration>>,
-    /// Origin connections whose read interest was disarmed because their
-    /// forwards congested this outbox past [`ROUTER_OUTBOX_PAUSE`]; resumed
-    /// when the outbox drains below [`ROUTER_OUTBOX_RESUME`] or the
-    /// connection dies.
-    paused_origins: Vec<PausedOrigin>,
-}
-
-/// A flow-control-paused origin connection: enough shared state to flip its
-/// read interest back on once the congested destination drains.
-struct PausedOrigin {
-    paused: Arc<AtomicBool>,
-    registration: Arc<Registration>,
+    /// Origin connections paused because their forwards left this link's
+    /// backlog past [`ROUTER_BACKLOG_PAUSE`]. Held strongly, so each
+    /// paused socket stays open until it is re-armed.
+    paused_origins: Vec<Arc<RouterConn<S>>>,
 }
 
 impl<S: SocketStream> RouterOutbound<S> {
-    /// Resumes every origin paused into this outbox: clears their paused
-    /// flag and re-arms read interest (level-triggered polling re-fires
-    /// any bytes that queued while the gate was closed). Must run whenever
-    /// the outbox drains below [`ROUTER_OUTBOX_RESUME`] *and* on every path
-    /// that clears the outbox or tears the connection down — a paused
-    /// origin with no one left to resume it would be deaf forever.
+    /// Re-arms every origin paused on this link (level-triggered polling
+    /// re-fires the bytes that queued meanwhile). Runs when the backlog
+    /// drains below [`ROUTER_BACKLOG_RESUME`] and whenever the connection
+    /// goes: a paused origin with no one left to resume it would be deaf
+    /// forever.
     fn resume_paused_origins(&mut self) {
         for origin in self.paused_origins.drain(..) {
             origin.paused.store(false, Ordering::SeqCst);
-            // A dead registration means the origin is being torn down anyway.
-            let _ = origin.registration.set_readable(true);
+            // A closed origin is deregistered: re-arming it is a no-op.
+            if let Some(registration) = origin.registration.get() {
+                let _ = registration.set_readable(true);
+            }
         }
     }
 
-    /// Writes the outbox and then the `unsent` frames at the back of the
-    /// replay window, straight from there ([`write_frames`]). A dead stream
-    /// — or a peer that stopped reading long enough to blow
-    /// [`ROUTER_OUTBOX_LIMIT`] — drops the connection. Returns whether the
-    /// stream is still live.
-    fn write_pending(&mut self) -> bool {
-        let unsent = std::mem::take(&mut self.unsent);
+    /// Writes the backlog to the attached connection without parking
+    /// ([`write_window`]); a dead stream drops the connection. Returns
+    /// whether a connection is still attached.
+    fn write(&mut self) -> bool {
         let Some(stream) = self.stream.as_mut() else {
             return false;
         };
-        let frames = self
-            .replay
-            .frames
-            .range(self.replay.frames.len() - unsent..)
-            .map(Vec::as_slice);
-        let write = write_frames(stream, &mut self.outbox, &self.registration, None, frames);
-        if write.is_err() || self.outbox.len() > ROUTER_OUTBOX_LIMIT {
+        if write_window(stream, &mut self.replay, &self.registration, None, None).is_err() {
             self.drop_stream();
             return false;
         }
         true
     }
 
-    /// Shuts the live stream (if any) down and forgets it, keeping the
-    /// logical link: undelivered outbox bytes and unsent frames are in the
-    /// replay window, and the peer's resume retransmits them.
+    /// Shuts the attached connection's socket down and forgets it, keeping
+    /// the logical link: the window detaches, and the peer's next resume
+    /// count says what to retransmit.
     fn drop_stream(&mut self) {
         if let Some(stream) = self.stream.take() {
             let _ = stream.shutdown_stream();
         }
+        self.conn = Weak::new();
         self.registration = None;
-        self.outbox.clear();
-        self.unsent = 0;
+        self.replay.detach();
         self.resume_paused_origins();
     }
 }
@@ -2412,83 +2341,101 @@ struct RouterLink<S> {
     /// Frames received from this peer across all its connections.
     received: AtomicU64,
     out: Mutex<RouterOutbound<S>>,
-    /// Connections that found or created this link and whose handshake is
-    /// still in flight (an [`AttachClaim`] each). Taken under the `links`
-    /// lock, so a link with a claim is never superseded: its stream is not
-    /// installed yet, but it is not dead.
-    attaching: AtomicU64,
-    /// The live connection's reactor source; a resume retires and
-    /// barriers it before reading `received`. Held
-    /// weakly: the source holds its link, and the reactor's dispatch table
-    /// owns the source only while it is registered. So a connection that
-    /// has ended frees its socket and decoder at once, and a superseded
-    /// link frees its replay window; a strong reference here would make a
-    /// cycle that kept both alive for the router's lifetime.
-    source: Mutex<Weak<RouterConnSource<S>>>,
 }
 
 impl<S: SocketStream> RouterLink<S> {
-    /// Drops the stream a connection installed as `generation` (unless a
-    /// resume already replaced it), keeping the logical link — its replay
-    /// window and counters are what make the peer's reconnect lossless.
-    fn drop_stream_of(&self, generation: u64) {
-        let mut out = self.out.lock();
-        if out.generation == generation {
-            out.drop_stream();
-        }
-    }
-
-    /// Detaches the link's live reactor source, if it still exists.
-    fn take_source(&self) -> Option<Arc<RouterConnSource<S>>> {
-        std::mem::take(&mut *self.source.lock()).upgrade()
-    }
-
     /// Whether a new endpoint announcing this link's party set may drop
-    /// it: only when nothing is attached to it or attaching.
+    /// it: only when no connection is attached, live or mid-handshake.
     fn is_dead(&self) -> bool {
-        self.attaching.load(Ordering::SeqCst) == 0 && self.out.lock().stream.is_none()
+        self.out.lock().stream.is_none()
     }
 }
 
-/// A connection's claim on the logical link it is attaching to, from the
-/// moment it finds or creates the link (under the `links` lock) until its
-/// stream is installed or its handshake fails.
-struct AttachClaim<'a, S>(&'a RouterLink<S>);
+/// Accepts one pending connection from a router's listening socket
+/// (`WouldBlock` when none is pending); dropping it closes the socket.
+type Accept<S> = Box<dyn Fn() -> std::io::Result<S> + Send>;
 
-impl<'a, S> AttachClaim<'a, S> {
-    /// Claims `link`; the caller holds the `links` lock.
-    fn new(link: &'a RouterLink<S>) -> Self {
-        link.attaching.fetch_add(1, Ordering::SeqCst);
-        AttachClaim(link)
-    }
-}
-
-impl<S> Drop for AttachClaim<'_, S> {
-    fn drop(&mut self) {
-        self.0.attaching.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Shared router state: logical links and drop accounting.
+/// Shared router state: the listening socket, logical links, connections
+/// and drop accounting.
 struct RouterState<S> {
     /// The router's own endpoint id, announced in its (party-less) hello.
     endpoint: u64,
     links: Mutex<Vec<Arc<RouterLink<S>>>>,
+    /// Every accepted connection, for the handshake sweep and shutdown
+    /// (the reactor's dispatch table owns them).
+    conns: Mutex<Vec<Weak<RouterConn<S>>>>,
+    /// The listening socket, held while connections are accepted; `None`
+    /// once the router shuts down.
+    listener: Mutex<Option<Accept<S>>>,
+    listener_registration: OnceLock<Arc<Registration>>,
+    /// Set when an accept failed in a way that would fail again at once
+    /// (out of descriptors, say): the listener is disarmed until a router
+    /// connection closes.
+    accept_paused: AtomicBool,
     unroutable: AtomicU64,
-    shutting_down: AtomicBool,
-    replay_frames: usize,
-    replay_bytes: usize,
 }
 
 impl<S: SocketStream> RouterState<S> {
-    fn new() -> Self {
-        RouterState {
-            endpoint: endpoint_nonce(),
-            links: Mutex::new(Vec::new()),
-            unroutable: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-            replay_frames: DEFAULT_REPLAY_FRAMES,
-            replay_bytes: DEFAULT_REPLAY_BYTES,
+    /// Accepts every pending connection, first closing the handshakes that
+    /// ran out of time.
+    fn accept_pending(self: &Arc<Self>) {
+        use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted, WouldBlock};
+        let now = Instant::now();
+        self.sweep(now);
+        let listener = self.listener.lock();
+        let Some(accept) = listener.as_ref() else {
+            return;
+        };
+        loop {
+            match accept() {
+                Ok(stream) => router_accept(self, stream, now),
+                Err(e) if e.kind() == WouldBlock => return,
+                // One connection's failure: the next accept may succeed.
+                Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted | ConnectionReset) => {
+                }
+                Err(_) => {
+                    // Accepting again now would fail again and spin the
+                    // loop: stop listening until a connection closes.
+                    self.accept_paused.store(true, Ordering::SeqCst);
+                    if let Some(registration) = self.listener_registration.get() {
+                        let _ = registration.set_readable(false);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Re-arms a listener an accept failure disarmed, under the listener
+    /// lock so the socket is still open. Runs as each connection closes.
+    fn resume_accepting(&self) {
+        if self.accept_paused.swap(false, Ordering::SeqCst) {
+            let listener = self.listener.lock();
+            if let (Some(_), Some(registration)) = (&*listener, self.listener_registration.get()) {
+                let _ = registration.set_readable(true);
+            }
+        }
+    }
+
+    /// Closes every connection whose hello and resume count were not
+    /// through [`HANDSHAKE_TIMEOUT`] after it was accepted, as of `now`,
+    /// and forgets those that are gone. Runs at each accept (the reactor
+    /// has no timers).
+    fn sweep(&self, now: Instant) {
+        let expired: Vec<Arc<RouterConn<S>>> = {
+            let mut conns = self.conns.lock();
+            conns.retain(|conn| conn.strong_count() > 0);
+            conns
+                .iter()
+                .filter_map(Weak::upgrade)
+                .filter(|conn| now.saturating_duration_since(conn.accepted) >= HANDSHAKE_TIMEOUT)
+                .collect()
+        };
+        for conn in expired {
+            let mut io = conn.io.lock();
+            if !matches!(io.phase, Phase::Frames { .. }) {
+                conn.close(&mut io);
+            }
         }
     }
 }
@@ -2504,12 +2451,13 @@ impl<S: SocketStream> RouterState<S> {
 /// no connection hosts are counted and dropped (senders observe the loss as
 /// a session stall, the same failure mode as a crashed peer).
 ///
+/// The listening socket and every connection are nonblocking sources of
+/// the process-global reactor from accept to close: a router starts no
+/// thread of its own.
+///
 /// Use via the aliases [`TcpRouter`] / [`UdsRouter`].
 pub struct SocketRouter<S: SocketStream> {
     state: Arc<RouterState<S>>,
-    accept_thread: Option<JoinHandle<()>>,
-    reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_listener: Box<dyn Fn() + Send + Sync>,
 }
 
 impl<S: SocketStream> std::fmt::Debug for SocketRouter<S> {
@@ -2522,6 +2470,30 @@ impl<S: SocketStream> std::fmt::Debug for SocketRouter<S> {
 }
 
 impl<S: SocketStream> SocketRouter<S> {
+    /// Runs a router on a nonblocking listening socket with descriptor
+    /// `fd`, registered with the reactor, which from then on accepts,
+    /// handshakes and forwards every connection.
+    fn listen(accept: Accept<S>, fd: std::io::Result<polling::RawFd>) -> Result<Self, NetError> {
+        let unavailable = |e| NetError::Io(format!("reactor backend unavailable: {e}"));
+        let fd = fd.and_then(|fd| Ok((fd, Reactor::global()?)));
+        let (fd, reactor) = fd.map_err(unavailable)?;
+        let state = Arc::new(RouterState {
+            endpoint: endpoint_nonce(),
+            links: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
+            listener: Mutex::new(Some(accept)),
+            listener_registration: OnceLock::new(),
+            accept_paused: AtomicBool::new(false),
+            unroutable: AtomicU64::new(0),
+        });
+        let source = Arc::new(RouterAccept(Arc::clone(&state)));
+        let registration = reactor
+            .register(fd, Interest::READ, source)
+            .map_err(|e| NetError::Io(format!("reactor registration failed: {e}")))?;
+        let _ = state.listener_registration.set(registration);
+        Ok(SocketRouter { state })
+    }
+
     /// Frames dropped because no party set ever announced their
     /// destination (frames for a *temporarily* disconnected peer are
     /// store-and-forwarded instead, bounded by the replay window).
@@ -2544,32 +2516,47 @@ impl<S: SocketStream> SocketRouter<S> {
             .fold((0, 0), |(f, b), (lf, lb)| (f.max(lf), b.max(lb)))
     }
 
-    /// Logical links with a live connection right now.
+    /// Logical links with a connection attached right now (live, or past
+    /// its hello and waiting for the peer's resume count).
     pub fn connection_count(&self) -> usize {
         self.state
             .links
             .lock()
             .iter()
-            .filter(|l| l.out.lock().stream.is_some())
+            .filter(|l| !l.is_dead())
             .count()
     }
 
-    /// Stops accepting, closes every connection and joins all threads.
+    /// Stops accepting and closes every connection. Idempotent; also runs
+    /// on drop.
     pub fn shutdown(&mut self) {
-        self.state.shutting_down.store(true, Ordering::SeqCst);
-        (self.shutdown_listener)();
-        for link in self.state.links.lock().iter() {
-            if let Some(source) = link.take_source() {
-                source.quiesce();
+        let state = &self.state;
+        // Taking the socket out waits for an accept in flight; dropping it
+        // closes the socket.
+        if let Some(accept) = state.listener.lock().take() {
+            if let Some(registration) = state.listener_registration.get() {
+                registration.deregister();
             }
+            drop(accept);
+        }
+        // Close each connection with no router lock held: a dispatch in
+        // flight holds its connection's lock while it waits for the link
+        // table and the links' outbound locks.
+        let conns: Vec<Arc<RouterConn<S>>> = state
+            .conns
+            .lock()
+            .drain(..)
+            .filter_map(|conn| conn.upgrade())
+            .collect();
+        for conn in conns {
+            conn.retire();
+            // The barrier: waits out a dispatch in flight.
+            let mut io = conn.io.lock();
+            conn.close(&mut io);
+        }
+        let links: Vec<Arc<RouterLink<S>>> = state.links.lock().clone();
+        for link in links {
             link.out.lock().drop_stream();
-        }
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let handles: Vec<JoinHandle<()>> = self.reader_threads.lock().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
         }
     }
 }
@@ -2580,70 +2567,143 @@ impl<S: SocketStream> Drop for SocketRouter<S> {
     }
 }
 
-/// The read/write driver of one live router connection: forwards inbound
-/// frames through [`router_ingest`], and drains the outbound link's outbox
-/// on writable readiness.
-struct RouterConnSource<S> {
-    read: Mutex<RouterRead<S>>,
-    link: Arc<RouterLink<S>>,
+/// The router's listening socket as a reactor source.
+struct RouterAccept<S>(Arc<RouterState<S>>);
+
+impl<S: SocketStream> Source for RouterAccept<S> {
+    fn on_ready(&self, _readable: bool, _writable: bool) {
+        self.0.accept_pending();
+    }
+
+    fn on_failure(&self, _error: NetError) {
+        // Close the socket, so dialling peers are refused, not left waiting.
+        self.0.listener.lock().take();
+    }
+}
+
+/// Takes one accepted connection onto the reactor: nonblocking, greeted
+/// with the router's hello, registered to read the peer's. The router
+/// announces no parties (an empty hello marks the link as a gateway on the
+/// client side) and is security-transparent: it forwards sealed frames
+/// opaquely, holding no keys, so it accepts endpoints in any mode.
+fn router_accept<S: SocketStream>(state: &Arc<RouterState<S>>, mut stream: S, now: Instant) {
+    let hello = encode_hello(state.endpoint, &BTreeSet::new(), SecurityMode::Transparent);
+    // A fresh socket's send buffer takes these few bytes at once; one that
+    // does not is dropped like any failed handshake.
+    if stream.set_stream_nonblocking(true).is_err() || stream.write_all(&hello).is_err() {
+        return;
+    }
+    let (Ok(fd), Ok(reactor)) = (stream.stream_raw_fd(), Reactor::global()) else {
+        return;
+    };
+    let conn = Arc::new_cyclic(|me| RouterConn {
+        me: me.clone(),
+        state: Arc::clone(state),
+        accepted: now,
+        link: OnceLock::new(),
+        io: Mutex::new(ConnIo {
+            stream,
+            phase: Phase::Hello(Vec::new()),
+        }),
+        closed: AtomicBool::new(false),
+        paused: AtomicBool::new(false),
+        registration: OnceLock::new(),
+    });
+    // On the reactor thread, so no dispatch finds the connection before
+    // its registration is set.
+    if let Ok(registration) =
+        reactor.register(fd, Interest::READ, Arc::clone(&conn) as Arc<dyn Source>)
+    {
+        let _ = conn.registration.set(registration);
+        state.conns.lock().push(Arc::downgrade(&conn));
+    }
+}
+
+/// One accepted router connection, a reactor source from its hello to its
+/// close: it reads the peer's hello and joins the peer's logical link,
+/// answers with the link's received count, reads the peer's count (which
+/// attaches the link's window, so the writer sends what the peer lacks)
+/// and from then on forwards the peer's frames.
+struct RouterConn<S> {
+    me: Weak<RouterConn<S>>,
     state: Arc<RouterState<S>>,
-    /// Set when a resume supersedes this connection; dispatches no-op.
-    retired: AtomicBool,
-    /// Set while this connection's read interest is disarmed because its
-    /// forwards congested a destination outbox; cleared (and read interest
-    /// re-armed) by the destination's drain. Shared so the destination can
-    /// resume us without holding our locks.
-    paused: Arc<AtomicBool>,
-    /// The outbound generation this connection installed; teardown only
-    /// touches the stream it owns.
-    generation: u64,
+    /// When the connection was accepted, for the handshake sweep.
+    accepted: Instant,
+    /// The logical link the peer's hello joined.
+    link: OnceLock<Arc<RouterLink<S>>>,
+    /// Read-side state; one mutex, so it doubles as the quiesce barrier
+    /// (see `crate::reactor`).
+    io: Mutex<ConnIo<S>>,
+    /// Set once the connection is retired; later dispatches are no-ops.
+    closed: AtomicBool,
+    /// Set while a congested destination has this connection's read
+    /// interest disarmed.
+    paused: AtomicBool,
     registration: OnceLock<Arc<Registration>>,
 }
 
-/// Read-side state of a router connection; one mutex so it doubles as the
-/// quiesce barrier (see `crate::reactor`).
-struct RouterRead<S> {
+struct ConnIo<S> {
     stream: S,
-    decoder: FrameDecoder,
-    /// Frames and bytes taken on this connection since the router last
-    /// acked its peer (the resume count acked everything before it).
-    since_ack: (u64, usize),
-    /// Latched on EOF / fatal error; later dispatches are no-ops.
-    done: bool,
+    phase: Phase,
 }
 
-impl<S: SocketStream> RouterConnSource<S> {
-    /// Retires the source and barriers out any in-flight dispatch; after
-    /// this the link's `received` counter is final.
-    fn quiesce(&self) {
-        self.retired.store(true, Ordering::SeqCst);
+/// How far a router connection has come.
+enum Phase {
+    /// Reading the peer's hello; holds at most one hello's bytes.
+    Hello(Vec<u8>),
+    /// Hello read and link joined; reading the peer's 8-byte resume count.
+    Count(Vec<u8>),
+    /// Forwarding the peer's frames.
+    Frames {
+        decoder: FrameDecoder,
+        /// Frames and bytes taken since the router last acked its peer
+        /// (the resume count acked everything before the connection).
+        since_ack: (u64, usize),
+    },
+}
+
+impl<S: SocketStream> RouterConn<S> {
+    /// Stops dispatch to the connection. That is all a newer connection of
+    /// its link needs on the reactor thread, where no dispatch of this one
+    /// can be in flight; elsewhere, lock `io` next to wait one out.
+    fn retire(&self) {
+        self.closed.store(true, Ordering::SeqCst);
         if let Some(registration) = self.registration.get() {
             registration.deregister();
         }
-        drop(self.read.lock());
+    }
+
+    /// Closes the connection: retired, its socket shut down, and its link,
+    /// if it is still the link's connection, left without one (the
+    /// logical link stays for the peer's next connection).
+    fn close(&self, io: &mut ConnIo<S>) {
+        self.retire();
+        let _ = io.stream.shutdown_stream();
+        if let Some(link) = self.link.get() {
+            let mut out = link.out.lock();
+            if Weak::ptr_eq(&out.conn, &self.me) {
+                out.drop_stream();
+            }
+        }
+        self.state.resume_accepting();
     }
 
     fn drain_readable(&self) {
-        let mut guard = self.read.lock();
-        if guard.done || self.retired.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
+        let mut guard = self.io.lock();
+        if self.closed.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
             return;
         }
-        let read = &mut *guard;
+        let io = &mut *guard;
         let mut buf = [0u8; 16 * 1024];
         loop {
-            match read.stream.read(&mut buf) {
-                Ok(0) => {
-                    read.done = true;
-                    break;
-                }
+            match io.stream.read(&mut buf) {
+                Ok(0) => break,
                 Ok(n) => {
-                    if router_ingest(read, &buf[..n], self).is_err() {
-                        read.done = true;
+                    if self.take(io, &buf[..n]).is_err() {
                         break;
                     }
-                    // A forward congested a destination outbox and disarmed
-                    // our read interest: stop consuming. The bytes left in
-                    // the kernel buffer re-fire the moment the destination
+                    // A congested destination paused us: stop consuming.
+                    // The bytes left in the kernel buffer re-fire once it
                     // drains and re-arms us (and TCP backpressure reaches
                     // our peer meanwhile).
                     if self.paused.load(Ordering::SeqCst) {
@@ -2652,38 +2712,144 @@ impl<S: SocketStream> RouterConnSource<S> {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    read.done = true;
-                    break;
+                Err(_) => break,
+            }
+        }
+        // EOF, an error, or bytes the router refuses. Closing deregisters
+        // the fd, whose HUP would otherwise spin the level-triggered loop.
+        self.close(io);
+    }
+
+    /// Takes `bytes` read from the connection through its hello (parsed as
+    /// `exchange_hello` parses it), its resume count and on into frames.
+    /// `Err` means close: a hello the parser refuses, a count the window
+    /// cannot resume at, a corrupt frame or a lying ack.
+    fn take(&self, io: &mut ConnIo<S>, mut bytes: &[u8]) -> Result<(), ()> {
+        loop {
+            match &mut io.phase {
+                Phase::Hello(hello) => {
+                    match parse_hello(hello, SecurityMode::Transparent).map_err(drop)? {
+                        HelloRead::Need(_) if bytes.is_empty() => return Ok(()),
+                        HelloRead::Need(more) => {
+                            let (head, rest) = bytes.split_at(more.min(bytes.len()));
+                            hello.extend_from_slice(head);
+                            bytes = rest;
+                        }
+                        HelloRead::Done(endpoint, parties) => {
+                            self.join(&mut io.stream, endpoint, parties)?;
+                            io.phase = Phase::Count(Vec::with_capacity(8));
+                        }
+                    }
+                }
+                Phase::Count(count) => {
+                    let (head, rest) = bytes.split_at((8 - count.len()).min(bytes.len()));
+                    count.extend_from_slice(head);
+                    bytes = rest;
+                    if count.len() < 8 {
+                        return Ok(());
+                    }
+                    self.attach(u64::from_le_bytes(count[..].try_into().expect("8 bytes")))?;
+                    io.phase = Phase::Frames {
+                        decoder: FrameDecoder::new(),
+                        since_ack: (0, 0),
+                    };
+                }
+                Phase::Frames { decoder, since_ack } => {
+                    return router_ingest(self, decoder, since_ack, bytes)
                 }
             }
         }
-        // Deregister entirely: a half-closed fd keeps reporting HUP under
-        // level-triggered polling and would spin the loop.
-        if let Some(registration) = self.registration.get() {
-            registration.deregister();
+    }
+
+    /// The peer's hello is read: joins its logical link (found by endpoint
+    /// id and party set, or created), so from here on the link is not
+    /// dead, and answers with the link's received count. The link's
+    /// previous connection is retired first (a fast reconnect can race its
+    /// read driver), so the count is final.
+    fn join(&self, stream: &mut S, endpoint: u64, parties: BTreeSet<PartyId>) -> Result<(), ()> {
+        let writer = stream.try_clone_stream().map_err(drop)?;
+        let link = {
+            let mut links = self.state.links.lock();
+            match links
+                .iter()
+                .find(|l| l.endpoint == endpoint && l.parties == parties)
+            {
+                Some(link) => Arc::clone(link),
+                None => {
+                    // A new endpoint announcing this party set supersedes
+                    // any *dead* link with the same set (a restarted
+                    // process draws a fresh endpoint id), so it cannot
+                    // shadow the live one in the forwarding lookup; its
+                    // undelivered frames died with the old endpoint's
+                    // machines. Links with a connection attached, live or
+                    // mid-handshake (shard transports sharing the party set
+                    // and connecting at once, say), are never touched.
+                    links.retain(|l| l.parties != parties || !l.is_dead());
+                    let link = Arc::new(RouterLink {
+                        endpoint,
+                        parties,
+                        received: AtomicU64::new(0),
+                        out: Mutex::new(RouterOutbound {
+                            replay: ReplayWindow::new(DEFAULT_REPLAY_FRAMES, DEFAULT_REPLAY_BYTES),
+                            stream: None,
+                            conn: Weak::new(),
+                            registration: None,
+                            paused_origins: Vec::new(),
+                        }),
+                    });
+                    links.push(Arc::clone(&link));
+                    link
+                }
+            }
+        };
+        let received = {
+            let mut out = link.out.lock();
+            if let Some(old) = out.conn.upgrade() {
+                old.retire();
+            }
+            out.drop_stream();
+            out.stream = Some(writer);
+            out.conn = self.me.clone();
+            out.registration = self.registration.get().cloned();
+            link.received.load(Ordering::SeqCst)
+        };
+        let _ = self.link.set(link);
+        stream.write_all(&received.to_le_bytes()).map_err(drop)
+    }
+
+    /// The peer's resume count is read: it attaches the link's window at
+    /// the first frame the peer lacks, and the writer sends that suffix
+    /// without blocking (the writable dispatch goes on with the rest). A
+    /// count the window cannot resume at (an evicted suffix, an impossible
+    /// count) closes the connection, and the peer sees the hangup.
+    fn attach(&self, received: u64) -> Result<(), ()> {
+        let link = self.link.get().ok_or(())?;
+        let mut out = link.out.lock();
+        if Weak::ptr_eq(&out.conn, &self.me) && out.replay.resume(received).is_ok() && out.write() {
+            Ok(())
+        } else {
+            Err(())
         }
-        drop(guard);
-        self.link.drop_stream_of(self.generation);
     }
 
     fn drain_writable(&self) {
-        // try_lock: the reactor thread must never park on a forwarder's
-        // lock; level-triggered polling re-reports writable next loop.
-        let Some(mut guard) = self.link.out.try_lock() else {
+        let Some(link) = self.link.get() else {
             return;
         };
-        if guard.generation != self.generation {
-            return;
-        }
-        if guard.write_pending() && guard.outbox.len() < ROUTER_OUTBOX_RESUME {
-            guard.resume_paused_origins();
+        let mut out = link.out.lock();
+        if Weak::ptr_eq(&out.conn, &self.me)
+            && out.write()
+            && out.replay.backlog < ROUTER_BACKLOG_RESUME
+        {
+            out.resume_paused_origins();
         }
     }
 }
 
-impl<S: SocketStream> Source for RouterConnSource<S> {
+impl<S: SocketStream> Source for RouterConn<S> {
     fn on_ready(&self, readable: bool, writable: bool) {
+        // Writes first: on a HUP (reported as both) the backlog still gets
+        // its chance before the read path closes the connection.
         if writable {
             self.drain_writable();
         }
@@ -2696,8 +2862,8 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
         // A router hosts no parties: closing the connection is how its
         // peer learns of the failure, and the peer's resume retransmits
         // whatever the router had not forwarded.
-        self.read.lock().done = true;
-        self.link.drop_stream_of(self.generation);
+        let mut io = self.io.lock();
+        self.close(&mut io);
     }
 }
 
@@ -2707,26 +2873,27 @@ impl<S: SocketStream> Source for RouterConnSource<S> {
 /// place exactly as a receiving decoder checks it and forwarded as its
 /// original bytes, so the router never re-encodes. Every frame of the
 /// chunk is recorded in its destination's replay window first; an ack to
-/// the origin, once one is due, joins the origin's outbox; then each
-/// destination the chunk touched is written once ([`router_drain`]).
+/// the origin, once one is due, is queued in the origin's window; then
+/// each destination the chunk touched is written once ([`router_drain`]).
 /// `Err` means a corrupt frame (an over-cap length prefix, or a
 /// well-framed body that fails validation) or a lying ack (past what was
 /// written to the origin, or going back): the caller must close the
 /// connection, and nothing of it is forwarded (the valid frames before it
 /// still are).
 fn router_ingest<S: SocketStream>(
-    read: &mut RouterRead<S>,
+    origin: &RouterConn<S>,
+    decoder: &mut FrameDecoder,
+    since_ack: &mut (u64, usize),
     bytes: &[u8],
-    origin: &RouterConnSource<S>,
 ) -> Result<(), ()> {
-    let link = &origin.link;
-    read.decoder.feed(bytes);
+    let link = origin.link.get().ok_or(())?;
+    decoder.feed(bytes);
     let mut touched: Vec<Arc<RouterLink<S>>> = Vec::new();
     let decoded = loop {
-        match read.decoder.next_link_frame() {
+        match decoder.next_link_frame() {
             Ok(Some(LinkFrame::Envelope(frame))) => {
-                read.since_ack.0 += 1;
-                read.since_ack.1 += frame.bytes.len();
+                since_ack.0 += 1;
+                since_ack.1 += frame.bytes.len();
                 if let Some(target) = router_record(&origin.state, link, frame.to, frame.bytes) {
                     if !touched.iter().any(|t| Arc::ptr_eq(t, &target)) {
                         touched.push(target);
@@ -2735,9 +2902,7 @@ fn router_ingest<S: SocketStream>(
                 link.received.fetch_add(1, Ordering::SeqCst);
             }
             Ok(Some(LinkFrame::Ack(acked))) => {
-                let mut out = link.out.lock();
-                let unwritten = out.unsent;
-                if out.replay.ack(acked, unwritten).is_err() {
+                if link.out.lock().replay.ack(acked).is_err() {
                     break Err(());
                 }
             }
@@ -2745,17 +2910,13 @@ fn router_ingest<S: SocketStream>(
             Err(_) => break Err(()),
         }
     };
-    if decoded.is_ok() && ack_due(&mut read.since_ack) {
-        // Every frame taken is in its destination's window now: ack them,
-        // riding whatever this chunk writes to the origin.
-        let mut out = link.out.lock();
-        if out.generation == origin.generation && out.stream.is_some() {
-            out.outbox
-                .push(&encode_ack(link.received.load(Ordering::SeqCst)));
-            drop(out);
-            if !touched.iter().any(|t| Arc::ptr_eq(t, link)) {
-                touched.push(Arc::clone(link));
-            }
+    if decoded.is_ok() && ack_due(since_ack) {
+        // Every frame taken is in its destination's window now: ack them
+        // at the next frame boundary of what this chunk writes the origin.
+        let received = link.received.load(Ordering::SeqCst);
+        link.out.lock().replay.queue_ack(received);
+        if !touched.iter().any(|t| Arc::ptr_eq(t, link)) {
+            touched.push(Arc::clone(link));
         }
     }
     for target in &touched {
@@ -2764,194 +2925,12 @@ fn router_ingest<S: SocketStream>(
     decoded
 }
 
-/// Handles one accepted router connection: hello, logical-link lookup (or
-/// creation) and resume exchange with retransmission, on the calling
-/// (per-connection) thread. The connection is then registered with the
-/// event loop, which forwards its frames, and the call returns.
-fn router_serve_connection<S: SocketStream>(mut stream: S, state: &Arc<RouterState<S>>) {
-    // The router announces no parties of its own: an empty hello is what
-    // marks the link as a gateway on the client side. It is security-
-    // transparent: sealed frames are forwarded opaquely (the router holds
-    // no keys), so it accepts endpoints in any mode.
-    let hello = handshake_deadline(&stream, true).and_then(|()| {
-        exchange_hello(
-            &mut stream,
-            state.endpoint,
-            &BTreeSet::new(),
-            SecurityMode::Transparent,
-        )
-    });
-    let Ok((peer_endpoint, announced)) = hello else {
-        return;
-    };
-    // Find or create the logical link for this endpoint + party set, and
-    // claim it until its stream is installed.
-    let mut links = state.links.lock();
-    let link = match links
-        .iter()
-        .find(|l| l.endpoint == peer_endpoint && l.parties == announced)
-    {
-        Some(link) => Arc::clone(link),
-        None => {
-            // A new endpoint announcing this party set supersedes any
-            // *dead* logical link with the same set (a restarted process
-            // draws a fresh endpoint id by design): drop the defunct link
-            // so it can never shadow the live one in the forwarding
-            // lookup. Its undelivered replay is lost — the old endpoint's
-            // machines died with it, so those frames are undeliverable
-            // anyway. Links with a live stream, or with a handshake in
-            // flight (e.g. shard transports sharing the party set,
-            // connecting concurrently), are never touched.
-            links.retain(|l| l.parties != announced || !l.is_dead());
-            let link = Arc::new(RouterLink {
-                endpoint: peer_endpoint,
-                parties: announced,
-                received: AtomicU64::new(0),
-                out: Mutex::new(RouterOutbound {
-                    replay: ReplayWindow::new(state.replay_frames, state.replay_bytes),
-                    stream: None,
-                    generation: 0,
-                    outbox: Outbox::default(),
-                    unsent: 0,
-                    registration: None,
-                    paused_origins: Vec::new(),
-                }),
-                attaching: AtomicU64::new(0),
-                source: Mutex::new(Weak::new()),
-            });
-            links.push(Arc::clone(&link));
-            link
-        }
-    };
-    let claim = AttachClaim::new(&link);
-    drop(links);
-    // A fast reconnect can race the old connection's read driver: tear its
-    // stream down and quiesce the driver, so the received count announced
-    // below is final and retransmission cannot duplicate frames.
-    link.out.lock().drop_stream();
-    if let Some(old) = link.take_source() {
-        old.quiesce();
-    }
-    let received = link.received.load(Ordering::SeqCst);
-    let peer_received = match exchange_resume(&mut stream, received) {
-        Ok(count) => count,
-        Err(_) => return,
-    };
-    if handshake_deadline(&stream, false).is_err() {
-        return;
-    }
-    // The resume count acks like a hop ack: afterwards the window holds
-    // exactly the suffix the peer lost. A count the window cannot resume
-    // at (an evicted suffix, or an impossible count) means the link cannot
-    // resume without a gap: drop the connection, and the peer observes the
-    // hangup.
-    if link.out.lock().replay.resume(peer_received).is_err() {
-        return;
-    }
-    let reader = match stream.try_clone_stream() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    // Retransmit the suffix the peer lost, then install the new stream.
-    // The writes block until the peer reads, so they run without the
-    // outbound lock: the reactor may need that lock to read what the peer
-    // sends meanwhile. Frames forwarded to the link while a round of
-    // writes runs are retransmitted by the next round; the stream is
-    // installed under the same lock as the check that nothing is left, so
-    // later forwards queue behind the resync in replay order.
-    let mut written = peer_received;
-    let generation = loop {
-        let mut out = link.out.lock();
-        let suffix: Vec<Vec<u8>> = match out.replay.unacked(written) {
-            Ok(frames) => frames.map(<[u8]>::to_vec).collect(),
-            // Frames forwarded during the resync were evicted already.
-            Err(_) => return,
-        };
-        if suffix.is_empty() {
-            // The blocking writes are done: flip the fd (shared with the
-            // reader) nonblocking before any forward can write to it, so
-            // no forward on the reactor thread ever blocks on a full peer.
-            if stream.set_stream_nonblocking(true).is_err() {
-                return;
-            }
-            out.drop_stream();
-            out.stream = Some(stream);
-            out.generation += 1;
-            break out.generation;
-        }
-        written = out.replay.sent;
-        drop(out);
-        for frame in &suffix {
-            if stream.write_all(frame).is_err() {
-                return;
-            }
-        }
-    };
-    // The installed stream now keeps the link alive.
-    drop(claim);
-    // Register the connection with the event loop and return; the
-    // handshake thread's work is done. Registration runs under the
-    // outbound lock so the source's write interest is armable the instant
-    // a concurrent forward parks bytes in the outbox.
-    let (fd, source) = match reader.stream_raw_fd() {
-        Ok(fd) => (
-            fd,
-            Arc::new(RouterConnSource {
-                read: Mutex::new(RouterRead {
-                    stream: reader,
-                    decoder: FrameDecoder::new(),
-                    since_ack: (0, 0),
-                    done: false,
-                }),
-                link: Arc::clone(&link),
-                state: Arc::clone(state),
-                retired: AtomicBool::new(false),
-                paused: Arc::new(AtomicBool::new(false)),
-                generation,
-                registration: OnceLock::new(),
-            }),
-        ),
-        Err(_) => return link.drop_stream_of(generation),
-    };
-    let mut out = link.out.lock();
-    if out.generation != generation {
-        // An even newer connection superseded us mid-handshake.
-        return;
-    }
-    let registered = Reactor::global().and_then(|reactor| {
-        reactor.register(fd, Interest::READ, Arc::clone(&source) as Arc<dyn Source>)
-    });
-    match registered {
-        Ok(registration) => {
-            let _ = source.registration.set(Arc::clone(&registration));
-            out.registration = Some(registration);
-            // A forward that raced us between the stream install above and
-            // this registration hit `registration = None`: its `WouldBlock`
-            // could not arm write interest, so its bytes are parked in the
-            // outbox with nothing scheduled to move them. Drain now that
-            // arming works — either the bytes go out here or the leftover
-            // arms the fresh registration.
-            if !out.outbox.is_empty() && !out.write_pending() {
-                // Quiesce outside the out lock: the reactor's readable
-                // dispatch takes out locks while holding the read lock the
-                // barrier waits on.
-                drop(out);
-                source.quiesce();
-                return;
-            }
-            drop(out);
-            *link.source.lock() = Arc::downgrade(&source);
-        }
-        Err(_) => out.drop_stream(),
-    }
-}
-
 /// Records one validated frame addressed to `to` in its destination's
 /// replay window: self-preference for the originating link, then any link
 /// announcing the destination. The frame is copied once, into the replay
 /// window, and written from there by [`router_drain`]. Returns the
-/// destination when it has a live stream to write the frame to; frames for
-/// a link with no live stream are recorded only (store-and-forward), and
+/// destination when it has a connection attached to write the frame to;
+/// frames for a link with none are recorded only (store-and-forward), and
 /// frames for parties no link ever announced are counted and dropped.
 fn router_record<S: SocketStream>(
     state: &RouterState<S>,
@@ -2962,16 +2941,16 @@ fn router_record<S: SocketStream>(
     let target = if origin.parties.contains(&to) {
         Some(Arc::clone(origin))
     } else {
-        // Prefer the *newest* link with a live connection (links are in
-        // creation order, and a peer that crashed without a FIN can leave
-        // an older zombie whose stream still looks live — the most recent
-        // connection is the one actually reachable); fall back to the
-        // newest link announcing the destination at all (store-and-forward
-        // for a briefly offline peer).
+        // Prefer the *newest* link with a connection attached (links are
+        // in creation order, and a peer that crashed without a FIN can
+        // leave an older zombie whose stream still looks live — the most
+        // recent connection is the one actually reachable); fall back to
+        // the newest link announcing the destination at all
+        // (store-and-forward for a briefly offline peer).
         let links = state.links.lock();
         let hosting = || links.iter().filter(|l| l.parties.contains(&to));
         hosting()
-            .rfind(|l| l.out.lock().stream.is_some())
+            .rfind(|l| !l.is_dead())
             .or_else(|| hosting().next_back())
             .cloned()
     };
@@ -2980,39 +2959,28 @@ fn router_record<S: SocketStream>(
         return None;
     };
     let mut out = target.out.lock();
-    let live = out.stream.is_some();
-    if live {
-        out.unsent += 1;
-    }
-    let keep = out.unsent;
-    out.replay.record(frame.to_vec(), keep);
+    out.replay.record(frame.to_vec());
+    let attached = out.stream.is_some();
     drop(out);
-    live.then_some(target)
+    attached.then_some(target)
 }
 
-/// Writes every frame recorded for `target` since its last drain, behind
-/// its outbox (which may hold a hop ack), in one vectored write
-/// ([`RouterOutbound::write_pending`]), then applies flow control.
-fn router_drain<S: SocketStream>(target: &RouterLink<S>, origin: &RouterConnSource<S>) {
-    let mut guard = target.out.lock();
-    let out = &mut *guard;
-    if (out.unsent == 0 && out.outbox.is_empty()) || !out.write_pending() {
+/// Writes `target`'s backlog (the frames recorded for it since its last
+/// write, and a due ack) straight from its window in one vectored write,
+/// then applies flow control: a destination congested past
+/// [`ROUTER_BACKLOG_PAUSE`] disarms the origin's read interest, so
+/// backpressure reaches the sending peer through its socket buffers, until
+/// the destination's writable dispatch drains it below
+/// [`ROUTER_BACKLOG_RESUME`].
+fn router_drain<S: SocketStream>(target: &RouterLink<S>, origin: &RouterConn<S>) {
+    let mut out = target.out.lock();
+    if out.replay.backlog == 0 || !out.write() || out.replay.backlog <= ROUTER_BACKLOG_PAUSE {
         return;
     }
-    if out.outbox.len() > ROUTER_OUTBOX_PAUSE {
-        // Flow control: the destination is congested but healthy.
-        // Disarm the origin connection's read interest so it stops
-        // producing forwards, and backpressure reaches its peer through
-        // the socket buffers. The destination's writable handler re-arms
-        // the origin once the outbox drains below [`ROUTER_OUTBOX_RESUME`].
-        if let Some(registration) = origin.registration.get() {
-            if !origin.paused.swap(true, Ordering::SeqCst) {
-                let _ = registration.set_readable(false);
-                out.paused_origins.push(PausedOrigin {
-                    paused: Arc::clone(&origin.paused),
-                    registration: Arc::clone(registration),
-                });
-            }
+    if let (Some(registration), Some(me)) = (origin.registration.get(), origin.me.upgrade()) {
+        if !origin.paused.swap(true, Ordering::SeqCst) {
+            let _ = registration.set_readable(false);
+            out.paused_origins.push(me);
         }
     }
 }
@@ -3021,59 +2989,27 @@ fn router_drain<S: SocketStream>(target: &RouterLink<S>, origin: &RouterConnSour
 pub type TcpRouter = SocketRouter<TcpStream>;
 
 impl TcpRouter {
-    /// Binds `addr` and spawns the accept loop. Returns the router and its
-    /// bound address (bind port 0 for an ephemeral port).
+    /// Binds `addr` and starts accepting on the reactor. Returns the router
+    /// and its bound address (bind port 0 for an ephemeral port).
     pub fn spawn(addr: impl ToSocketAddrs) -> Result<(Self, SocketAddr), NetError> {
         let listener =
             TcpListener::bind(addr).map_err(|e| NetError::Io(format!("bind failed: {e}")))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| NetError::Io(e.to_string()))?;
-        let state: Arc<RouterState<TcpStream>> = Arc::new(RouterState::new());
-        let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_state = Arc::clone(&state);
-        let accept_readers = Arc::clone(&reader_threads);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_state.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn_state = Arc::clone(&accept_state);
-                        let handle = std::thread::spawn(move || {
-                            router_serve_connection(stream, &conn_state);
-                        });
-                        let mut readers = accept_readers.lock();
-                        readers.retain(|h| !h.is_finished());
-                        readers.push(handle);
-                    }
-                    // Transient accept failures (ECONNABORTED, fd
-                    // exhaustion) must not silently kill the router for
-                    // all future connections; back off briefly and keep
-                    // accepting.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        });
-
-        // Unblocking a blocking accept loop portably: dial ourselves once
-        // at shutdown so `incoming()` yields and observes the flag.
-        let shutdown_listener = Box::new(move || {
-            let _ = TcpStream::connect(local_addr);
-        });
-
-        Ok((
-            TcpRouter {
-                state,
-                accept_thread: Some(accept_thread),
-                reader_threads,
-                shutdown_listener,
-            },
-            local_addr,
-        ))
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| NetError::Io(format!("cannot set nonblocking: {e}")))?;
+        #[cfg(unix)]
+        let fd = Ok(std::os::unix::io::AsRawFd::as_raw_fd(&listener));
+        #[cfg(not(unix))]
+        let fd = Err(std::io::ErrorKind::Unsupported.into());
+        let accept = move || {
+            let (stream, _) = listener.accept()?;
+            let _ = stream.set_nodelay(true);
+            Ok(stream)
+        };
+        Ok((Self::listen(Box::new(accept), fd)?, local_addr))
     }
 
     /// [`spawn`](Self::spawn) on the given driver (there is one); kept so
@@ -3093,52 +3029,18 @@ pub type UdsRouter = SocketRouter<std::os::unix::net::UnixStream>;
 
 #[cfg(unix)]
 impl UdsRouter {
-    /// Binds the socket file at `path` (removing a stale one) and spawns
-    /// the accept loop.
+    /// Binds the socket file at `path` (removing a stale one) and starts
+    /// accepting on the reactor.
     pub fn spawn(path: impl AsRef<std::path::Path>) -> Result<Self, NetError> {
-        use std::os::unix::net::{UnixListener, UnixStream};
-        let path = path.as_ref().to_path_buf();
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)
+        let path = path.as_ref();
+        let _ = std::fs::remove_file(path);
+        let listener = std::os::unix::net::UnixListener::bind(path)
             .map_err(|e| NetError::Io(format!("bind {} failed: {e}", path.display())))?;
-        let state: Arc<RouterState<UnixStream>> = Arc::new(RouterState::new());
-        let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_state = Arc::clone(&state);
-        let accept_readers = Arc::clone(&reader_threads);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_state.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let conn_state = Arc::clone(&accept_state);
-                        let handle = std::thread::spawn(move || {
-                            router_serve_connection(stream, &conn_state);
-                        });
-                        let mut readers = accept_readers.lock();
-                        readers.retain(|h| !h.is_finished());
-                        readers.push(handle);
-                    }
-                    // Transient accept failures must not kill the router;
-                    // back off briefly and keep accepting.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        });
-
-        let shutdown_path = path.clone();
-        let shutdown_listener = Box::new(move || {
-            let _ = UnixStream::connect(&shutdown_path);
-        });
-
-        Ok(UdsRouter {
-            state,
-            accept_thread: Some(accept_thread),
-            reader_threads,
-            shutdown_listener,
-        })
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| NetError::Io(format!("cannot set nonblocking: {e}")))?;
+        let fd = Ok(std::os::unix::io::AsRawFd::as_raw_fd(&listener));
+        Self::listen(Box::new(move || Ok(listener.accept()?.0)), fd)
     }
 }
 
@@ -3519,15 +3421,38 @@ mod tests {
 
     /// The window's frames after the peer's `received` count, copied out.
     fn suffix(w: &ReplayWindow, received: u64) -> Result<Vec<Vec<u8>>, String> {
-        w.unacked(received)
-            .map(|frames| frames.map(<[u8]>::to_vec).collect())
+        let pending = w.pending_after(received)?;
+        Ok(w.frames
+            .range(w.frames.len() - pending..)
+            .cloned()
+            .collect())
+    }
+
+    /// Writes at most `room` bytes of the backlog, as a socket with that
+    /// much space left would take them, and returns them.
+    fn write_some(w: &mut ReplayWindow, room: usize) -> Vec<u8> {
+        let mut space = vec![0u8; room];
+        let mut socket = &mut space[..];
+        // A full slice takes nothing more: `WriteZero`, cursor intact.
+        let _ = w.write_to(&mut socket);
+        let taken = room - socket.len();
+        space.truncate(taken);
+        space
+    }
+
+    /// Writes the whole backlog, as a socket that takes everything would.
+    fn write_all(w: &mut ReplayWindow) -> Vec<u8> {
+        let mut wire = Vec::new();
+        w.write_to(&mut wire).unwrap();
+        assert_eq!(w.backlog, 0);
+        wire
     }
 
     #[test]
     fn replay_window_yields_exactly_the_unacked_suffix() {
         let mut w = ReplayWindow::new(3, usize::MAX);
         for i in 0..5u8 {
-            w.record(vec![i], 1);
+            w.record(vec![i]);
         }
         assert_eq!(w.sent, 5);
         // Peer has 3 of 5: frames 4 and 5 are pending.
@@ -3542,24 +3467,27 @@ mod tests {
         // The byte budget evicts too — but always keeps the newest frame,
         // even one over budget.
         let mut w = ReplayWindow::new(1024, 10);
-        w.record(vec![0; 6], 1);
-        w.record(vec![1; 6], 1);
+        w.record(vec![0; 6]);
+        w.record(vec![1; 6]);
         assert_eq!(w.frames.len(), 1, "6+6 bytes exceed the 10-byte budget");
         assert_eq!(suffix(&w, 1).unwrap(), vec![vec![1u8; 6]]);
         assert!(suffix(&w, 0).is_err(), "the evicted first frame is gone");
-        w.record(vec![2; 99], 1);
+        w.record(vec![2; 99]);
         assert_eq!(w.frames.len(), 1, "an over-budget frame is still kept");
         assert_eq!(w.bytes, 99);
 
-        // Frames still to be written are never evicted, whatever the
-        // bounds; the next record evicts back down to them.
+        // Frames at or after the write cursor are never evicted, whatever
+        // the bounds; once they are written, the next record evicts back
+        // down to the bounds.
         let mut w = ReplayWindow::new(2, 10);
+        w.resume(0).unwrap();
         for i in 0..4u8 {
-            w.record(vec![i; 6], i as usize + 1);
+            w.record(vec![i; 6]);
         }
         assert_eq!(w.frames.len(), 4, "four unwritten frames are all kept");
         assert_eq!(suffix(&w, 0).unwrap().len(), 4);
-        w.record(vec![4; 4], 1);
+        write_all(&mut w);
+        w.record(vec![4; 4]);
         assert_eq!(w.frames.len(), 2, "back within the bounds");
         assert_eq!(suffix(&w, 3).unwrap(), vec![vec![3u8; 6], vec![4u8; 4]]);
         assert!(suffix(&w, 2).is_err(), "written frames evict again");
@@ -3568,47 +3496,46 @@ mod tests {
     #[test]
     fn acks_free_exactly_the_frames_they_cover_and_lying_acks_change_nothing() {
         let mut w = ReplayWindow::new(1024, usize::MAX);
+        w.resume(0).unwrap();
         for i in 0..10u8 {
-            w.record(vec![i; 3], 1);
+            w.record(vec![i; 3]);
         }
-        w.ack(4, 0).unwrap();
+        write_all(&mut w);
+        w.ack(4).unwrap();
         assert_eq!((w.frames.len(), w.bytes), (6, 18));
         assert_eq!(suffix(&w, 4).unwrap()[0], vec![4u8; 3]);
-        w.ack(4, 0).expect("a repeated ack is no news, not a lie");
+        w.ack(4).expect("a repeated ack is no news, not a lie");
 
-        // Past what was sent, past what was written, or going back: each
-        // is refused with the window untouched (no underflow anywhere).
-        for (acked, unwritten) in [
-            (11, 0),
-            (u64::MAX, 0),
-            (10, 1),
-            (10, usize::MAX),
-            (3, 0),
-            (0, 0),
-        ] {
-            assert!(
-                w.ack(acked, unwritten).is_err(),
-                "ack {acked} / {unwritten}"
-            );
+        // Past what was sent, or going back: each is refused with the
+        // window untouched (no underflow anywhere).
+        for acked in [11, u64::MAX, 3, 0] {
+            assert!(w.ack(acked).is_err(), "ack {acked}");
             assert_eq!((w.frames.len(), w.bytes, w.acked), (6, 18, 4));
         }
-        w.ack(9, 1).unwrap();
-        assert_eq!(suffix(&w, 9).unwrap(), vec![vec![9u8; 3]]);
+        // Past what was written: a frame recorded, or written in part,
+        // cannot have reached the peer.
+        w.record(vec![10; 3]);
+        assert!(w.ack(11).is_err(), "an unwritten frame");
+        write_some(&mut w, 2);
+        assert!(w.ack(11).is_err(), "a part-written frame");
+        assert_eq!((w.frames.len(), w.acked), (7, 4));
+        w.ack(9).unwrap();
+        assert_eq!(suffix(&w, 9).unwrap(), vec![vec![9u8; 3], vec![10u8; 3]]);
 
         // A resume count is an ack too: it may not go below the last one,
         // and it frees what it covers.
         let below = w.resume(8).unwrap_err();
         assert!(below.contains("below its own earlier ack of 9"), "{below}");
-        w.resume(10).unwrap();
-        assert_eq!((w.frames.len(), w.bytes, w.acked), (0, 0, 10));
+        w.resume(11).unwrap();
+        assert_eq!((w.frames.len(), w.bytes, w.acked), (0, 0, 11));
 
         // An ack behind a cap's eviction frees nothing more, and a later
         // resume still reports the gap.
         let mut w = ReplayWindow::new(2, usize::MAX);
         for i in 0..5u8 {
-            w.record(vec![i], 1);
+            w.record(vec![i]);
         }
-        w.ack(1, 0).unwrap();
+        w.ack(1).unwrap();
         assert_eq!(w.frames.len(), 2);
         assert!(w.resume(1).is_err());
     }
@@ -3618,20 +3545,92 @@ mod tests {
         let mut frames_capped = ReplayWindow::new(2, usize::MAX);
         let mut bytes_capped = ReplayWindow::new(1024, 10);
         for i in 0..4u8 {
-            frames_capped.record(vec![i], 1);
-            bytes_capped.record(vec![i; 6], 1);
+            frames_capped.record(vec![i]);
+            bytes_capped.record(vec![i; 6]);
         }
         let frame_cap = frames_capped.resume(0).unwrap_err();
         assert!(frame_cap.contains("by its 2-frame cap"), "{frame_cap}");
         let byte_cap = bytes_capped.resume(0).unwrap_err();
         assert!(byte_cap.contains("by its 10-byte cap"), "{byte_cap}");
-        bytes_capped.ack(3, 0).unwrap();
+        bytes_capped.ack(3).unwrap();
         let below = bytes_capped.resume(2).unwrap_err();
         assert!(below.contains("below its own earlier ack"), "{below}");
         let past = bytes_capped.resume(5).unwrap_err();
         assert!(past.contains("only 4 were sent"), "{past}");
         // A refused resume leaves the window as it was.
         assert_eq!((bytes_capped.frames.len(), bytes_capped.acked), (1, 3));
+    }
+
+    /// Decodes a written byte stream into its frames' topics and the acks
+    /// between them; every byte must belong to a whole frame or ack.
+    fn decode_wire(wire: &[u8]) -> (Vec<String>, Vec<u64>) {
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(wire);
+        let (mut topics, mut acks) = (Vec::new(), Vec::new());
+        while let Some(unit) = decoder.next_link_frame().unwrap() {
+            match unit {
+                LinkFrame::Envelope(frame) => topics.push(frame.topic.to_string()),
+                LinkFrame::Ack(acked) => acks.push(acked),
+            }
+        }
+        assert_eq!(decoder.buffered(), 0, "a torn frame or ack");
+        (topics, acks)
+    }
+
+    /// The one writer through a socket that takes a few bytes at a time:
+    /// frames leave whole and in order straight from the window, an ack is
+    /// begun only between two frames and a newer one replaces an ack not
+    /// begun, and a resume rewinds to the first frame the peer lacks and
+    /// drops the ack owed.
+    #[test]
+    fn the_window_writes_frames_whole_and_acks_only_between_them() {
+        let frame = |i: u8| {
+            encode_frame(&envelope(
+                PartyId::DataHolder(0),
+                PartyId::ThirdParty,
+                &format!("f{i}"),
+                vec![i; 20 + i as usize],
+            ))
+            .unwrap()
+        };
+        let mut w = ReplayWindow::new(1024, usize::MAX);
+        w.record(frame(0));
+        w.queue_ack(1);
+        assert_eq!(w.backlog, 0, "a detached window owes no stream anything");
+        assert!(write_all(&mut w).is_empty());
+
+        w.resume(0).unwrap();
+        for i in 1..6 {
+            w.record(frame(i));
+        }
+        let total: usize = w.frames.iter().map(Vec::len).sum();
+        assert_eq!(w.backlog, total);
+        let mut wire = Vec::new();
+        let mut step = 0;
+        while w.backlog > 0 {
+            wire.extend(write_some(&mut w, 7));
+            step += 1;
+            if step % 3 == 0 && w.frames_unwritten() {
+                w.queue_ack(step);
+            }
+        }
+        let (topics, acks) = decode_wire(&wire);
+        assert_eq!(topics, (0..6).map(|i| format!("f{i}")).collect::<Vec<_>>());
+        assert!(!acks.is_empty());
+        assert!(acks.windows(2).all(|a| a[0] < a[1]), "{acks:?}");
+        assert_eq!(wire.len(), total + acks.len() * (4 + ACK_BODY_LEN));
+
+        // A resume on a fresh stream: the part-written frame starts over
+        // from its first byte, and the ack owed is gone.
+        w.record(frame(6));
+        w.record(frame(7));
+        write_some(&mut w, 5);
+        w.queue_ack(99);
+        w.resume(6).unwrap();
+        assert_eq!(w.backlog, frame(6).len() + frame(7).len());
+        let (topics, acks) = decode_wire(&write_all(&mut w));
+        assert_eq!(topics, ["f6", "f7"]);
+        assert!(acks.is_empty());
     }
 
     /// The reconnect-durability satellite: kill the OS stream of a live

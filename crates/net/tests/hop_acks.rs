@@ -11,7 +11,9 @@
 //!   the frame cap, the byte cap, or a count below the peer's own ack,
 //!   while one whose fresh stream dies mid-retransmission dials again;
 //! * a lying ack — past what was sent, or going back — fails a
-//!   transport's link as a decode error and closes a router connection.
+//!   transport's link as a decode error and closes a router connection;
+//! * a send after the peer hung up re-dials at once, instead of writing
+//!   into the dead socket, and the resumed stream carries its frame.
 //!
 //! The far end of a direct link is a raw socket speaking the wire by hand
 //! (the public handshake stages plus `encode_frame` / `encode_ack`), so
@@ -358,6 +360,43 @@ fn a_lying_ack_fails_a_transport_link_as_a_decode_error() {
         }
         link.holder.shutdown();
     }
+}
+
+#[test]
+fn a_send_after_the_peer_hung_up_redials_at_once() {
+    let DirectLink {
+        listener,
+        holder,
+        peer,
+    } = DirectLink::open(TcpTransport::new([DH0]), 3);
+    // The peer drops its stream. Nothing public shows the holder's reactor
+    // seeing it go, which takes it microseconds: give it a quarter second.
+    drop(peer);
+    std::thread::sleep(Duration::from_millis(250));
+    listener.set_nonblocking(true).unwrap();
+    std::thread::scope(|scope| {
+        // One send, then a flush: the kernel would take the frame into the
+        // dead socket, so only a re-dial delivers it.
+        let send = scope.spawn(|| {
+            holder.send(envelope(DH0, TP, "f4", 100))?;
+            holder.flush()
+        });
+        let mut again = None;
+        wait_until(
+            || {
+                again = listener.accept().ok();
+                again.is_some()
+            },
+            "the send re-dials",
+        );
+        let (mut peer, _) = again.unwrap();
+        peer.set_nonblocking(false).unwrap();
+        assert_eq!(raw_handshake(&mut peer, 0xACC, &[TP], 3), 0);
+        let mut decoder = FrameDecoder::new();
+        assert_eq!(read_topics(&mut peer, &mut decoder, 1), topics(4..=4));
+        send.join().unwrap().unwrap();
+    });
+    holder.shutdown();
 }
 
 /// A raw client of the router announcing `party` under `endpoint`.

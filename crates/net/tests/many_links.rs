@@ -1,16 +1,21 @@
 //! Link-scaling stress test: ≥64 logical links through one router process.
 //!
 //! The socket tier runs every link and router connection on one reactor
-//! thread per process, so the thread count must not grow with the link
-//! count. This test runs a 64-party ring through one in-process
-//! [`TcpRouter`], asserts the thread count stays flat, and asserts every
-//! party receives exactly its predecessor's envelope.
+//! thread per process, from a router's accept to its close, so the thread
+//! count must not grow with the link count or with the handshakes in
+//! flight. This test runs a 64-party ring through one in-process
+//! [`TcpRouter`] next to 64 raw connections that never send a byte,
+//! asserts that the router added no thread beyond the reactor's — counted
+//! at once, not after transient threads had time to exit — and asserts
+//! every party receives exactly its predecessor's envelope.
 //!
 //! Linux-only: thread counts come from `/proc/self/status`, and Linux is
 //! the reactor's first-class platform (epoll).
 
 #![cfg(target_os = "linux")]
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ppc_net::{Backoff, Envelope, PartyId, TcpRouter, TcpTransport, Transport, WaitTransport};
@@ -31,9 +36,8 @@ fn thread_count() -> usize {
 }
 
 /// Samples the thread count until it stops changing (three stable samples
-/// 20 ms apart) or `budget` elapses, returning the last sample. Transient
-/// threads — the router's per-connection handshakes — get time to exit so
-/// the steady state is what's measured.
+/// 20 ms apart) or `budget` elapses, returning the last sample: the
+/// baseline before any socket exists.
 fn settled_thread_count(budget: Duration) -> usize {
     let deadline = Instant::now() + budget;
     let mut last = thread_count();
@@ -54,11 +58,12 @@ fn settled_thread_count(budget: Duration) -> usize {
     last
 }
 
-/// Runs the 64-party ring through one router: every party sends one
-/// envelope to its ring successor and receives exactly one from its
-/// predecessor. Returns the steady-state thread-count delta over the
-/// pre-run baseline and the delivered `(from, to, payload)` rows in ring
-/// order.
+/// Runs the 64-party ring through one router, with 64 silent connections
+/// beside it: every party sends one envelope to its ring successor and
+/// receives exactly one from its predecessor. Returns the thread-count
+/// delta over the pre-run baseline, taken once every link is attached and
+/// every silent connection accepted, and the delivered `(from, to,
+/// payload)` rows in ring order.
 fn run_ring() -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
     let baseline = settled_thread_count(Duration::from_secs(5));
 
@@ -71,16 +76,25 @@ fn run_ring() -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
             t
         })
         .collect();
-    // The dialling side returns from its handshake a beat before the
-    // router thread installs the stream into the link table; poll briefly.
+    // Connections that never send a byte: each is a handshake in flight
+    // at the router. The router greets each one as it accepts it.
+    let mut silent: Vec<TcpStream> = (0..LINKS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    for stream in &mut silent {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.read_exact(&mut [0u8; 15]).unwrap();
+    }
     let deadline = Instant::now() + Duration::from_secs(10);
     while router.connection_count() < LINKS && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(router.connection_count(), LINKS);
 
-    let steady = settled_thread_count(Duration::from_secs(5));
-    let delta = steady.saturating_sub(baseline);
+    // At once: a thread per silent handshake would still be alive now.
+    let delta = thread_count().saturating_sub(baseline);
 
     for (i, t) in transports.iter().enumerate() {
         let to = PartyId::DataHolder(((i + 1) % LINKS) as u32);
@@ -108,6 +122,7 @@ fn run_ring() -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
         t.shutdown();
     }
     drop(transports);
+    drop(silent);
     router.shutdown();
 
     (delta, delivered)
@@ -117,11 +132,12 @@ fn run_ring() -> (usize, Vec<(PartyId, PartyId, Vec<u8>)>) {
 fn sixty_four_links_run_on_a_constant_number_of_threads() {
     let (delta, rows) = run_ring();
 
-    // One loop thread plus a handful of accept/bookkeeping threads,
-    // regardless of link count.
+    // The reactor's loop thread, started by the first socket, and nothing
+    // else: no accept thread and no thread per connection or handshake.
     assert!(
-        delta <= 8,
-        "the socket tier should run O(1) threads: {LINKS} links added {delta} threads"
+        delta <= 1,
+        "{LINKS} links and {LINKS} handshakes in flight added {delta} threads; \
+         only the reactor's may run"
     );
 
     // Every party got exactly its predecessor's envelope.
