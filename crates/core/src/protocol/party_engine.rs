@@ -17,8 +17,13 @@
 //! needed:
 //!
 //! 1. every serving process sends [`SessionReady`] (its party + row count)
-//!    to the coordinator, re-sending while idle so startup order does not
-//!    matter;
+//!    to the coordinator, and the coordinator, once connected, greets
+//!    every expected remote party with its own [`SessionReady`]; a serving
+//!    process that hears the greeting before any announcement sends its
+//!    readiness again at once. A router drops frames for parties no link
+//!    has announced yet, but a serving party's first ready is dropped
+//!    only if the coordinator joins the router after that party did, and
+//!    then the greeting is routed, so startup order does not matter;
 //! 2. the coordinator waits for every expected remote party, assembles the
 //!    site-size roster, and sends one [`SessionAnnounce`] per session whose
 //!    body is an encoded [`PartySessionSpec`] (schema, protocol config,
@@ -535,9 +540,11 @@ impl<T: WaitTransport> PartyEngine<T> {
     }
 
     /// Serves the local seats: announces readiness to `coordinator`
-    /// (re-sending while idle, so startup order does not matter), runs
-    /// every announced session to completion, reports each with
-    /// `ctl/done`, and returns once all announced sessions are finished.
+    /// (again when the coordinator's greeting arrives, and on each empty
+    /// stall-budget park until the first announcement, so startup order
+    /// does not matter), runs every announced session to completion,
+    /// reports each with `ctl/done`, and returns once all announced
+    /// sessions are finished.
     pub fn serve(&self, coordinator: PartyId) -> Result<PartyRunReport, CoreError> {
         let mut flow = Flow::new(self, coordinator, BTreeSet::new());
         flow.send_ready()?;
@@ -584,15 +591,6 @@ impl<T: WaitTransport> PartyEngine<T> {
         Ok(flow.into_report())
     }
 }
-
-/// Park length for a serving engine that has not heard from its
-/// coordinator yet. The first `ctl/ready` can race the coordinator's
-/// connection to a shared router — the router drops frames for parties no
-/// link has announced — so until an announcement proves contact, the
-/// engine re-sends readiness on this cadence rather than once per full
-/// stall-budget park (which showed up as a ~`idle_wait` startup tax on
-/// roughly half of all multi-process runs).
-const READY_RESEND_WAIT: Duration = Duration::from_millis(5);
 
 /// The in-flight state of one engine run.
 struct Flow<'a, T: WaitTransport> {
@@ -688,6 +686,25 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
         }
         self.transport.flush()?;
         Ok(())
+    }
+
+    /// Coordinator: greets every expected remote party with this engine's
+    /// own readiness, and flushes. A serving party whose first `ctl/ready`
+    /// reached a shared router before this engine's link did was dropped
+    /// as unroutable; the greeting tells it to send its readiness again.
+    /// Sends and flush are best effort: a party that is already gone
+    /// surfaces at the first announcement, as a settled `PeerUnreachable`
+    /// outcome.
+    fn greet(&mut self) {
+        let greeting = SessionReady {
+            party: self.control_party,
+            rows: self.seats[0].rows(),
+        }
+        .encode();
+        for party in self.expected_remote.clone() {
+            let _ = self.send_ctl(party, TOPIC_READY, greeting.clone());
+        }
+        let _ = self.transport.flush();
     }
 
     /// Builds this process's runtime for one announced session: validates
@@ -836,14 +853,25 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                     "the coordinator received a session announcement".into(),
                 )),
                 (ControlMsg::Ready(ready), true) => {
-                    // Serving processes re-send readiness while idle;
-                    // later copies just refresh the roster entry.
+                    // A serving process may send readiness more than once
+                    // (after the greeting, or on a fallback park); later
+                    // copies just refresh the roster entry.
                     self.remote_rows.insert(ready.party, ready.rows);
                     Ok(())
                 }
-                (ControlMsg::Ready(_), false) => Err(CoreError::Protocol(
-                    "a serving engine received a readiness announcement".into(),
-                )),
+                (ControlMsg::Ready(_), false)
+                    if envelope.from == self.coordinator && self.total.is_none() =>
+                {
+                    // The coordinator's greeting: it is connected now, and
+                    // our first readiness may have reached the router
+                    // before it did.
+                    self.send_ready()
+                }
+                (ControlMsg::Ready(_), false) => Err(CoreError::Protocol(format!(
+                    "a serving engine received a readiness announcement from {} (only its \
+                     coordinator greets, and only before the first announcement)",
+                    envelope.from
+                ))),
                 (ControlMsg::Done(done), true) => self.handle_done(done),
                 (ControlMsg::Done(_), false) => Err(CoreError::Protocol(
                     "a serving engine received a completion report".into(),
@@ -1093,12 +1121,7 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     }
 
     fn drive_loop(&mut self) -> Result<(), CoreError> {
-        // The stall budget wall-clocked: the counter semantics (`idle >
-        // max_idle_waits` full parks) expressed as accumulated silent
-        // time, so shorter-than-`idle_wait` parks spend proportionally
-        // less of it.
-        let budget = self.idle_wait.saturating_mul(self.max_idle_waits);
-        let mut idle = Duration::ZERO;
+        let mut idle = 0u32;
         loop {
             self.stats.rounds += 1;
             let mut progressed = self.pump()?;
@@ -1108,38 +1131,28 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                 return Ok(());
             }
             if progressed {
-                idle = Duration::ZERO;
+                idle = 0;
                 continue;
             }
-            // Before the first announcement a serving engine's only job is
-            // making contact, and its initial `ctl/ready` may have raced
-            // the coordinator's connection to the router (a frame for a
-            // party no link has announced yet is dropped, not stored): park
-            // in short slices and re-announce on each, instead of sitting
-            // out a full stall-budget park before the first re-send.
-            let awaiting_contact = !self.is_coordinator && self.total.is_none();
-            let wait = if awaiting_contact {
-                self.idle_wait.min(READY_RESEND_WAIT)
-            } else {
-                self.idle_wait
-            };
             self.stats.blocking_waits += 1;
-            match self.transport.receive_any_of(&self.locals, wait)? {
+            match self
+                .transport
+                .receive_any_of(&self.locals, self.idle_wait)?
+            {
                 Some(envelope) => {
                     self.route(envelope)?;
-                    idle = Duration::ZERO;
+                    idle = 0;
                 }
                 None => {
-                    // The floor keeps a zero `idle_wait` budget tripping
-                    // after `max_idle_waits` empty polls instead of
-                    // spinning forever.
-                    idle += wait.max(Duration::from_nanos(1));
-                    if awaiting_contact {
-                        // The coordinator may not even be connected yet:
-                        // repeat the (idempotent) readiness announcement.
+                    idle += 1;
+                    if !self.is_coordinator && self.total.is_none() {
+                        // A whole park with neither a greeting nor an
+                        // announcement: in case neither side's first
+                        // message got through, repeat the (idempotent)
+                        // readiness announcement.
                         self.send_ready()?;
                     }
-                    if idle > budget {
+                    if idle > self.max_idle_waits {
                         let stuck: Vec<u64> = self.sessions.keys().copied().collect();
                         return Err(CoreError::Protocol(format!(
                             "party engine for {:?} stalled (sessions {stuck:?} unfinished, \
@@ -1172,8 +1185,11 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
         plans: Vec<SessionPlan>,
     ) -> Result<(), CoreError> {
         self.total = Some(plans.len() as u32);
-        // Phase 1: wait for every remote party's readiness, under its own
-        // (usually more patient) budget — peers may still be starting up.
+        // Phase 1: greet every remote party, then wait for its readiness
+        // under its own (usually more patient) budget — peers may still be
+        // starting up. Nothing routed while waiting sends a reply, so the
+        // greeting's flush is the only one this phase needs.
+        self.greet();
         let (ready_wait, ready_max_waits) = self.readiness_budget;
         let mut idle = 0u32;
         while !self
@@ -1185,10 +1201,6 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                 idle = 0;
                 continue;
             }
-            // Anything routed above may have queued replies; on a
-            // coalescing transport they stay buffered until a flush, and
-            // the peers we are about to park on may be waiting for them.
-            self.transport.flush()?;
             self.stats.blocking_waits += 1;
             match self.transport.receive_any_of(&self.locals, ready_wait)? {
                 Some(envelope) => {
@@ -1237,17 +1249,21 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                 "the protocol requires at least two data holders".into(),
             ));
         }
-        // Phase 3: announce every session and build the local runtimes.
+        // Phase 3: announce every session, flush, and only then build the
+        // local runtimes, so the remote parties build theirs meanwhile.
         let total = plans.len() as u32;
-        for (id, plan) in plans.iter().enumerate() {
-            let id = id as u64;
-            let spec = PartySessionSpec {
+        let specs: Vec<PartySessionSpec> = plans
+            .into_iter()
+            .map(|plan| PartySessionSpec {
                 schema: schema.clone(),
                 config: plan.config,
-                request: plan.request.clone(),
+                request: plan.request,
                 chunk_rows: plan.chunk_rows,
                 site_sizes: site_sizes.clone(),
-            };
+            })
+            .collect();
+        for (id, spec) in specs.iter().enumerate() {
+            let id = id as u64;
             let body = spec.encode();
             for &party in &self.expected_remote.clone() {
                 let announce = SessionAnnounce {
@@ -1276,10 +1292,12 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                     Err(e) => return Err(e.into()),
                 }
             }
-            let runtime = self.build_runtime(&spec, id)?;
-            self.install_session(id, runtime)?;
         }
         self.transport.flush()?;
+        for (id, spec) in specs.iter().enumerate() {
+            let runtime = self.build_runtime(spec, id as u64)?;
+            self.install_session(id as u64, runtime)?;
+        }
         // Phase 4: drive to completion.
         self.drive()
     }
@@ -1350,6 +1368,95 @@ mod tests {
             },
             chunk_rows,
         }
+    }
+
+    /// Each plan run alone on the single-threaded `SessionEngine`: the
+    /// oracle every multi-process run must match.
+    fn oracle_outcomes(
+        parts: &[HorizontalPartition],
+        master: &Seed,
+        plans: &[SessionPlan],
+    ) -> Vec<EngineOutcome> {
+        plans
+            .iter()
+            .map(|p| {
+                let setup = TrustedSetup::deterministic(parts.to_vec(), master).unwrap();
+                let mut engine = SessionEngine::new(Network::with_parties(2));
+                engine.add_session(SessionSpec {
+                    schema: schema(),
+                    config: p.config,
+                    holders: setup.holders,
+                    keys: setup.third_party,
+                    request: p.request.clone(),
+                    chunk_rows: p.chunk_rows,
+                });
+                engine.run().unwrap().remove(0)
+            })
+            .collect()
+    }
+
+    /// Checks a coordinator's report row by row against the oracle: every
+    /// session completed, with a row per party (`parties` in all), the
+    /// oracle's clusters at each local holder seat (`local_sites`), bare
+    /// completion from each remote holder, and the oracle's final matrix,
+    /// bit for bit, from the remote third party.
+    fn assert_coordinator_report_matches(
+        report: &PartyRunReport,
+        oracle: &[EngineOutcome],
+        local_sites: &[u32],
+        parties: usize,
+    ) {
+        assert_eq!(report.stats.sessions_completed, oracle.len());
+        assert_eq!(report.stats.sessions_failed, 0);
+        for (id, reference) in oracle.iter().enumerate() {
+            let expected_clusters: Vec<Vec<(u32, u32)>> = reference
+                .result
+                .clusters
+                .iter()
+                .map(|m| m.iter().map(|o| (o.site, o.local_index as u32)).collect())
+                .collect();
+            let rows: Vec<&SessionOutcome> = report.session(id as u64).collect();
+            assert_eq!(rows.len(), parties, "session {id} has a row per party");
+            for row in rows {
+                match (&row.party, &row.outcome) {
+                    (PartyId::DataHolder(site), PartyOutcome::Holder(published))
+                        if local_sites.contains(site) =>
+                    {
+                        assert_eq!(published.clusters, expected_clusters, "session {id}");
+                    }
+                    (PartyId::DataHolder(site), PartyOutcome::Remote(None))
+                        if !local_sites.contains(site) => {}
+                    (PartyId::ThirdParty, PartyOutcome::Remote(Some(tp_outcome))) => {
+                        assert_eq!(tp_outcome.result.clusters, expected_clusters);
+                        // Byte-exact final matrix: the acceptance criterion.
+                        let expected_bits: Vec<u64> = reference
+                            .final_matrix
+                            .matrix()
+                            .condensed_values()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        let got_bits: Vec<u64> =
+                            tp_outcome.condensed.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got_bits, expected_bits, "session {id} final matrix");
+                    }
+                    (party, outcome) => {
+                        panic!("session {id}: unexpected outcome for {party}: {outcome:?}")
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `ctl/ready` from `from` to `to`, MAC'd under `master`.
+    fn ready_envelope(master: &Seed, from: PartyId, to: PartyId, rows: u64) -> Envelope {
+        let body = SessionReady { party: from, rows }.encode();
+        Envelope::new(
+            from,
+            to,
+            TOPIC_READY,
+            ControlAuth::from_master(master).seal(TOPIC_READY, from, to, &body),
+        )
     }
 
     #[test]
@@ -1471,23 +1578,7 @@ mod tests {
             plan(Some(2), NumericMode::PerPair),
         ];
 
-        // Oracle: each plan run alone on the single-threaded engine.
-        let oracle: Vec<EngineOutcome> = plans
-            .iter()
-            .map(|p| {
-                let setup = TrustedSetup::deterministic(parts.clone(), &master).unwrap();
-                let mut engine = SessionEngine::new(Network::with_parties(2));
-                engine.add_session(SessionSpec {
-                    schema: schema(),
-                    config: p.config,
-                    holders: setup.holders,
-                    keys: setup.third_party,
-                    request: p.request.clone(),
-                    chunk_rows: p.chunk_rows,
-                });
-                engine.run().unwrap().remove(0)
-            })
-            .collect();
+        let oracle = oracle_outcomes(&parts, &master, &plans);
 
         let net = Network::with_parties(2);
         let coordinator_engine = PartyEngine::new(
@@ -1522,42 +1613,8 @@ mod tests {
             (coordinator, holder.join().unwrap(), tp.join().unwrap())
         });
 
-        assert_eq!(coordinator_report.stats.sessions_completed, plans.len());
-        assert_eq!(coordinator_report.stats.sessions_failed, 0);
+        assert_coordinator_report_matches(&coordinator_report, &oracle, &[0], 3);
         for (id, reference) in oracle.iter().enumerate() {
-            let expected_clusters: Vec<Vec<(u32, u32)>> = reference
-                .result
-                .clusters
-                .iter()
-                .map(|m| m.iter().map(|o| (o.site, o.local_index as u32)).collect())
-                .collect();
-            let rows: Vec<&SessionOutcome> = coordinator_report.session(id as u64).collect();
-            assert_eq!(rows.len(), 3, "session {id} has a row per party");
-            for row in rows {
-                match (&row.party, &row.outcome) {
-                    (PartyId::DataHolder(0), PartyOutcome::Holder(published)) => {
-                        assert_eq!(published.clusters, expected_clusters, "session {id}");
-                    }
-                    (PartyId::DataHolder(1), PartyOutcome::Remote(None)) => {}
-                    (PartyId::ThirdParty, PartyOutcome::Remote(Some(tp_outcome))) => {
-                        assert_eq!(tp_outcome.result.clusters, expected_clusters);
-                        // Byte-exact final matrix: the acceptance criterion.
-                        let expected_bits: Vec<u64> = reference
-                            .final_matrix
-                            .matrix()
-                            .condensed_values()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect();
-                        let got_bits: Vec<u64> =
-                            tp_outcome.condensed.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got_bits, expected_bits, "session {id} final matrix");
-                    }
-                    (party, outcome) => {
-                        panic!("session {id}: unexpected outcome for {party}: {outcome:?}")
-                    }
-                }
-            }
             // The serving third party holds the full outcome locally too.
             let tp_rows: Vec<&SessionOutcome> = tp_report.session(id as u64).collect();
             assert_eq!(tp_rows.len(), 1);
@@ -1667,6 +1724,90 @@ mod tests {
                     row.session, row.party
                 ),
             }
+        }
+    }
+
+    /// The greeting is best effort: when its own send already fails (the
+    /// link to the third party is cut and every re-dial finds a closed
+    /// port), the run still settles as `PeerUnreachable` outcomes at the
+    /// first announcement instead of ending in the greeting's error.
+    #[test]
+    fn a_greeting_that_cannot_be_sent_still_settles_peer_unreachable() {
+        use ppc_net::{Backoff, TcpAcceptor, TcpTransport, Transport};
+
+        let master = Seed::from_u64(32);
+        let parts = partitions();
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let tp_side = TcpTransport::new([PartyId::ThirdParty]);
+        let mut transport = TcpTransport::new([PartyId::DataHolder(0), PartyId::DataHolder(1)]);
+        transport.set_reconnect_policy(Backoff {
+            initial: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            max_attempts: 2,
+        });
+        let dial = std::thread::spawn(move || {
+            transport.connect(addr, &Backoff::default()).unwrap();
+            transport
+        });
+        acceptor.accept_into(&tp_side).unwrap();
+        let transport = dial.join().unwrap();
+        tp_side
+            .send(ready_envelope(
+                &master,
+                PartyId::ThirdParty,
+                PartyId::DataHolder(0),
+                0,
+            ))
+            .unwrap();
+        tp_side.flush().unwrap();
+        let ready = transport
+            .receive_any_of(&[PartyId::DataHolder(0)], Duration::from_secs(5))
+            .unwrap()
+            .expect("the third party's ready");
+        tp_side.shutdown();
+        drop(tp_side);
+        drop(acceptor);
+        // Cut the link: the next send to the third party re-dials a closed
+        // port. Its ready goes back to the hosted coordinator in process,
+        // as if it had just arrived.
+        transport.sever_links();
+        transport.send(ready).unwrap();
+
+        let mut engine = PartyEngine::new(
+            transport,
+            parts
+                .iter()
+                .map(|partition| PartySeat::Holder {
+                    partition: partition.clone(),
+                    master,
+                })
+                .collect(),
+        )
+        .unwrap();
+        engine.set_stall_budget(Duration::from_millis(20), 50);
+        let report = engine
+            .coordinate(
+                schema(),
+                [PartyId::ThirdParty],
+                vec![plan(Some(2), NumericMode::Batch)],
+            )
+            .expect("an unsendable greeting must not end the run");
+        assert_eq!(report.stats.sessions_failed, 1);
+        assert!(!report.outcomes.is_empty());
+        for row in &report.outcomes {
+            assert!(
+                matches!(
+                    &row.outcome,
+                    PartyOutcome::Failed(SessionFailure::PeerUnreachable {
+                        party: PartyId::ThirdParty
+                    })
+                ),
+                "session {} at {}: {:?}",
+                row.session,
+                row.party,
+                row.outcome
+            );
         }
     }
 
@@ -1915,5 +2056,197 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "a 2 × 1 ms readiness budget must fail fast"
         );
+    }
+
+    /// A serving engine answers its coordinator's greeting, received before
+    /// any announcement, with exactly one fresh `ctl/ready`; a ready from
+    /// any other party is still a protocol error.
+    #[test]
+    fn a_serving_engine_answers_its_coordinators_greeting_with_one_fresh_ready() {
+        use ppc_net::Transport;
+
+        let master = Seed::from_u64(12);
+        let parts = partitions();
+        let net = Network::with_parties(2);
+        let mut engine = PartyEngine::new(
+            net.clone(),
+            vec![PartySeat::Holder {
+                partition: parts[1].clone(),
+                master,
+            }],
+        )
+        .unwrap();
+        // One long park: no fallback re-send fires while the test runs, so
+        // every ready the coordinator sees is the first or an answer.
+        engine.set_stall_budget(Duration::from_secs(30), 1);
+        let coordinator = PartyId::DataHolder(0);
+        let next_ready = || {
+            let envelope = net
+                .receive_any_of(&[coordinator], Duration::from_secs(10))
+                .unwrap()
+                .expect("a readiness announcement");
+            assert_eq!(envelope.topic, TOPIC_READY);
+            let body = ControlAuth::from_master(&master)
+                .open(TOPIC_READY, envelope.from, envelope.to, &envelope.payload)
+                .unwrap();
+            SessionReady::decode(&body).unwrap()
+        };
+        let err = std::thread::scope(|scope| {
+            let serving = scope.spawn(|| engine.serve(coordinator));
+            let first = next_ready();
+            assert_eq!(
+                first,
+                SessionReady {
+                    party: PartyId::DataHolder(1),
+                    rows: 2
+                }
+            );
+            net.send(ready_envelope(
+                &master,
+                coordinator,
+                PartyId::DataHolder(1),
+                3,
+            ))
+            .unwrap();
+            assert_eq!(next_ready(), first, "the greeting is answered at once");
+            // A ready from a party other than the coordinator ends the run.
+            net.send(ready_envelope(
+                &master,
+                PartyId::ThirdParty,
+                PartyId::DataHolder(1),
+                0,
+            ))
+            .unwrap();
+            serving.join().unwrap().unwrap_err()
+        });
+        assert!(
+            err.to_string()
+                .contains("received a readiness announcement from TP"),
+            "{err}"
+        );
+        assert!(
+            net.try_receive(coordinator).unwrap().is_none(),
+            "one greeting, one fresh ready"
+        );
+    }
+
+    /// Once the first announcement has arrived, a ready even from the
+    /// coordinator is a protocol error: the greeting only ever precedes
+    /// the announcements on the coordinator's link.
+    #[test]
+    fn a_ready_from_the_coordinator_after_an_announcement_is_a_protocol_error() {
+        use ppc_net::TOPIC_ANNOUNCE;
+
+        let master = Seed::from_u64(13);
+        let parts = partitions();
+        let net = Network::with_parties(2);
+        let spec = PartySessionSpec {
+            schema: schema(),
+            config: ProtocolConfig::default(),
+            request: ClusteringRequest::uniform(&schema(), 2),
+            chunk_rows: None,
+            site_sizes: vec![(0, 3), (1, 2)],
+        };
+        let announce = ppc_net::SessionAnnounce {
+            session: 0,
+            sessions_total: 1,
+            body: spec.encode(),
+        };
+        let (coordinator, me) = (PartyId::DataHolder(0), PartyId::DataHolder(1));
+        net.send(Envelope::new(
+            coordinator,
+            me,
+            TOPIC_ANNOUNCE,
+            ControlAuth::from_master(&master).seal(
+                TOPIC_ANNOUNCE,
+                coordinator,
+                me,
+                &announce.encode(),
+            ),
+        ))
+        .unwrap();
+        net.send(ready_envelope(&master, coordinator, me, 3))
+            .unwrap();
+        let engine = PartyEngine::new(
+            net.clone(),
+            vec![PartySeat::Holder {
+                partition: parts[1].clone(),
+                master,
+            }],
+        )
+        .unwrap();
+        let err = engine.serve(coordinator).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("received a readiness announcement from DH0"),
+            "{err}"
+        );
+    }
+
+    /// Over a real router: the third party starts first, so its first
+    /// `ctl/ready` is dropped as unroutable. With every park 2 s long, only
+    /// the coordinator's greeting can make the run finish within a second
+    /// (the fallback re-send waits out a whole park), and it must match
+    /// the oracle with no other frame dropped.
+    #[test]
+    fn a_first_ready_the_router_dropped_is_recovered_by_the_greeting_not_a_park() {
+        use ppc_net::{Backoff, TcpRouter, TcpTransport};
+
+        let master = Seed::from_u64(2025);
+        let parts = partitions();
+        let plans = vec![
+            plan(Some(1), NumericMode::Batch),
+            plan(None, NumericMode::PerPair),
+        ];
+        let oracle = oracle_outcomes(&parts, &master, &plans);
+        let park = Duration::from_secs(2);
+
+        let (router, addr) = TcpRouter::spawn("127.0.0.1:0").unwrap();
+        let tp_transport = TcpTransport::new([PartyId::ThirdParty]);
+        tp_transport.connect(addr, &Backoff::default()).unwrap();
+        let mut tp =
+            PartyEngine::new(tp_transport, vec![PartySeat::ThirdParty { master }]).unwrap();
+        tp.set_stall_budget(park, 5);
+        let mut coordinator = PartyEngine::new(
+            TcpTransport::new([PartyId::DataHolder(0), PartyId::DataHolder(1)]),
+            parts
+                .iter()
+                .map(|partition| PartySeat::Holder {
+                    partition: partition.clone(),
+                    master,
+                })
+                .collect(),
+        )
+        .unwrap();
+        coordinator.set_stall_budget(park, 5);
+
+        let (report, elapsed) = std::thread::scope(|scope| {
+            let serving = scope.spawn(|| tp.serve(PartyId::DataHolder(0)));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while router.unroutable_frames() == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the third party's first ready never reached the router"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let started = std::time::Instant::now();
+            coordinator
+                .transport()
+                .connect(addr, &Backoff::default())
+                .unwrap();
+            let report = coordinator
+                .coordinate(schema(), [PartyId::ThirdParty], plans.clone())
+                .unwrap();
+            let tp_report = serving.join().unwrap().unwrap();
+            assert_eq!(tp_report.stats.sessions_completed, plans.len());
+            (report, started.elapsed())
+        });
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "the run took {elapsed:?}: the dropped ready waited for a fallback park"
+        );
+        assert_coordinator_report_matches(&report, &oracle, &[0, 1], 3);
+        assert_eq!(router.unroutable_frames(), 1);
     }
 }

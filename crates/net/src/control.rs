@@ -6,8 +6,12 @@
 //! the ordinary envelope transport on the reserved `ctl/` topic namespace
 //! (see `docs/WIRE_FORMAT.md` §5 and §7):
 //!
-//! * [`SessionReady`] (`ctl/ready`) — a serving party announces, once per
-//!   link, which party it plays and how many objects it holds;
+//! * [`SessionReady`] (`ctl/ready`) — a serving party announces which
+//!   party it plays and how many objects it holds; the coordinator sends
+//!   its own to every remote party as a greeting once it is connected,
+//!   and a serving party that hears it before any announcement answers
+//!   with its readiness again (a router drops frames for parties not yet
+//!   connected, so whichever of the two is sent later gets through);
 //! * [`SessionAnnounce`] (`ctl/announce`) — the coordinator opens one
 //!   session: its id, how many sessions the run will have in total, and an
 //!   opaque `body` holding the engine-level session parameters (schema,
@@ -89,9 +93,17 @@ impl SessionAnnounce {
 }
 
 /// `party → coordinator`: announces which party this endpoint plays and
-/// how many objects it holds (0 for the third party), sent once per run
-/// before any session starts. The coordinator gathers these to assemble
-/// the site-size roster every machine needs at build time.
+/// how many objects it holds (0 for the third party), sent before any
+/// session starts. The coordinator gathers these to assemble the site-size
+/// roster every machine needs at build time.
+///
+/// `coordinator → party`, the same message is the coordinator's
+/// **greeting**: sent once to every expected remote party as soon as the
+/// coordinator is connected, it means "I am reachable now". A serving party
+/// that receives it before the first [`SessionAnnounce`] sends its own
+/// readiness again at once, in case its first one reached a shared router
+/// before the coordinator did and was dropped; at any other time, or from
+/// any other party, a ready at a serving party is a protocol error.
 ///
 /// Wire layout: `party: party, rows: u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

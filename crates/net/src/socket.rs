@@ -97,8 +97,9 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 /// misread the wire is rejected, never silently downgraded
 /// (`docs/WIRE_FORMAT.md` §10). v2 added the resume exchange (§3), v3 the
 /// channel-security byte (§8), v4 coalesced sealed records (§8.2), v5
-/// packed alphanumeric payloads (§6.5–§6.7) and v6 the per-hop ack (§4.1).
-pub const WIRE_VERSION: u8 = 6;
+/// packed alphanumeric payloads (§6.5–§6.7), v6 the per-hop ack (§4.1) and
+/// v7 the coordinator's `ctl/ready` greeting (§7.1).
+pub const WIRE_VERSION: u8 = 7;
 
 /// Bytes of sealed frames a coalescing link leaves unwritten in its replay
 /// window before it writes them without waiting for the next flush (see

@@ -221,6 +221,25 @@ proptest! {
     }
 }
 
+/// A hello of the previous wire version, 6 (no coordinator greeting on
+/// `ctl/ready`), differs from this build's in the version byte alone and
+/// is refused by name; there is no negotiation down.
+#[test]
+fn a_wire_v6_hello_is_rejected() {
+    assert_eq!(WIRE_VERSION, 7);
+    let parties = parties_from(&[1, 5, 7]);
+    let hello = hello_bytes(42, &parties, SecurityMode::SealedPsk);
+    assert_eq!(hello_against(&hello).0.unwrap(), (42, parties));
+    let mut v6 = hello;
+    v6[4] = 6;
+    match hello_against(&v6).0 {
+        Err(NetError::Decode(detail)) => {
+            assert!(detail.contains("wire version 6"), "{detail}")
+        }
+        other => panic!("a v6 hello must be refused, got {other:?}"),
+    }
+}
+
 /// The party the live router's attached sealed transport hosts, and the
 /// one a sealed transport connecting after each case hosts. Raw clients
 /// announce neither.

@@ -43,6 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use ppc_cluster::Linkage;
@@ -203,28 +204,43 @@ pub fn parse_schema(spec: &str) -> Result<Schema, String> {
 /// (site:index pairs). The integration test compares these strings between
 /// the process output and the in-process oracle.
 pub fn render_clusters(clusters: &[Vec<(u32, u32)>]) -> String {
-    let body: Vec<String> = clusters
-        .iter()
-        .map(|members| {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(site, index)| format!("{site}:{index}"))
-                .collect();
-            format!("[{}]", inner.join(","))
-        })
-        .collect();
-    format!("[{}]", body.join(","))
+    let members: usize = clusters.iter().map(Vec::len).sum();
+    // Brackets and commas, plus a few digits per member.
+    let mut out = String::with_capacity(2 + 3 * clusters.len() + 8 * members);
+    out.push('[');
+    for (i, cluster) in clusters.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, (site, index)) in cluster.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write!(out, "{site}:{index}").expect("writing to a String cannot fail");
+        }
+        out.push(']');
+    }
+    out.push(']');
+    out
 }
 
 /// Exact (bit-level) rendering of a float slice: lowercase hex of the
-/// IEEE-754 bits, comma-separated. "Byte-identical" comparisons are string
-/// comparisons of this form.
+/// IEEE-754 bits, 16 digits each, comma-separated. "Byte-identical"
+/// comparisons are string comparisons of this form.
 pub fn render_f64_bits(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{:016x}", v.to_bits()))
-        .collect::<Vec<_>>()
-        .join(",")
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(17 * values.len());
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let bits = value.to_bits();
+        for nibble in (0..16).rev() {
+            out.push(char::from(HEX[(bits >> (4 * nibble)) as usize & 0xf]));
+        }
+    }
+    out
 }
 
 fn print_tp_outcome(session: u64, party: PartyId, tp: &TpOutcome) {
@@ -954,6 +970,118 @@ chunk-rows=none
             "arity"
         );
         assert!(parse_manifest(&schema, "turbo=yes", &base).is_err());
+    }
+
+    /// `render_clusters` as first written, one `format!` string per member
+    /// and per cluster plus joins: the byte-identity oracle.
+    fn render_clusters_oracle(clusters: &[Vec<(u32, u32)>]) -> String {
+        let body: Vec<String> = clusters
+            .iter()
+            .map(|members| {
+                let inner: Vec<String> = members
+                    .iter()
+                    .map(|(site, index)| format!("{site}:{index}"))
+                    .collect();
+                format!("[{}]", inner.join(","))
+            })
+            .collect();
+        format!("[{}]", body.join(","))
+    }
+
+    /// `render_f64_bits` as first written, one `format!` string per value
+    /// plus a join: the byte-identity oracle.
+    fn render_f64_bits_oracle(values: &[f64]) -> String {
+        values
+            .iter()
+            .map(|v| format!("{:016x}", v.to_bits()))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    #[test]
+    fn f64_bits_render_byte_identical_to_the_format_oracle() {
+        use ppc_crypto::{SplitMix64, StreamRng};
+
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_dead_beef_0042), // negative NaN, payload
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x800f_ffff_ffff_ffff), // largest negative subnormal
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+        ];
+        assert_eq!(render_f64_bits(&[]), "");
+        for value in special {
+            assert_eq!(render_f64_bits(&[value]), render_f64_bits_oracle(&[value]));
+        }
+        assert_eq!(render_f64_bits(&special), render_f64_bits_oracle(&special));
+        let mut rng = SplitMix64::from_u64(0xf64b);
+        for case in 0..512 {
+            let len = rng.next_below(40) as usize;
+            let values: Vec<f64> = (0..len)
+                .map(|_| {
+                    let bits = rng.next_u64();
+                    f64::from_bits(match rng.next_below(4) {
+                        // ±0 and subnormals: a zero exponent.
+                        0 => bits & 0x800f_ffff_ffff_ffff,
+                        // ±∞ and NaN payloads: an all-ones exponent.
+                        1 => bits | 0x7ff0_0000_0000_0000,
+                        2 => special[(bits % special.len() as u64) as usize].to_bits(),
+                        _ => bits,
+                    })
+                })
+                .collect();
+            assert_eq!(
+                render_f64_bits(&values),
+                render_f64_bits_oracle(&values),
+                "case {case}: {values:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn clusters_render_byte_identical_to_the_format_oracle() {
+        use ppc_crypto::{SplitMix64, StreamRng};
+
+        let shapes: Vec<Vec<Vec<(u32, u32)>>> = vec![
+            vec![],
+            vec![vec![]],
+            vec![vec![], vec![]],
+            vec![vec![(u32::MAX, u32::MAX)]],
+            vec![vec![(0, 0)], vec![], vec![(u32::MAX, 7), (3, u32::MAX)]],
+        ];
+        for clusters in &shapes {
+            assert_eq!(render_clusters(clusters), render_clusters_oracle(clusters));
+        }
+        fn number(rng: &mut SplitMix64) -> u32 {
+            match rng.next_below(3) {
+                0 => u32::MAX,
+                1 => rng.next_below(20) as u32,
+                _ => rng.next_u32(),
+            }
+        }
+        let mut rng = SplitMix64::from_u64(0xc105);
+        for case in 0..512 {
+            let clusters: Vec<Vec<(u32, u32)>> = (0..rng.next_below(8))
+                .map(|_| {
+                    (0..rng.next_below(6))
+                        .map(|_| (number(&mut rng), number(&mut rng)))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                render_clusters(&clusters),
+                render_clusters_oracle(&clusters),
+                "case {case}: {clusters:?}"
+            );
+        }
     }
 
     #[test]

@@ -350,10 +350,11 @@ fn tampered_sealed_frame_settles_channel_auth() {
     // bytes into the *ciphertext* of its first data-sized sealed record
     // (the result/matrix traffic) — not the cleartext routing header,
     // whose corruption the router absorbs as an unroutable drop, and not
-    // a control record like the readiness announce, which is re-sent
-    // while idle and dropped unroutable when the third party wins the
-    // startup race against the coordinator. Data records are the only
-    // deterministic target: necessarily forwarded, necessarily needed.
+    // a control record like the readiness announce, which is dropped
+    // unroutable when the third party wins the startup race against the
+    // coordinator and sent again when the coordinator's greeting arrives.
+    // Data records are the only deterministic target: necessarily
+    // forwarded, necessarily needed.
     // Each envelope is its own record, so the threshold must sit below
     // the session's published result (386 bytes here): the next record
     // past 512 bytes is the `ctl/done` report, which arrives after the

@@ -22,9 +22,10 @@
 //! never deliver.
 //!
 //! *Record*: the stack also absorbs losing an entire *control* record.
-//! A serve party re-sends its readiness announce while idle (so startup
-//! order does not matter), and a router drops frames for parties no link
-//! has announced yet — so corrupting a dialler's first record is a race:
+//! A serve party sends its readiness again when the coordinator's
+//! greeting arrives (so startup order does not matter), and a router drops
+//! frames for parties no link has announced yet — so corrupting a
+//! dialler's first record is a race:
 //! if the dialler connects before its counterparty, the record was going
 //! to be dropped unroutable anyway and a fresh ready replaces it. A
 //! deterministic tamper cell must corrupt a record that is necessarily
