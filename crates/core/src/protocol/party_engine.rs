@@ -1396,16 +1396,17 @@ mod tests {
     }
 
     /// Checks a coordinator's report row by row against the oracle: every
-    /// session completed, with a row per party (`parties` in all), the
-    /// oracle's clusters at each local holder seat (`local_sites`), bare
-    /// completion from each remote holder, and the oracle's final matrix,
-    /// bit for bit, from the remote third party.
+    /// session completed, with exactly one row per party, the oracle's
+    /// clusters at each local holder seat (`local_sites`), bare completion
+    /// from each remote holder (`remote_sites`), and the oracle's final
+    /// matrix, bit for bit, from the remote third party.
     fn assert_coordinator_report_matches(
         report: &PartyRunReport,
         oracle: &[EngineOutcome],
         local_sites: &[u32],
-        parties: usize,
+        remote_sites: &[u32],
     ) {
+        let parties = local_sites.len() + remote_sites.len() + 1;
         assert_eq!(report.stats.sessions_completed, oracle.len());
         assert_eq!(report.stats.sessions_failed, 0);
         for (id, reference) in oracle.iter().enumerate() {
@@ -1425,7 +1426,7 @@ mod tests {
                         assert_eq!(published.clusters, expected_clusters, "session {id}");
                     }
                     (PartyId::DataHolder(site), PartyOutcome::Remote(None))
-                        if !local_sites.contains(site) => {}
+                        if remote_sites.contains(site) => {}
                     (PartyId::ThirdParty, PartyOutcome::Remote(Some(tp_outcome))) => {
                         assert_eq!(tp_outcome.result.clusters, expected_clusters);
                         // Byte-exact final matrix: the acceptance criterion.
@@ -1613,7 +1614,7 @@ mod tests {
             (coordinator, holder.join().unwrap(), tp.join().unwrap())
         });
 
-        assert_coordinator_report_matches(&coordinator_report, &oracle, &[0], 3);
+        assert_coordinator_report_matches(&coordinator_report, &oracle, &[0], &[1]);
         for (id, reference) in oracle.iter().enumerate() {
             // The serving third party holds the full outcome locally too.
             let tp_rows: Vec<&SessionOutcome> = tp_report.session(id as u64).collect();
@@ -1632,24 +1633,22 @@ mod tests {
         assert!(tp_report.stats.peak_buffered_rows > 0);
     }
 
-    /// When a remote party announces readiness and then dies for good, the
-    /// coordinator must *settle*: every session is reported as a
-    /// `PeerUnreachable` failure naming the dead party, and `coordinate`
-    /// returns a report instead of a generic stall error.
-    #[test]
-    fn a_dead_remote_peer_yields_peer_unreachable_outcomes_not_a_stall() {
-        use ppc_net::control::SessionReady;
-        use ppc_net::{Backoff, Envelope, TcpAcceptor, TcpTransport, Transport, TOPIC_READY};
+    /// A coordinator hosting both holders gets the third party's ready over
+    /// a real link, and then the third party dies for good. With
+    /// `sever_first`, the link is also cut before `coordinate`, so the
+    /// greeting's send already fails (every re-dial finds a closed port)
+    /// and the ready is handed back to the hosted coordinator in process,
+    /// as if it had just arrived. Either way the coordinator must *settle*:
+    /// every session is reported as a `PeerUnreachable` failure naming the
+    /// dead party, and `coordinate` returns a report instead of an error.
+    fn settles_peer_unreachable_once_the_third_party_dies(seed: u64, sever_first: bool) {
+        use ppc_net::{Backoff, TcpAcceptor, TcpTransport, Transport};
 
-        let master = Seed::from_u64(31);
+        let master = Seed::from_u64(seed);
         let parts = partitions();
-
-        // The third party: accepts the coordinator's link, reports
-        // readiness, then dies without ever serving.
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let tp_side = TcpTransport::new([PartyId::ThirdParty]);
-
         let mut transport = TcpTransport::new([PartyId::DataHolder(0), PartyId::DataHolder(1)]);
         transport.set_reconnect_policy(Backoff {
             initial: Duration::from_millis(1),
@@ -1662,42 +1661,38 @@ mod tests {
         });
         acceptor.accept_into(&tp_side).unwrap();
         let transport = dial.join().unwrap();
-        let body = SessionReady {
-            party: PartyId::ThirdParty,
-            rows: 0,
-        }
-        .encode();
         tp_side
-            .send(Envelope::new(
+            .send(ready_envelope(
+                &master,
                 PartyId::ThirdParty,
                 PartyId::DataHolder(0),
-                TOPIC_READY,
-                ControlAuth::from_master(&master).seal(
-                    TOPIC_READY,
-                    PartyId::ThirdParty,
-                    PartyId::DataHolder(0),
-                    &body,
-                ),
+                0,
             ))
             .unwrap();
         tp_side.flush().unwrap();
+        let ready = sever_first.then(|| {
+            transport
+                .receive_any_of(&[PartyId::DataHolder(0)], Duration::from_secs(5))
+                .unwrap()
+                .expect("the third party's ready")
+        });
         tp_side.shutdown();
         drop(tp_side);
         drop(acceptor);
+        if let Some(ready) = ready {
+            transport.sever_links();
+            transport.send(ready).unwrap();
+        }
 
-        // Both holders are local seats; only the third party is remote.
         let mut engine = PartyEngine::new(
             transport,
-            vec![
-                PartySeat::Holder {
-                    partition: parts[0].clone(),
+            parts
+                .iter()
+                .map(|partition| PartySeat::Holder {
+                    partition: partition.clone(),
                     master,
-                },
-                PartySeat::Holder {
-                    partition: parts[1].clone(),
-                    master,
-                },
-            ],
+                })
+                .collect(),
         )
         .unwrap();
         engine.set_stall_budget(Duration::from_millis(20), 50);
@@ -1727,88 +1722,16 @@ mod tests {
         }
     }
 
-    /// The greeting is best effort: when its own send already fails (the
-    /// link to the third party is cut and every re-dial finds a closed
-    /// port), the run still settles as `PeerUnreachable` outcomes at the
-    /// first announcement instead of ending in the greeting's error.
+    #[test]
+    fn a_dead_remote_peer_yields_peer_unreachable_outcomes_not_a_stall() {
+        settles_peer_unreachable_once_the_third_party_dies(31, false);
+    }
+
+    /// The greeting is best effort: a send and flush that fail must not
+    /// end the run.
     #[test]
     fn a_greeting_that_cannot_be_sent_still_settles_peer_unreachable() {
-        use ppc_net::{Backoff, TcpAcceptor, TcpTransport, Transport};
-
-        let master = Seed::from_u64(32);
-        let parts = partitions();
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let addr = acceptor.local_addr().unwrap();
-        let tp_side = TcpTransport::new([PartyId::ThirdParty]);
-        let mut transport = TcpTransport::new([PartyId::DataHolder(0), PartyId::DataHolder(1)]);
-        transport.set_reconnect_policy(Backoff {
-            initial: Duration::from_millis(1),
-            max_delay: Duration::from_millis(2),
-            max_attempts: 2,
-        });
-        let dial = std::thread::spawn(move || {
-            transport.connect(addr, &Backoff::default()).unwrap();
-            transport
-        });
-        acceptor.accept_into(&tp_side).unwrap();
-        let transport = dial.join().unwrap();
-        tp_side
-            .send(ready_envelope(
-                &master,
-                PartyId::ThirdParty,
-                PartyId::DataHolder(0),
-                0,
-            ))
-            .unwrap();
-        tp_side.flush().unwrap();
-        let ready = transport
-            .receive_any_of(&[PartyId::DataHolder(0)], Duration::from_secs(5))
-            .unwrap()
-            .expect("the third party's ready");
-        tp_side.shutdown();
-        drop(tp_side);
-        drop(acceptor);
-        // Cut the link: the next send to the third party re-dials a closed
-        // port. Its ready goes back to the hosted coordinator in process,
-        // as if it had just arrived.
-        transport.sever_links();
-        transport.send(ready).unwrap();
-
-        let mut engine = PartyEngine::new(
-            transport,
-            parts
-                .iter()
-                .map(|partition| PartySeat::Holder {
-                    partition: partition.clone(),
-                    master,
-                })
-                .collect(),
-        )
-        .unwrap();
-        engine.set_stall_budget(Duration::from_millis(20), 50);
-        let report = engine
-            .coordinate(
-                schema(),
-                [PartyId::ThirdParty],
-                vec![plan(Some(2), NumericMode::Batch)],
-            )
-            .expect("an unsendable greeting must not end the run");
-        assert_eq!(report.stats.sessions_failed, 1);
-        assert!(!report.outcomes.is_empty());
-        for row in &report.outcomes {
-            assert!(
-                matches!(
-                    &row.outcome,
-                    PartyOutcome::Failed(SessionFailure::PeerUnreachable {
-                        party: PartyId::ThirdParty
-                    })
-                ),
-                "session {} at {}: {:?}",
-                row.session,
-                row.party,
-                row.outcome
-            );
-        }
+        settles_peer_unreachable_once_the_third_party_dies(32, true);
     }
 
     /// An announcement whose session id falls outside `0..sessions_total`
@@ -2246,7 +2169,7 @@ mod tests {
             elapsed < Duration::from_secs(1),
             "the run took {elapsed:?}: the dropped ready waited for a fallback park"
         );
-        assert_coordinator_report_matches(&report, &oracle, &[0, 1], 3);
+        assert_coordinator_report_matches(&report, &oracle, &[0, 1], &[]);
         assert_eq!(router.unroutable_frames(), 1);
     }
 }
