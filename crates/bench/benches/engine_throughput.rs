@@ -1,14 +1,14 @@
 //! Multi-session engine throughput: wall-clock cost of completing 1 / 4 / 8
-//! concurrent clustering sessions over one in-memory transport, chunked vs
-//! whole-matrix streaming, plus the sharded engine at 1 / 2 / 4 worker
-//! threads over in-memory and loopback-TCP transports.
+//! concurrent clustering sessions on one shard over one in-memory
+//! transport, chunked vs whole-matrix streaming, plus the sharded engine at
+//! 1 / 2 / 4 worker threads over in-memory and loopback-TCP transports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ppc_cluster::Linkage;
 use ppc_core::protocol::driver::ClusteringRequest;
-use ppc_core::protocol::engine::{SessionEngine, SessionSpec};
+use ppc_core::protocol::engine::SessionSpec;
 use ppc_core::protocol::party::TrustedSetup;
 use ppc_core::protocol::sharded::ShardedEngine;
 use ppc_core::protocol::ProtocolConfig;
@@ -36,11 +36,7 @@ fn spec(seed: u64, chunk_rows: Option<usize>) -> SessionSpec {
 }
 
 fn run_engine(specs: &[SessionSpec]) -> usize {
-    let mut engine = SessionEngine::new(Network::with_parties(3));
-    for spec in specs {
-        engine.add_session(spec.clone());
-    }
-    engine.run().unwrap().len()
+    run_sharded_memory(specs, 1)
 }
 
 fn bench_engine(c: &mut Criterion) {

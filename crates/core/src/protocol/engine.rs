@@ -1,33 +1,45 @@
-//! Multi-session protocol engine.
+//! The per-process session runtime and the one engine round.
 //!
-//! [`SessionEngine`] multiplexes any number of independent clustering
-//! sessions over **one** [`Transport`], scheduling them with fair
-//! round-robin and per-stream backpressure:
+//! Besides the session types every engine shares ([`SessionSpec`],
+//! [`EngineOutcome`]), this module holds the crate-internal engine core:
+//! `PartyRuntime` is one live session as one process sees it (the party
+//! machines this process drives, their per-party inbound queues and
+//! stats), `ShardRound` owns one transport's sessions and the counters of
+//! the loop that drives them, and `RoundPolicy` is that loop, written once:
 //!
-//! * every scheduling round gives every live session one turn;
+//! * every round pumps every local mailbox through the front end's route,
+//!   gives every live session one fair turn, sends its output and flushes;
 //! * a turn first drains the session's inbound envelopes (delivering each
 //!   to the owning [`machine`](super::machines)), then polls each party
 //!   machine once — so a chunk stream advances by at most one window per
 //!   round and in-flight data per session stays bounded by the configured
 //!   chunk window;
-//! * topics are prefixed `s{id}/` when more than one session shares the
-//!   transport. A single-session engine uses bare legacy topics and is
-//!   envelope-identical to [`ClusteringSession`](super::session).
+//! * a round that moves nothing parks once in
+//!   [`WaitTransport::receive_any_of`] — a condvar wait on the in-memory
+//!   network and the socket transports, so an idle engine burns no CPU;
+//! * every session's topics carry its `s{id}/` prefix, and inbound
+//!   envelopes are routed by that id
+//!   ([`Topic::session_prefix_id`](super::topic::Topic::session_prefix_id));
+//!   bare topics belong to [`ClusteringSession`](super::session) alone.
 //!
-//! The engine never blocks: it only uses [`Transport::try_receive`], so it
-//! composes with the in-memory [`Network`](ppc_net::Network), the
-//! simulated WAN, framed byte streams, or anything else implementing the
-//! trait.
+//! Two front ends run on it and keep only their own policies:
+//! [`ShardedEngine`](super::sharded::ShardedEngine), one round per worker
+//! thread with every party of its sessions local, and
+//! [`PartyEngine`](super::party_engine::PartyEngine), one round per process
+//! with only its local seats.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::time::Duration;
 
-use ppc_net::{Envelope, PartyId, Transport};
+use ppc_net::{Envelope, NetError, PartyId, WaitTransport};
 
 use crate::dissimilarity::DissimilarityMatrix;
 use crate::error::CoreError;
-use crate::protocol::derive_cache::{DerivationCache, DerivationCacheStats};
+use crate::protocol::derive_cache::DerivationCache;
 use crate::protocol::driver::ClusteringRequest;
-use crate::protocol::machines::{ComputeStats, HolderMachine, SessionContext, ThirdPartyMachine};
+use crate::protocol::machines::{
+    ComputeStats, HolderMachine, SessionContext, StepOutput, ThirdPartyMachine,
+};
 use crate::protocol::party::{DataHolder, ThirdPartyKeys};
 use crate::protocol::ProtocolConfig;
 use crate::result::ClusteringResult;
@@ -89,10 +101,29 @@ pub(crate) struct TurnOutput {
     pub(crate) progressed: bool,
 }
 
+impl TurnOutput {
+    /// One machine's part of a turn: deliver every envelope queued for it,
+    /// then poll it once.
+    fn step(
+        &mut self,
+        queue: &mut VecDeque<Envelope>,
+        mut step: impl FnMut(Option<&Envelope>) -> Result<StepOutput, CoreError>,
+    ) -> Result<(), CoreError> {
+        while let Some(envelope) = queue.pop_front() {
+            self.outgoing.extend(step(Some(&envelope))?.outgoing);
+            self.progressed = true;
+        }
+        let polled = step(None)?;
+        self.progressed |= polled.progressed;
+        self.outgoing.extend(polled.outgoing);
+        Ok(())
+    }
+}
+
 /// One live session *as seen by one process*: the party machines this
 /// process drives, their per-party inbound queues and stats.
 ///
-/// The single-threaded [`SessionEngine`] and the worker-thread shards of
+/// The worker-thread shards of
 /// [`ShardedEngine`](crate::protocol::sharded::ShardedEngine) build it
 /// with every party of the session ([`build`](Self::build)); the
 /// multi-process [`PartyEngine`](crate::protocol::party_engine::PartyEngine)
@@ -101,7 +132,6 @@ pub(crate) struct TurnOutput {
 /// party-agnostic: it delivers, polls and collects emissions for whatever
 /// machines it owns.
 pub(crate) struct PartyRuntime {
-    prefix: String,
     tp: Option<ThirdPartyMachine>,
     holders: Vec<HolderMachine>,
     inbound: HashMap<PartyId, VecDeque<Envelope>>,
@@ -110,11 +140,9 @@ pub(crate) struct PartyRuntime {
 
 impl PartyRuntime {
     /// Assembles a runtime from already-built machines (any subset of a
-    /// session's parties), topic-prefixing every envelope with `prefix`.
-    /// Turn order is holders in the given order, then the third party —
-    /// the order the full-session engines have always used.
+    /// session's parties). Turn order is holders in the given order, then
+    /// the third party.
     pub(crate) fn from_machines(
-        prefix: String,
         holders: Vec<HolderMachine>,
         tp: Option<ThirdPartyMachine>,
     ) -> Self {
@@ -126,7 +154,6 @@ impl PartyRuntime {
             inbound.insert(tp.party(), VecDeque::new());
         }
         PartyRuntime {
-            prefix,
             tp,
             holders,
             inbound,
@@ -135,11 +162,12 @@ impl PartyRuntime {
     }
 
     /// Instantiates *every* party machine for `spec` (the single-process
-    /// path), topic-prefixing every envelope with `prefix`. All machines
-    /// share `cache` (if any) for their randomness-prefix derivations.
+    /// path) as session `id`, topic-prefixing every envelope with `s{id}/`.
+    /// All machines share `cache` (if any) for their randomness-prefix
+    /// derivations.
     pub(crate) fn build(
         spec: &SessionSpec,
-        prefix: String,
+        id: u64,
         cache: Option<DerivationCache>,
     ) -> Result<Self, CoreError> {
         if spec.holders.len() < 2 {
@@ -154,7 +182,7 @@ impl PartyRuntime {
             config: spec.config,
             request: spec.request.clone(),
             chunk_rows: spec.chunk_rows,
-            topic_prefix: prefix.clone(),
+            topic_prefix: format!("s{id}/"),
             retain_attributes: false,
             cache,
         };
@@ -164,17 +192,12 @@ impl PartyRuntime {
             .iter()
             .map(|h| HolderMachine::new(ctx.clone(), h.clone(), &site_sizes))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_machines(prefix, holders, Some(tp)))
+        Ok(Self::from_machines(holders, Some(tp)))
     }
 
     pub(crate) fn is_done(&self) -> bool {
         self.tp.as_ref().is_none_or(ThirdPartyMachine::is_done)
             && self.holders.iter().all(HolderMachine::is_done)
-    }
-
-    /// Whether this session claims envelopes under `topic`.
-    pub(crate) fn accepts(&self, topic: &str) -> bool {
-        self.prefix.is_empty() || topic.starts_with(&self.prefix)
     }
 
     /// Every party participating in this session.
@@ -200,45 +223,28 @@ impl PartyRuntime {
     /// emitted envelopes in send order.
     pub(crate) fn turn(&mut self) -> Result<TurnOutput, CoreError> {
         self.stats.rounds += 1;
-        let mut progressed = false;
-        let mut outgoing = Vec::new();
+        let mut turn = TurnOutput {
+            outgoing: Vec::new(),
+            progressed: false,
+        };
         for machine in &mut self.holders {
-            let party = machine.party();
-            while let Some(envelope) = self.inbound.get_mut(&party).and_then(VecDeque::pop_front) {
-                let out = machine.step(Some(&envelope))?;
-                progressed = true;
-                outgoing.extend(out.outgoing);
-            }
-            let out = machine.step(None)?;
-            progressed |= out.progressed;
-            outgoing.extend(out.outgoing);
+            let queue = self.inbound.entry(machine.party()).or_default();
+            turn.step(queue, |envelope| machine.step(envelope))?;
         }
         if let Some(tp) = &mut self.tp {
-            let tp_party = tp.party();
-            while let Some(envelope) = self
-                .inbound
-                .get_mut(&tp_party)
-                .and_then(VecDeque::pop_front)
-            {
-                let out = tp.step(Some(&envelope))?;
-                progressed = true;
-                outgoing.extend(out.outgoing);
-            }
-            let out = tp.step(None)?;
-            progressed |= out.progressed;
-            outgoing.extend(out.outgoing);
+            let queue = self.inbound.entry(tp.party()).or_default();
+            turn.step(queue, |envelope| tp.step(envelope))?;
         }
-
-        self.stats.messages_sent += outgoing.len() as u64;
-        Ok(TurnOutput {
-            outgoing,
-            progressed,
-        })
+        self.stats.messages_sent += turn.outgoing.len() as u64;
+        Ok(turn)
     }
 
-    /// Stats with peak buffering and compute time rolled in from every
-    /// owned machine.
-    pub(crate) fn final_stats(&self) -> SessionStats {
+    /// Consumes the runtime, returning its machines and its stats with
+    /// peak buffering and compute time rolled in from every owned machine —
+    /// the party-scoped engines extract per-party outcomes from these.
+    pub(crate) fn into_parts(
+        self,
+    ) -> (Vec<HolderMachine>, Option<ThirdPartyMachine>, SessionStats) {
         let mut stats = self.stats;
         stats.peak_buffered_rows = self
             .holders
@@ -258,15 +264,6 @@ impl PartyRuntime {
         if let Some(tp) = &self.tp {
             stats.compute.absorb(&tp.compute_stats());
         }
-        stats
-    }
-
-    /// Consumes the runtime, returning its machines and rolled-up stats —
-    /// the party-scoped engines extract per-party outcomes from these.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (Vec<HolderMachine>, Option<ThirdPartyMachine>, SessionStats) {
-        let stats = self.final_stats();
         (self.holders, self.tp, stats)
     }
 
@@ -288,153 +285,183 @@ impl PartyRuntime {
     }
 }
 
-/// Multiplexes N clustering sessions over one transport.
-#[derive(Debug)]
-pub struct SessionEngine<T: Transport> {
-    transport: T,
-    specs: Vec<SessionSpec>,
-    /// Safety valve against protocol deadlocks: a round that neither
-    /// delivers nor emits anything while sessions are unfinished aborts
-    /// the run instead of spinning.
-    max_idle_rounds: u32,
-    /// Shared across all sessions of this engine so same-schema sessions
-    /// derive each randomness prefix once. `None` disables memoisation
-    /// (benchmark baseline); outputs are identical either way.
-    cache: Option<DerivationCache>,
+/// Why one session's turn in a [`ShardRound`] failed.
+pub(crate) enum TurnError {
+    /// A machine of the session rejected its input.
+    Session(CoreError),
+    /// The transport refused one of the turn's envelopes; the rest of the
+    /// turn's output was not sent.
+    Send(NetError),
 }
 
-impl<T: Transport> SessionEngine<T> {
-    /// Creates an engine over `transport` with no sessions yet.
-    pub fn new(transport: T) -> Self {
-        SessionEngine {
+impl From<TurnError> for CoreError {
+    fn from(error: TurnError) -> Self {
+        match error {
+            TurnError::Session(e) => e,
+            TurnError::Send(e) => e.into(),
+        }
+    }
+}
+
+/// One transport's sessions and the counters of the loop that drives them.
+pub(crate) struct ShardRound<'t, T> {
+    pub(crate) transport: &'t T,
+    /// The local mailboxes, in pump and park order.
+    pub(crate) parties: Vec<PartyId>,
+    /// Sessions by id. A front end may keep finished sessions here (they
+    /// get no more turns) or remove them.
+    pub(crate) sessions: BTreeMap<u64, PartyRuntime>,
+    /// Rounds run.
+    pub(crate) rounds: u64,
+    /// Parks in [`WaitTransport::receive_any_of`].
+    pub(crate) blocking_waits: u64,
+    /// Envelopes sent: every turn's output, plus what the front end sends
+    /// through [`send`](Self::send).
+    pub(crate) messages_sent: u64,
+}
+
+impl<'t, T: WaitTransport> ShardRound<'t, T> {
+    pub(crate) fn new(
+        transport: &'t T,
+        parties: Vec<PartyId>,
+        sessions: BTreeMap<u64, PartyRuntime>,
+    ) -> Self {
+        ShardRound {
             transport,
-            specs: Vec::new(),
-            max_idle_rounds: 2,
-            cache: Some(DerivationCache::new()),
+            parties,
+            sessions,
+            rounds: 0,
+            blocking_waits: 0,
+            messages_sent: 0,
         }
     }
 
-    /// The underlying transport.
-    pub fn transport(&self) -> &T {
-        &self.transport
+    /// Ids of the sessions that have not finished, in id order.
+    pub(crate) fn unfinished(&self) -> Vec<u64> {
+        self.sessions
+            .iter()
+            .filter(|(_, runtime)| !runtime.is_done())
+            .map(|(&id, _)| id)
+            .collect()
     }
 
-    /// Replaces the shared derivation cache (`None` disables memoisation —
-    /// every session then derives every prefix fresh, the benchmark
-    /// baseline). Pass a clone of another engine's cache to share entries
-    /// across engines.
-    pub fn set_derivation_cache(&mut self, cache: Option<DerivationCache>) {
-        self.cache = cache;
+    /// Sends one envelope the front end built itself, counting it.
+    pub(crate) fn send(&mut self, envelope: Envelope) -> Result<(), NetError> {
+        self.messages_sent += 1;
+        self.transport.send(envelope)
     }
 
-    /// Hit/miss counters of the shared derivation cache, if one is set.
-    pub fn derivation_cache_stats(&self) -> Option<DerivationCacheStats> {
-        self.cache.as_ref().map(DerivationCache::stats)
+    /// Parks once, until an envelope arrives for a local mailbox (returned)
+    /// or `wait` elapses.
+    pub(crate) fn park(&mut self, wait: Duration) -> Result<Option<Envelope>, NetError> {
+        self.blocking_waits += 1;
+        self.transport.receive_any_of(&self.parties, wait)
+    }
+}
+
+/// A front end's policy over its [`ShardRound`]: where an envelope goes,
+/// what a session's turn settles, when the run is over and what an empty
+/// park means. The provided methods are the round itself.
+pub(crate) trait RoundPolicy<'t, T: WaitTransport + 't> {
+    /// The round this policy runs on.
+    fn round(&mut self) -> &mut ShardRound<'t, T>;
+
+    /// Takes one inbound envelope.
+    fn route(&mut self, envelope: Envelope) -> Result<(), CoreError>;
+
+    /// Settles session `id` after its turn (`Ok` once its whole output is
+    /// sent). Returns whether that settled anything; an error ends the run.
+    fn turned(&mut self, id: u64, result: Result<(), TurnError>) -> Result<bool, CoreError>;
+
+    /// Whether the run is over.
+    fn complete(&self) -> bool;
+
+    /// Called after the `idle_waits`-th park in a row that timed out:
+    /// errors once the front end's patience is spent.
+    fn parked_empty(&mut self, idle_waits: u32) -> Result<(), CoreError>;
+
+    /// Drains every local mailbox through [`route`](Self::route), returning
+    /// whether anything arrived.
+    fn pump(&mut self) -> Result<bool, CoreError> {
+        let transport = self.round().transport;
+        let mut progressed = false;
+        for index in 0..self.round().parties.len() {
+            let party = self.round().parties[index];
+            while let Some(envelope) = transport.try_receive(party)? {
+                self.route(envelope)?;
+                progressed = true;
+            }
+        }
+        Ok(progressed)
     }
 
-    /// Overrides the stall budget: the run aborts after more than
-    /// `max_idle_rounds` consecutive scheduling rounds that neither deliver
-    /// nor emit anything while sessions are unfinished. The engine drives
-    /// every party in-process, so a single idle round already means no
-    /// machine can move (the default of 2 is pure paranoia margin); raise
-    /// it for transports that deliver asynchronously to the polling loop.
-    pub fn set_stall_budget(&mut self, max_idle_rounds: u32) {
-        self.max_idle_rounds = max_idle_rounds;
-    }
-
-    /// The current stall budget (see [`set_stall_budget`](Self::set_stall_budget)).
-    pub fn stall_budget(&self) -> u32 {
-        self.max_idle_rounds
-    }
-
-    /// Queues a session, returning its id (also its topic prefix index).
-    pub fn add_session(&mut self, spec: SessionSpec) -> usize {
-        self.specs.push(spec);
-        self.specs.len() - 1
-    }
-
-    /// Number of queued sessions.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether no sessions are queued.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Runs every queued session to completion, returning outcomes in
-    /// session order.
-    pub fn run(&mut self) -> Result<Vec<EngineOutcome>, CoreError> {
-        let multi = self.specs.len() > 1;
-        let mut sessions = Vec::with_capacity(self.specs.len());
-        for (id, spec) in self.specs.iter().enumerate() {
-            let prefix = if multi {
-                format!("s{id}/")
-            } else {
-                String::new()
+    /// Gives every unfinished session one turn, in id order, sends its
+    /// output and hands the result to [`turned`](Self::turned).
+    fn turn(&mut self) -> Result<bool, CoreError> {
+        let mut progressed = false;
+        for id in self.round().unfinished() {
+            let round = self.round();
+            let runtime = round
+                .sessions
+                .get_mut(&id)
+                .expect("a front end settles only the session whose turn it is");
+            let result = match runtime.turn() {
+                Ok(turn) => {
+                    progressed |= turn.progressed;
+                    round.messages_sent += turn.outgoing.len() as u64;
+                    let transport = round.transport;
+                    turn.outgoing
+                        .into_iter()
+                        .try_for_each(|envelope| transport.send(envelope))
+                        .map_err(TurnError::Send)
+                }
+                Err(e) => Err(TurnError::Session(e)),
             };
-            sessions.push(PartyRuntime::build(spec, prefix, self.cache.clone())?);
+            progressed |= self.turned(id, result)?;
         }
-        // Every party that appears in any session; the engine drains each
-        // of their transport mailboxes every round.
-        let parties: BTreeSet<PartyId> = sessions.iter().flat_map(PartyRuntime::parties).collect();
+        Ok(progressed)
+    }
 
-        let mut idle_rounds = 0u32;
-        while sessions.iter().any(|s| !s.is_done()) {
-            let mut progressed = false;
-
-            // Pump the transport into per-session inbound queues, routing
-            // by topic prefix.
-            for &party in &parties {
-                while let Some(envelope) = self.transport.try_receive(party)? {
-                    let target = sessions
-                        .iter_mut()
-                        .find(|s| s.accepts(&envelope.topic))
-                        .ok_or_else(|| {
-                            CoreError::Protocol(format!(
-                                "no session claims topic '{}'",
-                                envelope.topic
-                            ))
-                        })?;
-                    target.enqueue(envelope)?;
-                    progressed = true;
-                }
+    /// Parks once and routes what arrives. `idle_waits` counts the parks
+    /// in a row that timed out; returns whether this one did.
+    fn park(&mut self, wait: Duration, idle_waits: &mut u32) -> Result<bool, CoreError> {
+        match self.round().park(wait)? {
+            Some(envelope) => {
+                *idle_waits = 0;
+                self.route(envelope)?;
+                Ok(false)
             }
-
-            // One fair turn per session: deliver everything queued, then a
-            // single poll per party machine.
-            for session in &mut sessions {
-                if session.is_done() {
-                    continue;
-                }
-                let turn = session.turn()?;
-                progressed |= turn.progressed;
-                for envelope in turn.outgoing {
-                    self.transport.send(envelope)?;
-                }
+            None => {
+                *idle_waits += 1;
+                Ok(true)
             }
-            self.transport.flush()?;
+        }
+    }
 
+    /// Runs rounds until [`complete`](Self::complete): pump, turn, flush,
+    /// and park once in a round that moved nothing. Completion is checked
+    /// after each round's flush, so an envelope a park routes is always
+    /// followed by a round; a front end with nothing to run (a shard
+    /// without sessions) runs none.
+    fn drive(&mut self, wait: Duration) -> Result<(), CoreError> {
+        if self.complete() {
+            return Ok(());
+        }
+        let mut idle_waits = 0u32;
+        loop {
+            self.round().rounds += 1;
+            let mut progressed = self.pump()?;
+            progressed |= self.turn()?;
+            self.round().transport.flush()?;
+            if self.complete() {
+                return Ok(());
+            }
             if progressed {
-                idle_rounds = 0;
-            } else {
-                idle_rounds += 1;
-                if idle_rounds > self.max_idle_rounds {
-                    let stuck: Vec<usize> = sessions
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.is_done())
-                        .map(|(i, _)| i)
-                        .collect();
-                    return Err(CoreError::Protocol(format!(
-                        "session engine stalled with unfinished sessions {stuck:?}"
-                    )));
-                }
+                idle_waits = 0;
+            } else if self.park(wait, &mut idle_waits)? {
+                self.parked_empty(idle_waits)?;
             }
         }
-
-        sessions.into_iter().map(PartyRuntime::finish).collect()
     }
 }
 
@@ -445,6 +472,7 @@ mod tests {
     use crate::matrix::{DataMatrix, HorizontalPartition};
     use crate::protocol::driver::ThirdPartyDriver;
     use crate::protocol::party::TrustedSetup;
+    use crate::protocol::sharded::ShardedEngine;
     use crate::record::Record;
     use crate::schema::AttributeDescriptor;
     use crate::value::AttributeValue;
@@ -503,11 +531,21 @@ mod tests {
             .unwrap()
     }
 
+    /// Runs `specs` on a one-shard engine over an in-memory network.
+    fn run(specs: Vec<SessionSpec>) -> Result<Vec<EngineOutcome>, CoreError> {
+        let mut engine = ShardedEngine::new(vec![Network::with_parties(3)])?;
+        for spec in specs {
+            engine.add_session(spec);
+        }
+        Ok(engine.run()?.outcomes)
+    }
+
     /// Runs a session runtime to completion, injecting one duplicate of
-    /// the first envelope whose topic starts with `replay_topic`. Returns
-    /// the error the replay must provoke.
+    /// the first envelope whose topic starts with `s0/{replay_topic}`.
+    /// Returns the error the replay must provoke.
     fn run_with_replay(replay_topic: &str) -> CoreError {
-        let mut runtime = PartyRuntime::build(&spec(77, None), String::new(), None).unwrap();
+        let mut runtime = PartyRuntime::build(&spec(77, None), 0, None).unwrap();
+        let replay_topic = format!("s0/{replay_topic}");
         let mut injected = false;
         for _ in 0..10_000 {
             let turn = match runtime.turn() {
@@ -515,7 +553,7 @@ mod tests {
                 Err(err) => return err,
             };
             for envelope in turn.outgoing {
-                if !injected && envelope.topic.starts_with(replay_topic) {
+                if !injected && envelope.topic.starts_with(&replay_topic) {
                     injected = true;
                     runtime.enqueue(envelope.clone()).unwrap();
                 }
@@ -553,16 +591,16 @@ mod tests {
     /// completion gate for a pair that never ran.
     #[test]
     fn transposed_pair_tags_are_rejected() {
-        let mut runtime = PartyRuntime::build(&spec(77, None), String::new(), None).unwrap();
+        let mut runtime = PartyRuntime::build(&spec(77, None), 0, None).unwrap();
         for _ in 0..10_000 {
             let turn = runtime.turn().unwrap();
             for envelope in turn.outgoing {
-                if let Some(rest) = envelope.topic.strip_prefix("numeric/") {
+                if let Some(rest) = envelope.topic.strip_prefix("s0/numeric/") {
                     if rest.ends_with("/pairwise") {
                         let mut transposed = envelope.clone();
                         let parts: Vec<&str> = rest.split('/').collect();
                         let (j, k) = parts[1].split_once('-').unwrap();
-                        transposed.topic = format!("numeric/{}/{k}-{j}/pairwise", parts[0]);
+                        transposed.topic = format!("s0/numeric/{}/{k}-{j}/pairwise", parts[0]);
                         runtime.enqueue(transposed).unwrap();
                         runtime.enqueue(envelope).unwrap();
                         loop {
@@ -590,9 +628,7 @@ mod tests {
 
     #[test]
     fn single_session_engine_matches_the_driver() {
-        let mut engine = SessionEngine::new(Network::with_parties(3));
-        engine.add_session(spec(77, None));
-        let outcomes = engine.run().unwrap();
+        let outcomes = run(vec![spec(77, None)]).unwrap();
         assert_eq!(outcomes.len(), 1);
         let (reference, reference_matrix) = driver_reference(77);
         assert_eq!(outcomes[0].result.clusters, reference.clusters);
@@ -608,13 +644,8 @@ mod tests {
 
     #[test]
     fn chunked_session_is_value_identical_and_bounds_buffering() {
-        let mut whole = SessionEngine::new(Network::with_parties(3));
-        whole.add_session(spec(77, None));
-        let whole_out = &whole.run().unwrap()[0];
-
-        let mut chunked = SessionEngine::new(Network::with_parties(3));
-        chunked.add_session(spec(77, Some(1)));
-        let chunked_out = &chunked.run().unwrap()[0];
+        let whole_out = &run(vec![spec(77, None)]).unwrap()[0];
+        let chunked_out = &run(vec![spec(77, Some(1))]).unwrap()[0];
 
         assert_eq!(whole_out.result.clusters, chunked_out.result.clusters);
         assert!(
@@ -633,11 +664,7 @@ mod tests {
     #[test]
     fn concurrent_sessions_multiplex_over_one_transport() {
         let seeds = [1u64, 2, 3, 4];
-        let mut engine = SessionEngine::new(Network::with_parties(3));
-        for &seed in &seeds {
-            engine.add_session(spec(seed, Some(2)));
-        }
-        let outcomes = engine.run().unwrap();
+        let outcomes = run(seeds.iter().map(|&seed| spec(seed, Some(2))).collect()).unwrap();
         assert_eq!(outcomes.len(), seeds.len());
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {
             let (reference, _) = driver_reference(seed);
@@ -654,12 +681,12 @@ mod tests {
         // Same master seed across sessions: identical derived seeds, so the
         // cache actually gets exercised (hits, not just misses).
         let run = |cache: Option<DerivationCache>| {
-            let mut engine = SessionEngine::new(Network::with_parties(3));
+            let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
             engine.set_derivation_cache(cache);
             for _ in 0..3 {
                 engine.add_session(spec(77, Some(2)));
             }
-            engine.run().unwrap()
+            engine.run().unwrap().outcomes
         };
         let cached = run(Some(DerivationCache::new()));
         let uncached = run(None);
@@ -679,7 +706,7 @@ mod tests {
 
     #[test]
     fn same_schema_sessions_hit_the_shared_cache() {
-        let mut engine = SessionEngine::new(Network::with_parties(3));
+        let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
         for _ in 0..4 {
             engine.add_session(spec(77, None));
         }
@@ -694,40 +721,33 @@ mod tests {
             stats.hit_rate()
         );
         // Compute-phase timers actually accumulated.
-        let outcomes = {
-            let mut engine = SessionEngine::new(Network::with_parties(3));
-            engine.add_session(spec(77, None));
-            engine.run().unwrap()
-        };
+        let outcomes = run(vec![spec(77, None)]).unwrap();
         assert!(outcomes[0].stats.compute.fold_unmask_nanos > 0);
+    }
+
+    /// The round's counters agree with its sessions': the shard counts
+    /// every envelope a session sends once, runs exactly as many rounds as
+    /// its longest-lived session takes turns, and never parks on an
+    /// in-memory network, whose deliveries are synchronous.
+    #[test]
+    fn a_shard_counts_what_its_sessions_do() {
+        let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
+        for seed in [1, 2, 3] {
+            engine.add_session(spec(seed, Some(1)));
+        }
+        let run = engine.run().unwrap();
+        let shard = &run.shards[0];
+        let sent: u64 = run.outcomes.iter().map(|o| o.stats.messages_sent).sum();
+        assert_eq!(shard.messages_sent, sent);
+        let longest = run.outcomes.iter().map(|o| o.stats.rounds).max();
+        assert_eq!(Some(shard.rounds), longest);
+        assert_eq!(shard.blocking_waits, 0);
     }
 
     #[test]
     fn engine_rejects_single_holder_sessions() {
-        let mut engine = SessionEngine::new(Network::with_parties(3));
         let mut bad = spec(5, None);
         bad.holders.truncate(1);
-        engine.add_session(bad);
-        assert!(engine.run().is_err());
-    }
-
-    /// The stall budget defaults to 2 idle rounds and is configurable; a
-    /// raised budget must not change a healthy run's outcome.
-    #[test]
-    fn stall_budget_defaults_and_overrides() {
-        let mut engine = SessionEngine::new(Network::with_parties(3));
-        assert_eq!(engine.stall_budget(), 2);
-        engine.set_stall_budget(16);
-        assert_eq!(engine.stall_budget(), 16);
-        engine.add_session(spec(21, Some(4)));
-        let raised = engine.run().unwrap();
-
-        let mut reference = SessionEngine::new(Network::with_parties(3));
-        reference.add_session(spec(21, Some(4)));
-        let baseline = reference.run().unwrap();
-        assert_eq!(
-            raised[0].result.clusters, baseline[0].result.clusters,
-            "the stall budget is a safety valve, never part of the outcome"
-        );
+        assert!(run(vec![bad]).is_err());
     }
 }

@@ -6,9 +6,9 @@
 //! incoming envelope or polls for the next unprompted emission, and returns
 //! whatever envelopes the party wants sent. No machine ever waits — a
 //! scheduler (the sequential [`ClusteringSession`](super::session) for the
-//! byte-identical oracle path, or the multiplexing
-//! [`SessionEngine`](super::engine) for concurrent workloads) owns all
-//! control flow.
+//! byte-identical oracle path, or the engine round of
+//! [`engine`](super::engine) for concurrent workloads) owns all control
+//! flow.
 //!
 //! ## Wire compatibility
 //!

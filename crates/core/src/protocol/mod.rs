@@ -5,7 +5,7 @@
 //! initiator), `DH_K` (the responder) and `TP` (the third party) each
 //! compute — operating on plain data and returning the exact values the
 //! paper's pseudocode produces (Figures 4–6 for numeric, 8–10 for
-//! alphanumeric). Three orchestrators drive the roles:
+//! alphanumeric). Four orchestrators drive the roles:
 //!
 //! * [`driver::ThirdPartyDriver`] — in-memory construction of all
 //!   per-attribute dissimilarity matrices and the final clustering,
@@ -14,14 +14,18 @@
 //!   messages over a [`ppc_net::Network`] by the per-party state machines
 //!   of [`machines`], scheduled sequentially in the legacy order so its
 //!   protocol traces stay byte-identical to the pre-refactor session;
-//! * [`engine::SessionEngine`] — the same machines multiplexed N sessions
-//!   at a time over any [`ppc_net::Transport`], with fair round-robin
-//!   scheduling and chunked attribute-block streaming that bounds every
-//!   party's buffering by a configurable window of pairwise rows;
-//! * [`sharded::ShardedEngine`] — N sessions hash-sharded across a pool of
-//!   worker threads, one [`ppc_net::WaitTransport`] per shard, parking idle
-//!   shards in condvar-blocking receives; the deployable tier that runs
-//!   over real TCP / Unix-domain sockets.
+//! * [`sharded::ShardedEngine`] — the same machines multiplexed N sessions
+//!   at a time, hash-sharded across a pool of worker threads with one
+//!   [`ppc_net::WaitTransport`] per shard, with fair round-robin
+//!   scheduling, chunked attribute-block streaming that bounds every
+//!   party's buffering by a configurable window of pairwise rows, and idle
+//!   shards parked in condvar-blocking receives. One transport is one
+//!   shard: the in-process engine, and the oracle of every other run;
+//! * [`party_engine::PartyEngine`] — one process's local parties of the
+//!   same sessions, opened through the in-band `ctl/` control plane and
+//!   run over real TCP / Unix-domain sockets.
+//!
+//! Both engines run on the one engine round of [`engine`].
 
 pub mod alphanumeric;
 pub mod categorical;

@@ -1,13 +1,15 @@
 //! Per-party multi-process engine.
 //!
-//! Every prior engine tier ([`SessionEngine`](super::engine::SessionEngine),
-//! [`ShardedEngine`](super::sharded::ShardedEngine)) drives *all* parties of
+//! [`ShardedEngine`](super::sharded::ShardedEngine) drives *all* parties of
 //! its sessions inside one process — fine for experiments, but not the
 //! paper's deployment model, where the data holders and the third party are
 //! separate organisations on separate machines. [`PartyEngine`] completes
 //! that story: a process drives only its **local party seats** and speaks to
 //! the rest of the federation over one [`WaitTransport`] (typically a socket
-//! transport dialled into a router or acceptor mesh).
+//! transport dialled into a router or acceptor mesh), on the same engine
+//! round of [`engine`](super::engine) a shard worker runs on. What it adds
+//! on top is its policy: `ctl/` routing, a backlog for frames that beat
+//! their announcement, per-session failures, and completion reports.
 //!
 //! ## The control plane
 //!
@@ -41,8 +43,8 @@
 //! A multi-process run is **value-identical** to the in-process oracle: the
 //! machines, schedules and wire payloads are the same, only the transport
 //! and the process boundaries differ. The `ppc-party` crate's integration
-//! test pins this with three real OS processes against the
-//! `SessionEngine` oracle.
+//! test pins this with three real OS processes against the in-process
+//! oracle, a one-shard `ShardedEngine`.
 //!
 //! Failure is a first-class outcome: when the socket layer exhausts its
 //! reconnect backoff, the affected session is reported as
@@ -66,7 +68,7 @@ use crate::fixed::FixedPointCodec;
 use crate::matrix::HorizontalPartition;
 use crate::protocol::derive_cache::{DerivationCache, DerivationCacheStats};
 use crate::protocol::driver::ClusteringRequest;
-use crate::protocol::engine::{EngineOutcome, PartyRuntime};
+use crate::protocol::engine::{EngineOutcome, PartyRuntime, RoundPolicy, ShardRound, TurnError};
 use crate::protocol::machines::{ComputeStats, HolderMachine, SessionContext, ThirdPartyMachine};
 use crate::protocol::messages::{check_count, PublishedResultMsg};
 use crate::protocol::party::TrustedSetup;
@@ -547,8 +549,10 @@ impl<T: WaitTransport> PartyEngine<T> {
     /// sessions are finished.
     pub fn serve(&self, coordinator: PartyId) -> Result<PartyRunReport, CoreError> {
         let mut flow = Flow::new(self, coordinator, BTreeSet::new());
-        flow.send_ready()?;
-        flow.drive()?;
+        flow.settling(|flow| {
+            flow.send_ready()?;
+            flow.drive(flow.engine.idle_wait)
+        })?;
         Ok(flow.into_report())
     }
 
@@ -587,16 +591,18 @@ impl<T: WaitTransport> PartyEngine<T> {
         }
         let coordinator = self.seats[0].party();
         let mut flow = Flow::new(self, coordinator, remote);
-        flow.coordinate(schema, plans)?;
+        flow.settling(|flow| flow.coordinate(schema, plans))?;
         Ok(flow.into_report())
     }
 }
 
-/// The in-flight state of one engine run.
+/// The in-flight state of one engine run: the engine round over the
+/// transport, and this engine's policy on top of it — `ctl/` routing, the
+/// pre-announcement backlog, per-session failures and completion reports.
 struct Flow<'a, T: WaitTransport> {
-    transport: &'a T,
-    seats: &'a [PartySeat],
-    locals: Vec<PartyId>,
+    engine: &'a PartyEngine<T>,
+    /// The local seats' mailboxes, in seat order, and the live sessions.
+    round: ShardRound<'a, T>,
     /// Our identity on the control plane (the first seat's party).
     control_party: PartyId,
     /// MAC over every control payload, keyed from the master seed: a
@@ -605,10 +611,6 @@ struct Flow<'a, T: WaitTransport> {
     control_auth: ControlAuth,
     coordinator: PartyId,
     is_coordinator: bool,
-    idle_wait: Duration,
-    max_idle_waits: u32,
-    readiness_budget: (Duration, u32),
-    sessions: BTreeMap<u64, PartyRuntime>,
     /// Session frames that arrived before their announcement.
     pending: BTreeMap<u64, Vec<Envelope>>,
     outcomes: Vec<SessionOutcome>,
@@ -640,21 +642,15 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     ) -> Self {
         let locals: Vec<PartyId> = engine.seats.iter().map(PartySeat::party).collect();
         let control_party = locals[0];
-        let control_auth = ControlAuth::from_master(engine.seats[0].master());
         Flow {
-            transport: &engine.transport,
-            seats: &engine.seats,
-            locals,
+            engine,
+            round: ShardRound::new(&engine.transport, locals, BTreeMap::new()),
             control_party,
-            control_auth,
+            control_auth: ControlAuth::from_master(engine.seats[0].master()),
             // The coordinator is the engine whose own identity the control
             // traffic converges on; `coordinate` passes itself.
             is_coordinator: coordinator == control_party,
             coordinator,
-            idle_wait: engine.idle_wait,
-            max_idle_waits: engine.max_idle_waits,
-            readiness_budget: engine.readiness_budget(),
-            sessions: BTreeMap::new(),
             pending: BTreeMap::new(),
             outcomes: Vec::new(),
             stats: PartyEngineStats::default(),
@@ -669,22 +665,21 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     }
 
     fn send_ctl(&mut self, to: PartyId, topic: &str, body: Vec<u8>) -> Result<(), NetError> {
-        self.stats.messages_sent += 1;
         let payload = self.control_auth.seal(topic, self.control_party, to, &body);
-        self.transport
+        self.round
             .send(Envelope::new(self.control_party, to, topic, payload))
     }
 
     /// Announces every local seat's readiness to the coordinator.
     fn send_ready(&mut self) -> Result<(), CoreError> {
-        for seat in self.seats {
+        for seat in &self.engine.seats {
             let msg = SessionReady {
                 party: seat.party(),
                 rows: seat.rows(),
             };
             self.send_ctl(self.coordinator, TOPIC_READY, msg.encode())?;
         }
-        self.transport.flush()?;
+        self.round.transport.flush()?;
         Ok(())
     }
 
@@ -698,13 +693,13 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     fn greet(&mut self) {
         let greeting = SessionReady {
             party: self.control_party,
-            rows: self.seats[0].rows(),
+            rows: self.engine.seats[0].rows(),
         }
         .encode();
         for party in self.expected_remote.clone() {
             let _ = self.send_ctl(party, TOPIC_READY, greeting.clone());
         }
-        let _ = self.transport.flush();
+        let _ = self.round.transport.flush();
     }
 
     /// Builds this process's runtime for one announced session: validates
@@ -724,7 +719,7 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
         };
         let mut holders = Vec::new();
         let mut tp = None;
-        for seat in self.seats {
+        for seat in &self.engine.seats {
             match seat {
                 PartySeat::Holder { partition, master } => {
                     let site = partition.site();
@@ -754,31 +749,26 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                 }
             }
         }
-        Ok(PartyRuntime::from_machines(format!("s{id}/"), holders, tp))
+        Ok(PartyRuntime::from_machines(holders, tp))
     }
 
     /// Registers a freshly built session runtime and replays any frames
     /// that arrived before the announcement.
     fn install_session(&mut self, id: u64, mut runtime: PartyRuntime) -> Result<(), CoreError> {
-        if let Some(backlog) = self.pending.remove(&id) {
-            for envelope in backlog {
-                runtime.enqueue(envelope)?;
-            }
+        for envelope in self.pending.remove(&id).unwrap_or_default() {
+            runtime.enqueue(envelope)?;
         }
-        self.sessions.insert(id, runtime);
+        self.round.sessions.insert(id, runtime);
         Ok(())
     }
 
     fn handle_announce(&mut self, announce: SessionAnnounce) -> Result<(), CoreError> {
-        match self.total {
-            None => self.total = Some(announce.sessions_total),
-            Some(total) if total == announce.sessions_total => {}
-            Some(total) => {
-                return Err(CoreError::Protocol(format!(
-                    "announcement declares {} total sessions, earlier ones declared {total}",
-                    announce.sessions_total
-                )))
-            }
+        let total = *self.total.get_or_insert(announce.sessions_total);
+        if total != announce.sessions_total {
+            return Err(CoreError::Protocol(format!(
+                "announcement declares {} total sessions, earlier ones declared {total}",
+                announce.sessions_total
+            )));
         }
         if announce.session >= u64::from(announce.sessions_total) {
             // Session ids are 0..total by contract; completion tracking
@@ -789,7 +779,7 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
                 announce.session, announce.sessions_total
             )));
         }
-        if self.sessions.contains_key(&announce.session)
+        if self.round.sessions.contains_key(&announce.session)
             || self.finished.contains(&announce.session)
         {
             return Err(CoreError::Protocol(format!(
@@ -825,21 +815,274 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
             None if done.payload.is_empty() => PartyOutcome::Remote(None),
             None => PartyOutcome::Remote(Some(TpOutcome::decode(&done.payload)?)),
         };
-        self.outcomes.push(SessionOutcome {
-            session: done.session,
-            party: done.party,
-            outcome,
-        });
+        self.record(done.session, done.party, outcome);
         Ok(())
     }
 
-    /// Routes one inbound envelope. Control messages dispatch by role;
-    /// session frames go to their runtime or the pre-announcement backlog.
+    /// Records one `(session, party)` outcome row.
+    fn record(&mut self, session: u64, party: PartyId, outcome: PartyOutcome) {
+        self.outcomes.push(SessionOutcome {
+            session,
+            party,
+            outcome,
+        });
+    }
+
+    /// Serving: reports one local seat's end of `session` to the
+    /// coordinator. The coordinator records its own seats directly.
+    fn report_done(
+        &mut self,
+        session: u64,
+        party: PartyId,
+        error: Option<String>,
+        payload: Vec<u8>,
+    ) -> Result<(), NetError> {
+        if self.is_coordinator {
+            return Ok(());
+        }
+        let done = SessionDone {
+            session,
+            party,
+            error,
+            payload,
+        };
+        self.send_ctl(self.coordinator, TOPIC_DONE, done.encode())
+    }
+
+    /// Marks a session failed at every local seat and (when serving)
+    /// best-effort reports the failure to the coordinator.
+    fn fail_session(&mut self, id: u64, failure: SessionFailure) {
+        self.round.sessions.remove(&id);
+        self.finished.insert(id);
+        self.failed.insert(id);
+        self.stats.sessions_failed += 1;
+        let text = match &failure {
+            SessionFailure::PeerUnreachable { party } => {
+                format!("peer hosting {party} is unreachable")
+            }
+            SessionFailure::ChannelAuth { detail } => {
+                format!("channel authentication failure: {detail}")
+            }
+            SessionFailure::Error(e) => e.clone(),
+        };
+        let seats = &self.engine.seats;
+        for seat in seats {
+            self.record(id, seat.party(), PartyOutcome::Failed(failure.clone()));
+        }
+        for seat in seats {
+            // Best effort: if the coordinator is the unreachable peer there
+            // is nobody to tell.
+            let _ = self.report_done(id, seat.party(), Some(text.clone()), Vec::new());
+        }
+    }
+
+    /// Extracts a finished session's per-seat outcomes and (when serving)
+    /// reports them to the coordinator.
+    fn finalize_session(&mut self, id: u64) -> Result<(), CoreError> {
+        let runtime = self
+            .round
+            .sessions
+            .remove(&id)
+            .expect("finalize_session requires a live session");
+        self.finished.insert(id);
+        self.stats.sessions_completed += 1;
+        let (holders, tp, session_stats) = runtime.into_parts();
+        self.stats.peak_buffered_rows = self
+            .stats
+            .peak_buffered_rows
+            .max(session_stats.peak_buffered_rows);
+        self.stats.compute.absorb(&session_stats.compute);
+        for holder in holders {
+            let party = holder.party();
+            let result = holder.published_result().cloned().ok_or_else(|| {
+                CoreError::Protocol(format!(
+                    "holder {party} finished session {id} without a published result"
+                ))
+            })?;
+            self.report_done(id, party, None, Vec::new())?;
+            self.record(id, party, PartyOutcome::Holder(result));
+        }
+        if let Some(tp) = tp {
+            let party = tp.party();
+            let (result, final_matrix, _) = tp.into_outcome()?;
+            let outcome = EngineOutcome {
+                result,
+                final_matrix,
+                stats: session_stats,
+            };
+            if !self.is_coordinator {
+                let payload = TpOutcome::from_engine_outcome(&outcome).encode();
+                self.report_done(id, party, None, payload)?;
+            }
+            self.record(id, party, PartyOutcome::ThirdParty(Box::new(outcome)));
+        }
+        Ok(())
+    }
+
+    /// Fails every session that is announced (or live) and not finished
+    /// with `failure`. Returns whether there was any.
+    fn fail_unfinished(&mut self, failure: SessionFailure) -> bool {
+        let ids: Vec<u64> = match self.total {
+            Some(total) => (0..u64::from(total))
+                .filter(|id| !self.finished.contains(id))
+                .collect(),
+            None => self.round.sessions.keys().copied().collect(),
+        };
+        for &id in &ids {
+            self.fail_session(id, failure.clone());
+        }
+        !ids.is_empty()
+    }
+
+    /// Runs `phases`, settling a run the channel-security tier condemns
+    /// instead of erroring: every unfinished session becomes a
+    /// [`SessionFailure::ChannelAuth`] outcome — tamper is a
+    /// *distinguishable result*, not a generic stall. When nothing was
+    /// ever announced there is nothing to settle and the auth failure
+    /// surfaces as the run error instead.
+    fn settling(
+        &mut self,
+        phases: impl FnOnce(&mut Self) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        match phases(self) {
+            Err(CoreError::Net(NetError::AuthFailure { detail })) => {
+                let failure = SessionFailure::ChannelAuth {
+                    detail: detail.clone(),
+                };
+                if self.fail_unfinished(failure) {
+                    Ok(())
+                } else {
+                    Err(CoreError::Net(NetError::AuthFailure { detail }))
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// Coordinator: gather readiness, announce, drive.
+    fn coordinate(&mut self, schema: Schema, plans: Vec<SessionPlan>) -> Result<(), CoreError> {
+        self.total = Some(plans.len() as u32);
+        // Phase 1: greet every remote party, then wait for its readiness
+        // under its own (usually more patient) budget — peers may still be
+        // starting up. Nothing routed while waiting sends a reply, so the
+        // greeting's flush is the only one this phase needs.
+        self.greet();
+        let (ready_wait, ready_max_waits) = self.engine.readiness_budget();
+        let mut idle = 0u32;
+        while !self
+            .expected_remote
+            .iter()
+            .all(|p| self.remote_rows.contains_key(p))
+        {
+            if self.pump()? {
+                idle = 0;
+            } else if self.park(ready_wait, &mut idle)? && idle > ready_max_waits {
+                let missing: Vec<&PartyId> = self
+                    .expected_remote
+                    .iter()
+                    .filter(|p| !self.remote_rows.contains_key(p))
+                    .collect();
+                return Err(CoreError::Protocol(format!(
+                    "timed out waiting for readiness from {missing:?}"
+                )));
+            }
+        }
+        // Phase 2: assemble the site roster (ascending site order, the
+        // same order an in-process setup lists its partitions in).
+        let mut site_sizes: Vec<(u32, u64)> = Vec::new();
+        for seat in &self.engine.seats {
+            if let PartySeat::Holder { partition, .. } = seat {
+                site_sizes.push((partition.site(), partition.len() as u64));
+            }
+        }
+        for (&party, &rows) in &self.remote_rows {
+            if let PartyId::DataHolder(site) = party {
+                site_sizes.push((site, rows));
+            }
+        }
+        site_sizes.sort_unstable();
+        if let Some(pair) = site_sizes.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(CoreError::Protocol(format!(
+                "two parties claim site {}",
+                pair[0].0
+            )));
+        }
+        if site_sizes.len() < 2 {
+            return Err(CoreError::Protocol(
+                "the protocol requires at least two data holders".into(),
+            ));
+        }
+        // Phase 3: announce every session, flush, and only then build the
+        // local runtimes, so the remote parties build theirs meanwhile.
+        let total = plans.len() as u32;
+        let specs: Vec<PartySessionSpec> = plans
+            .into_iter()
+            .map(|plan| PartySessionSpec {
+                schema: schema.clone(),
+                config: plan.config,
+                request: plan.request,
+                chunk_rows: plan.chunk_rows,
+                site_sizes: site_sizes.clone(),
+            })
+            .collect();
+        for (id, spec) in specs.iter().enumerate() {
+            let id = id as u64;
+            let body = spec.encode();
+            for &party in &self.expected_remote.clone() {
+                let announce = SessionAnnounce {
+                    session: id,
+                    sessions_total: total,
+                    body: body.clone(),
+                };
+                match self.send_ctl(party, TOPIC_ANNOUNCE, announce.encode()) {
+                    Ok(()) => {}
+                    Err(NetError::PeerUnreachable { party, .. }) => {
+                        // Every session needs the full roster: a peer that
+                        // died between readiness and announcement dooms
+                        // the whole run, but as *reported outcomes* (one
+                        // PeerUnreachable row per seat and session), not
+                        // as a bare error that discards everything.
+                        self.fail_unfinished(SessionFailure::PeerUnreachable { party });
+                        return Ok(());
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+        self.round.transport.flush()?;
+        for (id, spec) in specs.iter().enumerate() {
+            let runtime = self.build_runtime(spec, id as u64)?;
+            self.install_session(id as u64, runtime)?;
+        }
+        // Phase 4: drive to completion.
+        self.drive(self.engine.idle_wait)
+    }
+
+    fn into_report(mut self) -> PartyRunReport {
+        self.outcomes.sort_by_key(|o| (o.session, o.party));
+        self.stats.rounds = self.round.rounds;
+        self.stats.blocking_waits = self.round.blocking_waits;
+        self.stats.messages_sent = self.round.messages_sent;
+        self.stats.derivation_cache = self.cache.stats();
+        PartyRunReport {
+            outcomes: self.outcomes,
+            stats: self.stats,
+        }
+    }
+}
+
+impl<'a, T: WaitTransport> RoundPolicy<'a, T> for Flow<'a, T> {
+    fn round(&mut self) -> &mut ShardRound<'a, T> {
+        &mut self.round
+    }
+
+    /// Control messages dispatch by role; session frames go to their
+    /// runtime or the pre-announcement backlog.
     fn route(&mut self, envelope: Envelope) -> Result<(), CoreError> {
         if is_control_topic(&envelope.topic) {
             // Verify the control MAC before trusting a single byte: a
             // failure here is active forgery, surfaced as the settled
-            // ChannelAuth outcome by the drive loop.
+            // ChannelAuth outcome by `settling`.
             let body = self.control_auth.open(
                 &envelope.topic,
                 envelope.from,
@@ -879,436 +1122,93 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
             };
         }
         // Hot path: only the session id matters for routing, so use the
-        // allocation-free prefix extraction; full grammar validation is
-        // the machines' and tests' job.
-        match Topic::session_prefix_id(&envelope.topic) {
-            Some(id) => {
-                if self.finished.contains(&id) {
-                    // Late traffic for a session that already failed
-                    // locally; dropping it is the only sane option.
-                    return Ok(());
-                }
-                match self.sessions.get_mut(&id) {
-                    Some(runtime) => runtime.enqueue(envelope),
-                    None => {
-                        self.pending.entry(id).or_default().push(envelope);
-                        Ok(())
-                    }
-                }
-            }
-            None => Err(CoreError::Protocol(format!(
+        // allocation-free prefix extraction; full grammar validation is the
+        // machines' and tests' job.
+        let Some(id) = Topic::session_prefix_id(&envelope.topic) else {
+            return Err(CoreError::Protocol(format!(
                 "topic '{}' has no session prefix (multi-process sessions are always \
                  s{{id}}/-prefixed)",
                 envelope.topic
-            ))),
-        }
-    }
-
-    /// Drains everything currently queued on the transport.
-    fn pump(&mut self) -> Result<bool, CoreError> {
-        let mut progressed = false;
-        for party in self.locals.clone() {
-            while let Some(envelope) = self.transport.try_receive(party)? {
-                self.route(envelope)?;
-                progressed = true;
-            }
-        }
-        Ok(progressed)
-    }
-
-    /// Marks a session failed at every local seat and (when serving)
-    /// best-effort reports the failure to the coordinator.
-    fn fail_session(&mut self, id: u64, failure: SessionFailure) {
-        self.sessions.remove(&id);
-        self.finished.insert(id);
-        self.failed.insert(id);
-        self.stats.sessions_failed += 1;
-        let text = match &failure {
-            SessionFailure::PeerUnreachable { party } => {
-                format!("peer hosting {party} is unreachable")
-            }
-            SessionFailure::ChannelAuth { detail } => {
-                format!("channel authentication failure: {detail}")
-            }
-            SessionFailure::Error(e) => e.clone(),
+            )));
         };
-        for seat in self.seats {
-            self.outcomes.push(SessionOutcome {
-                session: id,
-                party: seat.party(),
-                outcome: PartyOutcome::Failed(failure.clone()),
-            });
+        if self.finished.contains(&id) {
+            // Late traffic for a session that already failed locally;
+            // dropping it is the only sane option.
+            return Ok(());
         }
-        if !self.is_coordinator {
-            for seat in self.seats {
-                let done = SessionDone {
-                    session: id,
-                    party: seat.party(),
-                    error: Some(text.clone()),
-                    payload: Vec::new(),
-                };
-                // Best effort: if the coordinator is the unreachable peer
-                // there is nobody to tell.
-                let _ = self.send_ctl(self.coordinator, TOPIC_DONE, done.encode());
+        match self.round.sessions.get_mut(&id) {
+            Some(runtime) => runtime.enqueue(envelope),
+            None => {
+                self.pending.entry(id).or_default().push(envelope);
+                Ok(())
             }
         }
     }
 
-    /// Extracts a finished session's per-seat outcomes and (when serving)
-    /// reports them to the coordinator.
-    fn finalize_session(&mut self, id: u64) -> Result<(), CoreError> {
-        let runtime = self
-            .sessions
-            .remove(&id)
-            .expect("finalize_session requires a live session");
-        self.finished.insert(id);
-        self.stats.sessions_completed += 1;
-        let (holders, tp, session_stats) = runtime.into_parts();
-        self.stats.peak_buffered_rows = self
-            .stats
-            .peak_buffered_rows
-            .max(session_stats.peak_buffered_rows);
-        self.stats.compute.absorb(&session_stats.compute);
-        for holder in holders {
-            let party = holder.party();
-            let result = holder.published_result().cloned().ok_or_else(|| {
-                CoreError::Protocol(format!(
-                    "holder {party} finished session {id} without a published result"
-                ))
-            })?;
-            if !self.is_coordinator {
-                let done = SessionDone {
-                    session: id,
-                    party,
-                    error: None,
-                    payload: Vec::new(),
-                };
-                self.send_ctl(self.coordinator, TOPIC_DONE, done.encode())?;
-            }
-            self.outcomes.push(SessionOutcome {
-                session: id,
-                party,
-                outcome: PartyOutcome::Holder(result),
-            });
-        }
-        if let Some(tp) = tp {
-            let party = tp.party();
-            let (result, final_matrix, _) = tp.into_outcome()?;
-            let outcome = EngineOutcome {
-                result,
-                final_matrix,
-                stats: session_stats,
-            };
-            if !self.is_coordinator {
-                let done = SessionDone {
-                    session: id,
-                    party,
-                    error: None,
-                    payload: TpOutcome::from_engine_outcome(&outcome).encode(),
-                };
-                self.send_ctl(self.coordinator, TOPIC_DONE, done.encode())?;
-            }
-            self.outcomes.push(SessionOutcome {
-                session: id,
-                party,
-                outcome: PartyOutcome::ThirdParty(Box::new(outcome)),
-            });
-        }
-        Ok(())
-    }
-
-    /// One fair turn for every live session; sessions whose sends hit an
-    /// unreachable peer fail individually instead of killing the run.
-    fn turn_sessions(&mut self) -> Result<bool, CoreError> {
-        let mut progressed = false;
-        let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        'sessions: for id in ids {
-            let turn = {
-                let Some(runtime) = self.sessions.get_mut(&id) else {
-                    continue;
-                };
-                match runtime.turn() {
-                    Ok(turn) => turn,
-                    Err(e) => {
-                        self.fail_session(id, SessionFailure::Error(e.to_string()));
-                        progressed = true;
-                        continue;
-                    }
+    /// A failed session fails alone: its machines' errors and an
+    /// unreachable peer settle it as a [`SessionFailure`], and only other
+    /// send errors end the run. A finished session reports `ctl/done`
+    /// before the round's flush.
+    fn turned(&mut self, id: u64, result: Result<(), TurnError>) -> Result<bool, CoreError> {
+        let failure = match result {
+            Ok(()) => {
+                let finished = self
+                    .round
+                    .sessions
+                    .get(&id)
+                    .is_some_and(PartyRuntime::is_done);
+                if finished {
+                    self.finalize_session(id)?;
                 }
-            };
-            progressed |= turn.progressed;
-            self.stats.messages_sent += turn.outgoing.len() as u64;
-            for envelope in turn.outgoing {
-                match self.transport.send(envelope) {
-                    Ok(()) => {}
-                    Err(NetError::PeerUnreachable { party, .. }) => {
-                        self.fail_session(id, SessionFailure::PeerUnreachable { party });
-                        progressed = true;
-                        continue 'sessions;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                return Ok(finished);
             }
-            if self.sessions.get(&id).is_some_and(PartyRuntime::is_done) {
-                self.finalize_session(id)?;
-                progressed = true;
+            Err(TurnError::Session(e)) => SessionFailure::Error(e.to_string()),
+            Err(TurnError::Send(NetError::PeerUnreachable { party, .. })) => {
+                SessionFailure::PeerUnreachable { party }
             }
-        }
-        Ok(progressed)
+            Err(TurnError::Send(e)) => return Err(e.into()),
+        };
+        self.fail_session(id, failure);
+        Ok(true)
     }
 
     /// Whether the run is over from this process's perspective. A session
     /// is settled when it failed locally (remote completions may never
     /// come — the unreachable peer cannot report), or when the local seats
-    /// finished and (for the coordinator) every remote party reported.
+    /// finished and every expected remote party reported (a serving engine
+    /// expects none).
     fn complete(&self) -> bool {
         let Some(total) = self.total else {
             return false;
         };
         (0..u64::from(total)).all(|id| {
-            if self.failed.contains(&id) {
-                return true;
-            }
-            if !self.finished.contains(&id) {
-                return false;
-            }
-            if !self.is_coordinator {
-                return true;
-            }
             let reported = self.remote_done.get(&id);
-            self.expected_remote
-                .iter()
-                .all(|p| reported.is_some_and(|set| set.contains(p)))
+            self.failed.contains(&id)
+                || (self.finished.contains(&id)
+                    && self
+                        .expected_remote
+                        .iter()
+                        .all(|p| reported.is_some_and(|set| set.contains(p))))
         })
     }
 
-    /// Settles a run the channel-security tier has condemned: every
-    /// unfinished session becomes a [`SessionFailure::ChannelAuth`]
-    /// outcome — tamper is a *distinguishable result*, not a generic
-    /// stall. When nothing was ever announced there is nothing to settle
-    /// and the auth failure surfaces as the run error instead.
-    fn settle_auth_failure(&mut self, detail: String) -> Result<(), CoreError> {
-        let ids: Vec<u64> = match self.total {
-            Some(total) => (0..u64::from(total))
-                .filter(|id| !self.finished.contains(id))
-                .collect(),
-            None => self.sessions.keys().copied().collect(),
-        };
-        if ids.is_empty() {
-            return Err(CoreError::Net(NetError::AuthFailure { detail }));
+    fn parked_empty(&mut self, idle_waits: u32) -> Result<(), CoreError> {
+        if !self.is_coordinator && self.total.is_none() {
+            // A whole park with neither a greeting nor an announcement: in
+            // case neither side's first message got through, repeat the
+            // (idempotent) readiness announcement.
+            self.send_ready()?;
         }
-        for id in ids {
-            self.fail_session(
-                id,
-                SessionFailure::ChannelAuth {
-                    detail: detail.clone(),
-                },
-            );
+        if idle_waits > self.engine.max_idle_waits {
+            return Err(CoreError::Protocol(format!(
+                "party engine for {:?} stalled (sessions {:?} unfinished, {} of {:?} announced)",
+                self.round.parties,
+                self.round.unfinished(),
+                self.finished.len(),
+                self.total
+            )));
         }
         Ok(())
-    }
-
-    /// The main loop shared by both roles: pump, turn, flush, park —
-    /// settling instead of erroring when the channel tier reports
-    /// tampering.
-    fn drive(&mut self) -> Result<(), CoreError> {
-        match self.drive_loop() {
-            Err(CoreError::Net(NetError::AuthFailure { detail })) => {
-                self.settle_auth_failure(detail)
-            }
-            other => other,
-        }
-    }
-
-    fn drive_loop(&mut self) -> Result<(), CoreError> {
-        let mut idle = 0u32;
-        loop {
-            self.stats.rounds += 1;
-            let mut progressed = self.pump()?;
-            progressed |= self.turn_sessions()?;
-            self.transport.flush()?;
-            if self.complete() {
-                return Ok(());
-            }
-            if progressed {
-                idle = 0;
-                continue;
-            }
-            self.stats.blocking_waits += 1;
-            match self
-                .transport
-                .receive_any_of(&self.locals, self.idle_wait)?
-            {
-                Some(envelope) => {
-                    self.route(envelope)?;
-                    idle = 0;
-                }
-                None => {
-                    idle += 1;
-                    if !self.is_coordinator && self.total.is_none() {
-                        // A whole park with neither a greeting nor an
-                        // announcement: in case neither side's first
-                        // message got through, repeat the (idempotent)
-                        // readiness announcement.
-                        self.send_ready()?;
-                    }
-                    if idle > self.max_idle_waits {
-                        let stuck: Vec<u64> = self.sessions.keys().copied().collect();
-                        return Err(CoreError::Protocol(format!(
-                            "party engine for {:?} stalled (sessions {stuck:?} unfinished, \
-                             {} of {:?} announced)",
-                            self.locals,
-                            self.finished.len(),
-                            self.total
-                        )));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Coordinator entry: gather readiness, announce, drive — settling
-    /// (like [`drive`](Self::drive)) when the channel tier reports
-    /// tampering during the readiness or announcement phases.
-    fn coordinate(&mut self, schema: Schema, plans: Vec<SessionPlan>) -> Result<(), CoreError> {
-        match self.coordinate_phases(schema, plans) {
-            Err(CoreError::Net(NetError::AuthFailure { detail })) => {
-                self.settle_auth_failure(detail)
-            }
-            other => other,
-        }
-    }
-
-    fn coordinate_phases(
-        &mut self,
-        schema: Schema,
-        plans: Vec<SessionPlan>,
-    ) -> Result<(), CoreError> {
-        self.total = Some(plans.len() as u32);
-        // Phase 1: greet every remote party, then wait for its readiness
-        // under its own (usually more patient) budget — peers may still be
-        // starting up. Nothing routed while waiting sends a reply, so the
-        // greeting's flush is the only one this phase needs.
-        self.greet();
-        let (ready_wait, ready_max_waits) = self.readiness_budget;
-        let mut idle = 0u32;
-        while !self
-            .expected_remote
-            .iter()
-            .all(|p| self.remote_rows.contains_key(p))
-        {
-            if self.pump()? {
-                idle = 0;
-                continue;
-            }
-            self.stats.blocking_waits += 1;
-            match self.transport.receive_any_of(&self.locals, ready_wait)? {
-                Some(envelope) => {
-                    self.route(envelope)?;
-                    idle = 0;
-                }
-                None => {
-                    idle += 1;
-                    if idle > ready_max_waits {
-                        let missing: Vec<&PartyId> = self
-                            .expected_remote
-                            .iter()
-                            .filter(|p| !self.remote_rows.contains_key(p))
-                            .collect();
-                        return Err(CoreError::Protocol(format!(
-                            "timed out waiting for readiness from {missing:?}"
-                        )));
-                    }
-                }
-            }
-        }
-        // Phase 2: assemble the site roster (ascending site order, the
-        // same order an in-process setup lists its partitions in).
-        let mut site_sizes: Vec<(u32, u64)> = Vec::new();
-        for seat in self.seats {
-            if let PartySeat::Holder { partition, .. } = seat {
-                site_sizes.push((partition.site(), partition.len() as u64));
-            }
-        }
-        for (&party, &rows) in &self.remote_rows {
-            if let PartyId::DataHolder(site) = party {
-                site_sizes.push((site, rows));
-            }
-        }
-        site_sizes.sort_unstable();
-        for pair in site_sizes.windows(2) {
-            if pair[0].0 == pair[1].0 {
-                return Err(CoreError::Protocol(format!(
-                    "two parties claim site {}",
-                    pair[0].0
-                )));
-            }
-        }
-        if site_sizes.len() < 2 {
-            return Err(CoreError::Protocol(
-                "the protocol requires at least two data holders".into(),
-            ));
-        }
-        // Phase 3: announce every session, flush, and only then build the
-        // local runtimes, so the remote parties build theirs meanwhile.
-        let total = plans.len() as u32;
-        let specs: Vec<PartySessionSpec> = plans
-            .into_iter()
-            .map(|plan| PartySessionSpec {
-                schema: schema.clone(),
-                config: plan.config,
-                request: plan.request,
-                chunk_rows: plan.chunk_rows,
-                site_sizes: site_sizes.clone(),
-            })
-            .collect();
-        for (id, spec) in specs.iter().enumerate() {
-            let id = id as u64;
-            let body = spec.encode();
-            for &party in &self.expected_remote.clone() {
-                let announce = SessionAnnounce {
-                    session: id,
-                    sessions_total: total,
-                    body: body.clone(),
-                };
-                match self.send_ctl(party, TOPIC_ANNOUNCE, announce.encode()) {
-                    Ok(()) => {}
-                    Err(NetError::PeerUnreachable { party, .. }) => {
-                        // Every session needs the full roster: a peer that
-                        // died between readiness and announcement dooms
-                        // the whole run, but as *reported outcomes* (one
-                        // PeerUnreachable row per seat and session), not
-                        // as a bare error that discards everything.
-                        for doomed in 0..u64::from(total) {
-                            if !self.finished.contains(&doomed) {
-                                self.fail_session(
-                                    doomed,
-                                    SessionFailure::PeerUnreachable { party },
-                                );
-                            }
-                        }
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        self.transport.flush()?;
-        for (id, spec) in specs.iter().enumerate() {
-            let runtime = self.build_runtime(spec, id as u64)?;
-            self.install_session(id as u64, runtime)?;
-        }
-        // Phase 4: drive to completion.
-        self.drive()
-    }
-
-    fn into_report(mut self) -> PartyRunReport {
-        self.outcomes.sort_by_key(|o| (o.session, o.party));
-        self.stats.derivation_cache = self.cache.stats();
-        PartyRunReport {
-            outcomes: self.outcomes,
-            stats: self.stats,
-        }
     }
 }
 
@@ -1317,8 +1217,9 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::matrix::{DataMatrix, HorizontalPartition};
-    use crate::protocol::engine::{SessionEngine, SessionSpec};
+    use crate::protocol::engine::SessionSpec;
     use crate::protocol::party::TrustedSetup;
+    use crate::protocol::sharded::ShardedEngine;
     use crate::record::Record;
     use crate::schema::AttributeDescriptor;
     use crate::value::AttributeValue;
@@ -1370,8 +1271,8 @@ mod tests {
         }
     }
 
-    /// Each plan run alone on the single-threaded `SessionEngine`: the
-    /// oracle every multi-process run must match.
+    /// Each plan run alone on a one-shard `ShardedEngine`: the oracle
+    /// every multi-process run must match.
     fn oracle_outcomes(
         parts: &[HorizontalPartition],
         master: &Seed,
@@ -1381,7 +1282,7 @@ mod tests {
             .iter()
             .map(|p| {
                 let setup = TrustedSetup::deterministic(parts.to_vec(), master).unwrap();
-                let mut engine = SessionEngine::new(Network::with_parties(2));
+                let mut engine = ShardedEngine::new(vec![Network::with_parties(2)]).unwrap();
                 engine.add_session(SessionSpec {
                     schema: schema(),
                     config: p.config,
@@ -1390,7 +1291,7 @@ mod tests {
                     request: p.request.clone(),
                     chunk_rows: p.chunk_rows,
                 });
-                engine.run().unwrap().remove(0)
+                engine.run().unwrap().outcomes.remove(0)
             })
             .collect()
     }
@@ -1568,9 +1469,9 @@ mod tests {
     /// The full control plane over one in-memory network: a coordinating
     /// holder, a serving holder and a serving third party — three engines
     /// on three threads — must complete multiple concurrent sessions with
-    /// results identical to the in-process `SessionEngine` oracle.
+    /// results identical to the in-process oracle.
     #[test]
-    fn three_party_engines_match_the_session_engine_oracle() {
+    fn three_party_engines_match_the_in_process_oracle() {
         let master = Seed::from_u64(2024);
         let parts = partitions();
         let plans = vec![

@@ -12,10 +12,12 @@
 //! protocol step at a time. Driven this way over the default in-memory
 //! transport, the machines produce **byte-identical envelopes** to the
 //! pre-refactor session (pinned by the golden-trace integration test), so
-//! recorded protocol traces remain a valid oracle. For concurrent,
-//! chunked, or alternative-transport workloads use
-//! [`SessionEngine`](super::engine) instead, which schedules the same
-//! machines with round-robin fairness and bounded buffering.
+//! recorded protocol traces remain a valid oracle. It is the one
+//! scheduler left that uses bare (unprefixed) topics. For concurrent,
+//! chunked, or alternative-transport workloads use a
+//! [`ShardedEngine`](super::sharded::ShardedEngine) instead (one transport
+//! is one shard), which schedules the same machines with round-robin
+//! fairness and bounded buffering under `s{id}/` topics.
 
 use ppc_net::{CommReport, Network, PartyId};
 

@@ -2,36 +2,31 @@
 //!
 //! [`ShardedEngine`] partitions N clustering sessions across a pool of
 //! worker threads ("shards"), each worker driving its sessions' party
-//! machines over its own [`WaitTransport`]. Where the single-threaded
-//! [`SessionEngine`](super::engine::SessionEngine) spins fair round-robin
-//! turns, a shard worker *parks* when a full scheduling round makes no
-//! progress: it blocks in [`WaitTransport::receive_any_of`] — a condvar
-//! wait on the in-memory network and the socket transports, so idle shards
-//! burn no CPU — until the next envelope arrives or its stall budget runs
-//! out.
+//! machines over its own [`WaitTransport`] on the engine round of
+//! [`engine`](super::engine): fair round-robin turns, and a park in
+//! [`WaitTransport::receive_any_of`] when a full round makes no progress,
+//! until the next envelope arrives or the stall budget runs out. One
+//! transport is one shard: `ShardedEngine::new(vec![transport])` is the
+//! in-process engine, and the oracle every other run is compared against.
 //!
 //! Sessions are hash-sharded by session id (`id % shards`); every session
-//! keeps the engine's `s{id}/` topic prefix with its *global* id, so any
-//! number of shards can share one socket router without topic collisions.
+//! carries the `s{id}/` topic prefix with its *global* id, so any number
+//! of shards can share one socket router without topic collisions.
 //! Results come back in session order, with per-shard scheduling stats
 //! rolled up next to the per-session `peak_buffered_rows` the chunk window
-//! bounds.
-//!
-//! The sequential [`SessionEngine`](super::engine::SessionEngine) remains
-//! the oracle: a sharded run over any transport must produce exactly the
-//! results a single-threaded run produces (the integration tests in
-//! `tests/sharded.rs` enforce this over in-memory, simulated-WAN and
-//! loopback-TCP transports).
+//! bounds. The first error in a shard aborts that shard.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use ppc_net::{
-    DeliveryReporter, DeliveryStats, PartyId, WaitStats, WaitStatsReporter, WaitTransport,
-};
+use ppc_net::{Envelope, PartyId, WaitStats, WaitStatsReporter, WaitTransport};
 
 use crate::error::CoreError;
 use crate::protocol::derive_cache::{DerivationCache, DerivationCacheStats};
-use crate::protocol::engine::{EngineOutcome, PartyRuntime, SessionSpec};
+use crate::protocol::engine::{
+    EngineOutcome, PartyRuntime, RoundPolicy, SessionSpec, ShardRound, TurnError,
+};
+use crate::protocol::topic::Topic;
 
 /// What one shard worker returns: its sessions' outcomes (tagged with
 /// their global ids) plus the shard's scheduling stats.
@@ -58,8 +53,8 @@ pub struct ShardStats {
 /// A completed sharded run: per-session outcomes plus per-shard stats.
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// Outcomes in global session order (identical to what the
-    /// single-threaded engine returns for the same specs).
+    /// Outcomes in global session order (identical to what a one-shard
+    /// engine returns for the same specs).
     pub outcomes: Vec<EngineOutcome>,
     /// One stats record per shard, in shard order.
     pub shards: Vec<ShardStats>,
@@ -112,7 +107,9 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
     }
 
     /// Replaces the shared derivation cache (`None` disables memoisation —
-    /// the benchmark baseline).
+    /// every session then derives every prefix fresh, the benchmark
+    /// baseline). Pass a clone of another engine's cache to share entries
+    /// across engines.
     pub fn set_derivation_cache(&mut self, cache: Option<DerivationCache>) {
         self.cache = cache;
     }
@@ -136,8 +133,7 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
     /// transport, or `None` when no transport tracks them. Next to
     /// [`ShardStats::blocking_waits`] (parks the *scheduler* decided on)
     /// this reports what the *transport* actually did with those parks —
-    /// how many ended in a wakeup versus a timeout — which is the number
-    /// the reactor-vs-blocking benches compare.
+    /// how many ended in a wakeup versus a timeout.
     pub fn transport_wait_stats(&self) -> Option<WaitStats>
     where
         T: WaitStatsReporter,
@@ -151,26 +147,6 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
             }
         }
         any.then_some(total)
-    }
-
-    /// Aggregated delivery-path statistics (buffer-pool and queue-node
-    /// hit rates, batched wakes) across every shard's transport, or `None`
-    /// when no transport tracks them — in-memory networks don't, socket
-    /// transports do.
-    pub fn transport_delivery_stats(&self) -> Option<DeliveryStats>
-    where
-        T: DeliveryReporter,
-    {
-        let mut total: Option<DeliveryStats> = None;
-        for transport in &self.transports {
-            if let Some(stats) = transport.delivery_stats() {
-                match &mut total {
-                    Some(total) => total.merge(&stats),
-                    None => total = Some(stats),
-                }
-            }
-        }
-        total
     }
 
     /// Queues a session, returning its global id.
@@ -187,11 +163,6 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
     /// Whether no sessions are queued.
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
-    }
-
-    /// The shard that will drive session `id` (hash-sharding by id).
-    pub fn shard_of(&self, id: usize) -> usize {
-        id % self.transports.len()
     }
 
     /// Overrides the stall budget: a worker errors out after
@@ -211,28 +182,10 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
     /// fails, the first error (in shard order) is returned after all
     /// workers have stopped.
     pub fn run(&mut self) -> Result<ShardedRun, CoreError> {
-        let shard_count = self.transports.len();
-        let mut assignments: Vec<Vec<(usize, SessionSpec)>> = vec![Vec::new(); shard_count];
-        for (id, spec) in self.specs.iter().enumerate() {
-            assignments[id % shard_count].push((id, spec.clone()));
-        }
-
-        let idle_wait = self.idle_wait;
-        let max_idle_waits = self.max_idle_waits;
-        let transports = &self.transports;
-        let cache = &self.cache;
-
+        let engine = &*self;
         let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = transports
-                .iter()
-                .zip(assignments)
-                .enumerate()
-                .map(|(shard, (transport, sessions))| {
-                    let cache = cache.clone();
-                    scope.spawn(move || {
-                        drive_shard(shard, transport, sessions, idle_wait, max_idle_waits, cache)
-                    })
-                })
+            let handles: Vec<_> = (0..engine.transports.len())
+                .map(|shard| scope.spawn(move || drive_shard(engine, shard)))
                 .collect();
             handles
                 .into_iter()
@@ -243,143 +196,106 @@ impl<T: WaitTransport + Sync> ShardedEngine<T> {
                 .collect()
         });
 
-        let mut outcomes: Vec<Option<EngineOutcome>> =
-            (0..self.specs.len()).map(|_| None).collect();
-        let mut shards = Vec::with_capacity(shard_count);
+        let mut tagged = Vec::with_capacity(self.specs.len());
+        let mut shards = Vec::with_capacity(shard_results.len());
         for result in shard_results {
-            let (shard_outcomes, stats) = result?;
-            for (id, outcome) in shard_outcomes {
-                outcomes[id] = Some(outcome);
-            }
+            let (outcomes, stats) = result?;
+            tagged.extend(outcomes);
             shards.push(stats);
         }
-        let outcomes = outcomes
-            .into_iter()
-            .map(|o| o.expect("every session id was assigned to exactly one shard"))
-            .collect();
+        tagged.sort_unstable_by_key(|&(id, _)| id);
+        let outcomes = tagged.into_iter().map(|(_, outcome)| outcome).collect();
         Ok(ShardedRun { outcomes, shards })
     }
 }
 
-/// One worker: drives `sessions` over `transport` until all complete.
-///
-/// The loop mirrors [`SessionEngine::run`](super::engine::SessionEngine):
-/// pump the transport, give every live session one fair turn, flush — but
-/// where the single-threaded engine would spin on an idle round, the
-/// worker parks in a condvar-blocking receive until traffic arrives.
-fn drive_shard<T: WaitTransport>(
-    shard: usize,
-    transport: &T,
-    sessions: Vec<(usize, SessionSpec)>,
-    idle_wait: Duration,
+/// One worker's policy: sessions route by their `s{id}/` prefix, the first
+/// error aborts the shard, and the stall budget is `max_idle_waits` empty
+/// parks in a row.
+struct Shard<'t, T> {
+    index: usize,
+    round: ShardRound<'t, T>,
     max_idle_waits: u32,
-    cache: Option<DerivationCache>,
-) -> ShardResult {
-    let mut stats = ShardStats {
-        shard,
-        sessions: sessions.iter().map(|(id, _)| *id).collect(),
-        ..ShardStats::default()
-    };
-    // Sessions always carry their global `s{id}/` prefix: ids are unique
-    // across shards, so shards can share one router or WAN without their
-    // topics colliding.
-    let mut runtimes: Vec<(usize, PartyRuntime)> = sessions
-        .iter()
-        .map(|(id, spec)| {
-            Ok((
-                *id,
-                PartyRuntime::build(spec, format!("s{id}/"), cache.clone())?,
-            ))
-        })
-        .collect::<Result<_, CoreError>>()?;
-    let parties: Vec<PartyId> = {
-        let mut parties: Vec<PartyId> = runtimes
-            .iter()
-            .flat_map(|(_, r)| r.parties().collect::<Vec<_>>())
-            .collect();
-        parties.sort();
-        parties.dedup();
-        parties
-    };
+}
 
-    let route = |runtimes: &mut Vec<(usize, PartyRuntime)>,
-                 envelope: ppc_net::Envelope|
-     -> Result<(), CoreError> {
-        let (_, target) = runtimes
-            .iter_mut()
-            .find(|(_, r)| r.accepts(&envelope.topic))
-            .ok_or_else(|| {
-                CoreError::Protocol(format!(
-                    "shard {shard}: no session claims topic '{}'",
-                    envelope.topic
-                ))
-            })?;
-        target.enqueue(envelope)
-    };
+impl<'t, T: WaitTransport> RoundPolicy<'t, T> for Shard<'t, T> {
+    fn round(&mut self) -> &mut ShardRound<'t, T> {
+        &mut self.round
+    }
 
-    let mut idle_waits = 0u32;
-    while runtimes.iter().any(|(_, r)| !r.is_done()) {
-        stats.rounds += 1;
-        let mut progressed = false;
-
-        // Pump everything currently queued on the transport.
-        for &party in &parties {
-            while let Some(envelope) = transport.try_receive(party)? {
-                route(&mut runtimes, envelope)?;
-                progressed = true;
-            }
-        }
-
-        // One fair turn per live session.
-        for (_, runtime) in runtimes.iter_mut() {
-            if runtime.is_done() {
-                continue;
-            }
-            let turn = runtime.turn()?;
-            progressed |= turn.progressed;
-            stats.messages_sent += turn.outgoing.len() as u64;
-            for envelope in turn.outgoing {
-                transport.send(envelope)?;
-            }
-        }
-        transport.flush()?;
-
-        if progressed {
-            idle_waits = 0;
-            continue;
-        }
-
-        // Nothing moved: park until traffic arrives (condvar wait on the
-        // in-memory and socket transports — no spinning).
-        stats.blocking_waits += 1;
-        match transport.receive_any_of(&parties, idle_wait)? {
-            Some(envelope) => {
-                route(&mut runtimes, envelope)?;
-                idle_waits = 0;
-            }
-            None => {
-                idle_waits += 1;
-                if idle_waits > max_idle_waits {
-                    let stuck: Vec<usize> = runtimes
-                        .iter()
-                        .filter(|(_, r)| !r.is_done())
-                        .map(|(id, _)| *id)
-                        .collect();
-                    return Err(CoreError::Protocol(format!(
-                        "shard {shard} stalled with unfinished sessions {stuck:?}"
-                    )));
-                }
-            }
+    fn route(&mut self, envelope: Envelope) -> Result<(), CoreError> {
+        match Topic::session_prefix_id(&envelope.topic)
+            .and_then(|id| self.round.sessions.get_mut(&id))
+        {
+            Some(runtime) => runtime.enqueue(envelope),
+            None => Err(CoreError::Protocol(format!(
+                "shard {}: no session claims topic '{}'",
+                self.index, envelope.topic
+            ))),
         }
     }
 
-    let mut outcomes = Vec::with_capacity(runtimes.len());
-    for (id, runtime) in runtimes {
+    fn turned(&mut self, _: u64, result: Result<(), TurnError>) -> Result<bool, CoreError> {
+        result?;
+        Ok(false)
+    }
+
+    fn complete(&self) -> bool {
+        self.round.sessions.values().all(PartyRuntime::is_done)
+    }
+
+    fn parked_empty(&mut self, idle_waits: u32) -> Result<(), CoreError> {
+        if idle_waits <= self.max_idle_waits {
+            return Ok(());
+        }
+        Err(CoreError::Protocol(format!(
+            "shard {} stalled with unfinished sessions {:?}",
+            self.index,
+            self.round.unfinished()
+        )))
+    }
+}
+
+/// Worker `index`: drives the sessions whose id modulo the shard count is
+/// `index` over its transport until all complete, then extracts their
+/// outcomes.
+fn drive_shard<T: WaitTransport>(engine: &ShardedEngine<T>, index: usize) -> ShardResult {
+    let ids: Vec<usize> = (index..engine.specs.len())
+        .step_by(engine.transports.len())
+        .collect();
+    let runtimes = ids
+        .iter()
+        .map(|&id| {
+            let runtime = PartyRuntime::build(&engine.specs[id], id as u64, engine.cache.clone())?;
+            Ok((id as u64, runtime))
+        })
+        .collect::<Result<BTreeMap<_, _>, CoreError>>()?;
+    let mut parties: Vec<PartyId> = runtimes.values().flat_map(PartyRuntime::parties).collect();
+    parties.sort();
+    parties.dedup();
+    let mut shard = Shard {
+        index,
+        round: ShardRound::new(&engine.transports[index], parties, runtimes),
+        max_idle_waits: engine.max_idle_waits,
+    };
+    shard.drive(engine.idle_wait)?;
+
+    let round = shard.round;
+    let mut stats = ShardStats {
+        shard: index,
+        sessions: ids,
+        rounds: round.rounds,
+        blocking_waits: round.blocking_waits,
+        messages_sent: round.messages_sent,
+        peak_buffered_rows: 0,
+    };
+    let mut outcomes = Vec::with_capacity(round.sessions.len());
+    for (id, runtime) in round.sessions {
         let outcome = runtime.finish()?;
         stats.peak_buffered_rows = stats
             .peak_buffered_rows
             .max(outcome.stats.peak_buffered_rows);
-        outcomes.push((id, outcome));
+        outcomes.push((id as usize, outcome));
     }
     Ok((outcomes, stats))
 }
@@ -396,7 +312,7 @@ mod tests {
     use crate::schema::{AttributeDescriptor, Schema};
     use crate::value::AttributeValue;
     use ppc_crypto::Seed;
-    use ppc_net::Network;
+    use ppc_net::{NetError, Network, Transport};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -435,19 +351,32 @@ mod tests {
         }
     }
 
+    /// An in-memory network on which the third party never receives
+    /// anything, so every session it takes part in stalls.
+    struct DeafThirdParty(Network);
+
+    impl Transport for DeafThirdParty {
+        fn send(&self, envelope: Envelope) -> Result<(), NetError> {
+            self.0.send(envelope)
+        }
+
+        fn try_receive(&self, receiver: PartyId) -> Result<Option<Envelope>, NetError> {
+            if receiver == PartyId::ThirdParty {
+                return Ok(None);
+            }
+            self.0.try_receive(receiver)
+        }
+
+        fn flush(&self) -> Result<(), NetError> {
+            Ok(())
+        }
+    }
+
+    impl WaitTransport for DeafThirdParty {}
+
     #[test]
     fn empty_transport_list_is_rejected() {
         assert!(ShardedEngine::<Network>::new(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn sessions_hash_shard_by_id() {
-        let engine =
-            ShardedEngine::new(vec![Network::with_parties(3), Network::with_parties(3)]).unwrap();
-        assert_eq!(engine.shards(), 2);
-        assert_eq!(engine.shard_of(0), 0);
-        assert_eq!(engine.shard_of(1), 1);
-        assert_eq!(engine.shard_of(4), 0);
     }
 
     #[test]
@@ -455,6 +384,7 @@ mod tests {
         let seeds = [11u64, 12, 13, 14];
         let mut engine =
             ShardedEngine::new(vec![Network::with_parties(3), Network::with_parties(3)]).unwrap();
+        assert_eq!(engine.shards(), 2);
         for &seed in &seeds {
             engine.add_session(spec(seed, Some(1)));
         }
@@ -480,11 +410,43 @@ mod tests {
         }
     }
 
+    /// A shard whose third party never hears anything parks until its
+    /// stall budget is spent, then names every unfinished session.
     #[test]
     fn a_stalled_shard_reports_its_sessions() {
-        // A transport with no parties registered errors on first receive.
-        let mut engine = ShardedEngine::new(vec![Network::new()]).unwrap();
+        let mut engine =
+            ShardedEngine::new(vec![DeafThirdParty(Network::with_parties(3))]).unwrap();
         engine.add_session(spec(1, None));
-        assert!(engine.run().is_err());
+        engine.add_session(spec(2, Some(1)));
+        engine.set_stall_budget(Duration::from_millis(2), 3);
+        let err = engine.run().unwrap_err().to_string();
+        assert!(
+            err.contains("shard 0 stalled with unfinished sessions [0, 1]"),
+            "{err}"
+        );
+    }
+
+    /// Routing is by the `s{id}/` prefix alone: a frame for a session the
+    /// shard does not drive, or with a bare topic, fails the shard.
+    #[test]
+    fn a_frame_for_no_session_of_the_shard_is_rejected() {
+        for topic in ["s7/clustering-choice", "clustering-choice"] {
+            let network = Network::with_parties(3);
+            network
+                .send(Envelope::new(
+                    PartyId::DataHolder(1),
+                    PartyId::DataHolder(0),
+                    topic,
+                    Vec::new(),
+                ))
+                .unwrap();
+            let mut engine = ShardedEngine::new(vec![network]).unwrap();
+            engine.add_session(spec(1, None));
+            let err = engine.run().unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("shard 0: no session claims topic '{topic}'")),
+                "{err}"
+            );
+        }
     }
 }

@@ -217,8 +217,9 @@ fn engine_traffic_obeys_the_grammar() {
     use ppc_core::alphabet::Alphabet;
     use ppc_core::matrix::{DataMatrix, HorizontalPartition};
     use ppc_core::protocol::driver::ClusteringRequest;
-    use ppc_core::protocol::engine::{SessionEngine, SessionSpec};
+    use ppc_core::protocol::engine::SessionSpec;
     use ppc_core::protocol::party::TrustedSetup;
+    use ppc_core::protocol::sharded::ShardedEngine;
     use ppc_core::protocol::ProtocolConfig;
     use ppc_core::record::Record;
     use ppc_core::schema::{AttributeDescriptor, Schema};
@@ -255,7 +256,7 @@ fn engine_traffic_obeys_the_grammar() {
     ];
     let setup = TrustedSetup::deterministic(partitions, &Seed::from_u64(9)).unwrap();
     let transport = Instrumented::new(Network::with_parties(2));
-    let mut engine = SessionEngine::new(transport);
+    let mut engine = ShardedEngine::new(vec![transport]).unwrap();
     for chunk in [None, Some(1)] {
         engine.add_session(SessionSpec {
             schema: schema.clone(),
@@ -279,13 +280,11 @@ fn engine_traffic_obeys_the_grammar() {
             PartyId::DataHolder(1),
             PartyId::ThirdParty,
         ] {
-            engine
-                .transport()
-                .set_channel_security(a, b, ChannelSecurity::Plaintext);
+            engine.transports()[0].set_channel_security(a, b, ChannelSecurity::Plaintext);
         }
     }
     engine.run().unwrap();
-    let captured = engine.transport().eavesdropped();
+    let captured = engine.transports()[0].eavesdropped();
     assert!(!captured.is_empty());
     for envelope in captured {
         let parsed = Topic::parse(&envelope.topic)
@@ -293,7 +292,7 @@ fn engine_traffic_obeys_the_grammar() {
         match parsed {
             Topic::Session { id: Some(id), .. } => assert!(id < 2, "id {id} out of range"),
             Topic::Session { id: None, .. } => panic!(
-                "multi-session engine must prefix every topic, got '{}'",
+                "the engine must prefix every topic, got '{}'",
                 envelope.topic
             ),
             Topic::Control { .. } => panic!("engine emitted a control topic"),

@@ -10,15 +10,6 @@ pub enum NetError {
     /// A message was addressed to (or expected from) a party that was never
     /// registered with the network.
     UnknownParty(PartyId),
-    /// No message matching the requested sender/topic is queued.
-    NoMessage {
-        /// The receiving party.
-        receiver: PartyId,
-        /// The expected sender.
-        sender: PartyId,
-        /// The expected topic.
-        topic: String,
-    },
     /// Wire decoding failed (truncated or malformed payload).
     Decode(String),
     /// A party was registered twice.
@@ -48,14 +39,6 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::UnknownParty(p) => write!(f, "unknown party {p}"),
-            NetError::NoMessage {
-                receiver,
-                sender,
-                topic,
-            } => write!(
-                f,
-                "no message for {receiver} from {sender} with topic '{topic}'"
-            ),
             NetError::Decode(msg) => write!(f, "wire decode error: {msg}"),
             NetError::DuplicateParty(p) => write!(f, "party {p} registered twice"),
             NetError::Io(msg) => write!(f, "stream i/o error: {msg}"),
@@ -77,14 +60,15 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = NetError::NoMessage {
-            receiver: PartyId::ThirdParty,
-            sender: PartyId::DataHolder(2),
-            topic: "numeric/age".into(),
+        let e = NetError::PeerUnreachable {
+            party: PartyId::DataHolder(2),
+            detail: "connection refused".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("numeric/age"));
-        assert!(s.contains("TP"));
         assert!(s.contains("DH2"));
+        assert!(s.contains("connection refused"));
+        assert!(NetError::UnknownParty(PartyId::ThirdParty)
+            .to_string()
+            .contains("TP"));
     }
 }

@@ -11,8 +11,8 @@
 //! * [`codec`] — a compact binary wire format so byte counts are meaningful.
 //! * [`transport::Transport`] — the transport abstraction every higher layer
 //!   programs against (send / try_receive / flush).
-//! * [`transport::Network`] / [`transport::Endpoint`] — an in-memory network
-//!   with per-link byte/message accounting and per-link security settings.
+//! * [`transport::Network`] — an in-memory network with per-link
+//!   byte/message accounting and per-link security settings.
 //! * [`sim::SimulatedWan`] — a virtual-clock latency/bandwidth/loss wrapper
 //!   around any transport, for the cost experiments.
 //! * [`framed`] — length-prefixed envelope frames over `io::Read + Write`
@@ -77,8 +77,7 @@ pub use framed::{
 };
 pub use message::{ChannelSecurity, Envelope};
 pub use metrics::{
-    CommReport, DeliveryReporter, DeliveryStats, LinkStats, SealingReport, SealingReporter,
-    SealingStats, WaitStats, WaitStatsReporter,
+    CommReport, DeliveryStats, LinkStats, SealingReport, SealingStats, WaitStats, WaitStatsReporter,
 };
 pub use party::PartyId;
 pub use secure::{ChannelKeyring, ChannelOpener, ChannelSealer, SecurityMode, SEALED_TOPIC};
@@ -88,4 +87,4 @@ pub use socket::{
 };
 #[cfg(unix)]
 pub use socket::{UdsAcceptor, UdsRouter, UdsTransport};
-pub use transport::{Endpoint, Instrumented, Network, Transport, WaitTransport};
+pub use transport::{Instrumented, Network, Transport, WaitTransport};

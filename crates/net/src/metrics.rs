@@ -125,17 +125,6 @@ impl SealingReport {
     }
 }
 
-/// Transports that can report sealing-tier statistics.
-///
-/// Implemented by the socket transports (whose sealer/opener count real
-/// AEAD work) and forwarded by wrappers like
-/// [`Instrumented`](crate::Instrumented), so harnesses ask the top of the
-/// stack regardless of how the transport is layered.
-pub trait SealingReporter {
-    /// Per-link sealing stats, or `None` when the transport runs plaintext.
-    fn sealing_report(&self) -> Option<SealingReport>;
-}
-
 /// Condvar statistics of a transport's receive path: how often workers
 /// parked waiting for frames and how many of those parks ended in a
 /// notification (the rest timed out); benches record both numbers next to
@@ -158,8 +147,8 @@ impl WaitStats {
 
 /// Transports that can report receive-path condvar statistics.
 ///
-/// Implemented by the socket transports and the in-memory [`crate::Network`]
-/// endpoints, and forwarded by wrappers like
+/// Implemented by the socket transports and the in-memory
+/// [`crate::Network`], and forwarded by wrappers like
 /// [`Instrumented`](crate::Instrumented), so harnesses ask the top of the
 /// stack regardless of how the transport is layered.
 pub trait WaitStatsReporter {
@@ -205,18 +194,6 @@ impl DeliveryStats {
             self.pool_hits as f64 / total as f64
         }
     }
-}
-
-/// Transports that can report delivery-path statistics.
-///
-/// Implemented by the socket transports (whose inbox and buffer pool
-/// count real recycling work) and forwarded by wrappers like
-/// [`Instrumented`](crate::Instrumented), so harnesses ask the top of the
-/// stack regardless of how the transport is layered.
-pub trait DeliveryReporter {
-    /// Delivery-path counters, or `None` when the transport has no
-    /// socket delivery path.
-    fn delivery_stats(&self) -> Option<DeliveryStats>;
 }
 
 /// A snapshot of all communication that has happened on a [`crate::Network`].

@@ -1592,21 +1592,9 @@ impl<S: SocketStream> SocketTransport<S> {
     }
 }
 
-impl<S: SocketStream> crate::metrics::SealingReporter for SocketTransport<S> {
-    fn sealing_report(&self) -> Option<SealingReport> {
-        SocketTransport::sealing_report(self)
-    }
-}
-
 impl<S: SocketStream> crate::metrics::WaitStatsReporter for SocketTransport<S> {
     fn wait_stats(&self) -> Option<WaitStats> {
         Some(SocketTransport::wait_stats(self))
-    }
-}
-
-impl<S: SocketStream> crate::metrics::DeliveryReporter for SocketTransport<S> {
-    fn delivery_stats(&self) -> Option<DeliveryStats> {
-        Some(SocketTransport::delivery_stats(self))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Transport abstraction and the in-memory network implementation.
 //!
 //! [`Transport`] is the seam every higher layer programs against: the
-//! multi-session [`SessionEngine`](../../ppc-core) drives any transport, and
+//! protocol engines of `ppc-core` drive any [`WaitTransport`], and
 //! metrics/eavesdropping attach to the trait (via [`Instrumented`]) rather
 //! than to a concrete struct. Three implementations ship with the crate:
 //!
@@ -170,29 +170,13 @@ impl Network {
     }
 
     /// Registers a party, creating its inbox.
-    pub fn register(&self, party: PartyId) -> Result<Endpoint, NetError> {
+    pub fn register(&self, party: PartyId) -> Result<(), NetError> {
         let mut inner = self.inner.lock();
         if inner.queues.contains_key(&party) {
             return Err(NetError::DuplicateParty(party));
         }
         inner.queues.insert(party, VecDeque::new());
-        Ok(Endpoint {
-            party,
-            network: self.clone(),
-        })
-    }
-
-    /// Returns an endpoint for an already-registered party.
-    pub fn endpoint(&self, party: PartyId) -> Result<Endpoint, NetError> {
-        let inner = self.inner.lock();
-        if inner.queues.contains_key(&party) {
-            Ok(Endpoint {
-                party,
-                network: self.clone(),
-            })
-        } else {
-            Err(NetError::UnknownParty(party))
-        }
+        Ok(())
     }
 
     /// Lists registered parties in stable order.
@@ -261,97 +245,10 @@ impl Network {
         Ok(())
     }
 
-    /// Removes and returns the first queued message for `receiver` matching
-    /// `sender` and `topic`.
-    pub fn receive(
-        &self,
-        receiver: PartyId,
-        sender: PartyId,
-        topic: &str,
-    ) -> Result<Envelope, NetError> {
-        let mut inner = self.inner.lock();
-        let queue = inner
-            .queues
-            .get_mut(&receiver)
-            .ok_or(NetError::UnknownParty(receiver))?;
-        if let Some(pos) = queue
-            .iter()
-            .position(|e| e.from == sender && e.topic == topic)
-        {
-            Ok(queue.remove(pos).expect("position valid"))
-        } else {
-            Err(NetError::NoMessage {
-                receiver,
-                sender,
-                topic: topic.to_string(),
-            })
-        }
-    }
-
     /// Removes and returns the next queued message for `receiver`, if any.
     pub fn receive_any(&self, receiver: PartyId) -> Option<Envelope> {
         let mut inner = self.inner.lock();
         inner.queues.get_mut(&receiver)?.pop_front()
-    }
-
-    /// Blocking variant of [`receive`](Self::receive): parks the calling
-    /// thread on a condition variable until a matching message arrives or
-    /// `timeout` elapses, so idle parties burn no CPU while they wait.
-    pub fn receive_blocking(
-        &self,
-        receiver: PartyId,
-        sender: PartyId,
-        topic: &str,
-        timeout: Duration,
-    ) -> Result<Envelope, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            let queue = inner
-                .queues
-                .get_mut(&receiver)
-                .ok_or(NetError::UnknownParty(receiver))?;
-            if let Some(pos) = queue
-                .iter()
-                .position(|e| e.from == sender && e.topic == topic)
-            {
-                return Ok(queue.remove(pos).expect("position valid"));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::NoMessage {
-                    receiver,
-                    sender,
-                    topic: topic.to_string(),
-                });
-            }
-            let (guard, _) = self.arrivals.wait_timeout(inner, deadline - now);
-            inner = guard;
-        }
-    }
-
-    /// Blocking variant of [`receive_any`](Self::receive_any): parks until
-    /// any message is queued for `receiver` or `timeout` elapses.
-    pub fn receive_any_blocking(&self, receiver: PartyId, timeout: Duration) -> Option<Envelope> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(envelope) = inner.queues.get_mut(&receiver)?.pop_front() {
-                return Some(envelope);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.arrivals.wait_timeout(inner, deadline - now);
-            inner = guard;
-        }
-    }
-
-    /// Number of queued (undelivered) messages for `receiver`.
-    pub fn pending(&self, receiver: PartyId) -> usize {
-        let inner = self.inner.lock();
-        inner.queues.get(&receiver).map(|q| q.len()).unwrap_or(0)
     }
 
     /// Snapshot of the communication counters.
@@ -367,12 +264,6 @@ impl Network {
     /// Envelopes captured on plaintext channels so far.
     pub fn eavesdropped(&self) -> Vec<Envelope> {
         self.inner.lock().eavesdropper.captured().to_vec()
-    }
-}
-
-impl crate::metrics::SealingReporter for Network {
-    fn sealing_report(&self) -> Option<crate::metrics::SealingReport> {
-        None
     }
 }
 
@@ -529,12 +420,6 @@ impl<T: Transport> Instrumented<T> {
     }
 }
 
-impl<T: crate::metrics::SealingReporter> crate::metrics::SealingReporter for Instrumented<T> {
-    fn sealing_report(&self) -> Option<crate::metrics::SealingReport> {
-        self.inner.sealing_report()
-    }
-}
-
 impl<T: crate::metrics::WaitStatsReporter> crate::metrics::WaitStatsReporter for Instrumented<T> {
     fn wait_stats(&self) -> Option<crate::metrics::WaitStats> {
         self.inner.wait_stats()
@@ -581,53 +466,24 @@ impl<T: WaitTransport> WaitTransport for Instrumented<T> {
     }
 }
 
-/// A party-scoped handle used by protocol role implementations.
-#[derive(Debug, Clone)]
-pub struct Endpoint {
-    party: PartyId,
-    network: Network,
-}
-
-impl Endpoint {
-    /// The party this endpoint belongs to.
-    pub fn party(&self) -> PartyId {
-        self.party
-    }
-
-    /// Sends `payload` to `to` under `topic`.
-    pub fn send(
-        &self,
-        to: PartyId,
-        topic: impl Into<String>,
-        payload: Vec<u8>,
-    ) -> Result<(), NetError> {
-        self.network
-            .send(Envelope::new(self.party, to, topic, payload))
-    }
-
-    /// Receives the message sent by `from` under `topic`.
-    pub fn receive(&self, from: PartyId, topic: &str) -> Result<Envelope, NetError> {
-        self.network.receive(self.party, from, topic)
-    }
-
-    /// Access to the underlying network (for stats and configuration).
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// An envelope from `DH0` to `to` under `topic`.
+    fn from_dh0(to: PartyId, topic: &str, payload: Vec<u8>) -> Envelope {
+        Envelope::new(PartyId::DataHolder(0), to, topic, payload)
+    }
+
     #[test]
     fn registration_and_duplicate_detection() {
         let net = Network::new();
-        let a = net.register(PartyId::DataHolder(0)).unwrap();
-        assert_eq!(a.party(), PartyId::DataHolder(0));
-        assert!(net.register(PartyId::DataHolder(0)).is_err());
-        assert!(net.endpoint(PartyId::DataHolder(0)).is_ok());
-        assert!(net.endpoint(PartyId::ThirdParty).is_err());
+        net.register(PartyId::DataHolder(0)).unwrap();
+        assert_eq!(
+            net.register(PartyId::DataHolder(0)),
+            Err(NetError::DuplicateParty(PartyId::DataHolder(0)))
+        );
+        assert_eq!(net.parties(), vec![PartyId::DataHolder(0)]);
     }
 
     #[test]
@@ -645,35 +501,20 @@ mod tests {
     }
 
     #[test]
-    fn send_receive_by_topic_and_sender() {
-        let net = Network::with_parties(2);
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        let dh1 = net.endpoint(PartyId::DataHolder(1)).unwrap();
-        dh0.send(PartyId::DataHolder(1), "a", vec![1]).unwrap();
-        dh0.send(PartyId::DataHolder(1), "b", vec![2, 2]).unwrap();
-        // Out-of-order retrieval by topic works.
-        let b = dh1.receive(PartyId::DataHolder(0), "b").unwrap();
-        assert_eq!(b.payload, vec![2, 2]);
-        let a = dh1.receive(PartyId::DataHolder(0), "a").unwrap();
-        assert_eq!(a.payload, vec![1]);
-        assert!(dh1.receive(PartyId::DataHolder(0), "a").is_err());
-        assert_eq!(net.pending(PartyId::DataHolder(1)), 0);
-    }
-
-    #[test]
     fn sending_to_unknown_party_fails() {
         let net = Network::with_parties(1);
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        assert!(dh0.send(PartyId::DataHolder(5), "x", vec![]).is_err());
+        assert_eq!(
+            net.send(from_dh0(PartyId::DataHolder(5), "x", vec![])),
+            Err(NetError::UnknownParty(PartyId::DataHolder(5)))
+        );
     }
 
     #[test]
     fn report_accumulates_and_resets() {
         let net = Network::with_parties(2);
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        dh0.send(PartyId::ThirdParty, "local-matrix", vec![0; 64])
+        net.send(from_dh0(PartyId::ThirdParty, "local-matrix", vec![0; 64]))
             .unwrap();
-        dh0.send(PartyId::DataHolder(1), "masked", vec![0; 32])
+        net.send(from_dh0(PartyId::DataHolder(1), "masked", vec![0; 32]))
             .unwrap();
         let report = net.report();
         assert_eq!(report.total_messages(), 2);
@@ -682,14 +523,13 @@ mod tests {
         net.reset_report();
         assert_eq!(net.report().total_messages(), 0);
         // Queues are preserved across a report reset.
-        assert_eq!(net.pending(PartyId::ThirdParty), 1);
+        assert!(net.receive_any(PartyId::ThirdParty).is_some());
     }
 
     #[test]
     fn eavesdropper_only_sees_plaintext_links() {
         let net = Network::with_parties(2);
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        dh0.send(PartyId::DataHolder(1), "secret", vec![9; 8])
+        net.send(from_dh0(PartyId::DataHolder(1), "secret", vec![9; 8]))
             .unwrap();
         assert!(net.eavesdropped().is_empty());
         net.set_channel_security(
@@ -701,48 +541,67 @@ mod tests {
             net.channel_security(PartyId::DataHolder(1), PartyId::DataHolder(0)),
             ChannelSecurity::Plaintext
         );
-        dh0.send(PartyId::DataHolder(1), "secret", vec![9; 8])
+        net.send(from_dh0(PartyId::DataHolder(1), "secret", vec![9; 8]))
             .unwrap();
         let captured = net.eavesdropped();
         assert_eq!(captured.len(), 1);
         assert_eq!(captured[0].topic, "secret");
     }
 
+    /// A receiver parked in `receive_any_of` wakes on the arrivals
+    /// condvar when an envelope is delivered, and the wait stats count
+    /// the park and its wakeup.
     #[test]
-    fn blocking_receive_wakes_on_arrival_without_polling() {
+    fn receive_any_of_wakes_on_arrival_without_polling() {
+        use crate::metrics::WaitStatsReporter;
+
         let net = Network::with_parties(2);
         let receiver = net.clone();
         let waiter = std::thread::spawn(move || {
             receiver
-                .receive_blocking(
-                    PartyId::DataHolder(1),
-                    PartyId::DataHolder(0),
-                    "late",
+                .receive_any_of(
+                    &[PartyId::ThirdParty, PartyId::DataHolder(1)],
                     Duration::from_secs(5),
                 )
                 .unwrap()
         });
-        // Let the waiter park, then deliver.
-        std::thread::sleep(Duration::from_millis(20));
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        dh0.send(PartyId::DataHolder(1), "late", vec![7]).unwrap();
-        let envelope = waiter.join().unwrap();
+        // Deliver only once the waiter is parked on the condvar.
+        while net.wait_stats().unwrap().blocking_waits == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        net.send(from_dh0(PartyId::DataHolder(1), "late", vec![7]))
+            .unwrap();
+        let envelope = waiter
+            .join()
+            .unwrap()
+            .expect("the delivery wakes the waiter");
         assert_eq!(envelope.payload, vec![7]);
+        let stats = net.wait_stats().unwrap();
+        assert!(stats.wakeups >= 1, "{stats:?}");
+        assert!(stats.wakeups <= stats.blocking_waits, "{stats:?}");
     }
 
+    /// With nothing queued, `receive_any_of` parks until its timeout and
+    /// returns `None`; its last park is counted as a timeout, not a
+    /// wakeup. An unregistered receiver is an error, not a wait.
     #[test]
-    fn blocking_receive_times_out_cleanly() {
+    fn receive_any_of_times_out_cleanly() {
+        use crate::metrics::WaitStatsReporter;
+
         let net = Network::with_parties(2);
-        let err = net.receive_blocking(
-            PartyId::DataHolder(1),
-            PartyId::DataHolder(0),
-            "never",
-            Duration::from_millis(10),
+        let started = Instant::now();
+        let received = net
+            .receive_any_of(&[PartyId::DataHolder(1)], Duration::from_millis(10))
+            .unwrap();
+        assert!(received.is_none());
+        assert!(started.elapsed() >= Duration::from_millis(10));
+        let stats = net.wait_stats().unwrap();
+        assert!(stats.blocking_waits >= 1, "{stats:?}");
+        assert!(stats.wakeups < stats.blocking_waits, "{stats:?}");
+        assert_eq!(
+            net.receive_any_of(&[PartyId::DataHolder(9)], Duration::from_millis(10)),
+            Err(NetError::UnknownParty(PartyId::DataHolder(9)))
         );
-        assert!(matches!(err, Err(NetError::NoMessage { .. })));
-        assert!(net
-            .receive_any_blocking(PartyId::DataHolder(1), Duration::from_millis(10))
-            .is_none());
     }
 
     #[test]
@@ -862,9 +721,10 @@ mod tests {
     #[test]
     fn receive_any_pops_in_fifo_order() {
         let net = Network::with_parties(2);
-        let dh0 = net.endpoint(PartyId::DataHolder(0)).unwrap();
-        dh0.send(PartyId::ThirdParty, "first", vec![]).unwrap();
-        dh0.send(PartyId::ThirdParty, "second", vec![]).unwrap();
+        net.send(from_dh0(PartyId::ThirdParty, "first", vec![]))
+            .unwrap();
+        net.send(from_dh0(PartyId::ThirdParty, "second", vec![]))
+            .unwrap();
         assert_eq!(net.receive_any(PartyId::ThirdParty).unwrap().topic, "first");
         assert_eq!(
             net.receive_any(PartyId::ThirdParty).unwrap().topic,

@@ -2,7 +2,7 @@
 //! (two data holders and the third party) connected over loopback TCP
 //! through a frame router must complete ≥ 4 concurrent sessions with
 //! clusters and final dissimilarity matrix **byte-identical** to the
-//! in-process `SessionEngine` oracle — sessions opened purely through the
+//! in-process oracle — sessions opened purely through the
 //! in-band `ctl/` control plane, secrets derived per process from the
 //! shared master seed.
 //!
@@ -24,8 +24,9 @@ use ppc_core::alphabet::Alphabet;
 use ppc_core::csv::to_csv;
 use ppc_core::matrix::{DataMatrix, HorizontalPartition};
 use ppc_core::protocol::driver::ClusteringRequest;
-use ppc_core::protocol::engine::{EngineOutcome, SessionEngine, SessionSpec};
+use ppc_core::protocol::engine::{EngineOutcome, SessionSpec};
 use ppc_core::protocol::party::TrustedSetup;
+use ppc_core::protocol::sharded::ShardedEngine;
 use ppc_core::protocol::ProtocolConfig;
 use ppc_core::record::Record;
 use ppc_core::schema::{AttributeDescriptor, Schema};
@@ -76,10 +77,10 @@ fn partitions() -> Vec<HorizontalPartition> {
 }
 
 /// The in-process oracle: the same four concurrent sessions multiplexed by
-/// one `SessionEngine` over the in-memory network.
+/// a one-shard `ShardedEngine` over the in-memory network.
 fn oracle() -> Vec<EngineOutcome> {
     let setup = TrustedSetup::deterministic(partitions(), &Seed::from_u64(MASTER)).unwrap();
-    let mut engine = SessionEngine::new(Network::with_parties(2));
+    let mut engine = ShardedEngine::new(vec![Network::with_parties(2)]).unwrap();
     for _ in 0..SESSIONS {
         engine.add_session(SessionSpec {
             schema: schema(),
@@ -94,7 +95,7 @@ fn oracle() -> Vec<EngineOutcome> {
             chunk_rows: Some(CHUNK),
         });
     }
-    engine.run().unwrap()
+    engine.run().unwrap().outcomes
 }
 
 fn spawn(args: &[String]) -> Child {

@@ -258,8 +258,9 @@ pub fn ci_slice() -> Vec<ChaosCell> {
     ]
 }
 
-/// Classifies an in-process engine run (`SessionEngine::run` or
-/// `ShardedEngine::run`) into the taxonomy.
+/// Classifies an in-process engine run (the outcomes of
+/// `ShardedEngine::run`, or [`Scenario::oracle`](crate::Scenario::oracle))
+/// into the taxonomy.
 pub fn classify_engine_result<E: std::fmt::Display>(
     result: Result<Vec<EngineOutcome>, E>,
 ) -> RunOutcome {

@@ -21,9 +21,10 @@ use rand::Rng;
 use ppc_cluster::Linkage;
 use ppc_core::csv::to_csv;
 use ppc_core::protocol::driver::ClusteringRequest;
-use ppc_core::protocol::engine::{EngineOutcome, SessionEngine, SessionSpec};
+use ppc_core::protocol::engine::{EngineOutcome, SessionSpec};
 use ppc_core::protocol::party::TrustedSetup;
 use ppc_core::protocol::party_engine::SessionPlan;
+use ppc_core::protocol::sharded::ShardedEngine;
 use ppc_core::protocol::{NumericMode, ProtocolConfig};
 use ppc_core::schema::WeightVector;
 use ppc_core::{Alphabet, HorizontalPartition, Schema};
@@ -411,14 +412,19 @@ impl Scenario {
             .collect()
     }
 
-    /// Runs the uninterrupted single-threaded in-process oracle over an
-    /// ideal in-memory network, returning outcomes in session order.
+    /// Runs the uninterrupted in-process oracle, a one-shard
+    /// [`ShardedEngine`] over an ideal in-memory network, returning
+    /// outcomes in session order.
     pub fn oracle(&self) -> Result<Vec<EngineOutcome>, String> {
-        let mut engine = SessionEngine::new(Network::with_parties(self.spec.sites));
+        let mut engine = ShardedEngine::new(vec![Network::with_parties(self.spec.sites)])
+            .map_err(|e| e.to_string())?;
         for spec in self.session_specs()? {
             engine.add_session(spec);
         }
-        engine.run().map_err(|e| e.to_string())
+        engine
+            .run()
+            .map(|run| run.outcomes)
+            .map_err(|e| e.to_string())
     }
 
     /// Writes one CSV per site into `dir` (`site0.csv`, `site1.csv`, …),

@@ -21,9 +21,10 @@
 //!   (`f64`-bit exact) comparisons against the in-process oracle.
 //!
 //! The three consumers are `tests/scenario_matrix.rs` (deterministic CI
-//! slice vs the [`SessionEngine`](ppc_core::protocol::engine::SessionEngine)
-//! oracle), the `ppc-party` process-level chaos harness, and the bench
-//! binaries that emit `BENCH_pr8.json`. See `docs/SCENARIOS.md`.
+//! slice vs the in-process oracle, [`Scenario::oracle`]: a one-shard
+//! [`ShardedEngine`](ppc_core::protocol::sharded::ShardedEngine)), the
+//! `ppc-party` process-level chaos harness, and the bench binaries that
+//! emit `BENCH_pr8.json`. See `docs/SCENARIOS.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,13 +11,15 @@
 //!   in-memory [`Network`] carries **all** sessions' traffic;
 //! * every session streams its pairwise blocks in 4-row chunks, so no
 //!   party ever buffers more than 4 rows of any cross-site block;
-//! * the engine schedules sessions round-robin, and each published result
-//!   is identical to what the in-memory reference driver computes.
+//! * the engine, one shard of a [`ShardedEngine`], schedules sessions
+//!   round-robin, and each published result is identical to what the
+//!   in-memory reference driver computes.
 
 use ppclust::cluster::Linkage;
 use ppclust::core::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
-use ppclust::core::protocol::engine::{SessionEngine, SessionSpec};
+use ppclust::core::protocol::engine::SessionSpec;
 use ppclust::core::protocol::party::TrustedSetup;
+use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::ProtocolConfig;
 use ppclust::crypto::Seed;
 use ppclust::data::Workload;
@@ -53,13 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // virtual clock but never reorder or drop protocol state.
     let profile = WanProfile::lossy_dsl();
     let wan = SimulatedWan::new(Network::with_parties(3), profile, 42)?;
-    let mut engine = SessionEngine::new(wan);
+    let mut engine = ShardedEngine::new(vec![wan])?;
     for spec in &specs {
         engine.add_session(spec.clone());
     }
 
     let started = std::time::Instant::now();
-    let outcomes = engine.run()?;
+    let outcomes = engine.run()?.outcomes;
     let elapsed = started.elapsed();
 
     println!("=== {SESSIONS} concurrent sessions over one simulated WAN ===\n");
@@ -81,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(outcome.stats.peak_buffered_rows <= CHUNK_ROWS);
     }
 
-    let wan_stats = engine.transport().stats();
+    let wan_stats = engine.transports()[0].stats();
     println!(
         "\nWAN: {} messages, {} retransmitted, {:.1} KiB on wire, {:.2} virtual seconds \
          ({} kbit/s, {} ms latency, {:.0}% loss)",

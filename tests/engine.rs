@@ -1,15 +1,16 @@
-//! Integration tests for the transport-abstracted protocol engine:
-//! golden-trace byte identity, engine/driver result equality, concurrent
-//! multi-session scheduling with bounded buffering, and alternative
-//! transports.
+//! Integration tests for the transport-abstracted protocol engine (a
+//! one-shard `ShardedEngine`): golden-trace byte identity, engine/driver
+//! result equality, concurrent multi-session scheduling with bounded
+//! buffering, and alternative transports.
 
 use ppclust::cluster::Linkage;
 use ppclust::core::alphabet::Alphabet;
 use ppclust::core::matrix::{DataMatrix, HorizontalPartition};
 use ppclust::core::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
-use ppclust::core::protocol::engine::{SessionEngine, SessionSpec};
+use ppclust::core::protocol::engine::SessionSpec;
 use ppclust::core::protocol::party::TrustedSetup;
 use ppclust::core::protocol::session::ClusteringSession;
+use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{NumericMode, ProtocolConfig};
 use ppclust::core::record::Record;
 use ppclust::core::schema::{AttributeDescriptor, Schema};
@@ -128,8 +129,9 @@ fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
 }
 
 /// A single-session engine over the default in-memory transport sends the
-/// same envelopes as the sequential session — byte-identical payloads and
-/// topics (the concurrent scheduler may interleave independent links
+/// same envelopes as the sequential session — byte-identical payloads, and
+/// topics identical once the engine's `s0/` session prefix is stripped
+/// (the concurrent scheduler may interleave independent links
 /// differently, so equality is as a multiset plus per-link order).
 #[test]
 fn single_session_engine_envelopes_match_the_oracle_session() {
@@ -145,7 +147,7 @@ fn single_session_engine_envelopes_match_the_oracle_session() {
     let mut session_trace = session.network().eavesdropped();
 
     let engine_network = all_plaintext_network(3);
-    let mut engine = SessionEngine::new(engine_network.clone());
+    let mut engine = ShardedEngine::new(vec![engine_network.clone()]).unwrap();
     engine.add_session(SessionSpec {
         schema: schema(),
         config: ProtocolConfig::default(),
@@ -154,8 +156,20 @@ fn single_session_engine_envelopes_match_the_oracle_session() {
         request: request.clone(),
         chunk_rows: None,
     });
-    let engine_outcome = &engine.run().unwrap()[0];
-    let mut engine_trace = engine_network.eavesdropped();
+    let engine_outcome = &engine.run().unwrap().outcomes[0];
+    // Every engine topic carries session 0's prefix; strip exactly that.
+    let mut engine_trace: Vec<Envelope> = engine_network
+        .eavesdropped()
+        .into_iter()
+        .map(|mut envelope| {
+            envelope.topic = envelope
+                .topic
+                .strip_prefix("s0/")
+                .unwrap_or_else(|| panic!("engine topic '{}' lacks 's0/'", envelope.topic))
+                .to_string();
+            envelope
+        })
+        .collect();
 
     assert_eq!(outcome.result.clusters, engine_outcome.result.clusters);
     assert_eq!(session_trace.len(), engine_trace.len());
@@ -215,14 +229,14 @@ fn driver_reference(spec: &SessionSpec) -> ppclust::core::ClusteringResult {
 #[test]
 fn eight_concurrent_chunked_sessions_complete_with_bounded_buffering() {
     const WINDOW: usize = 2;
-    let mut engine = SessionEngine::new(Network::with_parties(3));
+    let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
     let specs: Vec<SessionSpec> = (0..8)
         .map(|i| bird_flu_spec(100 + i as u64, Some(WINDOW), NumericMode::Batch))
         .collect();
     for spec in &specs {
         engine.add_session(spec.clone());
     }
-    let outcomes = engine.run().unwrap();
+    let outcomes = engine.run().unwrap().outcomes;
     assert_eq!(outcomes.len(), 8);
     for (i, (outcome, spec)) in outcomes.iter().zip(&specs).enumerate() {
         let reference = driver_reference(spec);
@@ -234,9 +248,9 @@ fn eight_concurrent_chunked_sessions_complete_with_bounded_buffering() {
         );
     }
     // The same workload whole-matrix buffers more than the window.
-    let mut whole = SessionEngine::new(Network::with_parties(3));
+    let mut whole = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
     whole.add_session(bird_flu_spec(100, None, NumericMode::Batch));
-    let whole_outcome = &whole.run().unwrap()[0];
+    let whole_outcome = &whole.run().unwrap().outcomes[0];
     assert!(whole_outcome.stats.peak_buffered_rows > WINDOW);
     assert_eq!(
         whole_outcome.result.clusters, outcomes[0].result.clusters,
@@ -251,9 +265,9 @@ fn per_pair_mode_streams_masked_copies_within_the_window() {
     const WINDOW: usize = 1;
     let spec = bird_flu_spec(55, Some(WINDOW), NumericMode::PerPair);
     let reference = driver_reference(&spec);
-    let mut engine = SessionEngine::new(Network::with_parties(3));
+    let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
     engine.add_session(spec);
-    let outcome = &engine.run().unwrap()[0];
+    let outcome = &engine.run().unwrap().outcomes[0];
     assert_eq!(outcome.result.clusters, reference.clusters);
     assert_eq!(outcome.stats.peak_buffered_rows, WINDOW);
 }
@@ -269,11 +283,11 @@ fn engine_over_simulated_wan_accounts_costs_without_changing_results() {
         ..WanProfile::lossy_dsl()
     };
     let wan = SimulatedWan::new(Network::with_parties(3), profile, 99).unwrap();
-    let mut engine = SessionEngine::new(wan);
+    let mut engine = ShardedEngine::new(vec![wan]).unwrap();
     engine.add_session(spec);
-    let outcomes = engine.run().unwrap();
+    let outcomes = engine.run().unwrap().outcomes;
     assert_eq!(outcomes[0].result.clusters, reference.clusters);
-    let stats = engine.transport().stats();
+    let stats = engine.transports()[0].stats();
     assert!(stats.messages > 0);
     assert!(stats.virtual_seconds > 0.0);
     assert!(

@@ -1,5 +1,5 @@
 //! The scenario × chaos matrix, CI slice: seeded realistic scenarios run
-//! against the in-process `SessionEngine` oracle under every taxonomy
+//! against the in-process oracle (`Scenario::oracle`) under every taxonomy
 //! cell — completed runs must be **byte-identical** (f64-bit exact) to
 //! the oracle, faulted runs must classify into exactly the expected
 //! bucket ([`ppc_scenario::chaos::RunOutcome`]), so a settled run can

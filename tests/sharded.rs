@@ -1,15 +1,16 @@
 //! End-to-end tests for the threaded, socket-backed engine tier: sessions
 //! hash-sharded across worker threads must produce results identical to
-//! the single-threaded `SessionEngine` oracle over every transport —
-//! in-memory, simulated WAN, loopback TCP through a frame router, and
-//! (on Unix) a Unix-domain socket router.
+//! the sequential oracle (each session alone on a one-shard engine over an
+//! in-memory network) over every transport — in-memory, simulated WAN,
+//! loopback TCP through a frame router, and (on Unix) a Unix-domain socket
+//! router.
 
 use std::time::Duration;
 
 use ppc_scenario::digest::fingerprint_outcomes;
 use ppclust::cluster::Linkage;
 use ppclust::core::protocol::driver::ClusteringRequest;
-use ppclust::core::protocol::engine::{EngineOutcome, SessionEngine, SessionSpec};
+use ppclust::core::protocol::engine::{EngineOutcome, SessionSpec};
 use ppclust::core::protocol::party::TrustedSetup;
 use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{NumericMode, ProtocolConfig};
@@ -56,15 +57,15 @@ fn mixed_specs() -> Vec<SessionSpec> {
     ]
 }
 
-/// The sequential oracle: every spec run alone on the single-threaded
-/// engine over a fresh in-memory network.
+/// The sequential oracle: every spec run alone on a one-shard engine over
+/// a fresh in-memory network.
 fn oracle_outcomes(specs: &[SessionSpec]) -> Vec<EngineOutcome> {
     specs
         .iter()
         .map(|spec| {
-            let mut engine = SessionEngine::new(Network::with_parties(HOLDERS));
+            let mut engine = ShardedEngine::new(vec![Network::with_parties(HOLDERS)]).unwrap();
             engine.add_session(spec.clone());
-            engine.run().unwrap().remove(0)
+            engine.run().unwrap().outcomes.remove(0)
         })
         .collect()
 }
@@ -147,7 +148,7 @@ fn four_shards_over_simulated_wans_match_the_sequential_oracle() {
 /// shards over **loopback TCP** — every envelope leaves the process
 /// through the kernel's TCP stack, crosses the frame router (wire format
 /// per `docs/WIRE_FORMAT.md`) and comes back — with results identical to
-/// the single-threaded `SessionEngine`, bit for bit. It runs twice: over
+/// the in-memory oracle, bit for bit. It runs twice: over
 /// plaintext links, and over sealed, coalescing links (the configuration
 /// of `ppcbench`'s TCP workloads).
 #[test]
@@ -260,20 +261,15 @@ fn sharded_sessions_over_unix_domain_sockets_match_the_oracle() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// One shard is the degenerate case: the sharded engine over a single
-/// transport must agree with `SessionEngine` multiplexing the same
-/// sessions (both use `s{id}/` prefixes when more than one session runs).
+/// One shard is the degenerate case, and the in-process engine: four
+/// sessions multiplexed on a single transport must agree with each
+/// session run alone, and the one shard drives every session.
 #[test]
 fn one_shard_degenerates_to_the_multiplexing_engine() {
     let specs: Vec<SessionSpec> = (0..4)
         .map(|i| bird_flu_spec(400 + i, Some(2), NumericMode::Batch))
         .collect();
-
-    let mut multiplexed = SessionEngine::new(Network::with_parties(HOLDERS));
-    for spec in &specs {
-        multiplexed.add_session(spec.clone());
-    }
-    let reference = multiplexed.run().unwrap();
+    let reference = oracle_outcomes(&specs);
 
     let mut engine = ShardedEngine::new(vec![Network::with_parties(HOLDERS)]).unwrap();
     for spec in &specs {
@@ -281,6 +277,8 @@ fn one_shard_degenerates_to_the_multiplexing_engine() {
     }
     let run = engine.run().unwrap();
     assert_matches_oracle(&run.outcomes, &reference);
+    assert_eq!(run.shards.len(), 1);
+    assert_eq!(run.shards[0].sessions, vec![0, 1, 2, 3]);
 }
 
 /// When a remote party dies for good mid-run, the sharded engine must
