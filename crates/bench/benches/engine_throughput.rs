@@ -1,7 +1,9 @@
-//! Multi-session engine throughput: wall-clock cost of completing 1 / 4 / 8
+//! Multi-session engine throughput: wall-clock cost of completing 1 / 4
 //! concurrent clustering sessions on one shard over one in-memory
-//! transport, chunked vs whole-matrix streaming, plus the sharded engine at
-//! 1 / 2 / 4 worker threads over in-memory and loopback-TCP transports.
+//! transport, chunked vs whole-matrix streaming, plus 8 sessions on the
+//! sharded engine at 1 / 2 / 4 worker threads over in-memory and
+//! loopback-TCP transports (`sharded/memory/shards/1` is 8 sessions on one
+//! shard).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -35,30 +37,26 @@ fn spec(seed: u64, chunk_rows: Option<usize>) -> SessionSpec {
     }
 }
 
-fn run_engine(specs: &[SessionSpec]) -> usize {
-    run_sharded_memory(specs, 1)
-}
-
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
-    for &sessions in &[1usize, 4, 8] {
+    for &sessions in &[1usize, 4] {
         let specs: Vec<SessionSpec> = (0..sessions)
             .map(|i| spec(40 + i as u64, Some(4)))
             .collect();
         group.bench_with_input(
             BenchmarkId::new("concurrent_sessions", sessions),
             &sessions,
-            |b, _| b.iter(|| run_engine(black_box(&specs))),
+            |b, _| b.iter(|| run_sharded_memory(black_box(&specs), 1)),
         );
     }
     let whole: Vec<SessionSpec> = vec![spec(40, None)];
     group.bench_function("one_session_whole_matrix", |b| {
-        b.iter(|| run_engine(black_box(&whole)))
+        b.iter(|| run_sharded_memory(black_box(&whole), 1))
     });
     let chunked: Vec<SessionSpec> = vec![spec(40, Some(4))];
     group.bench_function("one_session_chunked_w4", |b| {
-        b.iter(|| run_engine(black_box(&chunked)))
+        b.iter(|| run_sharded_memory(black_box(&chunked), 1))
     });
     group.finish();
 }

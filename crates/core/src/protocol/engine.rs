@@ -294,15 +294,6 @@ pub(crate) enum TurnError {
     Send(NetError),
 }
 
-impl From<TurnError> for CoreError {
-    fn from(error: TurnError) -> Self {
-        match error {
-            TurnError::Session(e) => e,
-            TurnError::Send(e) => e.into(),
-        }
-    }
-}
-
 /// One transport's sessions and the counters of the loop that drives them.
 pub(crate) struct ShardRound<'t, T> {
     pub(crate) transport: &'t T,
@@ -316,7 +307,7 @@ pub(crate) struct ShardRound<'t, T> {
     /// Parks in [`WaitTransport::receive_any_of`].
     pub(crate) blocking_waits: u64,
     /// Envelopes sent: every turn's output, plus what the front end sends
-    /// through [`send`](Self::send).
+    /// itself (`PartyEngine`'s `ctl/` traffic).
     pub(crate) messages_sent: u64,
 }
 
@@ -343,19 +334,6 @@ impl<'t, T: WaitTransport> ShardRound<'t, T> {
             .filter(|(_, runtime)| !runtime.is_done())
             .map(|(&id, _)| id)
             .collect()
-    }
-
-    /// Sends one envelope the front end built itself, counting it.
-    pub(crate) fn send(&mut self, envelope: Envelope) -> Result<(), NetError> {
-        self.messages_sent += 1;
-        self.transport.send(envelope)
-    }
-
-    /// Parks once, until an envelope arrives for a local mailbox (returned)
-    /// or `wait` elapses.
-    pub(crate) fn park(&mut self, wait: Duration) -> Result<Option<Envelope>, NetError> {
-        self.blocking_waits += 1;
-        self.transport.receive_any_of(&self.parties, wait)
     }
 }
 
@@ -422,10 +400,14 @@ pub(crate) trait RoundPolicy<'t, T: WaitTransport + 't> {
         Ok(progressed)
     }
 
-    /// Parks once and routes what arrives. `idle_waits` counts the parks
-    /// in a row that timed out; returns whether this one did.
+    /// Parks once in [`WaitTransport::receive_any_of`], until an envelope
+    /// arrives for a local mailbox (routed) or `wait` elapses.
+    /// `idle_waits` counts the parks in a row that timed out; returns
+    /// whether this one did.
     fn park(&mut self, wait: Duration, idle_waits: &mut u32) -> Result<bool, CoreError> {
-        match self.round().park(wait)? {
+        let round = self.round();
+        round.blocking_waits += 1;
+        match round.transport.receive_any_of(&round.parties, wait)? {
             Some(envelope) => {
                 *idle_waits = 0;
                 self.route(envelope)?;

@@ -642,11 +642,12 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     ) -> Self {
         let locals: Vec<PartyId> = engine.seats.iter().map(PartySeat::party).collect();
         let control_party = locals[0];
+        let control_auth = ControlAuth::from_master(engine.seats[0].master());
         Flow {
             engine,
             round: ShardRound::new(&engine.transport, locals, BTreeMap::new()),
             control_party,
-            control_auth: ControlAuth::from_master(engine.seats[0].master()),
+            control_auth,
             // The coordinator is the engine whose own identity the control
             // traffic converges on; `coordinate` passes itself.
             is_coordinator: coordinator == control_party,
@@ -666,7 +667,9 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
 
     fn send_ctl(&mut self, to: PartyId, topic: &str, body: Vec<u8>) -> Result<(), NetError> {
         let payload = self.control_auth.seal(topic, self.control_party, to, &body);
+        self.round.messages_sent += 1;
         self.round
+            .transport
             .send(Envelope::new(self.control_party, to, topic, payload))
     }
 
@@ -755,20 +758,25 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
     /// Registers a freshly built session runtime and replays any frames
     /// that arrived before the announcement.
     fn install_session(&mut self, id: u64, mut runtime: PartyRuntime) -> Result<(), CoreError> {
-        for envelope in self.pending.remove(&id).unwrap_or_default() {
-            runtime.enqueue(envelope)?;
+        if let Some(backlog) = self.pending.remove(&id) {
+            for envelope in backlog {
+                runtime.enqueue(envelope)?;
+            }
         }
         self.round.sessions.insert(id, runtime);
         Ok(())
     }
 
     fn handle_announce(&mut self, announce: SessionAnnounce) -> Result<(), CoreError> {
-        let total = *self.total.get_or_insert(announce.sessions_total);
-        if total != announce.sessions_total {
-            return Err(CoreError::Protocol(format!(
-                "announcement declares {} total sessions, earlier ones declared {total}",
-                announce.sessions_total
-            )));
+        match self.total {
+            None => self.total = Some(announce.sessions_total),
+            Some(total) if total == announce.sessions_total => {}
+            Some(total) => {
+                return Err(CoreError::Protocol(format!(
+                    "announcement declares {} total sessions, earlier ones declared {total}",
+                    announce.sessions_total
+                )))
+            }
         }
         if announce.session >= u64::from(announce.sessions_total) {
             // Session ids are 0..total by contract; completion tracking
@@ -1001,11 +1009,13 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
             }
         }
         site_sizes.sort_unstable();
-        if let Some(pair) = site_sizes.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(CoreError::Protocol(format!(
-                "two parties claim site {}",
-                pair[0].0
-            )));
+        for pair in site_sizes.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                return Err(CoreError::Protocol(format!(
+                    "two parties claim site {}",
+                    pair[0].0
+                )));
+            }
         }
         if site_sizes.len() < 2 {
             return Err(CoreError::Protocol(
@@ -1182,13 +1192,16 @@ impl<'a, T: WaitTransport> RoundPolicy<'a, T> for Flow<'a, T> {
             return false;
         };
         (0..u64::from(total)).all(|id| {
+            if self.failed.contains(&id) {
+                return true;
+            }
+            if !self.finished.contains(&id) {
+                return false;
+            }
             let reported = self.remote_done.get(&id);
-            self.failed.contains(&id)
-                || (self.finished.contains(&id)
-                    && self
-                        .expected_remote
-                        .iter()
-                        .all(|p| reported.is_some_and(|set| set.contains(p))))
+            self.expected_remote
+                .iter()
+                .all(|p| reported.is_some_and(|set| set.contains(p)))
         })
     }
 

@@ -236,8 +236,11 @@ impl<'t, T: WaitTransport> RoundPolicy<'t, T> for Shard<'t, T> {
     }
 
     fn turned(&mut self, _: u64, result: Result<(), TurnError>) -> Result<bool, CoreError> {
-        result?;
-        Ok(false)
+        match result {
+            Ok(()) => Ok(false),
+            Err(TurnError::Session(e)) => Err(e),
+            Err(TurnError::Send(e)) => Err(e.into()),
+        }
     }
 
     fn complete(&self) -> bool {

@@ -522,8 +522,13 @@ mod tests {
         assert_eq!(report.bytes_sent_by(PartyId::DataHolder(1)), 0);
         net.reset_report();
         assert_eq!(net.report().total_messages(), 0);
-        // Queues are preserved across a report reset.
-        assert!(net.receive_any(PartyId::ThirdParty).is_some());
+        // Queues are preserved across a report reset: exactly one envelope
+        // stays queued for the third party.
+        assert_eq!(
+            net.receive_any(PartyId::ThirdParty).unwrap().topic,
+            "local-matrix"
+        );
+        assert!(net.receive_any(PartyId::ThirdParty).is_none());
     }
 
     #[test]
