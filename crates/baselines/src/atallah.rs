@@ -12,11 +12,11 @@
 //! [`AtallahCostModel`] reproduces its traffic shape so the cost experiment
 //! can compare bytes-on-the-wire for the same workload.
 //!
-//! This is a documented substitution (see `DESIGN.md`): the relevant
-//! behaviour — how many bytes cross the network per string pair as a
-//! function of string lengths and the homomorphic ciphertext size — is
-//! preserved; the cryptographic internals, which do not affect the measured
-//! quantity, are not simulated.
+//! This is a documented substitution: the relevant behaviour — how many
+//! bytes cross the network per string pair as a function of string
+//! lengths and the homomorphic ciphertext size — is preserved; the
+//! cryptographic internals, which do not affect the measured quantity, are
+//! not simulated.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,16 +1,19 @@
 //! End-to-end dissimilarity-matrix construction (Figure 11) benchmarks:
-//! in-memory driver vs networked session, over workload size.
+//! in-memory driver vs one session on a one-shard engine over an
+//! instrumented in-memory network, over workload size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ppc_cluster::Linkage;
 use ppc_core::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
+use ppc_core::protocol::engine::SessionSpec;
 use ppc_core::protocol::party::TrustedSetup;
-use ppc_core::protocol::session::ClusteringSession;
+use ppc_core::protocol::sharded::ShardedEngine;
 use ppc_core::protocol::ProtocolConfig;
 use ppc_crypto::Seed;
 use ppc_data::Workload;
+use ppc_net::{Instrumented, Network};
 
 fn bench_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction");
@@ -42,11 +45,17 @@ fn bench_construction(c: &mut Criterion) {
             &objects,
             |b, _| {
                 b.iter(|| {
-                    let session =
-                        ClusteringSession::new(schema.clone(), ProtocolConfig::default(), 3);
-                    session
-                        .run(black_box(&setup.holders), &setup.third_party, &request)
-                        .unwrap()
+                    let network = Instrumented::new(Network::with_parties(3));
+                    let mut engine = ShardedEngine::new(vec![network]).unwrap();
+                    engine.add_session(SessionSpec {
+                        schema: schema.clone(),
+                        config: ProtocolConfig::default(),
+                        holders: black_box(&setup.holders).clone(),
+                        keys: setup.third_party.clone(),
+                        request: request.clone(),
+                        chunk_rows: None,
+                    });
+                    engine.run().unwrap()
                 })
             },
         );

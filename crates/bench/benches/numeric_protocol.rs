@@ -1,5 +1,5 @@
 //! Microbenchmarks of the numeric comparison protocol roles (§4.1), with the
-//! batch vs per-pair and ChaCha20 vs Xoshiro ablations from DESIGN.md.
+//! batch vs per-pair and ChaCha20 vs Xoshiro ablations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

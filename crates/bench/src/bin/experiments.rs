@@ -1,4 +1,5 @@
-//! Regenerates every experiment table of `EXPERIMENTS.md`.
+//! Prints every experiment table (the README's "Reproducing the paper's
+//! experiments" section lists them), and exits non-zero if any fails.
 //!
 //! ```text
 //! cargo run -p ppc-bench --release --bin experiments            # all experiments

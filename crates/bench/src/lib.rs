@@ -3,15 +3,18 @@
 //! Two consumers share this crate:
 //!
 //! * the `experiments` binary (`cargo run -p ppc-bench --bin experiments`),
-//!   which regenerates every table of `EXPERIMENTS.md` (the measured
-//!   counterparts of the paper's worked examples, communication-cost
-//!   analyses and qualitative comparisons), and
+//!   which prints every experiment table (the measured counterparts of the
+//!   paper's worked examples, communication-cost analyses and qualitative
+//!   comparisons; the README's "Reproducing the paper's experiments" lists
+//!   them), and
 //! * the Criterion benches under `benches/`, which time the individual
 //!   protocol roles and the end-to-end pipelines.
 //!
 //! [`runners`] holds the shared machinery (building workloads, running
-//! sessions, collecting byte counts and accuracy numbers); [`tables`] turns
-//! runner output into the printable tables, one function per experiment.
+//! each as one session on a one-shard engine over an instrumented
+//! in-memory network, collecting byte counts and accuracy numbers);
+//! [`tables`] turns runner output into the printable tables, one function
+//! per experiment.
 //!
 //! ## Performance
 //!

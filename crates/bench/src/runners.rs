@@ -5,13 +5,14 @@ use ppc_baselines::sanitization::SanitizationBaseline;
 use ppc_cluster::agreement::adjusted_rand_index;
 use ppc_cluster::{ClusterAssignment, Linkage};
 use ppc_core::protocol::driver::ClusteringRequest;
+use ppc_core::protocol::engine::SessionSpec;
 use ppc_core::protocol::party::TrustedSetup;
-use ppc_core::protocol::session::ClusteringSession;
+use ppc_core::protocol::sharded::ShardedEngine;
 use ppc_core::protocol::{NumericMode, ProtocolConfig};
 use ppc_core::CoreError;
 use ppc_crypto::Seed;
 use ppc_data::Workload;
-use ppc_net::{CommReport, PartyId};
+use ppc_net::{CommReport, Instrumented, Network, PartyId};
 
 /// Summary of one networked protocol run.
 #[derive(Debug, Clone)]
@@ -33,8 +34,9 @@ pub struct SessionSummary {
     pub matrix_max_difference: f64,
 }
 
-/// Runs the networked session for a workload and compares it against the
-/// centralized baseline.
+/// Runs the workload as one session on a one-shard engine over an
+/// instrumented in-memory network, and compares it against the centralized
+/// baseline.
 pub fn run_session(
     workload: &Workload,
     mode: NumericMode,
@@ -47,13 +49,21 @@ pub fn run_session(
         numeric_mode: mode,
         ..ProtocolConfig::default()
     };
-    let session = ClusteringSession::new(schema.clone(), config, workload.partitions.len());
-    let request = ClusteringRequest {
-        weights: schema.uniform_weights(),
-        linkage,
-        num_clusters: clusters,
-    };
-    let outcome = session.run(&setup.holders, &setup.third_party, &request)?;
+    let network = Instrumented::new(Network::with_parties(workload.partitions.len() as u32));
+    let mut engine = ShardedEngine::new(vec![network])?;
+    engine.add_session(SessionSpec {
+        schema: schema.clone(),
+        config,
+        holders: setup.holders,
+        keys: setup.third_party,
+        request: ClusteringRequest {
+            weights: schema.uniform_weights(),
+            linkage,
+            num_clusters: clusters,
+        },
+        chunk_rows: None,
+    });
+    let outcome = engine.run()?.outcomes.remove(0);
 
     let truth = ClusterAssignment::from_labels(&workload.ground_truth_in_site_order());
     let published =
@@ -79,7 +89,7 @@ pub fn run_session(
     Ok(SessionSummary {
         workload: workload.name.clone(),
         site_sizes: workload.partitions.iter().map(|p| p.len()).collect(),
-        communication: outcome.communication,
+        communication: engine.transports()[0].report(),
         ari_vs_truth,
         ari_vs_centralized,
         matrix_max_difference,

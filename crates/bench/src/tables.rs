@@ -1,10 +1,11 @@
 //! One function per experiment, each producing a printable report.
 //!
-//! Experiment ids follow `DESIGN.md` / `EXPERIMENTS.md`: E1–E3 reproduce the
-//! paper's worked examples and published-result format, E4–E6 measure the
-//! communication-cost claims, E7 the accuracy claim, E8 the privacy
-//! analysis, E9 the multi-party scaling and E10 the hierarchical-vs-
-//! partitioning argument.
+//! Experiment ids are the ones the README's "Reproducing the paper's
+//! experiments" section lists: E1–E3 reproduce the paper's worked examples
+//! and published-result format, E4–E6 measure the communication-cost
+//! claims, E7 the accuracy claim, E8 the privacy analysis, E9 the
+//! multi-party scaling, E10 the hierarchical-vs-partitioning argument and
+//! E11 the published clustering-quality parameters.
 
 use std::fmt::Write as _;
 

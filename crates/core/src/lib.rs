@@ -22,7 +22,8 @@
 //! * Protocols — [`protocol`]: the three privacy-preserving comparison
 //!   protocols (§4) as explicit role functions (`DH_J`, `DH_K`, `TP`), the
 //!   local-matrix algorithm (Figure 12), the third-party construction driver
-//!   (Figure 11) and a network session runner with communication accounting.
+//!   (Figure 11), and the engines that run the same construction as
+//!   messages between per-party state machines over any transport.
 //! * Privacy analysis — [`privacy`]: the frequency-analysis attack on batch
 //!   mode and the eavesdropping inferences the paper warns about, as
 //!   executable experiments.

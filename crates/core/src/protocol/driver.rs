@@ -3,16 +3,17 @@
 //! The driver executes the whole construction *in memory*: it calls the same
 //! role functions a networked deployment would, in the same order, but
 //! passes their outputs directly instead of serialising them. It is the
-//! reference implementation the networked [`super::session`] is tested
-//! against, and the convenient entry point for library users who only want
-//! the result.
+//! reference implementation the networked engines
+//! ([`ShardedEngine`](super::sharded::ShardedEngine),
+//! [`PartyEngine`](super::party_engine::PartyEngine)) are tested against,
+//! and the convenient entry point for library users who only want the
+//! result.
 //!
 //! With the `parallel` cargo feature enabled, independent attributes and
 //! independent holder pairs mask/fold/unmask concurrently (the work items
 //! commute: every task writes a disjoint block of the global matrix, and the
 //! RNG streams are scoped per `(pair, attribute)`), so the output is
-//! identical to the sequential run. The networked session stays sequential
-//! so its protocol traces remain byte-for-byte deterministic.
+//! identical to the sequential run.
 
 use ppc_cluster::quality::{average_within_cluster_squared_distance, silhouette};
 use ppc_cluster::{AgglomerativeClustering, CondensedDistanceMatrix, Linkage};

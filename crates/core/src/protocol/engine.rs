@@ -20,7 +20,7 @@
 //! * every session's topics carry its `s{id}/` prefix, and inbound
 //!   envelopes are routed by that id
 //!   ([`Topic::session_prefix_id`](super::topic::Topic::session_prefix_id));
-//!   bare topics belong to [`ClusteringSession`](super::session) alone.
+//!   the grammar has no bare topic.
 //!
 //! Two front ends run on it and keep only their own policies:
 //! [`ShardedEngine`](super::sharded::ShardedEngine), one round per worker
@@ -182,8 +182,7 @@ impl PartyRuntime {
             config: spec.config,
             request: spec.request.clone(),
             chunk_rows: spec.chunk_rows,
-            topic_prefix: format!("s{id}/"),
-            retain_attributes: false,
+            session_id: id,
             cache,
         };
         let tp = ThirdPartyMachine::new(ctx.clone(), spec.keys.clone(), &site_sizes)?;
@@ -276,7 +275,7 @@ impl PartyRuntime {
         let tp = tp.ok_or_else(|| {
             CoreError::Protocol("this runtime does not drive the third party".into())
         })?;
-        let (result, final_matrix, _) = tp.into_outcome()?;
+        let (result, final_matrix) = tp.into_outcome()?;
         Ok(EngineOutcome {
             result,
             final_matrix,
@@ -455,11 +454,12 @@ mod tests {
     use crate::protocol::driver::ThirdPartyDriver;
     use crate::protocol::party::TrustedSetup;
     use crate::protocol::sharded::ShardedEngine;
+    use crate::protocol::NumericMode;
     use crate::record::Record;
     use crate::schema::AttributeDescriptor;
     use crate::value::AttributeValue;
     use ppc_crypto::Seed;
-    use ppc_net::Network;
+    use ppc_net::{CommReport, Instrumented, Network};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -522,6 +522,21 @@ mod tests {
         Ok(engine.run()?.outcomes)
     }
 
+    /// Runs `spec` alone on a one-shard engine over an instrumented
+    /// in-memory network: its outcome and every link's traffic.
+    fn run_counted(spec: SessionSpec) -> (EngineOutcome, CommReport) {
+        let transport = Instrumented::new(Network::with_parties(3));
+        let mut engine = ShardedEngine::new(vec![transport]).unwrap();
+        engine.add_session(spec);
+        let outcome = engine.run().unwrap().outcomes.remove(0);
+        (outcome, engine.transports()[0].report())
+    }
+
+    fn bits(matrix: &DissimilarityMatrix) -> Vec<u64> {
+        let values = matrix.matrix().condensed_values();
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Runs a session runtime to completion, injecting one duplicate of
     /// the first envelope whose topic starts with `s0/{replay_topic}`.
     /// Returns the error the replay must provoke.
@@ -567,6 +582,29 @@ mod tests {
         );
     }
 
+    /// A machine takes only topics under its own session's prefix: a bare
+    /// step, or another session's topic, fails the session.
+    #[test]
+    fn machines_refuse_topics_outside_their_session() {
+        for topic in ["clustering-choice", "s1/clustering-choice"] {
+            let mut runtime = PartyRuntime::build(&spec(77, None), 0, None).unwrap();
+            runtime
+                .enqueue(Envelope::new(
+                    PartyId::DataHolder(0),
+                    PartyId::ThirdParty,
+                    topic,
+                    Vec::new(),
+                ))
+                .unwrap();
+            let err = runtime.turn().err().expect("the topic is refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("topic '{topic}' is not under session 0's prefix")),
+                "{err}"
+            );
+        }
+    }
+
     /// A pairwise result replayed under a transposed pair tag (`k-j` for a
     /// canonical `j-k` initiation) must be rejected outright — it would
     /// otherwise bypass per-pair deduplication and decrement the
@@ -608,20 +646,54 @@ mod tests {
         panic!("no pairwise envelope was ever emitted");
     }
 
+    /// A lone session publishes the driver's clusters and its final
+    /// matrix bit for bit, and every envelope it sends is counted.
     #[test]
     fn single_session_engine_matches_the_driver() {
-        let outcomes = run(vec![spec(77, None)]).unwrap();
-        assert_eq!(outcomes.len(), 1);
+        let (outcome, report) = run_counted(spec(77, None));
         let (reference, reference_matrix) = driver_reference(77);
-        assert_eq!(outcomes[0].result.clusters, reference.clusters);
-        assert!(
-            outcomes[0]
-                .final_matrix
-                .matrix()
-                .max_abs_difference(reference_matrix.matrix())
-                < 1e-9
+        assert_eq!(outcome.result.clusters, reference.clusters);
+        assert_eq!(bits(&outcome.final_matrix), bits(&reference_matrix));
+        assert!(outcome.stats.messages_sent > 0);
+        assert_eq!(report.total_messages(), outcome.stats.messages_sent);
+        assert!(report.total_bytes() > 0);
+    }
+
+    #[test]
+    fn communication_flows_match_the_protocol_shape() {
+        let (_, report) = run_counted(spec(77, None));
+        // Every data holder talks to the third party.
+        for site in 0..3u32 {
+            assert!(report.bytes_on_link(PartyId::DataHolder(site), PartyId::ThirdParty) > 0);
+            // The third party publishes the result back.
+            assert!(report.bytes_on_link(PartyId::ThirdParty, PartyId::DataHolder(site)) > 0);
+        }
+        // Initiators send masked vectors to responders (J < K pairs only).
+        assert!(report.bytes_on_link(PartyId::DataHolder(0), PartyId::DataHolder(1)) > 0);
+        assert!(report.bytes_on_link(PartyId::DataHolder(0), PartyId::DataHolder(2)) > 0);
+        assert!(report.bytes_on_link(PartyId::DataHolder(1), PartyId::DataHolder(2)) > 0);
+        assert_eq!(
+            report.bytes_on_link(PartyId::DataHolder(1), PartyId::DataHolder(0)),
+            0
         );
-        assert!(outcomes[0].stats.messages_sent > 0);
+        // The third party never sends bulk data to holders other than results.
+        assert!(
+            report.bytes_on_link(PartyId::ThirdParty, PartyId::DataHolder(0))
+                < report.bytes_on_link(PartyId::DataHolder(0), PartyId::ThirdParty)
+        );
+    }
+
+    #[test]
+    fn per_pair_mode_costs_more_on_the_holder_link() {
+        let (batch, batch_report) = run_counted(spec(77, None));
+        let mut per_pair_spec = spec(77, None);
+        per_pair_spec.config.numeric_mode = NumericMode::PerPair;
+        let (per_pair, per_pair_report) = run_counted(per_pair_spec);
+        // Same results…
+        assert_eq!(batch.result.clusters, per_pair.result.clusters);
+        // …but strictly more initiator → responder traffic.
+        let link = |r: &CommReport| r.bytes_on_link(PartyId::DataHolder(0), PartyId::DataHolder(1));
+        assert!(link(&per_pair_report) > link(&batch_report));
     }
 
     #[test]
@@ -730,6 +802,10 @@ mod tests {
     fn engine_rejects_single_holder_sessions() {
         let mut bad = spec(5, None);
         bad.holders.truncate(1);
-        assert!(run(vec![bad]).is_err());
+        let err = run(vec![bad]).unwrap_err().to_string();
+        assert!(
+            err.contains("the protocol requires at least two data holders"),
+            "{err}"
+        );
     }
 }

@@ -4,18 +4,17 @@
 //! every party (data holder or third party) is a state machine advanced by
 //! [`step`](HolderMachine::step) calls, each of which either delivers one
 //! incoming envelope or polls for the next unprompted emission, and returns
-//! whatever envelopes the party wants sent. No machine ever waits — a
-//! scheduler (the sequential [`ClusteringSession`](super::session) for the
-//! byte-identical oracle path, or the engine round of
-//! [`engine`](super::engine) for concurrent workloads) owns all control
-//! flow.
+//! whatever envelopes the party wants sent. No machine ever waits — the
+//! engine round of [`engine`](super::engine) owns all control flow.
 //!
 //! ## Wire compatibility
 //!
-//! With `chunk_rows: None` the machines emit exactly the legacy whole-matrix
-//! messages on exactly the legacy topics, so a session driven in the legacy
-//! order produces byte-identical envelopes to the pre-refactor monolithic
-//! session (pinned by the golden-trace test). With `chunk_rows: Some(w)`,
+//! Every topic a machine sends carries its session's `s{id}/` prefix, and
+//! a machine takes only topics under that prefix. With `chunk_rows: None`
+//! the machines emit exactly the legacy whole-matrix messages on the legacy
+//! steps, so a one-session engine sends the pre-refactor monolithic
+//! session's envelopes byte for byte once `s0/` is stripped (pinned by the
+//! golden-trace test, stream by stream). With `chunk_rows: Some(w)`,
 //! the bulk pairwise streams are split into row windows ([`PairwiseChunkMsg`]
 //! / [`CcmChunkMsg`]): the responder folds and ships at most `w` pairwise
 //! rows at a time, the third party folds each window into its condensed
@@ -32,18 +31,19 @@ use ppc_crypto::prng::DynStreamRng;
 use ppc_crypto::{negators_from_raw, offsets_from_raw, raw_u64_prefix, Negator, Seed};
 use ppc_net::{Envelope, PartyId};
 
-use crate::dissimilarity::{AttributeDissimilarity, DissimilarityMatrix, ObjectIndex};
+use crate::dissimilarity::{DissimilarityMatrix, ObjectIndex};
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
 use crate::protocol::alphanumeric::ResponderRows;
 use crate::protocol::derive_cache::DerivationCache;
-use crate::protocol::driver::{ClusteringRequest, ConstructionOutput, ThirdPartyDriver};
+use crate::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
 use crate::protocol::messages::{
-    CcmBundleMsg, CcmChunkMsg, ClusteringChoiceMsg, EncryptedColumnMsg, LocalMatrixMsg,
-    MaskedNumericMsg, MaskedStringsMsg, PairwiseChunkMsg, PairwiseMatrixMsg, PublishedResultMsg,
+    parse_linkage, CcmBundleMsg, CcmChunkMsg, ClusteringChoiceMsg, EncryptedColumnMsg,
+    LocalMatrixMsg, MaskedNumericMsg, MaskedStringsMsg, PairwiseChunkMsg, PairwiseMatrixMsg,
+    PublishedResultMsg,
 };
 use crate::protocol::party::{DataHolder, ThirdPartyKeys};
-use crate::protocol::session::parse_linkage;
+use crate::protocol::topic::Topic;
 use crate::protocol::{alphanumeric, categorical, local, numeric, NumericMode, ProtocolConfig};
 use crate::result::ClusteringResult;
 use crate::schema::{Schema, WeightVector};
@@ -61,41 +61,35 @@ pub struct SessionContext {
     /// `Some(w)`: stream pairwise blocks in windows of at most `w` rows.
     /// `None`: legacy whole-matrix messages (byte-identical traces).
     pub chunk_rows: Option<usize>,
-    /// Prepended to every topic; the engine uses `"s{id}/"` to multiplex
-    /// sessions over one transport. Empty for oracle-compatible runs.
-    pub topic_prefix: String,
-    /// Whether the third party retains per-attribute matrices (the legacy
-    /// session outcome exposes them) or folds each completed attribute into
-    /// the final accumulator and drops it (bounded memory).
-    pub retain_attributes: bool,
-    /// Shared derivation cache for raw RNG stream prefixes. `None` (the
-    /// oracle configuration) derives every prefix fresh; `Some` memoises
-    /// them across sessions that share a schema. Either way the bytes are
-    /// identical — the cache is a pure memo (see
-    /// [`derive_cache`](crate::protocol::derive_cache)).
+    /// The session's id: every topic its machines send carries the
+    /// `s{id}/` prefix, so sessions multiplex over one transport.
+    pub session_id: u64,
+    /// Shared derivation cache for raw RNG stream prefixes. `None` derives
+    /// every prefix fresh; `Some` memoises them across sessions that share
+    /// a schema. Either way the bytes are identical — the cache is a pure
+    /// memo (see [`derive_cache`](crate::protocol::derive_cache)).
     pub cache: Option<DerivationCache>,
 }
 
 impl SessionContext {
-    /// Context matching the pre-refactor session byte-for-byte.
-    pub fn oracle(schema: Schema, config: ProtocolConfig, request: ClusteringRequest) -> Self {
-        SessionContext {
-            schema,
-            config,
-            request,
-            chunk_rows: None,
-            topic_prefix: String::new(),
-            retain_attributes: true,
-            cache: None,
-        }
-    }
-
     fn window(&self) -> Option<usize> {
         self.chunk_rows.map(|w| w.max(1))
     }
 
     fn topic(&self, base: &str) -> String {
-        format!("{}{base}", self.topic_prefix)
+        format!("s{}/{base}", self.session_id)
+    }
+
+    /// The step of `topic` with this session's `s{id}/` prefix stripped;
+    /// a topic of any other session, or with no prefix, is refused.
+    fn step_of<'a>(&self, topic: &'a str) -> Result<&'a str, CoreError> {
+        match (Topic::session_prefix_id(topic), topic.split_once('/')) {
+            (Some(id), Some((_, step))) if id == self.session_id => Ok(step),
+            _ => Err(CoreError::Protocol(format!(
+                "topic '{topic}' is not under session {}'s prefix",
+                self.session_id
+            ))),
+        }
     }
 
     /// At least the first `len` raw `u64` draws of the configured RNG's
@@ -683,10 +677,7 @@ impl HolderMachine {
     }
 
     fn deliver(&mut self, envelope: &Envelope) -> Result<StepOutput, CoreError> {
-        let topic = envelope
-            .topic
-            .strip_prefix(&self.ctx.topic_prefix)
-            .unwrap_or(&envelope.topic);
+        let topic = self.ctx.step_of(&envelope.topic)?;
         if topic == "published-result" {
             self.published = Some(PublishedResultMsg::decode(&envelope.payload)?);
             self.done = true;
@@ -987,10 +978,10 @@ struct AttrProgress {
 ///
 /// Folds every local matrix, encrypted column and pairwise block (or
 /// chunk) into per-attribute accumulators as they arrive; when an
-/// attribute completes it is either retained (legacy outcome) or folded
-/// straight into the final-matrix accumulator and dropped (bounded
-/// memory). Once every attribute is complete and every holder's
-/// clustering choice has arrived, the machine clusters and publishes.
+/// attribute completes it is folded straight into the final-matrix
+/// accumulator and dropped (bounded memory). Once every attribute is
+/// complete and every holder's clustering choice has arrived, the machine
+/// clusters and publishes.
 #[derive(Debug)]
 pub struct ThirdPartyMachine {
     ctx: SessionContext,
@@ -1002,13 +993,12 @@ pub struct ThirdPartyMachine {
     /// would otherwise bypass deduplication and fold into wrong ranges.
     expected_pairs: BTreeSet<(u32, u32)>,
     attrs: Vec<AttrProgress>,
-    /// Completed attribute matrices not yet folded/retained, keyed by
+    /// Completed attribute matrices not yet folded, keyed by
     /// attribute index (attributes can complete slightly out of schema
     /// order under concurrent scheduling; folds stay in schema order so
     /// float summation matches the batch merge exactly).
     finished: BTreeMap<usize, CondensedDistanceMatrix>,
     next_fold: usize,
-    retained: Vec<Option<AttributeDissimilarity>>,
     merge: MergeAccumulator,
     agreed: Option<ClusteringRequest>,
     /// Sites whose clustering choice has arrived (duplicate rejection: the
@@ -1063,7 +1053,6 @@ impl ThirdPartyMachine {
                 complete: false,
             })
             .collect();
-        let attr_count = ctx.schema.len();
         let n = index.len();
         Ok(ThirdPartyMachine {
             ctx,
@@ -1074,7 +1063,6 @@ impl ThirdPartyMachine {
             attrs,
             finished: BTreeMap::new(),
             next_fold: 0,
-            retained: (0..attr_count).map(|_| None).collect(),
             merge: MergeAccumulator::new(n),
             agreed: None,
             choice_sites: BTreeSet::new(),
@@ -1111,24 +1099,10 @@ impl ThirdPartyMachine {
         self.outcome.as_ref()
     }
 
-    /// Consumes the machine, returning result, final matrix and (when
-    /// retained) the per-attribute matrices in schema order.
-    #[allow(clippy::type_complexity)]
-    pub fn into_outcome(
-        self,
-    ) -> Result<
-        (
-            ClusteringResult,
-            DissimilarityMatrix,
-            Vec<AttributeDissimilarity>,
-        ),
-        CoreError,
-    > {
-        let (result, matrix) = self
-            .outcome
-            .ok_or_else(|| CoreError::Protocol("third party has not finished clustering".into()))?;
-        let per_attribute = self.retained.into_iter().flatten().collect();
-        Ok((result, matrix, per_attribute))
+    /// Consumes the machine, returning the result and the final matrix.
+    pub fn into_outcome(self) -> Result<(ClusteringResult, DissimilarityMatrix), CoreError> {
+        self.outcome
+            .ok_or_else(|| CoreError::Protocol("third party has not finished clustering".into()))
     }
 
     fn note_rows(&mut self, rows: usize) {
@@ -1195,11 +1169,7 @@ impl ThirdPartyMachine {
     }
 
     fn deliver(&mut self, envelope: &Envelope) -> Result<(), CoreError> {
-        let topic = envelope
-            .topic
-            .strip_prefix(&self.ctx.topic_prefix)
-            .unwrap_or(&envelope.topic)
-            .to_string();
+        let topic = self.ctx.step_of(&envelope.topic)?;
         if topic == "clustering-choice" {
             let site = match envelope.from {
                 PartyId::DataHolder(site) => site,
@@ -1671,28 +1641,23 @@ impl ThirdPartyMachine {
         self.finish_attribute(attribute, matrix)
     }
 
-    /// Retains or folds a completed attribute matrix, then checks whether
-    /// clustering can start.
+    /// Folds a completed attribute matrix, then checks whether clustering
+    /// can start.
     fn finish_attribute(
         &mut self,
         attribute: usize,
         matrix: CondensedDistanceMatrix,
     ) -> Result<(), CoreError> {
-        if self.ctx.retain_attributes {
-            let name = self.ctx.schema.attribute_at(attribute)?.name.clone();
-            self.retained[attribute] = Some(AttributeDissimilarity::new(name, matrix));
-        } else {
-            // Fold strictly in schema order so the float accumulation
-            // matches the batch merge bit for bit.
-            self.finished.insert(attribute, matrix);
-            let started = Instant::now();
-            while let Some(matrix) = self.finished.remove(&self.next_fold) {
-                let weight = self.ctx.request.weights.weights()[self.next_fold];
-                push_normalized(&mut self.merge, &matrix, weight)?;
-                self.next_fold += 1;
-            }
-            self.compute.merge_nanos += started.elapsed().as_nanos() as u64;
+        // Fold strictly in schema order so the float accumulation matches
+        // the batch merge bit for bit.
+        self.finished.insert(attribute, matrix);
+        let started = Instant::now();
+        while let Some(matrix) = self.finished.remove(&self.next_fold) {
+            let weight = self.ctx.request.weights.weights()[self.next_fold];
+            push_normalized(&mut self.merge, &matrix, weight)?;
+            self.next_fold += 1;
         }
+        self.compute.merge_nanos += started.elapsed().as_nanos() as u64;
         self.try_cluster()
     }
 
@@ -1707,24 +1672,12 @@ impl ThirdPartyMachine {
             .agreed
             .clone()
             .unwrap_or_else(|| self.ctx.request.clone());
-        let (result, final_matrix) = if self.ctx.retain_attributes {
-            let per_attribute: Vec<AttributeDissimilarity> =
-                self.retained.iter().flatten().cloned().collect();
-            let driver = ThirdPartyDriver::new(self.ctx.schema.clone(), self.ctx.config);
-            let output = ConstructionOutput {
-                index: self.index.clone(),
-                per_attribute,
-            };
-            driver.cluster(&output, &agreed)?
-        } else {
-            let merged = std::mem::replace(&mut self.merge, MergeAccumulator::new(0));
-            let started = Instant::now();
-            let finished = merged.finish();
-            self.compute.merge_nanos += started.elapsed().as_nanos() as u64;
-            let final_matrix = DissimilarityMatrix::new(self.index.clone(), finished)?;
-            ThirdPartyDriver::cluster_matrix(final_matrix, &agreed)?
-        };
-        self.outcome = Some((result, final_matrix));
+        let merged = std::mem::replace(&mut self.merge, MergeAccumulator::new(0));
+        let started = Instant::now();
+        let finished = merged.finish();
+        self.compute.merge_nanos += started.elapsed().as_nanos() as u64;
+        let final_matrix = DissimilarityMatrix::new(self.index.clone(), finished)?;
+        self.outcome = Some(ThirdPartyDriver::cluster_matrix(final_matrix, &agreed)?);
         self.publish_pending = true;
         Ok(())
     }

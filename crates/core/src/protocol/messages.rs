@@ -1,6 +1,6 @@
 //! Wire formats of the protocol messages.
 //!
-//! Every inter-party transfer of the networked session is one of these typed
+//! Every inter-party transfer of an engine session is one of these typed
 //! messages, serialised with the compact binary codec of `ppc-net` so the
 //! measured byte counts reflect the element counts in the paper's
 //! communication-cost analysis (8 bytes per masked numeric value,
@@ -13,6 +13,7 @@
 //! [`MaskedCcmBundle`] holds its cells in that packed layout already, so
 //! its codecs copy the section: nothing is packed or unpacked.
 
+use ppc_cluster::Linkage;
 use ppc_net::{packed_len, packed_width, WireReader, WireWriter};
 
 use crate::error::CoreError;
@@ -483,6 +484,20 @@ impl ClusteringChoiceMsg {
     }
 }
 
+/// Parses a linkage name sent in a [`ClusteringChoiceMsg`].
+pub fn parse_linkage(name: &str) -> Result<Linkage, CoreError> {
+    match name.to_ascii_lowercase().as_str() {
+        "single" => Ok(Linkage::Single),
+        "complete" => Ok(Linkage::Complete),
+        "average" => Ok(Linkage::Average),
+        "weighted" => Ok(Linkage::Weighted),
+        "ward" => Ok(Linkage::Ward),
+        "centroid" => Ok(Linkage::Centroid),
+        "median" => Ok(Linkage::Median),
+        other => Err(CoreError::Protocol(format!("unknown linkage '{other}'"))),
+    }
+}
+
 /// `TP → DH_i`: the published clustering result (membership lists).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublishedResultMsg {
@@ -711,6 +726,15 @@ mod tests {
             PublishedResultMsg::decode(&result.encode()).unwrap(),
             result
         );
+    }
+
+    #[test]
+    fn parse_linkage_accepts_all_names() {
+        for l in Linkage::ALL {
+            let name = format!("{l:?}").to_lowercase();
+            assert_eq!(parse_linkage(&name).unwrap(), l);
+        }
+        assert!(parse_linkage("nonsense").is_err());
     }
 
     #[test]

@@ -5,22 +5,21 @@
 //! initiator), `DH_K` (the responder) and `TP` (the third party) each
 //! compute — operating on plain data and returning the exact values the
 //! paper's pseudocode produces (Figures 4–6 for numeric, 8–10 for
-//! alphanumeric). Four orchestrators drive the roles:
+//! alphanumeric). Three orchestrators drive the roles:
 //!
 //! * [`driver::ThirdPartyDriver`] — in-memory construction of all
 //!   per-attribute dissimilarity matrices and the final clustering,
-//!   convenient for library users and tests;
-//! * [`session::ClusteringSession`] — the same construction executed as
-//!   messages over a [`ppc_net::Network`] by the per-party state machines
-//!   of [`machines`], scheduled sequentially in the legacy order so its
-//!   protocol traces stay byte-identical to the pre-refactor session;
-//! * [`sharded::ShardedEngine`] — the same machines multiplexed N sessions
+//!   convenient for library users and tests, and the reference the others
+//!   are checked against;
+//! * [`sharded::ShardedEngine`] — the same construction executed as
+//!   messages by the per-party state machines of [`machines`], N sessions
 //!   at a time, hash-sharded across a pool of worker threads with one
 //!   [`ppc_net::WaitTransport`] per shard, with fair round-robin
 //!   scheduling, chunked attribute-block streaming that bounds every
 //!   party's buffering by a configurable window of pairwise rows, and idle
 //!   shards parked in condvar-blocking receives. One transport is one
-//!   shard: the in-process engine, and the oracle of every other run;
+//!   shard: the in-process engine, and the oracle of every other run
+//!   (over an `Instrumented<Network>` it also counts every link's bytes);
 //! * [`party_engine::PartyEngine`] — one process's local parties of the
 //!   same sessions, opened through the in-band `ctl/` control plane and
 //!   run over real TCP / Unix-domain sockets.
@@ -39,7 +38,6 @@ pub mod messages;
 pub mod numeric;
 pub mod party;
 pub mod party_engine;
-pub mod session;
 pub mod sharded;
 pub mod topic;
 

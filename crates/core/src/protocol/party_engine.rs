@@ -70,9 +70,8 @@ use crate::protocol::derive_cache::{DerivationCache, DerivationCacheStats};
 use crate::protocol::driver::ClusteringRequest;
 use crate::protocol::engine::{EngineOutcome, PartyRuntime, RoundPolicy, ShardRound, TurnError};
 use crate::protocol::machines::{ComputeStats, HolderMachine, SessionContext, ThirdPartyMachine};
-use crate::protocol::messages::{check_count, PublishedResultMsg};
+use crate::protocol::messages::{check_count, parse_linkage, PublishedResultMsg};
 use crate::protocol::party::TrustedSetup;
-use crate::protocol::session::parse_linkage;
 use crate::protocol::topic::Topic;
 use crate::protocol::{NumericMode, ProtocolConfig};
 use crate::schema::{AttributeDescriptor, Schema, WeightVector};
@@ -716,8 +715,7 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
             config: spec.config,
             request: spec.request.clone(),
             chunk_rows: spec.chunk_rows,
-            topic_prefix: format!("s{id}/"),
-            retain_attributes: false,
+            session_id: id,
             cache: Some(self.cache.clone()),
         };
         let mut holders = Vec::new();
@@ -912,7 +910,7 @@ impl<'a, T: WaitTransport> Flow<'a, T> {
         }
         if let Some(tp) = tp {
             let party = tp.party();
-            let (result, final_matrix, _) = tp.into_outcome()?;
+            let (result, final_matrix) = tp.into_outcome()?;
             let outcome = EngineOutcome {
                 result,
                 final_matrix,

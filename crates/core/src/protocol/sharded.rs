@@ -375,7 +375,20 @@ mod tests {
         }
     }
 
-    impl WaitTransport for DeafThirdParty {}
+    impl WaitTransport for DeafThirdParty {
+        fn receive_any_of(
+            &self,
+            receivers: &[PartyId],
+            timeout: Duration,
+        ) -> Result<Option<Envelope>, NetError> {
+            let hearing: Vec<PartyId> = receivers
+                .iter()
+                .copied()
+                .filter(|&r| r != PartyId::ThirdParty)
+                .collect();
+            self.0.receive_any_of(&hearing, timeout)
+        }
+    }
 
     #[test]
     fn empty_transport_list_is_rejected() {

@@ -32,7 +32,14 @@ fn third_party() -> ThirdPartyMachine {
     )])
     .unwrap();
     let request = ClusteringRequest::uniform(&schema, 2);
-    let ctx = SessionContext::oracle(schema, ProtocolConfig::default(), request);
+    let ctx = SessionContext {
+        schema,
+        config: ProtocolConfig::default(),
+        request,
+        chunk_rows: None,
+        session_id: 0,
+        cache: None,
+    };
     let keys = TrustedSetup::derive_third_party(&[0, 1], &Seed::from_u64(5)).unwrap();
     ThirdPartyMachine::new(ctx, keys, &SITES).unwrap()
 }
@@ -46,7 +53,7 @@ fn empty_bundle(responders: usize, initiators: usize) -> Envelope {
     Envelope::new(
         PartyId::DataHolder(1),
         PartyId::ThirdParty,
-        "alphanumeric/dna/0-1/ccms",
+        "s0/alphanumeric/dna/0-1/ccms",
         msg.encode(4),
     )
 }

@@ -91,8 +91,9 @@ impl PartyPair {
 /// A registry of pairwise seeds, indexed by unordered party pairs.
 ///
 /// In a deployment each party would only hold the seeds it participates in;
-/// the simulation harness uses the registry as the trusted setup and hands
-/// each party its own view (see `ppc-core`'s session runner).
+/// a simulation can use the registry as the trusted setup and hand each
+/// party its own view (`ppc-core`'s `TrustedSetup` does the same with one
+/// pairwise seed per holder pair).
 #[derive(Debug, Default, Clone)]
 pub struct SeedRegistry {
     seeds: HashMap<PartyPair, Seed>,

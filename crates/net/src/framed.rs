@@ -2,7 +2,9 @@
 //!
 //! The in-memory [`Network`](crate::transport::Network) moves [`Envelope`]
 //! structs directly; a real deployment moves bytes over sockets. This module
-//! provides the byte-stream half of the [`Transport`] abstraction:
+//! provides the byte-stream format the socket tier
+//! ([`SocketTransport`](crate::socket::SocketTransport), the routers)
+//! writes and reads:
 //!
 //! * [`encode_frame`] / [`FrameDecoder`] — a deterministic, length-prefixed
 //!   frame format (`u32` body length, then sender, receiver, topic and
@@ -13,13 +15,9 @@
 //! * [`encode_ack`] — the socket tier's per-hop cumulative ack, a frame
 //!   whose body is one `u64`. [`FrameDecoder::next_link_frame`] yields acks
 //!   beside envelopes; the envelope-only views skip them.
-//! * [`StreamTransport`] — a [`Transport`] over one `io::Read + io::Write`
-//!   duplex per party, so anything socket-shaped slots in without touching
-//!   protocol code.
 //! * [`memory_duplex`] — an in-memory, optionally fragmenting duplex pair
 //!   for tests and simulations.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -31,7 +29,6 @@ use crate::codec::{WireReader, WireWriter};
 use crate::error::NetError;
 use crate::message::Envelope;
 use crate::party::PartyId;
-use crate::transport::{Transport, WaitTransport};
 
 /// Upper bound on a single frame body; larger length prefixes are treated
 /// as stream corruption rather than honoured with a giant allocation.
@@ -365,119 +362,6 @@ impl FrameDecoder {
     }
 }
 
-struct StreamLink<S> {
-    stream: S,
-    decoder: FrameDecoder,
-}
-
-/// A [`Transport`] over one framed byte stream per party.
-///
-/// Each registered party owns a duplex stream (its "socket"): sending to a
-/// party writes a frame onto that party's stream, receiving for a party
-/// reads whatever bytes are available and decodes complete frames. Streams
-/// must be non-blocking in the `io::ErrorKind::WouldBlock` sense (or return
-/// `Ok(0)` when idle) for `try_receive` to honour its never-blocks contract.
-pub struct StreamTransport<S> {
-    links: Mutex<HashMap<PartyId, StreamLink<S>>>,
-}
-
-impl<S> Default for StreamTransport<S> {
-    fn default() -> Self {
-        StreamTransport {
-            links: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<S> std::fmt::Debug for StreamTransport<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamTransport")
-            .field("parties", &self.links.lock().len())
-            .finish()
-    }
-}
-
-impl<S: Read + Write> StreamTransport<S> {
-    /// Creates a transport with no parties attached.
-    pub fn new() -> Self {
-        StreamTransport::default()
-    }
-
-    /// Attaches `party`'s duplex stream.
-    pub fn attach(&self, party: PartyId, stream: S) -> Result<(), NetError> {
-        let mut links = self.links.lock();
-        if links.contains_key(&party) {
-            return Err(NetError::DuplicateParty(party));
-        }
-        links.insert(
-            party,
-            StreamLink {
-                stream,
-                decoder: FrameDecoder::new(),
-            },
-        );
-        Ok(())
-    }
-}
-
-impl<S: Read + Write> Transport for StreamTransport<S> {
-    fn send(&self, envelope: Envelope) -> Result<(), NetError> {
-        let mut links = self.links.lock();
-        let link = links
-            .get_mut(&envelope.to)
-            .ok_or(NetError::UnknownParty(envelope.to))?;
-        let frame = encode_frame(&envelope)?;
-        link.stream
-            .write_all(&frame)
-            .map_err(|e| NetError::Io(e.to_string()))
-    }
-
-    fn try_receive(&self, receiver: PartyId) -> Result<Option<Envelope>, NetError> {
-        let mut links = self.links.lock();
-        let link = links
-            .get_mut(&receiver)
-            .ok_or(NetError::UnknownParty(receiver))?;
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(envelope) = link.decoder.next_frame()? {
-                return Ok(Some(envelope));
-            }
-            match link.stream.read(&mut chunk) {
-                // EOF on a frame boundary is a clean hangup; EOF with a
-                // partial frame buffered means the peer died mid-send.
-                Ok(0) => {
-                    return if link.decoder.buffered() == 0 {
-                        Ok(None)
-                    } else {
-                        Err(NetError::Io(format!(
-                            "peer {receiver} hung up mid-frame with {} bytes buffered",
-                            link.decoder.buffered()
-                        )))
-                    }
-                }
-                Ok(n) => link.decoder.feed(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(NetError::Io(e.to_string())),
-            }
-        }
-    }
-
-    fn flush(&self) -> Result<(), NetError> {
-        let mut links = self.links.lock();
-        for link in links.values_mut() {
-            link.stream
-                .flush()
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
-        Ok(())
-    }
-}
-
-/// Raw framed streams have no wakeup primitive, so blocking receives fall
-/// back to the trait's short-interval poll. The socket transports in
-/// [`crate::socket`] provide the condvar-backed alternative.
-impl<S: Read + Write> WaitTransport for StreamTransport<S> {}
-
 #[derive(Debug, Default)]
 struct Pipe {
     bytes: VecDeque<u8>,
@@ -595,46 +479,5 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.feed(&frame);
         assert!(decoder.next_frame().is_err());
-    }
-
-    #[test]
-    fn stream_transport_delivers_over_fragmenting_duplex() {
-        let transport = StreamTransport::new();
-        let (tp_side, _remote) = memory_duplex();
-        // Loop the stream back on itself: what the transport writes to the
-        // third party it later reads for the third party. The 3-byte chunk
-        // limit forces many partial reads per frame.
-        let loopback = MemoryDuplex {
-            incoming: tp_side.outgoing.clone(),
-            outgoing: tp_side.outgoing.clone(),
-            chunk_limit: Some(3),
-        };
-        transport.attach(PartyId::ThirdParty, loopback).unwrap();
-        let sent: Vec<Envelope> = (0..5)
-            .map(|i| envelope(&format!("topic/{i}"), vec![i as u8; i]))
-            .collect();
-        for e in &sent {
-            transport.send(e.clone()).unwrap();
-        }
-        transport.flush().unwrap();
-        let mut received = Vec::new();
-        while let Some(e) = transport.try_receive(PartyId::ThirdParty).unwrap() {
-            received.push(e);
-        }
-        assert_eq!(received, sent);
-        assert!(transport
-            .try_receive(PartyId::ThirdParty)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn unknown_parties_and_duplicates_error() {
-        let transport: StreamTransport<MemoryDuplex> = StreamTransport::new();
-        assert!(transport.try_receive(PartyId::DataHolder(0)).is_err());
-        assert!(transport.send(envelope("t", vec![])).is_err());
-        let (a, _b) = memory_duplex();
-        transport.attach(PartyId::DataHolder(0), a.clone()).unwrap();
-        assert!(transport.attach(PartyId::DataHolder(0), a).is_err());
     }
 }

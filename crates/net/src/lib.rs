@@ -11,12 +11,13 @@
 //! * [`codec`] — a compact binary wire format so byte counts are meaningful.
 //! * [`transport::Transport`] — the transport abstraction every higher layer
 //!   programs against (send / try_receive / flush).
-//! * [`transport::Network`] — an in-memory network with per-link
-//!   byte/message accounting and per-link security settings.
+//! * [`transport::Network`] — an in-memory mailbox network.
+//! * [`transport::Instrumented`] — per-link byte/message accounting,
+//!   per-link security settings and an eavesdropper over any transport.
 //! * [`sim::SimulatedWan`] — a virtual-clock latency/bandwidth/loss wrapper
 //!   around any transport, for the cost experiments.
-//! * [`framed`] — length-prefixed envelope frames over `io::Read + Write`
-//!   byte streams (the frame layout is specified in `docs/WIRE_FORMAT.md`).
+//! * [`framed`] — length-prefixed envelope frames over byte streams (the
+//!   frame layout is specified in `docs/WIRE_FORMAT.md`).
 //! * [`socket`] — real TCP and Unix-domain bindings over those frames:
 //!   party-announcing handshake, condvar-waking [`socket::SocketTransport`]
 //!   with lossless reconnects (per-link sequence numbers and a bounded
@@ -73,7 +74,6 @@ pub use eavesdrop::Eavesdropper;
 pub use error::NetError;
 pub use framed::{
     encode_ack, encode_frame, memory_duplex, Frame, FrameDecoder, LinkFrame, MemoryDuplex,
-    StreamTransport,
 };
 pub use message::{ChannelSecurity, Envelope};
 pub use metrics::{

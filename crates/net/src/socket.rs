@@ -1,7 +1,7 @@
 //! Real socket bindings: TCP and Unix-domain transports, acceptors and a
 //! frame router.
 //!
-//! [`StreamTransport`](crate::framed::StreamTransport) frames envelopes over
+//! [`framed`](crate::framed) defines how envelopes travel as frames over
 //! any byte stream but knows nothing about establishing connections. This
 //! module binds that framing to actual sockets:
 //!

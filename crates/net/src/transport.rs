@@ -3,16 +3,16 @@
 //! [`Transport`] is the seam every higher layer programs against: the
 //! protocol engines of `ppc-core` drive any [`WaitTransport`], and
 //! metrics/eavesdropping attach to the trait (via [`Instrumented`]) rather
-//! than to a concrete struct. Three implementations ship with the crate:
+//! than to a concrete struct. The implementations:
 //!
-//! * [`Network`] — the in-memory mailbox network (per-link byte accounting
-//!   and channel security built in, since it predates the trait and the
-//!   experiments rely on its reports);
+//! * [`Network`] — the in-memory mailbox network;
 //! * [`SimulatedWan`](crate::sim::SimulatedWan) — wraps any transport with a
 //!   virtual-clock latency/bandwidth/loss model for cost experiments;
-//! * [`StreamTransport`](crate::framed::StreamTransport) — length-prefixed
-//!   frames over `io::Read + io::Write` byte streams, so real sockets can
-//!   slot in without touching protocol code.
+//! * [`SocketTransport`](crate::socket::SocketTransport) — length-prefixed
+//!   frames over real TCP and Unix-domain sockets;
+//! * [`Instrumented`] — wraps any transport with per-link byte accounting,
+//!   channel-security settings and an eavesdropper: the one place traffic
+//!   is counted and captured.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -63,11 +63,8 @@ impl<T: Transport + ?Sized> Transport for &T {
 ///
 /// The sharded engine drives each shard's sessions from a worker thread;
 /// when a whole scheduling round makes no progress the worker blocks here
-/// instead of spinning. Condvar-backed transports ([`Network`], the socket
-/// transports) override [`receive_any_of`](Self::receive_any_of) with a
-/// true no-spin wait; the default implementation is a short-interval poll
-/// for transports with no wakeup primitive of their own (virtual-clock
-/// simulations, raw framed streams).
+/// instead of spinning. [`Network`] and the socket transports park on a
+/// condvar; wrappers forward to the transport they wrap.
 pub trait WaitTransport: Transport {
     /// Blocks until an envelope is queued for any of `receivers`, popping
     /// and returning the first one found (scanning `receivers` in order),
@@ -76,20 +73,7 @@ pub trait WaitTransport: Transport {
         &self,
         receivers: &[PartyId],
         timeout: Duration,
-    ) -> Result<Option<Envelope>, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            for &receiver in receivers {
-                if let Some(envelope) = self.try_receive(receiver)? {
-                    return Ok(Some(envelope));
-                }
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+    ) -> Result<Option<Envelope>, NetError>;
 }
 
 impl<T: WaitTransport + ?Sized> WaitTransport for &T {
@@ -130,18 +114,12 @@ impl<T: WaitTransport + ?Sized> WaitTransport for Arc<T> {
     }
 }
 
-#[derive(Debug, Default)]
-struct NetworkInner {
-    queues: HashMap<PartyId, VecDeque<Envelope>>,
-    security: HashMap<(PartyId, PartyId), ChannelSecurity>,
-    report: CommReport,
-    eavesdropper: Eavesdropper,
-}
-
-/// Handle to the simulated network. Cheap to clone; all clones share state.
+/// Handle to the in-memory mailbox network: one FIFO inbox per registered
+/// party. Cheap to clone; all clones share state. Wrap it in
+/// [`Instrumented`] to count its traffic or eavesdrop on it.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    inner: Arc<Mutex<NetworkInner>>,
+    queues: Arc<Mutex<HashMap<PartyId, VecDeque<Envelope>>>>,
     /// Signalled on every delivery so blocked receivers wake without
     /// polling.
     arrivals: Arc<Condvar>,
@@ -171,99 +149,41 @@ impl Network {
 
     /// Registers a party, creating its inbox.
     pub fn register(&self, party: PartyId) -> Result<(), NetError> {
-        let mut inner = self.inner.lock();
-        if inner.queues.contains_key(&party) {
+        let mut queues = self.queues.lock();
+        if queues.contains_key(&party) {
             return Err(NetError::DuplicateParty(party));
         }
-        inner.queues.insert(party, VecDeque::new());
+        queues.insert(party, VecDeque::new());
         Ok(())
     }
 
     /// Lists registered parties in stable order.
     pub fn parties(&self) -> Vec<PartyId> {
-        let inner = self.inner.lock();
-        let mut parties: Vec<PartyId> = inner.queues.keys().copied().collect();
+        let queues = self.queues.lock();
+        let mut parties: Vec<PartyId> = queues.keys().copied().collect();
         parties.sort();
         parties
     }
 
-    /// Sets the security of the undirected channel between `a` and `b`.
-    ///
-    /// Channels default to [`ChannelSecurity::Secured`]; the privacy
-    /// experiments flip individual links to plaintext to reproduce the
-    /// paper's eavesdropping discussion.
-    ///
-    /// **Semantics, unified across transports:** `Secured` means an
-    /// eavesdropper observes message *sizes* at most, never topics or
-    /// payloads; `Plaintext` means it captures full envelopes. On this
-    /// in-memory network the flag is a modelling switch (the eavesdropper
-    /// is given a copy on plaintext links); on the socket tier the same
-    /// contract is enforced cryptographically —
-    /// [`SocketTransport::set_security`](crate::socket::SocketTransport::set_security)
-    /// seals every frame, so `Secured` there is AEAD, not an assumption.
-    /// [`Instrumented::set_sealing_keys`] bridges the two: it captures the
-    /// sealed wire image on secured links so tests can assert the
-    /// ciphertext-only property explicitly.
-    pub fn set_channel_security(&self, a: PartyId, b: PartyId, security: ChannelSecurity) {
-        let mut inner = self.inner.lock();
-        inner.security.insert((a, b), security);
-        inner.security.insert((b, a), security);
-    }
-
-    /// Returns the security of the channel between `a` and `b`.
-    pub fn channel_security(&self, a: PartyId, b: PartyId) -> ChannelSecurity {
-        let inner = self.inner.lock();
-        inner.security.get(&(a, b)).copied().unwrap_or_default()
-    }
-
-    /// Sends an envelope, recording its size and (on plaintext links) a copy
-    /// for the eavesdropper.
+    /// Queues an envelope in its receiver's inbox and wakes every parked
+    /// receiver. Both parties must be registered.
     pub fn send(&self, envelope: Envelope) -> Result<(), NetError> {
-        let mut inner = self.inner.lock();
-        if !inner.queues.contains_key(&envelope.from) {
+        let mut queues = self.queues.lock();
+        if !queues.contains_key(&envelope.from) {
             return Err(NetError::UnknownParty(envelope.from));
         }
-        if !inner.queues.contains_key(&envelope.to) {
+        if !queues.contains_key(&envelope.to) {
             return Err(NetError::UnknownParty(envelope.to));
         }
-        let size = envelope.wire_size() as u64;
-        let link = (envelope.from, envelope.to);
-        inner.report.links.entry(link).or_default().record(size);
-        let security = inner.security.get(&link).copied().unwrap_or_default();
-        if security == ChannelSecurity::Plaintext {
-            inner.eavesdropper.capture(envelope.clone());
-        }
-        inner
-            .queues
+        queues
             .get_mut(&envelope.to)
             .expect("checked above")
             .push_back(envelope);
-        drop(inner);
+        drop(queues);
         // Wake every party blocked in a condvar receive; each re-checks its
         // own queue under the lock.
         self.arrivals.notify_all();
         Ok(())
-    }
-
-    /// Removes and returns the next queued message for `receiver`, if any.
-    pub fn receive_any(&self, receiver: PartyId) -> Option<Envelope> {
-        let mut inner = self.inner.lock();
-        inner.queues.get_mut(&receiver)?.pop_front()
-    }
-
-    /// Snapshot of the communication counters.
-    pub fn report(&self) -> CommReport {
-        self.inner.lock().report.clone()
-    }
-
-    /// Resets the communication counters (not the queues).
-    pub fn reset_report(&self) {
-        self.inner.lock().report = CommReport::default();
-    }
-
-    /// Envelopes captured on plaintext channels so far.
-    pub fn eavesdropped(&self) -> Vec<Envelope> {
-        self.inner.lock().eavesdropper.captured().to_vec()
     }
 }
 
@@ -283,8 +203,8 @@ impl Transport for Network {
     }
 
     fn try_receive(&self, receiver: PartyId) -> Result<Option<Envelope>, NetError> {
-        let mut inner = self.inner.lock();
-        match inner.queues.get_mut(&receiver) {
+        let mut queues = self.queues.lock();
+        match queues.get_mut(&receiver) {
             Some(queue) => Ok(queue.pop_front()),
             None => Err(NetError::UnknownParty(receiver)),
         }
@@ -303,11 +223,10 @@ impl WaitTransport for Network {
         timeout: Duration,
     ) -> Result<Option<Envelope>, NetError> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
+        let mut queues = self.queues.lock();
         loop {
             for &receiver in receivers {
-                let queue = inner
-                    .queues
+                let queue = queues
                     .get_mut(&receiver)
                     .ok_or(NetError::UnknownParty(receiver))?;
                 if let Some(envelope) = queue.pop_front() {
@@ -320,12 +239,12 @@ impl WaitTransport for Network {
             }
             self.wait_parks
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let (guard, result) = self.arrivals.wait_timeout(inner, deadline - now);
+            let (guard, result) = self.arrivals.wait_timeout(queues, deadline - now);
             if !result.timed_out() {
                 self.wait_wakeups
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            inner = guard;
+            queues = guard;
         }
     }
 }
@@ -343,11 +262,10 @@ struct InstrumentState {
 
 /// Metrics and eavesdropping as a layer over *any* [`Transport`].
 ///
-/// [`Network`] keeps its built-in accounting for backwards compatibility,
-/// but every other transport (framed streams, WAN simulation, future
-/// sockets) gets byte counting, per-link security settings and plaintext
-/// capture by wrapping it in `Instrumented` — the hooks live on the trait
-/// seam, not inside any one struct.
+/// Every transport gets byte counting, per-link security settings and
+/// plaintext capture by wrapping it in `Instrumented` — the hooks live on
+/// the trait seam, not inside any one struct. Only envelopes the inner
+/// transport accepts are counted and captured.
 #[derive(Debug, Clone, Default)]
 pub struct Instrumented<T> {
     inner: T,
@@ -371,12 +289,17 @@ impl<T: Transport> Instrumented<T> {
 
     /// Sets the security of the undirected channel between `a` and `b`.
     ///
-    /// Same semantics as [`Network::set_channel_security`]: `Plaintext`
-    /// links expose the full cleartext envelope to the eavesdropper,
-    /// `Secured` links expose ciphertext only (the sealed wire image, when
-    /// sealing keys are installed via
-    /// [`set_sealing_keys`](Self::set_sealing_keys)) or nothing (sizes are
-    /// still counted in the [`report`](Self::report)).
+    /// Channels default to [`ChannelSecurity::Secured`]; the privacy
+    /// experiments flip individual links to plaintext to reproduce the
+    /// paper's eavesdropping discussion. `Plaintext` links expose the full
+    /// cleartext envelope to the eavesdropper, `Secured` links expose
+    /// ciphertext only (the sealed wire image, when sealing keys are
+    /// installed via [`set_sealing_keys`](Self::set_sealing_keys)) or
+    /// nothing (sizes are still counted in the [`report`](Self::report)).
+    /// Over the in-memory network the flag is a modelling switch; on the
+    /// socket tier the same contract is enforced cryptographically
+    /// ([`SocketTransport::set_security`](crate::socket::SocketTransport::set_security)
+    /// seals every frame).
     pub fn set_channel_security(&self, a: PartyId, b: PartyId, security: ChannelSecurity) {
         let mut state = self.state.lock();
         state.security.insert((a, b), security);
@@ -428,23 +351,23 @@ impl<T: crate::metrics::WaitStatsReporter> crate::metrics::WaitStatsReporter for
 
 impl<T: Transport> Transport for Instrumented<T> {
     fn send(&self, envelope: Envelope) -> Result<(), NetError> {
-        {
-            let mut state = self.state.lock();
-            let state = &mut *state;
-            let link = (envelope.from, envelope.to);
-            let size = envelope.wire_size() as u64;
-            state.report.links.entry(link).or_default().record(size);
-            let security = state.security.get(&link).copied().unwrap_or_default();
-            match security {
-                ChannelSecurity::Plaintext => state.eavesdropper.capture(envelope.clone()),
-                ChannelSecurity::Secured => {
-                    if let Some(sealer) = state.sealer.as_ref() {
-                        state.eavesdropper.capture(sealer.seal(&envelope));
-                    }
-                }
+        let link = (envelope.from, envelope.to);
+        let size = envelope.wire_size() as u64;
+        let capture = {
+            let state = self.state.lock();
+            match state.security.get(&link).copied().unwrap_or_default() {
+                ChannelSecurity::Plaintext => Some(envelope.clone()),
+                ChannelSecurity::Secured => state.sealer.as_ref().map(|s| s.seal(&envelope)),
             }
+        };
+        // Count and capture only what the inner transport accepted.
+        self.inner.send(envelope)?;
+        let mut state = self.state.lock();
+        state.report.links.entry(link).or_default().record(size);
+        if let Some(capture) = capture {
+            state.eavesdropper.capture(capture);
         }
-        self.inner.send(envelope)
+        Ok(())
     }
 
     fn try_receive(&self, receiver: PartyId) -> Result<Option<Envelope>, NetError> {
@@ -511,46 +434,68 @@ mod tests {
 
     #[test]
     fn report_accumulates_and_resets() {
-        let net = Network::with_parties(2);
+        let net = Instrumented::new(Network::with_parties(2));
         net.send(from_dh0(PartyId::ThirdParty, "local-matrix", vec![0; 64]))
             .unwrap();
         net.send(from_dh0(PartyId::DataHolder(1), "masked", vec![0; 32]))
             .unwrap();
         let report = net.report();
         assert_eq!(report.total_messages(), 2);
-        assert!(report.bytes_sent_by(PartyId::DataHolder(0)) > 96);
+        // Each envelope counts its payload, its topic and 18 bytes of
+        // parties and length prefixes.
+        assert_eq!(
+            report.bytes_sent_by(PartyId::DataHolder(0)),
+            (18 + 12 + 64) + (18 + 6 + 32)
+        );
         assert_eq!(report.bytes_sent_by(PartyId::DataHolder(1)), 0);
         net.reset_report();
         assert_eq!(net.report().total_messages(), 0);
         // Queues are preserved across a report reset: exactly one envelope
         // stays queued for the third party.
         assert_eq!(
-            net.receive_any(PartyId::ThirdParty).unwrap().topic,
+            net.try_receive(PartyId::ThirdParty).unwrap().unwrap().topic,
             "local-matrix"
         );
-        assert!(net.receive_any(PartyId::ThirdParty).is_none());
+        assert_eq!(net.try_receive(PartyId::ThirdParty).unwrap(), None);
     }
 
+    /// Links default to secured: only an envelope sent after its link
+    /// was flipped to plaintext (in either direction) is captured.
     #[test]
     fn eavesdropper_only_sees_plaintext_links() {
-        let net = Network::with_parties(2);
+        let net = Instrumented::new(Network::with_parties(2));
         net.send(from_dh0(PartyId::DataHolder(1), "secret", vec![9; 8]))
             .unwrap();
         assert!(net.eavesdropped().is_empty());
         net.set_channel_security(
-            PartyId::DataHolder(0),
             PartyId::DataHolder(1),
+            PartyId::DataHolder(0),
             ChannelSecurity::Plaintext,
-        );
-        assert_eq!(
-            net.channel_security(PartyId::DataHolder(1), PartyId::DataHolder(0)),
-            ChannelSecurity::Plaintext
         );
         net.send(from_dh0(PartyId::DataHolder(1), "secret", vec![9; 8]))
             .unwrap();
         let captured = net.eavesdropped();
         assert_eq!(captured.len(), 1);
         assert_eq!(captured[0].topic, "secret");
+        assert_eq!(captured[0].payload, vec![9; 8]);
+    }
+
+    /// A send the inner transport refuses is neither counted nor
+    /// captured.
+    #[test]
+    fn instrumented_counts_only_accepted_sends() {
+        let net = Instrumented::new(Network::with_parties(1));
+        net.set_channel_security(
+            PartyId::DataHolder(0),
+            PartyId::DataHolder(5),
+            ChannelSecurity::Plaintext,
+        );
+        assert_eq!(
+            net.send(from_dh0(PartyId::DataHolder(5), "x", vec![1])),
+            Err(NetError::UnknownParty(PartyId::DataHolder(5)))
+        );
+        assert_eq!(net.report().total_messages(), 0);
+        assert!(net.eavesdropped().is_empty());
     }
 
     /// A receiver parked in `receive_any_of` wakes on the arrivals
@@ -660,19 +605,27 @@ mod tests {
         let report = instrumented.report();
         assert_eq!(report.total_messages(), 2);
         assert_eq!(
-            report.bytes_sent_by(PartyId::DataHolder(0)),
-            net.report().bytes_sent_by(PartyId::DataHolder(0))
+            report.bytes_on_link(PartyId::DataHolder(0), PartyId::ThirdParty),
+            (18 + 7 + 16) + (18 + 4 + 8)
         );
         let captured = instrumented.eavesdropped();
         assert_eq!(captured.len(), 1);
         assert_eq!(captured[0].topic, "open");
         instrumented.reset_report();
         assert_eq!(instrumented.report().total_messages(), 0);
-        // Both queued messages are still deliverable through the wrapper.
-        assert!(instrumented
-            .try_receive(PartyId::ThirdParty)
-            .unwrap()
-            .is_some());
+        // Both messages went through to the wrapped network, in order.
+        assert_eq!(
+            net.try_receive(PartyId::ThirdParty).unwrap().unwrap().topic,
+            "secured"
+        );
+        assert_eq!(
+            instrumented
+                .try_receive(PartyId::ThirdParty)
+                .unwrap()
+                .unwrap()
+                .topic,
+            "open"
+        );
     }
 
     /// The satellite contract: with sealing keys installed, an
@@ -730,11 +683,9 @@ mod tests {
             .unwrap();
         net.send(from_dh0(PartyId::ThirdParty, "second", vec![]))
             .unwrap();
-        assert_eq!(net.receive_any(PartyId::ThirdParty).unwrap().topic, "first");
-        assert_eq!(
-            net.receive_any(PartyId::ThirdParty).unwrap().topic,
-            "second"
-        );
-        assert!(net.receive_any(PartyId::ThirdParty).is_none());
+        let pop = || net.try_receive(PartyId::ThirdParty).unwrap();
+        assert_eq!(pop().unwrap().topic, "first");
+        assert_eq!(pop().unwrap().topic, "second");
+        assert_eq!(pop(), None);
     }
 }

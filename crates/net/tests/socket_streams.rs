@@ -1,189 +1,189 @@
-//! `StreamTransport` error paths over real loopback TCP sockets: peer
-//! hangup mid-frame, oversized frame rejection, and interleaved partial
-//! reads across two sessions' streams. The frame layout these tests pin
-//! down is specified in `docs/WIRE_FORMAT.md`.
+//! Frame error paths of an accepted `TcpTransport` link over real loopback
+//! TCP sockets: peer hangup mid-frame, a clean hangup on a frame boundary,
+//! oversized frame rejection, and interleaved partial reads across two
+//! links. The far end of each link is a raw socket that ran the public
+//! handshake stages (`exchange_hello`, `exchange_resume`) and then writes
+//! frame bytes by hand, so each test says exactly what the peer sent. The
+//! frame layout these tests pin down is specified in `docs/WIRE_FORMAT.md`.
 
+use std::collections::BTreeSet;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use ppc_net::framed::MAX_FRAME_BODY;
-use ppc_net::{encode_frame, Envelope, NetError, PartyId, StreamTransport, Transport};
+use ppc_net::socket::{exchange_hello, exchange_resume};
+use ppc_net::{
+    encode_frame, Envelope, NetError, PartyId, SecurityMode, TcpAcceptor, TcpTransport,
+    WaitTransport,
+};
 
-/// A connected loopback TCP pair; the receive side is non-blocking, as
-/// `StreamTransport::try_receive` requires.
-fn tcp_pair() -> (TcpStream, TcpStream) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let sender = TcpStream::connect(addr).unwrap();
-    sender.set_nodelay(true).unwrap();
-    let (receiver, _) = listener.accept().unwrap();
-    receiver.set_nonblocking(true).unwrap();
-    (sender, receiver)
+const TP: PartyId = PartyId::ThirdParty;
+
+/// A transport hosting the third party and its acceptor.
+fn third_party() -> (TcpTransport, TcpAcceptor) {
+    let transport = TcpTransport::new([TP]);
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    (transport, acceptor)
 }
 
-/// Polls `try_receive` until an envelope, an error, or the deadline.
-fn receive_within(
-    transport: &StreamTransport<TcpStream>,
+/// Dials `acceptor` from a raw socket hosting `party` (as endpoint
+/// `endpoint`) and completes the handshake while the transport accepts
+/// the link.
+fn raw_peer(
+    transport: &TcpTransport,
+    acceptor: &TcpAcceptor,
+    endpoint: u64,
     party: PartyId,
-    timeout: Duration,
-) -> Result<Option<Envelope>, NetError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match transport.try_receive(party) {
-            Ok(Some(envelope)) => return Ok(Some(envelope)),
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
-            Ok(None) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-    }
+) -> TcpStream {
+    let addr = acceptor.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let accept = scope.spawn(|| acceptor.accept_into(transport));
+        let mut peer = TcpStream::connect(addr).unwrap();
+        peer.set_nodelay(true).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let parties = BTreeSet::from([party]);
+        exchange_hello(&mut peer, endpoint, &parties, SecurityMode::Plaintext).unwrap();
+        assert_eq!(exchange_resume(&mut peer, 0).unwrap(), 0);
+        assert_eq!(accept.join().unwrap().unwrap(), parties);
+        peer
+    })
+}
+
+/// The next envelope for the third party, waiting up to five seconds.
+fn receive(transport: &TcpTransport) -> Result<Option<Envelope>, NetError> {
+    transport.receive_any_of(&[TP], Duration::from_secs(5))
 }
 
 #[test]
 fn peer_hangup_mid_frame_is_an_error_not_silence() {
-    let (mut sender, receiver) = tcp_pair();
-    let transport = StreamTransport::new();
-    transport.attach(PartyId::ThirdParty, receiver).unwrap();
+    let (transport, acceptor) = third_party();
+    let mut peer = raw_peer(&transport, &acceptor, 0xA0, PartyId::DataHolder(0));
 
     // A complete frame followed by a truncated one, then hang up.
-    let good = Envelope::new(
+    let good = Envelope::new(PartyId::DataHolder(0), TP, "s0/local/age/0", vec![1, 2, 3]);
+    peer.write_all(&encode_frame(&good).unwrap()).unwrap();
+    let partial = encode_frame(&Envelope::new(
         PartyId::DataHolder(0),
-        PartyId::ThirdParty,
-        "local/age/0",
-        vec![1, 2, 3],
-    );
-    sender.write_all(&encode_frame(&good).unwrap()).unwrap();
-    let partial_envelope = Envelope::new(
-        PartyId::DataHolder(0),
-        PartyId::ThirdParty,
-        "local/age/1",
+        TP,
+        "s0/local/age/1",
         vec![9; 64],
-    );
-    let partial = encode_frame(&partial_envelope).unwrap();
-    sender.write_all(&partial[..partial.len() / 2]).unwrap();
-    sender.flush().unwrap();
-    drop(sender); // FIN with half a frame in flight
+    ))
+    .unwrap();
+    assert_eq!(partial.len(), 100);
+    peer.write_all(&partial[..48]).unwrap();
+    peer.flush().unwrap();
+    drop(peer); // FIN with half a frame in flight
 
     // The complete frame is still delivered...
-    let delivered = receive_within(&transport, PartyId::ThirdParty, Duration::from_secs(5))
-        .unwrap()
-        .expect("complete frame survives the hangup");
-    assert_eq!(delivered, good);
-
-    // ...then the mid-frame EOF surfaces as an I/O error, not Ok(None).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let err = loop {
-        match transport.try_receive(PartyId::ThirdParty) {
-            Err(e) => break e,
-            Ok(Some(_)) => panic!("no further complete frame exists"),
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "hangup never surfaced");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    };
-    match err {
-        NetError::Io(msg) => assert!(msg.contains("mid-frame"), "unexpected message: {msg}"),
-        other => panic!("expected Io error, got {other:?}"),
-    }
+    assert_eq!(receive(&transport).unwrap(), Some(good));
+    // ...then the mid-frame EOF surfaces as an I/O error, not silence.
+    assert_eq!(
+        receive(&transport),
+        Err(NetError::Io(
+            "peer hung up mid-frame with 48 bytes buffered".into()
+        ))
+    );
 }
 
 #[test]
 fn clean_hangup_on_a_frame_boundary_is_quiet() {
-    let (mut sender, receiver) = tcp_pair();
-    let transport = StreamTransport::new();
-    transport.attach(PartyId::ThirdParty, receiver).unwrap();
-    let e = Envelope::new(PartyId::DataHolder(0), PartyId::ThirdParty, "t", vec![1]);
-    sender.write_all(&encode_frame(&e).unwrap()).unwrap();
-    drop(sender);
+    let (transport, acceptor) = third_party();
+    let mut peer = raw_peer(&transport, &acceptor, 0xA0, PartyId::DataHolder(0));
+    let e = Envelope::new(PartyId::DataHolder(0), TP, "s0/local/age/0", vec![1]);
+    peer.write_all(&encode_frame(&e).unwrap()).unwrap();
+    drop(peer);
+    assert_eq!(receive(&transport).unwrap(), Some(e));
+    // EOF with nothing buffered: a clean end of stream, not an error. A
+    // park long enough for the hangup to be read ends in a timeout.
     assert_eq!(
-        receive_within(&transport, PartyId::ThirdParty, Duration::from_secs(5)).unwrap(),
-        Some(e)
+        transport.receive_any_of(&[TP], Duration::from_millis(200)),
+        Ok(None)
     );
-    // EOF with nothing buffered: a clean end of stream, not an error.
-    assert_eq!(transport.try_receive(PartyId::ThirdParty).unwrap(), None);
 }
 
 #[test]
 fn oversized_frame_is_rejected_over_the_socket() {
-    let (mut sender, receiver) = tcp_pair();
-    let transport = StreamTransport::new();
-    transport.attach(PartyId::ThirdParty, receiver).unwrap();
+    let (transport, acceptor) = third_party();
+    let mut peer = raw_peer(&transport, &acceptor, 0xA0, PartyId::DataHolder(0));
 
     // A length prefix past the cap must be treated as corruption before
     // any allocation happens.
     let huge = (MAX_FRAME_BODY as u32) + 1;
-    sender.write_all(&huge.to_le_bytes()).unwrap();
-    sender.flush().unwrap();
+    peer.write_all(&huge.to_le_bytes()).unwrap();
+    peer.flush().unwrap();
 
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let err = loop {
-        match transport.try_receive(PartyId::ThirdParty) {
-            Err(e) => break e,
-            Ok(Some(_)) => panic!("corrupt stream produced a frame"),
-            Ok(None) => {
-                assert!(Instant::now() < deadline, "oversized prefix never rejected");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    };
-    assert!(matches!(err, NetError::Decode(_)), "{err:?}");
+    match receive(&transport) {
+        Err(NetError::Decode(message)) => assert!(
+            message.starts_with(&format!("frame body of {huge} bytes exceeds")),
+            "{message}"
+        ),
+        other => panic!("a corrupt stream gave {other:?}"),
+    }
 }
 
 #[test]
-fn interleaved_partial_reads_across_two_sessions_demultiplex_in_order() {
-    let (mut sender, receiver) = tcp_pair();
-    let transport = StreamTransport::new();
-    transport.attach(PartyId::ThirdParty, receiver).unwrap();
+fn interleaved_partial_reads_across_two_links_deliver_in_order() {
+    let (transport, acceptor) = third_party();
+    let holders = [PartyId::DataHolder(0), PartyId::DataHolder(1)];
+    let peers: Vec<TcpStream> = holders
+        .iter()
+        .enumerate()
+        .map(|(i, &holder)| raw_peer(&transport, &acceptor, 0xA0 + i as u64, holder))
+        .collect();
 
-    // Two sessions' chunk streams (`s0/`, `s1/`) interleaved on one
-    // socket, written in deliberately tiny fragments with pauses so the
-    // receiver sees partial frames mid-decode.
-    let frames: Vec<Envelope> = (0..6)
-        .map(|i| {
-            Envelope::new(
-                PartyId::DataHolder(0),
-                PartyId::ThirdParty,
-                format!("s{}/numeric/age/0-1/pairwise-chunk", i % 2),
-                vec![i as u8; 32 + i],
-            )
+    // Each link carries two sessions' chunk streams (`s0/`, `s1/`),
+    // written in deliberately tiny fragments that alternate between the
+    // links with pauses, so the transport sees partial frames mid-decode
+    // on both at once.
+    let frames: Vec<Vec<Envelope>> = holders
+        .iter()
+        .map(|&holder| {
+            (0..6)
+                .map(|i| {
+                    Envelope::new(
+                        holder,
+                        TP,
+                        format!("s{}/numeric/age/0-1/pairwise-chunk", i % 2),
+                        vec![i as u8; 32 + i],
+                    )
+                })
+                .collect()
         })
         .collect();
-    let wire: Vec<u8> = frames
+    let wires: Vec<Vec<u8>> = frames
         .iter()
-        .flat_map(|e| encode_frame(e).unwrap())
+        .map(|link| link.iter().flat_map(|e| encode_frame(e).unwrap()).collect())
         .collect();
-
     let writer = std::thread::spawn(move || {
-        for fragment in wire.chunks(7) {
-            sender.write_all(fragment).unwrap();
-            sender.flush().unwrap();
+        let mut peers = peers;
+        let longest = wires.iter().map(Vec::len).max().unwrap();
+        for at in (0..longest).step_by(7) {
+            for (peer, wire) in peers.iter_mut().zip(&wires) {
+                if at < wire.len() {
+                    peer.write_all(&wire[at..(at + 7).min(wire.len())]).unwrap();
+                    peer.flush().unwrap();
+                }
+            }
             std::thread::sleep(Duration::from_micros(300));
         }
-        sender
+        peers
     });
 
-    let mut received = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while received.len() < frames.len() {
-        assert!(Instant::now() < deadline, "frames never completed");
-        match transport.try_receive(PartyId::ThirdParty).unwrap() {
-            Some(envelope) => received.push(envelope),
-            None => std::thread::sleep(Duration::from_millis(1)),
-        }
+    let total: usize = frames.iter().map(Vec::len).sum();
+    let mut received = Vec::with_capacity(total);
+    while received.len() < total {
+        received.push(
+            receive(&transport)
+                .unwrap()
+                .expect("frames never completed"),
+        );
     }
-    let _sender = writer.join().unwrap();
+    let _peers = writer.join().unwrap();
 
-    // Global order survives (one TCP stream is one FIFO), so per-session
-    // order does too.
-    assert_eq!(received, frames);
-    let session0: Vec<&Envelope> = received
-        .iter()
-        .filter(|e| e.topic.starts_with("s0/"))
-        .collect();
-    let expected0: Vec<&Envelope> = frames
-        .iter()
-        .filter(|e| e.topic.starts_with("s0/"))
-        .collect();
-    assert_eq!(session0, expected0);
+    // Each link is one FIFO: its frames arrive in the order written.
+    for (holder, sent) in holders.iter().zip(&frames) {
+        let from: Vec<&Envelope> = received.iter().filter(|e| e.from == *holder).collect();
+        assert_eq!(from, sent.iter().collect::<Vec<_>>(), "link of {holder}");
+    }
 }

@@ -50,10 +50,10 @@ use ppc_cluster::Linkage;
 use ppc_core::csv::parse_csv;
 use ppc_core::matrix::HorizontalPartition;
 use ppc_core::protocol::driver::ClusteringRequest;
+use ppc_core::protocol::messages::parse_linkage;
 use ppc_core::protocol::party_engine::{
     PartyEngine, PartyOutcome, PartyRunReport, PartySeat, SessionFailure, SessionPlan, TpOutcome,
 };
-use ppc_core::protocol::session::parse_linkage;
 use ppc_core::protocol::{NumericMode, ProtocolConfig};
 use ppc_core::schema::{AttributeDescriptor, Schema, WeightVector};
 use ppc_core::Alphabet;

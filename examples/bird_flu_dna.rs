@@ -10,12 +10,13 @@
 use ppclust::cluster::agreement::adjusted_rand_index;
 use ppclust::cluster::{ClusterAssignment, Linkage};
 use ppclust::core::protocol::driver::ClusteringRequest;
+use ppclust::core::protocol::engine::SessionSpec;
 use ppclust::core::protocol::party::TrustedSetup;
-use ppclust::core::protocol::session::ClusteringSession;
+use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::ProtocolConfig;
 use ppclust::crypto::Seed;
 use ppclust::data::Workload;
-use ppclust::net::{CostModel, PartyId};
+use ppclust::net::{CostModel, Instrumented, Network, PartyId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Three hospitals, 36 patients, 3 circulating strains.
@@ -37,13 +38,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Diffie–Hellman; the categorical key never reaches the third party.
     let setup = TrustedSetup::via_diffie_hellman(workload.partitions.clone(), &Seed::from_u64(99))?;
 
-    let session = ClusteringSession::new(schema.clone(), ProtocolConfig::default(), 3);
-    let request = ClusteringRequest {
-        weights: schema.uniform_weights(),
-        linkage: Linkage::Average,
-        num_clusters: 3,
-    };
-    let outcome = session.run(&setup.holders, &setup.third_party, &request)?;
+    // One session on a one-shard engine; the instrumented network counts
+    // every link's bytes.
+    let mut engine = ShardedEngine::new(vec![Instrumented::new(Network::with_parties(3))])?;
+    engine.add_session(SessionSpec {
+        schema: schema.clone(),
+        config: ProtocolConfig::default(),
+        holders: setup.holders,
+        keys: setup.third_party,
+        request: ClusteringRequest {
+            weights: schema.uniform_weights(),
+            linkage: Linkage::Average,
+            num_clusters: 3,
+        },
+        chunk_rows: None,
+    });
+    let outcome = engine.run()?.outcomes.remove(0);
+    let communication = engine.transports()[0].report();
 
     println!();
     println!("Published result:");
@@ -67,16 +78,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("Communication bill:");
-    print!("{}", outcome.communication.to_table());
+    print!("{}", communication.to_table());
     for (name, model) in [("LAN", CostModel::lan()), ("WAN", CostModel::wan())] {
         println!(
             "estimated transfer time on {name}: {:.3} s",
-            model.estimate_seconds(&outcome.communication)
+            model.estimate_seconds(&communication)
         );
     }
     println!(
         "third party received {} bytes and never saw a single nucleotide.",
-        outcome.communication.bytes_received_by(PartyId::ThirdParty)
+        communication.bytes_received_by(PartyId::ThirdParty)
     );
     Ok(())
 }

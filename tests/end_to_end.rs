@@ -1,17 +1,19 @@
 //! End-to-end integration tests: the privacy-preserving pipeline must match
 //! the centralized computation exactly, in every mode, over the networked
-//! session as well as the in-memory driver, for every workload type.
+//! engine as well as the in-memory driver, for every workload type.
 
 use ppclust::baselines::centralized::CentralizedBaseline;
 use ppclust::cluster::agreement::{adjusted_rand_index, rand_index};
 use ppclust::cluster::{ClusterAssignment, Linkage};
 use ppclust::core::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
+use ppclust::core::protocol::engine::SessionSpec;
 use ppclust::core::protocol::party::TrustedSetup;
-use ppclust::core::protocol::session::ClusteringSession;
+use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{NumericMode, ProtocolConfig};
 use ppclust::core::ClusteringResult;
 use ppclust::crypto::{RngAlgorithm, Seed};
 use ppclust::data::Workload;
+use ppclust::net::{Instrumented, Network};
 
 fn published_assignment(result: &ClusteringResult, total: usize) -> ClusterAssignment {
     let mut pairs: Vec<(ppclust::core::ObjectId, usize)> = Vec::new();
@@ -113,22 +115,27 @@ fn networked_session_equals_in_memory_driver_and_counts_traffic() {
         .unwrap();
     let (reference, reference_matrix) = driver.cluster(&output, &request).unwrap();
 
-    let session = ClusteringSession::new(schema.clone(), ProtocolConfig::default(), 3);
-    let outcome = session
-        .run(&setup.holders, &setup.third_party, &request)
-        .unwrap();
+    let mut engine = ShardedEngine::new(vec![Instrumented::new(Network::with_parties(3))]).unwrap();
+    engine.add_session(SessionSpec {
+        schema: schema.clone(),
+        config: ProtocolConfig::default(),
+        holders: setup.holders.clone(),
+        keys: setup.third_party.clone(),
+        request,
+        chunk_rows: None,
+    });
+    let outcome = &engine.run().unwrap().outcomes[0];
 
     assert_eq!(outcome.result.clusters, reference.clusters);
-    assert!(
-        outcome
-            .final_matrix
-            .matrix()
-            .max_abs_difference(reference_matrix.matrix())
-            < 1e-12
+    // Every attribute produced a matrix, and the engine's merge of them
+    // equals the driver's bit for bit.
+    assert_eq!(output.per_attribute.len(), schema.len());
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(
+        bits(outcome.final_matrix.matrix().condensed_values()),
+        bits(reference_matrix.matrix().condensed_values())
     );
-    assert!(outcome.communication.total_bytes() > 0);
-    // Every attribute produced a matrix.
-    assert_eq!(outcome.per_attribute.len(), schema.len());
+    assert!(engine.transports()[0].report().total_bytes() > 0);
 }
 
 #[test]

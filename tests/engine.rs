@@ -1,6 +1,6 @@
 //! Integration tests for the transport-abstracted protocol engine (a
 //! one-shard `ShardedEngine`): golden-trace byte identity, engine/driver
-//! result equality, concurrent multi-session scheduling with bounded
+//! bit identity, concurrent multi-session scheduling with bounded
 //! buffering, and alternative transports.
 
 use ppclust::cluster::Linkage;
@@ -9,7 +9,6 @@ use ppclust::core::matrix::{DataMatrix, HorizontalPartition};
 use ppclust::core::protocol::driver::{ClusteringRequest, ThirdPartyDriver};
 use ppclust::core::protocol::engine::SessionSpec;
 use ppclust::core::protocol::party::TrustedSetup;
-use ppclust::core::protocol::session::ClusteringSession;
 use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{NumericMode, ProtocolConfig};
 use ppclust::core::record::Record;
@@ -18,7 +17,7 @@ use ppclust::core::value::AttributeValue;
 use ppclust::crypto::Seed;
 use ppclust::data::Workload;
 use ppclust::net::{
-    ChannelSecurity, Envelope, Network, PartyId, SimulatedWan, WanProfile, WireReader,
+    ChannelSecurity, Envelope, Instrumented, Network, PartyId, SimulatedWan, WanProfile, WireReader,
 };
 
 fn schema() -> Schema {
@@ -51,8 +50,8 @@ fn golden_setup() -> TrustedSetup {
     TrustedSetup::deterministic(partitions, &Seed::from_u64(77)).unwrap()
 }
 
-fn all_plaintext_network(holders: u32) -> Network {
-    let network = Network::with_parties(holders);
+fn all_plaintext_network(holders: u32) -> Instrumented<Network> {
+    let network = Instrumented::new(Network::with_parties(holders));
     let mut parties: Vec<PartyId> = (0..holders).map(PartyId::DataHolder).collect();
     parties.push(PartyId::ThirdParty);
     for (i, &a) in parties.iter().enumerate() {
@@ -90,16 +89,19 @@ fn decode_golden_fixture(bytes: &[u8]) -> Vec<Envelope> {
     envelopes
 }
 
-/// The refactored, state-machine-driven session must emit **byte-identical
-/// envelopes in identical order** to the pre-refactor monolithic session,
-/// whose trace was captured into the committed fixture before the refactor.
-/// The fixture was re-captured once, for wire v5, when only its six
-/// `alphanumeric/dna/*` envelopes changed.
+/// A one-session engine sends the envelopes of the pre-refactor monolithic
+/// session byte for byte, captured into the committed fixture before the
+/// refactor (and re-captured once, for wire v5, when only its six
+/// `alphanumeric/dna/*` envelopes changed). The fixture holds bare steps,
+/// so the engine's `s0/` prefix is stripped first. The engine schedules
+/// round-robin where the old session ran sequentially, so the global
+/// interleaving of independent streams may differ: every `(from, to,
+/// topic)` stream must match in order, and the whole trace as a multiset.
 ///
 /// The message layouts and topics this fixture pins down are specified
 /// normatively in `docs/WIRE_FORMAT.md`. If this test fails because of a
 /// *deliberate* wire change, re-capture the fixture, bump `WIRE_VERSION`
-/// in `ppc-net::socket`, and update `docs/WIRE_FORMAT.md` in the same PR.
+/// in `ppc-net::socket`, and update `docs/WIRE_FORMAT.md` in the same change.
 #[test]
 fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
     let fixture = std::fs::read(concat!(
@@ -107,58 +109,22 @@ fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
         "/tests/fixtures/golden_trace_seed77.bin"
     ))
     .expect("golden trace fixture present");
-    let golden = decode_golden_fixture(&fixture);
+    let mut golden = decode_golden_fixture(&fixture);
     assert_eq!(golden.len(), 27, "fixture shape");
 
     let setup = golden_setup();
-    let request = ClusteringRequest::uniform(&schema(), 2);
-    let network = all_plaintext_network(3);
-    let session = ClusteringSession::with_network(schema(), ProtocolConfig::default(), network);
-    session
-        .run(&setup.holders, &setup.third_party, &request)
-        .unwrap();
-    let trace = session.network().eavesdropped();
-
-    assert_eq!(trace.len(), golden.len(), "envelope count");
-    for (i, (observed, expected)) in trace.iter().zip(&golden).enumerate() {
-        assert_eq!(
-            observed, expected,
-            "envelope #{i} diverged from the fixture"
-        );
-    }
-}
-
-/// A single-session engine over the default in-memory transport sends the
-/// same envelopes as the sequential session — byte-identical payloads, and
-/// topics identical once the engine's `s0/` session prefix is stripped
-/// (the concurrent scheduler may interleave independent links
-/// differently, so equality is as a multiset plus per-link order).
-#[test]
-fn single_session_engine_envelopes_match_the_oracle_session() {
-    let setup = golden_setup();
-    let request = ClusteringRequest::uniform(&schema(), 2);
-
-    let session_network = all_plaintext_network(3);
-    let session =
-        ClusteringSession::with_network(schema(), ProtocolConfig::default(), session_network);
-    let outcome = session
-        .run(&setup.holders, &setup.third_party, &request)
-        .unwrap();
-    let mut session_trace = session.network().eavesdropped();
-
-    let engine_network = all_plaintext_network(3);
-    let mut engine = ShardedEngine::new(vec![engine_network.clone()]).unwrap();
+    let mut engine = ShardedEngine::new(vec![all_plaintext_network(3)]).unwrap();
     engine.add_session(SessionSpec {
         schema: schema(),
         config: ProtocolConfig::default(),
         holders: setup.holders.clone(),
         keys: setup.third_party.clone(),
-        request: request.clone(),
+        request: ClusteringRequest::uniform(&schema(), 2),
         chunk_rows: None,
     });
-    let engine_outcome = &engine.run().unwrap().outcomes[0];
+    engine.run().unwrap();
     // Every engine topic carries session 0's prefix; strip exactly that.
-    let mut engine_trace: Vec<Envelope> = engine_network
+    let mut trace: Vec<Envelope> = engine.transports()[0]
         .eavesdropped()
         .into_iter()
         .map(|mut envelope| {
@@ -171,18 +137,18 @@ fn single_session_engine_envelopes_match_the_oracle_session() {
         })
         .collect();
 
-    assert_eq!(outcome.result.clusters, engine_outcome.result.clusters);
-    assert_eq!(session_trace.len(), engine_trace.len());
+    assert_eq!(trace.len(), golden.len(), "envelope count");
     // Per-stream order must agree exactly (a stream is one (from, to,
-    // topic) triple; chunked transfers rely on this FIFO). The global
-    // interleaving across independent streams may differ — the engine
-    // schedules round-robin, the session sequentially.
+    // topic) triple; chunked transfers rely on this FIFO).
     let key = |e: &Envelope| (e.from, e.to, e.topic.clone());
-    let streams: std::collections::BTreeSet<_> = session_trace.iter().map(&key).collect();
+    let streams: std::collections::BTreeSet<_> = golden.iter().map(&key).collect();
     for stream in streams {
-        let a: Vec<&Envelope> = session_trace.iter().filter(|e| key(e) == stream).collect();
-        let b: Vec<&Envelope> = engine_trace.iter().filter(|e| key(e) == stream).collect();
-        assert_eq!(a, b, "stream {stream:?} diverges");
+        let expected: Vec<&Envelope> = golden.iter().filter(|e| key(e) == stream).collect();
+        let observed: Vec<&Envelope> = trace.iter().filter(|e| key(e) == stream).collect();
+        assert_eq!(
+            observed, expected,
+            "stream {stream:?} diverged from the fixture"
+        );
     }
     // And globally the two traces carry exactly the same envelopes.
     let sort = |t: &mut Vec<Envelope>| {
@@ -190,9 +156,9 @@ fn single_session_engine_envelopes_match_the_oracle_session() {
             (a.from, a.to, &a.topic, &a.payload).cmp(&(b.from, b.to, &b.topic, &b.payload))
         })
     };
-    sort(&mut session_trace);
-    sort(&mut engine_trace);
-    assert_eq!(session_trace, engine_trace);
+    sort(&mut golden);
+    sort(&mut trace);
+    assert_eq!(trace, golden);
 }
 
 fn bird_flu_spec(seed: u64, chunk_rows: Option<usize>, mode: NumericMode) -> SessionSpec {
@@ -221,6 +187,35 @@ fn driver_reference(spec: &SessionSpec) -> ppclust::core::ClusteringResult {
     let driver = ThirdPartyDriver::new(spec.schema.clone(), spec.config);
     let output = driver.construct(&spec.holders, &spec.keys).unwrap();
     driver.cluster(&output, &spec.request).unwrap().0
+}
+
+/// The one-shard engine folds each finished attribute into the merge as it
+/// completes, and the driver merges all of them at the end: both publish
+/// the same clusters and the same final matrix, bit for bit, whole or
+/// chunked, in batch and per-pair mode.
+#[test]
+fn one_shard_engine_is_bit_identical_to_the_driver() {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for seed in 7..=9 {
+        for chunk_rows in [None, Some(3), Some(1)] {
+            for mode in [NumericMode::Batch, NumericMode::PerPair] {
+                let spec = bird_flu_spec(seed, chunk_rows, mode);
+                let driver = ThirdPartyDriver::new(spec.schema.clone(), spec.config);
+                let output = driver.construct(&spec.holders, &spec.keys).unwrap();
+                let (reference, reference_matrix) = driver.cluster(&output, &spec.request).unwrap();
+                let mut engine = ShardedEngine::new(vec![Network::with_parties(3)]).unwrap();
+                engine.add_session(spec);
+                let outcome = &engine.run().unwrap().outcomes[0];
+                let case = format!("seed {seed}, chunk_rows {chunk_rows:?}, {mode:?}");
+                assert_eq!(outcome.result.clusters, reference.clusters, "{case}");
+                assert_eq!(
+                    bits(outcome.final_matrix.matrix().condensed_values()),
+                    bits(reference_matrix.matrix().condensed_values()),
+                    "{case}"
+                );
+            }
+        }
+    }
 }
 
 /// Eight concurrent sessions over one transport, all chunked: every one

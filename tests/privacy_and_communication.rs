@@ -4,60 +4,69 @@
 use ppclust::cluster::Linkage;
 use ppclust::core::privacy::{eavesdrop_initiator_link, frequency_attack_on_batch_column};
 use ppclust::core::protocol::driver::ClusteringRequest;
+use ppclust::core::protocol::engine::{EngineOutcome, SessionSpec};
 use ppclust::core::protocol::party::TrustedSetup;
-use ppclust::core::protocol::session::ClusteringSession;
+use ppclust::core::protocol::sharded::ShardedEngine;
 use ppclust::core::protocol::{numeric, NumericMode, ProtocolConfig};
 use ppclust::crypto::prng::DynStreamRng;
 use ppclust::crypto::{PairwiseSeeds, RngAlgorithm, Seed};
 use ppclust::data::Workload;
-use ppclust::net::{ChannelSecurity, Network, PartyId};
+use ppclust::net::{ChannelSecurity, CommReport, Instrumented, Network, PartyId};
 
+/// The workload's parties on an instrumented in-memory network.
+fn network_for(workload: &Workload) -> Instrumented<Network> {
+    Instrumented::new(Network::with_parties(workload.partitions.len() as u32))
+}
+
+/// Runs one session of `workload` on a one-shard engine over `network`,
+/// returning its outcome and the traffic the network counted.
 fn run_networked(
     workload: &Workload,
     config: ProtocolConfig,
-    network: Option<Network>,
-) -> ppclust::core::protocol::session::SessionOutcome {
+    network: Instrumented<Network>,
+) -> (EngineOutcome, CommReport) {
     let schema = workload.schema().clone();
     let setup =
         TrustedSetup::deterministic(workload.partitions.clone(), &Seed::from_u64(0xFEED)).unwrap();
-    let session = match network {
-        Some(network) => ClusteringSession::with_network(schema.clone(), config, network),
-        None => ClusteringSession::new(schema.clone(), config, workload.partitions.len()),
-    };
     let request = ClusteringRequest {
         weights: schema.uniform_weights(),
         linkage: Linkage::Average,
         num_clusters: workload.num_clusters().max(2),
     };
-    session
-        .run(&setup.holders, &setup.third_party, &request)
-        .unwrap()
+    let mut engine = ShardedEngine::new(vec![network]).unwrap();
+    engine.add_session(SessionSpec {
+        schema,
+        config,
+        holders: setup.holders,
+        keys: setup.third_party,
+        request,
+        chunk_rows: None,
+    });
+    let outcome = engine.run().unwrap().outcomes.remove(0);
+    (outcome, engine.transports()[0].report())
 }
 
 #[test]
 fn secured_channels_leak_nothing_to_the_eavesdropper() {
     let workload = Workload::numeric_only(16, 2, 2, 1).unwrap();
-    let outcome = run_networked(&workload, ProtocolConfig::default(), None);
-    assert!(outcome.communication.total_bytes() > 0);
+    let network = network_for(&workload);
+    let (_, report) = run_networked(&workload, ProtocolConfig::default(), network.clone());
+    assert!(report.total_bytes() > 0);
     // All channels default to Secured: the eavesdropper capture list is empty.
-    // (Network is internal to the session here; re-run with an explicit one.)
-    let network = Network::with_parties(2);
-    let workload = Workload::numeric_only(16, 2, 2, 1).unwrap();
-    let _ = run_networked(&workload, ProtocolConfig::default(), Some(network.clone()));
     assert!(network.eavesdropped().is_empty());
 }
 
 #[test]
 fn plaintext_channels_expose_masked_traffic_and_enable_the_paper_inference() {
     let workload = Workload::numeric_only(12, 2, 2, 3).unwrap();
-    let network = Network::with_parties(2);
+    let network = network_for(&workload);
     // Leave the DH_0 → DH_1 channel unencrypted, as in the paper's warning.
     network.set_channel_security(
         PartyId::DataHolder(0),
         PartyId::DataHolder(1),
         ChannelSecurity::Plaintext,
     );
-    let _ = run_networked(&workload, ProtocolConfig::default(), Some(network.clone()));
+    let _ = run_networked(&workload, ProtocolConfig::default(), network.clone());
     let captured = network.eavesdropped();
     assert!(!captured.is_empty());
     assert!(captured
@@ -108,10 +117,11 @@ fn frequency_attack_succeeds_on_batch_and_fails_on_per_pair() {
 fn numeric_cost_scales_quadratically_per_site_as_the_paper_claims() {
     let bytes_for = |objects: usize| {
         let workload = Workload::numeric_only(objects, 2, 2, 4).unwrap();
-        let outcome = run_networked(&workload, ProtocolConfig::default(), None);
+        let network = network_for(&workload);
+        let (_, report) = run_networked(&workload, ProtocolConfig::default(), network);
         (
-            outcome.communication.bytes_sent_by(PartyId::DataHolder(0)),
-            outcome.communication.bytes_sent_by(PartyId::DataHolder(1)),
+            report.bytes_sent_by(PartyId::DataHolder(0)),
+            report.bytes_sent_by(PartyId::DataHolder(1)),
         )
     };
     let (j_small, k_small) = bytes_for(64);
@@ -127,19 +137,18 @@ fn numeric_cost_scales_quadratically_per_site_as_the_paper_claims() {
 #[test]
 fn per_pair_mode_multiplies_initiator_traffic_but_not_results() {
     let workload = Workload::numeric_only(64, 2, 2, 6).unwrap();
-    let batch = run_networked(&workload, ProtocolConfig::default(), None);
+    let batch = run_networked(&workload, ProtocolConfig::default(), network_for(&workload));
     let per_pair = run_networked(
         &workload,
         ProtocolConfig {
             numeric_mode: NumericMode::PerPair,
             ..ProtocolConfig::default()
         },
-        None,
+        network_for(&workload),
     );
-    assert_eq!(batch.result.clusters, per_pair.result.clusters);
-    let link = |o: &ppclust::core::protocol::session::SessionOutcome| {
-        o.communication
-            .bytes_on_link(PartyId::DataHolder(0), PartyId::DataHolder(1))
+    assert_eq!(batch.0.result.clusters, per_pair.0.result.clusters);
+    let link = |(_, report): &(EngineOutcome, CommReport)| {
+        report.bytes_on_link(PartyId::DataHolder(0), PartyId::DataHolder(1))
     };
     // The initiator ships ~m copies of its masked column instead of one.
     assert!(link(&per_pair) > 10 * link(&batch));
@@ -149,8 +158,10 @@ fn per_pair_mode_multiplies_initiator_traffic_but_not_results() {
 fn categorical_traffic_is_linear_in_the_number_of_objects() {
     let bytes_for = |objects: usize| {
         let workload = Workload::customer_segmentation(objects, 2, 3, 9).unwrap();
-        let outcome = run_networked(&workload, ProtocolConfig::default(), None);
-        outcome.communication.total_bytes()
+        let network = network_for(&workload);
+        run_networked(&workload, ProtocolConfig::default(), network)
+            .1
+            .total_bytes()
     };
     // Total traffic includes quadratic numeric terms, so isolate the
     // categorical share by encoding columns directly.
