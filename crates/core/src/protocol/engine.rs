@@ -20,7 +20,7 @@
 //! * every session's topics carry its `s{id}/` prefix, and inbound
 //!   envelopes are routed by that id
 //!   ([`Topic::session_prefix_id`](super::topic::Topic::session_prefix_id));
-//!   the grammar has no bare topic.
+//!   no session sends a bare topic.
 //!
 //! Two front ends run on it and keep only their own policies:
 //! [`ShardedEngine`](super::sharded::ShardedEngine), one round per worker

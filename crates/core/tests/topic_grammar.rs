@@ -1,9 +1,8 @@
 //! Property-based coverage for the topic grammar of `docs/WIRE_FORMAT.md`
-//! §5: parse/format round-trips over the whole production space (every
-//! step under its `s{id}/` prefix, and the reserved `ctl/` namespace),
-//! refusal of bare steps and malformed topics, and the parser on arbitrary
-//! UTF-8: it never panics, and every string it accepts displays back to
-//! itself.
+//! §5: parse/format round-trips over the whole production space (including
+//! `s{id}/` prefixes and the reserved `ctl/` namespace), rejection of
+//! malformed topics, and the parser on arbitrary UTF-8: it never panics,
+//! and every string it accepts displays back to itself.
 
 use proptest::prelude::*;
 
@@ -18,10 +17,10 @@ const NUMERIC_KINDS: [NumericKind; 4] = [
 
 const ALPHA_KINDS: [AlphaKind; 3] = [AlphaKind::Masked, AlphaKind::Ccms, AlphaKind::CcmsChunk];
 
-/// Builds a structured step from flat generator outputs (the vendored
+/// Builds a structured topic from flat generator outputs (the vendored
 /// proptest has no enum/tuple strategies).
-fn step_from(selector: u8, attr: &str, a: u32, b: u32) -> Step {
-    match selector % 6 {
+fn topic_from(selector: u8, attr: &str, a: u32, b: u32, id: u64, prefixed: bool) -> Topic {
+    let step = match selector % 6 {
         0 => Step::ClusteringChoice,
         1 => Step::PublishedResult,
         2 => Step::Local {
@@ -43,6 +42,10 @@ fn step_from(selector: u8, attr: &str, a: u32, b: u32) -> Step {
             responder: b,
             kind: ALPHA_KINDS[(selector / 6) as usize % ALPHA_KINDS.len()],
         },
+    };
+    Topic::Session {
+        id: prefixed.then_some(id),
+        step,
     }
 }
 
@@ -50,8 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `parse(format(topic)) == topic` over the whole production space,
-    /// including attributes containing `/`, and the same step without its
-    /// session prefix is refused.
+    /// including attributes containing `/`.
     #[test]
     fn structured_topics_roundtrip_through_strings(
         selector in 0u8..=255,
@@ -59,10 +61,9 @@ proptest! {
         a in 0u32..4_000_000_000,
         b in 0u32..99,
         id in 0u64..u64::MAX,
+        prefix_coin in 0u8..=1,
     ) {
-        let step = step_from(selector, &attr, a, b);
-        let bare = step.to_string();
-        let topic = Topic::Session { id, step };
+        let topic = topic_from(selector, &attr, a, b, id, prefix_coin == 1);
         let rendered = topic.to_string();
         let parsed = Topic::parse(&rendered)
             .unwrap_or_else(|e| panic!("'{rendered}' must parse: {e}"));
@@ -72,9 +73,6 @@ proptest! {
         // The allocation-free hot-path prefix extraction agrees with the
         // full parse on every well-formed topic.
         prop_assert_eq!(Topic::session_prefix_id(&rendered), parsed.session_id());
-        // A bare step is refused, and no session claims it.
-        prop_assert!(Topic::parse(&bare).is_err());
-        prop_assert_eq!(Topic::session_prefix_id(&bare), None);
     }
 
     /// Control topics round-trip and are recognised as reserved.
@@ -100,7 +98,7 @@ proptest! {
         id in 0u64..1_000_000,
     ) {
         let base = Topic::Session {
-            id,
+            id: Some(id),
             step: Step::Numeric {
                 attribute: attr.to_string(),
                 initiator: a,
@@ -116,8 +114,8 @@ proptest! {
         // Missing pair separator.
         let broken = base.replace(&format!("{a}-{b}"), &format!("{a}_{b}"));
         prop_assert!(Topic::parse(&broken).is_err());
-        // The clustering-choice step takes no arguments.
-        prop_assert!(Topic::parse(&format!("s{id}/clustering-choice/{attr}")).is_err());
+        // The bare clustering-choice step takes no arguments.
+        prop_assert!(Topic::parse(&format!("clustering-choice/{attr}")).is_err());
         // An empty attribute never parses.
         prop_assert!(Topic::parse(&format!("s{id}/categorical/")).is_err());
     }
@@ -292,7 +290,11 @@ fn engine_traffic_obeys_the_grammar() {
         let parsed = Topic::parse(&envelope.topic)
             .unwrap_or_else(|e| panic!("live topic '{}' must parse: {e}", envelope.topic));
         match parsed {
-            Topic::Session { id, .. } => assert!(id < 2, "id {id} out of range"),
+            Topic::Session { id: Some(id), .. } => assert!(id < 2, "id {id} out of range"),
+            Topic::Session { id: None, .. } => panic!(
+                "the engine must prefix every topic, got '{}'",
+                envelope.topic
+            ),
             Topic::Control { .. } => panic!("engine emitted a control topic"),
         }
     }

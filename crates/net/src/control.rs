@@ -21,10 +21,10 @@
 //!   (or failed), with an optional opaque outcome payload (the third party
 //!   attaches its published result and final matrix for verification).
 //!
-//! The `ctl/` prefix is *reserved*: session topics are always either bare
-//! legacy steps or `s{id}/`-prefixed steps, neither of which can start
-//! with `ctl/`, so control traffic demultiplexes unambiguously from
-//! protocol traffic sharing the same transport.
+//! The `ctl/` prefix is *reserved*: session topics always carry their
+//! `s{id}/` prefix, which cannot start with `ctl/`, so control traffic
+//! demultiplexes unambiguously from protocol traffic sharing the same
+//! transport.
 
 use ppc_crypto::{Seed, SipHash24};
 
