@@ -59,8 +59,8 @@ pub struct SessionSpec {
     /// What to cluster and how.
     pub request: ClusteringRequest,
     /// `Some(w)`: stream pairwise blocks in windows of at most `w` rows,
-    /// bounding per-session peak buffering. `None`: legacy whole-matrix
-    /// messages.
+    /// bounding per-session peak buffering. `None`: each block is one
+    /// window of every row, sent whole.
     pub chunk_rows: Option<usize>,
 }
 
@@ -451,7 +451,9 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::matrix::{DataMatrix, HorizontalPartition};
+    use crate::pairwise::PairwiseBlock;
     use crate::protocol::driver::ThirdPartyDriver;
+    use crate::protocol::messages::MaskedNumericMsg;
     use crate::protocol::party::TrustedSetup;
     use crate::protocol::sharded::ShardedEngine;
     use crate::protocol::NumericMode;
@@ -537,24 +539,32 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs a session runtime to completion, injecting one duplicate of
-    /// the first envelope whose topic starts with `s0/{replay_topic}`.
+    /// Runs a session runtime with window `chunk_rows` to completion,
+    /// replaying a copy of the first envelope whose topic starts with
+    /// `s0/{replay_topic}` right after the `after`-th such envelope.
     /// Returns the error the replay must provoke.
-    fn run_with_replay(replay_topic: &str) -> CoreError {
-        let mut runtime = PartyRuntime::build(&spec(77, None), 0, None).unwrap();
+    fn run_with_replay(chunk_rows: Option<usize>, replay_topic: &str, after: usize) -> CoreError {
+        let mut runtime = PartyRuntime::build(&spec(77, chunk_rows), 0, None).unwrap();
         let replay_topic = format!("s0/{replay_topic}");
-        let mut injected = false;
+        let mut first = None;
+        let mut seen = 0;
         for _ in 0..10_000 {
             let turn = match runtime.turn() {
                 Ok(turn) => turn,
                 Err(err) => return err,
             };
             for envelope in turn.outgoing {
-                if !injected && envelope.topic.starts_with(&replay_topic) {
-                    injected = true;
-                    runtime.enqueue(envelope.clone()).unwrap();
+                let replayed = envelope.topic.starts_with(&replay_topic);
+                if replayed && first.is_none() {
+                    first = Some(envelope.clone());
                 }
                 runtime.enqueue(envelope).unwrap();
+                if replayed {
+                    seen += 1;
+                    if seen == after {
+                        runtime.enqueue(first.clone().unwrap()).unwrap();
+                    }
+                }
             }
             if runtime.is_done() {
                 panic!("session completed despite the replayed '{replay_topic}' envelope");
@@ -569,17 +579,59 @@ mod tests {
     #[test]
     fn replayed_envelopes_are_rejected_not_double_counted() {
         for topic in ["local/", "clustering-choice", "categorical/"] {
-            let err = run_with_replay(topic);
+            let err = run_with_replay(None, topic, 1);
             assert!(
                 err.to_string().contains("twice"),
                 "replaying '{topic}' produced the wrong error: {err}"
             );
         }
-        let err = run_with_replay("numeric/");
+        let err = run_with_replay(None, "numeric/", 1);
         assert!(
             err.to_string().contains("duplicate") || err.to_string().contains("twice"),
             "replaying a numeric envelope produced the wrong error: {err}"
         );
+        // A stream's first window, replayed after its second and last one,
+        // finds its pair complete: it is refused before it is folded.
+        for topic in [
+            "numeric/age/0-1/pairwise-chunk",
+            "alphanumeric/dna/0-1/ccms-chunk",
+        ] {
+            let err = run_with_replay(Some(1), topic, 2);
+            assert!(
+                err.to_string().contains("duplicate pairwise result 0-1"),
+                "replaying a '{topic}' window produced the wrong error: {err}"
+            );
+        }
+    }
+
+    /// In batch mode `DH_K` refuses a masked vector that is not one row of
+    /// the initiator's objects, whole or chunked, before it derives or
+    /// folds anything: the negators and every folded row are sized by it.
+    #[test]
+    fn malformed_batch_masked_vectors_are_refused() {
+        for chunk_rows in [None, Some(1)] {
+            let mut runtime = PartyRuntime::build(&spec(77, chunk_rows), 0, None).unwrap();
+            let masked = MaskedNumericMsg {
+                attribute: "age".into(),
+                block: PairwiseBlock::new(2, 2, vec![1, 2, 3, 4]).unwrap(),
+            };
+            runtime
+                .enqueue(Envelope::new(
+                    PartyId::DataHolder(0),
+                    PartyId::DataHolder(1),
+                    "s0/numeric/age/0-1/masked",
+                    masked.encode(),
+                ))
+                .unwrap();
+            match runtime.turn() {
+                Err(CoreError::Protocol(message)) => assert!(
+                    message.contains("masked vector from site 0 is 2×2, expected 1×2"),
+                    "{message}"
+                ),
+                Err(other) => panic!("window {chunk_rows:?}: wrong error {other}"),
+                Ok(_) => panic!("window {chunk_rows:?}: the 2×2 masked vector was accepted"),
+            }
+        }
     }
 
     /// A machine takes only topics under its own session's prefix: a bare

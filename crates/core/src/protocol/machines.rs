@@ -10,16 +10,23 @@
 //! ## Wire compatibility
 //!
 //! Every topic a machine sends carries its session's `s{id}/` prefix, and
-//! a machine takes only topics under that prefix. With `chunk_rows: None`
-//! the machines emit exactly the legacy whole-matrix messages on the legacy
-//! steps, so a one-session engine sends the pre-refactor monolithic
-//! session's envelopes byte for byte once `s0/` is stripped (pinned by the
-//! golden-trace test, stream by stream). With `chunk_rows: Some(w)`,
-//! the bulk pairwise streams are split into row windows ([`PairwiseChunkMsg`]
-//! / [`CcmChunkMsg`]): the responder folds and ships at most `w` pairwise
-//! rows at a time, the third party folds each window into its condensed
-//! accumulator on arrival, and no party ever materialises more than `w`
-//! rows of any cross-site block.
+//! a machine takes only topics under that prefix. Every cross-site block
+//! (the per-pair masked copies, the pairwise matrix, the CCM bundle) is a
+//! stream of row windows ([`PairwiseChunkMsg`] / [`CcmChunkMsg`]): the
+//! holder computes one window at a time, and the third party checks each
+//! window against the session and folds it into its condensed accumulator
+//! on arrival. `chunk_rows` decides only how many rows a window holds and
+//! how it travels. With `chunk_rows: Some(w)` a window holds at most `w`
+//! rows and travels on the `-chunk` step, so no party ever materialises
+//! more than `w` rows of any cross-site block. With `chunk_rows: None` a
+//! stream's one window holds every row and travels whole, on the whole
+//! block's step without the window header ([`MaskedNumericMsg`],
+//! [`PairwiseMatrixMsg`], [`CcmBundleMsg`]), so a one-session engine sends
+//! the pre-refactor monolithic session's envelopes byte for byte once
+//! `s0/` is stripped (pinned by the golden-trace tests, stream by stream,
+//! in batch and per-pair mode). Either way the receiver reads a whole
+//! message as the window `[0, total)` of its stream and runs the one
+//! window path on it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -58,8 +65,10 @@ pub struct SessionContext {
     pub config: ProtocolConfig,
     /// The clustering request every holder echoes to the third party.
     pub request: ClusteringRequest,
-    /// `Some(w)`: stream pairwise blocks in windows of at most `w` rows.
-    /// `None`: legacy whole-matrix messages (byte-identical traces).
+    /// `Some(w)`: each pairwise block travels as windows of at most `w`
+    /// rows on its `-chunk` step. `None`: its one window holds every row
+    /// and travels whole, without the window header (byte-identical
+    /// traces).
     pub chunk_rows: Option<usize>,
     /// The session's id: every topic its machines send carries the
     /// `s{id}/` prefix, so sessions multiplex over one transport.
@@ -72,8 +81,28 @@ pub struct SessionContext {
 }
 
 impl SessionContext {
-    fn window(&self) -> Option<usize> {
-        self.chunk_rows.map(|w| w.max(1))
+    /// Rows in the next window of a stream with `remaining` rows left: at
+    /// most `chunk_rows`, or every one of them when blocks travel whole.
+    fn window_rows(&self, remaining: usize) -> usize {
+        self.chunk_rows
+            .map_or(remaining, |w| w.max(1).min(remaining))
+    }
+
+    /// The prefixed topic of a stream whose whole block travels on `step`:
+    /// `step` itself, or `{step}-chunk` when the session streams windows.
+    fn stream_topic(&self, step: &str) -> String {
+        match self.chunk_rows {
+            None => self.topic(step),
+            Some(_) => self.topic(&format!("{step}-chunk")),
+        }
+    }
+
+    /// A numeric window in the layout its stream's topic carries.
+    fn encode_window(&self, window: &PairwiseChunkMsg) -> Vec<u8> {
+        match self.chunk_rows {
+            None => window.encode_whole(),
+            Some(_) => window.encode(),
+        }
     }
 
     fn topic(&self, base: &str) -> String {
@@ -202,10 +231,12 @@ enum HolderDuty {
     SendChoice,
 }
 
-/// In-progress chunked emission streams on the holder side.
+/// The pairwise streams a holder emits, one row window at a time.
 ///
-/// The attribute name, destination and (prefixed) topic are resolved once
-/// at stream creation so the per-chunk hot path touches no session state.
+/// A window holds at most `chunk_rows` rows; with `chunk_rows: None` it
+/// holds every remaining row, so the stream emits once, whole. The
+/// attribute name, destination and (prefixed) topic are resolved once at
+/// stream creation so the per-window hot path touches no session state.
 #[derive(Debug)]
 enum HolderStream {
     /// Responder of the batch numeric protocol: fold own rows against the
@@ -243,7 +274,7 @@ enum HolderStream {
 }
 
 /// Per-`(attribute, initiator)` responder state for incoming per-pair
-/// masked chunks.
+/// masked windows.
 #[derive(Debug)]
 struct PerPairResponderState {
     own: Vec<i64>,
@@ -451,71 +482,46 @@ impl HolderMachine {
                 let values = codec
                     .encode_column(&self.holder.partition().matrix().numeric_column(attribute)?)?;
                 let seeds = self.holder.pairwise_seeds(responder, &name)?;
-                match (self.ctx.config.numeric_mode, self.ctx.window()) {
-                    (NumericMode::PerPair, Some(_)) => {
-                        // Streamed per-pair initiation: fresh masked copies
-                        // are generated window by window, never as a whole
-                        // |K| × |J| block.
-                        let topic = self
-                            .ctx
-                            .topic(&format!("numeric/{name}/{tag}/masked-chunk"));
-                        self.streams.push_back(HolderStream::PerPairInitiate {
-                            attribute: name,
-                            topic,
-                            responder,
-                            values,
-                            rng_jk: DynStreamRng::new(algorithm, &seeds.holder_holder),
-                            rng_jt: DynStreamRng::new(algorithm, &seeds.holder_third_party),
-                            next_row: 0,
-                            total_rows: self.site_len(responder)?,
-                        });
-                        self.advance_stream()
-                    }
-                    (mode, _) => {
-                        let block = match mode {
-                            NumericMode::Batch => {
-                                let n = values.len();
-                                let started = Instant::now();
-                                let raw_jk = self.ctx.raw_prefix(&seeds.holder_holder, n);
-                                let raw_jt = self.ctx.raw_prefix(&seeds.holder_third_party, n);
-                                self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
-                                let started = Instant::now();
-                                let masked = numeric::initiator_mask_with_prefixes(
-                                    &values,
-                                    &raw_jk[..n],
-                                    &raw_jt[..n],
-                                );
-                                self.compute.fold_unmask_nanos +=
-                                    started.elapsed().as_nanos() as u64;
-                                PairwiseBlock::new(1, n, masked)?
-                            }
-                            NumericMode::PerPair => {
-                                let started = Instant::now();
-                                let block = numeric::initiator_mask_per_pair(
-                                    &values,
-                                    self.site_len(responder)?,
-                                    &seeds,
-                                    algorithm,
-                                );
-                                self.compute.fold_unmask_nanos +=
-                                    started.elapsed().as_nanos() as u64;
-                                block
-                            }
-                        };
-                        self.note_rows(block.rows());
-                        let msg = MaskedNumericMsg {
-                            attribute: name.clone(),
-                            block,
-                        };
-                        let topic = self.ctx.topic(&format!("numeric/{name}/{tag}/masked"));
-                        Ok(Envelope::new(
-                            self.party(),
-                            PartyId::DataHolder(responder),
-                            topic,
-                            msg.encode(),
-                        ))
-                    }
+                if self.ctx.config.numeric_mode == NumericMode::PerPair {
+                    // Per-pair initiation: fresh masked copies, one per
+                    // responder object, generated window by window.
+                    let topic = self
+                        .ctx
+                        .stream_topic(&format!("numeric/{name}/{tag}/masked"));
+                    self.streams.push_back(HolderStream::PerPairInitiate {
+                        attribute: name,
+                        topic,
+                        responder,
+                        values,
+                        rng_jk: DynStreamRng::new(algorithm, &seeds.holder_holder),
+                        rng_jt: DynStreamRng::new(algorithm, &seeds.holder_third_party),
+                        next_row: 0,
+                        total_rows: self.site_len(responder)?,
+                    });
+                    return self.advance_stream();
                 }
+                let n = values.len();
+                let started = Instant::now();
+                let raw_jk = self.ctx.raw_prefix(&seeds.holder_holder, n);
+                let raw_jt = self.ctx.raw_prefix(&seeds.holder_third_party, n);
+                self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
+                let started = Instant::now();
+                let masked =
+                    numeric::initiator_mask_with_prefixes(&values, &raw_jk[..n], &raw_jt[..n]);
+                self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
+                let block = PairwiseBlock::new(1, n, masked)?;
+                self.note_rows(block.rows());
+                let msg = MaskedNumericMsg {
+                    attribute: name.clone(),
+                    block,
+                };
+                let topic = self.ctx.topic(&format!("numeric/{name}/{tag}/masked"));
+                Ok(Envelope::new(
+                    self.party(),
+                    PartyId::DataHolder(responder),
+                    topic,
+                    msg.encode(),
+                ))
             }
             AttributeKind::Alphanumeric => {
                 let alphabet = descriptor.require_alphabet()?.clone();
@@ -558,14 +564,11 @@ impl HolderMachine {
         }
     }
 
-    /// Emits the next chunk of the front stream, popping it when finished.
-    /// Streams carry their resolved attribute name and topic, so this hot
-    /// path touches no session state beyond the window size.
+    /// Emits the next window of the front stream, popping the stream after
+    /// its last. Streams carry their resolved attribute name and topic, so
+    /// this hot path touches no session state beyond the window's size and
+    /// layout.
     fn advance_stream(&mut self) -> Result<Envelope, CoreError> {
-        let window = self
-            .ctx
-            .window()
-            .expect("streams only exist in chunked mode");
         let party = PartyId::DataHolder(self.holder.site());
         let stream = self
             .streams
@@ -581,7 +584,7 @@ impl HolderMachine {
                 next_row,
             } => {
                 let total = own.len();
-                let rows = window.min(total - *next_row);
+                let rows = self.ctx.window_rows(total - *next_row);
                 let started = Instant::now();
                 let values = numeric::responder_fold_window(
                     masked,
@@ -599,7 +602,12 @@ impl HolderMachine {
                 };
                 *next_row += rows;
                 (
-                    Envelope::new(party, PartyId::ThirdParty, topic.clone(), msg.encode()),
+                    Envelope::new(
+                        party,
+                        PartyId::ThirdParty,
+                        topic.clone(),
+                        self.ctx.encode_window(&msg),
+                    ),
                     rows,
                     *next_row >= total,
                 )
@@ -612,7 +620,7 @@ impl HolderMachine {
                 next_row,
             } => {
                 let total = packed_rows.own_count();
-                let rows = window.min(total - *next_row);
+                let rows = self.ctx.window_rows(total - *next_row);
                 let started = Instant::now();
                 let bundle = packed_rows.bundle(*next_row..*next_row + rows);
                 self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
@@ -622,14 +630,13 @@ impl HolderMachine {
                     total_rows: total as u32,
                     window: bundle,
                 };
+                let payload = match self.ctx.chunk_rows {
+                    None => msg.encode_whole(*alphabet_size),
+                    Some(_) => msg.encode(*alphabet_size),
+                };
                 *next_row += rows;
                 (
-                    Envelope::new(
-                        party,
-                        PartyId::ThirdParty,
-                        topic.clone(),
-                        msg.encode(*alphabet_size),
-                    ),
+                    Envelope::new(party, PartyId::ThirdParty, topic.clone(), payload),
                     rows,
                     *next_row >= total,
                 )
@@ -644,7 +651,7 @@ impl HolderMachine {
                 next_row,
                 total_rows,
             } => {
-                let rows = window.min(*total_rows - *next_row);
+                let rows = self.ctx.window_rows(*total_rows - *next_row);
                 let started = Instant::now();
                 let chunk = numeric::initiator_mask_per_pair_window(values, rows, rng_jk, rng_jt);
                 self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
@@ -662,7 +669,7 @@ impl HolderMachine {
                         party,
                         PartyId::DataHolder(*responder),
                         topic.clone(),
-                        msg.encode(),
+                        self.ctx.encode_window(&msg),
                     ),
                     rows,
                     *next_row >= *total_rows,
@@ -690,11 +697,19 @@ impl HolderMachine {
             let (attr, tag, kind) = split_pair_topic(rest)?;
             let attribute = attribute_index(&self.ctx.schema, attr)?;
             let (j, _k) = parse_pair_tag(tag)?;
-            return match kind {
-                "masked" => self.respond_numeric(attribute, j, envelope),
-                "masked-chunk" => self.respond_numeric_chunk(attribute, j, envelope),
-                other => Err(CoreError::Protocol(format!(
-                    "holder received unexpected numeric topic kind '{other}'"
+            let payload = &envelope.payload;
+            return match (self.ctx.config.numeric_mode, kind) {
+                (NumericMode::Batch, "masked") => {
+                    self.respond_numeric(attribute, j, MaskedNumericMsg::decode(payload)?)
+                }
+                (NumericMode::PerPair, "masked") => {
+                    self.respond_per_pair(attribute, j, MaskedNumericMsg::decode(payload)?.into())
+                }
+                (NumericMode::PerPair, "masked-chunk") => {
+                    self.respond_per_pair(attribute, j, PairwiseChunkMsg::decode(payload)?)
+                }
+                (mode, other) => Err(CoreError::Protocol(format!(
+                    "holder received unexpected numeric topic kind '{other}' in {mode:?} mode"
                 ))),
             };
         }
@@ -716,107 +731,67 @@ impl HolderMachine {
         )))
     }
 
-    /// Responder role for the (whole-message) numeric protocol.
+    /// Responder role for the batch numeric protocol: keeps the masked
+    /// vector and folds own rows against it, one window at a time.
     fn respond_numeric(
         &mut self,
         attribute: usize,
         initiator: u32,
-        envelope: &Envelope,
+        masked: MaskedNumericMsg,
     ) -> Result<StepOutput, CoreError> {
+        // The negators and every folded row are sized by the initiator's
+        // object count, so refuse any other shape before deriving anything.
+        let cols = self.site_len(initiator)?;
+        if (masked.block.rows(), masked.block.cols()) != (1, cols) {
+            return Err(CoreError::Protocol(format!(
+                "masked vector from site {initiator} is {}×{}, expected 1×{cols}",
+                masked.block.rows(),
+                masked.block.cols()
+            )));
+        }
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
         let name = descriptor.name.clone();
         let codec = self.ctx.config.fixed_point;
-        let algorithm = self.ctx.config.rng_algorithm;
-        let masked = MaskedNumericMsg::decode(&envelope.payload)?;
         let own =
             codec.encode_column(&self.holder.partition().matrix().numeric_column(attribute)?)?;
         let responder_seed = self.holder.responder_seed(initiator, &name)?;
-        match (self.ctx.config.numeric_mode, self.ctx.window()) {
-            (NumericMode::Batch, Some(_)) => {
-                // Chunked batch response: keep the masked vector and fold
-                // own rows window by window.
-                let cols = masked.block.cols();
-                let started = Instant::now();
-                let raw = self.ctx.raw_prefix(&responder_seed, cols);
-                let negators = negators_from_raw(&raw[..cols]);
-                self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
-                let topic = self.ctx.topic(&format!(
-                    "numeric/{name}/{}/pairwise-chunk",
-                    pair_tag(initiator, self.holder.site())
-                ));
-                self.streams.push_back(HolderStream::NumericBatchResponse {
-                    attribute: name,
-                    topic,
-                    masked: masked.block.into_values(),
-                    negators,
-                    own,
-                    next_row: 0,
-                });
-                let envelope = self.advance_stream()?;
-                Ok(StepOutput::emit(vec![envelope]))
-            }
-            (mode, _) => {
-                let block = match mode {
-                    NumericMode::Batch => {
-                        let cols = masked.block.values().len();
-                        let started = Instant::now();
-                        let raw = self.ctx.raw_prefix(&responder_seed, cols);
-                        let negators = negators_from_raw(&raw[..cols]);
-                        self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
-                        let started = Instant::now();
-                        let values =
-                            numeric::responder_fold_window(masked.block.values(), &own, &negators);
-                        self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-                        PairwiseBlock::new(own.len(), cols, values)?
-                    }
-                    NumericMode::PerPair => {
-                        let started = Instant::now();
-                        let block = numeric::responder_fold_per_pair(
-                            &masked.block,
-                            &own,
-                            &responder_seed,
-                            algorithm,
-                        )?;
-                        self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-                        block
-                    }
-                };
-                self.note_rows(block.rows());
-                let msg = PairwiseMatrixMsg {
-                    attribute: name.clone(),
-                    block,
-                };
-                let topic = self.ctx.topic(&format!(
-                    "numeric/{name}/{}/pairwise",
-                    pair_tag(initiator, self.holder.site())
-                ));
-                Ok(StepOutput::emit(vec![Envelope::new(
-                    self.party(),
-                    PartyId::ThirdParty,
-                    topic,
-                    msg.encode(),
-                )]))
-            }
-        }
+        let started = Instant::now();
+        let raw = self.ctx.raw_prefix(&responder_seed, cols);
+        let negators = negators_from_raw(&raw[..cols]);
+        self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
+        let topic = self.ctx.stream_topic(&format!(
+            "numeric/{name}/{}/pairwise",
+            pair_tag(initiator, self.holder.site())
+        ));
+        self.streams.push_back(HolderStream::NumericBatchResponse {
+            attribute: name,
+            topic,
+            masked: masked.block.into_values(),
+            negators,
+            own,
+            next_row: 0,
+        });
+        let envelope = self.advance_stream()?;
+        Ok(StepOutput::emit(vec![envelope]))
     }
 
-    /// Responder role for a per-pair masked *chunk*: fold the window with
-    /// the persistent `rng_JK` stream and forward it immediately.
-    fn respond_numeric_chunk(
+    /// Responder role for the per-pair numeric protocol: folds one window
+    /// of masked copies (a whole block is the window of all of them) with
+    /// the persistent `rng_JK` stream and forwards it at once.
+    fn respond_per_pair(
         &mut self,
         attribute: usize,
         initiator: u32,
-        envelope: &Envelope,
+        window: PairwiseChunkMsg,
     ) -> Result<StepOutput, CoreError> {
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
         let name = descriptor.name.clone();
         let codec = self.ctx.config.fixed_point;
         let algorithm = self.ctx.config.rng_algorithm;
-        let chunk = PairwiseChunkMsg::decode(&envelope.payload)?;
-        if chunk.cols as usize != self.site_len(initiator)? {
+        if window.cols as usize != self.site_len(initiator)? {
             return Err(CoreError::Protocol(format!(
                 "masked stream from site {initiator} declares {} columns, expected {}",
-                chunk.cols,
+                window.cols,
                 self.site_len(initiator)?
             )));
         }
@@ -835,25 +810,25 @@ impl HolderMachine {
             );
         }
         let state = self.per_pair_responses.get_mut(&key).expect("inserted");
-        if chunk.start_row as usize != state.rows_done {
+        if window.start_row as usize != state.rows_done {
             return Err(CoreError::Protocol(format!(
                 "masked chunk for rows {}.. arrived after {} rows",
-                chunk.start_row, state.rows_done
+                window.start_row, state.rows_done
             )));
         }
-        if chunk.total_rows as usize != state.own.len() {
+        if window.total_rows as usize != state.own.len() {
             return Err(CoreError::Protocol(format!(
                 "per-pair masked stream declares {} rows for {} responder objects",
-                chunk.total_rows,
+                window.total_rows,
                 state.own.len()
             )));
         }
-        let rows = chunk.rows();
+        let rows = window.rows();
         let own_window = &state.own[state.rows_done..state.rows_done + rows];
         let started = Instant::now();
         let folded = numeric::responder_fold_per_pair_window(
-            &chunk.values,
-            chunk.cols as usize,
+            &window.values,
+            window.cols as usize,
             own_window,
             &mut state.rng_jk,
         )?;
@@ -867,25 +842,26 @@ impl HolderMachine {
         self.note_rows(rows);
         let msg = PairwiseChunkMsg {
             attribute: name.clone(),
-            start_row: chunk.start_row,
+            start_row: window.start_row,
             rows: rows as u32,
             total_rows: total as u32,
-            cols: chunk.cols,
+            cols: window.cols,
             values: folded,
         };
-        let topic = self.ctx.topic(&format!(
-            "numeric/{name}/{}/pairwise-chunk",
+        let topic = self.ctx.stream_topic(&format!(
+            "numeric/{name}/{}/pairwise",
             pair_tag(initiator, self.holder.site())
         ));
         Ok(StepOutput::emit(vec![Envelope::new(
             self.party(),
             PartyId::ThirdParty,
             topic,
-            msg.encode(),
+            self.ctx.encode_window(&msg),
         )]))
     }
 
-    /// Responder role for the alphanumeric protocol.
+    /// Responder role for the alphanumeric protocol: builds the packed rows
+    /// once and ships the CCM bundle one window of own strings at a time.
     fn respond_alphanumeric(
         &mut self,
         attribute: usize,
@@ -907,39 +883,19 @@ impl HolderMachine {
         let started = Instant::now();
         let rows = ResponderRows::new(&masked.strings, &own, alphabet.size())?;
         self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-        if self.ctx.window().is_some() {
-            let topic = self.ctx.topic(&format!(
-                "alphanumeric/{name}/{}/ccms-chunk",
-                pair_tag(initiator, self.holder.site())
-            ));
-            self.streams.push_back(HolderStream::AlphaResponse {
-                attribute: name,
-                topic,
-                rows,
-                alphabet_size: alphabet.size(),
-                next_row: 0,
-            });
-            let envelope = self.advance_stream()?;
-            return Ok(StepOutput::emit(vec![envelope]));
-        }
-        let started = Instant::now();
-        let bundle = rows.bundle(0..own.len());
-        self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-        self.note_rows(bundle.responder_count());
-        let msg = CcmBundleMsg {
-            attribute: name.clone(),
-            bundle,
-        };
-        let topic = self.ctx.topic(&format!(
+        let topic = self.ctx.stream_topic(&format!(
             "alphanumeric/{name}/{}/ccms",
             pair_tag(initiator, self.holder.site())
         ));
-        Ok(StepOutput::emit(vec![Envelope::new(
-            self.party(),
-            PartyId::ThirdParty,
+        self.streams.push_back(HolderStream::AlphaResponse {
+            attribute: name,
             topic,
-            msg.encode(alphabet.size()),
-        )]))
+            rows,
+            alphabet_size: alphabet.size(),
+            next_row: 0,
+        });
+        let envelope = self.advance_stream()?;
+        Ok(StepOutput::emit(vec![envelope]))
     }
 }
 
@@ -952,7 +908,7 @@ impl HolderMachine {
 struct PairProgress {
     rows_done: usize,
     /// Batch mode: the reusable additive-mask prefix.
-    masks: Option<Vec<u64>>,
+    masks: Option<Arc<Vec<u64>>>,
     /// Per-pair mode: the sequential unmasking stream.
     rng_jt: Option<DynStreamRng>,
 }
@@ -1216,26 +1172,34 @@ impl ThirdPartyMachine {
             let attribute = attribute_index(&self.ctx.schema, attr_name)?;
             let pair = parse_pair_tag(tag)?;
             self.check_expected_pair(pair)?;
-            return match kind {
-                "pairwise" => self.on_numeric_whole(attribute, pair, envelope),
-                "pairwise-chunk" => self.on_numeric_chunk(attribute, pair, envelope),
-                other => Err(CoreError::Protocol(format!(
-                    "third party received unexpected numeric topic kind '{other}'"
-                ))),
+            let window = match kind {
+                "pairwise" => PairwiseMatrixMsg::decode(&envelope.payload)?.into(),
+                "pairwise-chunk" => PairwiseChunkMsg::decode(&envelope.payload)?,
+                other => {
+                    return Err(CoreError::Protocol(format!(
+                        "third party received unexpected numeric topic kind '{other}'"
+                    )))
+                }
             };
+            return self.on_numeric(attribute, pair, window);
         }
         if let Some(rest) = topic.strip_prefix("alphanumeric/") {
             let (attr_name, tag, kind) = split_pair_topic(rest)?;
             let attribute = attribute_index(&self.ctx.schema, attr_name)?;
             let pair = parse_pair_tag(tag)?;
             self.check_expected_pair(pair)?;
-            return match kind {
-                "ccms" => self.on_alpha_whole(attribute, pair, envelope),
-                "ccms-chunk" => self.on_alpha_chunk(attribute, pair, envelope),
-                other => Err(CoreError::Protocol(format!(
-                    "third party received unexpected alphanumeric topic kind '{other}'"
-                ))),
+            let descriptor = self.ctx.schema.attribute_at(attribute)?;
+            let size = descriptor.require_alphabet()?.size();
+            let window = match kind {
+                "ccms" => CcmBundleMsg::decode(&envelope.payload, size)?.into(),
+                "ccms-chunk" => CcmChunkMsg::decode(&envelope.payload, size)?,
+                other => {
+                    return Err(CoreError::Protocol(format!(
+                        "third party received unexpected alphanumeric topic kind '{other}'"
+                    )))
+                }
             };
+            return self.on_alpha(attribute, pair, window);
         }
         Err(CoreError::Protocol(format!(
             "third party received unexpected topic '{}'",
@@ -1341,12 +1305,12 @@ impl ThirdPartyMachine {
             .map_err(CoreError::from)
     }
 
-    fn pair_rows_expected(&self, responder: u32) -> Result<usize, CoreError> {
+    fn site_len(&self, site: u32) -> Result<usize, CoreError> {
         self.site_sizes
             .iter()
-            .find(|&&(s, _)| s == responder)
+            .find(|&&(s, _)| s == site)
             .map(|&(_, n)| n)
-            .ok_or_else(|| CoreError::Protocol(format!("unknown site {responder}")))
+            .ok_or_else(|| CoreError::Protocol(format!("unknown site {site}")))
     }
 
     /// Rejects pair tags that are not canonical initiations (earlier
@@ -1363,129 +1327,91 @@ impl ThirdPartyMachine {
         }
     }
 
-    fn complete_pair(&mut self, attribute: usize, pair: (u32, u32)) -> Result<(), CoreError> {
+    /// Admits the window at `start_row` of `pair`'s stream for `attribute`
+    /// (a whole message is its stream's window `[0, total)`) before anything
+    /// is derived for it or sized by it: the stream must cover the session's
+    /// `|DH_K| × |DH_J|` objects — a wrong count would scatter into the
+    /// wrong cross-block, desynchronise the batch mask prefix, or size the
+    /// CCM kernel by an untrusted product — the pair must not have
+    /// completed already, and the window must be the stream's next one.
+    fn admit_window(
+        &mut self,
+        attribute: usize,
+        pair: (u32, u32),
+        stream: &str,
+        (total_rows, cols): (usize, usize),
+        start_row: usize,
+    ) -> Result<(), CoreError> {
+        let expected = (self.site_len(pair.1)?, self.site_len(pair.0)?);
+        if (total_rows, cols) != expected {
+            return Err(CoreError::Protocol(format!(
+                "{stream} stream for pair {}-{} covers {total_rows}×{cols} objects, expected {}×{}",
+                pair.0, pair.1, expected.0, expected.1
+            )));
+        }
         let attr = &mut self.attrs[attribute];
-        if !attr.pairs_done.insert(pair) {
+        if attr.pairs_done.contains(&pair) {
             return Err(CoreError::Protocol(format!(
                 "duplicate pairwise result {}-{} for attribute {attribute}",
                 pair.0, pair.1
             )));
         }
-        attr.pairs.remove(&pair);
-        attr.pairs_pending -= 1;
-        self.check_pairwise_attr_complete(attribute)
-    }
-
-    fn on_numeric_whole(
-        &mut self,
-        attribute: usize,
-        pair: (u32, u32),
-        envelope: &Envelope,
-    ) -> Result<(), CoreError> {
-        let descriptor = self.ctx.schema.attribute_at(attribute)?;
-        let name = descriptor.name.clone();
-        let codec = self.ctx.config.fixed_point;
-        let algorithm = self.ctx.config.rng_algorithm;
-        let pairwise = PairwiseMatrixMsg::decode(&envelope.payload)?;
-        if pairwise.block.rows() != self.pair_rows_expected(pair.1)? {
-            return Err(CoreError::Protocol(format!(
-                "pairwise matrix for pair {}-{} has {} rows, expected {}",
-                pair.0,
-                pair.1,
-                pairwise.block.rows(),
-                self.pair_rows_expected(pair.1)?
-            )));
-        }
-        if pairwise.block.cols() != self.pair_rows_expected(pair.0)? {
-            return Err(CoreError::Protocol(format!(
-                "pairwise matrix for pair {}-{} has {} columns, expected {}",
-                pair.0,
-                pair.1,
-                pairwise.block.cols(),
-                self.pair_rows_expected(pair.0)?
-            )));
-        }
-        let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let distances = match self.ctx.config.numeric_mode {
-            NumericMode::Batch => {
-                let cols = pairwise.block.cols();
-                let started = Instant::now();
-                let masks = self.ctx.raw_prefix(&tp_seed, cols);
-                self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
-                let started = Instant::now();
-                let values =
-                    numeric::third_party_unmask_window(pairwise.block.values(), &masks[..cols]);
-                self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-                PairwiseBlock::new(pairwise.block.rows(), cols, values)?
-            }
-            NumericMode::PerPair => {
-                let started = Instant::now();
-                let block =
-                    numeric::third_party_unmask_per_pair(&pairwise.block, &tp_seed, algorithm);
-                self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-                block
-            }
-        };
-        self.note_rows(distances.rows());
-        let decoded = distances.map(|&d| codec.decode_distance(d));
-        self.fold_pair_rows(attribute, pair, 0, decoded.cols(), decoded.values())?;
-        self.complete_pair(attribute, pair)
-    }
-
-    fn on_numeric_chunk(
-        &mut self,
-        attribute: usize,
-        pair: (u32, u32),
-        envelope: &Envelope,
-    ) -> Result<(), CoreError> {
-        let descriptor = self.ctx.schema.attribute_at(attribute)?;
-        let name = descriptor.name.clone();
-        let codec = self.ctx.config.fixed_point;
-        let algorithm = self.ctx.config.rng_algorithm;
-        let mode = self.ctx.config.numeric_mode;
-        let chunk = PairwiseChunkMsg::decode(&envelope.payload)?;
-        let expected_rows = self.pair_rows_expected(pair.1)?;
-        if chunk.total_rows as usize != expected_rows {
-            return Err(CoreError::Protocol(format!(
-                "pairwise stream for pair {}-{} declares {} rows, expected {expected_rows}",
-                pair.0, pair.1, chunk.total_rows
-            )));
-        }
-        // A wrong column count would scatter into the wrong cross-block (or
-        // desynchronise the cached batch mask prefix) — reject it here, the
-        // one place that knows the initiator's true object count.
-        let expected_cols = self.pair_rows_expected(pair.0)?;
-        if chunk.cols as usize != expected_cols {
-            return Err(CoreError::Protocol(format!(
-                "pairwise stream for pair {}-{} declares {} columns, expected {expected_cols}",
-                pair.0, pair.1, chunk.cols
-            )));
-        }
-        let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let attr = &mut self.attrs[attribute];
         let progress = attr.pairs.entry(pair).or_insert_with(|| PairProgress {
             rows_done: 0,
             masks: None,
             rng_jt: None,
         });
-        if chunk.start_row as usize != progress.rows_done {
+        if start_row != progress.rows_done {
             return Err(CoreError::Protocol(format!(
-                "pairwise chunk for rows {}.. arrived after {} rows",
-                chunk.start_row, progress.rows_done
+                "{stream} window for rows {start_row}.. arrived after {} rows",
+                progress.rows_done
             )));
         }
-        let unmasked: Vec<u64> = match mode {
+        Ok(())
+    }
+
+    fn complete_pair(&mut self, attribute: usize, pair: (u32, u32)) -> Result<(), CoreError> {
+        let attr = &mut self.attrs[attribute];
+        attr.pairs_done.insert(pair);
+        attr.pairs.remove(&pair);
+        attr.pairs_pending -= 1;
+        self.check_pairwise_attr_complete(attribute)
+    }
+
+    /// Unmasks one window of a numeric pairwise stream and folds it.
+    fn on_numeric(
+        &mut self,
+        attribute: usize,
+        pair: (u32, u32),
+        window: PairwiseChunkMsg,
+    ) -> Result<(), CoreError> {
+        let shape = (window.total_rows as usize, window.cols as usize);
+        self.admit_window(
+            attribute,
+            pair,
+            "pairwise",
+            shape,
+            window.start_row as usize,
+        )?;
+        let descriptor = self.ctx.schema.attribute_at(attribute)?;
+        let tp_seed = self.keys.seed_for(pair.0, &descriptor.name)?;
+        let codec = self.ctx.config.fixed_point;
+        let algorithm = self.ctx.config.rng_algorithm;
+        let cols = shape.1;
+        let progress = self.attrs[attribute]
+            .pairs
+            .get_mut(&pair)
+            .expect("an admitted window has progress");
+        let unmasked: Vec<u64> = match self.ctx.config.numeric_mode {
             NumericMode::Batch => {
                 if progress.masks.is_none() {
-                    let cols = chunk.cols as usize;
                     let started = Instant::now();
-                    let raw = self.ctx.raw_prefix(&tp_seed, cols);
-                    progress.masks = Some(raw[..cols].to_vec());
+                    progress.masks = Some(self.ctx.raw_prefix(&tp_seed, cols));
                     self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
                 }
                 let masks = progress.masks.as_ref().expect("just ensured");
                 let started = Instant::now();
-                let unmasked = numeric::third_party_unmask_window(&chunk.values, masks);
+                let unmasked = numeric::third_party_unmask_window(&window.values, &masks[..cols]);
                 self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
                 unmasked
             }
@@ -1494,134 +1420,60 @@ impl ThirdPartyMachine {
                     .rng_jt
                     .get_or_insert_with(|| DynStreamRng::new(algorithm, &tp_seed));
                 let started = Instant::now();
-                let unmasked = numeric::third_party_unmask_per_pair_window(&chunk.values, rng);
+                let unmasked = numeric::third_party_unmask_per_pair_window(&window.values, rng);
                 self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
                 unmasked
             }
         };
-        progress.rows_done += chunk.rows();
-        let finished = progress.rows_done >= expected_rows;
+        progress.rows_done += window.rows();
+        let finished = progress.rows_done >= shape.0;
         let decoded: Vec<f64> = unmasked.iter().map(|&d| codec.decode_distance(d)).collect();
-        self.note_rows(chunk.rows());
-        self.fold_pair_rows(
-            attribute,
-            pair,
-            chunk.start_row as usize,
-            chunk.cols as usize,
-            &decoded,
-        )?;
+        self.note_rows(window.rows());
+        self.fold_pair_rows(attribute, pair, window.start_row as usize, cols, &decoded)?;
         if finished {
             self.complete_pair(attribute, pair)?;
         }
         Ok(())
     }
 
-    fn on_alpha_whole(
+    /// Recovers the edit distances of one window of a CCM stream and folds
+    /// them.
+    fn on_alpha(
         &mut self,
         attribute: usize,
         pair: (u32, u32),
-        envelope: &Envelope,
+        window: CcmChunkMsg,
     ) -> Result<(), CoreError> {
+        let shape = (window.total_rows as usize, window.window.initiator_count());
+        self.admit_window(attribute, pair, "CCM", shape, window.start_row as usize)?;
         let descriptor = self.ctx.schema.attribute_at(attribute)?;
-        let name = descriptor.name.clone();
-        let alphabet = descriptor.require_alphabet()?.clone();
-        let bundle = CcmBundleMsg::decode(&envelope.payload, alphabet.size())?.bundle;
-        // The matrix count is the product of two untrusted vector lengths:
-        // check both against the session before the kernel sizes the
-        // distance block by it.
-        let expected = (
-            self.pair_rows_expected(pair.1)?,
-            self.pair_rows_expected(pair.0)?,
-        );
-        let declared = (bundle.responder_count(), bundle.initiator_count());
-        if declared != expected {
-            return Err(CoreError::Protocol(format!(
-                "CCM bundle for pair {}-{} covers {}×{} objects, expected {}×{}",
-                pair.0, pair.1, declared.0, declared.1, expected.0, expected.1
-            )));
-        }
-        let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let max_cols = bundle.max_initiator_len();
-        let started = Instant::now();
-        let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
-        let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
-        self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
-        let started = Instant::now();
-        let distances = alphanumeric::third_party_edit_distances_with_offsets(
-            &bundle,
-            alphabet.size(),
-            &offsets,
-        )?;
-        self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
-        self.note_rows(distances.rows());
-        let decoded = distances.map(|&d| f64::from(d));
-        self.fold_pair_rows(attribute, pair, 0, decoded.cols(), decoded.values())?;
-        self.complete_pair(attribute, pair)
-    }
-
-    fn on_alpha_chunk(
-        &mut self,
-        attribute: usize,
-        pair: (u32, u32),
-        envelope: &Envelope,
-    ) -> Result<(), CoreError> {
-        let descriptor = self.ctx.schema.attribute_at(attribute)?;
-        let name = descriptor.name.clone();
-        let alphabet = descriptor.require_alphabet()?.clone();
-        let chunk = CcmChunkMsg::decode(&envelope.payload, alphabet.size())?;
-        let expected_rows = self.pair_rows_expected(pair.1)?;
-        if chunk.total_rows as usize != expected_rows {
-            return Err(CoreError::Protocol(format!(
-                "CCM stream for pair {}-{} declares {} rows, expected {expected_rows}",
-                pair.0, pair.1, chunk.total_rows
-            )));
-        }
-        let expected_cols = self.pair_rows_expected(pair.0)?;
-        if chunk.window.initiator_count() != expected_cols {
-            return Err(CoreError::Protocol(format!(
-                "CCM stream for pair {}-{} declares {} initiator objects, expected {expected_cols}",
-                pair.0,
-                pair.1,
-                chunk.window.initiator_count()
-            )));
-        }
-        let attr = &mut self.attrs[attribute];
-        let progress = attr.pairs.entry(pair).or_insert_with(|| PairProgress {
-            rows_done: 0,
-            masks: None,
-            rng_jt: None,
-        });
-        if chunk.start_row as usize != progress.rows_done {
-            return Err(CoreError::Protocol(format!(
-                "CCM chunk for rows {}.. arrived after {} rows",
-                chunk.start_row, progress.rows_done
-            )));
-        }
-        let rows = chunk.rows();
+        let size = descriptor.require_alphabet()?.size();
+        let tp_seed = self.keys.seed_for(pair.0, &descriptor.name)?;
+        let rows = window.rows();
+        let progress = self.attrs[attribute]
+            .pairs
+            .get_mut(&pair)
+            .expect("an admitted window has progress");
         progress.rows_done += rows;
-        let finished = progress.rows_done >= expected_rows;
-        let tp_seed = self.keys.seed_for(pair.0, &name)?;
+        let finished = progress.rows_done >= shape.0;
         // The offset prefix is a fixed stream prefix, so unmasking a window
         // of CCMs draws exactly the same offsets as unmasking the whole
         // bundle would.
-        let max_cols = chunk.window.max_initiator_len();
+        let max_cols = window.window.max_initiator_len();
         let started = Instant::now();
         let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
-        let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
+        let offsets = offsets_from_raw(&raw[..max_cols], size);
         self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
         let started = Instant::now();
-        let distances = alphanumeric::third_party_edit_distances_with_offsets(
-            &chunk.window,
-            alphabet.size(),
-            &offsets,
-        )?;
+        let distances =
+            alphanumeric::third_party_edit_distances_with_offsets(&window.window, size, &offsets)?;
         self.compute.fold_unmask_nanos += started.elapsed().as_nanos() as u64;
         self.note_rows(rows);
         let decoded = distances.map(|&d| f64::from(d));
         self.fold_pair_rows(
             attribute,
             pair,
-            chunk.start_row as usize,
+            window.start_row as usize,
             decoded.cols(),
             decoded.values(),
         )?;

@@ -77,29 +77,47 @@ impl LocalMatrixMsg {
     }
 }
 
-/// `DH_J → DH_K`: the masked numeric column (batch mode, one row), or the
-/// masked copies (per-pair mode, `|DH_K|` rows).
+/// Writes `attribute`, the `u32` header fields, then `values`: the
+/// layouts of §6.2–§6.4.
+fn encode_i64_cells(attribute: &str, header: &[u32], values: &[i64]) -> Vec<u8> {
+    let mut w =
+        WireWriter::with_capacity(8 + attribute.len() + 4 * header.len() + 8 * values.len());
+    w.put_str(attribute);
+    for &field in header {
+        w.put_u32(field);
+    }
+    w.put_i64_slice(values);
+    w.finish()
+}
+
+/// A whole `i64` block (§6.2): `DH_J → DH_K`, the masked numeric column
+/// (batch mode, one row) or the masked copies (per-pair mode, `|DH_K|`
+/// rows); and, as [`PairwiseMatrixMsg`] (§6.3, the same layout),
+/// `DH_K → TP`, the pairwise comparison matrix.
 ///
 /// The payload carries the [`PairwiseBlock`] buffer verbatim: the row-major
 /// flat layout *is* the wire layout, so encoding and decoding move one
-/// contiguous slice instead of re-chunking nested vectors.
+/// contiguous slice instead of re-chunking nested vectors. A whole block
+/// of a pairwise stream is that stream's one window `[0, rows)` without
+/// the window header: [`From`] turns it into that [`PairwiseChunkMsg`],
+/// and [`PairwiseChunkMsg::encode_whole`] writes it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskedNumericMsg {
     /// Attribute name.
     pub attribute: String,
-    /// Masked copies: `rows × |DH_J|`, row-major.
+    /// The cells: `rows × |DH_J|`, row-major.
     pub block: PairwiseBlock<i64>,
 }
+
+/// `DH_K → TP`: the pairwise comparison matrix `s` (`|DH_K| × |DH_J|`),
+/// masked differences in the layout of [`MaskedNumericMsg`].
+pub type PairwiseMatrixMsg = MaskedNumericMsg;
 
 impl MaskedNumericMsg {
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(16 + self.block.values().len() * 8);
-        w.put_str(&self.attribute)
-            .put_u32(self.block.rows() as u32)
-            .put_u32(self.block.cols() as u32)
-            .put_i64_slice(self.block.values());
-        w.finish()
+        let shape = [self.block.rows() as u32, self.block.cols() as u32];
+        encode_i64_cells(&self.attribute, &shape, self.block.values())
     }
 
     /// Deserialises the message.
@@ -115,47 +133,14 @@ impl MaskedNumericMsg {
     }
 }
 
-/// `DH_K → TP`: the pairwise comparison matrix `s` (`|DH_K| × |DH_J|`).
+/// A row-windowed slice of a pairwise `i64` block: one window of a
+/// stream.
 ///
-/// Like [`MaskedNumericMsg`], the flat [`PairwiseBlock`] buffer is the wire
-/// layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairwiseMatrixMsg {
-    /// Attribute name.
-    pub attribute: String,
-    /// Masked differences: responder rows × initiator columns, row-major.
-    pub block: PairwiseBlock<i64>,
-}
-
-impl PairwiseMatrixMsg {
-    /// Serialises the message.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(16 + self.block.values().len() * 8);
-        w.put_str(&self.attribute)
-            .put_u32(self.block.rows() as u32)
-            .put_u32(self.block.cols() as u32)
-            .put_i64_slice(self.block.values());
-        w.finish()
-    }
-
-    /// Deserialises the message.
-    pub fn decode(payload: &[u8]) -> Result<Self, CoreError> {
-        let mut r = WireReader::new(payload);
-        let attribute = r.get_str()?;
-        let rows = r.get_u32()? as usize;
-        let cols = r.get_u32()? as usize;
-        let values = r.get_i64_vec()?;
-        r.expect_end()?;
-        let block = PairwiseBlock::new(rows, cols, values)?;
-        Ok(PairwiseMatrixMsg { attribute, block })
-    }
-}
-
-/// A row-windowed slice of a pairwise `i64` block (chunked streaming).
-///
-/// Used on two links when a chunk window is configured: `DH_J → DH_K`
-/// carries masked per-pair copies (`masked-chunk` topics) and `DH_K → TP`
-/// carries pairwise comparison rows (`pairwise-chunk` topics). The header
+/// Streams run on two links: `DH_J → DH_K` carries masked per-pair copies
+/// and `DH_K → TP` carries pairwise comparison rows. When a chunk window
+/// is configured each window travels in this layout (`masked-chunk` and
+/// `pairwise-chunk` topics, §6.4); otherwise the stream's one window
+/// travels whole ([`encode_whole`](Self::encode_whole)). The header
 /// names the window so the receiver can fold rows into its condensed
 /// accumulator as they arrive, and the `total_rows` field lets it detect
 /// stream completion without a separate end-of-stream message. Chunks of
@@ -178,6 +163,21 @@ pub struct PairwiseChunkMsg {
     pub values: Vec<i64>,
 }
 
+impl From<MaskedNumericMsg> for PairwiseChunkMsg {
+    /// A whole block as its stream's one window `[0, rows)`.
+    fn from(msg: MaskedNumericMsg) -> Self {
+        let rows = msg.block.rows() as u32;
+        PairwiseChunkMsg {
+            attribute: msg.attribute,
+            start_row: 0,
+            rows,
+            total_rows: rows,
+            cols: msg.block.cols() as u32,
+            values: msg.block.into_values(),
+        }
+    }
+}
+
 impl PairwiseChunkMsg {
     /// Rows carried by this chunk.
     pub fn rows(&self) -> usize {
@@ -186,14 +186,15 @@ impl PairwiseChunkMsg {
 
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(28 + self.values.len() * 8);
-        w.put_str(&self.attribute)
-            .put_u32(self.start_row)
-            .put_u32(self.rows)
-            .put_u32(self.total_rows)
-            .put_u32(self.cols)
-            .put_i64_slice(&self.values);
-        w.finish()
+        let header = [self.start_row, self.rows, self.total_rows, self.cols];
+        encode_i64_cells(&self.attribute, &header, &self.values)
+    }
+
+    /// Serialises the stream's one window `[0, total_rows)` as a whole
+    /// block (§6.2, §6.3): the window without its `start_row` and
+    /// `total_rows`, the bytes of the [`MaskedNumericMsg`] of its rows.
+    pub fn encode_whole(&self) -> Vec<u8> {
+        encode_i64_cells(&self.attribute, &[self.rows, self.cols], &self.values)
     }
 
     /// Deserialises the message.
@@ -229,31 +230,40 @@ impl PairwiseChunkMsg {
     }
 }
 
-/// Encoded size of a bundle's lengths and packed cells (§6.6).
-fn bundle_len(bundle: &MaskedCcmBundle) -> usize {
-    8 + 4 * (bundle.responder_count() + bundle.initiator_count()) + bundle.packed().len()
-}
-
-/// Writes a bundle as `responder_lens`, `initiator_lens`, then every cell
-/// packed at `bits` bits (§6.6): the bundle already holds that section,
-/// so it is copied.
+/// Writes `attribute`, the `u32` header fields, then a bundle as
+/// `responder_lens`, `initiator_lens` and every cell packed for an
+/// alphabet of `alphabet_size` symbols: the layouts of §6.6 and §6.7. The
+/// bundle already holds the packed section, so it is copied.
 ///
 /// # Panics
 ///
-/// If the bundle's cells are not `bits` wide, that is, if it was built
-/// for an alphabet of another width.
-fn put_bundle(w: &mut WireWriter, bundle: &MaskedCcmBundle, bits: u32) {
+/// If the bundle's cells are not that wide, that is, if it was built for
+/// an alphabet of another width.
+fn encode_ccms(
+    attribute: &str,
+    header: &[u32],
+    bundle: &MaskedCcmBundle,
+    alphabet_size: u32,
+) -> Vec<u8> {
     assert_eq!(
         bundle.bits(),
-        bits,
+        packed_width(alphabet_size),
         "a CCM bundle is encoded at the width it was built for"
     );
+    let lens = 4 * (bundle.responder_count() + bundle.initiator_count());
+    let capacity = 12 + attribute.len() + 4 * header.len() + lens + bundle.packed().len();
+    let mut w = WireWriter::with_capacity(capacity);
+    w.put_str(attribute);
+    for &field in header {
+        w.put_u32(field);
+    }
     w.put_u32_slice(bundle.responder_lens())
         .put_u32_slice(bundle.initiator_lens())
         .put_packed_raw(bundle.packed());
+    w.finish()
 }
 
-/// Reads the bundle [`put_bundle`] writes: the two length vectors fix the
+/// Reads the bundle [`encode_ccms`] writes: the two length vectors fix the
 /// cell count, `Σ responder_lens · Σ initiator_lens`, and the packed
 /// section is kept as it arrived.
 fn get_bundle(r: &mut WireReader<'_>, bits: u32) -> Result<MaskedCcmBundle, CoreError> {
@@ -271,8 +281,9 @@ fn get_bundle(r: &mut WireReader<'_>, bits: u32) -> Result<MaskedCcmBundle, Core
     ))
 }
 
-/// A responder-row window of the masked CCM bundle (chunked streaming,
-/// `DH_K → TP` on `ccms-chunk` topics).
+/// A responder-row window of the masked CCM bundle (`DH_K → TP`): on
+/// `ccms-chunk` topics when a chunk window is configured (§6.7), otherwise
+/// the stream's one window, whole ([`encode_whole`](Self::encode_whole)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CcmChunkMsg {
     /// Attribute name.
@@ -286,6 +297,18 @@ pub struct CcmChunkMsg {
     pub window: MaskedCcmBundle,
 }
 
+impl From<CcmBundleMsg> for CcmChunkMsg {
+    /// A whole bundle as its stream's one window `[0, responders)`.
+    fn from(msg: CcmBundleMsg) -> Self {
+        CcmChunkMsg {
+            attribute: msg.attribute,
+            start_row: 0,
+            total_rows: msg.bundle.responder_count() as u32,
+            window: msg.bundle,
+        }
+    }
+}
+
 impl CcmChunkMsg {
     /// Responder rows carried by this chunk.
     pub fn rows(&self) -> usize {
@@ -295,14 +318,15 @@ impl CcmChunkMsg {
     /// Serialises the message for an alphabet of `alphabet_size` symbols,
     /// the alphabet its window was built for.
     pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
-        let bits = packed_width(alphabet_size);
-        let capacity = 12 + self.attribute.len() + bundle_len(&self.window);
-        let mut w = WireWriter::with_capacity(capacity);
-        w.put_str(&self.attribute)
-            .put_u32(self.start_row)
-            .put_u32(self.total_rows);
-        put_bundle(&mut w, &self.window, bits);
-        w.finish()
+        let header = [self.start_row, self.total_rows];
+        encode_ccms(&self.attribute, &header, &self.window, alphabet_size)
+    }
+
+    /// Serialises the stream's one window `[0, total_rows)` as a whole
+    /// bundle (§6.6): the window without its `start_row` and `total_rows`,
+    /// the bytes of the [`CcmBundleMsg`] of its rows.
+    pub fn encode_whole(&self, alphabet_size: u32) -> Vec<u8> {
+        encode_ccms(&self.attribute, &[], &self.window, alphabet_size)
     }
 
     /// Deserialises the message for an alphabet of `alphabet_size`
@@ -376,7 +400,9 @@ impl MaskedStringsMsg {
 }
 
 /// `DH_K → TP`: the bundle of intermediary (masked) character comparison
-/// matrices.
+/// matrices, whole: its stream's one window `[0, responders)` without the
+/// window header ([`From`] turns it into that [`CcmChunkMsg`], and
+/// [`CcmChunkMsg::encode_whole`] writes it back).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CcmBundleMsg {
     /// Attribute name.
@@ -389,12 +415,7 @@ impl CcmBundleMsg {
     /// Serialises the message for an alphabet of `alphabet_size` symbols,
     /// the alphabet its bundle was built for.
     pub fn encode(&self, alphabet_size: u32) -> Vec<u8> {
-        let bits = packed_width(alphabet_size);
-        let capacity = 4 + self.attribute.len() + bundle_len(&self.bundle);
-        let mut w = WireWriter::with_capacity(capacity);
-        w.put_str(&self.attribute);
-        put_bundle(&mut w, &self.bundle, bits);
-        w.finish()
+        encode_ccms(&self.attribute, &[], &self.bundle, alphabet_size)
     }
 
     /// Deserialises the message for an alphabet of `alphabet_size`
@@ -596,6 +617,31 @@ mod tests {
             .put_u32(3)
             .put_i64_slice(&[10, 20, 30, 40]);
         assert!(PairwiseMatrixMsg::decode(&w.finish()).is_err());
+    }
+
+    #[test]
+    fn a_whole_message_is_its_streams_one_window() {
+        let whole = PairwiseMatrixMsg {
+            attribute: "age".into(),
+            block: PairwiseBlock::new(2, 3, vec![1, -2, 3, 4, -5, 6]).unwrap(),
+        };
+        let window = PairwiseChunkMsg::from(whole.clone());
+        let header = (
+            window.start_row,
+            window.rows,
+            window.total_rows,
+            window.cols,
+        );
+        assert_eq!(header, (0, 2, 2, 3));
+        assert_eq!(window.encode_whole(), whole.encode());
+        let whole = CcmBundleMsg {
+            attribute: "dna".into(),
+            bundle: MaskedCcmBundle::new(vec![2], vec![3, 1], &[0, 1, 2, 3, 0, 1, 2, 3], 4)
+                .unwrap(),
+        };
+        let window = CcmChunkMsg::from(whole.clone());
+        assert_eq!((window.start_row, window.total_rows), (0, 1));
+        assert_eq!(window.encode_whole(4), whole.encode(4));
     }
 
     #[test]

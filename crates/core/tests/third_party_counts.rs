@@ -1,6 +1,7 @@
-//! The third party checks the object counts a whole-bundle CCM message
-//! declares (`docs/WIRE_FORMAT.md` §6.6) against the session before it
-//! does any work for it.
+//! The third party checks the object counts a CCM stream declares against
+//! the session before it does any work for it, whether the bundle travels
+//! whole (`docs/WIRE_FORMAT.md` §6.6) or as its stream's one window in the
+//! chunk layout (§6.7): both reach the one window check.
 //!
 //! A bundle's matrix count is the product of the lengths of its two
 //! length vectors, and both come from the peer. Empty strings cost no
@@ -15,7 +16,7 @@ use ppc_core::error::CoreError;
 use ppc_core::protocol::alphanumeric::MaskedCcmBundle;
 use ppc_core::protocol::driver::ClusteringRequest;
 use ppc_core::protocol::machines::{ComputeStats, SessionContext, ThirdPartyMachine};
-use ppc_core::protocol::messages::CcmBundleMsg;
+use ppc_core::protocol::messages::{CcmBundleMsg, CcmChunkMsg};
 use ppc_core::protocol::party::TrustedSetup;
 use ppc_core::protocol::ProtocolConfig;
 use ppc_core::schema::{AttributeDescriptor, Schema};
@@ -44,48 +45,63 @@ fn third_party() -> ThirdPartyMachine {
     ThirdPartyMachine::new(ctx, keys, &SITES).unwrap()
 }
 
-/// `DH_1 → TP`: a bundle of empty strings, `responders × initiators`.
-fn empty_bundle(responders: usize, initiators: usize) -> Envelope {
-    let msg = CcmBundleMsg {
-        attribute: "dna".into(),
-        bundle: MaskedCcmBundle::new(vec![0; responders], vec![0; initiators], &[], 4).unwrap(),
+/// `DH_1 → TP`: a bundle of empty strings, `responders × initiators`, on
+/// `step`: whole (`ccms`), or as the window `[0, responders)` of its
+/// stream (`ccms-chunk`).
+fn empty_bundle(step: &str, responders: usize, initiators: usize) -> Envelope {
+    let attribute = "dna".to_string();
+    let bundle = MaskedCcmBundle::new(vec![0; responders], vec![0; initiators], &[], 4).unwrap();
+    let payload = match step {
+        "ccms" => CcmBundleMsg { attribute, bundle }.encode(4),
+        _ => CcmChunkMsg {
+            attribute,
+            start_row: 0,
+            total_rows: responders as u32,
+            window: bundle,
+        }
+        .encode(4),
     };
     Envelope::new(
         PartyId::DataHolder(1),
         PartyId::ThirdParty,
-        "s0/alphanumeric/dna/0-1/ccms",
-        msg.encode(4),
+        format!("s0/alphanumeric/dna/0-1/{step}"),
+        payload,
     )
 }
 
 #[test]
 fn oversized_bundles_are_rejected_before_the_kernel_runs() {
     let (initiators, responders) = (SITES[0].1, SITES[1].1);
-    for (declared_responders, declared_initiators) in [
-        (1 << 20, initiators),
-        (responders, 1 << 20),
-        (1 << 20, 1 << 20),
-        (responders + 1, initiators),
-        (responders, initiators - 1),
-    ] {
-        let mut tp = third_party();
-        let result = tp.step(Some(&empty_bundle(
-            declared_responders,
-            declared_initiators,
-        )));
-        match result {
-            Err(CoreError::Protocol(message)) => assert!(
-                message.contains(&format!("{declared_responders}×{declared_initiators}")),
-                "{message}"
-            ),
-            other => panic!("a {declared_responders}×{declared_initiators} bundle gave {other:?}"),
+    for step in ["ccms", "ccms-chunk"] {
+        for (declared_responders, declared_initiators) in [
+            (1 << 20, initiators),
+            (responders, 1 << 20),
+            (1 << 20, 1 << 20),
+            (responders + 1, initiators),
+            (responders, initiators - 1),
+        ] {
+            let mut tp = third_party();
+            let result = tp.step(Some(&empty_bundle(
+                step,
+                declared_responders,
+                declared_initiators,
+            )));
+            match result {
+                Err(CoreError::Protocol(message)) => assert!(
+                    message.contains(&format!("{declared_responders}×{declared_initiators}")),
+                    "{message}"
+                ),
+                other => {
+                    panic!("a {declared_responders}×{declared_initiators} {step} gave {other:?}")
+                }
+            }
+            assert_eq!(tp.compute_stats(), ComputeStats::default());
+            assert_eq!(tp.peak_buffered_rows(), 0);
         }
-        assert_eq!(tp.compute_stats(), ComputeStats::default());
-        assert_eq!(tp.peak_buffered_rows(), 0);
+        // The honest shape is accepted.
+        let mut tp = third_party();
+        tp.step(Some(&empty_bundle(step, responders, initiators)))
+            .unwrap();
+        assert_eq!(tp.peak_buffered_rows(), responders);
     }
-    // The honest shape is accepted.
-    let mut tp = third_party();
-    tp.step(Some(&empty_bundle(responders, initiators)))
-        .unwrap();
-    assert_eq!(tp.peak_buffered_rows(), responders);
 }

@@ -70,7 +70,7 @@ use ppc_net::{UdsRouter, UdsTransport};
 pub type Flags = BTreeMap<String, String>;
 
 /// Flags that take no value (presence flags).
-const BOOLEAN_FLAGS: &[&str] = &["insecure", "secure", "coalesce", "no-coalesce"];
+const BOOLEAN_FLAGS: &[&str] = &["insecure"];
 
 /// Flags that take a value: every key some mode reads.
 const VALUE_FLAGS: &[&str] = &[
@@ -95,7 +95,7 @@ const VALUE_FLAGS: &[&str] = &[
     "stall-waits",
 ];
 
-/// Parses `--key value` pairs (and bare boolean flags like `--insecure`).
+/// Parses `--key value` pairs (and the bare boolean flag `--insecure`).
 /// Keys no mode reads are rejected, so a typo cannot be silently ignored.
 pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
@@ -321,15 +321,12 @@ pub enum ChannelConfig {
     Plaintext,
 }
 
-/// Resolves `--secure` / `--psk N` / `--insecure` against the master seed.
+/// Resolves `--psk N` / `--insecure` against the master seed.
 pub fn channel_config(flags: &Flags) -> Result<ChannelConfig, String> {
     let insecure = flags.contains_key("insecure");
     match (insecure, flags.get("psk")) {
         (true, Some(_)) => Err("--insecure conflicts with --psk".into()),
         (true, None) => {
-            if flags.contains_key("secure") {
-                return Err("--insecure conflicts with --secure".into());
-            }
             eprintln!(
                 "WARNING: --insecure selected: protocol traffic (masked rows, dissimilarity \
                  blocks, control announcements) travels in PLAINTEXT over this socket. Any \
@@ -350,27 +347,6 @@ pub fn channel_config(flags: &Flags) -> Result<ChannelConfig, String> {
             let master = master_seed(flags)?;
             Ok(ChannelConfig::Sealed(ChannelKeyring::from_master(&master)))
         }
-    }
-}
-
-/// Resolves `--coalesce` / `--no-coalesce` against the channel config.
-///
-/// Sealed transports coalesce by default: every envelope is still sealed
-/// into its own record when it is sent, but the records wait in the link's
-/// outbox and the flush at the end of each engine turn writes them in one
-/// syscall. `--no-coalesce` writes each record as it is sealed, e.g. to
-/// measure the difference. Plaintext sockets never coalesce — frames go
-/// out as written.
-pub fn coalescing_enabled(flags: &Flags, security: &ChannelConfig) -> Result<bool, String> {
-    let on = flags.contains_key("coalesce");
-    let off = flags.contains_key("no-coalesce");
-    match (on, off, security) {
-        (true, true, _) => Err("--coalesce conflicts with --no-coalesce".into()),
-        (true, _, ChannelConfig::Plaintext) => {
-            Err("--coalesce needs sealed channels (conflicts with --insecure)".into())
-        }
-        (_, _, ChannelConfig::Plaintext) => Ok(false),
-        (_, off, ChannelConfig::Sealed(_)) => Ok(!off),
     }
 }
 
@@ -531,8 +507,9 @@ fn run_party(
     }
 }
 
-/// [`run_party`] over one stream type: builds the transport, seals and
-/// coalesces it as the flags say, and links it with `connect`.
+/// [`run_party`] over one stream type: builds the transport, seals it as
+/// the flags say (a sealed link coalesces; a plaintext one writes on every
+/// send), and links it with `connect`.
 fn run_over<S: SocketStream>(
     flags: &Flags,
     party: PartyId,
@@ -544,12 +521,11 @@ where
     SocketTransport<S>: WaitTransport,
 {
     let security = channel_config(flags)?;
-    let coalesce = coalescing_enabled(flags, &security)?;
     let mut transport = SocketTransport::<S>::new([party]);
     if let ChannelConfig::Sealed(keyring) = security {
         transport.set_security(keyring);
     }
-    transport.set_coalescing(coalesce);
+    transport.set_coalescing(true);
     connect(&transport)?;
     // The engine and its links are gone before the outcome lines are
     // rendered, so those strings do not stack on the engine's heap.
@@ -787,7 +763,7 @@ channel security: sockets are AEAD-sealed by default (keys derived from --seed,\
 or from a dedicated --psk N shared by every process); --insecure sends plaintext\n\
 and warns loudly. All processes of one federation must agree.\n\
 sealed links coalesce: each envelope is sealed as it is sent and a turn's records\n\
-leave in one write at the flush; --no-coalesce writes every record at once.";
+leave in one write at the flush; plaintext links write on every send.";
 
 /// Entry point shared by the binary and tests.
 pub fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -890,40 +866,22 @@ mod tests {
             channel_config(&flags).unwrap(),
             ChannelConfig::Sealed(_)
         ));
-        // Contradictions are rejected.
+        // Contradictions are rejected; sealing is the default, so there is
+        // no `--secure` to contradict `--insecure`.
         let flags = parse_flags(&["--insecure".into(), "--psk".into(), "1".into()]).unwrap();
         assert!(channel_config(&flags).is_err());
-        let flags = parse_flags(&["--insecure".into(), "--secure".into()]).unwrap();
-        assert!(channel_config(&flags).is_err());
-    }
-
-    #[test]
-    fn coalescing_defaults_on_for_sealed_off_for_plaintext() {
-        let sealed = ChannelConfig::Sealed(ChannelKeyring::from_psk(Seed::from_u64(1)));
-        let flags = parse_flags(&[]).unwrap();
-        assert!(coalescing_enabled(&flags, &sealed).unwrap());
-        assert!(!coalescing_enabled(&flags, &ChannelConfig::Plaintext).unwrap());
-
-        let flags = parse_flags(&["--no-coalesce".into()]).unwrap();
-        assert!(!coalescing_enabled(&flags, &sealed).unwrap());
-
-        let flags = parse_flags(&["--coalesce".into()]).unwrap();
-        assert!(coalescing_enabled(&flags, &sealed).unwrap());
-        assert!(
-            coalescing_enabled(&flags, &ChannelConfig::Plaintext).is_err(),
-            "explicit --coalesce on a plaintext socket must be rejected"
-        );
-
-        let flags = parse_flags(&["--coalesce".into(), "--no-coalesce".into()]).unwrap();
-        assert!(coalescing_enabled(&flags, &sealed).is_err());
+        let secure = parse_flags(&["--insecure".into(), "--secure".into()]);
+        assert_eq!(secure.unwrap_err(), "unknown flag --secure");
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
         let typo = parse_flags(&["--sesions".into(), "3".into()]);
         assert_eq!(typo.unwrap_err(), "unknown flag --sesions");
-        let removed = parse_flags(&["--pin-shards".into(), "--seed".into(), "7".into()]);
-        assert_eq!(removed.unwrap_err(), "unknown flag --pin-shards");
+        for removed in ["pin-shards", "secure", "coalesce", "no-coalesce"] {
+            let flags = parse_flags(&[format!("--{removed}"), "--seed".into(), "7".into()]);
+            assert_eq!(flags.unwrap_err(), format!("unknown flag --{removed}"));
+        }
         // Every flag the modes read still parses.
         let mut args = Vec::new();
         for key in VALUE_FLAGS {

@@ -90,75 +90,84 @@ fn decode_golden_fixture(bytes: &[u8]) -> Vec<Envelope> {
 }
 
 /// A one-session engine sends the envelopes of the pre-refactor monolithic
-/// session byte for byte, captured into the committed fixture before the
+/// session byte for byte. The batch-mode fixture was captured before the
 /// refactor (and re-captured once, for wire v5, when only its six
-/// `alphanumeric/dna/*` envelopes changed). The fixture holds bare steps,
-/// so the engine's `s0/` prefix is stripped first. The engine schedules
-/// round-robin where the old session ran sequentially, so the global
-/// interleaving of independent streams may differ: every `(from, to,
-/// topic)` stream must match in order, and the whole trace as a multiset.
+/// `alphanumeric/dna/*` envelopes changed); it holds bare steps, so the
+/// engine's `s0/` prefix is stripped first. The per-pair fixture pins the
+/// per-pair whole layouts (the `|DH_K| × |DH_J|` masked block and its
+/// pairwise matrix): it was captured, with `s0/` stripped, from the
+/// one-shard engine before whole blocks became the one window of their
+/// stream. The engine schedules round-robin where the old session ran
+/// sequentially, so the global interleaving of independent streams may
+/// differ: every `(from, to, topic)` stream must match in order, and the
+/// whole trace as a multiset.
 ///
-/// The message layouts and topics this fixture pins down are specified
+/// The message layouts and topics these fixtures pin down are specified
 /// normatively in `docs/WIRE_FORMAT.md`. If this test fails because of a
-/// *deliberate* wire change, re-capture the fixture, bump `WIRE_VERSION`
+/// *deliberate* wire change, re-capture the fixtures, bump `WIRE_VERSION`
 /// in `ppc-net::socket`, and update `docs/WIRE_FORMAT.md` in the same change.
 #[test]
 fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
-    let fixture = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/golden_trace_seed77.bin"
-    ))
-    .expect("golden trace fixture present");
-    let mut golden = decode_golden_fixture(&fixture);
-    assert_eq!(golden.len(), 27, "fixture shape");
+    for (mode, fixture) in [
+        (NumericMode::Batch, "golden_trace_seed77.bin"),
+        (NumericMode::PerPair, "golden_trace_seed77_per_pair.bin"),
+    ] {
+        let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        let bytes = std::fs::read(&path).expect("golden trace fixture present");
+        let mut golden = decode_golden_fixture(&bytes);
+        assert_eq!(golden.len(), 27, "{fixture} shape");
 
-    let setup = golden_setup();
-    let mut engine = ShardedEngine::new(vec![all_plaintext_network(3)]).unwrap();
-    engine.add_session(SessionSpec {
-        schema: schema(),
-        config: ProtocolConfig::default(),
-        holders: setup.holders.clone(),
-        keys: setup.third_party.clone(),
-        request: ClusteringRequest::uniform(&schema(), 2),
-        chunk_rows: None,
-    });
-    engine.run().unwrap();
-    // Every engine topic carries session 0's prefix; strip exactly that.
-    let mut trace: Vec<Envelope> = engine.transports()[0]
-        .eavesdropped()
-        .into_iter()
-        .map(|mut envelope| {
-            envelope.topic = envelope
-                .topic
-                .strip_prefix("s0/")
-                .unwrap_or_else(|| panic!("engine topic '{}' lacks 's0/'", envelope.topic))
-                .to_string();
-            envelope
-        })
-        .collect();
+        let setup = golden_setup();
+        let mut engine = ShardedEngine::new(vec![all_plaintext_network(3)]).unwrap();
+        engine.add_session(SessionSpec {
+            schema: schema(),
+            config: ProtocolConfig {
+                numeric_mode: mode,
+                ..ProtocolConfig::default()
+            },
+            holders: setup.holders.clone(),
+            keys: setup.third_party.clone(),
+            request: ClusteringRequest::uniform(&schema(), 2),
+            chunk_rows: None,
+        });
+        engine.run().unwrap();
+        // Every engine topic carries session 0's prefix; strip exactly that.
+        let mut trace: Vec<Envelope> = engine.transports()[0]
+            .eavesdropped()
+            .into_iter()
+            .map(|mut envelope| {
+                envelope.topic = envelope
+                    .topic
+                    .strip_prefix("s0/")
+                    .unwrap_or_else(|| panic!("engine topic '{}' lacks 's0/'", envelope.topic))
+                    .to_string();
+                envelope
+            })
+            .collect();
 
-    assert_eq!(trace.len(), golden.len(), "envelope count");
-    // Per-stream order must agree exactly (a stream is one (from, to,
-    // topic) triple; chunked transfers rely on this FIFO).
-    let key = |e: &Envelope| (e.from, e.to, e.topic.clone());
-    let streams: std::collections::BTreeSet<_> = golden.iter().map(&key).collect();
-    for stream in streams {
-        let expected: Vec<&Envelope> = golden.iter().filter(|e| key(e) == stream).collect();
-        let observed: Vec<&Envelope> = trace.iter().filter(|e| key(e) == stream).collect();
-        assert_eq!(
-            observed, expected,
-            "stream {stream:?} diverged from the fixture"
-        );
+        assert_eq!(trace.len(), golden.len(), "{fixture} envelope count");
+        // Per-stream order must agree exactly (a stream is one (from, to,
+        // topic) triple; chunked transfers rely on this FIFO).
+        let key = |e: &Envelope| (e.from, e.to, e.topic.clone());
+        let streams: std::collections::BTreeSet<_> = golden.iter().map(&key).collect();
+        for stream in streams {
+            let expected: Vec<&Envelope> = golden.iter().filter(|e| key(e) == stream).collect();
+            let observed: Vec<&Envelope> = trace.iter().filter(|e| key(e) == stream).collect();
+            assert_eq!(
+                observed, expected,
+                "{fixture}: stream {stream:?} diverged from the fixture"
+            );
+        }
+        // And globally the two traces carry exactly the same envelopes.
+        let sort = |t: &mut Vec<Envelope>| {
+            t.sort_by(|a, b| {
+                (a.from, a.to, &a.topic, &a.payload).cmp(&(b.from, b.to, &b.topic, &b.payload))
+            })
+        };
+        sort(&mut golden);
+        sort(&mut trace);
+        assert_eq!(trace, golden, "{fixture}");
     }
-    // And globally the two traces carry exactly the same envelopes.
-    let sort = |t: &mut Vec<Envelope>| {
-        t.sort_by(|a, b| {
-            (a.from, a.to, &a.topic, &a.payload).cmp(&(b.from, b.to, &b.topic, &b.payload))
-        })
-    };
-    sort(&mut golden);
-    sort(&mut trace);
-    assert_eq!(trace, golden);
 }
 
 fn bird_flu_spec(seed: u64, chunk_rows: Option<usize>, mode: NumericMode) -> SessionSpec {
